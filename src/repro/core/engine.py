@@ -8,22 +8,25 @@ instantaneous storage high-water mark (the "minimum of 30 Terabytes of
 storage required instantaneously" argument for Arecibo), and a provenance
 record per stage output.
 
-Two execution strategies share all of that accounting:
+One scheduler runs every flow: ready stages wait in a heap ordered by
+topological index, and the scheduling thread pops them and owns every cache
+lookup, provenance commit, cache store and successor release.  The engine's
+keywords only decide where a cache miss executes:
 
-* ``Engine(max_workers=1)`` (the default) calls every stage in the calling
-  thread, one at a time, in topological order.
-* ``Engine(max_workers=N)`` / :class:`ParallelEngine` runs independent
-  stages concurrently on a thread pool — the paper's "50 to 200
-  processors" argument, exercised instead of merely quoted.
-* ``Engine(max_workers=N, executor="process")`` / :class:`ProcessEngine`
-  additionally moves the data-parallel inner loops of transforms — the
-  shards a stage routes through ``StageContext.map_shards`` — onto worker
-  processes, the paper's farm model (a central store feeding independent
-  reconstruction/search workers).  Stage scheduling itself stays on
-  threads; large arrays cross the process boundary via shared memory and
-  child telemetry is forwarded home in shard order.
+* ``max_workers=1`` (the default) runs it inline, so stages execute one at
+  a time, exactly in topological order.
+* ``max_workers=N`` hands it to a thread pool, so independent stages run
+  concurrently — the paper's "50 to 200 processors" argument, exercised
+  instead of merely quoted.
+* ``executor="process"`` additionally moves the data-parallel inner loops
+  of transforms — the shards a stage routes through
+  ``StageContext.map_shards`` — onto worker processes, the paper's farm
+  model (a central store feeding independent reconstruction/search
+  workers).  Stage scheduling itself stays on threads; large arrays cross
+  the process boundary via shared memory and child telemetry is forwarded
+  home in shard order.
 
-Parallel execution preserves *exact* sequential semantics:
+Every worker count preserves *exact* sequential semantics:
 
 * every stage draws randomness from its own ``random.Random`` seeded from
   ``(run seed, stage name)``, so no stage's stream depends on when any
@@ -73,10 +76,12 @@ is resumed — see :func:`repro.core.recovery.run_to_completion`.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import random
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from functools import partial
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.dataflow import DataFlow, Stage
 from repro.core.dataset import Dataset
@@ -315,15 +320,23 @@ class StageContext:
                 self.stage.name,
                 f"map_shards: {len(items)} items but {len(cache_keys)} cache keys",
             )
+        # A shard key is only as stable as the function's name: lambdas and
+        # nested functions share one ``<locals>`` qualname per transform, and
+        # a ``functools.partial`` has none (its repr embeds an address).
+        qualname = getattr(fn, "__qualname__", "")
+        if not qualname or "<lambda>" in qualname or "<locals>" in qualname:
+            raise ExecutionError(
+                self.stage.name,
+                f"map_shards: cache_keys needs a module-level function, got {fn!r}",
+            )
         fault_digest = (
             self.engine.faults.digest if self.engine.faults is not None else ""
         )
-        fn_name = getattr(fn, "__qualname__", repr(fn))
         keys = [
             shard_key(
                 flow_name=self.flow_name,
                 stage_name=self.stage.name,
-                fn_name=fn_name,
+                fn_name=f"{fn.__module__}.{qualname}",
                 item_descriptor=descriptor,
                 cache_params=cache_params,
                 fault_digest=fault_digest,
@@ -376,8 +389,8 @@ class StageContext:
         """The stash a completed ancestor stage published.
 
         Available for any stage that finished before this one was started
-        (the engine registers stashes before submitting successors, under
-        both execution strategies); cached stages restore their recorded
+        (the engine registers stashes before starting successors, for any
+        worker count); cached stages restore their recorded
         stash, so hits and real executions are indistinguishable here.
         """
         try:
@@ -392,25 +405,8 @@ class StageContext:
         return Duration(self._extra_cpu_seconds)
 
 
-@dataclass
-class _StageResult:
-    """What execution hands to the accounting replay for one stage."""
-
-    output: Dataset
-    extra_cpu_seconds: float
-    stash: Dict[str, object] = field(default_factory=dict)
-    from_cache: bool = False
-    # Availability accounting, replayed into the telemetry stream in
-    # topological order so parallel runs log identically to sequential.
-    attempts: int = 1
-    retry_wait_seconds: float = 0.0
-    faults: List[FaultRecord] = field(default_factory=list)
-    degraded: bool = False
-    dead_letter: Optional[DeadLetter] = None
-
-
 class Engine:
-    """Topological executor with accounting; sequential or thread-parallel.
+    """Topological executor with accounting: one scheduler, any worker count.
 
     Parameters
     ----------
@@ -424,6 +420,10 @@ class Engine:
         ``1`` executes stages sequentially in the calling thread;
         ``N > 1`` runs independent stages concurrently on a thread pool
         while producing byte-identical reports and provenance.
+    executor:
+        ``"thread"`` or ``"process"``: where ``StageContext.map_shards``
+        fans a transform's inner loop out when ``max_workers > 1``.
+        Stage scheduling itself always stays on threads.
     telemetry:
         The substrate runs emit into.  Each engine owns a private
         :class:`~repro.core.telemetry.Telemetry` by default, so a run's
@@ -474,8 +474,8 @@ class Engine:
             faults = faults.arm(clock=self.telemetry.clock)
         self.faults: Optional[FaultInjector] = faults
         #: Dead letters this engine produced: degraded stages append
-        #: during the accounting replay (deterministic order); fatal
-        #: exhaustions append as the run aborts.
+        #: during the accounting replay (deterministic order); an aborting
+        #: run appends the letter of the one failure it raises.
         self.dead_letters: List[DeadLetter] = []
         self._seed = seed
         self._max_workers = int(max_workers)
@@ -533,22 +533,12 @@ class Engine:
         # is numbered identically regardless of execution strategy.
         reserved = {name: self.provenance.reserve_id() for name in order}
         stashes: Dict[str, Mapping[str, object]] = {}
-        self._shard_pool = ShardPool(
-            executor=self._executor, workers=self._max_workers
+        outputs, records, cached = self._execute(
+            flow, order, seeds, reserved, stashes
         )
-        try:
-            if self._max_workers == 1:
-                results = self._execute_sequential(
-                    flow, order, seeds, reserved, stashes
-                )
-            else:
-                results = self._execute_parallel(
-                    flow, order, seeds, reserved, stashes
-                )
-        finally:
-            pool, self._shard_pool = self._shard_pool, None
-            pool.close()
-        return self._build_report(flow, order, seeds, reserved, results, stashes)
+        return self._build_report(
+            flow, order, seeds, reserved, outputs, records, cached, stashes
+        )
 
     # -- execution ---------------------------------------------------------
     @staticmethod
@@ -571,11 +561,9 @@ class Engine:
         flow: DataFlow,
         name: str,
         seeds: Mapping[str, Dataset],
-        results: Mapping[str, _StageResult],
+        outputs: Mapping[str, Dataset],
     ) -> Dict[str, Dataset]:
-        stage_inputs = {
-            pred: results[pred].output for pred in flow.predecessors(name)
-        }
+        stage_inputs = {pred: outputs[pred] for pred in flow.predecessors(name)}
         if not stage_inputs and name in seeds:
             stage_inputs = {"input": seeds[name]}
         return stage_inputs
@@ -587,6 +575,7 @@ class Engine:
         stage_inputs: Mapping[str, Dataset],
         stashes: Mapping[str, Mapping[str, object]],
         faults: List[FaultRecord],
+        fallback=None,
     ) -> Tuple[Dataset, StageContext]:
         """One attempt: consult the injector, then run the transform.
 
@@ -594,6 +583,10 @@ class Engine:
         or environment failure, not a mid-write one), so a failed attempt
         leaves no partial side effects behind for the retry to trip over.
         ``"delay"`` faults are recorded and charged by the caller.
+
+        ``fallback`` (called like a transform) stands in for the stage on
+        the degraded last attempt, which is not a scheduled attempt: the
+        injector is not consulted for it.
         """
         stage = flow.stages[name]
         rng = random.Random(_stage_seed(self._seed, name))
@@ -601,7 +594,7 @@ class Engine:
             stage, self, self.provenance, rng, stashes, faults=self.faults,
             flow_name=flow.name,
         )
-        if self.faults is not None:
+        if self.faults is not None and fallback is None:
             try:
                 faults.extend(
                     self.faults.check("stage", f"{flow.name}/{name}", stage.site)
@@ -610,11 +603,13 @@ class Engine:
                 if exc.record is not None:
                     faults.append(exc.record)
                 raise
-        output = stage.fn(stage_inputs, context)
+        output = (fallback or stage.fn)(stage_inputs, context)
         faults.extend(context._fault_records)
         if not isinstance(output, Dataset):
             raise ExecutionError(
-                name, f"stage returned {type(output).__name__}, expected Dataset"
+                name,
+                f"{'fallback' if fallback else 'stage'} returned "
+                f"{type(output).__name__}, expected Dataset",
             )
         return output, context
 
@@ -624,37 +619,32 @@ class Engine:
         name: str,
         stage_inputs: Mapping[str, Dataset],
         stashes: Mapping[str, Mapping[str, object]],
-    ) -> _StageResult:
+    ) -> Tuple[Dataset, CachedStage]:
         """Run one stage under its retry policy; account every attempt.
 
         Each attempt gets a fresh context and the *same* per-stage RNG
         seed, so the attempt that finally succeeds is byte-identical to
-        a first-try success.  Backoff accumulates into the result as
-        simulated stall, replayed onto the clock during accounting.
+        a first-try success.  Backoff accumulates into the record as
+        simulated stall, replayed onto the clock during accounting.  A
+        fatal exhaustion raises with its dead letter attached
+        (``ExecutionError.dead_letter``): this may run on a worker thread,
+        and only the scheduler knows which failure the run reports.
         """
         stage = flow.stages[name]
         policy = stage.retry if stage.retry is not None else self.retry
         faults: List[FaultRecord] = []
         wait_seconds = 0.0
         attempt = 0
+        letter: Optional[DeadLetter] = None
         while True:
             attempt += 1
             try:
                 output, context = self._attempt_stage(
                     flow, name, stage_inputs, stashes, faults
                 )
+                break
             except Exception as exc:  # noqa: BLE001 - classified below
                 error = exc
-            else:
-                wait_seconds += delay_seconds(faults)
-                return _StageResult(
-                    output=output,
-                    extra_cpu_seconds=context.extra_cpu.seconds,
-                    stash=context.stash,
-                    attempts=attempt,
-                    retry_wait_seconds=wait_seconds,
-                    faults=faults,
-                )
             if attempt < policy.max_attempts:
                 wait_seconds += policy.delay_for(attempt)
                 continue
@@ -668,49 +658,38 @@ class Engine:
                 retry_wait_s=wait_seconds,
                 degraded=policy.fallback is not None,
             )
-            if policy.fallback is None:
-                self.dead_letters.append(letter)
-                if isinstance(error, ExecutionError):
-                    raise error
-                if attempt == 1:
-                    raise ExecutionError(name, str(error)) from error
-                raise ExecutionError(
-                    name, f"{error} (after {attempt} attempts)"
-                ) from error
-            fallback_context = StageContext(
-                stage,
-                self,
-                self.provenance,
-                random.Random(_stage_seed(self._seed, name)),
-                stashes,
-                faults=self.faults,
-                flow_name=flow.name,
-            )
+
+            def degrade(inputs: Mapping[str, Dataset], context: StageContext):
+                try:
+                    return policy.fallback(inputs, context, error)
+                except Exception as exc:  # noqa: BLE001 - wrap with stage identity
+                    raise ExecutionError(
+                        name, f"fallback failed after {attempt} attempts: {exc}"
+                    ) from exc
+
             try:
-                output = policy.fallback(stage_inputs, fallback_context, error)
-            except Exception as exc:  # noqa: BLE001 - wrap with stage identity
-                self.dead_letters.append(letter)
-                raise ExecutionError(
-                    name, f"fallback failed after {attempt} attempts: {exc}"
-                ) from exc
-            if not isinstance(output, Dataset):
-                self.dead_letters.append(letter)
-                raise ExecutionError(
-                    name,
-                    f"fallback returned {type(output).__name__}, expected Dataset",
+                if policy.fallback is None:
+                    if isinstance(error, ExecutionError):
+                        raise error
+                    after = "" if attempt == 1 else f" (after {attempt} attempts)"
+                    raise ExecutionError(name, f"{error}{after}") from error
+                output, context = self._attempt_stage(
+                    flow, name, stage_inputs, stashes, faults, fallback=degrade
                 )
-            faults.extend(fallback_context._fault_records)
-            wait_seconds += delay_seconds(faults)
-            return _StageResult(
-                output=output,
-                extra_cpu_seconds=fallback_context.extra_cpu.seconds,
-                stash=fallback_context.stash,
-                attempts=attempt,
-                retry_wait_seconds=wait_seconds,
-                faults=faults,
-                degraded=True,
-                dead_letter=letter,
-            )
+                break
+            except ExecutionError as exc:
+                exc.dead_letter = letter
+                raise
+        return output, CachedStage.capture(
+            output,
+            context.extra_cpu.seconds,
+            context.stash,
+            attempts=attempt,
+            retry_wait_seconds=wait_seconds + delay_seconds(faults),
+            degraded=letter is not None,
+            fault_attrs=[record.as_attrs() for record in faults],
+            dead_letter_attrs=letter.as_attrs() if letter is not None else None,
+        )
 
     # -- stage cache -------------------------------------------------------
     def _cache_descriptor(self, slot: str, dataset: Dataset) -> str:
@@ -744,95 +723,48 @@ class Engine:
                 ) from exc
         return f"{slot}={_input_descriptor(dataset)}#{digest}:{dataset.size.bytes!r}"
 
-    def _cache_key(
-        self,
-        flow: DataFlow,
-        name: str,
-        stage_inputs: Mapping[str, Dataset],
-    ) -> str:
-        stage = flow.stages[name]
-        return stage_key(
-            flow_name=flow.name,
-            stage_name=name,
-            site=stage.site,
-            cpu_seconds_per_gb=stage.cpu_seconds_per_gb,
-            stage_seed=_stage_seed(self._seed, name),
-            input_descriptors=[
-                self._cache_descriptor(slot, dataset)
-                for slot, dataset in stage_inputs.items()
-            ],
-            cache_params=stage.cache_params,
-            fault_digest=self.faults.digest if self.faults is not None else "",
-        )
-
     def _cache_lookup(
         self,
         flow: DataFlow,
         name: str,
         stage_inputs: Mapping[str, Dataset],
-    ) -> Tuple[Optional[str], Optional[_StageResult]]:
+    ) -> Tuple[Optional[str], Optional[CachedStage]]:
         """Try to service a stage from the cache.
 
-        Returns ``(key, result)``: key is None when no cache is attached
+        Returns ``(key, entry)``: key is None when no cache is attached
         or the stage is uncacheable (an input's stamp digest cannot be
         resolved — such stages always execute and are never stored);
-        result is None on a miss.  A hit rebuilds a fresh output Dataset
-        (re-committed with this run's reserved provenance id) and restores
-        the recorded stash.
+        entry is None on a miss.
         """
         if self.cache is None:
             return None, None
+        stage = flow.stages[name]
         try:
-            key = self._cache_key(flow, name, stage_inputs)
+            descriptors = [
+                self._cache_descriptor(slot, dataset)
+                for slot, dataset in stage_inputs.items()
+            ]
         except UnverifiableInputError:
             self.cache.registry.counter("stage_cache.unverified_inputs").inc()
             return None, None
-        entry = self.cache.lookup(key)
-        if entry is None:
-            return key, None
-        return key, _StageResult(
-            output=entry.rebuild_output(),
-            extra_cpu_seconds=entry.extra_cpu_seconds,
-            stash=dict(entry.stash),
-            from_cache=True,
-            attempts=entry.attempts,
-            retry_wait_seconds=entry.retry_wait_seconds,
-            faults=[FaultRecord.from_attrs(dict(attrs)) for attrs in entry.fault_attrs],
-            degraded=entry.degraded,
-            dead_letter=(
-                DeadLetter(**entry.dead_letter_attrs)  # type: ignore[arg-type]
-                if entry.dead_letter_attrs is not None
-                else None
-            ),
+        key = stage_key(
+            flow_name=flow.name,
+            stage_name=name,
+            site=stage.site,
+            cpu_seconds_per_gb=stage.cpu_seconds_per_gb,
+            stage_seed=_stage_seed(self._seed, name),
+            input_descriptors=descriptors,
+            cache_params=stage.cache_params,
+            fault_digest=self.faults.digest if self.faults is not None else "",
         )
-
-    def _cache_store(self, key: Optional[str], result: _StageResult) -> None:
-        if self.cache is None or key is None or result.from_cache:
-            return
-        self.cache.store(
-            key,
-            CachedStage.capture(
-                result.output,
-                result.extra_cpu_seconds,
-                result.stash,
-                attempts=result.attempts,
-                retry_wait_seconds=result.retry_wait_seconds,
-                degraded=result.degraded,
-                fault_attrs=[record.as_attrs() for record in result.faults],
-                dead_letter_attrs=(
-                    result.dead_letter.as_attrs()
-                    if result.dead_letter is not None
-                    else None
-                ),
-            ),
-        )
+        return key, self.cache.lookup(key)
 
     def _commit(
         self,
         flow: DataFlow,
         name: str,
         stage_inputs: Mapping[str, Dataset],
-        result: _StageResult,
+        output: Dataset,
         reserved: Mapping[str, str],
     ) -> None:
         """Record provenance for a completed stage.
@@ -844,124 +776,108 @@ class Engine:
         stage = flow.stages[name]
         step = ProcessingStep.create(
             module=name,
-            version=result.output.version,
+            version=output.version,
             params={"site": stage.site},
             inputs=sorted(_input_descriptor(ds) for ds in stage_inputs.values()),
         )
         parents = [reserved[pred] for pred in flow.predecessors(name)]
         record = self.provenance.record(
-            artifact=result.output.name,
+            artifact=output.name,
             step=step,
             parents=parents,
             record_id=reserved[name],
         )
-        result.output.provenance_id = record.record_id
+        output.provenance_id = record.record_id
 
-    def _execute_sequential(
+    def _execute(
         self,
         flow: DataFlow,
         order: List[str],
         seeds: Mapping[str, Dataset],
         reserved: Mapping[str, str],
         stashes: Dict[str, Mapping[str, object]],
-    ) -> Dict[str, _StageResult]:
-        results: Dict[str, _StageResult] = {}
-        for name in order:
-            stage_inputs = self._stage_inputs(flow, name, seeds, results)
-            key, result = self._cache_lookup(flow, name, stage_inputs)
-            if result is None:
-                result = self._run_stage(flow, name, stage_inputs, stashes)
-            self._commit(flow, name, stage_inputs, result, reserved)
-            results[name] = result
-            stashes[name] = result.stash
-            self._cache_store(key, result)
-        return results
+    ) -> Tuple[Dict[str, Dataset], Dict[str, CachedStage], Set[str]]:
+        """The scheduler: returns live outputs, per-stage records, and the
+        names serviced from the cache.
 
-    def _execute_parallel(
-        self,
-        flow: DataFlow,
-        order: List[str],
-        seeds: Mapping[str, Dataset],
-        reserved: Mapping[str, str],
-        stashes: Dict[str, Mapping[str, object]],
-    ) -> Dict[str, _StageResult]:
-        """Run independent stages concurrently; commit on completion.
-
-        The scheduler (this thread) owns all bookkeeping: workers only
-        execute stage transforms, so no shared mutable state crosses the
-        pool boundary except what stage functions themselves share.  Cache
-        lookups also happen here, at submit time: a hit completes the
-        stage synchronously (never reaching the pool) and may ready
-        further stages, so a fully warm run finishes without a single
-        worker dispatch.
+        This thread owns all bookkeeping, so no shared mutable state crosses
+        the pool boundary except what stage functions themselves share.  A
+        cache hit completes here, so a fully warm run finishes without a
+        single worker dispatch; with one worker a miss runs here too, so
+        the first failure ends the run.  With more, a failure stops further
+        starts, in-flight stages drain (and commit), and the failure a
+        sequential run would have hit first is the one raised.
         """
-        results: Dict[str, _StageResult] = {}
-        remaining_preds = {name: len(flow.predecessors(name)) for name in order}
-        failures: Dict[str, ExecutionError] = {}
-        # A cache hit at submit time completes a stage synchronously and can
-        # drop a successor's pred-count to zero before the initial seeding
-        # loop reaches it; `scheduled` keeps any stage from running twice.
-        scheduled: set = set()
-        with ThreadPoolExecutor(max_workers=self._max_workers) as pool:
-            pending: Dict[Future, Tuple[str, Dict[str, Dataset], Optional[str]]] = {}
+        position = {name: index for index, name in enumerate(order)}
+        waiting = {name: len(flow.predecessors(name)) for name in order}
+        # Ascending topological indices: already a valid heap.
+        ready = [position[name] for name in order if not waiting[name]]
+        outputs: Dict[str, Dataset] = {}
+        records: Dict[str, CachedStage] = {}
+        cached: Set[str] = set()
+        failures: Dict[int, ExecutionError] = {}
+        pending: Dict[Future, Tuple[str, Dict[str, Dataset], Optional[str]]] = {}
 
-            def complete(
-                name: str,
-                stage_inputs: Dict[str, Dataset],
-                key: Optional[str],
-                result: _StageResult,
-            ) -> List[str]:
-                """Commit a finished stage; return newly-ready successors."""
-                self._commit(flow, name, stage_inputs, result, reserved)
-                results[name] = result
-                stashes[name] = result.stash
-                self._cache_store(key, result)
-                ready = []
-                for succ in flow.successors(name):
-                    remaining_preds[succ] -= 1
-                    if remaining_preds[succ] == 0:
-                        ready.append(succ)
-                return ready
+        def settle(name, stage_inputs, store_key, produce) -> None:
+            """Commit the ``(output, record)`` that ``produce`` yields, store
+            it under ``store_key`` (None for a hit or an uncacheable stage)
+            and release successors — or note the failure it raises."""
+            try:
+                output, record = produce()
+            except ExecutionError as exc:
+                failures[position[name]] = exc
+                return
+            self._commit(flow, name, stage_inputs, output, reserved)
+            outputs[name] = output
+            records[name] = record
+            # The record is shared with the cache (and through it with
+            # later runs); each run hands out its own copy of the stash.
+            stashes[name] = dict(record.stash)
+            if store_key is not None:
+                self.cache.store(store_key, record)
+            for successor in flow.successors(name):
+                waiting[successor] -= 1
+                if not waiting[successor]:
+                    heapq.heappush(ready, position[successor])
 
-            def submit(name: str) -> None:
-                worklist = [name]
-                while worklist:
-                    current = worklist.pop(0)
-                    if current in scheduled:
+        workers = self._max_workers
+        pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+        self._shard_pool = ShardPool(executor=self._executor, workers=workers)
+        try:
+            while True:
+                while ready and not failures:
+                    name = order[heapq.heappop(ready)]
+                    stage_inputs = self._stage_inputs(flow, name, seeds, outputs)
+                    key, entry = self._cache_lookup(flow, name, stage_inputs)
+                    if entry is not None:
+                        cached.add(name)
+                        hit = entry.rebuild_output(), entry
+                        settle(name, stage_inputs, None, lambda: hit)
                         continue
-                    scheduled.add(current)
-                    stage_inputs = self._stage_inputs(flow, current, seeds, results)
-                    key, result = self._cache_lookup(flow, current, stage_inputs)
-                    if result is not None:
-                        ready = complete(current, stage_inputs, key, result)
-                        if not failures:
-                            worklist.extend(ready)
-                        continue
-                    future = pool.submit(
-                        self._run_stage, flow, current, stage_inputs, stashes
-                    )
-                    pending[future] = (current, stage_inputs, key)
-
-            for name in order:
-                if remaining_preds[name] == 0:
-                    submit(name)
-            while pending:
-                done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
+                    run = partial(self._run_stage, flow, name, stage_inputs, stashes)
+                    if pool is None:
+                        settle(name, stage_inputs, key, run)
+                    else:
+                        pending[pool.submit(run)] = (name, stage_inputs, key)
+                if not pending:
+                    break
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    name, stage_inputs, key = pending.pop(future)
-                    try:
-                        result = future.result()
-                    except ExecutionError as exc:
-                        failures[name] = exc
-                        continue
-                    for ready_name in complete(name, stage_inputs, key, result):
-                        if not failures:
-                            submit(ready_name)
+                    settle(*pending.pop(future), future.result)
+        finally:
+            if pool is not None:
+                pool.shutdown()
+            shards, self._shard_pool = self._shard_pool, None
+            shards.close()
         if failures:
-            # Surface the failure a sequential run would have hit first.
-            first = min(failures, key=order.index)
-            raise failures[first]
-        return results
+            # Surface the failure a sequential run would have hit first, and
+            # report only its dead letter: the other failures belong to
+            # stages a sequential run would never have started.
+            error = failures[min(failures)]
+            if error.dead_letter is not None:
+                self.dead_letters.append(error.dead_letter)
+            raise error
+        return outputs, records, cached
 
     # -- accounting --------------------------------------------------------
     def _build_report(
@@ -970,7 +886,9 @@ class Engine:
         order: List[str],
         seeds: Mapping[str, Dataset],
         reserved: Mapping[str, str],
-        results: Mapping[str, _StageResult],
+        outputs: Mapping[str, Dataset],
+        records: Mapping[str, CachedStage],
+        cached: Set[str],
         stashes: Mapping[str, Mapping[str, object]],
     ) -> FlowReport:
         """Replay accounting over completed stages in topological order,
@@ -992,13 +910,14 @@ class Engine:
             )
             for name in order:
                 stage = flow.stages[name]
-                result = results[name]
-                stage_inputs = self._stage_inputs(flow, name, seeds, results)
+                record = records[name]
+                output_bytes = outputs[name].size.bytes
+                stage_inputs = self._stage_inputs(flow, name, seeds, outputs)
                 input_size = DataSize(
                     sum(dataset.size.bytes for dataset in stage_inputs.values())
                 )
                 cpu_seconds = (
-                    stage.cpu_seconds_per_gb * input_size.gb + result.extra_cpu_seconds
+                    stage.cpu_seconds_per_gb * input_size.gb + record.extra_cpu_seconds
                 )
                 total_cpu_seconds += cpu_seconds
 
@@ -1009,85 +928,73 @@ class Engine:
                         site=stage.site,
                         input_bytes=input_size.bytes,
                     )
-                    for record in result.faults:
+                    for attrs in record.fault_attrs:
                         # ``kind`` is the event kind's parameter name, so
                         # the fault's own kind travels as ``fault_kind``.
-                        fault_attrs = record.as_attrs()
+                        fault_attrs = dict(attrs)
                         fault_attrs["fault_kind"] = fault_attrs.pop("kind")
                         telemetry.emit("fault.injected", name, **fault_attrs)
                         metrics.counter("engine.faults_injected").inc()
-                    if result.attempts > 1:
+                    if record.attempts > 1:
                         telemetry.emit(
                             "stage.retry",
                             name,
                             site=stage.site,
-                            attempts=result.attempts,
-                            retries=result.attempts - 1,
-                            retry_wait_s=result.retry_wait_seconds,
+                            attempts=record.attempts,
+                            retries=record.attempts - 1,
+                            retry_wait_s=record.retry_wait_seconds,
                         )
-                        metrics.counter("engine.retries").inc(result.attempts - 1)
-                    if result.retry_wait_seconds:
+                        metrics.counter("engine.retries").inc(record.attempts - 1)
+                    if record.retry_wait_seconds:
                         # Backoff and injected delays are simulated stall:
                         # they advance the clock without charging CPU.
-                        telemetry.clock.advance(result.retry_wait_seconds)
+                        telemetry.clock.advance(record.retry_wait_seconds)
                     telemetry.clock.advance(cpu_seconds)
-                    live_bytes += result.output.size.bytes
+                    live_bytes += output_bytes
                     peak_bytes = max(peak_bytes, live_bytes)
                     if name in seeds:
                         live_bytes -= seeds[name].size.bytes
                     for pred in flow.predecessors(name):
                         remaining_consumers[pred] -= 1
                         if remaining_consumers[pred] == 0:
-                            live_bytes -= results[pred].output.size.bytes
+                            live_bytes -= outputs[pred].size.bytes
                     telemetry.emit(
                         "bytes.produced",
                         name,
-                        bytes=result.output.size.bytes,
-                        artifact=result.output.name,
+                        bytes=output_bytes,
+                        artifact=outputs[name].name,
                     )
                     telemetry.emit(
                         "provenance.record",
                         name,
                         record_id=reserved[name],
-                        artifact=result.output.name,
+                        artifact=outputs[name].name,
                         parents=[reserved[pred] for pred in flow.predecessors(name)],
                     )
-                    if result.degraded:
-                        letter = result.dead_letter
-                        if letter is None:
-                            letter = DeadLetter(
-                                flow=flow.name,
-                                stage=name,
-                                site=stage.site,
-                                attempts=result.attempts,
-                                error="(degraded result replayed from cache)",
-                                retry_wait_s=result.retry_wait_seconds,
-                                degraded=True,
-                            )
-                        self.dead_letters.append(letter)
+                    if record.degraded:
+                        letter_attrs = record.dead_letter_attrs
+                        self.dead_letters.append(DeadLetter(**letter_attrs))  # type: ignore[arg-type]
                         metrics.counter("engine.dead_letters").inc()
                         telemetry.emit(
                             "stage.degraded", name, site=stage.site,
-                            attempts=result.attempts,
+                            attempts=record.attempts,
                         )
-                        telemetry.emit(
-                            "stage.dead_letter", name, **letter.as_attrs()
-                        )
+                        telemetry.emit("stage.dead_letter", name, **letter_attrs)
                     telemetry.emit(
                         "stage.finish",
                         name,
                         site=stage.site,
                         input_bytes=input_size.bytes,
-                        output_bytes=result.output.size.bytes,
+                        output_bytes=output_bytes,
                         cpu_seconds=cpu_seconds,
                         provenance_id=reserved[name],
                         live_bytes=live_bytes,
-                        attempts=result.attempts,
-                        retry_wait_s=result.retry_wait_seconds,
-                        degraded=result.degraded,
+                        attempts=record.attempts,
+                        retry_wait_s=record.retry_wait_seconds,
+                        degraded=record.degraded,
                     )
                 metrics.counter("engine.stages").inc()
-                metrics.counter("engine.bytes_produced").inc(result.output.size.bytes)
+                metrics.counter("engine.bytes_produced").inc(output_bytes)
                 metrics.counter("engine.cpu_seconds").inc(cpu_seconds)
                 metrics.highwater("engine.peak_live_bytes").observe(peak_bytes)
             telemetry.emit(
@@ -1122,79 +1029,9 @@ class Engine:
                     degraded=bool(row["degraded"]),
                 )
             )
-        report.outputs = {name: results[name].output for name in flow.sinks()}
+        report.outputs = {name: outputs[name] for name in flow.sinks()}
         report.stashes = dict(stashes)
         report.peak_live_storage = peak_storage_from_log(run_events)
-        report.executed_stages = [
-            name for name in order if not results[name].from_cache
-        ]
-        report.cached_stages = [
-            name for name in order if results[name].from_cache
-        ]
+        report.executed_stages = [name for name in order if name not in cached]
+        report.cached_stages = [name for name in order if name in cached]
         return report
-
-
-class ParallelEngine(Engine):
-    """An :class:`Engine` preset that fans independent stages out across a
-    thread pool.  ``ParallelEngine(max_workers=N)`` ==
-    ``Engine(max_workers=N)``; the subclass exists so call sites can name
-    the execution strategy they require."""
-
-    def __init__(
-        self,
-        provenance: Optional[ProvenanceStore] = None,
-        seed: int = 0,
-        max_workers: int = 4,
-        telemetry: Optional[Telemetry] = None,
-        cache: Optional[StageCache] = None,
-        retry: Optional[RetryPolicy] = None,
-        faults: Optional[Union[FaultPlan, FaultInjector]] = None,
-        executor: str = "thread",
-    ):
-        super().__init__(
-            provenance=provenance,
-            seed=seed,
-            max_workers=max_workers,
-            telemetry=telemetry,
-            cache=cache,
-            retry=retry,
-            faults=faults,
-            executor=executor,
-        )
-
-
-class ProcessEngine(ParallelEngine):
-    """An :class:`Engine` preset that shards transform work across worker
-    *processes* — ``ProcessEngine(max_workers=N)`` ==
-    ``Engine(max_workers=N, executor="process")``.
-
-    Stage scheduling stays on threads (transforms close over live
-    pipeline state); the data-parallel inner loops that transforms route
-    through :meth:`StageContext.map_shards` — per-pointing searches,
-    per-run reconstruction batches, per-snapshot packing — run in a
-    ``ProcessPoolExecutor``, with large arrays crossing via shared memory
-    and child telemetry forwarded home in shard order.  The determinism
-    contract is unchanged: reports, provenance, and canonical event logs
-    are byte-identical to sequential and thread-parallel runs.
-    """
-
-    def __init__(
-        self,
-        provenance: Optional[ProvenanceStore] = None,
-        seed: int = 0,
-        max_workers: int = 4,
-        telemetry: Optional[Telemetry] = None,
-        cache: Optional[StageCache] = None,
-        retry: Optional[RetryPolicy] = None,
-        faults: Optional[Union[FaultPlan, FaultInjector]] = None,
-    ):
-        super().__init__(
-            provenance=provenance,
-            seed=seed,
-            max_workers=max_workers,
-            telemetry=telemetry,
-            cache=cache,
-            retry=retry,
-            faults=faults,
-            executor="process",
-        )

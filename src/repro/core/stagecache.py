@@ -130,7 +130,12 @@ class CachedShard:
 
 @dataclass
 class CachedStage:
-    """Everything needed to replay one stage without running it."""
+    """Everything needed to replay one stage without running it.
+
+    This is also the per-stage result record the engine carries from
+    execution to the accounting replay, so what a cold run accounts and
+    what a warm run restores are the same object by construction.
+    """
 
     output_name: str
     output_version: str
@@ -238,7 +243,7 @@ class StageCache:
         self.max_entries = max_entries
         self.registry = registry if registry is not None else MetricsRegistry()
         self.disk = store
-        self._entries: "OrderedDict[str, CachedStage]" = OrderedDict()
+        self._entries: "OrderedDict[str, Union[CachedStage, CachedShard]]" = OrderedDict()
         self._lock = threading.Lock()
 
     @classmethod
@@ -274,60 +279,66 @@ class StageCache:
         with self._lock:
             return key in self._entries
 
-    def lookup(self, key: str) -> Optional[CachedStage]:
-        """Return the entry for ``key`` (marking it recently used), or None.
+    def _get(self, key: str, kind: type, hit_counter: str, miss_counter: str):
+        """Memory-then-disk read of the ``kind`` entry under ``key``.
 
-        With a disk store attached, a memory miss falls through to the
-        store; a disk hit is promoted into the in-memory L1 and counts as
-        a hit (plus ``stage_cache.disk_hits``).
+        A memory hit is marked recently used; a memory miss falls through
+        to the disk store, and a disk hit is promoted into the in-memory
+        L1 and counts as a hit (plus ``stage_cache.disk_hits``).
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
+            if isinstance(entry, kind):
                 self._entries.move_to_end(key)
-                self.registry.counter("stage_cache.hits").inc()
+                self.registry.counter(hit_counter).inc()
                 return entry
         if self.disk is not None:
-            from_disk = self.disk.read(key)
-            if isinstance(from_disk, CachedStage):
-                with self._lock:
-                    self._entries[key] = from_disk
-                    self._entries.move_to_end(key)
-                    self._bound_memory_locked()
-                self.registry.counter("stage_cache.hits").inc()
+            entry = self.disk.read(key)
+            if isinstance(entry, kind):
+                self._put_memory(key, entry)
+                self.registry.counter(hit_counter).inc()
                 self.registry.counter("stage_cache.disk_hits").inc()
-                return from_disk
-        self.registry.counter("stage_cache.misses").inc()
+                return entry
+        self.registry.counter(miss_counter).inc()
         return None
 
-    def _bound_memory_locked(self) -> None:
-        """Enforce the in-memory LRU bound; caller holds ``self._lock``."""
-        while self.max_entries is not None and len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.registry.counter("stage_cache.evictions").inc()
-        self.registry.gauge("stage_cache.entries").set(float(len(self._entries)))
+    def _put_memory(self, key: str, entry: object) -> None:
+        """Insert into the L1, evicting LRU entries past ``max_entries``."""
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while self.max_entries is not None and len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.registry.counter("stage_cache.evictions").inc()
+            self.registry.gauge("stage_cache.entries").set(float(len(self._entries)))
 
-    def store(self, key: str, entry: CachedStage) -> None:
-        """Insert ``entry``, evicting LRU entries past ``max_entries``.
+    def _put(self, key: str, entry: object) -> None:
+        """Memory-and-disk write of ``entry`` under ``key``.
 
         With a disk store attached the entry is also written through
         (atomic write-then-rename keyed by the content address); an entry
         whose payload cannot pickle stays memory-only and is counted in
         ``stage_cache.disk_write_skips``.
         """
-        if not isinstance(entry, CachedStage):
-            raise CacheError(
-                f"expected a CachedStage, got {type(entry).__name__}"
-            )
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            self._bound_memory_locked()
+        self._put_memory(key, entry)
         if self.disk is not None:
             if self.disk.write(key, entry):
                 self.registry.counter("stage_cache.disk_writes").inc()
             else:
                 self.registry.counter("stage_cache.disk_write_skips").inc()
+
+    def lookup(self, key: str) -> Optional[CachedStage]:
+        """Return the stage entry for ``key`` (marking it recently used),
+        or None; counted in ``stage_cache.hits``/``misses``."""
+        return self._get(key, CachedStage, "stage_cache.hits", "stage_cache.misses")
+
+    def store(self, key: str, entry: CachedStage) -> None:
+        """Insert ``entry``, evicting LRU entries past ``max_entries``."""
+        if not isinstance(entry, CachedStage):
+            raise CacheError(
+                f"expected a CachedStage, got {type(entry).__name__}"
+            )
+        self._put(key, entry)
 
     def lookup_shard(self, key: str) -> Optional[CachedShard]:
         """Return the shard entry for ``key`` (marking it used), or None.
@@ -336,37 +347,13 @@ class StageCache:
         (``stage_cache.shard_hits``/``shard_misses``) so stage-level
         warm-start assertions stay unchanged by shard fan-out.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if isinstance(entry, CachedShard):
-                self._entries.move_to_end(key)
-                self.registry.counter("stage_cache.shard_hits").inc()
-                return entry
-        if self.disk is not None:
-            from_disk = self.disk.read(key)
-            if isinstance(from_disk, CachedShard):
-                with self._lock:
-                    self._entries[key] = from_disk
-                    self._entries.move_to_end(key)
-                    self._bound_memory_locked()
-                self.registry.counter("stage_cache.shard_hits").inc()
-                self.registry.counter("stage_cache.disk_hits").inc()
-                return from_disk
-        self.registry.counter("stage_cache.shard_misses").inc()
-        return None
+        return self._get(
+            key, CachedShard, "stage_cache.shard_hits", "stage_cache.shard_misses"
+        )
 
     def store_shard(self, key: str, value: object) -> None:
         """Memoize one shard result under its content address."""
-        entry = CachedShard(value=value)
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            self._bound_memory_locked()
-        if self.disk is not None:
-            if self.disk.write(key, entry):
-                self.registry.counter("stage_cache.disk_writes").inc()
-            else:
-                self.registry.counter("stage_cache.disk_write_skips").inc()
+        self._put(key, CachedShard(value=value))
 
     def invalidate(self, key: str) -> bool:
         """Drop one entry from memory and disk; returns whether it existed."""

@@ -7,6 +7,8 @@ final datasets, same provenance stamps, same canonical flow telemetry —
 while empty windows run nothing and unchanged shards replay from cache.
 """
 
+import functools
+
 import pytest
 
 from repro.core.dataflow import DataFlow, structural_stub
@@ -366,6 +368,29 @@ class TestMapShardsCache:
         flow.stage("bad", bad)
         with pytest.raises(ExecutionError, match="cache keys"):
             Engine(seed=1, cache=StageCache()).run(flow)
+
+
+    def test_functions_without_a_stable_identity_are_rejected(self):
+        """Two lambdas in one transform share a qualname and a partial has
+        none (its repr embeds an address): keyed on either, the cache would
+        hand back another function's results, or never hit."""
+
+        def nested(item):
+            return item
+
+        for fn in (lambda x: x + 1, nested, functools.partial(pow, 2)):
+            def keyed(inputs, ctx, fn=fn):
+                out = ctx.map_shards(fn, [1, 2], cache_keys=["i1", "i2"])
+                return Dataset("out", DataSize(2.0), items=out)
+
+            flow = DataFlow("anonymous")
+            flow.stage("keyed", keyed)
+            with pytest.raises(ExecutionError, match="keyed.*module-level"):
+                Engine(seed=1, cache=StageCache()).run(flow)
+            # Without a cache nothing is keyed, so nothing can collide.
+            assert Engine(seed=1).run(flow).outputs["keyed"].items == [
+                fn(1), fn(2)
+            ]
 
 
 class TestDeclareIncremental:

@@ -13,9 +13,11 @@ import pytest
 
 from repro.core.dataflow import DataFlow
 from repro.core.dataset import Dataset
-from repro.core.engine import Engine, ParallelEngine
+from repro.core.engine import Engine
 from repro.core.errors import ExecutionError, ProvenanceError
 from repro.core.provenance import ProvenanceStore
+from repro.core.stagecache import StageCache
+from repro.core.telemetry import strip_wall_clock
 from repro.core.units import DataSize, Duration
 
 
@@ -97,22 +99,43 @@ def provenance_snapshot(report):
     return chains
 
 
+def run_with_cache(build, seed, max_workers, cache_mode):
+    """One run under ``cache_mode``: no cache, a cold one, or one primed by
+    a sequential run.  Returns ``(report, cache)``."""
+    cache = None if cache_mode == "none" else StageCache()
+    if cache_mode == "warm":
+        Engine(seed=seed, cache=cache).run(build())
+    report = Engine(seed=seed, max_workers=max_workers, cache=cache).run(build())
+    return report, cache
+
+
 class TestParallelDeterminism:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    # The uncached rows keep the ids they had before the cache parameter.
+    @pytest.mark.parametrize(
+        "seed,cache_mode",
+        [
+            pytest.param(seed, mode, id=str(seed) if mode == "none" else f"{seed}-{mode}")
+            for mode in ("none", "cold", "warm")
+            for seed in (0, 1, 2)
+        ],
+    )
     @pytest.mark.parametrize("max_workers", [2, 4])
     @pytest.mark.parametrize("build", [diamond_flow, wide_flow])
-    def test_matches_sequential(self, build, seed, max_workers):
-        sequential = Engine(seed=seed).run(build())
-        parallel = Engine(seed=seed, max_workers=max_workers).run(build())
+    def test_matches_sequential(self, build, seed, max_workers, cache_mode):
+        sequential, _ = run_with_cache(build, seed, 1, cache_mode)
+        parallel, cache = run_with_cache(build, seed, max_workers, cache_mode)
         assert report_snapshot(parallel) == report_snapshot(sequential)
         assert provenance_snapshot(parallel) == provenance_snapshot(sequential)
-
-    def test_parallel_engine_class(self):
-        engine = ParallelEngine(seed=3)
-        assert engine.max_workers == 4
-        report = engine.run(diamond_flow())
-        baseline = Engine(seed=3).run(diamond_flow())
-        assert report_snapshot(report) == report_snapshot(baseline)
+        assert strip_wall_clock(parallel.events) == strip_wall_clock(sequential.events)
+        assert parallel.executed_stages == sequential.executed_stages
+        assert parallel.cached_stages == sequential.cached_stages
+        stages = build().topological_order()
+        if cache_mode == "warm":
+            # Every stage is a hit: nothing executes, nothing is dispatched.
+            assert parallel.cached_stages == stages
+            assert cache.stats()["hits"] == len(stages)
+        else:
+            assert parallel.executed_stages == stages
 
     def test_stage_rng_is_execution_order_independent(self):
         """A stage's random stream depends on (seed, name) only."""
@@ -245,22 +268,33 @@ class TestParallelFailurePaths:
         flow.connect("source", "beta")
         order = flow.topological_order()
         first_failing = next(n for n in order if n in ("alpha", "beta"))
-        with pytest.raises(ExecutionError) as excinfo:
-            Engine(max_workers=4).run(flow)
-        assert excinfo.value.stage == first_failing
+        letters = {}
+        for workers in (1, 4):
+            engine = Engine(max_workers=workers)
+            with pytest.raises(ExecutionError) as excinfo:
+                engine.run(flow)
+            assert excinfo.value.stage == first_failing
+            letters[workers] = engine.dead_letters
+        # Only the surfaced failure is dead-lettered, whatever else failed.
+        assert [letter.stage for letter in letters[1]] == [first_failing]
+        assert letters[4] == letters[1]
 
     def test_sequential_and_parallel_commit_same_prefix(self):
         """Both engines leave the same provenance state behind a failure."""
         outcomes = {}
+        letters = {}
         for workers in (1, 3):
             store = ProvenanceStore()
             flow = self.build_flow([], threading.Event())
+            engine = Engine(provenance=store, max_workers=workers)
             with pytest.raises(ExecutionError):
-                Engine(provenance=store, max_workers=workers).run(flow)
+                engine.run(flow)
             outcomes[workers] = sorted(
                 (len(store.records_for(a)), a) for a in ("raw", "slow-out", "after-out")
             )
+            letters[workers] = engine.dead_letters
         assert outcomes[1] == outcomes[3]
+        assert letters[1] == letters[3] and len(letters[1]) == 1
 
 
 class TestSeedInputAccounting:

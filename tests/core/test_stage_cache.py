@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.dataflow import DataFlow
 from repro.core.dataset import Dataset
-from repro.core.engine import Engine, ParallelEngine
+from repro.core.engine import Engine
 from repro.core.errors import CacheError
 from repro.core.stagecache import CachedStage, StageCache, stage_key
 from repro.core.telemetry import MetricsRegistry, strip_wall_clock
@@ -213,7 +213,7 @@ class TestEngineCache:
         calls = {"source": 0, "double": 0, "sink": 0}
         cache = StageCache()
         cold = Engine(seed=5, cache=cache).run(counting_flow(calls))
-        warm = ParallelEngine(seed=5, max_workers=3, cache=cache).run(
+        warm = Engine(seed=5, max_workers=3, cache=cache).run(
             counting_flow(calls)
         )
         assert calls == {"source": 1, "double": 1, "sink": 1}

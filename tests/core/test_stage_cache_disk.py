@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.dataflow import DataFlow
 from repro.core.dataset import Dataset
-from repro.core.engine import Engine, ProcessEngine
+from repro.core.engine import Engine
 from repro.core.errors import UnverifiableInputError
 from repro.core.stagecache import CachedStage, StageCache
 from repro.core.telemetry import strip_wall_clock
@@ -144,8 +144,9 @@ class TestEngineOverSharedStore:
         cold = Engine(seed=5, cache=StageCache.on_disk(tmp_path / "store")).run(
             counting_flow(calls)
         )
-        warm = ProcessEngine(
-            seed=5, cache=StageCache.on_disk(tmp_path / "store")
+        warm = Engine(
+            seed=5, max_workers=4, executor="process",
+            cache=StageCache.on_disk(tmp_path / "store"),
         ).run(counting_flow(calls))
         assert calls == {"source": 1, "double": 1}
         assert strip_wall_clock(warm.events) == strip_wall_clock(cold.events)
