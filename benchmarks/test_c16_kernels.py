@@ -21,10 +21,13 @@ from repro.arecibo.filterbank import Filterbank
 from repro.arecibo.folding import refine_period, refine_period_reference
 from repro.arecibo.fourier import search_dm_block, search_dm_block_reference
 from repro.arecibo.pipeline import AreciboPipelineConfig, run_arecibo_pipeline
+from repro.arecibo.singlepulse import search_single_pulses
 from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
 from repro.core.stagecache import StageCache
 from repro.core.telemetry import strip_wall_clock
+
+from tests.arecibo.conftest import per_series_single_pulse_search
 
 # Laptop-scale but honest: large enough that numpy dispatch overhead is
 # negligible and the measured ratios are stable run to run.
@@ -35,6 +38,9 @@ SEARCH_TRIALS = 512
 SEARCH_SAMPLES = 512
 FOLD_SAMPLES = 8192
 FOLD_TRIALS = 64
+# One beam of the perfbench Fig-1 workloads: every 4th of 124 trial DMs.
+PULSE_SERIES = 31
+PULSE_SAMPLES = 4096
 
 
 def best_of(fn, reps=3):
@@ -151,6 +157,42 @@ def test_c16_batched_folding(report_rows):
     # Folding is scatter-add bound, so the win is smaller than the gather
     # kernels'; it must at least never regress below the naive loop.
     assert speedup >= 1.0
+
+
+def test_c16_block_single_pulse_search(report_rows):
+    rng = np.random.default_rng(3)
+    # float32 strided view, as the pipeline hands over its dedispersed block.
+    block = rng.normal(size=(4 * PULSE_SERIES, PULSE_SAMPLES)).astype(np.float32)
+    block[40:60, 1000:1008] += 5.0  # one pulse, seen across neighbouring DMs
+    block = block[::4]
+    dms = tuple(np.linspace(0.0, 100.0, PULSE_SERIES).tolist())
+    tsamp = 64e-6
+
+    naive_s, naive_events = best_of(
+        lambda: per_series_single_pulse_search(block, tsamp, dms, snr_threshold=5.0)
+    )
+    block_s, block_events = best_of(
+        lambda: search_single_pulses(block, tsamp, dms, snr_threshold=5.0)
+    )
+
+    assert block_events == naive_events
+    assert any(block_events)
+    speedup = naive_s / block_s
+    report_rows(
+        "C16: single-pulse block vs per-series, per-width loop",
+        [
+            {
+                "kernel": "search_single_pulses",
+                "shape": f"{PULSE_SERIES}DM x {PULSE_SAMPLES}smp x 6 widths",
+                "events": sum(len(events) for events in block_events),
+                "naive": f"{naive_s * 1e3:.1f} ms",
+                "batched": f"{block_s * 1e3:.1f} ms",
+                "speedup": f"{speedup:.1f}x",
+                "identical": "exact",
+            }
+        ],
+    )
+    assert speedup >= 3.0
 
 
 def _fig1_config():

@@ -159,7 +159,8 @@ def dedisperse_all(filterbank: Filterbank, grid: DMGrid) -> np.ndarray:
         block = shift_sum(filterbank.data, shifts)
     except KernelError as exc:
         raise SearchError(str(exc)) from exc
-    return (block / filterbank.n_channels).astype(np.float32)
+    block /= filterbank.n_channels  # in place: no second float64 block
+    return block.astype(np.float32)
 
 
 def dedisperse_all_reference(filterbank: Filterbank, grid: DMGrid) -> np.ndarray:

@@ -33,7 +33,7 @@ from repro.core.dataflow import DataFlow, StageFn, structural_stub
 from repro.core.dataset import Dataset
 from repro.core.deltas import WindowLedger
 from repro.core.engine import Engine, FlowReport
-from repro.core.errors import IncrementalError
+from repro.core.errors import IncrementalError, SearchError
 from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.recovery import RetryPolicy
 from repro.core.shards import SharedArray
@@ -76,6 +76,11 @@ class AreciboPipelineConfig:
     workers: int = 1
     executor: str = "thread"
     seed: int = 7
+
+    def __post_init__(self) -> None:
+        for name in ("accel_trials", "accel_dm_stride", "single_pulse_dm_stride"):
+            if getattr(self, name) < 1:
+                raise SearchError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -314,12 +319,13 @@ def _search_pointing_shard(
         # Transient search: boxcar ladder over a DM-grid subset,
         # keeping each beam's best detection per time cluster.
         beam_events: dict = {}
-        for row_index in range(0, len(grid.trials), config.single_pulse_dm_stride):
-            for event in search_single_pulses(
-                block[row_index], cleaned.tsamp_s,
-                grid.trials[row_index],
-                snr_threshold=config.single_pulse_threshold,
-            ):
+        for row_events in search_single_pulses(
+            block[:: config.single_pulse_dm_stride],
+            cleaned.tsamp_s,
+            grid.trials[:: config.single_pulse_dm_stride],
+            snr_threshold=config.single_pulse_threshold,
+        ):
+            for event in row_events:
                 key = round(event.time_s, 2)
                 current = beam_events.get(key)
                 if current is None or event.snr > current.snr:

@@ -1,0 +1,97 @@
+"""The block single-pulse search vs a per-series, per-width ``boxcar_snr`` loop.
+
+``search_single_pulses`` estimates each series' noise once and shares one
+cumulative sum across the width ladder; its contract is that every row's
+events equal — value for value, in order — what the per-width filter over
+that row alone produces.  Equality here is exact, never approximate.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.arecibo.singlepulse import DEFAULT_WIDTHS, search_single_pulses
+from repro.core.errors import SearchError
+
+from tests.arecibo.conftest import per_series_single_pulse_search
+
+TSAMP_S = 64e-6
+
+
+@st.composite
+def blocks(draw):
+    """A block as the pipeline passes it: often a float32 strided view."""
+    n_series = draw(st.integers(1, 5))
+    # Below 32 samples the widest default boxcars drop off the ladder.
+    n_samples = draw(st.integers(2, 160))
+    stride = draw(st.integers(1, 3))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parent = rng.normal(size=(n_series * stride, n_samples))
+    if draw(st.booleans()):
+        # Coarse levels make many hits tie on S/N, so the order hits are
+        # collected in (which the stable sort preserves) decides the result.
+        parent = np.round(parent * 2.0) / 2.0
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, n_series * stride - 1))
+        start = draw(st.integers(0, n_samples - 1))
+        width = draw(st.integers(1, 40))
+        parent[row, start : start + width] += draw(st.floats(2.0, 30.0))
+    if draw(st.integers(0, 7)) == 0:
+        parent[draw(st.integers(0, n_series - 1)) * stride] = draw(st.floats(-5.0, 5.0))
+    return parent.astype(dtype)[::stride]
+
+
+@given(
+    block=blocks(),
+    snr_threshold=st.floats(2.0, 8.0),
+    # (16, 4, 1): descending, and sqrt(width) rational, so on coarse levels
+    # hits of different widths tie on S/N and the ladder order shows.
+    widths=st.sampled_from([DEFAULT_WIDTHS, (1,), (16, 4, 1), (64, 1, 5)]),
+)
+@settings(max_examples=200, deadline=None)
+def test_block_search_equals_per_series_per_width_loop(block, snr_threshold, widths):
+    dms = [2.5 * row for row in range(len(block))]
+    try:
+        expected = per_series_single_pulse_search(
+            block, TSAMP_S, dms, snr_threshold, widths
+        )
+    except SearchError:
+        # A zero-MAD row fails the whole block, as it failed its own series.
+        with pytest.raises(SearchError, match="zero MAD"):
+            search_single_pulses(block, TSAMP_S, dms, snr_threshold, widths)
+        return
+    assert search_single_pulses(block, TSAMP_S, dms, snr_threshold, widths) == expected
+    for row, dm in enumerate(dms):
+        one_series = search_single_pulses(block[row], TSAMP_S, dm, snr_threshold, widths)
+        assert one_series == expected[row]
+
+
+def test_block_search_finds_the_injected_pulse_row():
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(4, 2048)).astype(np.float32)
+    block[2, 700:708] += 6.0
+    per_row = search_single_pulses(block, TSAMP_S, (0.0, 10.0, 20.0, 30.0), 8.0)
+    assert [len(events) for events in per_row] == [0, 0, 1, 0]
+    assert per_row[2][0].dm == 20.0
+    assert per_row[2][0].time_s == pytest.approx(704 * TSAMP_S, abs=8 * TSAMP_S)
+
+
+def test_series_shorter_than_every_width_yields_no_events():
+    assert search_single_pulses(np.zeros((2, 3)), TSAMP_S, (0.0, 1.0), widths=(4, 8)) == [[], []]
+    assert search_single_pulses(np.zeros(3), TSAMP_S, 0.0, widths=(4, 8)) == []
+
+
+def test_block_validation():
+    block = np.random.default_rng(0).normal(size=(3, 64))
+    with pytest.raises(SearchError, match="one DM per row"):
+        search_single_pulses(block, TSAMP_S, (0.0, 1.0))
+    with pytest.raises(SearchError, match="one DM per row"):
+        search_single_pulses(block, TSAMP_S, 0.0)
+    with pytest.raises(SearchError, match="1-D, or a 2-D block"):
+        search_single_pulses(block[None], TSAMP_S, (0.0,))
+    with pytest.raises(SearchError, match="bad boxcar width 0"):
+        search_single_pulses(block, TSAMP_S, (0.0, 1.0, 2.0), widths=(0, 1))
+    with pytest.raises(SearchError, match="sampling time"):
+        search_single_pulses(block, 0.0, (0.0, 1.0, 2.0))

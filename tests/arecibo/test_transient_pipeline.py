@@ -7,6 +7,7 @@ from repro.arecibo.pipeline import AreciboPipelineConfig, run_arecibo_pipeline
 from repro.arecibo.singlepulse import SinglePulseEvent
 from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
+from repro.core.errors import SearchError
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +116,14 @@ class TestTransientPipeline:
         report = run_arecibo_pipeline(tmp_path, config)
         assert report.score.transients_injected == 0
         assert report.score.transient_recall == 1.0
+
+
+@pytest.mark.parametrize(
+    "field", ["single_pulse_dm_stride", "accel_dm_stride", "accel_trials"]
+)
+def test_config_rejects_zero_strides_and_trial_counts(field):
+    """Was: ``range() arg 3 must not be zero`` inside the `process` stage,
+    after the engine had spent its retries."""
+    with pytest.raises(SearchError, match=f"{field} must be >= 1"):
+        AreciboPipelineConfig(**{field: 0})
+    assert getattr(AreciboPipelineConfig(**{field: 1}), field) == 1

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.errors import KernelError
 from repro.core.kernels import (
+    SHIFT_SUM_TILE_BYTES,
     batched_power_spectra,
     fold_block,
     harmonic_snr_block,
@@ -37,6 +38,43 @@ class TestShiftSum:
         assert np.array_equal(
             shift_sum(data, shifts), shift_sum_reference(data, shifts)
         )
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32, np.float64])
+    def test_every_tile_split_matches_reference(self, dtype):
+        """Trial counts around the tile size: a lone trial, a short last
+        tile, exact multiples, and one row spilling into a new tile."""
+        n_channels, n_samples = 3, 2048
+        tile_rows = SHIFT_SUM_TILE_BYTES // (n_samples * 8)
+        assert tile_rows > 1
+        rng = np.random.default_rng(12)
+        data = (100.0 * rng.normal(size=(n_channels, n_samples))).astype(dtype)
+        for n_trials in (1, tile_rows - 1, tile_rows, tile_rows + 1, 2 * tile_rows + 1):
+            shifts = rng.integers(
+                -2 * n_samples, 3 * n_samples, size=(n_trials, n_channels)
+            )
+            assert (shifts < 0).any() and (shifts >= n_samples).any()
+            batched = shift_sum(data, shifts)
+            assert batched.dtype == np.float64
+            assert np.array_equal(batched, shift_sum_reference(data, shifts))
+
+    def test_rows_wider_than_a_tile_match_reference(self):
+        n_samples = SHIFT_SUM_TILE_BYTES // 8 + 5  # one row overflows the tile
+        rng = np.random.default_rng(13)
+        data = rng.normal(size=(2, n_samples)).astype(np.float32)
+        shifts = rng.integers(0, n_samples, size=(3, 2))
+        assert np.array_equal(
+            shift_sum(data, shifts), shift_sum_reference(data, shifts)
+        )
+
+    @pytest.mark.parametrize("kernel", [shift_sum, shift_sum_reference])
+    def test_rejects_non_integer_shifts(self, kernel):
+        """Was: a bare IndexError from the gather, and silent truncation
+        (1.5 -> 1) in the reference."""
+        data = np.arange(12.0).reshape(3, 4)
+        with pytest.raises(KernelError, match="float64"):
+            kernel(data, np.array([[0.0, 1.5, 2.0]]))
+        with pytest.raises(KernelError, match="bool"):
+            kernel(data, np.zeros((1, 3), dtype=bool))
 
     def test_zero_shift_is_plain_sum(self):
         data = np.arange(12.0).reshape(3, 4)
