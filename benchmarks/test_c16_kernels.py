@@ -8,6 +8,7 @@ stage-cache rerun of the Figure-1 flow skipping every stage while
 reproducing the cold run's accounting.
 """
 
+import gc
 import time
 
 import numpy as np
@@ -24,9 +25,11 @@ from repro.arecibo.pipeline import AreciboPipelineConfig, run_arecibo_pipeline
 from repro.arecibo.singlepulse import search_single_pulses
 from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
+from repro.core.engine import Engine
 from repro.core.stagecache import StageCache
 from repro.core.telemetry import strip_wall_clock
 
+from perfbench.workloads import lanes_flow
 from tests.arecibo.conftest import per_series_single_pulse_search
 
 # Laptop-scale but honest: large enough that numpy dispatch overhead is
@@ -41,13 +44,19 @@ FOLD_TRIALS = 64
 # One beam of the perfbench Fig-1 workloads: every 4th of 124 trial DMs.
 PULSE_SERIES = 31
 PULSE_SAMPLES = 4096
+# The perfbench engine-lanes shape (chains of 5 trivial stages into one
+# join) at a sixteenfold spread of sizes around its fixed 400 lanes.
+LANE_COUNTS = (100, 1600)
+LANE_DEPTH = 5
 
 
 def best_of(fn, reps=3):
-    """(best wall seconds, last result) over ``reps`` calls."""
+    """(best wall seconds, last result) over ``reps`` calls, each on a
+    settled heap: no collection owed to the call before lands in this one."""
     best = float("inf")
     result = None
     for _ in range(reps):
+        gc.collect()
         start = time.perf_counter()
         result = fn()
         best = min(best, time.perf_counter() - start)
@@ -193,6 +202,34 @@ def test_c16_block_single_pulse_search(report_rows):
         ],
     )
     assert speedup >= 3.0
+
+
+def test_c16_engine_stage_cost_is_flat_in_flow_size(report_rows):
+    """Per-stage bookkeeping must not grow with the flow: a whole-graph scan
+    or copy per stage shows here as a ratio, which a fixed-size workload
+    cannot tell from a slower constant."""
+    rows = []
+    per_stage_us = []
+    for lanes in LANE_COUNTS:
+        flow = lanes_flow(lanes, LANE_DEPTH, seed=16)
+        stages = len(flow.stages)
+        Engine(seed=16).run(flow)
+        best, report = best_of(lambda: Engine(seed=16).run(flow))
+        assert len(report.stages) == stages
+        per_stage_us.append(best / stages * 1e6)
+        rows.append(
+            {
+                "flow": f"{lanes} lanes x {LANE_DEPTH} + join",
+                "stages": stages,
+                "events": len(report.events),
+                "serial run": f"{best * 1e3:.1f} ms",
+                "per stage": f"{per_stage_us[-1]:.0f} us",
+            }
+        )
+    for row, cost in zip(rows, per_stage_us):
+        row["vs smallest"] = f"{cost / per_stage_us[0]:.2f}x"
+    report_rows("C16: engine per-stage cost vs flow size", rows)
+    assert per_stage_us[-1] / per_stage_us[0] <= 2.0
 
 
 def _fig1_config():

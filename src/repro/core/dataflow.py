@@ -14,7 +14,9 @@ running anything.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
@@ -216,8 +218,14 @@ class DataFlow:
 
     # -- inspection --------------------------------------------------------
     @property
-    def stages(self) -> Dict[str, Stage]:
-        return dict(self._stages)
+    def stages(self) -> Mapping[str, Stage]:
+        """Read-only live view of the stage table, in insertion order.
+
+        A view, not a copy: a lookup costs the same at any flow size, and a
+        stage added later shows up in a view taken earlier.  The stages
+        themselves stay mutable (``flow.stages["work"].retry = ...``).
+        """
+        return MappingProxyType(self._stages)
 
     @property
     def edges(self) -> List[Edge]:
@@ -295,10 +303,10 @@ class DataFlow:
     def topological_order(self) -> List[str]:
         """Kahn's algorithm; raises on cycles.  Deterministic by insertion order."""
         in_degree = {name: len(self._pred[name]) for name in self._stages}
-        ready = [name for name in self._stages if in_degree[name] == 0]
+        ready = deque(name for name in self._stages if in_degree[name] == 0)
         order: List[str] = []
         while ready:
-            current = ready.pop(0)
+            current = ready.popleft()
             order.append(current)
             for succ in self._succ[current]:
                 in_degree[succ] -= 1
@@ -344,12 +352,12 @@ class DataFlow:
         one line per stage with its site and incoming channels.
         """
         lines = [f"DataFlow: {self.name}"]
+        labels = {(edge.src, edge.dst): edge.label for edge in self._edges}
         for name in self.topological_order():
             stage = self._stages[name]
             incoming = [
-                f"{edge.src}{f' ({edge.label})' if edge.label else ''}"
-                for edge in self._edges
-                if edge.dst == name
+                f"{src} ({labels[src, name]})" if labels[src, name] else src
+                for src in self._pred[name]
             ]
             arrow = f" <- {', '.join(incoming)}" if incoming else " (source)"
             summary = f"  [{stage.site}] {name}{arrow}"

@@ -571,7 +571,7 @@ class Engine:
     def _attempt_stage(
         self,
         flow: DataFlow,
-        name: str,
+        stage: Stage,
         stage_inputs: Mapping[str, Dataset],
         stashes: Mapping[str, Mapping[str, object]],
         faults: List[FaultRecord],
@@ -588,7 +588,7 @@ class Engine:
         the degraded last attempt, which is not a scheduled attempt: the
         injector is not consulted for it.
         """
-        stage = flow.stages[name]
+        name = stage.name
         rng = random.Random(_stage_seed(self._seed, name))
         context = StageContext(
             stage, self, self.provenance, rng, stashes, faults=self.faults,
@@ -616,7 +616,7 @@ class Engine:
     def _run_stage(
         self,
         flow: DataFlow,
-        name: str,
+        stage: Stage,
         stage_inputs: Mapping[str, Dataset],
         stashes: Mapping[str, Mapping[str, object]],
     ) -> Tuple[Dataset, CachedStage]:
@@ -630,7 +630,7 @@ class Engine:
         (``ExecutionError.dead_letter``): this may run on a worker thread,
         and only the scheduler knows which failure the run reports.
         """
-        stage = flow.stages[name]
+        name = stage.name
         policy = stage.retry if stage.retry is not None else self.retry
         faults: List[FaultRecord] = []
         wait_seconds = 0.0
@@ -640,7 +640,7 @@ class Engine:
             attempt += 1
             try:
                 output, context = self._attempt_stage(
-                    flow, name, stage_inputs, stashes, faults
+                    flow, stage, stage_inputs, stashes, faults
                 )
                 break
             except Exception as exc:  # noqa: BLE001 - classified below
@@ -674,7 +674,7 @@ class Engine:
                     after = "" if attempt == 1 else f" (after {attempt} attempts)"
                     raise ExecutionError(name, f"{error}{after}") from error
                 output, context = self._attempt_stage(
-                    flow, name, stage_inputs, stashes, faults, fallback=degrade
+                    flow, stage, stage_inputs, stashes, faults, fallback=degrade
                 )
                 break
             except ExecutionError as exc:
@@ -726,7 +726,7 @@ class Engine:
     def _cache_lookup(
         self,
         flow: DataFlow,
-        name: str,
+        stage: Stage,
         stage_inputs: Mapping[str, Dataset],
     ) -> Tuple[Optional[str], Optional[CachedStage]]:
         """Try to service a stage from the cache.
@@ -738,7 +738,6 @@ class Engine:
         """
         if self.cache is None:
             return None, None
-        stage = flow.stages[name]
         try:
             descriptors = [
                 self._cache_descriptor(slot, dataset)
@@ -749,10 +748,10 @@ class Engine:
             return None, None
         key = stage_key(
             flow_name=flow.name,
-            stage_name=name,
+            stage_name=stage.name,
             site=stage.site,
             cpu_seconds_per_gb=stage.cpu_seconds_per_gb,
-            stage_seed=_stage_seed(self._seed, name),
+            stage_seed=_stage_seed(self._seed, stage.name),
             input_descriptors=descriptors,
             cache_params=stage.cache_params,
             fault_digest=self.faults.digest if self.faults is not None else "",
@@ -762,7 +761,7 @@ class Engine:
     def _commit(
         self,
         flow: DataFlow,
-        name: str,
+        stage: Stage,
         stage_inputs: Mapping[str, Dataset],
         output: Dataset,
         reserved: Mapping[str, str],
@@ -773,7 +772,7 @@ class Engine:
         their inputs' ``provenance_id`` exactly as under sequential
         execution.
         """
-        stage = flow.stages[name]
+        name = stage.name
         step = ProcessingStep.create(
             module=name,
             version=output.version,
@@ -808,6 +807,7 @@ class Engine:
         starts, in-flight stages drain (and commit), and the failure a
         sequential run would have hit first is the one raised.
         """
+        stages = flow.stages
         position = {name: index for index, name in enumerate(order)}
         waiting = {name: len(flow.predecessors(name)) for name in order}
         # Ascending topological indices: already a valid heap.
@@ -816,18 +816,19 @@ class Engine:
         records: Dict[str, CachedStage] = {}
         cached: Set[str] = set()
         failures: Dict[int, ExecutionError] = {}
-        pending: Dict[Future, Tuple[str, Dict[str, Dataset], Optional[str]]] = {}
+        pending: Dict[Future, Tuple[Stage, Dict[str, Dataset], Optional[str]]] = {}
 
-        def settle(name, stage_inputs, store_key, produce) -> None:
+        def settle(stage, stage_inputs, store_key, produce) -> None:
             """Commit the ``(output, record)`` that ``produce`` yields, store
             it under ``store_key`` (None for a hit or an uncacheable stage)
             and release successors — or note the failure it raises."""
+            name = stage.name
             try:
                 output, record = produce()
             except ExecutionError as exc:
                 failures[position[name]] = exc
                 return
-            self._commit(flow, name, stage_inputs, output, reserved)
+            self._commit(flow, stage, stage_inputs, output, reserved)
             outputs[name] = output
             records[name] = record
             # The record is shared with the cache (and through it with
@@ -847,18 +848,19 @@ class Engine:
             while True:
                 while ready and not failures:
                     name = order[heapq.heappop(ready)]
+                    stage = stages[name]
                     stage_inputs = self._stage_inputs(flow, name, seeds, outputs)
-                    key, entry = self._cache_lookup(flow, name, stage_inputs)
+                    key, entry = self._cache_lookup(flow, stage, stage_inputs)
                     if entry is not None:
                         cached.add(name)
                         hit = entry.rebuild_output(), entry
-                        settle(name, stage_inputs, None, lambda: hit)
+                        settle(stage, stage_inputs, None, lambda: hit)
                         continue
-                    run = partial(self._run_stage, flow, name, stage_inputs, stashes)
+                    run = partial(self._run_stage, flow, stage, stage_inputs, stashes)
                     if pool is None:
-                        settle(name, stage_inputs, key, run)
+                        settle(stage, stage_inputs, key, run)
                     else:
-                        pending[pool.submit(run)] = (name, stage_inputs, key)
+                        pending[pool.submit(run)] = (stage, stage_inputs, key)
                 if not pending:
                     break
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
@@ -896,6 +898,11 @@ class Engine:
         view over that stream — identical output for any completion order."""
         telemetry = self.telemetry
         metrics = telemetry.registry
+        stages_run = metrics.counter("engine.stages")
+        bytes_produced = metrics.counter("engine.bytes_produced")
+        cpu_charged = metrics.counter("engine.cpu_seconds")
+        peak_live = metrics.highwater("engine.peak_live_bytes")
+        stages = flow.stages
         start_index = len(telemetry)
         # Reference counts drive the live-storage high-water accounting: a
         # stage output stays "on disk" until every consumer has run, and a
@@ -909,7 +916,7 @@ class Engine:
                 "flow.start", flow.name, stages=len(order), seed_bytes=live_bytes
             )
             for name in order:
-                stage = flow.stages[name]
+                stage = stages[name]
                 record = records[name]
                 output_bytes = outputs[name].size.bytes
                 stage_inputs = self._stage_inputs(flow, name, seeds, outputs)
@@ -993,10 +1000,10 @@ class Engine:
                         retry_wait_s=record.retry_wait_seconds,
                         degraded=record.degraded,
                     )
-                metrics.counter("engine.stages").inc()
-                metrics.counter("engine.bytes_produced").inc(output_bytes)
-                metrics.counter("engine.cpu_seconds").inc(cpu_seconds)
-                metrics.highwater("engine.peak_live_bytes").observe(peak_bytes)
+                stages_run.inc()
+                bytes_produced.inc(output_bytes)
+                cpu_charged.inc(cpu_seconds)
+                peak_live.observe(peak_bytes)
             telemetry.emit(
                 "flow.finish",
                 flow.name,

@@ -30,10 +30,10 @@ produce byte-identical canonical logs.
 from __future__ import annotations
 
 import json
+import numbers
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Callable,
@@ -42,6 +42,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -93,9 +94,19 @@ EVENT_KINDS = frozenset(
 
 _Scalar = Union[str, int, float, bool, None]
 
+#: Exact types :meth:`Telemetry.emit` stores as they are, without a
+#: :func:`_freeze_attr` call (which would return them unchanged).
+_PLAIN_TYPES = frozenset({str, int, float, bool, type(None)})
+
 
 def _freeze_attr(value: object) -> object:
-    """Coerce an attribute value to a JSON-stable, hashable form."""
+    """Coerce an attribute value to a JSON-stable, hashable form.
+
+    A number stays a number: numpy integer/floating/bool scalars that are
+    not Python subclasses become ``int``/``float``/``bool`` rather than
+    their string.  Sets become a sorted tuple, so the frozen form does not
+    follow ``PYTHONHASHSEED``.
+    """
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, DataSize):
@@ -104,6 +115,19 @@ def _freeze_attr(value: object) -> object:
         return value.seconds
     if isinstance(value, (list, tuple)):
         return tuple(_freeze_attr(item) for item in value)
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    if isinstance(value, (set, frozenset)):
+        items = [_freeze_attr(item) for item in value]
+        try:
+            return tuple(sorted(items))  # type: ignore[type-var]
+        except TypeError:  # members of unorderable types: any fixed order
+            return tuple(sorted(items, key=repr))
+    # numpy.bool_ registers with no ``numbers`` ABC; its ``item()`` is a bool.
+    if type(value).__module__ == "numpy" and type(value).__name__ in ("bool", "bool_"):
+        return value.item()  # type: ignore[attr-defined]
     return str(value)
 
 
@@ -111,13 +135,13 @@ def _thaw(value: object) -> object:
     return list(value) if isinstance(value, tuple) else value
 
 
-@dataclass(frozen=True)
-class TelemetryEvent:
-    """One record on the bus.
+class TelemetryEvent(NamedTuple):
+    """One record on the bus: an immutable tuple record.
 
     ``sim_time`` is the emitting :class:`SimClock`'s virtual seconds;
     ``wall_time`` is the only wall-clock field and is dropped by
-    :meth:`canonical` so logs can be compared across runs.
+    :meth:`canonical` so logs can be compared across runs.  ``attrs`` is
+    sorted by key, with every value frozen by :func:`_freeze_attr`.
     """
 
     seq: int
@@ -393,17 +417,19 @@ class Telemetry:
             raise TelemetryError(
                 f"unknown event kind {kind!r}; expected one of {sorted(EVENT_KINDS)}"
             )
-        frozen = tuple(sorted((key, _freeze_attr(value)) for key, value in attrs.items()))
+        # Keys are unique, so sorting them alone orders the (key, value) pairs.
+        pairs = []
+        for key in sorted(attrs):
+            value = attrs[key]
+            if type(value) not in _PLAIN_TYPES:
+                value = _freeze_attr(value)
+            pairs.append((key, value))
+        frozen = tuple(pairs)
         span_path = tuple(getattr(self._spans, "stack", ()))
         with self._lock:
             event = TelemetryEvent(
-                seq=len(self._events),
-                kind=kind,
-                name=name,
-                sim_time=self.clock.now,
-                attrs=frozen,
-                span=span_path,
-                wall_time=time.time(),
+                len(self._events), kind, name, self.clock.now,
+                frozen, span_path, time.time(),
             )
             self._events.append(event)
         for subscriber in self._subscribers:
@@ -625,19 +651,20 @@ def stage_rows_from_log(
     for event in events:
         if event.kind != "stage.finish":
             continue
+        attr = dict(event.attrs).get
         rows.append(
             {
                 "name": event.name,
-                "site": event.attr("site"),
-                "input_bytes": float(event.attr("input_bytes", 0.0)),  # type: ignore[arg-type]
-                "output_bytes": float(event.attr("output_bytes", 0.0)),  # type: ignore[arg-type]
-                "cpu_seconds": float(event.attr("cpu_seconds", 0.0)),  # type: ignore[arg-type]
-                "provenance_id": event.attr("provenance_id"),
+                "site": attr("site"),
+                "input_bytes": float(attr("input_bytes", 0.0)),  # type: ignore[arg-type]
+                "output_bytes": float(attr("output_bytes", 0.0)),  # type: ignore[arg-type]
+                "cpu_seconds": float(attr("cpu_seconds", 0.0)),  # type: ignore[arg-type]
+                "provenance_id": attr("provenance_id"),
                 # Availability columns (absent from pre-fault logs, so
                 # default to a clean single attempt).
-                "attempts": int(event.attr("attempts", 1)),  # type: ignore[arg-type]
-                "retry_wait_s": float(event.attr("retry_wait_s", 0.0)),  # type: ignore[arg-type]
-                "degraded": bool(event.attr("degraded", False)),
+                "attempts": int(attr("attempts", 1)),  # type: ignore[arg-type]
+                "retry_wait_s": float(attr("retry_wait_s", 0.0)),  # type: ignore[arg-type]
+                "degraded": bool(attr("degraded", False)),
             }
         )
     return rows

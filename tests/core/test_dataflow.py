@@ -6,6 +6,7 @@ from repro.core.dataflow import DataFlow, Stage
 from repro.core.dataset import Dataset
 from repro.core.engine import Engine
 from repro.core.errors import DataflowError, ExecutionError
+from repro.core.recovery import RetryPolicy
 from repro.core.units import DataSize, Duration
 
 
@@ -147,6 +148,50 @@ class TestDataFlowStructure:
         assert "[Arecibo] acquire (source)" in text
         assert "process <- acquire (raw disks)" in text
         assert "record spectra" in text
+
+    def test_render_lists_fanin_channels_in_connect_order(self):
+        flow = DataFlow("fanin")
+        for name in ("left", "right", "bare", "join"):
+            flow.stage(name, passthrough)
+        flow.connect("right", "join", label="beams")
+        flow.connect("bare", "join")
+        flow.connect("left", "join", label="time series")
+        assert flow.render().splitlines() == [
+            "DataFlow: fanin",
+            "  [local] left (source)",
+            "  [local] right (source)",
+            "  [local] bare (source)",
+            "  [local] join <- right (beams), bare, left (time series)",
+        ]
+
+    def test_stages_is_a_live_read_only_view(self):
+        flow = DataFlow("f")
+        work = flow.stage("work", passthrough)
+        view = flow.stages
+        assert list(view) == ["work"] and view["work"] is work
+        late = flow.stage("late", passthrough)
+        assert list(view) == ["work", "late"] and view["late"] is late
+        assert len(view) == 2 and "late" in view and "absent" not in view
+        with pytest.raises(TypeError):
+            view["other"] = work
+        with pytest.raises(TypeError):
+            del view["work"]
+        assert list(flow.stages) == ["work", "late"]
+
+    def test_retry_set_through_the_view_takes_effect(self):
+        calls = []
+
+        def flaky(inputs, ctx):
+            calls.append(1)
+            if len(calls) < 3:
+                raise RuntimeError("transient")
+            return Dataset(name="out", size=DataSize.gigabytes(1), version="v1")
+
+        flow = DataFlow("f")
+        flow.stage("work", flaky)
+        flow.stages["work"].retry = RetryPolicy(max_attempts=3)
+        report = Engine().run(flow)
+        assert report.stage("work").attempts == 3
 
 
 class TestEngine:

@@ -17,7 +17,7 @@ from repro.core.engine import Engine
 from repro.core.errors import ExecutionError, ProvenanceError
 from repro.core.provenance import ProvenanceStore
 from repro.core.stagecache import StageCache
-from repro.core.telemetry import strip_wall_clock
+from repro.core.telemetry import flow_summary_from_log, strip_wall_clock
 from repro.core.units import DataSize, Duration
 
 
@@ -67,6 +67,20 @@ def wide_flow(width=6):
     flow.stage("gather", noisy_shrink(1))
     for index in range(width):
         flow.connect(f"branch{index}", "gather")
+    return flow
+
+
+def lanes_flow(lanes=20, depth=5):
+    """``lanes`` chains of ``depth`` trivial stages into one join, declared
+    first: many stages, no work — bookkeeping is all there is to get wrong."""
+    flow = DataFlow("lanes")
+    flow.stage("join", noisy_shrink(1))
+    for lane in range(lanes):
+        names = [f"l{lane:02d}s{index}" for index in range(depth)]
+        flow.stage(names[0], make_source(DataSize.from_bytes(1000.0 + lane)))
+        for name in names[1:]:
+            flow.stage(name, noisy_shrink(1))
+        flow.chain(*names, "join")
     return flow
 
 
@@ -136,6 +150,24 @@ class TestParallelDeterminism:
             assert cache.stats()["hits"] == len(stages)
         else:
             assert parallel.executed_stages == stages
+
+    def test_lanes_flow_logs_the_same_for_any_workers_and_cache_state(self):
+        cache = StageCache()
+        reports = [
+            Engine(seed=7).run(lanes_flow()),
+            Engine(seed=7, max_workers=2).run(lanes_flow()),
+            Engine(seed=7, cache=cache).run(lanes_flow()),
+            Engine(seed=7, max_workers=2, cache=cache).run(lanes_flow()),
+        ]
+        assert reports[2].cached_stages == []
+        assert reports[3].executed_stages == []
+        logs = [strip_wall_clock(report.events) for report in reports]
+        # The flow's span pair and start/finish, six events for each stage.
+        assert len(logs[0]) == 4 + 6 * 101
+        for report, log in zip(reports, logs):
+            assert log == logs[0]
+            assert flow_summary_from_log(report.events) == report.summary_rows()
+            assert provenance_snapshot(report) == provenance_snapshot(reports[0])
 
     def test_stage_rng_is_execution_order_independent(self):
         """A stage's random stream depends on (seed, name) only."""

@@ -1,9 +1,13 @@
 """The telemetry substrate: bus, instruments, spans, and the JSONL log."""
 
 import json
+import pickle
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.dataflow import DataFlow
 from repro.core.dataset import Dataset
@@ -27,7 +31,39 @@ from repro.core.telemetry import (
     total_cpu_from_log,
     write_event_log,
 )
+from repro.core.telemetry import _freeze_attr
 from repro.core.units import DataSize, Duration
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+    st.floats(min_value=0, max_value=1e15).map(DataSize),
+    st.floats(min_value=0, max_value=1e9).map(Duration),
+    st.integers(min_value=-(2**31), max_value=2**31 - 1).map(np.int64),
+    st.floats(width=32, allow_nan=False).map(np.float32),
+    st.floats(allow_nan=False).map(np.float64),
+    st.booleans().map(np.bool_),
+)
+_attr_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple)),
+    max_leaves=8,
+)
+#: Keyword names ``emit`` itself does not bind.
+_attr_keys = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=6).filter(
+    lambda key: key not in ("kind", "name", "self")
+)
+
+
+def _types(value):
+    """The type tree of a frozen attribute value (``1 == True == 1.0``, so
+    equality alone would not see a number change type)."""
+    if isinstance(value, tuple):
+        return tuple(_types(item) for item in value)
+    return type(value)
 
 
 class TestEventBus:
@@ -92,6 +128,79 @@ class TestEventBus:
         original = bus.emit("provenance.record", "stage", parents=["p1", "p2"])
         restored = TelemetryEvent.from_dict(original.to_dict())
         assert restored == original
+
+    def test_numpy_scalars_stay_numbers(self, tmp_path):
+        bus = Telemetry()
+        event = bus.emit(
+            "storage.write",
+            "f",
+            bytes=np.int64(5),
+            ok=np.bool_(True),
+            ratio=np.float32(1.5),
+            nested=[np.int32(2), (np.float64(0.25), np.bool_(False))],
+        )
+        assert event.attrs == (
+            ("bytes", 5),
+            ("nested", (2, (0.25, False))),
+            ("ok", True),
+            ("ratio", 1.5),
+        )
+        assert [type(value) for _, value in event.attrs] == [int, tuple, bool, float]
+        assert type(event.attrs[1][1][0]) is int
+        assert type(event.attrs[1][1][1][1]) is bool
+        path = tmp_path / "log.jsonl"
+        write_event_log(path, [event])
+        (restored,) = read_event_log(path)
+        assert restored == event
+        assert restored.attr("bytes") == 5 and restored.attr("ok") is True
+
+    def test_sets_freeze_to_a_sorted_tuple(self, tmp_path):
+        bus = Telemetry()
+        event = bus.emit(
+            "storage.write",
+            "f",
+            sites=frozenset({"ctc", "arecibo", "consortium"}),
+            sizes={DataSize(3.0), DataSize(1.0)},
+            mixed={1, "a"},
+        )
+        assert event.attr("sites") == ["arecibo", "consortium", "ctc"]
+        assert event.attr("sizes") == [1.0, 3.0]
+        assert event.attr("mixed") == ["a", 1]  # unorderable members: by repr
+        path = tmp_path / "log.jsonl"
+        write_event_log(path, [event])
+        assert read_event_log(path) == [event]
+
+    def test_event_is_an_immutable_picklable_record(self):
+        bus = Telemetry()
+        with bus.span("outer"):
+            event = bus.emit("provenance.record", "stage", parents=["p1", ["p2"]], n=3)
+        with pytest.raises(AttributeError):
+            event.seq = 9
+        with pytest.raises(AttributeError):
+            event.extra = 1
+        with pytest.raises(TypeError):
+            event.attrs[0] = ("n", 4)
+        assert event.span == ("outer",)
+        assert TelemetryEvent.from_dict(event.to_dict()) == event
+        assert pickle.loads(pickle.dumps(event)) == event
+        assert hash(pickle.loads(pickle.dumps(event))) == hash(event)
+        assert event != event._replace(name="other")
+        # attr() thaws tuples one level (as it always has) and honours its default.
+        assert event.attr("parents") == ["p1", ("p2",)]
+        assert event.canonical()["attrs"]["parents"] == ["p1", ("p2",)]
+        assert event.attr("n") == 3
+        assert event.attr("absent") is None
+        assert event.attr("absent", 7) == 7
+
+    @given(st.dictionaries(_attr_keys, _attr_values, max_size=6))
+    def test_emit_freezes_and_sorts_like_the_reference_expression(self, attrs):
+        event = Telemetry().emit("service.call", "probe", **attrs)
+        # The expression emit used before it sorted keys and skipped the
+        # freeze call for plain scalars; kept here as the oracle.
+        expected = tuple(sorted((k, _freeze_attr(v)) for k, v in attrs.items()))
+        assert event.attrs == expected
+        assert _types(event.attrs) == _types(expected)
+        json.dumps(event.to_dict(), sort_keys=True)
 
     def test_malformed_record_raises(self):
         with pytest.raises(TelemetryError, match="malformed"):
