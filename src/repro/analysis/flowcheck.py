@@ -9,9 +9,7 @@ the failure mode the paper's case studies kept hitting at design time:
   (``a -> b -> a``), not just the residual node set;
 * **FLW002 dangling dataset** — a stage whose output dataset nobody
   consumes and that is not a declared terminal product, or a stage
-  connected to nothing at all; sources declared incremental via
-  ``DataFlow.declare_incremental`` are exempt (their data arrives from
-  outside the graph by design);
+  connected to nothing at all;
 * **FLW003 volume conservation** — a stage whose declared output volume
   exceeds its declared inputs times its maximum expansion factor
   (processing *melds and reduces*; only generative stages like Monte
@@ -131,13 +129,7 @@ def _check_cycle(flow: DataFlow) -> List[FlowIssue]:
 def _check_dangling(flow: DataFlow, spec: Optional[FlowSpec]) -> List[FlowIssue]:
     issues: List[FlowIssue] = []
     stages = flow.stages
-    incremental = flow.incremental_sources
     for name in stages:
-        if name in incremental:
-            # Declared incremental sources are fed by deltas from outside
-            # the graph (repro.core.deltas); their edge profile is the
-            # feed's business, not a dangling dataset.
-            continue
         isolated = (
             len(stages) > 1
             and not flow.predecessors(name)

@@ -31,9 +31,9 @@ from repro.arecibo.sky import N_BEAMS, Pointing, SkyModel
 from repro.arecibo.telescope import ObservationConfig, ObservationSimulator
 from repro.core.dataflow import DataFlow, StageFn, structural_stub
 from repro.core.dataset import Dataset
-from repro.core.deltas import WindowLedger
+from repro.core.deltas import WindowLedger, run_windows
 from repro.core.engine import Engine, FlowReport
-from repro.core.errors import IncrementalError, SearchError
+from repro.core.errors import SearchError
 from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.recovery import RetryPolicy
 from repro.core.shards import SharedArray
@@ -776,7 +776,7 @@ class AreciboWindowReport:
     pointings_seen: int
     report: AreciboPipelineReport
     #: Stage-cache traffic this window generated (deltas of the shared
-    #: cache's counters) — the dirty-cone pin: only never-seen pointings
+    #: cache's counters) — the recompute pin: only never-seen pointings
     #: may miss at the shard level.
     stage_hits: int = 0
     stage_misses: int = 0
@@ -816,61 +816,41 @@ def run_arecibo_incremental(
     inputs*: whole stages whose inputs did not change replay as stage
     hits, and the delta-capable ``acquire``/``process`` stages recompute
     only the newly arrived pointings' shards.  A zero-arrival window runs
-    no new compute (all-hit) but is still accounted on the ledger.
+    no new compute (all-hit) but is still accounted on the ledger; only
+    the first window may not be empty (:func:`~repro.core.deltas.run_windows`
+    owns the loop and refuses a malformed schedule before anything runs).
 
     The last window covers the whole survey, so its report and canonical
     telemetry are byte-identical to one cold batch run of
     :func:`run_arecibo_pipeline` with the same ``config``.
     """
     config = config if config is not None else AreciboPipelineConfig()
-    if arrivals is None:
-        arrivals = [1] * config.n_pointings
-    arrivals = [int(count) for count in arrivals]
-    if any(count < 0 for count in arrivals):
-        raise IncrementalError(f"negative arrival counts: {arrivals}")
-    if sum(arrivals) != config.n_pointings:
-        raise IncrementalError(
-            f"arrivals {arrivals} sum to {sum(arrivals)}, "
-            f"expected n_pointings={config.n_pointings}"
-        )
-    workdir = Path(workdir)
     cache = cache if cache is not None else StageCache()
-    bus = telemetry if telemetry is not None else Telemetry()
-    ledger = WindowLedger("arecibo-figure1", bus)
-    windows: List[AreciboWindowReport] = []
-    seen = 0
-    for index, count in enumerate(arrivals):
-        seen += count
-        before = (
-            cache.hits, cache.misses, cache.shard_hits, cache.shard_misses,
-        )
-        ledger.open(float(index + 1), arrivals=count, pointings=seen)
-        report = run_arecibo_pipeline(
-            workdir / f"window{index:02d}",
+    ledger, rows = run_windows(
+        "arecibo-figure1",
+        "pointings",
+        config.n_pointings,
+        arrivals,
+        run=lambda index, seen: run_arecibo_pipeline(
+            Path(workdir) / f"window{index:02d}",
             replace(config, n_pointings=seen),
             cache=cache,
+        ),
+        close_attrs=lambda report: {
+            "candidates": report.candidate_count_sifted,
+            "confirmed": len(report.confirmed),
+        },
+        cache=cache,
+        telemetry=telemetry,
+    )
+    windows = [
+        AreciboWindowReport(
+            new_pointings=row.pop("arrived"),
+            pointings_seen=row.pop("seen"),
+            **row,
         )
-        ledger.close(
-            arrivals=count,
-            pointings=seen,
-            candidates=report.candidate_count_sifted,
-            confirmed=len(report.confirmed),
-            cpu_seconds=report.flow_report.total_cpu_time.seconds,
-            bytes=report.flow_report.total_output.bytes,
-        )
-        windows.append(
-            AreciboWindowReport(
-                index=index,
-                watermark=float(index + 1),
-                new_pointings=count,
-                pointings_seen=seen,
-                report=report,
-                stage_hits=cache.hits - before[0],
-                stage_misses=cache.misses - before[1],
-                shard_hits=cache.shard_hits - before[2],
-                shard_misses=cache.shard_misses - before[3],
-            )
-        )
+        for row in rows
+    ]
     return AreciboIncrementalReport(
-        config=config, windows=windows, ledger=ledger, telemetry=bus
+        config=config, windows=windows, ledger=ledger, telemetry=ledger.telemetry
     )

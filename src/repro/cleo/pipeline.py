@@ -21,9 +21,8 @@ from repro.cleo.postrecon import PostReconstructor
 from repro.cleo.reconstruction import Reconstructor
 from repro.core.dataflow import DataFlow, StageFn, structural_stub
 from repro.core.dataset import Dataset
-from repro.core.deltas import WindowLedger
+from repro.core.deltas import WindowLedger, run_windows
 from repro.core.engine import Engine, FlowReport
-from repro.core.errors import IncrementalError
 from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.recovery import RetryPolicy
 from repro.core.stagecache import StageCache
@@ -477,53 +476,29 @@ def run_cleo_incremental(
     store is exactly the store a cold batch run would have built.
     """
     config = config if config is not None else CleoPipelineConfig()
-    if arrivals is None:
-        arrivals = [1] * config.n_runs
-    arrivals = [int(count) for count in arrivals]
-    if any(count < 0 for count in arrivals):
-        raise IncrementalError(f"negative arrival counts: {arrivals}")
-    if sum(arrivals) != config.n_runs:
-        raise IncrementalError(
-            f"arrivals {arrivals} sum to {sum(arrivals)}, "
-            f"expected n_runs={config.n_runs}"
-        )
-    workdir = Path(workdir)
     cache = cache if cache is not None else StageCache()
-    bus = telemetry if telemetry is not None else Telemetry()
-    ledger = WindowLedger("cleo-figure2", bus)
-    windows: List[CleoWindowReport] = []
-    seen = 0
-    for index, count in enumerate(arrivals):
-        seen += count
-        before = (
-            cache.hits, cache.misses, cache.shard_hits, cache.shard_misses,
-        )
-        ledger.open(float(index + 1), arrivals=count, runs=seen)
-        report = run_cleo_pipeline(
-            workdir / f"window{index:02d}",
+    ledger, rows = run_windows(
+        "cleo-figure2",
+        "runs",
+        config.n_runs,
+        arrivals,
+        run=lambda index, seen: run_cleo_pipeline(
+            Path(workdir) / f"window{index:02d}",
             replace(config, n_runs=seen),
             cache=cache,
+        ),
+        close_attrs=lambda report: {
+            "events_selected": report.analysis.events_selected,
+        },
+        cache=cache,
+        telemetry=telemetry,
+    )
+    windows = [
+        CleoWindowReport(
+            new_runs=row.pop("arrived"), runs_seen=row.pop("seen"), **row
         )
-        ledger.close(
-            arrivals=count,
-            runs=seen,
-            events_selected=report.analysis.events_selected,
-            cpu_seconds=report.flow_report.total_cpu_time.seconds,
-            bytes=report.flow_report.total_output.bytes,
-        )
-        windows.append(
-            CleoWindowReport(
-                index=index,
-                watermark=float(index + 1),
-                new_runs=count,
-                runs_seen=seen,
-                report=report,
-                stage_hits=cache.hits - before[0],
-                stage_misses=cache.misses - before[1],
-                shard_hits=cache.shard_hits - before[2],
-                shard_misses=cache.shard_misses - before[3],
-            )
-        )
+        for row in rows
+    ]
     return CleoIncrementalReport(
-        config=config, windows=windows, ledger=ledger, telemetry=bus
+        config=config, windows=windows, ledger=ledger, telemetry=ledger.telemetry
     )

@@ -129,7 +129,6 @@ class DataFlow:
         self._edges: List[Edge] = []
         self._succ: Dict[str, List[str]] = {}
         self._pred: Dict[str, List[str]] = {}
-        self._incremental: Dict[str, str] = {}
 
     # -- construction ------------------------------------------------------
     def add_stage(self, stage: Stage) -> Stage:
@@ -193,29 +192,6 @@ class DataFlow:
             label = labels[index] if labels is not None else ""
             self.connect(names[index], names[index + 1], label=label)
 
-    def declare_incremental(self, name: str, description: str = "") -> None:
-        """Mark a *source* stage as fed by deltas rather than a fixed batch.
-
-        Incremental sources are where :class:`~repro.core.deltas.DeltaSource`
-        batches enter the flow: an :class:`~repro.core.deltas.IncrementalEngine`
-        only accepts delta feeds aimed at declared sources, and the static
-        flow checker (FLW002) exempts declared sources from its
-        dangling-dataset prong — their inputs arrive from outside the graph
-        by design.  Only stages with no predecessors may be declared.
-        """
-        stage = self._require(name)
-        if self._pred[stage.name]:
-            raise DataflowError(
-                f"flow {self.name!r}: stage {name!r} has predecessors "
-                f"{self._pred[name]}; only source stages can be incremental"
-            )
-        self._incremental[name] = description
-
-    @property
-    def incremental_sources(self) -> Dict[str, str]:
-        """Declared incremental sources, ``{stage name: description}``."""
-        return dict(self._incremental)
-
     # -- inspection --------------------------------------------------------
     @property
     def stages(self) -> Mapping[str, Stage]:
@@ -258,12 +234,6 @@ class DataFlow:
         """Raise :class:`DataflowError` if the graph is unusable."""
         if not self._stages:
             raise DataflowError(f"flow {self.name!r} has no stages")
-        for name in self._incremental:
-            if self._pred.get(name):
-                raise DataflowError(
-                    f"flow {self.name!r}: incremental source {name!r} "
-                    f"gained predecessors {self._pred[name]}"
-                )
         self.topological_order()
 
     def find_cycle(self) -> Optional[List[str]]:

@@ -1,234 +1,32 @@
-"""Delta sources, dirty cones, and windowed incremental execution.
+"""Windowed incremental execution: one ledger, one window driver.
 
 The paper's three flows are all *continuous* in production — Arecibo
-pointings arrive nightly, the WebLab ingests bimonthly crawl deltas, CLEO
-appends runs to an open EventStore — while a batch engine only replays
-full snapshots.  This module adds the missing vocabulary:
+pointings arrive nightly, CLEO appends runs to an open EventStore, the
+WebLab ingests bimonthly crawl deltas — while a batch engine only replays
+full snapshots.  The incremental identity that bridges the two is *warm
+rerun plus new inputs*: a window is a full rerun of the flow over the
+union of everything that has arrived, against a shared
+:class:`~repro.core.stagecache.StageCache`.  Stages whose inputs did not
+change replay as stage hits and delta-capable stages recompute only
+never-seen shards (``StageContext.map_shards`` with ``cache_keys``), so
+minimal recompute falls out of the cache keys; and because the last
+window is a fresh run over the whole union, its report, provenance stamps
+and canonical telemetry are byte-identical to one cold batch run.
 
-* :class:`Delta` / :class:`DeltaSource` — versioned increments to a
-  source dataset, emitted on the sim clock with separate *event* and
-  *arrival* times so late data and reordering are expressible.
-* :func:`dirty_cone` — the downstream closure of the changed sources:
-  the minimal set of stages a delta batch can possibly affect.
-* :class:`WindowLedger` — ``window.open``/``window.close``/
-  ``window.reopen`` accounting over the telemetry bus.
-* :class:`IncrementalEngine` — runs a flow window-by-window over the
-  union of everything that has arrived, against a shared
-  :class:`~repro.core.stagecache.StageCache`.
-
-The equivalence contract is the paper's "recompute only what changed"
-claim made testable: after the last window, the incremental run's final
-datasets, provenance stamps, and canonical flow telemetry are
-byte-identical to one batch run over the union of all deltas.  The cache
-is what makes each window cheap — an incremental window is exactly a
-*warm rerun plus new inputs*: unchanged stages replay as stage-cache
-hits, delta-capable stages recompute only never-seen shards (see
-``StageContext.map_shards`` with ``cache_keys``).
+* :class:`WindowLedger` — ``window.open``/``window.close`` accounting
+  over the telemetry bus, under a strictly advancing watermark.
+* :func:`run_windows` — the window loop the engine-backed figure flows
+  share.  (The WebLab's crawl-delta ingest is a different algorithm —
+  payload diffs, no engine — with its own loop on the same ledger.)
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.dataflow import DataFlow
-from repro.core.dataset import Dataset
-from repro.core.engine import Engine, FlowReport
 from repro.core.errors import IncrementalError
-from repro.core.provenance import ProvenanceStore
 from repro.core.stagecache import StageCache
-from repro.core.telemetry import Telemetry, TelemetryEvent, get_telemetry
-from repro.core.units import DataSize
-
-#: Delta kinds a source accepts.  ``append`` adds new items; ``revise``
-#: replaces earlier items carrying the same identity (requires the
-#: source's ``key`` function).  Late arrival is not a kind — it is any
-#: delta whose ``event_time`` predates an already-closed watermark.
-DELTA_KINDS = ("append", "revise")
-
-
-@dataclass(frozen=True)
-class Delta:
-    """One increment to a source dataset.
-
-    ``event_time`` is when the data *happened* on the sim clock (the
-    pointing's observation epoch, the crawl date); ``arrival_time`` is
-    when it reached us.  The two differ exactly when data is late.
-    """
-
-    source: str
-    items: Tuple[object, ...]
-    event_time: float
-    arrival_time: float
-    kind: str = "append"
-    size_bytes: float = 0.0
-    #: Emission order; tie-break for deterministic replay.
-    seq: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in DELTA_KINDS:
-            raise IncrementalError(
-                f"unknown delta kind {self.kind!r}; expected one of {DELTA_KINDS}"
-            )
-        if self.arrival_time < self.event_time:
-            raise IncrementalError(
-                f"delta for {self.source!r} arrives at {self.arrival_time} "
-                f"before its event time {self.event_time}"
-            )
-
-
-class DeltaSource:
-    """A feed of :class:`Delta` batches aimed at one incremental source stage.
-
-    Parameters
-    ----------
-    stage:
-        Name of the flow's source stage this feed seeds (must be declared
-        via :meth:`DataFlow.declare_incremental`).
-    name:
-        Dataset name presented to the engine (default ``"<stage>-input"``).
-    version:
-        Base version string; the assembled dataset's version appends a
-        content digest so the stage cache keys each distinct accumulation
-        apart (external seeds carry no provenance stamp — the digest is
-        what stands in for one).
-    key:
-        Optional item-identity function enabling ``revise`` deltas:
-        a later item with the same key replaces the earlier one,
-        last-wins, at the original position.
-
-    Items must have stable, content-determined ``repr``s (dataclasses and
-    plain data qualify) — the repr feeds the version digest.
-    """
-
-    def __init__(
-        self,
-        stage: str,
-        name: Optional[str] = None,
-        version: str = "delta_v1",
-        key: Optional[Callable[[object], object]] = None,
-    ):
-        if not stage:
-            raise IncrementalError("delta source needs a target stage name")
-        self.stage = stage
-        self.name = name if name is not None else f"{stage}-input"
-        self.version = version
-        self.key = key
-        self._pending: List[Delta] = []
-        self._accepted: List[Delta] = []
-        self._seq = 0
-
-    def emit(
-        self,
-        items: Sequence[object],
-        event_time: float,
-        arrival_time: Optional[float] = None,
-        kind: str = "append",
-        size_bytes: float = 0.0,
-    ) -> Delta:
-        """Queue one delta batch; it joins the flow once a watermark passes
-        its arrival time."""
-        if kind == "revise" and self.key is None:
-            raise IncrementalError(
-                f"source {self.stage!r} cannot accept 'revise' deltas "
-                "without an item-identity key function"
-            )
-        delta = Delta(
-            source=self.stage,
-            items=tuple(items),
-            event_time=float(event_time),
-            arrival_time=float(
-                arrival_time if arrival_time is not None else event_time
-            ),
-            kind=kind,
-            size_bytes=float(size_bytes),
-            seq=self._seq,
-        )
-        self._seq += 1
-        self._pending.append(delta)
-        return delta
-
-    def take_arrived(self, watermark: float) -> List[Delta]:
-        """Accept every pending delta that has arrived by ``watermark``.
-
-        Returns the newly accepted deltas in arrival order (ties broken
-        by emission order, so replay is deterministic).
-        """
-        arrived = [d for d in self._pending if d.arrival_time <= watermark]
-        arrived.sort(key=lambda d: (d.arrival_time, d.seq))
-        self._pending = [d for d in self._pending if d.arrival_time > watermark]
-        self._accepted.extend(arrived)
-        return arrived
-
-    @property
-    def pending(self) -> int:
-        """Deltas emitted but not yet past any watermark."""
-        return len(self._pending)
-
-    def items(self) -> List[object]:
-        """The accumulated input: every accepted item in event-time order.
-
-        Revisions collapse last-wins onto the original item's position.
-        The result depends only on the *set* of accepted deltas — not on
-        how they were split across windows — which is what makes N
-        incremental windows equal one batch over the union.
-        """
-        ordered = sorted(self._accepted, key=lambda d: (d.event_time, d.seq))
-        merged: Dict[object, object] = {}
-        fallback = 0
-        for delta in ordered:
-            for item in delta.items:
-                if self.key is not None:
-                    identity: object = self.key(item)
-                else:
-                    identity = ("#", fallback)
-                    fallback += 1
-                merged[identity] = item
-        return list(merged.values())
-
-    def dataset(self) -> Dataset:
-        """Assemble the accumulated input into an engine-ready dataset.
-
-        The version carries a digest of the item contents: external seeds
-        have no provenance stamp, so without it every accumulation state
-        would collide onto one stage-cache key.
-        """
-        items = self.items()
-        payload = "\x1f".join(repr(item) for item in items)
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-        size_bytes = sum(d.size_bytes for d in self._accepted)
-        if size_bytes == 0.0:
-            size_bytes = float(len(payload))
-        return Dataset(
-            name=self.name,
-            size=DataSize(size_bytes),
-            items=items,
-            version=f"{self.version}+{digest}",
-        )
-
-
-def dirty_cone(flow: DataFlow, changed: Sequence[str]) -> List[str]:
-    """Downstream closure of the changed stages, in topological order.
-
-    This is the minimal set of stages a delta batch can affect: anything
-    outside the cone has byte-identical inputs and must replay from the
-    stage cache.  ``changed`` names stages (normally incremental sources);
-    unknown names raise.
-    """
-    for name in changed:
-        if name not in flow.stages:
-            raise IncrementalError(
-                f"dirty_cone: unknown stage {name!r} in flow {flow.name!r}"
-            )
-    dirty = set(changed)
-    order = flow.topological_order()
-    for name in order:
-        if name in dirty:
-            continue
-        if any(pred in dirty for pred in flow.predecessors(name)):
-            dirty.add(name)
-    return [name for name in order if name in dirty]
+from repro.core.telemetry import Telemetry, get_telemetry
 
 
 class WindowLedger:
@@ -237,9 +35,8 @@ class WindowLedger:
     One ledger per incremental run: :meth:`open` / :meth:`close` bracket
     each window with ``window.open`` / ``window.close`` events carrying
     the watermark and whatever per-window attributes the caller supplies
-    (volumes, stage counts, candidate counts).  :meth:`reopen` records
-    that late data re-opened ground a closed watermark already covered —
-    the event names the stale watermark so backfills are auditable.
+    (volumes, stage counts, candidate counts).  Watermarks must advance:
+    a window cannot open at or behind one already closed.
     """
 
     def __init__(self, name: str, telemetry: Optional[Telemetry] = None):
@@ -253,26 +50,16 @@ class WindowLedger:
     def last_watermark(self) -> Optional[float]:
         return self.windows[-1][1] if self.windows else None
 
-    def reopen(self, event_time: float, **attrs: object) -> None:
-        """Record that data with ``event_time`` landed behind a closed
-        watermark (a late arrival about to be backfilled)."""
-        if self.last_watermark is None:
-            raise IncrementalError(
-                f"ledger {self.name!r}: nothing closed yet, cannot reopen"
-            )
-        self.telemetry.emit(
-            "window.reopen",
-            self.name,
-            window=len(self.windows),
-            event_time=float(event_time),
-            closed_watermark=self.last_watermark,
-            **attrs,
-        )
-
     def open(self, watermark: float, **attrs: object) -> int:
         if self._open is not None:
             raise IncrementalError(
                 f"ledger {self.name!r}: window {self._open[0]} is still open"
+            )
+        previous = self.last_watermark
+        if previous is not None and float(watermark) <= previous:
+            raise IncrementalError(
+                f"ledger {self.name!r}: watermark must advance: "
+                f"{watermark} <= closed {previous}"
             )
         index = len(self.windows)
         self.telemetry.emit(
@@ -297,180 +84,84 @@ class WindowLedger:
         return index
 
 
-@dataclass
-class WindowReport:
-    """What one incremental window saw and did."""
+def run_windows(
+    name: str,
+    unit: str,
+    total: int,
+    arrivals: Optional[Sequence[int]],
+    run: Callable[[int, int], object],
+    close_attrs: Callable[[object], Mapping[str, object]],
+    cache: StageCache,
+    telemetry: Optional[Telemetry] = None,
+) -> Tuple[WindowLedger, List[Dict[str, object]]]:
+    """Run an engine-backed flow window by window over a growing union.
 
-    index: int
-    watermark: float
-    #: Newly arrived items per source stage.
-    arrivals: Dict[str, int] = field(default_factory=dict)
-    #: Whether any accepted delta's event time predated a closed watermark.
-    late: bool = False
-    #: The dirty cone of this window's changed sources (empty batch: []).
-    dirty: List[str] = field(default_factory=list)
-    #: Stages that actually executed / replayed from the stage cache.
-    executed: List[str] = field(default_factory=list)
-    cached: List[str] = field(default_factory=list)
-    #: The inner engine's report (None for an empty delta batch).
-    report: Optional[FlowReport] = field(default=None, repr=False)
+    ``arrivals`` lists how many new ``unit`` items (``"pointings"``,
+    ``"runs"``) land in each window (default: one per window): whole,
+    non-negative counts summing to ``total``.  The first window must not
+    be empty — a flow cannot run over nothing — but later empty windows
+    are fine: they replay as all stage hits and are still accounted.
 
-    @property
-    def flow_events(self) -> List[TelemetryEvent]:
-        return list(self.report.events) if self.report is not None else []
+    Window ``index`` opens on the ledger ``name`` at watermark
+    ``index + 1``, calls ``run(index, seen)`` — a full rerun over the
+    first ``seen`` items, sharing ``cache``, whose report exposes the
+    engine's :class:`~repro.core.engine.FlowReport` as ``.flow_report`` —
+    and closes with ``arrivals``, the ``unit`` count, ``close_attrs(report)``
+    and the flow's simulated CPU seconds and output bytes.
 
-
-class IncrementalEngine:
-    """Change-driven re-execution of a flow over delta-fed sources.
-
-    Each :meth:`run_window` call advances the watermark, accepts every
-    delta that has arrived, and — unless the batch is empty — runs the
-    flow over the *union* of everything accepted so far with a fresh
-    inner :class:`~repro.core.engine.Engine` (fresh provenance store,
-    private event log) against the shared stage cache.  Stages outside
-    the dirty cone replay as cache hits; delta-capable stages recompute
-    only never-seen shards.  An empty batch runs nothing at all, but the
-    window is still accounted on the ledger.
-
-    Because the final window covers the whole union with a fresh engine,
-    its report, provenance stamps, and canonical flow telemetry are
-    byte-identical to a single batch run over the same inputs — the
-    windows only change *cost*, never results.
+    Returns the ledger and one row per window: ``index``, ``watermark``,
+    ``arrived``, ``seen``, ``report``, and the window's share of the
+    cache's counters (``stage_hits``/``stage_misses``/``shard_hits``/
+    ``shard_misses``).
     """
-
-    def __init__(
-        self,
-        flow: DataFlow,
-        seed: int = 0,
-        max_workers: int = 1,
-        executor: str = "thread",
-        cache: Optional[StageCache] = None,
-        telemetry: Optional[Telemetry] = None,
-    ):
-        flow.validate()
-        if not flow.incremental_sources:
-            raise IncrementalError(
-                f"flow {flow.name!r} declares no incremental sources; "
-                "call flow.declare_incremental(<source stage>) first"
-            )
-        self.flow = flow
-        self.cache = cache if cache is not None else StageCache()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.ledger = WindowLedger(flow.name, self.telemetry)
-        self.windows: List[WindowReport] = []
-        self.sources: Dict[str, DeltaSource] = {}
-        self._seed = seed
-        self._max_workers = max_workers
-        self._executor = executor
-
-    def add_source(self, source: DeltaSource) -> DeltaSource:
-        declared = self.flow.incremental_sources
-        if source.stage not in declared:
-            raise IncrementalError(
-                f"stage {source.stage!r} is not declared incremental in "
-                f"flow {self.flow.name!r} (declared: {sorted(declared)})"
-            )
-        if source.stage in self.sources:
-            raise IncrementalError(
-                f"source stage {source.stage!r} already has a delta feed"
-            )
-        self.sources[source.stage] = source
-        return source
-
-    @property
-    def watermark(self) -> Optional[float]:
-        """The last closed watermark (None before the first window)."""
-        return self.ledger.last_watermark
-
-    @property
-    def final_report(self) -> Optional[FlowReport]:
-        """The most recent non-empty window's flow report."""
-        for window in reversed(self.windows):
-            if window.report is not None:
-                return window.report
-        return None
-
-    def run_window(self, watermark: float) -> WindowReport:
-        """Advance to ``watermark``, accept arrivals, re-execute the cone."""
-        if not self.sources:
-            raise IncrementalError(
-                f"flow {self.flow.name!r}: no delta sources attached"
-            )
-        previous = self.ledger.last_watermark
-        if previous is not None and float(watermark) <= previous:
-            raise IncrementalError(
-                f"watermark must advance: {watermark} <= closed {previous}"
-            )
-        arrived = {
-            name: source.take_arrived(float(watermark))
-            for name, source in self.sources.items()
-        }
-        changed = [name for name, deltas in arrived.items() if deltas]
-        late_events = [
-            delta.event_time
-            for deltas in arrived.values()
-            for delta in deltas
-            if previous is not None and delta.event_time <= previous
-        ]
-        if late_events:
-            self.ledger.reopen(min(late_events), sources=len(changed))
-        window = WindowReport(
-            index=len(self.ledger.windows),
-            watermark=float(watermark),
-            arrivals={
-                name: sum(len(d.items) for d in deltas)
-                for name, deltas in arrived.items()
-            },
-            late=bool(late_events),
-            dirty=dirty_cone(self.flow, changed) if changed else [],
+    if arrivals is None:
+        arrivals = [1] * total
+    if any(count != int(count) for count in arrivals):
+        raise IncrementalError(f"non-integral arrival counts: {list(arrivals)}")
+    arrivals = [int(count) for count in arrivals]
+    if any(count < 0 for count in arrivals):
+        raise IncrementalError(f"negative arrival counts: {arrivals}")
+    if sum(arrivals) != total:
+        raise IncrementalError(
+            f"arrivals {arrivals} sum to {sum(arrivals)}, "
+            f"expected n_{unit}={total}"
         )
-        self.ledger.open(
-            float(watermark),
-            arrivals=sum(window.arrivals.values()),
-            late=window.late,
+    if arrivals and arrivals[0] == 0:
+        raise IncrementalError(
+            f"window 0 is empty (arrivals {arrivals}): "
+            f"the first window needs at least one of the {unit}"
         )
-        if changed:
-            engine = Engine(
-                provenance=ProvenanceStore(),
-                seed=self._seed,
-                max_workers=self._max_workers,
-                executor=self._executor,
-                telemetry=Telemetry(),
-                cache=self.cache,
-            )
-            inputs = {
-                name: source.dataset() for name, source in self.sources.items()
+    ledger = WindowLedger(name, telemetry if telemetry is not None else Telemetry())
+    rows: List[Dict[str, object]] = []
+    seen = 0
+    for index, count in enumerate(arrivals):
+        seen += count
+        watermark = float(index + 1)
+        before = (cache.hits, cache.misses, cache.shard_hits, cache.shard_misses)
+        ledger.open(watermark, arrivals=count, **{unit: seen})
+        report = run(index, seen)
+        flow_report = report.flow_report  # type: ignore[attr-defined]
+        ledger.close(
+            arrivals=count,
+            **{unit: seen},
+            **close_attrs(report),
+            cpu_seconds=flow_report.total_cpu_time.seconds,
+            bytes=flow_report.total_output.bytes,
+        )
+        rows.append(
+            {
+                "index": index,
+                "watermark": watermark,
+                "arrived": count,
+                "seen": seen,
+                "report": report,
+                "stage_hits": cache.hits - before[0],
+                "stage_misses": cache.misses - before[1],
+                "shard_hits": cache.shard_hits - before[2],
+                "shard_misses": cache.shard_misses - before[3],
             }
-            report = engine.run(self.flow, inputs)
-            window.report = report
-            window.executed = list(report.executed_stages)
-            window.cached = list(report.cached_stages)
-        self.ledger.close(
-            arrivals=sum(window.arrivals.values()),
-            dirty=len(window.dirty),
-            stages_run=len(window.executed),
-            stages_cached=len(window.cached),
-            cpu_seconds=(
-                window.report.total_cpu_time.seconds
-                if window.report is not None
-                else 0.0
-            ),
-            bytes=(
-                window.report.total_output.bytes
-                if window.report is not None
-                else 0.0
-            ),
         )
-        self.windows.append(window)
-        return window
+    return ledger, rows
 
 
-__all__ = (
-    "DELTA_KINDS",
-    "Delta",
-    "DeltaSource",
-    "IncrementalEngine",
-    "WindowLedger",
-    "WindowReport",
-    "dirty_cone",
-)
+__all__ = ("WindowLedger", "run_windows")

@@ -178,7 +178,7 @@ class FlowReport:
     #: topological order.  Deliberately *not* part of the telemetry event
     #: slice: the cache contract is that warm and cold runs emit
     #: byte-identical canonical logs, so cache provenance lives on the
-    #: report object only (incremental runs use it to pin dirty cones).
+    #: report object only (incremental runs use it to pin what recomputed).
     executed_stages: List[str] = field(default_factory=list, repr=False)
     cached_stages: List[str] = field(default_factory=list, repr=False)
 

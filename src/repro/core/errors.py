@@ -128,9 +128,8 @@ class DuplicateCrawlError(WebLabError):
 
 
 class IncrementalError(ReproError):
-    """Incremental-execution misuse: undeclared delta source, non-monotone
-    watermark, malformed delta batch, or a window/backfill request the
-    engine cannot honour."""
+    """Incremental-execution misuse: a malformed arrival schedule, a
+    non-monotone watermark, or a window opened or closed out of turn."""
 
 
 class WorkloadError(ReproError):

@@ -78,7 +78,6 @@ EVENT_KINDS = frozenset(
         "stage.dead_letter",
         "window.open",
         "window.close",
-        "window.reopen",
         "workload.request",
         "readcache.hit",
         "readcache.miss",

@@ -96,34 +96,6 @@ class TestDanglingCheck:
         flow = build(("a", "x"), ("b", "x"), edges=[("a", "b")])
         assert check_flow(flow, FlowSpec(expected_sinks=("b",))) == []
 
-    def test_unwired_source_flagged_until_declared_incremental(self):
-        """The same graph trips FLW002 or passes on exactly one bit: an
-        edge-less source stage is dangling, unless it is a declared
-        incremental source (its data arrives from outside the graph)."""
-
-        def fixture():
-            return build(("a", "x"), ("b", "x"), ("feed", "x"),
-                         edges=[("a", "b")])
-
-        trigger = fixture()
-        issues = check_flow(trigger)
-        assert codes(issues) == [flowcheck.DANGLING]
-        assert issues[0].stage == "feed"
-
-        clean = fixture()
-        clean.declare_incremental("feed")
-        assert check_flow(clean) == []
-
-    def test_incremental_source_with_consumers_still_checked_downstream(self):
-        """The exemption covers only the declared source itself — a
-        dangling stage downstream of it is still flagged."""
-        flow = build(("feed", "x"), ("b", "x"), ("orphan", "x"),
-                     edges=[("feed", "b")])
-        flow.declare_incremental("feed")
-        issues = check_flow(flow)
-        assert codes(issues) == [flowcheck.DANGLING]
-        assert issues[0].stage == "orphan"
-
 
 class TestVolumeCheck:
     def test_expansion_beyond_bound_flagged(self):

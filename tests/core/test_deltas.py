@@ -1,55 +1,25 @@
-"""Delta sources, dirty cones, windowed accounting, and the incremental
-engine's equivalence contract.
+"""Windowed accounting, the shared window driver, and the shard cache.
 
-The contract under test: N incremental windows over delta-fed sources end
-byte-identical to one batch run over the union of the same deltas — same
-final datasets, same provenance stamps, same canonical flow telemetry —
-while empty windows run nothing and unchanged shards replay from cache.
+The contract under test: N windows of one flow rerun over a growing union
+against a shared stage cache end byte-identical to one cold run over the
+whole union — same final datasets, same provenance stamps, same canonical
+flow telemetry — while an empty window replays entirely from the cache and
+a non-empty one recomputes only never-seen shards.
 """
 
 import functools
+from dataclasses import dataclass
 
 import pytest
 
-from repro.core.dataflow import DataFlow, structural_stub
+from repro.core.dataflow import DataFlow
 from repro.core.dataset import Dataset
-from repro.core.deltas import (
-    Delta,
-    DeltaSource,
-    IncrementalEngine,
-    WindowLedger,
-    dirty_cone,
-)
-from repro.core.engine import Engine
-from repro.core.errors import DataflowError, ExecutionError, IncrementalError
+from repro.core.deltas import WindowLedger, run_windows
+from repro.core.engine import Engine, FlowReport
+from repro.core.errors import ExecutionError, IncrementalError
 from repro.core.stagecache import StageCache
 from repro.core.telemetry import Telemetry, strip_wall_clock
 from repro.core.units import DataSize
-
-
-def delta_flow(calls=None):
-    """ingest (incremental) -> reduce, counting transform invocations."""
-    calls = calls if calls is not None else {"ingest": 0, "reduce": 0}
-
-    def ingest(inputs, ctx):
-        calls["ingest"] += 1
-        items = list(inputs["input"].items)
-        return Dataset(
-            "staged", DataSize(float(10 * max(len(items), 1))),
-            items=items, version="v1",
-        )
-
-    def reduce(inputs, ctx):
-        calls["reduce"] += 1
-        total = sum(inputs["ingest"].items)
-        return Dataset("total", DataSize(8.0), items=[total], version="v1")
-
-    flow = DataFlow("toy-incremental")
-    flow.stage("ingest", ingest)
-    flow.stage("reduce", reduce)
-    flow.connect("ingest", "reduce")
-    flow.declare_incremental("ingest")
-    return flow, calls
 
 
 def canonical(report):
@@ -63,102 +33,6 @@ def canonical(report):
             for name, ds in report.outputs.items()
         },
     )
-
-
-def batch_over(source_deltas, seed=3):
-    """One batch run over the union of the given (items, event_time) deltas."""
-    source = DeltaSource("ingest")
-    for items, event_time in source_deltas:
-        source.emit(items, event_time)
-    source.take_arrived(float("inf"))
-    flow, _ = delta_flow()
-    return Engine(seed=seed, telemetry=Telemetry()).run(
-        flow, inputs={"ingest": source.dataset()}
-    )
-
-
-class TestDelta:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(IncrementalError, match="kind"):
-            Delta("s", (1,), event_time=1.0, arrival_time=1.0, kind="upsert")
-
-    def test_arrival_before_event_rejected(self):
-        with pytest.raises(IncrementalError, match="before its event time"):
-            Delta("s", (1,), event_time=5.0, arrival_time=4.0)
-
-    def test_revise_requires_identity_key(self):
-        source = DeltaSource("ingest")
-        with pytest.raises(IncrementalError, match="key"):
-            source.emit([1], event_time=1.0, kind="revise")
-
-
-class TestDeltaSource:
-    def test_take_arrived_respects_watermark_and_orders_by_arrival(self):
-        source = DeltaSource("ingest")
-        source.emit([1], event_time=1.0, arrival_time=3.0)
-        source.emit([2], event_time=2.0, arrival_time=2.0)
-        source.emit([3], event_time=3.0, arrival_time=9.0)
-        arrived = source.take_arrived(5.0)
-        assert [d.items for d in arrived] == [(2,), (1,)]
-        assert source.pending == 1
-        assert [d.items for d in source.take_arrived(10.0)] == [(3,)]
-        assert source.pending == 0
-
-    def test_items_in_event_time_order(self):
-        source = DeltaSource("ingest")
-        source.emit([30], event_time=3.0)
-        source.emit([10, 20], event_time=1.0)
-        source.take_arrived(10.0)
-        assert source.items() == [10, 20, 30]
-
-    def test_revise_replaces_last_wins_in_place(self):
-        source = DeltaSource("runs", key=lambda item: item[0])
-        source.emit([("r1", "raw"), ("r2", "raw")], event_time=1.0)
-        source.emit([("r1", "recalibrated")], event_time=2.0, kind="revise")
-        source.take_arrived(10.0)
-        assert source.items() == [("r1", "recalibrated"), ("r2", "raw")]
-
-    def test_dataset_version_digest_tracks_content(self):
-        def accumulated(batches):
-            source = DeltaSource("ingest")
-            for items, t in batches:
-                source.emit(items, t)
-            source.take_arrived(100.0)
-            return source.dataset()
-
-        one = accumulated([([1, 2], 1.0)])
-        same = accumulated([([1, 2], 1.0)])
-        more = accumulated([([1, 2], 1.0), ([3], 2.0)])
-        assert one.version == same.version
-        assert one.version != more.version
-        # How the union was split across deltas must not matter.
-        split = accumulated([([1], 1.0), ([2], 1.5)])
-        assert split.version == one.version
-
-
-class TestDirtyCone:
-    def flow(self):
-        flow = DataFlow("cone")
-        for name in ("a", "b", "join", "tail", "side"):
-            flow.stage(name, structural_stub(name))
-        flow.connect("a", "join")
-        flow.connect("b", "join")
-        flow.connect("join", "tail")
-        flow.connect("b", "side")
-        return flow
-
-    def test_cone_is_downstream_closure_in_topo_order(self):
-        flow = self.flow()
-        assert dirty_cone(flow, ["a"]) == ["a", "join", "tail"]
-        assert dirty_cone(flow, ["b"]) == ["b", "join", "side", "tail"]
-        assert dirty_cone(flow, ["a", "b"]) == ["a", "b", "join", "side", "tail"]
-
-    def test_empty_change_set_is_empty_cone(self):
-        assert dirty_cone(self.flow(), []) == []
-
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(IncrementalError, match="unknown stage"):
-            dirty_cone(self.flow(), ["ghost"])
 
 
 class TestWindowLedger:
@@ -177,121 +51,186 @@ class TestWindowLedger:
             ("window.open", 1), ("window.close", 1),
         ]
 
-    def test_reopen_names_the_stale_watermark(self):
-        telemetry = Telemetry()
-        ledger = WindowLedger("flow-x", telemetry)
-        ledger.open(5.0)
-        ledger.close()
-        ledger.reopen(3.0)
-        event = telemetry.events()[-1]
-        assert event.kind == "window.reopen"
-        assert dict(event.attrs)["closed_watermark"] == 5.0
-
     def test_misuse_raises(self):
         ledger = WindowLedger("flow-x", Telemetry())
         with pytest.raises(IncrementalError, match="no window is open"):
             ledger.close()
-        with pytest.raises(IncrementalError, match="nothing closed"):
-            ledger.reopen(1.0)
         ledger.open(1.0)
         with pytest.raises(IncrementalError, match="still open"):
             ledger.open(2.0)
 
-
-class TestIncrementalEngine:
-    def engine(self, calls=None, cache=None):
-        flow, calls = delta_flow(calls)
-        engine = IncrementalEngine(flow, seed=3, cache=cache or StageCache())
-        source = engine.add_source(DeltaSource("ingest"))
-        return engine, source, calls
-
-    def test_requires_declared_incremental_source(self):
-        flow = DataFlow("plain")
-        flow.stage("only", structural_stub("only"))
-        with pytest.raises(IncrementalError, match="declares no incremental"):
-            IncrementalEngine(flow)
-
-    def test_source_stage_must_be_declared_and_unique(self):
-        engine, _, _ = self.engine()
-        with pytest.raises(IncrementalError, match="not declared incremental"):
-            engine.add_source(DeltaSource("reduce"))
-        with pytest.raises(IncrementalError, match="already has a delta feed"):
-            engine.add_source(DeltaSource("ingest"))
-
     def test_watermark_must_advance(self):
-        engine, source, _ = self.engine()
-        source.emit([1], event_time=1.0)
-        engine.run_window(5.0)
-        with pytest.raises(IncrementalError, match="must advance"):
-            engine.run_window(5.0)
-
-    def test_windows_equal_one_batch_over_the_union(self):
-        engine, source, _ = self.engine()
-        source.emit([1, 2], event_time=1.0)
-        source.emit([3], event_time=6.0)
-        source.emit([4, 5], event_time=11.0)
-        for watermark in (5.0, 10.0, 15.0):
-            engine.run_window(watermark)
-        batch = batch_over([([1, 2], 1.0), ([3], 6.0), ([4, 5], 11.0)])
-        assert engine.final_report.outputs["reduce"].items == [15]
-        assert canonical(engine.final_report) == canonical(batch)
-
-    def test_empty_window_runs_nothing_but_is_accounted(self):
-        engine, source, calls = self.engine()
-        source.emit([1], event_time=1.0)
-        engine.run_window(5.0)
-        ran = dict(calls)
-        window = engine.run_window(10.0)  # nothing arrived
-        assert calls == ran
-        assert window.report is None
-        assert window.dirty == [] and window.executed == []
-        assert engine.ledger.windows == [(0, 5.0), (1, 10.0)]
-        closes = [e for e in engine.telemetry.events() if e.kind == "window.close"]
-        assert dict(closes[-1].attrs)["arrivals"] == 0
-        assert dict(closes[-1].attrs)["stages_run"] == 0
-
-    def test_late_arrival_reopens_and_backfill_matches_batch(self):
-        engine, source, _ = self.engine()
-        source.emit([1, 2], event_time=1.0)
-        source.emit([3], event_time=2.0, arrival_time=12.0)  # late
-        engine.run_window(10.0)
-        window = engine.run_window(20.0)
-        assert window.late is True
-        kinds = [e.kind for e in engine.telemetry.events() if e.kind.startswith("window.")]
-        assert kinds == [
+        telemetry = Telemetry()
+        ledger = WindowLedger("flow-x", telemetry)
+        ledger.open(5.0)
+        ledger.close()
+        for stale in (5.0, 3.0):
+            with pytest.raises(IncrementalError, match="must advance"):
+                ledger.open(stale)
+        # A refused window leaves no trace: nothing emitted, nothing open.
+        assert [e.kind for e in telemetry.events()] == [
             "window.open", "window.close",
-            "window.reopen", "window.open", "window.close",
         ]
-        batch = batch_over([([1, 2], 1.0), ([3], 2.0)])
-        assert canonical(engine.final_report) == canonical(batch)
-
-    def test_unchanged_stages_replay_from_cache(self):
-        engine, source, calls = self.engine()
-        source.emit([1, 2], event_time=1.0)
-        engine.run_window(5.0)
-        assert calls == {"ingest": 1, "reduce": 1}
-        source.emit([3], event_time=6.0)
-        window = engine.run_window(10.0)
-        # New input content: the whole (two-stage) cone recomputes ...
-        assert calls == {"ingest": 2, "reduce": 2}
-        assert window.executed == ["ingest", "reduce"]
-        # ... and a no-change window replays everything from the cache.
-        source.emit([3], event_time=6.5)  # same union after dedupe? no — new item
-        engine.run_window(15.0)
-        assert calls == {"ingest": 3, "reduce": 3}
-
-    def test_final_report_survives_trailing_empty_windows(self):
-        engine, source, _ = self.engine()
-        source.emit([7], event_time=1.0)
-        engine.run_window(5.0)
-        engine.run_window(10.0)
-        assert engine.final_report is not None
-        assert engine.final_report.outputs["reduce"].items == [7]
-        assert engine.watermark == 10.0
+        assert ledger.open(5.5) == 1
 
 
 def _square(item):
     return item * item
+
+
+ITEMS = [1, 2, 3, 4, 5]
+
+
+@dataclass
+class ToyReport:
+    """What a figure pipeline's report looks like to the window driver."""
+
+    flow_report: FlowReport
+
+
+def toy_flow(calls):
+    """expand (one cached shard per item) -> reduce, counting invocations."""
+
+    def expand(inputs, ctx):
+        calls["expand"] += 1
+        items = list(inputs["input"].items)
+        out = ctx.map_shards(
+            _square, items, cache_keys=[f"sq|{item}" for item in items]
+        )
+        return Dataset(
+            "squares", DataSize(float(len(out))), items=out, version="v1"
+        )
+
+    def reduce(inputs, ctx):
+        calls["reduce"] += 1
+        total = sum(inputs["expand"].items)
+        return Dataset("total", DataSize(8.0), items=[total], version="v1")
+
+    flow = DataFlow("toy-windows")
+    flow.stage("expand", expand)
+    flow.stage("reduce", reduce)
+    flow.connect("expand", "reduce")
+    return flow
+
+
+def run_toy(seen, cache, calls):
+    """One full run over the first ``seen`` items — what a window reruns."""
+    union = Dataset(
+        "ext", DataSize(float(seen)), items=ITEMS[:seen], version=f"v1+{seen}"
+    )
+    return Engine(seed=3, cache=cache, telemetry=Telemetry()).run(
+        toy_flow(calls), inputs={"expand": union}
+    )
+
+
+def toy_windows(arrivals):
+    cache = StageCache()
+    telemetry = Telemetry()
+    calls = {"expand": 0, "reduce": 0}
+    ledger, rows = run_windows(
+        "toy-windows",
+        "items",
+        len(ITEMS),
+        arrivals,
+        run=lambda index, seen: ToyReport(run_toy(seen, cache, calls)),
+        close_attrs=lambda report: {
+            "total": report.flow_report.outputs["reduce"].items[0]
+        },
+        cache=cache,
+        telemetry=telemetry,
+    )
+    return ledger, rows, cache, calls
+
+
+class TestRunWindows:
+    ARRIVALS = [2, 0, 1, 2]
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        return toy_windows(self.ARRIVALS)
+
+    def test_final_window_equals_one_cold_run_over_the_union(self, windows):
+        _, rows, _, _ = windows
+        final = rows[-1]["report"].flow_report
+        cold = run_toy(len(ITEMS), StageCache(), {"expand": 0, "reduce": 0})
+        assert final.outputs["reduce"].items == [55]
+        assert canonical(final) == canonical(cold)
+
+    def test_middle_empty_window_is_all_hit_and_still_accounted(self, windows):
+        ledger, rows, _, _ = windows
+        empty = rows[1]
+        assert (empty["arrived"], empty["seen"]) == (0, 2)
+        assert (empty["stage_hits"], empty["stage_misses"]) == (2, 0)
+        assert (empty["shard_hits"], empty["shard_misses"]) == (0, 0)
+        assert empty["report"].flow_report.cached_stages == ["expand", "reduce"]
+        assert ledger.windows == [(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]
+
+    def test_windows_recompute_only_never_seen_shards(self, windows):
+        _, rows, cache, calls = windows
+        for row in rows:
+            if row["arrived"]:
+                assert row["shard_misses"] == row["arrived"]
+                assert row["shard_hits"] == row["seen"] - row["arrived"]
+        # The empty window replayed both stages without calling either.
+        assert calls == {"expand": 3, "reduce": 3}
+        for counter, total in (
+            ("stage_hits", cache.hits),
+            ("stage_misses", cache.misses),
+            ("shard_hits", cache.shard_hits),
+            ("shard_misses", cache.shard_misses),
+        ):
+            assert sum(row[counter] for row in rows) == total
+
+    def test_trailing_empty_window_keeps_the_final_report(self):
+        _, rows, _, calls = toy_windows([3, 2, 0])
+        cold = run_toy(len(ITEMS), StageCache(), {"expand": 0, "reduce": 0})
+        assert rows[-1]["stage_misses"] == 0
+        assert calls == {"expand": 2, "reduce": 2}
+        assert canonical(rows[-1]["report"].flow_report) == canonical(cold)
+
+    def test_ledger_stream_is_open_close_per_window(self, windows):
+        ledger, rows, _, _ = windows
+        events = ledger.telemetry.events()
+        assert [e.kind for e in events] == ["window.open", "window.close"] * 4
+        assert {e.name for e in events} == {"toy-windows"}
+        for row, opened, closed in zip(rows, events[0::2], events[1::2]):
+            expected = {
+                "window": row["index"],
+                "watermark": float(row["index"] + 1),
+                "arrivals": row["arrived"],
+                "items": row["seen"],
+            }
+            assert dict(opened.attrs) == expected
+            flow_report = row["report"].flow_report
+            assert dict(closed.attrs) == {
+                **expected,
+                "total": flow_report.outputs["reduce"].items[0],
+                "cpu_seconds": flow_report.total_cpu_time.seconds,
+                "bytes": flow_report.total_output.bytes,
+            }
+        assert [row["watermark"] for row in rows] == [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize(
+        "arrivals, message",
+        [
+            ([2, 2], "sum to 4, expected n_items=5"),
+            ([6, -1], "negative"),
+            ([2.5, 2.5], "non-integral"),
+            ([0, 5], "window 0 is empty"),
+        ],
+    )
+    def test_bad_schedule_is_rejected_before_anything_runs(self, arrivals, message):
+        ran = []
+        telemetry = Telemetry()
+        with pytest.raises(IncrementalError, match=message):
+            run_windows(
+                "toy-windows", "items", len(ITEMS), arrivals,
+                run=lambda index, seen: ran.append(index),
+                close_attrs=lambda report: {},
+                cache=StageCache(),
+                telemetry=telemetry,
+            )
+        assert ran == [] and telemetry.events() == []
 
 
 class TestMapShardsCache:
@@ -391,24 +330,3 @@ class TestMapShardsCache:
             assert Engine(seed=1).run(flow).outputs["keyed"].items == [
                 fn(1), fn(2)
             ]
-
-
-class TestDeclareIncremental:
-    def test_only_sources_may_be_declared(self):
-        flow = DataFlow("f")
-        flow.stage("a", structural_stub("a"))
-        flow.stage("b", structural_stub("b"))
-        flow.connect("a", "b")
-        with pytest.raises(DataflowError, match="only source stages"):
-            flow.declare_incremental("b")
-        flow.declare_incremental("a")
-        assert flow.incremental_sources == {"a": ""}
-
-    def test_validate_rejects_source_that_gained_predecessors(self):
-        flow = DataFlow("f")
-        flow.stage("a", structural_stub("a"))
-        flow.stage("b", structural_stub("b"))
-        flow.declare_incremental("b")
-        flow.connect("a", "b")
-        with pytest.raises(DataflowError, match="incremental"):
-            flow.validate()

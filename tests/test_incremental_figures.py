@@ -5,8 +5,7 @@ inputs arrive (pointings for Figure 1, runs for Figure 2) against one
 shared stage cache ends byte-identical — canonical telemetry, scores,
 sizes — to a single cold batch run over the union.  The stage/shard
 cache counters pin the cost side: each window recomputes only the
-never-seen shards (the dirty cone), and a zero-arrival window recomputes
-nothing at all.
+never-seen shards, and a zero-arrival window recomputes nothing at all.
 """
 
 import pytest
@@ -110,6 +109,20 @@ class TestAreciboIncremental:
                 tmp_path, arecibo_config(), arrivals=[4, -1]
             )
 
+    def test_leading_empty_window_is_rejected_by_name(self, tmp_path):
+        """Nothing to run over yet: refused up front, not a crash in `ship`."""
+        with pytest.raises(IncrementalError, match="window 0 is empty"):
+            run_arecibo_incremental(
+                tmp_path, arecibo_config(n_pointings=1), arrivals=[0, 1]
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fractional_arrivals_are_not_truncated(self, tmp_path):
+        with pytest.raises(IncrementalError, match="non-integral"):
+            run_arecibo_incremental(
+                tmp_path, arecibo_config(n_pointings=2), arrivals=[1.5, 1.5]
+            )
+
 
 class TestCleoIncremental:
     @pytest.fixture(scope="class")
@@ -161,4 +174,17 @@ class TestCleoIncremental:
         with pytest.raises(IncrementalError, match="sum to"):
             run_cleo_incremental(
                 tmp_path, CleoPipelineConfig(n_runs=3, seed=5), arrivals=[1]
+            )
+
+    def test_leading_empty_window_is_rejected_by_name(self, tmp_path):
+        with pytest.raises(IncrementalError, match="window 0 is empty"):
+            run_cleo_incremental(
+                tmp_path, CleoPipelineConfig(n_runs=1), arrivals=[0, 1]
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fractional_arrivals_are_not_truncated(self, tmp_path):
+        with pytest.raises(IncrementalError, match="non-integral"):
+            run_cleo_incremental(
+                tmp_path, CleoPipelineConfig(n_runs=2), arrivals=[1.5, 1.5]
             )
