@@ -84,7 +84,7 @@ class Detector:
 
     def _sample_multiplicity(self, rng: np.random.Generator) -> int:
         n = int(rng.poisson(self.config.mean_multiplicity))
-        return int(np.clip(n, 1, self.config.max_multiplicity))
+        return min(max(n, 1), self.config.max_multiplicity)
 
     def _sample_tracks(self, n_tracks: int, rng: np.random.Generator) -> List[TrackTruth]:
         # Tracks are spaced by at least track_separation so rank-order
@@ -102,10 +102,9 @@ class Detector:
 
     def measure(self, tracks: List[TrackTruth], rng: np.random.Generator) -> np.ndarray:
         """Hit positions (n_tracks, n_planes): truth + misalignment + smear."""
-        z = self.plane_z
-        truth = np.array(
-            [[track.x0 + track.slope * plane_z for plane_z in z] for track in tracks]
-        )
+        x0 = np.array([track.x0 for track in tracks])
+        slope = np.array([track.slope for track in tracks])
+        truth = x0[:, None] + slope[:, None] * self.plane_z
         smear = rng.normal(0.0, self.config.wire_resolution_cm, size=truth.shape)
         return (truth + self.misalignment + smear).astype(np.float32)
 

@@ -73,6 +73,5 @@ def produce_offsite_mc(
     store = PersonalEventStore(Path(staging_dir) / f"mc-{site}", name=f"mc-{site}")
     for index, run in enumerate(runs):
         events, _, stamp = producer.generate_for_run(run, seed=base_seed + index)
-        store.register_run(run)
         store.inject(run, events, producer.version, "mc", stamp)
     return store

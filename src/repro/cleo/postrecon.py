@@ -21,8 +21,8 @@ import numpy as np
 from repro.core.errors import SearchError
 from repro.core.provenance import ProvenanceStamp
 from repro.cleo.reconstruction import tracks_of
-from repro.eventstore.arrays import array_asu
-from repro.eventstore.model import Event
+from repro.eventstore.arrays import array_header
+from repro.eventstore.model import ASU, Event
 from repro.eventstore.provenance import stamp_step
 
 # The dozen post-reconstruction ASUs.
@@ -55,19 +55,18 @@ class RunStatistics:
 
     @classmethod
     def gather(cls, run_number: int, recon_events: Sequence[Event]) -> "RunStatistics":
-        if not recon_events:
+        return cls._of_tracks(run_number, [tracks_of(event) for event in recon_events])
+
+    @classmethod
+    def _of_tracks(cls, run_number: int, tracks: Sequence[np.ndarray]) -> "RunStatistics":
+        """Statistics over one decoded ``tracks`` array per event."""
+        if not tracks:
             raise SearchError(f"run {run_number}: no reconstructed events")
-        multiplicities = []
-        chi2_means = []
-        for event in recon_events:
-            tracks = tracks_of(event)
-            multiplicities.append(tracks.shape[0])
-            chi2_means.append(float(tracks[:, 2].mean()))
-        multiplicities = np.asarray(multiplicities, dtype=np.float64)
-        chi2_means = np.asarray(chi2_means, dtype=np.float64)
+        multiplicities = np.asarray([t.shape[0] for t in tracks], dtype=np.float64)
+        chi2_means = np.asarray([float(t[:, 2].mean()) for t in tracks], dtype=np.float64)
         return cls(
             run_number=run_number,
-            n_events=len(recon_events),
+            n_events=len(tracks),
             mean_multiplicity=float(multiplicities.mean()),
             std_multiplicity=float(max(multiplicities.std(), 1e-9)),
             mean_chi2=float(chi2_means.mean()),
@@ -88,32 +87,43 @@ class PostReconstructor:
         return f"PostRecon_{self.release}"
 
     def derive_event(self, recon_event: Event, stats: RunStatistics) -> Event:
-        tracks = tracks_of(recon_event)
+        return self._derive(recon_event, tracks_of(recon_event), stats)
+
+    def _derive(self, recon_event: Event, tracks: np.ndarray, stats: RunStatistics) -> Event:
         n_tracks = tracks.shape[0]
         x0 = tracks[:, 0]
         slopes = tracks[:, 1]
         chi2 = tracks[:, 2]
         mean_chi2 = float(chi2.mean())
-        values = {
-            "multiplicity": float(n_tracks),
-            "meanChi2": mean_chi2,
-            "maxChi2": float(chi2.max()),
-            "slopeSpread": float(slopes.std()),
-            "interceptSpread": float(x0.std()),
-            # A crude sphericity proxy: spread of intercepts over spread of slopes.
-            "eventShape": float(x0.std() / (slopes.std() + 1e-6)),
-            "vertexEstimate": float(x0.mean()),
-            "momentumProxy": float(np.abs(slopes).mean()),
-            "qualityFlag": float(1.0 if mean_chi2 < 3.0 else 0.0),
-            "multiplicityZ": float(
-                (n_tracks - stats.mean_multiplicity) / stats.std_multiplicity
-            ),
-            "chi2Z": float((mean_chi2 - stats.mean_chi2) / stats.std_chi2),
-            "runNormFactor": float(stats.mean_multiplicity),
-        }
+        # Kept as the float32 scalars numpy returns: eventShape divides them.
+        slope_spread = slopes.std()
+        intercept_spread = x0.std()
+        # One float32 conversion for the dozen, in POSTRECON_ASUS order.
+        values = np.array(
+            [
+                n_tracks,
+                mean_chi2,
+                chi2.max(),
+                slope_spread,
+                intercept_spread,
+                # A crude sphericity proxy: spread of intercepts over spread of slopes.
+                intercept_spread / (slope_spread + 1e-6),
+                x0.mean(),                                   # vertexEstimate
+                np.abs(slopes).mean(),                       # momentumProxy
+                1.0 if mean_chi2 < 3.0 else 0.0,             # qualityFlag
+                (n_tracks - stats.mean_multiplicity) / stats.std_multiplicity,
+                (mean_chi2 - stats.mean_chi2) / stats.std_chi2,
+                stats.mean_multiplicity,                     # runNormFactor
+            ],
+            dtype=np.float32,
+        )
+        # Twelve one-float arrays share one header; each payload is that
+        # header plus its four bytes of the converted block.
+        header = array_header(values.dtype, (1,))
+        body = values.tobytes()
         asus = {
-            name: array_asu(name, np.array([values[name]], dtype=np.float32))
-            for name in POSTRECON_ASUS
+            name: ASU(name=name, payload=header + body[4 * index : 4 * index + 4])
+            for index, name in enumerate(POSTRECON_ASUS)
         }
         return Event(
             run_number=recon_event.run_number,
@@ -128,8 +138,12 @@ class PostReconstructor:
         recon_stamp: ProvenanceStamp,
     ) -> Tuple[List[Event], RunStatistics, ProvenanceStamp]:
         """The two-phase pass: gather statistics, then derive per event."""
-        stats = RunStatistics.gather(run_number, recon_events)
-        derived = [self.derive_event(event, stats) for event in recon_events]
+        tracks = [tracks_of(event) for event in recon_events]
+        stats = RunStatistics._of_tracks(run_number, tracks)
+        derived = [
+            self._derive(event, event_tracks, stats)
+            for event, event_tracks in zip(recon_events, tracks)
+        ]
         stamp = stamp_step(
             module="PassPostRecon",
             release=self.release,

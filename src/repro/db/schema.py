@@ -48,15 +48,15 @@ class Table:
         body.extend(self.constraints)
         return f"CREATE TABLE IF NOT EXISTS {self.name} ({', '.join(body)})"
 
+    def index_names(self) -> List[str]:
+        return [f"idx_{self.name}_{'_'.join(columns)}" for columns in self.indexes]
+
     def index_sql(self) -> List[str]:
-        statements = []
-        for columns in self.indexes:
-            index_name = f"idx_{self.name}_{'_'.join(columns)}"
-            statements.append(
-                f"CREATE INDEX IF NOT EXISTS {index_name} "
-                f"ON {self.name} ({', '.join(columns)})"
-            )
-        return statements
+        return [
+            f"CREATE INDEX IF NOT EXISTS {index_name} "
+            f"ON {self.name} ({', '.join(columns)})"
+            for index_name, columns in zip(self.index_names(), self.indexes)
+        ]
 
 
 def column(name: str, type: str = "TEXT", constraints: str = "") -> Column:
@@ -90,27 +90,33 @@ class Schema:
         return table
 
 
-def _ensure_meta_table(db: Database) -> None:
-    db.execute(
-        f"CREATE TABLE IF NOT EXISTS {_META_TABLE} "
-        "(schema_name TEXT PRIMARY KEY, version INTEGER NOT NULL)"
-    )
-
-
 def applied_version(db: Database, schema_name: str) -> int:
     """Schema version currently applied to this database (0 if never)."""
-    _ensure_meta_table(db)
+    if not db.table_exists(_META_TABLE):
+        return 0
     value = db.query_value(
         f"SELECT version FROM {_META_TABLE} WHERE schema_name = ?", (schema_name,)
     )
     return int(value) if value is not None else 0
 
 
+def _complete(db: Database, schema: Schema) -> bool:
+    """Whether every table and index the schema declares already exists."""
+    present = {row["name"] for row in db.query("SELECT name FROM sqlite_master")}
+    return all(
+        name in present
+        for table in schema.tables
+        for name in (table.name, *table.index_names())
+    )
+
+
 def apply_schema(db: Database, schema: Schema) -> int:
     """Create missing tables and indexes; returns the applied version.
 
     Creation is idempotent.  Downgrades (database newer than code) are
-    refused rather than guessed at.
+    refused rather than guessed at.  Whatever is missing is created in one
+    transaction; a database already at this version with nothing missing
+    is only read, so opening a store never waits on another writer.
     """
     current = applied_version(db, schema.name)
     if current > schema.version:
@@ -118,18 +124,25 @@ def apply_schema(db: Database, schema: Schema) -> int:
             f"database has schema {schema.name!r} v{current}, "
             f"code only knows v{schema.version}"
         )
-    for table in schema.tables:
-        db.execute(table.create_sql())
-        for statement in table.index_sql():
-            db.execute(statement)
-    if current == 0:
+    if current == schema.version and _complete(db, schema):
+        return schema.version
+    with db.transaction():
         db.execute(
-            f"INSERT INTO {_META_TABLE} (schema_name, version) VALUES (?, ?)",
-            (schema.name, schema.version),
+            f"CREATE TABLE IF NOT EXISTS {_META_TABLE} "
+            "(schema_name TEXT PRIMARY KEY, version INTEGER NOT NULL)"
         )
-    elif current < schema.version:
-        db.execute(
-            f"UPDATE {_META_TABLE} SET version = ? WHERE schema_name = ?",
-            (schema.version, schema.name),
-        )
+        for table in schema.tables:
+            db.execute(table.create_sql())
+            for statement in table.index_sql():
+                db.execute(statement)
+        if current == 0:
+            db.execute(
+                f"INSERT INTO {_META_TABLE} (schema_name, version) VALUES (?, ?)",
+                (schema.name, schema.version),
+            )
+        elif current < schema.version:
+            db.execute(
+                f"UPDATE {_META_TABLE} SET version = ? WHERE schema_name = ?",
+                (schema.version, schema.name),
+            )
     return schema.version

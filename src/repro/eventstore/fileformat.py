@@ -27,10 +27,13 @@ E x       event record:
 from __future__ import annotations
 
 import json
+import mmap
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, List, Optional, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.core.errors import EventStoreError
 from repro.core.provenance import ProvenanceStamp
@@ -40,29 +43,33 @@ MAGIC = b"CLEOESF1"
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
+_EVENT_HEAD = struct.Struct("<IH")  # event number, ASU count
+
+# Distinct ASU names one read keeps decoded; past it a name decodes per use.
+_MAX_INTERNED_NAMES = 1024
 
 
-def _write_u16(stream: BinaryIO, value: int) -> None:
+def _u16(value: int) -> bytes:
     if not 0 <= value <= 0xFFFF:
         raise EventStoreError(f"u16 overflow: {value}")
-    stream.write(_U16.pack(value))
+    return _U16.pack(value)
 
 
-def _write_u32(stream: BinaryIO, value: int) -> None:
+def _u32(value: int) -> bytes:
     if not 0 <= value <= 0xFFFFFFFF:
         raise EventStoreError(f"u32 overflow: {value}")
-    stream.write(_U32.pack(value))
+    return _U32.pack(value)
+
+
+def _truncated(what: str) -> EventStoreError:
+    return EventStoreError(f"truncated event file while reading {what}")
 
 
 def _read_exact(stream: BinaryIO, n: int, what: str) -> bytes:
     data = stream.read(n)
     if len(data) != n:
-        raise EventStoreError(f"truncated event file while reading {what}")
+        raise _truncated(what)
     return data
-
-
-def _read_u16(stream: BinaryIO, what: str) -> int:
-    return _U16.unpack(_read_exact(stream, 2, what))[0]
 
 
 def _read_u32(stream: BinaryIO, what: str) -> int:
@@ -112,7 +119,9 @@ def write_event_file(
     """Serialize events (and their provenance stamp) to ``path``.
 
     Returns the number of events written.  Events must all belong to the
-    header's run.
+    header's run.  Every record is validated and framed in memory and the
+    file is written in one call, so a refused event leaves nothing under
+    ``path``.
     """
     events = list(events)
     for event in events:
@@ -121,33 +130,44 @@ def write_event_file(
                 f"event from run {event.run_number} in file for run "
                 f"{header.run_number}"
             )
-    path = Path(path)
-    with path.open("wb") as stream:
-        stream.write(MAGIC)
-        header_bytes = header.to_json()
-        _write_u32(stream, len(header_bytes))
-        stream.write(header_bytes)
-        _write_u32(stream, len(stamp.history))
-        for line in stamp.history:
-            encoded = line.encode("utf-8")
-            _write_u32(stream, len(encoded))
-            stream.write(encoded)
-        digest = stamp.digest.encode("ascii")
-        if len(digest) != 32:
-            raise EventStoreError("provenance digest must be a 32-char MD5 hex string")
-        stream.write(digest)
-        _write_u32(stream, len(events))
-        for event in events:
-            _write_u32(stream, event.event_number)
-            _write_u16(stream, len(event.asus))
-            for name in sorted(event.asus):
-                asu = event.asus[name]
+    header_bytes = header.to_json()
+    chunks = [MAGIC, _u32(len(header_bytes)), header_bytes, _u32(len(stamp.history))]
+    for line in stamp.history:
+        encoded = line.encode("utf-8")
+        chunks += (_u32(len(encoded)), encoded)
+    digest = stamp.digest.encode("ascii")
+    if len(digest) != 32:
+        raise EventStoreError("provenance digest must be a 32-char MD5 hex string")
+    chunks += (digest, _u32(len(events)))
+    # A run repeats a handful of ASU names: frame each (length + name) once.
+    name_prefixes: Dict[str, bytes] = {}
+    append, u32 = chunks.append, _U32.pack
+    for event in events:
+        asus = event.asus
+        append(_u32(event.event_number) + _u16(len(asus)))
+        for name in sorted(asus):
+            prefix = name_prefixes.get(name)
+            if prefix is None:
                 encoded = name.encode("utf-8")
-                _write_u16(stream, len(encoded))
-                stream.write(encoded)
-                _write_u32(stream, len(asu.payload))
-                stream.write(asu.payload)
+                prefix = name_prefixes[name] = _u16(len(encoded)) + encoded
+            payload = asus[name].payload
+            if len(payload) > 0xFFFFFFFF:
+                raise EventStoreError(f"u32 overflow: {len(payload)}")
+            append(prefix)
+            append(u32(len(payload)))
+            append(payload)
+    Path(path).write_bytes(b"".join(chunks))
     return len(events)
+
+
+@contextmanager
+def _mapped(stream: BinaryIO) -> Iterator[Union[bytes, mmap.mmap]]:
+    """The file's bytes as one buffer; the OS pages in what parsing touches."""
+    if os.fstat(stream.fileno()).st_size == 0:
+        yield b""  # an empty file cannot be mapped
+        return
+    with mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ) as data:
+        yield data
 
 
 @dataclass
@@ -163,32 +183,52 @@ class EventFile:
     def events(self, asu_names: Optional[Iterable[str]] = None) -> Iterator[Event]:
         """Stream events; optionally project to a subset of ASUs.
 
-        Projection still reads past unwanted payloads (this format is
+        Projection still steps over unwanted payloads (this format is
         row-major); the hot/warm/cold partitioning in
         :mod:`repro.eventstore.partition` exists precisely because that
         is expensive.
         """
         wanted = set(asu_names) if asu_names is not None else None
-        with self.path.open("rb") as stream:
-            stream.seek(self._events_offset)
+        run_number = self.header.run_number
+        names: Dict[bytes, str] = {}  # decoded once per distinct name, bounded
+        event_head, u16, u32 = _EVENT_HEAD.unpack_from, _U16.unpack_from, _U32.unpack_from
+        with self.path.open("rb") as stream, _mapped(stream) as data:
+            offset = self._events_offset
             for _ in range(self.event_count):
-                event_number = _read_u32(stream, "event number")
-                asu_count = _read_u16(stream, "ASU count")
+                try:
+                    event_number, asu_count = event_head(data, offset)
+                except struct.error:
+                    cut = "event number" if len(data) - offset < 4 else "ASU count"
+                    raise _truncated(cut) from None
+                offset += _EVENT_HEAD.size
                 asus = {}
                 for _ in range(asu_count):
-                    name_length = _read_u16(stream, "ASU name length")
-                    name = _read_exact(stream, name_length, "ASU name").decode("utf-8")
-                    payload_length = _read_u32(stream, "payload length")
+                    try:
+                        (name_length,) = u16(data, offset)
+                    except struct.error:
+                        raise _truncated("ASU name length") from None
+                    name_end = offset + 2 + name_length
+                    raw_name = data[offset + 2 : name_end]
+                    if len(raw_name) != name_length:
+                        raise _truncated("ASU name")
+                    name = names.get(raw_name)
+                    if name is None:
+                        name = raw_name.decode("utf-8")
+                        if len(names) < _MAX_INTERNED_NAMES:
+                            names[raw_name] = name
+                    try:
+                        (payload_length,) = u32(data, name_end)
+                    except struct.error:
+                        raise _truncated("payload length") from None
+                    offset = name_end + 4
+                    # An unwanted payload is skipped unread, as a seek would.
                     if wanted is None or name in wanted:
-                        payload = _read_exact(stream, payload_length, "payload")
+                        payload = data[offset : offset + payload_length]
+                        if len(payload) != payload_length:
+                            raise _truncated("payload")
                         asus[name] = ASU(name=name, payload=payload)
-                    else:
-                        stream.seek(payload_length, 1)
-                yield Event(
-                    run_number=self.header.run_number,
-                    event_number=event_number,
-                    asus=asus,
-                )
+                    offset += payload_length
+                yield Event(run_number=run_number, event_number=event_number, asus=asus)
 
     def read_all(self) -> List[Event]:
         return list(self.events())

@@ -159,10 +159,16 @@ def run_range_key(first: int, last: int) -> str:
 
 def parse_run_key(key: str) -> Tuple[int, int]:
     """Expand a grade key into its inclusive (first, last) run interval."""
-    if key.startswith("run:"):
-        number = int(key[len("run:"):])
-        return number, number
-    if key.startswith("runs:"):
-        first_text, _, last_text = key[len("runs:"):].partition("-")
-        return int(first_text), int(last_text)
+    try:
+        if key.startswith("run:"):
+            number = int(key[len("run:"):])
+            return number, number
+        if key.startswith("runs:"):
+            first_text, _, last_text = key[len("runs:"):].partition("-")
+            first, last = int(first_text), int(last_text)
+            if first > last:
+                raise EventStoreError(f"bad run range {first}-{last} in key {key!r}")
+            return first, last
+    except ValueError:
+        pass
     raise EventStoreError(f"unrecognized run key {key!r}")

@@ -131,19 +131,21 @@ class EventStore:
                 "build a personal store and merge it in"
             )
 
-    def register_run(self, run: Run, admin: bool = False) -> None:
-        """Record a run's metadata (idempotent for identical metadata)."""
-        self._require_writable(admin)
+    def _run_known(self, run: Run) -> bool:
+        """Whether ``run`` is registered; differing metadata is refused."""
         existing = self.db.query_one("SELECT * FROM runs WHERE number = ?", (run.number,))
-        if existing is not None:
-            if (
-                existing["event_count"] != run.event_count
-                or existing["start_time"] != run.start_time
-            ):
-                raise EventStoreError(
-                    f"run {run.number} already registered with different metadata"
-                )
-            return
+        if existing is None:
+            return False
+        if (
+            existing["event_count"] != run.event_count
+            or existing["start_time"] != run.start_time
+        ):
+            raise EventStoreError(
+                f"run {run.number} already registered with different metadata"
+            )
+        return True
+
+    def _insert_run(self, run: Run) -> None:
         self.db.insert(
             "runs",
             number=run.number,
@@ -152,9 +154,18 @@ class EventStore:
             event_count=run.event_count,
             conditions=json.dumps(run.condition_map, sort_keys=True),
         )
+
+    def _run_added(self) -> None:
         if self.cache is not None:
             # A new run changes what every grade's run keys expand to.
             self.cache.invalidate_prefix("grade:")
+
+    def register_run(self, run: Run, admin: bool = False) -> None:
+        """Record a run's metadata (idempotent for identical metadata)."""
+        self._require_writable(admin)
+        if not self._run_known(run):
+            self._insert_run(run)
+            self._run_added()
 
     def inject(
         self,
@@ -166,11 +177,16 @@ class EventStore:
         admin: bool = False,
         created_at: float = 0.0,
     ) -> Path:
-        """Write an event file and register it under (run, version, kind)."""
+        """Write an event file and register it under (run, version, kind).
+
+        Everything that can refuse the injection is checked before the
+        file is written; the run row (when new) and the file row then
+        commit together.
+        """
         self._require_writable(admin)
         if kind not in DATA_KINDS:
             raise EventStoreError(f"unknown data kind {kind!r}; expected {DATA_KINDS}")
-        self.register_run(run, admin=admin)
+        run_known = self._run_known(run)
         if self._file_row(run.number, version, kind) is not None:
             raise EventStoreError(
                 f"store already has run {run.number} {kind} at version {version!r}"
@@ -182,19 +198,30 @@ class EventStore:
         )
         count = write_event_file(path, header, events, stamp)
         size_bytes = float(path.stat().st_size)
+        try:
+            with self.db.transaction():
+                if not run_known:
+                    self._insert_run(run)
+                self.db.insert(
+                    "files",
+                    path=str(path.relative_to(self.root)),
+                    run_number=run.number,
+                    version=version,
+                    kind=kind,
+                    event_count=count,
+                    size_bytes=size_bytes,
+                    digest=stamp.digest,
+                )
+        except Exception:
+            # No row names the file: remove it rather than leave an orphan
+            # for a later merge of this coordinate to trip over.
+            path.unlink(missing_ok=True)
+            raise
         if self.cache is not None:
             # Drop a cached "no such file" answer for this coordinate.
             self.cache.invalidate(f"file:{run.number}:{version}:{kind}")
-        self.db.insert(
-            "files",
-            path=str(path.relative_to(self.root)),
-            run_number=run.number,
-            version=version,
-            kind=kind,
-            event_count=count,
-            size_bytes=size_bytes,
-            digest=stamp.digest,
-        )
+        if not run_known:
+            self._run_added()
         self.metrics.counter("eventstore.files_injected").inc()
         self.metrics.counter("eventstore.events_injected").inc(count)
         self.metrics.counter("eventstore.bytes_injected").inc(size_bytes)
@@ -238,15 +265,20 @@ class EventStore:
                 f"grade {grade!r}: timestamps must be non-decreasing "
                 f"({timestamp} < {latest})"
             )
-        for key, version in sorted(assignments.items()):
-            parse_run_key(key)  # validates
-            self.db.insert(
-                "grade_entries",
-                grade=grade,
-                timestamp=timestamp,
-                run_key=key,
-                version=version,
-            )
+        # Refuse a bad key before the first row, then land all rows together:
+        # a half-assigned grade is a grade nobody assigned.
+        rows = sorted(assignments.items())
+        for key, _ in rows:
+            parse_run_key(key)
+        with self.db.transaction():
+            for key, version in rows:
+                self.db.insert(
+                    "grade_entries",
+                    grade=grade,
+                    timestamp=timestamp,
+                    run_key=key,
+                    version=version,
+                )
         if self.cache is not None:
             self.cache.invalidate_prefix(f"grade:{grade}@")
 

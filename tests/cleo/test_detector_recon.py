@@ -22,6 +22,8 @@ from repro.cleo.reconstruction import Reconstructor, track_residual_bias, tracks
 from repro.eventstore.arrays import array_asu, asu_array, pack_array, unpack_array
 from repro.eventstore.provenance import stamp_step
 
+from tests.cleo.conftest import oracle_measure
+
 
 @pytest.fixture()
 def config():
@@ -107,6 +109,23 @@ class TestDetector:
         run_b, events_b, _ = detector.generate_run(1, 0.0, seed=9, events_scale=0.0005)
         assert run_a.event_count == run_b.event_count
         assert hits_of(events_a[0]).tobytes() == hits_of(events_b[0]).tobytes()
+
+    def test_broadcast_truth_equals_the_per_plane_loop(self, detector):
+        """Same float64 multiply-then-add per element, same draws, same bytes."""
+        rng = np.random.default_rng(4)
+        for n_tracks in range(1, detector.config.max_multiplicity + 1):
+            tracks = detector._sample_tracks(n_tracks, rng)
+            hits = detector.measure(tracks, np.random.default_rng(n_tracks))
+            expected = oracle_measure(detector, tracks, np.random.default_rng(n_tracks))
+            assert hits.dtype == np.float32 and hits.shape == (n_tracks, 8)
+            assert hits.tobytes() == expected.tobytes()
+
+    def test_multiplicity_is_clamped_to_the_detector_range(self, config, misalignment):
+        rng = np.random.default_rng(0)
+        sparse = Detector(DetectorConfig(mean_multiplicity=0.01), misalignment)
+        busy = Detector(DetectorConfig(mean_multiplicity=40.0), misalignment)
+        assert {sparse._sample_multiplicity(rng) for _ in range(50)} == {1}
+        assert {busy._sample_multiplicity(rng) for _ in range(50)} == {12}
 
     def test_invalid_scale_rejected(self, detector):
         with pytest.raises(EventStoreError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import EventStoreError, SearchError
 from repro.cleo.analysis import AnalysisJob, Histogram, SelectionCuts
@@ -10,12 +12,14 @@ from repro.cleo.detector import Detector, DetectorConfig
 from repro.cleo.montecarlo import MonteCarloProducer, produce_offsite_mc
 from repro.cleo.pipeline import CleoPipelineConfig, run_cleo_pipeline
 from repro.cleo.postrecon import POSTRECON_ASUS, PostReconstructor, RunStatistics
-from repro.cleo.reconstruction import Reconstructor
-from repro.eventstore.arrays import asu_array
+from repro.cleo.reconstruction import ASU_TRACKS, Reconstructor
+from repro.eventstore.arrays import array_asu, asu_array
 from repro.eventstore.merge import merge_into
-from repro.eventstore.model import run_key
+from repro.eventstore.model import Event, run_key
 from repro.eventstore.provenance import stamp_step
 from repro.eventstore.scales import CollaborationEventStore, PersonalEventStore
+
+from tests.cleo.conftest import oracle_derive_event
 
 
 @pytest.fixture(scope="module")
@@ -80,11 +84,49 @@ class TestPostRecon:
         assert len(stamp.history) == 3  # DAQ -> recon -> postrecon
         assert "meanMultiplicity" in stamp.history[-1]
 
+    def test_process_run_equals_per_event_gather_and_derive(self, small_world):
+        postrecon = PostReconstructor("A1")
+        events = small_world["recon_events"]
+        derived, stats, _ = postrecon.process_run(1, events, small_world["recon_stamp"])
+        assert stats == RunStatistics.gather(1, events)
+        assert derived == [oracle_derive_event(event, stats) for event in events]
+
     def test_empty_run_rejected(self, small_world):
         with pytest.raises(SearchError):
             RunStatistics.gather(1, [])
         with pytest.raises(SearchError):
             PostReconstructor("")
+
+
+@given(
+    n_tracks=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    degenerate=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_derive_event_equals_the_per_asu_oracle(n_tracks, seed, dtype, degenerate):
+    """One float32 block sliced behind a shared header = twelve ``array_asu`` calls."""
+    rng = np.random.default_rng(seed)
+    tracks = rng.normal(0.0, 10.0, size=(n_tracks, 3))
+    tracks[:, 2] = np.abs(tracks[:, 2])
+    if degenerate:
+        tracks[:] = tracks[0]  # zero spreads: eventShape divides by the 1e-6 floor
+    event = Event(
+        run_number=3, event_number=int(seed % 1000),
+        asus={ASU_TRACKS: array_asu(ASU_TRACKS, tracks.astype(dtype))},
+    )
+    stats = RunStatistics(
+        run_number=3, n_events=17,
+        mean_multiplicity=float(rng.uniform(1, 12)),
+        std_multiplicity=float(rng.uniform(1e-9, 4)),
+        mean_chi2=float(rng.uniform(0, 5)),
+        std_chi2=float(rng.uniform(1e-9, 2)),
+    )
+    derived = PostReconstructor("A1").derive_event(event, stats)
+    expected = oracle_derive_event(event, stats)
+    assert list(derived.asus) == list(expected.asus) == list(POSTRECON_ASUS)
+    assert derived == expected
 
 
 class TestMonteCarlo:
@@ -196,6 +238,26 @@ class TestPipeline:
         # (">90 Terabytes" at full survey scale; order of magnitude is the
         # claim, since payload constants are synthetic).
         assert 10 < report.projected_total(full_runs=200_000).tb < 1000
+
+
+    def test_store_operations_are_one_commit_each(self, tmp_path, write_log):
+        """8 runs: 32 injections, 2 fresh schemas, 1 merge, 1 grade assignment.
+
+        Every write rides an explicit transaction — none is its own
+        autocommit — and each transaction is shorter than the merge the
+        paper already accepts on the main repository.
+        """
+        config = CleoPipelineConfig(n_runs=8, events_scale=0.00005, seed=5)
+        report = run_cleo_pipeline(tmp_path, config)
+        assert report.analysis.events_read > 0
+        assert write_log.autocommitted == []
+        assert 30 <= write_log.commits <= 40
+        # Reopening the finished store to replay the analysis writes nothing.
+        before = write_log.write_transactions
+        with CollaborationEventStore(report.store_root) as store:
+            AnalysisJob("trackSpread", store, config.grade,
+                        config.grade_timestamp + 1.0).run()
+        assert write_log.write_transactions == before
 
 
 class TestAccessProfileIntegration:

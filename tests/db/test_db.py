@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import DatabaseError
 from repro.db import Schema, Select, apply_schema, applied_version, column, connect, rows_to_dicts
+from repro.eventstore.store import EventStore
 
 
 @pytest.fixture()
@@ -159,6 +160,47 @@ class TestSchema:
 
     def test_never_applied_version_is_zero(self, db):
         assert applied_version(db, "whatever") == 0
+
+    def test_fresh_schema_is_applied_in_one_transaction(self, db, write_log):
+        apply_schema(db, pages_schema())
+        assert (write_log.commits, write_log.autocommitted) == (1, [])
+        assert applied_version(db, "pages") == 1
+        # Up to date: reads only.
+        apply_schema(db, pages_schema())
+        assert write_log.write_transactions == 1
+
+    def test_upgrade_and_repair_are_one_transaction_each(self, db, write_log):
+        apply_schema(db, pages_schema(version=1))
+        apply_schema(db, pages_schema(version=2))
+        db.execute("DROP INDEX idx_pages_domain")
+        before = write_log.write_transactions
+        apply_schema(db, pages_schema(version=2))  # same version, something missing
+        assert write_log.write_transactions == before + 1
+        assert write_log.commits == 3
+        names = {row["name"] for row in db.query("SELECT name FROM sqlite_master")}
+        assert "idx_pages_domain" in names
+
+    def test_failed_apply_leaves_nothing_behind(self, db):
+        schema = pages_schema()
+        schema.table("broken", [column("x", "INTEGER", "REFERENCES")])
+        with pytest.raises(DatabaseError):
+            apply_schema(db, schema)
+        assert db.table_names() == []
+
+    def test_store_opens_while_another_handle_holds_a_transaction(self, tmp_path):
+        """Opening an up-to-date store takes no write lock.
+
+        The paper's stores are shared: a physicist opening the collaboration
+        store must not queue behind an officer's merge in progress.
+        """
+        with EventStore(tmp_path / "store") as first:
+            with first.db.transaction():
+                first.db.insert("grade_entries", grade="physics", timestamp=1.0,
+                                run_key="run:1", version="v1")
+                with EventStore(tmp_path / "store") as second:  # no "database is locked"
+                    assert second.grades() == []  # uncommitted rows stay invisible
+            with EventStore(tmp_path / "store") as third:
+                assert third.grades() == ["physics"]
 
 
 class TestSelect:

@@ -78,6 +78,12 @@ class TestModel:
         with pytest.raises(EventStoreError):
             parse_run_key("pointing:9")
 
+    @pytest.mark.parametrize("key", ["run:abc", "run:", "runs:1", "runs:-", "runs:3-1"])
+    def test_malformed_run_keys_are_eventstore_errors_naming_the_key(self, key):
+        # An inverted range is one run_range_key refuses to build.
+        with pytest.raises(EventStoreError, match=repr(key)):
+            parse_run_key(key)
+
 
 class TestFileFormat:
     def test_round_trip(self, tmp_path, recon_stamp):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.errors import EventStoreError
-from repro.eventstore.model import run_key, run_range_key
+from repro.core.errors import DatabaseError, EventStoreError
+from repro.eventstore.merge import merge_into
+from repro.eventstore.model import ASU, run_key, run_range_key
 from repro.eventstore.provenance import stamp_step
 from repro.eventstore.scales import (
     CollaborationEventStore,
@@ -57,6 +58,46 @@ class TestInjection:
         other = make_run(number=1, event_count=999)
         with pytest.raises(EventStoreError, match="different metadata"):
             store.register_run(other)
+
+    def test_metadata_conflict_is_refused_before_the_file_is_written(self, store):
+        inject_run(store, 1, count=5)
+        events = make_events(run_number=1, count=3)
+        other = make_run(number=1, event_count=999)
+        with pytest.raises(EventStoreError, match="different metadata"):
+            store.inject(other, events, "Recon_v2", "recon", stamp_step("x", "v2"))
+        assert [path.name for path in store.files_dir.iterdir()] == [
+            "run000001_recon_Recon_v1.evs"
+        ]
+        assert store.file_count() == 1
+
+    def test_refused_event_leaves_no_orphan_for_a_later_merge(self, store, tmp_path):
+        events = make_events(run_number=1, count=2)
+        run = make_run(number=1, events=events)
+        long_name = "n" * 70_000
+        events[1].asus = {long_name: ASU(name=long_name, payload=b"yy")}
+        stamp = stamp_step("PassRecon", "Recon_v1", {"run": 1})
+        with pytest.raises(EventStoreError, match="u16 overflow"):
+            store.inject(run, events, "Recon_v1", "recon", stamp)
+        assert list(store.files_dir.iterdir()) == []
+        assert store.file_count() == 0 and store.runs() == []
+        # The same coordinate arriving by merge is not blocked by a torn file.
+        with PersonalEventStore(tmp_path / "source") as source:
+            inject_run(source, 1)
+            assert merge_into(source, store).files_added == 1
+
+    def test_run_row_and_file_row_commit_together(self, store, monkeypatch):
+        real_insert = store.db.insert
+
+        def failing_insert(table, **values):
+            if table == "files":
+                raise DatabaseError("disk full")
+            return real_insert(table, **values)
+
+        monkeypatch.setattr(store.db, "insert", failing_insert)
+        with pytest.raises(DatabaseError):
+            inject_run(store, 1)
+        assert store.runs() == []
+        assert list(store.files_dir.iterdir()) == []
 
     def test_runs_listing(self, store):
         inject_run(store, 3)
@@ -141,6 +182,31 @@ class TestGrades:
     def test_bad_run_key_rejected(self, store):
         with pytest.raises(EventStoreError):
             store.assign_grade("physics", 100.0, {"pointing:9": "v1"})
+
+    def test_refused_assignment_assigns_nothing(self, store):
+        with pytest.raises(EventStoreError, match="unrecognized run key 'zzz'"):
+            store.assign_grade("physics", 1.0, {"run:1": "v1", "zzz": "v1"})
+        assert store.db.count("grade_entries") == 0
+        assert store.grades() == []
+        # The retry lands each row once.
+        store.assign_grade("physics", 1.0, {"run:1": "v1", "runs:2-3": "v1"})
+        assert store.db.count("grade_entries") == 2
+
+    def test_assignment_rows_commit_together(self, store, monkeypatch):
+        real_insert = store.db.insert
+        calls = []
+
+        def failing_insert(table, **values):
+            calls.append(values["run_key"])
+            if len(calls) == 2:
+                raise DatabaseError("disk full")
+            return real_insert(table, **values)
+
+        monkeypatch.setattr(store.db, "insert", failing_insert)
+        with pytest.raises(DatabaseError):
+            store.assign_grade("physics", 1.0, {"run:1": "v1", "run:2": "v1"})
+        assert calls == ["run:1", "run:2"]
+        assert store.db.count("grade_entries") == 0
 
     def test_collaboration_grade_assignment_is_admin_only(self, tmp_path):
         with CollaborationEventStore(tmp_path / "collab") as shared:
