@@ -1,5 +1,5 @@
-"""C23 — the whole-program pass: graph size, pass cost, and what the
-interprocedural rules catch that the per-module rules cannot.
+"""C23 — the analysis pass: graph size, pass cost, and what the
+interprocedural rules catch that the one-module rules cannot.
 
 Three tables:
 
@@ -7,12 +7,13 @@ Three tables:
   from ``src/repro``: modules, functions, call edges, cache/shard
   bindings.  If binding detection regresses, the deep rules silently
   check nothing; these floors make that loud.
-* **Pass cost** — wall time for call-graph construction, effect
-  fixpoint, and the full ``--deep`` rule pass: the price the CI
-  ``deep-analysis`` job pays on every push.
+* **Pass cost** — the one pass, split where it can be: reading, parsing
+  and indexing every file into the call graph, the effect fixpoint, and
+  all eight rules over the result — together the price the CI
+  ``analysis`` job pays on every push.
 * **Seeded bugs** — the acceptance demonstration: cross-function bugs
-  planted in a synthetic tree are found by RPR101/RPR102 while the
-  shallow RPR001-005 pass reports nothing.
+  planted in a synthetic tree are found by RPR101-104 while RPR001-004
+  alone (``select=``) report nothing.
 """
 
 import textwrap
@@ -20,9 +21,11 @@ import time
 
 from pathlib import Path
 
-from repro.analysis.deep import DeepAnalysis, DeepLinter
+from repro.analysis.callgraph import Program
 from repro.analysis.effects import EffectMap
-from repro.analysis.linter import Linter, unsuppressed
+from repro.analysis.linter import Analysis, Linter, unsuppressed
+
+MODULE_RULES = ["RPR001", "RPR002", "RPR003", "RPR004"]
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -70,8 +73,8 @@ SEEDED = {
     import random
 
     def _jitter(value):
-        # Locally suppressed — but the deep pass still sees the draw
-        # leaking into a cached transform two calls away.
+        # Locally suppressed — but RPR104 still sees the draw leaking
+        # into a cached transform two calls away.
         return value + random.random()  # repro: noqa[RPR001]
 
     def process(items, config):
@@ -86,16 +89,17 @@ SEEDED = {
 
 def test_c23_deep_analysis(report_rows, tmp_path):
     started = time.perf_counter()
-    analysis = DeepAnalysis.build([SRC])
+    program = Program.build([SRC])
     build_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    EffectMap.compute(analysis.program)
+    analysis = Analysis(program=program, effects=EffectMap.compute(program))
     effects_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    findings, _ = DeepLinter().lint_paths([SRC])
-    pass_seconds = time.perf_counter() - started
+    findings = Linter().lint(analysis)
+    rules_seconds = time.perf_counter() - started
+    pass_seconds = build_seconds + effects_seconds + rules_seconds
 
     stats = analysis.stats()
     report_rows(
@@ -114,11 +118,12 @@ def test_c23_deep_analysis(report_rows, tmp_path):
     assert unsuppressed(findings) == []
 
     report_rows(
-        "C23: deep-pass cost",
+        "C23: analysis-pass cost",
         [
-            {"pass": "call graph", "wall_s": round(build_seconds, 3)},
+            {"pass": "parse + call graph", "wall_s": round(build_seconds, 3)},
             {"pass": "effect fixpoint", "wall_s": round(effects_seconds, 3)},
-            {"pass": "full --deep lint", "wall_s": round(pass_seconds, 3)},
+            {"pass": "eight rules", "wall_s": round(rules_seconds, 3)},
+            {"pass": "the pass (sum)", "wall_s": round(pass_seconds, 3)},
         ],
     )
     assert pass_seconds < 30.0  # keeps the CI job honest
@@ -128,18 +133,20 @@ def test_c23_deep_analysis(report_rows, tmp_path):
         tree = tmp_path / code
         tree.mkdir()
         (tree / "m.py").write_text(textwrap.dedent(source), encoding="utf-8")
-        shallow = unsuppressed(Linter().lint_paths([tree]))
-        deep, _ = DeepLinter().lint_paths([tree])
-        deep_hits = [f for f in unsuppressed(deep) if f.code == code]
+        analysis = Analysis.build([tree])
+        module_only = unsuppressed(Linter(select=MODULE_RULES).lint(analysis))
+        hits = [
+            f for f in unsuppressed(Linter().lint(analysis)) if f.code == code
+        ]
         rows.append(
             {
                 "seeded_bug": code,
-                "shallow_findings": len(shallow),
-                "deep_findings": len(deep_hits),
+                "rpr001_004_findings": len(module_only),
+                "all_rules_findings": len(hits),
             }
         )
     report_rows("C23: seeded cross-function bugs", rows)
-    # The acceptance bar: every seeded bug is invisible to the module
+    # The acceptance bar: every seeded bug is invisible to the one-module
     # rules and caught by exactly the intended interprocedural rule.
-    assert all(row["shallow_findings"] == 0 for row in rows)
-    assert all(row["deep_findings"] == 1 for row in rows)
+    assert all(row["rpr001_004_findings"] == 0 for row in rows)
+    assert all(row["all_rules_findings"] == 1 for row in rows)

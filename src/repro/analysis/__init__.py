@@ -2,11 +2,13 @@
 
 Two halves:
 
-* :mod:`repro.analysis.linter` — an AST lint framework with registered
-  rules (``RPR001``...) that prove, at parse time, the disciplines the
-  test suite can only spot-check: no unseeded RNGs, no stray wall-clock
+* :mod:`repro.analysis.linter` — a lint framework with registered rules
+  (``RPR001``...) that prove, at parse time, the disciplines the test
+  suite can only spot-check: no unseeded RNGs, no stray wall-clock
   reads, no unregistered telemetry kinds, no hash-ordered accounting,
-  no config-dependent stages outside the cache key.
+  no config read outside the cache key, no shared state or unpicklable
+  capture behind a shard fan-out.  One pass: each file is parsed once
+  and every rule runs over the same whole-program index.
 * :mod:`repro.analysis.flowcheck` — deep structural checks over
   :class:`~repro.core.dataflow.DataFlow` graphs (``FLW001``...): named
   cycles, dangling datasets, volume-conservation bounds, transport site
@@ -26,6 +28,7 @@ from repro.analysis.flowcheck import (
     figure_flows,
 )
 from repro.analysis.linter import (
+    Analysis,
     Finding,
     Linter,
     ModuleSource,
@@ -40,6 +43,7 @@ from repro.analysis.linter import (
 )
 
 __all__ = [
+    "Analysis",
     "Finding",
     "FlowIssue",
     "FlowSpec",

@@ -1,4 +1,4 @@
-"""CLI for the determinism linter, deep analysis, and flow checker.
+"""CLI for the determinism linter and flow checker.
 
 Usage::
 
@@ -6,21 +6,18 @@ Usage::
     python -m repro.analysis --format json src/         # JSON to stdout
     python -m repro.analysis --json-report out.json src/  # CI artifact
     python -m repro.analysis --flowcheck src/           # + figure flows
-    python -m repro.analysis --select RPR001,RPR002 src/
-    python -m repro.analysis --deep src/                # + RPR1xx rules
-    python -m repro.analysis --deep --baseline analysis-baseline.json src/
-    python -m repro.analysis --deep --write-baseline analysis-baseline.json src/
+    python -m repro.analysis --select RPR001,RPR101 src/
     python -m repro.analysis --list-rules
 
-The deep pass builds the whole-program call graph and effect summaries
-and runs the interprocedural rules (RPR101-104) alongside the module
-rules.  ``--baseline`` checks findings against a committed ratchet file
-(fails on *new* findings or *stale* entries); ``--write-baseline``
-regenerates it.
+One pass: every file is parsed once, the whole-program call graph and
+effect summaries are built once, and every selected rule (default: all)
+runs against them.  The JSON report carries the program's size
+(modules, functions, call edges, cache/shard bindings) beside the
+findings.
 
-Exit status: 0 when clean (no unsuppressed findings — or, with
-``--baseline``, no new/stale entries — and no flow issues), 1 otherwise,
-2 on usage errors.
+Exit status: 0 when clean (no unsuppressed findings and no flow
+issues), 1 otherwise, 2 on usage errors (unknown rule code, empty
+selection, a path that does not exist or holds no Python file).
 """
 
 from __future__ import annotations
@@ -28,18 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis import flowcheck
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.deep import DeepLinter
 from repro.analysis.linter import (
+    Analysis,
     Linter,
-    program_rules,
     registered_rules,
     render_text,
     report_dict,
@@ -68,18 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="additionally check the repo's figure flows structurally",
     )
     parser.add_argument(
-        "--deep", action="store_true",
-        help="whole-program pass: call graph, effect summaries, RPR1xx rules",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH",
-        help="ratchet file: fail only on findings not in it (or stale entries)",
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="PATH",
-        help="record current unsuppressed findings as the new baseline and exit",
-    )
-    parser.add_argument(
         "--show-suppressed", action="store_true",
         help="include suppressed findings in the text report",
     )
@@ -105,10 +84,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     options = parser.parse_args(argv)
 
     if options.list_rules:
-        deep_codes = {cls.code for cls in program_rules()}
         lines = [
             f"{cls.code}  {cls.name}: {cls.description}"
-            + ("  [--deep]" if cls.code in deep_codes else "")
             for cls in registered_rules()
         ]
         _emit("\n".join(lines))
@@ -116,57 +93,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if not options.paths:
         parser.error("no paths given (or use --list-rules)")
-    if options.baseline and options.write_baseline:
-        parser.error("--baseline and --write-baseline are mutually exclusive")
 
-    select: Optional[List[str]] = None
-    if options.select is not None:
-        select = [code for code in options.select.split(",")]
-
-    analysis = None
+    select = options.select.split(",") if options.select is not None else None
     try:
-        if options.deep:
-            deep_linter = DeepLinter(select=select)
-            findings, analysis = deep_linter.lint_paths(options.paths)
-        else:
-            linter = Linter(select=select)
-            if select is not None and not linter.rules:
-                # The selection validated against the registry but only
-                # matched deep rules: without --deep it would lint
-                # nothing and exit 0 — the silent-pass failure mode.
-                parser.error(
-                    f"--select {options.select} matches only whole-program "
-                    "rules; add --deep to run them"
-                )
-            findings = linter.lint_paths(options.paths)
+        linter = Linter(select=select)
+        analysis = Analysis.build(options.paths)
     except ValueError as exc:
         parser.error(str(exc))
+    findings = linter.lint(analysis)
 
     report = report_dict(findings, options.paths)
-    if analysis is not None:
-        report["deep"] = analysis.stats()
-
-    if options.write_baseline:
-        entries = write_baseline(findings, options.write_baseline)
-        _emit(
-            f"wrote {options.write_baseline}: {sum(entries.values())} "
-            f"finding(s) across {len(entries)} key(s)"
-        )
-        return 0
-
-    ratchet = None
-    if options.baseline:
-        try:
-            entries = load_baseline(options.baseline)
-        except FileNotFoundError:
-            parser.error(
-                f"baseline file not found: {options.baseline} "
-                "(generate it with --write-baseline)"
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-        ratchet = apply_baseline(findings, entries)
-        report["baseline"] = dict(ratchet.to_dict(), path=options.baseline)
+    report["program"] = analysis.stats()
 
     checked = []
     if options.flowcheck:
@@ -180,18 +117,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit(json.dumps(report, indent=2, sort_keys=True))
     else:
         _emit(render_text(findings, show_suppressed=options.show_suppressed))
-        if ratchet is not None:
-            _emit(
-                f"baseline {options.baseline}: {ratchet.matched} matched, "
-                f"{len(ratchet.new)} new, {len(ratchet.stale)} stale"
-            )
-            for finding in ratchet.new:
-                _emit("  new: " + finding.render())
-            for key, (baselined, seen) in sorted(ratchet.stale.items()):
-                _emit(
-                    f"  stale: {key} (baselined {baselined}, seen {seen}) "
-                    "— regenerate with --write-baseline"
-                )
         for flow, issues in checked:
             _emit(f"flowcheck {flow.name}: " + (
                 "ok" if not issues else f"{len(issues)} issue(s)"
@@ -204,11 +129,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
 
-    if ratchet is not None:
-        failed = not ratchet.ok
-    else:
-        failed = bool(unsuppressed(findings))
-    failed = failed or any(issues for _, issues in checked)
+    failed = unsuppressed(findings) or any(issues for _, issues in checked)
     return 1 if failed else 0
 
 

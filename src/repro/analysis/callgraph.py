@@ -1,10 +1,11 @@
 """Whole-program call graph: the skeleton of interprocedural analysis.
 
-The per-module rules (RPR001–005) see one file at a time, so they cannot
-see a config read buried in a helper called by a cached transform, or
-mutable state captured into a ``map_shards`` worker — exactly the bug
-classes PR 3 and PR 6 fixed by hand.  This module builds the structure
-those deep rules (RPR101–104, :mod:`repro.analysis.rules`) reason over:
+A rule that sees one file at a time (RPR001–004) cannot see a config read
+buried in a helper called by a cached transform, or mutable state
+captured into a ``map_shards`` worker — exactly the bug classes PR 3 and
+PR 6 fixed by hand.  This module reads and parses every file of a run
+(once) and builds the structure the whole-program rules (RPR101–104,
+:mod:`repro.analysis.rules`) reason over:
 
 * a **module index** over a package tree (dotted names recovered from
   ``__init__.py`` chains, so ``src/repro/core/engine.py`` is
@@ -34,7 +35,7 @@ those deep rules (RPR101–104, :mod:`repro.analysis.rules`) reason over:
 Resolution is deliberately *under*-approximate where Python is dynamic
 (no tracking through containers, attributes of unknown objects, or
 ``getattr``): an unresolved call contributes no edge rather than a
-spurious one, so deep findings stay actionable.  The one deliberate
+spurious one, so RPR1xx findings stay actionable.  The one deliberate
 over-approximation is the reference edge — passing a function somewhere
 counts as potentially calling it.
 """
@@ -149,14 +150,26 @@ class ShardBinding:
 
 # -- module discovery ------------------------------------------------------
 def source_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
-    """Files and (recursively, sorted) directories — lint_paths' order."""
+    """Files as given, directories recursively (sorted).
+
+    A path that does not exist, or paths that together hold no Python
+    file, raise ``ValueError``: a run over nothing would report "0
+    findings" and pass — the same silent pass an empty rule selection is
+    refused for.
+    """
     files: List[Path] = []
     for entry in paths:
         entry = Path(entry)
         if entry.is_dir():
             files.extend(sorted(entry.rglob("*.py")))
-        else:
+        elif entry.exists():
             files.append(entry)
+        else:
+            raise ValueError(f"path does not exist: {entry}")
+    if not files:
+        raise ValueError(
+            "no Python files under: " + ", ".join(str(entry) for entry in paths)
+        )
     return files
 
 
@@ -188,6 +201,9 @@ class Program:
     and cache/shard binding sites."""
 
     def __init__(self) -> None:
+        #: Every file that parsed, in file order — including one whose
+        #: dotted name is shadowed out of :attr:`modules`.
+        self.sources: List[ModuleSource] = []
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
@@ -195,8 +211,8 @@ class Program:
         self.edges: Dict[str, Set[str]] = {}
         self.cache_bindings: List[CacheBinding] = []
         self.shard_bindings: List[ShardBinding] = []
-        #: Files that failed to parse: path -> error message.
-        self.parse_errors: Dict[str, str] = {}
+        #: Files that failed to parse: path -> the error.
+        self.parse_errors: Dict[str, SyntaxError] = {}
         self._info_by_node: Dict[ast.AST, FunctionInfo] = {}
 
     # -- construction ------------------------------------------------------
@@ -213,8 +229,9 @@ class Program:
         try:
             source = ModuleSource.read(path)
         except SyntaxError as exc:
-            self.parse_errors[str(path)] = str(exc.msg)
+            self.parse_errors[str(path)] = exc
             return
+        self.sources.append(source)
         name, is_package = module_identity(path)
         if name in self.modules:
             # Two files mapping to one dotted name (shadowed trees): keep

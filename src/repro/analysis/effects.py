@@ -56,16 +56,12 @@ from repro.analysis.callgraph import (
     _walk_scope,
 )
 from repro.analysis.sites import (
-    DATETIME_NOW_CALLS,
-    ENTROPY_SOURCES,
     ENV_OBJECTS,
     ENV_READ_CALLS,
-    GLOBAL_STREAM_PREFIXES,
     HANDLE_CONSTRUCTORS,
     MUTATOR_METHODS,
-    SANCTIONED_SITES,
-    SEEDED_CONSTRUCTORS,
-    WALL_CLOCK_CALLS,
+    classify_call,
+    is_sanctioned_site,
 )
 
 #: Names under which pipeline code conventionally holds its config.
@@ -89,14 +85,6 @@ class Effect:
     #: Kind-specific payload: the config attribute for ``config_read``,
     #: the handle kind for ``handle_capture``.
     param: str = ""
-
-
-def _is_sanctioned_clock(module: ModuleInfo, name: str) -> bool:
-    path = str(module.path).replace("\\", "/")
-    return any(
-        path.endswith(suffix) and name == call
-        for suffix, call in SANCTIONED_SITES
-    )
 
 
 def _root_name(node: ast.AST) -> Optional[str]:
@@ -212,18 +200,10 @@ class _LocalExtractor:
             self._bind_handles_from_call(node, HANDLE_CONSTRUCTORS[name])
 
     def _scan_named_call(self, node: ast.Call, name: str) -> None:
-        if name in ENTROPY_SOURCES:
-            self._emit("rng", f"{name}() draws OS entropy", node)
-        elif name in SEEDED_CONSTRUCTORS:
-            if not node.args and not node.keywords:
-                self._emit("rng", f"{name}() constructed without a seed", node)
-        elif name.startswith(GLOBAL_STREAM_PREFIXES):
-            self._emit("rng", f"{name}() draws the process-global stream", node)
-        elif name in WALL_CLOCK_CALLS:
-            if not _is_sanctioned_clock(self.module, name):
-                self._emit("wall_clock", f"{name}() reads the host clock", node)
-        elif name in DATETIME_NOW_CALLS and not node.args and not node.keywords:
-            self._emit("wall_clock", f"{name}() reads the host clock", node)
+        hazard = classify_call(name, bool(node.args or node.keywords))
+        if hazard is not None:
+            if not is_sanctioned_site(str(self.module.path), name):
+                self._emit(*hazard, node)
         elif name in ENV_READ_CALLS or name.startswith(ENV_OBJECTS):
             self._emit("env_read", f"{name}(...)", node)
 

@@ -5,10 +5,13 @@ a hard invariant, but until now it was enforced only by example-based
 tests: one unseeded ``default_rng()``, a stray ``time.time()``, or a
 set iteration feeding accounting would silently break it for some flow
 no test happens to cover.  This module is the framework half of
-``repro.analysis``: rules (see :mod:`repro.analysis.rules`) are small
-AST visitors registered under stable codes (``RPR001``...), a
-:class:`Linter` runs them over files or trees, and findings can be
-rendered as text or a machine-readable JSON report.
+``repro.analysis``: rules (see :mod:`repro.analysis.rules`) are
+registered under stable codes (``RPR001``...), and a :class:`Linter`
+runs them in **one pass** — every file is read and parsed once, the
+whole-program index and effect summaries (:class:`Analysis`) are built
+once from those parses, and every selected rule, whether it looks at one
+module or at the call graph, runs against that one object.  Findings can
+be rendered as text or a machine-readable JSON report.
 
 Suppression is explicit and per-line::
 
@@ -20,7 +23,8 @@ philosophy as the telemetry substrate: nothing is silent, everything is
 accounted.
 
 Adding a rule: subclass :class:`Rule`, set ``code``/``name``/
-``description``, implement :meth:`Rule.check` yielding findings via
+``description``, implement :meth:`Rule.check` (one module at a time) or
+:meth:`Rule.check_program` (the whole analysis) yielding findings via
 :meth:`Rule.finding` (which applies noqa automatically), and decorate
 with :func:`register`.  Import the module from
 ``repro.analysis.rules.__init__`` so the registry sees it.
@@ -33,7 +37,22 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    Union,
+)
+
+if TYPE_CHECKING:  # callgraph/effects import this module for ModuleSource
+    from repro.analysis.callgraph import Program
+    from repro.analysis.effects import EffectMap
 
 #: Reserved code for files the linter cannot parse at all.
 PARSE_ERROR_CODE = "RPR000"
@@ -143,7 +162,12 @@ class Rule:
     """Base class for lint rules.
 
     Subclasses set ``code`` (``RPR###``), ``name`` (short kebab-case
-    slug), and ``description``, and implement :meth:`check`.
+    slug), and ``description``, and implement one of two shapes:
+    :meth:`check` for a rule that needs one module at a time, or
+    :meth:`check_program` for a rule that reasons over the call graph and
+    effect summaries.  Either way findings anchor to a concrete (module,
+    node) site — a call, a stage registration, a ``map_shards`` fan-out —
+    where an inline ``# repro: noqa[CODE]`` can silence them.
     """
 
     code: str = ""
@@ -152,6 +176,12 @@ class Rule:
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         raise NotImplementedError
+
+    def check_program(self, analysis: "Analysis") -> Iterator[Finding]:
+        """Findings over the whole analysis: by default, every module's
+        :meth:`check` in file order."""
+        for module in analysis.program.sources:
+            yield from self.check(module)
 
     def finding(
         self,
@@ -178,30 +208,6 @@ class Rule:
         )
 
 
-class ProgramRule(Rule):
-    """Base class for whole-program (interprocedural) rules.
-
-    Module rules see one file at a time; program rules see a
-    :class:`repro.analysis.callgraph.Program` — every module under the
-    analyzed roots, the call graph over them, and the effect summaries
-    computed by :mod:`repro.analysis.effects` — and are run only by the
-    deep pass (``python -m repro.analysis --deep`` /
-    :class:`repro.analysis.deep.DeepLinter`).  They share the registry,
-    code space, noqa machinery, and reporters with module rules.
-
-    Subclasses implement :meth:`check_program`; :meth:`Rule.finding`
-    works unchanged because program findings still anchor to a concrete
-    (module, node) site — a stage registration, a ``map_shards`` call —
-    where an inline ``# repro: noqa[CODE]`` can silence them.
-    """
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        return iter(())  # program rules contribute nothing per-module
-
-    def check_program(self, program: "object") -> Iterator[Finding]:
-        raise NotImplementedError
-
-
 # -- registry -------------------------------------------------------------
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
@@ -226,32 +232,18 @@ def registered_rules() -> List[Type[Rule]]:
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
 
 
-def module_rules() -> List[Type[Rule]]:
-    """Registered per-module rules (what a plain :class:`Linter` runs)."""
-    return [cls for cls in registered_rules() if not issubclass(cls, ProgramRule)]
-
-
-def program_rules() -> List[Type[Rule]]:
-    """Registered whole-program rules (what the deep pass runs)."""
-    return [cls for cls in registered_rules() if issubclass(cls, ProgramRule)]
-
-
-def select_rules(
-    classes: Sequence[Type[Rule]], select: Optional[Iterable[str]]
-) -> List[Type[Rule]]:
-    """Filter ``classes`` down to ``select``ed codes.
+def select_rules(select: Optional[Iterable[str]]) -> List[Type[Rule]]:
+    """The registered rules, filtered down to ``select``ed codes.
 
     Unknown codes are an error naming the valid ones — a selector that
     silently matches nothing would report "0 findings" and exit 0, the
-    worst possible failure mode for a CI gate.  Codes valid for the
-    *registry* but absent from ``classes`` (selecting a deep-only code
-    for a shallow run, say) are not an error here; callers decide whether
-    an empty selection is acceptable.
+    worst possible failure mode for a CI gate.
     """
+    classes = registered_rules()
     if select is None:
-        return list(classes)
+        return classes
     wanted = {code.strip().upper() for code in select if code.strip()}
-    valid = {cls.code for cls in registered_rules()}
+    valid = {cls.code for cls in classes}
     unknown = wanted - valid
     if unknown:
         raise ValueError(
@@ -277,7 +269,7 @@ class ImportMap:
     ``rng`` variable, say) are never mistaken for module calls.
 
     When the importing module's own dotted name is known (the whole-program
-    call graph knows it; per-file lint does not), ``module_name`` lets
+    call graph knows it; a one-module rule does not), ``module_name`` lets
     relative imports resolve too: ``from .shards import map_shards`` inside
     ``repro.core.engine`` binds ``map_shards`` to
     ``repro.core.shards.map_shards``.
@@ -351,51 +343,79 @@ class ImportMap:
         return ".".join(reversed(parts))
 
 
-# -- the linter -----------------------------------------------------------
-class Linter:
-    """Runs a rule set over files and directory trees."""
+def resolved_calls(module: ModuleSource) -> Iterator[Tuple[ast.Call, str]]:
+    """Every call in ``module`` whose callee resolves through its imports,
+    with the canonical dotted name (module-level statements included)."""
+    imports = ImportMap(module.tree)
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Call):
+            name = imports.resolve(node.func)
+            if name is not None:
+                yield node, name
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[Type[Rule]]] = None,
-        select: Optional[Iterable[str]] = None,
-    ):
-        classes = list(rules) if rules is not None else module_rules()
-        classes = select_rules(classes, select)
-        self.rules: List[Rule] = [cls() for cls in classes]
+
+# -- the linter -----------------------------------------------------------
+@dataclass
+class Analysis:
+    """Everything a rule reasons over, built once per run: the parsed
+    modules and whole-program index (``program``; each file is read and
+    parsed exactly once, into ``program.sources``) and the effect
+    summaries propagated over its call graph (``effects``)."""
+
+    program: "Program"
+    effects: "EffectMap"
+
+    @classmethod
+    def build(cls, paths: Sequence[Union[str, Path]]) -> "Analysis":
+        from repro.analysis.callgraph import Program
+        from repro.analysis.effects import EffectMap
+
+        program = Program.build(paths)
+        return cls(program=program, effects=EffectMap.compute(program))
+
+    def stats(self) -> Dict[str, int]:
+        return {
+            "modules": len(self.program.modules),
+            "functions": len(self.program.functions),
+            "classes": len(self.program.classes),
+            "call_edges": sum(
+                len(callees) for callees in self.program.edges.values()
+            ),
+            "cache_bindings": len(self.program.cache_bindings),
+            "shard_bindings": len(self.program.shard_bindings),
+        }
+
+
+class Linter:
+    """Runs the selected rules (default: all) over files and trees."""
+
+    def __init__(self, select: Optional[Iterable[str]] = None):
+        self.rules: List[Rule] = [cls() for cls in select_rules(select)]
 
     def lint_file(self, path: Union[str, Path]) -> List[Finding]:
-        try:
-            module = ModuleSource.read(path)
-        except SyntaxError as exc:
-            return [
-                Finding(
-                    code=PARSE_ERROR_CODE,
-                    rule="parse-error",
-                    message=f"cannot parse file: {exc.msg}",
-                    path=str(path),
-                    line=exc.lineno or 1,
-                    col=exc.offset or 0,
-                )
-            ]
-        findings = [
-            finding for rule in self.rules for finding in rule.check(module)
-        ]
-        findings.sort(key=lambda f: (f.line, f.col, f.code))
-        return findings
+        return self.lint_paths([path])
 
     def lint_paths(self, paths: Sequence[Union[str, Path]]) -> List[Finding]:
         """Lint files and (recursively) directories; deterministic order."""
-        files: List[Path] = []
-        for entry in paths:
-            entry = Path(entry)
-            if entry.is_dir():
-                files.extend(sorted(entry.rglob("*.py")))
-            else:
-                files.append(entry)
-        findings: List[Finding] = []
-        for path in files:
-            findings.extend(self.lint_file(path))
+        return self.lint(Analysis.build(paths))
+
+    def lint(self, analysis: Analysis) -> List[Finding]:
+        """Every selected rule against one analysis, plus one RPR000 per
+        file that did not parse; sorted by (path, line, col, code)."""
+        findings = [
+            Finding(
+                code=PARSE_ERROR_CODE,
+                rule="parse-error",
+                message=f"cannot parse file: {exc.msg}",
+                path=path,
+                line=exc.lineno or 1,
+                col=exc.offset or 0,
+            )
+            for path, exc in analysis.program.parse_errors.items()
+        ]
+        for rule in self.rules:
+            findings.extend(rule.check_program(analysis))
+        findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
         return findings
 
 
@@ -453,20 +473,19 @@ def render_json(
 
 
 __all__: Tuple[str, ...] = (
+    "Analysis",
     "Finding",
     "ImportMap",
     "Linter",
     "ModuleSource",
     "PARSE_ERROR_CODE",
-    "ProgramRule",
     "Rule",
-    "module_rules",
-    "program_rules",
     "register",
     "registered_rules",
     "render_json",
     "render_text",
     "report_dict",
+    "resolved_calls",
     "select_rules",
     "summary_counts",
     "unsuppressed",

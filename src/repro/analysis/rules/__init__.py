@@ -2,10 +2,10 @@
 
 Importing this package registers every rule with the framework registry
 (:func:`repro.analysis.linter.registered_rules` imports it lazily).
-Rule codes are stable and append-only.  RPR0xx rules are per-module
-(one file at a time); RPR1xx rules are whole-program — they reason over
-the call graph and effect summaries and only run under
-``python -m repro.analysis --deep``:
+Rule codes are stable and append-only: a retired code is never reused.
+Every rule runs in the one pass over one analysis
+(:class:`repro.analysis.linter.Linter`); RPR0xx rules look at one module
+at a time, RPR1xx rules at the call graph and effect summaries:
 
 ========  ==========================  ==============================================
 code      name                        fires on
@@ -14,7 +14,7 @@ RPR001    unseeded-rng                unseeded RNG construction / global RNG dra
 RPR002    wall-clock                  host-clock reads outside the telemetry site
 RPR003    unregistered-telemetry-kind literal emit() kinds missing from EVENT_KINDS
 RPR004    unordered-iteration         set iteration feeding order-sensitive code
-RPR005    undeclared-cache-params     config-reading stages without cache_params
+RPR005    (retired)                   undeclared cache_params — now RPR101's undeclared case
 RPR101    deep-cache-key              transitive config reads missing from cache_params
 RPR102    shard-safety                shard callables mutating shared state
 RPR103    process-boundary            unpicklable/unsafe captures crossing processes
@@ -22,7 +22,6 @@ RPR104    deep-determinism            RNG/wall-clock reach into cached transform
 ========  ==========================  ==============================================
 """
 
-from repro.analysis.rules.cacheparams import UndeclaredCacheParamsRule
 from repro.analysis.rules.ordering import UnorderedIterationRule
 from repro.analysis.rules.rng import UnseededRngRule
 from repro.analysis.rules.telemetry_kinds import TelemetryKindRule
@@ -38,7 +37,6 @@ __all__ = [
     "ShardSafetyRule",
     "TelemetryKindRule",
     "TransitiveDeterminismRule",
-    "UndeclaredCacheParamsRule",
     "UnorderedIterationRule",
     "UnseededRngRule",
     "WallClockRule",

@@ -1,12 +1,11 @@
-"""RPR101: interprocedural cache-key completeness.
+"""RPR101: cache-key completeness, through the call graph.
 
 The stage cache replays a transform's output whenever its key matches,
 so the key must fold in *every* config attribute that can change the
-output — including reads buried in helpers the transform calls.  RPR005
-already flags transforms whose own body reads config without declaring
-``cache_params``; this rule closes the loophole PR 3 and PR 6 hit in
-practice: the read moves into a helper (or a helper's helper) and the
-per-module rule goes blind while the stale-key hazard remains.
+output — including reads buried in helpers the transform calls, the
+shape PR 3 and PR 6 hit in practice: the read moves into a helper (or a
+helper's helper), no single function shows both it and the
+``cache_params`` declaration, and the stale-key hazard remains.
 
 For every cache binding (stage registration, ``transforms={...}`` dict,
 or ``map_shards(..., cache_keys=...)`` fan-out) the rule computes the
@@ -15,14 +14,19 @@ checks each attribute against the declared ``cache_params`` coverage —
 ``repr(replace(config, workers=1))`` covers everything except
 ``workers``, ``config.seed`` covers ``seed``, and fingerprint helpers
 are resolved through the call graph.  Anything read but not folded is a
-finding, reported with the call chain that reaches the read.
+finding, reported with the call chain that reaches the read.  A
+registration that declares no ``cache_params`` at all (or ``None``)
+covers nothing, so any config read under it is reported — the case the
+retired RPR005 looked for in the transform's own body only; a
+declaration that names no config (``{'pipeline': 'v1'}``) covers nothing
+either.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List
 
-from repro.analysis.linter import Finding, ProgramRule, register
+from repro.analysis.linter import Finding, Rule, register
 from repro.analysis.effects import analyze_cache_params
 
 
@@ -45,7 +49,7 @@ def sorted_shard_bindings(program) -> List[object]:
 
 
 @register
-class InterproceduralCacheKeyRule(ProgramRule):
+class InterproceduralCacheKeyRule(Rule):
     code = "RPR101"
     name = "deep-cache-key"
     description = (

@@ -1,9 +1,8 @@
 """RPR104: transitive RNG / wall-clock reach into cached transforms.
 
-The interprocedural upgrade of RPR001/RPR002.  Those rules flag the
-*site* of an unseeded draw or host-clock read; an operationally
-justified site gets a visible ``# repro: noqa[RPR002]`` and life goes
-on.  But the justification ("never enters a canonical event log") is a
+RPR001/RPR002 flag the *site* of an unseeded draw or host-clock read;
+an operationally justified site gets a visible ``# repro: noqa[RPR002]``
+and life goes on.  But the justification ("never enters a canonical event log") is a
 property of the *callers*, not the site — and the moment such a site
 becomes reachable from a transform whose output the stage cache
 replays, the cached bytes embed entropy or host time and warm reruns
@@ -15,18 +14,21 @@ call chain from the binding down to the offending site.  Seeded,
 locally held generators never appear in the effect lattice, so the
 repo's ``rng = random.Random(config.seed)`` idiom stays invisible;
 the sanctioned telemetry ``wall_time`` site is excluded at extraction.
+Sites and reach are classified by the same function
+(:func:`repro.analysis.sites.classify_call`), so what RPR001/RPR002 flag
+is exactly what can propagate here.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.analysis.linter import Finding, ProgramRule, register
+from repro.analysis.linter import Finding, Rule, register
 from repro.analysis.rules.deepcache import _short, sorted_cache_bindings
 
 
 @register
-class TransitiveDeterminismRule(ProgramRule):
+class TransitiveDeterminismRule(Rule):
     code = "RPR104"
     name = "deep-determinism"
     description = (

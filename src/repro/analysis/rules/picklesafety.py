@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.analysis.linter import Finding, ProgramRule, register
+from repro.analysis.linter import Finding, Rule, register
 from repro.analysis.rules.deepcache import _short, sorted_shard_bindings
 
 
 @register
-class ProcessBoundaryRule(ProgramRule):
+class ProcessBoundaryRule(Rule):
     code = "RPR103"
     name = "process-boundary"
     description = (

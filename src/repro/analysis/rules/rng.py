@@ -20,14 +20,10 @@ rule only fires on the ``random`` / ``numpy.random`` modules themselves.
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
-from repro.analysis.linter import Finding, ImportMap, ModuleSource, Rule, register
-from repro.analysis.sites import (
-    ENTROPY_SOURCES as _ENTROPY_SOURCES,
-    SEEDED_CONSTRUCTORS as _SEEDED_CONSTRUCTORS,
-)
+from repro.analysis.linter import Finding, ModuleSource, Rule, register, resolved_calls
+from repro.analysis.sites import classify_call
 
 
 @register
@@ -40,32 +36,12 @@ class UnseededRngRule(Rule):
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        imports = ImportMap(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = imports.resolve(node.func)
-            if name is None:
-                continue
-            if name in _ENTROPY_SOURCES:
+        for node, name in resolved_calls(module):
+            hazard = classify_call(name, bool(node.args or node.keywords))
+            if hazard is not None and hazard[0] == "rng":
                 yield self.finding(
                     module,
                     node,
-                    f"{name} draws OS entropy and can never be seeded; "
-                    "derive randomness from the run seed instead",
-                )
-            elif name in _SEEDED_CONSTRUCTORS:
-                if not node.args and not node.keywords:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"{name}() without a seed draws from OS entropy; "
-                        "pass an explicit seed (or thread the caller's rng)",
-                    )
-            elif name.startswith("random.") or name.startswith("numpy.random."):
-                yield self.finding(
-                    module,
-                    node,
-                    f"{name}() uses the process-global RNG stream; construct "
-                    "a seeded Generator/Random and draw from it instead",
+                    f"{hazard[1]}; draw from a Generator/Random seeded from "
+                    "the run seed (or thread the caller's rng) instead",
                 )

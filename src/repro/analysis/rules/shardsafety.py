@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.analysis.linter import Finding, ProgramRule, register
+from repro.analysis.linter import Finding, Rule, register
 from repro.analysis.rules.deepcache import _short, sorted_shard_bindings
 
 
@@ -55,7 +55,7 @@ def _is_proper_ancestor(owner: str, qualname: str) -> bool:
 
 
 @register
-class ShardSafetyRule(ProgramRule):
+class ShardSafetyRule(Rule):
     code = "RPR102"
     name = "shard-safety"
     description = (

@@ -8,24 +8,20 @@ other ``time.time()`` / ``time.monotonic()`` / ``time.perf_counter()``
 or argless ``datetime.now()`` / ``datetime.today()`` call smuggles the
 host's clock into state that must be reproducible run to run.
 
-The sanctioned emit site is allowlisted here by (file, call) rather than
-line number so the rule survives edits to ``telemetry.py``.  Code that
-*intentionally* measures real elapsed time (operational counters that
-never enter a canonical event log) must carry an inline
-``# repro: noqa[RPR002]`` so the exception is visible and accounted.
+The sanctioned emit site is allowlisted (:mod:`repro.analysis.sites`) by
+(file, call) rather than line number so the rule survives edits to
+``telemetry.py``.  Code that *intentionally* measures real elapsed time
+(operational counters that never enter a canonical event log) must carry
+an inline ``# repro: noqa[RPR002]`` so the exception is visible and
+accounted.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
-from repro.analysis.linter import Finding, ImportMap, ModuleSource, Rule, register
-from repro.analysis.sites import (
-    DATETIME_NOW_CALLS as _DATETIME_NOW_CALLS,
-    SANCTIONED_SITES,
-    WALL_CLOCK_CALLS as _WALL_CLOCK_CALLS,
-)
+from repro.analysis.linter import Finding, ModuleSource, Rule, register, resolved_calls
+from repro.analysis.sites import classify_call, is_sanctioned_site
 
 
 @register
@@ -37,41 +33,23 @@ class WallClockRule(Rule):
         "use the run's SimClock"
     )
 
-    def _sanctioned(self, module: ModuleSource, name: str) -> bool:
-        path = module.path.replace("\\", "/")
-        return any(
-            path.endswith(suffix) and name == call
-            for suffix, call in SANCTIONED_SITES
-        )
-
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        imports = ImportMap(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+        for node, name in resolved_calls(module):
+            hazard = classify_call(name, bool(node.args or node.keywords))
+            if hazard is None or hazard[0] != "wall_clock":
                 continue
-            name = imports.resolve(node.func)
-            if name is None:
-                continue
-            if name in _WALL_CLOCK_CALLS:
-                if self._sanctioned(module, name):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"{name}() (sanctioned telemetry wall_time site)",
-                        suppressed=True,
-                        suppression="allowlist",
-                    )
-                else:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"{name}() reads the host clock; simulated time comes "
-                        "from the telemetry SimClock",
-                    )
-            elif name in _DATETIME_NOW_CALLS and not node.args and not node.keywords:
+            if is_sanctioned_site(module.path, name):
                 yield self.finding(
                     module,
                     node,
-                    f"{name}() reads the host clock; thread an explicit "
-                    "timestamp (or SimClock reading) instead",
+                    f"{name}() (sanctioned telemetry wall_time site)",
+                    suppressed=True,
+                    suppression="allowlist",
+                )
+            else:
+                yield self.finding(
+                    module,
+                    node,
+                    f"{hazard[1]}; thread an explicit timestamp or read the "
+                    "telemetry SimClock instead",
                 )

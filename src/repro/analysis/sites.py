@@ -1,16 +1,18 @@
 """Shared site tables: calls that touch entropy, clocks, environment,
 or OS handles.
 
-Both the per-module rules (RPR001/RPR002) and the whole-program effect
-pass (:mod:`repro.analysis.effects`) classify the same call sites; this
-module is the single place those tables live so the two layers cannot
-drift.  It deliberately imports nothing from the rest of the analysis
+The site rules (RPR001/RPR002) and the effect extractor
+(:mod:`repro.analysis.effects`) ask the same question of a call —
+"does this draw unseeded randomness or read the host clock?" — and
+:func:`classify_call` is the one place it is answered, so a site the
+rules flag and a site the effect summaries propagate cannot drift apart.
+This module deliberately imports nothing from the rest of the analysis
 package — it sits below :mod:`repro.analysis.linter` in the layering.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 #: Constructors that are safe *when given arguments* (a seed / bit
 #: generator); calling them with no arguments seeds from OS entropy.
@@ -66,6 +68,38 @@ SANCTIONED_SITES: Tuple[Tuple[str, str], ...] = (
     ("repro/core/telemetry.py", "time.time"),
 )
 
+
+
+def classify_call(name: str, has_args: bool) -> Optional[Tuple[str, str]]:
+    """``(hazard kind, message)`` for a call to the resolved ``name``.
+
+    ``kind`` is ``"rng"`` (an unseeded or process-global draw) or
+    ``"wall_clock"`` (a host-clock read); ``None`` means the call is
+    neither.  ``has_args`` separates ``default_rng(seed)`` from
+    ``default_rng()`` and ``datetime.now(tz)`` from ``datetime.now()``.
+    """
+    if name in ENTROPY_SOURCES:
+        return "rng", f"{name}() draws OS entropy and can never be seeded"
+    if name in SEEDED_CONSTRUCTORS:
+        if has_args:
+            return None
+        return "rng", f"{name}() without a seed draws from OS entropy"
+    if name.startswith(GLOBAL_STREAM_PREFIXES):
+        return "rng", f"{name}() draws from the process-global RNG stream"
+    if name in WALL_CLOCK_CALLS or (name in DATETIME_NOW_CALLS and not has_args):
+        return "wall_clock", f"{name}() reads the host clock"
+    return None
+
+
+def is_sanctioned_site(path: str, name: str) -> bool:
+    """Whether a call to ``name`` in the file at ``path`` is allowlisted."""
+    path = path.replace("\\", "/")
+    return any(
+        path.endswith(suffix) and name == call
+        for suffix, call in SANCTIONED_SITES
+    )
+
+
 #: Host-environment reads that make behaviour machine-dependent.
 ENV_READ_CALLS = {"os.getenv"}
 ENV_OBJECTS = ("os.environ",)
@@ -116,14 +150,11 @@ MUTATOR_METHODS = {
 }
 
 __all__ = [
-    "DATETIME_NOW_CALLS",
-    "ENTROPY_SOURCES",
     "ENV_OBJECTS",
     "ENV_READ_CALLS",
-    "GLOBAL_STREAM_PREFIXES",
     "HANDLE_CONSTRUCTORS",
     "MUTATOR_METHODS",
     "SANCTIONED_SITES",
-    "SEEDED_CONSTRUCTORS",
-    "WALL_CLOCK_CALLS",
+    "classify_call",
+    "is_sanctioned_site",
 ]

@@ -1,4 +1,4 @@
-"""Tiered read cache for the access-facing services.
+"""Read cache for the access-facing services.
 
 The CDF data-processing model (PAPERS.md) carries a collider's analysis
 load on read-side caching; this module is the reproduction's version of
@@ -18,15 +18,10 @@ One :class:`ReadCache` is:
   before that date", "no file for that run/version/kind") is remembered
   too, so repeated misses for absent objects never re-run the query;
 * **request-coalescing** — concurrent loads of the same key collapse to
-  one loader call, with the other threads waiting on the winner;
-* optionally **tiered over** a content-addressed
-  :class:`~repro.core.cachestore.DiskCacheStore` — entries whose key is a
-  content address (page blobs by hash) read through to the shared disk
-  store and are promoted on hit, so a process restart or a sibling
-  process starts warm.
+  one loader call, with the other threads waiting on the winner.
 
 Accounting: ``readcache.hits/misses/negative_hits/admitted/
-admission_rejected/evictions/disk_hits/disk_writes`` counters on the
+admission_rejected/evictions/coalesced`` counters on the
 cache's registry, and (when a telemetry bus is attached)
 ``readcache.hit|miss|admit|evict`` events so a replayed trace's cache
 behaviour is part of the canonical log.
@@ -39,7 +34,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.core.cachestore import DiskCacheStore
 from repro.core.errors import CacheError
 from repro.core.telemetry import MetricsRegistry, Telemetry
 
@@ -71,8 +65,6 @@ class ReadCacheStats:
     admitted: int = 0
     admission_rejected: int = 0
     evictions: int = 0
-    disk_hits: int = 0
-    disk_writes: int = 0
     coalesced: int = 0
 
     @property
@@ -89,14 +81,12 @@ class ReadCacheStats:
             admitted=int(metrics.value("readcache.admitted")),
             admission_rejected=int(metrics.value("readcache.admission_rejected")),
             evictions=int(metrics.value("readcache.evictions")),
-            disk_hits=int(metrics.value("readcache.disk_hits")),
-            disk_writes=int(metrics.value("readcache.disk_writes")),
             coalesced=int(metrics.value("readcache.coalesced")),
         )
 
 
 class ReadCache:
-    """LRU + frequency admission + negative caching + optional disk tier.
+    """LRU + frequency admission + negative caching + load coalescing.
 
     Parameters
     ----------
@@ -106,15 +96,10 @@ class ReadCache:
         Event name used on the telemetry bus (one bus can carry several
         caches' streams apart).
     admission:
-        With ``False``, plain LRU: every miss is admitted.  The C21
-        benchmark compares both, after the CDF model's observation that
-        admission filters are what keep scan traffic from flushing the
-        hot set.
-    disk:
-        Optional shared :class:`DiskCacheStore` second tier.  Only loads
-        that pass a ``content_key`` participate (content-addressed
-        entries are immutable by construction, so cross-process sharing
-        needs no invalidation protocol).
+        With ``False``, plain LRU: every miss is admitted.  The default
+        follows the CDF model's observation that admission filters are
+        what keep scan traffic from flushing the hot set; every flow and
+        benchmark runs with it on.
     telemetry:
         When given, the cache emits ``readcache.*`` events; counters are
         kept on the cache's own registry either way.
@@ -125,7 +110,6 @@ class ReadCache:
         capacity: int = 1024,
         name: str = "readcache",
         admission: bool = True,
-        disk: Optional[DiskCacheStore] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         if capacity < 1:
@@ -133,7 +117,6 @@ class ReadCache:
         self.capacity = capacity
         self.name = name
         self.admission = admission
-        self.disk = disk
         self.metrics = MetricsRegistry()
         self._telemetry = telemetry
         self._lock = threading.RLock()
@@ -203,14 +186,11 @@ class ReadCache:
         self,
         key: str,
         loader: Callable[[], object],
-        content_key: Optional[str] = None,
     ) -> object:
         """The value for ``key``, loading (once) on a miss.
 
         ``loader`` returning ``None`` is a *negative* result: it is
         cached like any other entry and served back as ``None``.
-        ``content_key`` opts this entry into the disk tier (pass the
-        content address; the entry must be immutable under that key).
         """
         while True:
             wait_for: Optional[threading.Event] = None
@@ -237,40 +217,19 @@ class ReadCache:
                 wait_for.wait()
                 continue  # re-check the cache (the winner usually filled it)
             try:
-                value = self._load(key, loader, content_key)
+                value = self._load(key, loader)
             finally:
                 with self._lock:
                     self._inflight.pop(key).set()
             return value
 
-    def _load(
-        self,
-        key: str,
-        loader: Callable[[], object],
-        content_key: Optional[str],
-    ) -> object:
-        """Miss path: disk tier first, then the loader; then admission."""
+    def _load(self, key: str, loader: Callable[[], object]) -> object:
+        """Miss path: the loader, then admission."""
         with self._lock:
             self._count_access(key)
         self._misses.inc()
         self._emit("readcache.miss", key)
-        value: object = None
-        loaded = False
-        if content_key is not None and self.disk is not None:
-            from_disk = self.disk.read(content_key)
-            if from_disk is not None:
-                self.metrics.counter("readcache.disk_hits").inc()
-                value = from_disk
-                loaded = True
-        if not loaded:
-            value = loader()
-            if (
-                value is not None
-                and content_key is not None
-                and self.disk is not None
-            ):
-                if self.disk.write(content_key, value):
-                    self.metrics.counter("readcache.disk_writes").inc()
+        value = loader()
         with self._lock:
             self._admit(key, _NEGATIVE if value is None else value)
         return value
@@ -296,7 +255,7 @@ class ReadCache:
             return len(doomed)
 
     def clear(self) -> int:
-        """Drop everything (memory tier only; the disk tier is shared)."""
+        """Drop every entry and the popularity sketch."""
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
@@ -307,8 +266,7 @@ class ReadCache:
     def __repr__(self) -> str:
         return (
             f"ReadCache({self.name!r}, capacity={self.capacity}, "
-            f"entries={len(self)}, admission={self.admission}, "
-            f"disk={'yes' if self.disk is not None else 'no'})"
+            f"entries={len(self)}, admission={self.admission})"
         )
 
 

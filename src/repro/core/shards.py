@@ -200,11 +200,10 @@ def _run_shard(fn: Callable, item: object) -> Tuple[object, list, dict]:
     """Worker-process entry point: run one shard under a fresh substrate.
 
     Everything the shard emits into the process-default telemetry is
-    captured and returned (as plain dicts) alongside the result, so the
-    parent can forward it in shard order.
+    captured and returned (the tuple records pickle as they are)
+    alongside the result, so the parent can forward it in shard order.
     """
-    value, events, counters = capture_events(lambda: fn(item))
-    return value, [event.to_dict() for event in events], counters
+    return capture_events(lambda: fn(item))
 
 
 class ShardPool:
@@ -255,6 +254,11 @@ class ShardPool:
             if self.effective_executor == "thread":
                 self._pool = ThreadPoolExecutor(max_workers=self.workers)
             elif self.effective_executor == "process":
+                # Workers must fork *after* the tracker exists: a worker
+                # forked before the parent's first SharedArray would start
+                # a private tracker on attach and report every segment as
+                # leaked (the premise _untrack's fork branch rests on).
+                resource_tracker.ensure_running()
                 self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 

@@ -542,21 +542,16 @@ def capture_events(
 
 def forward_events(
     telemetry: Telemetry,
-    events: Iterable[Union[TelemetryEvent, Mapping[str, object]]],
+    events: Iterable[TelemetryEvent],
     counters: Optional[Mapping[str, Tuple[str, float]]] = None,
 ) -> List[TelemetryEvent]:
-    """Re-emit captured child events (objects or dict records) onto a bus.
+    """Re-emit captured child events onto a bus.
 
     Each event lands with a fresh sequence number and the receiving bus's
     clock; the optional ``counters`` snapshot is absorbed afterwards.
     """
     forwarded: List[TelemetryEvent] = []
-    for record in events:
-        event = (
-            record
-            if isinstance(record, TelemetryEvent)
-            else TelemetryEvent.from_dict(record)
-        )
+    for event in events:
         attrs = {key: _thaw(value) for key, value in event.attrs}
         forwarded.append(telemetry.emit(event.kind, event.name, **attrs))
     if counters:

@@ -12,9 +12,8 @@ so its read path is built in three cacheable tiers, each a separate
 * ``asof:`` — the (url, as_of) → capture-pointer resolution (including
   *negative* results: "never captured by then" is cached too);
 * ``links:`` — the (crawl, url) → outlink list;
-* ``blob:`` — content by hash.  Content addresses are immutable, so this
-  tier may additionally read/write a shared on-disk
-  :class:`~repro.core.cachestore.DiskCacheStore` when the cache has one.
+* ``blob:`` — content by hash (content addresses are immutable, so these
+  entries never need invalidating).
 
 Navigation resolves the *source* page through the pointer + link tiers
 only — it never fetches the source page's content just to follow one
@@ -94,7 +93,6 @@ class RetroBrowser:
         return self.cache.get_or_load(
             f"blob:{digest}",
             lambda: self.pagestore.get(digest),
-            content_key=digest,
         )
 
     # -- the service -------------------------------------------------------

@@ -1,10 +1,11 @@
 """RPR101-104: trigger / clean / suppressed fixtures, and the seeded bugs
-the per-module rules (RPR001-005) provably miss."""
+the one-module rules (RPR001-004) provably miss."""
 
 import textwrap
 
-from repro.analysis.deep import DeepLinter
 from repro.analysis.linter import Linter, unsuppressed
+
+MODULE_RULES = ["RPR001", "RPR002", "RPR003", "RPR004"]
 
 
 def scan(tmp_path, files, select=None):
@@ -12,8 +13,7 @@ def scan(tmp_path, files, select=None):
         path = tmp_path / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-    findings, analysis = DeepLinter(select=select).lint_paths([tmp_path])
-    return findings, analysis
+    return Linter(select=select).lint_paths([tmp_path])
 
 
 def codes(findings):
@@ -37,7 +37,7 @@ class TestRPR101CacheKey:
     }
 
     def test_trigger_uncovered_transitive_config_read(self, tmp_path):
-        findings, _ = scan(tmp_path, self.TRIGGER)
+        findings = scan(tmp_path, self.TRIGGER)
         hits = [f for f in findings if f.code == "RPR101"]
         assert len(hits) == 1
         assert ".snr_threshold" in hits[0].message
@@ -45,19 +45,12 @@ class TestRPR101CacheKey:
 
     def test_seeded_bug_invisible_to_module_rules(self, tmp_path):
         """The config read lives in a helper, the cache_params at the
-        registration site: no single module-rule scope sees both, so
-        RPR005 (and every other RPR00x rule) stays silent."""
-        for name, source in self.TRIGGER.items():
-            (tmp_path / name).write_text(
-                textwrap.dedent(source), encoding="utf-8"
-            )
-        shallow = Linter().lint_paths([tmp_path])
-        assert unsuppressed(shallow) == []
-        shallow = Linter(select=["RPR005"]).lint_paths([tmp_path])
-        assert shallow == []
+        registration site: no rule that looks at one function or one
+        module sees both, so RPR001-004 alone stay silent."""
+        assert scan(tmp_path, self.TRIGGER, select=MODULE_RULES) == []
 
     def test_trigger_undeclared_cache_params(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             def search(items, config):
@@ -71,8 +64,42 @@ class TestRPR101CacheKey:
         assert len(hits) == 1
         assert "declares no cache_params" in hits[0].message
 
+    def test_declared_but_config_free_cache_params_flagged(self, tmp_path):
+        """The loophole the retired RPR005 had: any non-None declaration
+        satisfied it, even one that folds in no configuration at all."""
+        findings = scan(
+            tmp_path,
+            {"m.py": """
+            def transform(inputs, ctx):
+                return config.threshold
+
+            flow.stage('s', transform, cache_params={'pipeline': 'v1'})
+            """},
+        )
+        assert codes(findings) == ["RPR101"]
+        assert ".threshold" in findings[0].message
+
+    NESTED_READER = """
+    def transform(inputs, ctx):
+        def cut():
+            return config.threshold
+        return [i for i in inputs if i > %s]
+
+    flow.stage('s', transform)
+    """
+
+    def test_nested_reader_that_is_called_flags(self, tmp_path):
+        findings = scan(tmp_path, {"m.py": self.NESTED_READER % "cut()"})
+        assert codes(findings) == ["RPR101"]
+
+    def test_nested_reader_never_called_is_not_a_read(self, tmp_path):
+        """A nested function nothing calls cannot change the output; the
+        retired RPR005 flagged it because it walked the whole body."""
+        findings = scan(tmp_path, {"m.py": self.NESTED_READER % "0"})
+        assert codes(findings) == []
+
     def test_clean_replace_fold_covers_helper_read(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             from dataclasses import replace
@@ -91,7 +118,7 @@ class TestRPR101CacheKey:
         assert codes(findings) == []
 
     def test_clean_excluded_field_not_read(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             from dataclasses import replace
@@ -107,7 +134,7 @@ class TestRPR101CacheKey:
         assert codes(findings) == []
 
     def test_suppressed_by_noqa(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             def search(items, config):
@@ -144,24 +171,19 @@ class TestRPR102ShardSafety:
     }
 
     def test_trigger_global_mutation_via_helper(self, tmp_path):
-        findings, _ = scan(tmp_path, self.TRIGGER)
+        findings = scan(tmp_path, self.TRIGGER)
         hits = [f for f in findings if f.code == "RPR102"]
         assert len(hits) == 1
         assert "SEEN" in hits[0].message
         assert "racy under threads" in hits[0].message
 
     def test_seeded_bug_invisible_to_module_rules(self, tmp_path):
-        """RPR001-005 have no concept of 'reachable from a shard call':
+        """RPR001-004 have no concept of 'reachable from a shard call':
         a helper mutating a module global is clean to every one of them."""
-        for name, source in self.TRIGGER.items():
-            (tmp_path / name).write_text(
-                textwrap.dedent(source), encoding="utf-8"
-            )
-        shallow = Linter().lint_paths([tmp_path])
-        assert unsuppressed(shallow) == []
+        assert scan(tmp_path, self.TRIGGER, select=MODULE_RULES) == []
 
     def test_trigger_closure_over_enclosing_scope(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             def driver(ctx, items):
@@ -181,7 +203,7 @@ class TestRPR102ShardSafety:
     def test_clean_per_invocation_closure(self, tmp_path):
         """Cells created *inside* the shard function's own extent are
         per-invocation state, not shared — mirrors weblab's packer."""
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             def shard_fn(tasks):
@@ -204,7 +226,7 @@ class TestRPR102ShardSafety:
         assert codes(findings) == []
 
     def test_clean_pure_shard(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             def shard_fn(task):
@@ -217,7 +239,7 @@ class TestRPR102ShardSafety:
         assert codes(findings) == []
 
     def test_suppressed_by_noqa(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             SEEN = {}
@@ -237,7 +259,7 @@ class TestRPR102ShardSafety:
 
 class TestRPR103ProcessBoundary:
     def test_trigger_nested_shard_fn(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             def driver(ctx, items, config):
@@ -252,7 +274,7 @@ class TestRPR103ProcessBoundary:
         assert "pickle" in hits[0].message
 
     def test_trigger_generator_shard_fn(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             def shard_fn(tasks):
@@ -268,7 +290,7 @@ class TestRPR103ProcessBoundary:
         assert "generator" in hits[0].message
 
     def test_trigger_captured_lock(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             import threading
@@ -288,7 +310,7 @@ class TestRPR103ProcessBoundary:
         assert "fresh lock" in hits[0].message
 
     def test_clean_module_level_pure_fn(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             def shard_fn(task):
@@ -301,7 +323,7 @@ class TestRPR103ProcessBoundary:
         assert codes(findings) == []
 
     def test_suppressed_by_noqa(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             def shard_fn(tasks):
@@ -319,7 +341,7 @@ class TestRPR103ProcessBoundary:
 
 class TestRPR104TransitiveDeterminism:
     def test_trigger_rng_through_helper(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             import random
@@ -341,7 +363,7 @@ class TestRPR104TransitiveDeterminism:
         assert "_jitter" in hits[0].message  # the chain is named
 
     def test_trigger_wall_clock_through_helper(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             import time
@@ -363,7 +385,7 @@ class TestRPR104TransitiveDeterminism:
         assert "time.time()" in hits[0].message
 
     def test_clean_seeded_rng(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             import random
@@ -382,7 +404,7 @@ class TestRPR104TransitiveDeterminism:
     def test_clean_clock_outside_cached_reach(self, tmp_path):
         """A wall-clock read elsewhere in the module is not a finding —
         only reachability from the cached transform matters."""
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             import time
@@ -401,7 +423,7 @@ class TestRPR104TransitiveDeterminism:
         assert [f for f in findings if f.code == "RPR104"] == []
 
     def test_suppressed_by_noqa(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             import random
@@ -421,9 +443,9 @@ class TestRPR104TransitiveDeterminism:
         assert unsuppressed(findings) == []
 
 
-class TestDeepLinterPlumbing:
+class TestOnePassPlumbing:
     def test_select_narrows_deep_rules(self, tmp_path):
-        findings, _ = scan(
+        findings = scan(
             tmp_path,
             {"m.py": """
             import random
@@ -443,5 +465,5 @@ class TestDeepLinterPlumbing:
         assert codes(findings) == ["RPR102"]
 
     def test_parse_error_still_reported_as_rpr000(self, tmp_path):
-        findings, _ = scan(tmp_path, {"broken.py": "def broken(:\n"})
+        findings = scan(tmp_path, {"broken.py": "def broken(:\n"})
         assert codes(findings) == ["RPR000"]

@@ -29,17 +29,24 @@ def lint_source(tmp_path, source, name="mod.py", **linter_kwargs):
 class TestRegistry:
     def test_all_shipped_rules_registered(self):
         codes = [cls.code for cls in registered_rules()]
+        # RPR005 is retired (RPR101 reports its case); codes are never reused.
         assert codes == [
-            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
+            "RPR001", "RPR002", "RPR003", "RPR004",
             "RPR101", "RPR102", "RPR103", "RPR104",
         ]
 
     def test_module_and_program_rules_partition_registry(self):
-        from repro.analysis.linter import module_rules, program_rules
-
-        module_codes = [cls.code for cls in module_rules()]
-        program_codes = [cls.code for cls in program_rules()]
-        assert module_codes == ["RPR001", "RPR002", "RPR003", "RPR004", "RPR005"]
+        # Two rule shapes, one registry and one driver: every rule
+        # implements exactly one of check / check_program.
+        module_codes = [
+            cls.code for cls in registered_rules() if cls.check is not Rule.check
+        ]
+        program_codes = [
+            cls.code
+            for cls in registered_rules()
+            if cls.check_program is not Rule.check_program
+        ]
+        assert module_codes == ["RPR001", "RPR002", "RPR003", "RPR004"]
         assert program_codes == ["RPR101", "RPR102", "RPR103", "RPR104"]
 
     def test_rules_have_names_and_descriptions(self):
@@ -73,11 +80,16 @@ class TestRegistry:
         with pytest.raises(ValueError, match="empty rule selection"):
             Linter(select=[" ", ""])
 
-    def test_select_deep_code_is_valid_but_selects_no_module_rules(self):
-        # Valid for the registry, just not a module rule: callers (the
-        # CLI) decide whether an empty shallow selection is an error.
-        linter = Linter(select=["RPR101"])
-        assert linter.rules == []
+    def test_select_program_rule_runs_on_the_one_driver(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            "import time\n"
+            "def transform(inputs, ctx):\n"
+            "    return config.threshold + time.time()\n"
+            "flow.stage('s', transform)\n",
+            select=["RPR101"],
+        )
+        assert [f.code for f in findings] == ["RPR101"]
 
     def test_select_restricts_rules(self):
         linter = Linter(select=["RPR002"])
@@ -170,6 +182,25 @@ class TestLinting:
         assert findings[0].path.endswith("a.py")
         assert findings[1].path.endswith("b.py")
 
+    def test_each_file_is_read_and_parsed_once(self, tmp_path, monkeypatch):
+        for name in ("a.py", "b.py", "c.py"):
+            (tmp_path / name).write_text(
+                "import random\nrandom.random()\n", encoding="utf-8"
+            )
+        reads = []
+        real_read = ModuleSource.read.__func__
+
+        def counting_read(cls, path):
+            reads.append(str(path))
+            return real_read(cls, path)
+
+        monkeypatch.setattr(ModuleSource, "read", classmethod(counting_read))
+        findings = Linter().lint_paths([tmp_path])
+        assert len(findings) == 3
+        assert sorted(reads) == sorted(
+            str(tmp_path / name) for name in ("a.py", "b.py", "c.py")
+        )
+
     def test_findings_sorted_by_position(self, tmp_path):
         findings = lint_source(
             tmp_path,
@@ -257,6 +288,7 @@ class TestCli:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["ok"] is False
         assert report["summary"]["RPR001"]["flagged"] == 1
+        assert report["program"]["modules"] == 1
         capsys.readouterr()
 
     def test_flowcheck_flag_reports_figures(self, tmp_path, capsys):
@@ -269,8 +301,9 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert self.run("--list-rules") == 0
         out = capsys.readouterr().out
-        for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005"):
+        for code in ("RPR001", "RPR002", "RPR003", "RPR004"):
             assert code in out
+        assert len(out.splitlines()) == 8
 
     def test_list_rules_includes_deep_codes(self, capsys):
         assert self.run("--list-rules") == 0
@@ -278,8 +311,8 @@ class TestCli:
         for code in ("RPR101", "RPR102", "RPR103", "RPR104"):
             assert code in out
             assert f"{code} " in out or f"{code}\t" in out or f"{code}  " in out
-        # Deep rules are marked as such so users know to pass --deep.
-        assert "[--deep]" in out
+        # Every rule runs in the one pass: nothing to mark.
+        assert "--deep" not in out
 
     def test_select_filters(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(
@@ -308,9 +341,40 @@ class TestCli:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
-    def test_select_deep_only_code_without_deep_flag_errors(self, tmp_path, capsys):
+    def test_select_program_rule_alone_runs_it(self, tmp_path, capsys):
+        (tmp_path / "bad.py").write_text(
+            "def transform(inputs, ctx):\n"
+            "    return config.threshold\n"
+            "flow.stage('s', transform)\n",
+            encoding="utf-8",
+        )
+        assert self.run(str(tmp_path), "--select", "RPR101") == 1
+        assert "RPR101" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--deep"], ["--baseline", "b.json"], ["--write-baseline", "b.json"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_removed_options_are_unknown(self, tmp_path, capsys, argv):
         (tmp_path / "ok.py").write_text("x = 1\n", encoding="utf-8")
         with pytest.raises(SystemExit) as excinfo:
-            self.run(str(tmp_path), "--select", "RPR101")
+            self.run(*argv, str(tmp_path))
         assert excinfo.value.code == 2
-        assert "--deep" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_missing_path_is_usage_error_not_traceback(self, tmp_path, capsys):
+        missing = tmp_path / "nope"
+        with pytest.raises(SystemExit) as excinfo:
+            self.run(str(missing))
+        assert excinfo.value.code == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_tree_without_python_files_is_usage_error(self, tmp_path, capsys):
+        # Previously "0 findings (0 suppressed)" and exit 0: a gate
+        # pointed at the wrong directory passed.
+        (tmp_path / "notes.txt").write_text("x\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            self.run(str(tmp_path))
+        assert excinfo.value.code == 2
+        assert str(tmp_path) in capsys.readouterr().err

@@ -206,26 +206,30 @@ _STAGE_PRELUDE = (
 
 
 class TestUndeclaredCacheParams:
+    """The retired RPR005's fixtures, held to RPR101's undeclared case:
+    each defect is reported once, by one rule."""
+
     def test_config_reading_stage_without_cache_params_flagged(self, tmp_path):
         findings = lint(
             tmp_path, _STAGE_PRELUDE + "flow.stage('s', transform)\n"
         )
-        assert len(flagged(findings, "RPR005")) == 1
+        assert [f.code for f in findings] == ["RPR101"]
+        assert "declares no cache_params" in findings[0].message
 
     def test_cache_params_none_still_flagged(self, tmp_path):
         findings = lint(
             tmp_path,
             _STAGE_PRELUDE + "flow.stage('s', transform, cache_params=None)\n",
         )
-        assert len(flagged(findings, "RPR005")) == 1
+        assert [f.code for f in findings] == ["RPR101"]
 
     def test_declared_cache_params_pass(self, tmp_path):
         findings = lint(
             tmp_path,
             _STAGE_PRELUDE
-            + "flow.stage('s', transform, cache_params={'pipeline': 'v1'})\n",
+            + "flow.stage('s', transform, cache_params={'pipeline': repr(config)})\n",
         )
-        assert flagged(findings, "RPR005") == []
+        assert findings == []
 
     def test_config_free_transform_passes(self, tmp_path):
         findings = lint(
@@ -234,7 +238,7 @@ class TestUndeclaredCacheParams:
             "    return inputs\n"
             "flow.stage('s', clean)\n",
         )
-        assert flagged(findings, "RPR005") == []
+        assert findings == []
 
     def test_stage_constructor_checked(self, tmp_path):
         findings = lint(
@@ -244,13 +248,13 @@ class TestUndeclaredCacheParams:
             "    return cfg.release\n"
             "stage = Stage('s', transform)\n",
         )
-        assert len(flagged(findings, "RPR005")) == 1
+        assert [f.code for f in findings] == ["RPR101"]
 
     def test_noqa_suppresses(self, tmp_path):
         findings = lint(
             tmp_path,
             _STAGE_PRELUDE
-            + "flow.stage('s', transform)  # repro: noqa[RPR005]\n",
+            + "flow.stage('s', transform)  # repro: noqa[RPR101]\n",
         )
-        assert flagged(findings, "RPR005") == []
-        assert len(silenced(findings, "RPR005")) == 1
+        assert flagged(findings, "RPR101") == []
+        assert len(silenced(findings, "RPR101")) == 1

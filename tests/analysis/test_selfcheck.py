@@ -3,31 +3,37 @@
 This is the PR's acceptance bar made executable: any future commit that
 introduces an unseeded RNG, a stray wall-clock read, an unregistered
 telemetry kind, hash-ordered accounting, or an undeclared cache
-dependency fails the suite — not just the CI lint job.
+dependency fails the suite — not just the CI analysis job.
 """
 
-import json
 from pathlib import Path
 
-from repro.analysis.baseline import apply_baseline, load_baseline
-from repro.analysis.deep import DeepLinter
+import pytest
+
 from repro.analysis.flowcheck import check_flow, figure_flows
-from repro.analysis.linter import Linter, summary_counts, unsuppressed
+from repro.analysis.linter import Analysis, Linter, summary_counts, unsuppressed
 
 SRC = Path(__file__).resolve().parents[2] / "src"
-REPO = Path(__file__).resolve().parents[2]
-BASELINE = REPO / "analysis-baseline.json"
 
 
-def test_src_tree_has_no_unsuppressed_findings():
-    findings = Linter().lint_paths([SRC])
+@pytest.fixture(scope="module")
+def analysis():
+    """One pass over ``src/``, shared by every test below."""
+    return Analysis.build([SRC])
+
+
+@pytest.fixture(scope="module")
+def findings(analysis):
+    return Linter().lint(analysis)
+
+
+def test_src_tree_has_no_unsuppressed_findings(findings):
     offenders = unsuppressed(findings)
     assert offenders == [], "\n".join(f.render() for f in offenders)
 
 
-def test_suppressions_are_known_and_accounted():
+def test_suppressions_are_known_and_accounted(findings):
     """Every silenced finding is one of the deliberate, documented sites."""
-    findings = Linter().lint_paths([SRC])
     silenced = [f for f in findings if f.suppressed]
     sites = sorted(
         (Path(f.path).name, f.code, f.suppression) for f in silenced
@@ -58,36 +64,22 @@ def test_figure_flows_pass_flowcheck():
 
 
 class TestDeepSelfScan:
-    """The deep pass over src/repro: the interprocedural acceptance bar."""
+    """The whole-program rules over src/: the interprocedural bar."""
 
-    def scan(self):
-        findings, analysis = DeepLinter().lint_paths([SRC / "repro"])
-        return findings, analysis
-
-    def test_deep_pass_has_no_unsuppressed_findings(self):
-        findings, _ = self.scan()
-        offenders = unsuppressed(findings)
+    def test_deep_pass_has_no_unsuppressed_findings(self, analysis):
+        deep = Linter(select=["RPR101", "RPR102", "RPR103", "RPR104"])
+        offenders = unsuppressed(deep.lint(analysis))
         assert offenders == [], "\n".join(f.render() for f in offenders)
 
-    def test_deep_suppression_inventory_is_exact(self):
-        """Deep suppressions == shallow suppressions: the RPR1xx rules are
-        clean over src/repro with zero noqa debt — any new deep suppression
-        must be added here deliberately."""
-        findings, _ = self.scan()
-        silenced = sorted(
-            (Path(f.path).name, f.code, f.suppression)
-            for f in findings
-            if f.suppressed
-        )
-        assert [site for site in silenced if site[1] != "RPR002"] == []
-        assert len(silenced) == 10
-        counts = summary_counts(findings)
-        assert set(counts) == {"RPR002"}
+    def test_deep_suppression_inventory_is_exact(self, findings):
+        """The RPR1xx rules are clean over src/ with zero noqa debt — any
+        new suppression of one must be added here deliberately."""
+        assert [f for f in findings if f.suppressed and f.code != "RPR002"] == []
+        assert set(summary_counts(findings)) == {"RPR002"}
 
-    def test_deep_pass_sees_the_real_pipelines(self):
+    def test_deep_pass_sees_the_real_pipelines(self, analysis):
         """The call graph actually resolves the figure flows — if binding
         detection regresses, the deep rules silently check nothing."""
-        _, analysis = self.scan()
         stats = analysis.stats()
         assert stats["cache_bindings"] >= 14
         assert stats["shard_bindings"] >= 4
@@ -105,17 +97,3 @@ class TestDeepSelfScan:
             "_reconstruct_run_shard",
             "_pack_crawl_shard",
         } <= shard_fns
-
-    def test_committed_baseline_is_empty_and_current(self):
-        """The tree is deep-clean, so the ratchet starts at zero debt; a
-        new finding (or a stale entry) fails this test before CI."""
-        entries = load_baseline(BASELINE)
-        assert entries == {}
-        raw = json.loads(BASELINE.read_text(encoding="utf-8"))
-        assert raw["version"] == 1
-        findings, _ = self.scan()
-        result = apply_baseline(findings, entries)
-        assert result.ok, (
-            "\n".join(f.render() for f in result.new)
-            or f"stale: {sorted(result.stale)}"
-        )

@@ -1,10 +1,9 @@
-"""The tiered read cache: LRU, admission, negatives, coalescing, disk tier."""
+"""The read cache: LRU, admission, negatives, coalescing."""
 
 import threading
 
 import pytest
 
-from repro.core.cachestore import DiskCacheStore
 from repro.core.errors import CacheError
 from repro.core.readcache import ReadCache
 from repro.core.telemetry import Telemetry
@@ -151,30 +150,3 @@ class TestCoalescing:
         assert cache.stats.coalesced >= 1
         assert cache.stats.misses == 1
 
-
-class TestDiskTier:
-    def test_content_addressed_entries_round_trip_disk(self, tmp_path):
-        disk = DiskCacheStore(tmp_path / "l2")
-        cache = ReadCache(capacity=4, disk=disk)
-        source = CountingLoader({"blob": b"bytes"})
-        assert (
-            cache.get_or_load("blob:x", source.loader_for("blob"), content_key="x")
-            == b"bytes"
-        )
-        assert cache.stats.disk_writes == 1
-
-        # A cold sibling cache sharing the disk store starts warm.
-        sibling = ReadCache(capacity=4, disk=disk)
-        fresh = CountingLoader({"blob": b"bytes"})
-        assert (
-            sibling.get_or_load("blob:x", fresh.loader_for("blob"), content_key="x")
-            == b"bytes"
-        )
-        assert fresh.calls == 0
-        assert sibling.stats.disk_hits == 1
-
-    def test_entries_without_content_key_stay_in_memory(self, tmp_path):
-        disk = DiskCacheStore(tmp_path / "l2")
-        cache = ReadCache(capacity=4, disk=disk)
-        cache.get_or_load("pointer", lambda: b"row")
-        assert cache.stats.disk_writes == 0

@@ -5,7 +5,12 @@ results in item order and the telemetry stream the parent observes is the
 same as if the shards had run inline.
 """
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,3 +195,50 @@ class TestSharedArrayAcrossProcesses:
                 read_shared_sum, handles, workers=2, executor="process"
             )
         assert total == float(data.sum())
+
+    def test_pool_forked_before_first_segment_leaves_no_tracker_warnings(
+        self, tmp_path
+    ):
+        """Figure 1's order: the pool's workers exist (forked by the
+        ``acquire`` map) before the parent creates its first segment.
+        Each worker used to start a private resource tracker on attach
+        and report every segment as leaked at interpreter exit."""
+        script = tmp_path / "farm.py"
+        script.write_text(
+            textwrap.dedent(
+                """
+                import numpy as np
+                from repro.core.shards import ShardPool, SharedArray
+
+                def noop(x):
+                    return x
+
+                def total(handle):
+                    return float(handle.array.sum())
+
+                if __name__ == "__main__":
+                    with ShardPool(executor="process", workers=2) as pool:
+                        pool.map(noop, [1, 2, 3])
+                        handles = [
+                            SharedArray.copy_from(np.arange(8.0) + i)
+                            for i in range(4)
+                        ]
+                        print(pool.map(total, handles))
+                        for handle in handles:
+                            handle.close()
+                            handle.unlink()
+                """
+            ),
+            encoding="utf-8",
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        completed = subprocess.run(
+            [sys.executable, str(script)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.strip() == "[28.0, 36.0, 44.0, 52.0]"
+        assert "resource_tracker" not in completed.stderr
