@@ -18,7 +18,11 @@ One :class:`ReadCache` is:
   before that date", "no file for that run/version/kind") is remembered
   too, so repeated misses for absent objects never re-run the query;
 * **request-coalescing** — concurrent loads of the same key collapse to
-  one loader call, with the other threads waiting on the winner.
+  one loader call, with the other threads waiting on the winner.  The
+  wait is paid for by the reader that waits: a lone reader's miss marks
+  the key in flight with a plain ``None`` and builds no
+  ``threading.Event``; a second reader that finds the mark swaps in the
+  Event it then sleeps on.
 
 Accounting: ``readcache.hits/misses/negative_hits/admitted/
 admission_rejected/evictions/coalesced`` counters on the
@@ -88,6 +92,18 @@ class ReadCacheStats:
 class ReadCache:
     """LRU + frequency admission + negative caching + load coalescing.
 
+    What a lookup costs: a hit is one pass under the cache lock (one
+    dict probe, the LRU move, the sketch bump, a bound counter); a miss
+    is two — look up + mark in flight + sketch bump, then, after the
+    loader ran unlocked, admit + un-mark — and nothing else that grows
+    with the number of keys: every counter is bound at construction and
+    no synchronisation object exists until a second reader needs one.
+    Every transition of the in-flight table (mark, install an Event,
+    un-mark and set it) happens under the cache lock, so a waiter's
+    Event is either seen by the winner or installed after the winner
+    left, in which case the waiter finds no mark and re-checks the
+    entries instead of sleeping.
+
     Parameters
     ----------
     capacity:
@@ -123,12 +139,19 @@ class ReadCache:
         self._entries: "OrderedDict[str, object]" = OrderedDict()
         self._freq: Dict[str, int] = {}
         self._freq_total = 0
-        self._inflight: Dict[str, threading.Event] = {}
-        # The hit path runs per request on the hot set; bind its counters
-        # once instead of paying a registry lookup per access.
-        self._hits = self.metrics.counter("readcache.hits")
-        self._misses = self.metrics.counter("readcache.misses")
-        self._negative_hits = self.metrics.counter("readcache.negative_hits")
+        # key -> None while one reader loads it; a second reader swaps in
+        # the Event it then waits on (see get_or_load).
+        self._inflight: Dict[str, Optional[threading.Event]] = {}
+        # Every path runs per request; bind the counters once instead of
+        # paying a registry lookup per access.
+        counter = self.metrics.counter
+        self._hits = counter("readcache.hits")
+        self._misses = counter("readcache.misses")
+        self._negative_hits = counter("readcache.negative_hits")
+        self._admitted = counter("readcache.admitted")
+        self._admission_rejected = counter("readcache.admission_rejected")
+        self._evictions = counter("readcache.evictions")
+        self._coalesced = counter("readcache.coalesced")
 
     # -- introspection -----------------------------------------------------
     @property
@@ -171,13 +194,13 @@ class ReadCache:
         if len(self._entries) >= self.capacity:
             victim = next(iter(self._entries))
             if self.admission and self._freq.get(key, 0) < self._freq.get(victim, 0):
-                self.metrics.counter("readcache.admission_rejected").inc()
+                self._admission_rejected.inc()
                 return False
             self._entries.popitem(last=False)
-            self.metrics.counter("readcache.evictions").inc()
+            self._evictions.inc()
             self._emit("readcache.evict", victim)
         self._entries[key] = value
-        self.metrics.counter("readcache.admitted").inc()
+        self._admitted.inc()
         self._emit("readcache.admit", key)
         return True
 
@@ -193,45 +216,51 @@ class ReadCache:
         cached like any other entry and served back as ``None``.
         """
         while True:
-            wait_for: Optional[threading.Event] = None
             with self._lock:
-                if key in self._entries:
-                    value = self._entries[key]
+                value = self._entries.get(key)  # never None: absence is _NEGATIVE
+                if value is not None:
                     self._entries.move_to_end(key)
                     self._count_access(key)
                     if value is _NEGATIVE:
                         self._negative_hits.inc()
-                        self._emit("readcache.hit", key, negative=True)
+                        if self._telemetry is not None:
+                            self._emit("readcache.hit", key, negative=True)
                         return None
                     self._hits.inc()
-                    self._emit("readcache.hit", key)
+                    if self._telemetry is not None:
+                        self._emit("readcache.hit", key)
                     return value
-                holder = self._inflight.get(key)
-                if holder is None:
-                    self._inflight[key] = threading.Event()
+                if key in self._inflight:
+                    # Coalesce: another thread is loading this key right
+                    # now.  The first reader to find it so installs the
+                    # Event the winner will set; later ones share it.
+                    waiter = self._inflight[key]
+                    if waiter is None:
+                        waiter = self._inflight[key] = threading.Event()
                 else:
-                    wait_for = holder
-            if wait_for is not None:
-                # Coalesce: another thread is loading this key right now.
-                self.metrics.counter("readcache.coalesced").inc()
-                wait_for.wait()
-                continue  # re-check the cache (the winner usually filled it)
-            try:
-                value = self._load(key, loader)
-            finally:
-                with self._lock:
-                    self._inflight.pop(key).set()
-            return value
-
-    def _load(self, key: str, loader: Callable[[], object]) -> object:
-        """Miss path: the loader, then admission."""
-        with self._lock:
-            self._count_access(key)
+                    waiter = None
+                    self._inflight[key] = None
+                    self._count_access(key)
+            if waiter is None:
+                break  # this thread loads
+            self._coalesced.inc()
+            waiter.wait()
+            # Re-check the cache: the winner usually filled it.
         self._misses.inc()
         self._emit("readcache.miss", key)
-        value = loader()
-        with self._lock:
-            self._admit(key, _NEGATIVE if value is None else value)
+        entry = None  # stays None when the loader raises: nothing to admit
+        try:
+            value = loader()
+            entry = _NEGATIVE if value is None else value
+        finally:
+            # Un-register under the lock that waiters register under, so
+            # an Event is either seen here and set, or never installed.
+            with self._lock:
+                waiter = self._inflight.pop(key)
+                if waiter is not None:
+                    waiter.set()
+                if entry is not None:
+                    self._admit(key, entry)
         return value
 
     def peek(self, key: str) -> object:

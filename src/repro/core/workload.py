@@ -50,7 +50,7 @@ from random import Random
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import WorkloadError
-from repro.core.telemetry import Telemetry, get_telemetry
+from repro.core.telemetry import Counter, Telemetry, get_telemetry
 
 _Param = Tuple[str, Union[str, int, float, bool, None]]
 
@@ -572,20 +572,40 @@ class TraceReplayer:
     def replay(self, trace: Trace) -> ReplayReport:
         bus = self.telemetry
         registry = bus.registry
+        handlers = self.handlers
+        ops = trace.ops()
+        # Before the first request: a trace this replayer cannot finish
+        # must not leave a half-replayed log behind.
+        for op in ops:
+            if op not in handlers:
+                raise WorkloadError(
+                    f"trace op {op!r} has no handler; "
+                    f"replayer knows {sorted(handlers)}"
+                )
+        # Instruments are bound once per replay, not looked up per request.
+        per_op = {
+            op: (handlers[op], registry.counter(f"workload.requests.{op}"))
+            for op in ops
+        }
+        bound: Dict[str, Counter] = {}
+
+        def count(name: str) -> None:
+            # Bound on first use, so a name this replay never counts (no
+            # rejection, no failure, an empty trace) stays out of the registry.
+            counter = bound.get(name)
+            if counter is None:
+                counter = bound[name] = registry.counter(name)
+            counter.inc()
+
         outcomes: List[RequestOutcome] = []
         replay_start = time.perf_counter()  # repro: noqa[RPR002] benchmark latency only
         for request in trace:
-            handler = self.handlers.get(request.op)
-            if handler is None:
-                raise WorkloadError(
-                    f"trace op {request.op!r} has no handler; "
-                    f"replayer knows {sorted(self.handlers)}"
-                )
+            handler, op_requests = per_op[request.op]
             ahead = request.arrival_s - bus.clock.now
             if ahead > 0:
                 bus.clock.advance(ahead)
-            registry.counter("workload.requests").inc()
-            registry.counter(f"workload.requests.{request.op}").inc()
+            count("workload.requests")
+            op_requests.inc()
             bus.emit(
                 "workload.request",
                 request.op,
@@ -596,7 +616,7 @@ class TraceReplayer:
             if self.admission is not None and not self.admission.admit(
                 request.arrival_s
             ):
-                registry.counter("workload.rejected").inc()
+                count("workload.rejected")
                 bus.emit(
                     "serve.rejected",
                     request.op,
@@ -612,7 +632,7 @@ class TraceReplayer:
             try:
                 handler(request)
             except Exception as exc:  # noqa: BLE001 - a failed request is data
-                registry.counter("workload.failed").inc()
+                count("workload.failed")
                 outcomes.append(
                     RequestOutcome(
                         request=request,
@@ -622,7 +642,7 @@ class TraceReplayer:
                     )
                 )
                 continue
-            registry.counter("workload.served").inc()
+            count("workload.served")
             outcomes.append(
                 RequestOutcome(
                     request=request,

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.errors import WebLabError
 from repro.core.readcache import ReadCache
 from repro.core.shards import map_shards
-from repro.core.telemetry import MetricsRegistry, Telemetry, get_telemetry
+from repro.core.telemetry import Counter, MetricsRegistry, Telemetry, get_telemetry
 from repro.core.units import DataSize, Duration
 from repro.transport.network import INTERNET2_100, NetworkLink
 from repro.weblab.arcformat import pack_crawl
@@ -106,10 +106,18 @@ class WebLabServices:
         self.cache = cache
         self._retro = RetroBrowser(weblab.database, weblab.pagestore, cache=cache)
         self.metrics = MetricsRegistry()
+        self._calls: Dict[str, Counter] = {}
         self._telemetry = telemetry if telemetry is not None else get_telemetry()
 
     def _record(self, method: str, **attrs: object) -> None:
-        self.metrics.counter(f"service.calls.{method}").inc()
+        # One registry lookup per method name, not per call; a method
+        # never called still has no counter (service_stats lists names).
+        counter = self._calls.get(method)
+        if counter is None:
+            counter = self._calls[method] = self.metrics.counter(
+                f"service.calls.{method}"
+            )
+        counter.inc()
         self._telemetry.emit("service.call", method, **attrs)
 
     @property

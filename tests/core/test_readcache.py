@@ -1,9 +1,16 @@
 """The read cache: LRU, admission, negatives, coalescing."""
 
+import dataclasses
+import sys
 import threading
+import time
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import readcache
 from repro.core.errors import CacheError
 from repro.core.readcache import ReadCache
 from repro.core.telemetry import Telemetry
@@ -22,6 +29,35 @@ class CountingLoader:
             return self.backing.get(key)
 
         return load
+
+
+def failing_loader():
+    raise RuntimeError("backend down")
+
+
+@pytest.fixture()
+def events_built(monkeypatch):
+    """Every ``threading.Event`` the cache module constructs, as a list."""
+    built = []
+
+    def counting_event():
+        event = threading.Event()
+        built.append(event)
+        return event
+
+    monkeypatch.setattr(
+        readcache,
+        "threading",
+        types.SimpleNamespace(Event=counting_event, RLock=threading.RLock),
+    )
+    return built
+
+
+def wait_until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
 
 
 class TestBasics:
@@ -150,3 +186,233 @@ class TestCoalescing:
         assert cache.stats.coalesced >= 1
         assert cache.stats.misses == 1
 
+
+    def test_a_lone_reader_builds_no_event(self, events_built):
+        cache = ReadCache(capacity=2)
+        for _ in range(4):
+            cache.get_or_load("hot", lambda: 1)  # miss, then hits
+        cache.get_or_load("gone", lambda: None)  # negative miss
+        cache.get_or_load("gone", lambda: None)  # negative hit
+        cache.get_or_load("wonder", lambda: 3)  # full: rejected against "hot"
+        for _ in range(5):
+            cache.get_or_load("riser", lambda: 4)  # builds frequency, then evicts
+        with pytest.raises(RuntimeError):
+            cache.get_or_load("broken", failing_loader)
+        stats = cache.stats
+        assert stats.hits and stats.misses and stats.negative_hits
+        assert stats.admission_rejected and stats.evictions
+        assert events_built == []
+        assert cache._inflight == {}
+
+    def test_five_waiters_share_one_load_and_one_event(self, events_built):
+        cache = ReadCache(capacity=8)
+        gate = threading.Event()
+        calls = []
+
+        def gated_loader():
+            calls.append(1)
+            assert gate.wait(timeout=10.0)
+            return b"payload"
+
+        results = []
+        threads = [
+            threading.Thread(
+                target=lambda: results.append(cache.get_or_load("k", gated_loader)),
+                daemon=True,  # a reader left waiting must fail the test, not hang it
+            )
+            for _ in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        # The gate opens only once every other reader is parked on the winner.
+        wait_until(lambda: cache.stats.coalesced == 5)
+        gate.set()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [b"payload"] * 6
+        assert len(calls) == 1
+        stats = cache.stats
+        assert (stats.misses, stats.coalesced, stats.hits) == (1, 5, 5)
+        assert len(events_built) == 1  # installed by the first waiter, shared
+        assert cache._inflight == {}
+
+    def test_failed_winner_wakes_every_waiter_and_one_loads_next(self):
+        cache = ReadCache(capacity=8)
+        first_gate, second_gate = threading.Event(), threading.Event()
+        calls = []
+
+        def loader():
+            calls.append(1)
+            if len(calls) == 1:
+                assert first_gate.wait(timeout=10.0)
+                raise RuntimeError("backend down")
+            assert second_gate.wait(timeout=10.0)
+            return b"payload"
+
+        results, errors = [], []
+
+        def reader():
+            try:
+                results.append(cache.get_or_load("k", loader))
+            except RuntimeError as exc:
+                errors.append(str(exc))
+
+        threads = [threading.Thread(target=reader, daemon=True) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        wait_until(lambda: cache.stats.coalesced == 3)
+        first_gate.set()  # the winner fails with three readers waiting on it
+        # All three wake; one becomes the loader, the other two wait again.
+        wait_until(lambda: cache.stats.coalesced == 5)
+        assert len(calls) == 2
+        second_gate.set()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == ["backend down"]  # only the winner sees its failure
+        assert results == [b"payload"] * 3
+        assert len(calls) == 2
+        stats = cache.stats
+        assert (stats.misses, stats.coalesced, stats.hits) == (2, 5, 2)
+        assert cache._inflight == {}
+
+    def test_no_wakeup_is_lost_under_contention(self):
+        # More threads than cores on few keys with a tiny switch interval:
+        # a waiter that installed its Event after the winner popped the
+        # slot would sleep forever and show up as a thread still alive.
+        cache = ReadCache(capacity=2)
+        keys = ["a", "b", "c"]
+        loads, per_thread, n_threads = [], 400, 8
+        wrong = []
+
+        def reader(worker):
+            for i in range(per_thread):
+                key = keys[(worker + i) % len(keys)]
+
+                def loader(key=key):
+                    loads.append(key)
+                    if len(loads) % 7 == 0:
+                        time.sleep(0)  # hand the GIL over mid-load
+                    return key.upper()
+
+                if cache.get_or_load(key, loader) != key.upper():
+                    wrong.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(n,), daemon=True)
+                for n in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30.0
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        stats = cache.stats
+        assert stats.misses == len(loads)  # one loader call per counted miss
+        assert stats.hits + stats.misses == n_threads * per_thread
+        assert cache._inflight == {}
+
+
+class ModelCache:
+    """What :class:`ReadCache` promises, written the slow and obvious way."""
+
+    def __init__(self, capacity, admission):
+        self.capacity, self.admission = capacity, admission
+        self.entries = {}  # insertion-ordered: the first key is the LRU victim
+        self.freq = {}
+        self.events = []  # (kind, key, extra attrs)
+        self.stats = dict.fromkeys(
+            (f.name for f in dataclasses.fields(readcache.ReadCacheStats)), 0
+        )
+
+    def note(self, counter, kind, key, **attrs):
+        self.stats[counter] += 1
+        if kind is not None:
+            self.events.append((kind, key, attrs))
+
+    def get_or_load(self, key, loaded):
+        self.freq[key] = self.freq.get(key, 0) + 1
+        if sum(self.freq.values()) >= self.capacity * 10:  # the sketch ages
+            self.freq = {k: c // 2 for k, c in self.freq.items() if c // 2}
+        if key in self.entries:
+            value = self.entries[key] = self.entries.pop(key)  # now most recent
+            if value is None:
+                self.note("negative_hits", "readcache.hit", key, negative=True)
+            else:
+                self.note("hits", "readcache.hit", key)
+            return value
+        self.note("misses", "readcache.miss", key)
+        if len(self.entries) >= self.capacity:
+            victim = next(iter(self.entries))
+            if self.admission and self.freq.get(key, 0) < self.freq.get(victim, 0):
+                self.note("admission_rejected", None, key)
+                return loaded
+            del self.entries[victim]
+            self.note("evictions", "readcache.evict", victim)
+        self.entries[key] = loaded
+        self.note("admitted", "readcache.admit", key)
+        return loaded
+
+    def invalidate(self, key):
+        return self.entries.pop(key, self) is not self
+
+    def clear(self):
+        dropped = len(self.entries)
+        self.entries.clear()
+        self.freq.clear()
+        return dropped
+
+
+KEY_SPACE = [f"k{i}" for i in range(6)]
+# Mostly reads, so runs between two ``clear``s are long enough to age the sketch.
+OPERATIONS = st.tuples(
+    st.sampled_from(("get",) * 12 + ("invalidate", "invalidate", "clear")),
+    st.sampled_from(KEY_SPACE),
+    st.sampled_from([None, 1, 2]),  # what a loader returns: None is a negative
+)
+
+
+class TestAgainstModel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(2, 3),
+        admission=st.booleans(),
+        operations=st.lists(OPERATIONS, min_size=25, max_size=100),
+    )
+    def test_events_stats_and_results_match_the_model(
+        self, capacity, admission, operations
+    ):
+        bus = Telemetry()
+        cache = ReadCache(capacity, name="rc", admission=admission, telemetry=bus)
+        model = ModelCache(capacity, admission)
+        sim_times = []
+        for op, key, loaded in operations:
+            bus.clock.advance(1.0)
+            emitted = len(model.events)
+            if op == "get":
+                assert cache.get_or_load(key, lambda: loaded) == model.get_or_load(
+                    key, loaded
+                )
+            elif op == "invalidate":
+                assert cache.invalidate(key) == model.invalidate(key)
+            else:
+                assert cache.clear() == model.clear()
+            sim_times += [bus.clock.now] * (len(model.events) - emitted)
+            assert cache.keys() == list(model.entries)
+        assert bus.canonical_log() == [
+            {"seq": seq, "kind": kind, "name": "rc", "sim_time": sim_time,
+             "span": [], "attrs": {"key": key, **attrs}}
+            for seq, ((kind, key, attrs), sim_time) in enumerate(
+                zip(model.events, sim_times)
+            )
+        ]
+        assert dataclasses.asdict(cache.stats) == model.stats
+        assert cache._inflight == {}

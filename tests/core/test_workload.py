@@ -323,9 +323,43 @@ class TestTraceReplayer:
 
     def test_unknown_op_raises(self):
         trace = generate_trace(small_spec())
-        replayer = TraceReplayer({"browse": lambda r: None}, telemetry=Telemetry())
-        with pytest.raises(WorkloadError, match="no handler"):
+        assert trace.requests[0].op == "browse"  # a handled op leads the trace
+        bus = Telemetry()
+        called = []
+        replayer = TraceReplayer({"browse": called.append}, telemetry=bus)
+        with pytest.raises(
+            WorkloadError,
+            match=r"trace op 'history' has no handler; replayer knows \['browse'\]",
+        ):
             replayer.replay(trace)
+        # Found before the first request, not when the loop reaches it:
+        # nothing served, nothing counted, no half-replayed log.
+        assert called == []
+        assert len(bus) == 0
+        assert bus.registry.as_dict() == {}
+
+    @pytest.mark.parametrize("shape", ["empty", "all-rejected", "all-failed"])
+    def test_registry_holds_only_the_counters_the_replay_used(self, shape):
+        def fail(request):
+            raise RuntimeError("injected")
+
+        requests = () if shape == "empty" else generate_trace(small_spec()).requests[:6]
+        trace = Trace([r for r in requests if r.op == "browse"])
+        admission = None
+        if shape == "all-rejected":
+            admission = AdmissionController(rate_per_s=1e-9, burst=1.0)
+            admission.admit(0.0)  # spend the only token
+        bus = Telemetry()
+        report = TraceReplayer(
+            {"browse": fail, "history": fail}, telemetry=bus, admission=admission
+        ).replay(trace)
+        n = len(trace)
+        outcome = {"empty": {}, "all-rejected": {"workload.rejected": n},
+                   "all-failed": {"workload.failed": n}}[shape]
+        arrived = {"workload.requests": n, "workload.requests.browse": n} if n else {}
+        assert bus.registry.as_dict() == {**arrived, **outcome}
+        assert report.served == 0
+        assert report.rejected + report.failed == n
 
     def test_summary_rows_cover_every_op(self):
         trace = generate_trace(small_spec())

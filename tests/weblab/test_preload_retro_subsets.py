@@ -40,6 +40,33 @@ class TestPageStore:
         store.put(b"y" * 50)
         assert store.total_size().bytes == 150
 
+    @pytest.mark.parametrize(
+        "digest",
+        [
+            "../../../../etc/hostname",  # "/." is absolute: pathlib dropped the root
+            "/etc/hostname",
+            "ab/../../outside",
+            "abcd\x00ef",
+            "ABCDEF0123",  # content_hash is lowercase
+            "",
+            "abc",
+        ],
+    )
+    def test_only_a_content_hash_is_turned_into_a_path(self, tmp_path, digest):
+        (tmp_path / "outside").write_bytes(b"not a blob")
+        store = PageStore(tmp_path / "pages")
+        with pytest.raises(WebLabError, match="bad content hash"):
+            store.get(digest)
+        with pytest.raises(WebLabError, match="bad content hash"):
+            digest in store
+
+    def test_missing_content_message_names_the_digest(self, tmp_path):
+        store = PageStore(tmp_path)
+        digest = content_hash(b"never stored")
+        assert digest not in store
+        with pytest.raises(WebLabError, match=f"page store has no content '{digest}'"):
+            store.get(digest)
+
 
 class TestPreload:
     def test_everything_loaded(self, built_weblab):

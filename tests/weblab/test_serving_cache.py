@@ -1,12 +1,22 @@
 """The accelerated serving path: covering indexes, single-fetch navigation,
 cached facades, and metering under concurrency."""
 
+import hashlib
+import json
 import threading
 
 import pytest
 
 from repro.core.readcache import ReadCache
 from repro.core.telemetry import Telemetry
+from repro.core.workload import (
+    OpSpec,
+    TenantSpec,
+    Trace,
+    TraceReplayer,
+    WorkloadSpec,
+    generate_trace,
+)
 from repro.weblab.pagestore import PageStore
 from repro.weblab.retro import RetroBrowser
 from repro.weblab.services import WebLabServices
@@ -218,3 +228,78 @@ class TestConcurrentMetering:
         for event in events:
             by_method[event.name] = by_method.get(event.name, 0) + 1
         assert by_method == stats
+
+
+class TestPinnedScanReplay:
+    """The read path's output on crawler-shaped traffic, pinned.
+
+    Near-uniform keys over a cache far smaller than the key space: almost
+    every lookup is a miss, an admission decision and often an eviction —
+    the miss path end to end.  The digest was computed at the commit
+    before that path was rewritten to pay its per-key costs once per
+    facade (PR 19); any change to an event's kind, name, attrs, order or
+    sim-time, or to a counter, moves it.
+    """
+
+    PINNED = "e32b17113a82e880baf10f8c580526042c1a1831f6de334246a46b29773b31f0"
+
+    def scan_trace(self, weblab):
+        db = weblab.database.db
+        urls = tuple(
+            row["url"] for row in db.query("SELECT DISTINCT url FROM pages ORDER BY url")
+        )
+        navigable = tuple(
+            row["src_url"]
+            for row in db.query(
+                "SELECT DISTINCT l.src_url FROM links l "
+                "JOIN pages p ON p.url = l.src_url AND p.crawl_index = l.crawl_index "
+                "JOIN pages d ON d.url = l.dst_url AND d.crawl_index = l.crawl_index "
+                "ORDER BY l.src_url"
+            )
+        )
+        as_of = float(db.query_value("SELECT max(fetched_at) FROM pages")) + 1.0
+        spec = WorkloadSpec(
+            name="scan",
+            seed=19,
+            duration_s=100.0,
+            tenants=(
+                TenantSpec(
+                    name="crawler",
+                    rate_per_s=4.5,
+                    ops=(
+                        OpSpec(op="browse", weight=5.0, keys=urls, zipf_s=0.2),
+                        OpSpec(op="navigate", weight=2.0, keys=navigable, zipf_s=0.2),
+                        OpSpec(op="history", weight=2.0, keys=urls, zipf_s=0.2),
+                    ),
+                ),
+            ),
+        )
+        requests = generate_trace(spec).requests[:400]
+        assert len(requests) == 400
+        return Trace(requests, name="scan", seed=19), as_of
+
+    def test_log_counters_and_service_stats_are_the_parents(self, built_weblab):
+        weblab, _, _ = built_weblab
+        trace, as_of = self.scan_trace(weblab)
+        bus = Telemetry()
+        services = WebLabServices(
+            weblab, telemetry=bus, cache=ReadCache(capacity=16, telemetry=bus)
+        )
+        report = TraceReplayer(
+            {
+                "browse": lambda request: services.browse(request.key, as_of),
+                "navigate": lambda request: services.navigate(request.key, as_of, 0),
+                "history": lambda request: services.capture_history(request.key),
+            },
+            telemetry=bus,
+        ).replay(trace)
+        assert (report.served, report.failed, report.rejected) == (400, 0, 0)
+        stats = services.cache.stats
+        assert stats.misses > 10 * (stats.hits + stats.negative_hits) > 0
+        assert stats.evictions > 0 and stats.admission_rejected > 0
+        assert stats.coalesced == 0
+        rendered = json.dumps(
+            [bus.canonical_log(), bus.registry.as_dict(), services.service_stats],
+            sort_keys=True,
+        )
+        assert hashlib.sha256(rendered.encode("utf-8")).hexdigest() == self.PINNED
