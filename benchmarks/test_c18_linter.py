@@ -62,11 +62,12 @@ def test_c18_linter_self_check(report_rows):
 
     # The acceptance bar: the codebase passes its own linter.
     assert all(row["after_cleanup"] == 0 for row in rows)
-    # The cleanup converted real findings into fixes or visible noqa;
-    # later subsystems (workload replay, ops console) added five more
-    # accounted wall-latency probes — test_selfcheck pins each site.
+    # The cleanup converted real findings into fixes or visible noqa; the
+    # workload replayer added five accounted wall-latency probes and the
+    # two grid-service timers went when nothing read them: 2 preload +
+    # 5 replayer + the allowlisted stamp — test_selfcheck pins each site.
     assert sum(row["at_introduction"] for row in rows) == 5
-    assert sum(row["suppressed_now"] for row in rows) == 10
+    assert sum(row["suppressed_now"] for row in rows) == 8
 
     started = time.perf_counter()
     flow_issues = {

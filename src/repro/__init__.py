@@ -6,7 +6,7 @@ Subpackages
 core
     Unifying dataflow framework: unit-safe quantities, dataflow DAGs with an
     accounting executor, provenance stamps and lineage, version/grade/
-    snapshot machinery, a discrete-event simulator, and cost models.
+    snapshot machinery, telemetry, and cost models.
 storage
     Storage hierarchy substrate: media models, robotic tape library, disk
     pools, a hierarchical storage manager, and a long-term archive with

@@ -13,7 +13,9 @@ One :class:`ReadCache` is:
 * **frequency-admitted** — on a miss with a full cache, the new key is
   admitted only if it has been asked for at least as often as the LRU
   victim (a TinyLFU-style filter: one-hit wonders cannot wash out the
-  Zipf head that makes caching pay);
+  Zipf head that makes caching pay — the CDF model's observation that an
+  admission filter is what keeps scan traffic from flushing the hot
+  set);
 * a **negative cache** — a loader returning ``None`` ("no capture at or
   before that date", "no file for that run/version/kind") is remembered
   too, so repeated misses for absent objects never re-run the query;
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import CacheError
-from repro.core.telemetry import MetricsRegistry, Telemetry
+from repro.core.telemetry import MetricsRegistry, Telemetry, registry_view
 
 
 class _Negative:
@@ -61,7 +63,7 @@ _SKETCH_DECAY_FACTOR = 10
 
 @dataclass
 class ReadCacheStats:
-    """Snapshot of a cache's counters (a registry view, like HsmStats)."""
+    """Snapshot of a cache's counters (a :func:`registry_view`, like HsmStats)."""
 
     hits: int = 0
     misses: int = 0
@@ -75,18 +77,6 @@ class ReadCacheStats:
     def hit_rate(self) -> float:
         total = self.hits + self.negative_hits + self.misses
         return (self.hits + self.negative_hits) / total if total else 0.0
-
-    @classmethod
-    def from_registry(cls, metrics: MetricsRegistry) -> "ReadCacheStats":
-        return cls(
-            hits=int(metrics.value("readcache.hits")),
-            misses=int(metrics.value("readcache.misses")),
-            negative_hits=int(metrics.value("readcache.negative_hits")),
-            admitted=int(metrics.value("readcache.admitted")),
-            admission_rejected=int(metrics.value("readcache.admission_rejected")),
-            evictions=int(metrics.value("readcache.evictions")),
-            coalesced=int(metrics.value("readcache.coalesced")),
-        )
 
 
 class ReadCache:
@@ -111,11 +101,6 @@ class ReadCache:
     name:
         Event name used on the telemetry bus (one bus can carry several
         caches' streams apart).
-    admission:
-        With ``False``, plain LRU: every miss is admitted.  The default
-        follows the CDF model's observation that admission filters are
-        what keep scan traffic from flushing the hot set; every flow and
-        benchmark runs with it on.
     telemetry:
         When given, the cache emits ``readcache.*`` events; counters are
         kept on the cache's own registry either way.
@@ -125,14 +110,12 @@ class ReadCache:
         self,
         capacity: int = 1024,
         name: str = "readcache",
-        admission: bool = True,
         telemetry: Optional[Telemetry] = None,
     ):
         if capacity < 1:
             raise CacheError(f"read cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.name = name
-        self.admission = admission
         self.metrics = MetricsRegistry()
         self._telemetry = telemetry
         self._lock = threading.RLock()
@@ -156,7 +139,7 @@ class ReadCache:
     # -- introspection -----------------------------------------------------
     @property
     def stats(self) -> ReadCacheStats:
-        return ReadCacheStats.from_registry(self.metrics)
+        return registry_view(self.metrics, ReadCacheStats, "readcache")
 
     def __len__(self) -> int:
         with self._lock:
@@ -193,7 +176,7 @@ class ReadCache:
             return True
         if len(self._entries) >= self.capacity:
             victim = next(iter(self._entries))
-            if self.admission and self._freq.get(key, 0) < self._freq.get(victim, 0):
+            if self._freq.get(key, 0) < self._freq.get(victim, 0):
                 self._admission_rejected.inc()
                 return False
             self._entries.popitem(last=False)
@@ -294,8 +277,7 @@ class ReadCache:
 
     def __repr__(self) -> str:
         return (
-            f"ReadCache({self.name!r}, capacity={self.capacity}, "
-            f"entries={len(self)}, admission={self.admission})"
+            f"ReadCache({self.name!r}, capacity={self.capacity}, entries={len(self)})"
         )
 
 

@@ -13,9 +13,9 @@ component.  This module holds the policy side of that story; the engine
 * A policy may carry a ``fallback``: a graceful-degradation hook invoked
   when attempts are exhausted.  The stage's report row is then marked
   ``degraded`` and a :class:`DeadLetter` records the original failure.
-* :class:`DeadLetter` / :class:`DeadLetterLog` — durable records of
-  exhausted retries, one per abandoned stage, exposed on the engine and
-  emitted as ``stage.dead_letter`` telemetry.
+* :class:`DeadLetter` — the record of exhausted retries, one per
+  abandoned stage, listed on the engine (``dead_letters``) and emitted
+  as ``stage.dead_letter`` telemetry.
 * :func:`run_to_completion` — the checkpoint/resume driver: run a flow,
   and on a crash re-run it against the same :class:`StageCache` and the
   same armed :class:`~repro.core.faults.FaultInjector`.  Completed
@@ -119,29 +119,6 @@ class DeadLetter:
         }
 
 
-class DeadLetterLog:
-    """Append-only record of exhausted-retry failures."""
-
-    def __init__(self) -> None:
-        self._letters: List[DeadLetter] = []
-
-    def append(self, letter: DeadLetter) -> None:
-        self._letters.append(letter)
-
-    def __len__(self) -> int:
-        return len(self._letters)
-
-    def __iter__(self):
-        return iter(list(self._letters))
-
-    def for_stage(self, stage: str) -> List[DeadLetter]:
-        return [letter for letter in self._letters if letter.stage == stage]
-
-    def rows(self) -> List[Dict[str, object]]:
-        """Benchmark/report rows, one per letter."""
-        return [letter.as_attrs() for letter in self._letters]
-
-
 def run_to_completion(
     make_engine: Callable[[], object],
     flow: object,
@@ -218,7 +195,6 @@ __all__ = (
     "NO_RETRY",
     "AvailabilitySummary",
     "DeadLetter",
-    "DeadLetterLog",
     "FallbackFn",
     "RetryPolicy",
     "run_to_completion",

@@ -10,13 +10,14 @@ This module is the single substrate they all now share:
   ``bytes.produced``, ``storage.write/recall/evict``,
   ``transfer.start/finish``, ``provenance.record``, ...);
 * a **metrics registry** of named instruments — :class:`Counter`,
-  :class:`Gauge`, and :class:`HighWaterMark` — that subsystem stats
-  properties (``HsmStats``, ``TapeStats``, ingest stats, service
-  counters) are thin adapters over;
+  :class:`Gauge`, and :class:`HighWaterMark` — with one read side,
+  :func:`registry_view`, which every subsystem ``stats`` property
+  (``HsmStats``, ``TapeStats``, ``LaneStats``, ...) is a call to;
 * nested **trace spans** stamped by a :class:`SimClock` (simulated
   seconds, not wall-clock), so a log is reproducible run to run;
-* a **replayable JSONL log** — :func:`write_event_log` /
-  :func:`read_event_log` — plus view functions
+* a **replayable JSONL log** — :func:`write_event_log` and one reader,
+  :func:`walk_event_log`, which :func:`read_event_log` collects from and
+  the operations rollup folds from — plus view functions
   (:func:`flow_summary_from_log`, :func:`stage_rows_from_log`,
   :func:`peak_storage_from_log`) that regenerate a flow report offline
   from a persisted log, with no engine or pipeline objects in sight.
@@ -29,6 +30,7 @@ produce byte-identical canonical logs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import numbers
 import threading
@@ -46,6 +48,8 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Type,
+    TypeVar,
     Union,
 )
 
@@ -175,21 +179,31 @@ class TelemetryEvent(NamedTuple):
 
     @classmethod
     def from_dict(cls, record: Mapping[str, object]) -> "TelemetryEvent":
+        """The event a parsed log line describes; :class:`TelemetryError`
+        unless it is an object with ``seq``/``kind``/``name``/``sim_time``
+        (and ``attrs``, when present, an object)."""
         try:
+            # ``dict`` first: every log line passes here, and the ABC check
+            # alone costs ten times the exact-type one.
+            if not isinstance(record, (dict, Mapping)):
+                raise TypeError(f"expected an object, got {type(record).__name__}")
             attrs = record.get("attrs", {})
+            if not isinstance(attrs, (dict, Mapping)):
+                raise TypeError(f"attrs is {type(attrs).__name__}, not an object")
             return cls(
                 seq=int(record["seq"]),  # type: ignore[arg-type]
                 kind=str(record["kind"]),
                 name=str(record["name"]),
                 sim_time=float(record["sim_time"]),  # type: ignore[arg-type]
                 attrs=tuple(
-                    (str(key), _freeze_attr(value))
-                    for key, value in attrs.items()  # type: ignore[union-attr]
+                    (str(key), _freeze_attr(value)) for key, value in attrs.items()
                 ),
                 span=tuple(str(part) for part in record.get("span", ())),  # type: ignore[union-attr]
                 wall_time=float(record.get("wall_time", 0.0)),  # type: ignore[arg-type]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise TelemetryError(f"malformed telemetry record: no {exc} key") from exc
+        except (TypeError, ValueError) as exc:
             raise TelemetryError(f"malformed telemetry record: {exc}") from exc
 
 
@@ -393,6 +407,27 @@ class MetricsRegistry:
                 )
 
 
+_Stats = TypeVar("_Stats")
+
+
+def registry_view(metrics: MetricsRegistry, cls: Type[_Stats], prefix: str) -> _Stats:
+    """A stats dataclass read from a registry's ``<prefix>.<field>`` instruments.
+
+    The one read side of every subsystem's books: each value is cast to
+    the type of its field's default (``int`` counts, ``float`` volumes,
+    :class:`Duration` times), and an instrument that was never touched
+    reads as zero.  A field kept under another instrument name says so
+    where it is declared, ``field(metadata={"instrument": "busy_seconds"})``.
+    """
+    blank = cls()  # every stats field has a default; its type is the field's
+    values = {}
+    for spec in dataclasses.fields(blank):  # type: ignore[arg-type]
+        instrument = spec.metadata.get("instrument", spec.name)
+        cast = type(getattr(blank, spec.name))
+        values[spec.name] = cast(metrics.value(f"{prefix}.{instrument}"))
+    return cls(**values)
+
+
 # -- the bus -------------------------------------------------------------
 class Telemetry:
     """The process-local substrate: event bus + registry + clock + spans.
@@ -407,7 +442,6 @@ class Telemetry:
         self.registry = MetricsRegistry()
         self._events: List[TelemetryEvent] = []
         self._lock = threading.Lock()
-        self._subscribers: List[Callable[[TelemetryEvent], None]] = []
         self._spans = threading.local()
 
     # -- events ----------------------------------------------------------
@@ -431,12 +465,7 @@ class Telemetry:
                 frozen, span_path, time.time(),
             )
             self._events.append(event)
-        for subscriber in self._subscribers:
-            subscriber(event)
         return event
-
-    def subscribe(self, callback: Callable[[TelemetryEvent], None]) -> None:
-        self._subscribers.append(callback)
 
     def events(self, start: int = 0, kind: Optional[str] = None) -> List[TelemetryEvent]:
         with self._lock:
@@ -579,11 +608,9 @@ def write_event_log(
 class EventLog(List[TelemetryEvent]):
     """A loaded event log: a plain event list plus read accounting.
 
-    ``truncated_lines`` counts trailing lines that could not be parsed —
-    the signature a writer crashed mid-append and left a torn final
-    record.  Such a line is *skipped*, not raised, so an operations
-    reader can always serve the intact prefix of a live log; the count
-    keeps the skip visible instead of silent.
+    ``truncated_lines`` counts the torn tail :func:`walk_event_log`
+    skipped (0 or 1), so an operations reader can always serve the intact
+    prefix of a live log and the skip stays visible instead of silent.
     """
 
     __slots__ = ("truncated_lines",)
@@ -597,32 +624,51 @@ class EventLog(List[TelemetryEvent]):
         self.truncated_lines = truncated_lines
 
 
-def read_event_log(path: Union[str, Path]) -> EventLog:
-    """Load a JSONL event log back into :class:`TelemetryEvent` objects.
+def walk_event_log(
+    data: bytes,
+    sink: Callable[[TelemetryEvent], object],
+    source: str,
+    start: int = 0,
+) -> Tuple[int, int]:
+    """The one log reader: hand every event in ``data[start:]`` to ``sink``.
 
-    A torn *final* line (crash mid-write) is skipped and accounted in
-    the returned log's ``truncated_lines``; invalid JSON anywhere else
-    is corruption and still raises :class:`TelemetryError`.
+    Returns ``(consumed, truncated_lines)`` — the offset a later walk over
+    the grown log resumes from, and the torn lines skipped (0 or 1).
+
+    A *record* is a non-blank line :meth:`TelemetryEvent.from_dict` accepts.
+    The *torn tail* is the last non-blank line when it does not parse (a
+    writer died, or still is, mid-append): skipped, counted, never consumed,
+    with or without a newline or blank lines after it.  A strict prefix of
+    a serialised object never parses, so unterminated bytes that do parse
+    are a complete record.  Any other line that does not parse, or parses
+    to something other than an event, is *corruption* and raises
+    :class:`TelemetryError` naming ``source`` and the line.
     """
-    path = Path(path)
-    lines: List[Tuple[int, str]] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if line:
-                lines.append((line_number, line))
+    offset, end = start, len(data)
+    while offset < end:
+        found = data.find(b"\n", offset)
+        stop = end if found < 0 else found + 1
+        line = data[offset:stop].strip()
+        if line:
+            try:
+                event = TelemetryEvent.from_dict(json.loads(line.decode("utf-8")))
+            except (ValueError, TelemetryError) as exc:
+                problem = str(exc)
+                if isinstance(exc, ValueError):  # bad JSON, or bytes that are not UTF-8
+                    if not data[stop:].strip():
+                        return offset, 1
+                    problem = f"corrupt interior line at byte {offset}, not valid JSON: {exc}"
+                line_number = data.count(b"\n", 0, offset) + 1
+                raise TelemetryError(f"{source}: line {line_number}: {problem}") from exc
+            sink(event)
+        offset = stop
+    return offset, 0
+
+
+def read_event_log(path: Union[str, Path]) -> EventLog:
+    """Load a JSONL event log (:func:`walk_event_log`'s rules) into a list."""
     events = EventLog()
-    for index, (line_number, line) in enumerate(lines):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if index == len(lines) - 1:
-                events.truncated_lines += 1
-                continue
-            raise TelemetryError(
-                f"{path}:{line_number}: not valid JSON: {exc}"
-            ) from exc
-        events.append(TelemetryEvent.from_dict(record))
+    _, events.truncated_lines = walk_event_log(Path(path).read_bytes(), events.append, str(path))
     return events
 
 

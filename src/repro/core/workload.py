@@ -93,14 +93,18 @@ class TraceRequest:
     @classmethod
     def from_dict(cls, record: Mapping[str, object]) -> "TraceRequest":
         try:
+            if not isinstance(record, Mapping):
+                raise TypeError(f"expected an object, got {type(record).__name__}")
             params = record.get("params", {})
+            if not isinstance(params, Mapping):
+                raise TypeError(f"params is {type(params).__name__}, not an object")
             return cls(
                 seq=int(record["seq"]),  # type: ignore[arg-type]
                 arrival_s=float(record["arrival_s"]),  # type: ignore[arg-type]
                 tenant=str(record["tenant"]),
                 op=str(record["op"]),
                 key=str(record["key"]),
-                params=tuple(sorted(params.items())),  # type: ignore[union-attr]
+                params=tuple(sorted(params.items())),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise WorkloadError(f"malformed trace record: {exc}") from exc
@@ -171,14 +175,23 @@ class Trace:
     def load(cls, path: Union[str, Path]) -> "Trace":
         path = Path(path)
         with path.open("r", encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
+            lines = [
+                (number, line) for number, line in enumerate(handle, start=1) if line.strip()
+            ]
         if not lines:
             raise WorkloadError(f"{path} holds no trace header")
         try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
+            header = json.loads(lines[0][1])
+            if not isinstance(header, dict):
+                raise ValueError(f"expected an object, got {type(header).__name__}")
+        except ValueError as exc:
             raise WorkloadError(f"{path}: bad trace header: {exc}") from exc
-        requests = [TraceRequest.from_dict(json.loads(line)) for line in lines[1:]]
+        requests = []
+        for number, line in lines[1:]:
+            try:
+                requests.append(TraceRequest.from_dict(json.loads(line)))
+            except (ValueError, WorkloadError) as exc:
+                raise WorkloadError(f"{path}: line {number}: {exc}") from exc
         trace = cls(
             requests,
             name=str(header.get("name", "trace")),

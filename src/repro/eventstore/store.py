@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 from repro.core.errors import EventStoreError
 from repro.core.provenance import ProvenanceStamp
 from repro.core.readcache import ReadCache
-from repro.core.telemetry import MetricsRegistry, Telemetry, get_telemetry
+from repro.core.telemetry import MetricsRegistry, Telemetry, get_telemetry, registry_view
 from repro.core.units import DataSize, Duration
 from repro.core.versioning import GradeHistory
 from repro.db.connection import Database, SqliteBackend
@@ -53,15 +53,6 @@ class IngestStats:
     def zero(cls) -> "IngestStats":
         """An explicit all-zero traffic record."""
         return cls()
-
-    @classmethod
-    def from_registry(cls, metrics: MetricsRegistry) -> "IngestStats":
-        return cls(
-            files_injected=int(metrics.value("eventstore.files_injected")),
-            events_injected=int(metrics.value("eventstore.events_injected")),
-            bytes_injected=metrics.value("eventstore.bytes_injected"),
-            files_opened=int(metrics.value("eventstore.files_opened")),
-        )
 
 
 class EventStore:
@@ -108,7 +99,7 @@ class EventStore:
     @property
     def ingest_stats(self) -> IngestStats:
         """Write/read traffic counters, read from the metrics registry."""
-        return IngestStats.from_registry(self.metrics)
+        return registry_view(self.metrics, IngestStats, "eventstore")
 
     def close(self) -> None:
         self.db.close()

@@ -12,7 +12,6 @@ accounting so dissemination load can be studied.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -33,7 +32,6 @@ class ServiceEndpoint:
     version: str = "1.0"
     description: str = ""
     calls: int = 0
-    total_seconds: float = 0.0
 
     @property
     def qualified_name(self) -> str:
@@ -76,12 +74,10 @@ class ServiceRegistry:
         endpoint = self._endpoints.get(qualified_name)
         if endpoint is None:
             raise GridError(f"no service {qualified_name!r}")
-        start = time.perf_counter()  # repro: noqa[RPR002] operational endpoint timing
         try:
             return endpoint.handler(*args, **kwargs)
         finally:
             endpoint.calls += 1
-            endpoint.total_seconds += time.perf_counter() - start  # repro: noqa[RPR002]
 
     def usage(self) -> Dict[str, int]:
         return {name: endpoint.calls for name, endpoint in sorted(self._endpoints.items())}

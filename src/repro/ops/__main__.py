@@ -10,6 +10,10 @@ Three subcommands over persisted telemetry logs:
 * ``alerts`` — evaluate the stock (or threshold-only) rules and print
   raised alerts; exit 1 while any alert is active.
 
+Exit 1 only ever means "red" or "alerting": a log that cannot be read
+(missing, corrupt, a line that is not an event) is one ``error:`` line on
+stderr and exit 2 from every command.
+
 Several LOG paths build one merged projection — the "whole-site" view
 over per-pipeline logs.  Pass ``--cache-root`` to serve repeat reads
 from cached projections instead of re-scanning JSONL.

@@ -37,14 +37,13 @@ report byte-reproducible.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.cachestore import DiskCacheStore
-from repro.core.errors import OpsError
-from repro.core.telemetry import Telemetry, TelemetryEvent
+from repro.core.errors import OpsError, TelemetryError
+from repro.core.telemetry import Telemetry, TelemetryEvent, walk_event_log
 
 #: Bumped whenever the projection layout or fold semantics change, so a
 #: store shared across versions can never serve a stale-schema entry.
@@ -314,39 +313,21 @@ class RollupProjection:
 
 
 # -- folding raw log bytes -------------------------------------------------
-def _fold_data(projection: RollupProjection, data: bytes, start: int) -> None:
-    """Fold ``data[start:]`` into the projection, line by line.
+def _fold_data(projection: RollupProjection, data: bytes, source: str) -> None:
+    """Fold ``data`` into the projection from ``consumed_bytes`` on.
 
-    Consumption stops at the last complete, parseable line: a torn
-    trailing line (no newline, or newline but invalid JSON at EOF) is
-    counted in ``truncated_lines`` and *not* consumed, so a later build
-    over the grown log re-reads it from the same boundary.  Invalid JSON
-    with more data behind it is corruption and raises.
+    What a record, a torn tail and corruption are is
+    :func:`~repro.core.telemetry.walk_event_log`'s to say; a torn tail is
+    not consumed, so a later build over the grown log re-reads it from
+    the same boundary.
     """
-    offset = start
-    projection.truncated_lines = 0
-    end = len(data)
-    while offset < end:
-        newline = data.find(b"\n", offset)
-        if newline < 0:
-            # Partial trailing line: a writer is (or died) mid-append.
-            projection.truncated_lines += 1
-            break
-        line = data[offset:newline].strip()
-        if line:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if newline == end - 1 and not data[newline + 1 :].strip():
-                    projection.truncated_lines += 1
-                    break
-                raise OpsError(
-                    f"corrupt interior log line at byte {offset}: {exc}"
-                ) from exc
-            projection.fold_event(TelemetryEvent.from_dict(record))
-        offset = newline + 1
-    projection.consumed_bytes = offset
-    projection.consumed_digest = hashlib.sha256(data[:offset]).hexdigest()
+    try:
+        projection.consumed_bytes, projection.truncated_lines = walk_event_log(
+            data, projection.fold_event, source, projection.consumed_bytes
+        )
+    except TelemetryError as exc:
+        raise OpsError(str(exc)) from exc
+    projection.consumed_digest = hashlib.sha256(data[: projection.consumed_bytes]).hexdigest()
 
 
 def scan_log(
@@ -360,7 +341,7 @@ def scan_log(
     """
     data = Path(path).read_bytes()
     projection = RollupProjection(window_s=float(window_s))
-    _fold_data(projection, data, 0)
+    _fold_data(projection, data, str(path))
     projection.content_digest = hashlib.sha256(data).hexdigest()
     projection.source = "cold"
     return projection
@@ -444,13 +425,13 @@ def build_rollup(
                     window_s,
                 )
                 if base is not None and base.consumed_bytes == head["consumed_bytes"]:
-                    _fold_data(base, data, base.consumed_bytes)
+                    _fold_data(base, data, str(path))
                     base.content_digest = digest
                     base.source = "incremental"
                     projection = base
     if projection is None:
         projection = RollupProjection(window_s=float(window_s))
-        _fold_data(projection, data, 0)
+        _fold_data(projection, data, str(path))
         projection.content_digest = digest
         projection.source = "cold"
     if store is not None and projection.source != "cache":

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
 from repro.core.errors import CapacityError, StorageError
-from repro.core.telemetry import MetricsRegistry, Telemetry, get_telemetry
+from repro.core.telemetry import MetricsRegistry, Telemetry, get_telemetry, registry_view
 from repro.core.units import DataSize, Duration
 from repro.storage.media import StoredFile
 from repro.storage.tape import RoboticTapeLibrary
@@ -34,23 +34,14 @@ class HsmStats:
     misses: int = 0
     evictions: int = 0
     bytes_recalled: float = 0.0
-    recall_time: Duration = field(default_factory=Duration.zero)
+    recall_time: Duration = field(
+        default_factory=Duration.zero, metadata={"instrument": "recall_seconds"}
+    )
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    @classmethod
-    def from_registry(cls, metrics: MetricsRegistry) -> "HsmStats":
-        """Snapshot the ``hsm.*`` instruments of one store's registry."""
-        return cls(
-            hits=int(metrics.value("hsm.hits")),
-            misses=int(metrics.value("hsm.misses")),
-            evictions=int(metrics.value("hsm.evictions")),
-            bytes_recalled=metrics.value("hsm.bytes_recalled"),
-            recall_time=Duration(metrics.value("hsm.recall_seconds")),
-        )
 
     @classmethod
     def merge(cls, stats: Iterable["HsmStats"]) -> "HsmStats":
@@ -113,7 +104,7 @@ class HierarchicalStore:
     @property
     def stats(self) -> HsmStats:
         """Cache behaviour counters, read from the metrics registry."""
-        return HsmStats.from_registry(self.metrics)
+        return registry_view(self.metrics, HsmStats, "hsm")
 
     # -- cache bookkeeping ---------------------------------------------------
     @property

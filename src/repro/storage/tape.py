@@ -10,12 +10,12 @@ and sequential append is the natural write mode.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.errors import StorageError
 from repro.core.faults import FaultInjector, delay_seconds
-from repro.core.telemetry import MetricsRegistry, Telemetry, get_telemetry
+from repro.core.telemetry import MetricsRegistry, Telemetry, get_telemetry, registry_view
 from repro.core.units import DataSize, Duration
 from repro.storage.media import LTO3_TAPE, MediaType, Medium, StoredFile, checksum_for
 
@@ -29,18 +29,9 @@ class TapeStats:
     mounts: int = 0
     bytes_written: float = 0.0
     bytes_read: float = 0.0
-    busy_time: Duration = Duration.zero()
-
-    @classmethod
-    def from_registry(cls, metrics: MetricsRegistry) -> "TapeStats":
-        return cls(
-            writes=int(metrics.value("tape.writes")),
-            reads=int(metrics.value("tape.reads")),
-            mounts=int(metrics.value("tape.mounts")),
-            bytes_written=metrics.value("tape.bytes_written"),
-            bytes_read=metrics.value("tape.bytes_read"),
-            busy_time=Duration(metrics.value("tape.busy_seconds")),
-        )
+    busy_time: Duration = field(
+        default=Duration.zero(), metadata={"instrument": "busy_seconds"}
+    )
 
 
 class RoboticTapeLibrary:
@@ -91,7 +82,7 @@ class RoboticTapeLibrary:
     @property
     def stats(self) -> TapeStats:
         """Operation counters, read from the metrics registry."""
-        return TapeStats.from_registry(self.metrics)
+        return registry_view(self.metrics, TapeStats, "tape")
 
     # -- inventory ---------------------------------------------------------
     @property

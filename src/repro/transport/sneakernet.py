@@ -19,7 +19,7 @@ from typing import List, Optional
 from repro.core.errors import TransportError
 from repro.core.faults import FaultInjector, delay_seconds
 from repro.core.resources import CostLedger, PersonnelModel
-from repro.core.telemetry import MetricsRegistry, Telemetry, get_telemetry
+from repro.core.telemetry import MetricsRegistry, Telemetry, get_telemetry, registry_view
 from repro.core.units import DataSize, Duration, Rate
 from repro.storage.media import ATA_DISK_2005, MediaType, StoredFile, checksum_for
 from repro.transport.integrity import (
@@ -142,21 +142,9 @@ class LaneStats:
     files_delivered: int = 0
     files_corrupt: int = 0
     files_missing: int = 0
-    personnel_time: Duration = field(default_factory=Duration.zero)
-
-    @classmethod
-    def from_registry(cls, metrics: MetricsRegistry) -> "LaneStats":
-        return cls(
-            shipments=int(metrics.value("lane.shipments")),
-            attempts=int(metrics.value("lane.attempts")),
-            media_shipped=int(metrics.value("lane.media_shipped")),
-            media_retransmitted=int(metrics.value("lane.media_retransmitted")),
-            bytes_shipped=metrics.value("lane.bytes_shipped"),
-            files_delivered=int(metrics.value("lane.files_delivered")),
-            files_corrupt=int(metrics.value("lane.files_corrupt")),
-            files_missing=int(metrics.value("lane.files_missing")),
-            personnel_time=Duration(metrics.value("lane.personnel_seconds")),
-        )
+    personnel_time: Duration = field(
+        default_factory=Duration.zero, metadata={"instrument": "personnel_seconds"}
+    )
 
 
 #: Default seed for a lane's damage/transit RNG when the caller does not
@@ -200,7 +188,7 @@ class ShippingLane:
     @property
     def stats(self) -> LaneStats:
         """Lifetime shipment counters, read from the metrics registry."""
-        return LaneStats.from_registry(self.metrics)
+        return registry_view(self.metrics, LaneStats, "lane")
 
     def _files_for(self, shipment_id: str, volume: DataSize) -> List[StoredFile]:
         """Split a volume across media-sized files for manifest purposes."""

@@ -26,13 +26,6 @@ from repro.weblab.datformat import (
     write_dat,
 )
 from repro.weblab.export import ExportBundle, export_subset, read_exported_metadata
-from repro.weblab.incremental import (
-    CrawlDelta,
-    WebLabIncrementalReport,
-    WebLabWindowReport,
-    build_weblab_incremental,
-    crawl_deltas,
-)
 from repro.weblab.focused import FocusedSelection, SelectedPage, select_materials
 from repro.weblab.metadb import WebLabDatabase, weblab_schema
 from repro.weblab.pagestore import PageStore, content_hash
@@ -89,11 +82,6 @@ __all__ = [
     "read_dat",
     "write_dat",
     "ExportBundle",
-    "CrawlDelta",
-    "WebLabIncrementalReport",
-    "WebLabWindowReport",
-    "build_weblab_incremental",
-    "crawl_deltas",
     "FocusedSelection",
     "SelectedPage",
     "select_materials",

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import DuplicateCrawlError, WebLabError
 from repro.core.faults import FaultInjector, delay_seconds
-from repro.core.telemetry import MetricsRegistry
+from repro.core.telemetry import MetricsRegistry, registry_view
 from repro.core.units import DataSize, Duration, Rate
 from repro.weblab.arcformat import read_arc
 from repro.weblab.datformat import read_dat
@@ -60,19 +60,6 @@ class PreloadStats:
     def zero(cls) -> "PreloadStats":
         """An explicit all-zero stats record (e.g. a culled batch)."""
         return cls()
-
-    @classmethod
-    def from_registry(cls, metrics: MetricsRegistry) -> "PreloadStats":
-        """Snapshot the lifetime ``preload.*`` instruments of a subsystem."""
-        return cls(
-            arc_files=int(metrics.value("preload.arc_files")),
-            dat_files=int(metrics.value("preload.dat_files")),
-            pages=int(metrics.value("preload.pages")),
-            links=int(metrics.value("preload.links")),
-            compressed_bytes=metrics.value("preload.compressed_bytes"),
-            content_bytes=metrics.value("preload.content_bytes"),
-            elapsed_s=metrics.value("preload.elapsed_s"),
-        )
 
     def __sub__(self, other: "PreloadStats") -> "PreloadStats":
         """Difference of two snapshots (the per-run view of a busy registry)."""
@@ -130,7 +117,7 @@ class PreloadSubsystem:
     @property
     def lifetime_stats(self) -> PreloadStats:
         """Accumulated totals across every run, read from the registry."""
-        return PreloadStats.from_registry(self.metrics)
+        return registry_view(self.metrics, PreloadStats, "preload")
 
     # -- single-file paths -----------------------------------------------------
     def process_arc(self, path: Union[str, Path], crawl_index: int) -> Tuple[int, float]:

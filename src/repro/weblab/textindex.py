@@ -47,16 +47,6 @@ class TextIndex:
     def __len__(self) -> int:
         return len(self._doc_lengths)
 
-    def __eq__(self, other: object) -> bool:
-        """Indexes are equal when they score every query identically —
-        same postings, same document lengths (dict order is irrelevant)."""
-        if not isinstance(other, TextIndex):
-            return NotImplemented
-        return (
-            self._postings == other._postings
-            and self._doc_lengths == other._doc_lengths
-        )
-
     @property
     def vocabulary_size(self) -> int:
         return len(self._postings)

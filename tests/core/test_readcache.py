@@ -98,17 +98,17 @@ class TestBasics:
 
 
 class TestLruAndAdmission:
-    def test_lru_eviction_without_admission(self):
-        cache = ReadCache(capacity=2, admission=False)
+    def test_lru_victim_is_the_least_recently_used(self):
+        cache = ReadCache(capacity=2)
         cache.get_or_load("a", lambda: 1)
         cache.get_or_load("b", lambda: 2)
         cache.get_or_load("a", lambda: 1)  # refresh a; b is now LRU
-        cache.get_or_load("c", lambda: 3)  # evicts b
+        cache.get_or_load("c", lambda: 3)  # asked for as often as b: admitted, evicts b
         assert cache.keys() == ["a", "c"]
         assert cache.stats.evictions == 1
 
     def test_admission_filter_protects_the_hot_set(self):
-        cache = ReadCache(capacity=2, admission=True)
+        cache = ReadCache(capacity=2)
         for _ in range(5):
             cache.get_or_load("hot1", lambda: 1)
             cache.get_or_load("hot2", lambda: 2)
@@ -119,7 +119,7 @@ class TestLruAndAdmission:
         assert "hot1" in cache and "hot2" in cache
 
     def test_repeatedly_requested_key_eventually_admitted(self):
-        cache = ReadCache(capacity=2, admission=True)
+        cache = ReadCache(capacity=2)
         cache.get_or_load("a", lambda: 1)
         cache.get_or_load("b", lambda: 2)
         for _ in range(5):
@@ -127,7 +127,7 @@ class TestLruAndAdmission:
         assert "riser" in cache
 
     def test_sketch_ages_out_old_popularity(self):
-        cache = ReadCache(capacity=2, admission=True)
+        cache = ReadCache(capacity=2)
         for _ in range(8):
             cache.get_or_load("old", lambda: 1)
         # Saturate the sketch well past capacity * decay factor.
@@ -139,9 +139,10 @@ class TestLruAndAdmission:
 class TestTelemetry:
     def test_events_mirror_the_traffic(self):
         bus = Telemetry()
-        cache = ReadCache(capacity=1, admission=False, telemetry=bus, name="rc")
+        cache = ReadCache(capacity=1, telemetry=bus, name="rc")
         cache.get_or_load("a", lambda: 1)  # miss + admit
         cache.get_or_load("a", lambda: 1)  # hit
+        cache.get_or_load("gone", lambda: None)  # miss, rejected (asked once, a twice)
         cache.get_or_load("gone", lambda: None)  # miss + evict(a) + admit
         cache.get_or_load("gone", lambda: None)  # negative hit
         kinds = [event.kind for event in bus.events()]
@@ -149,6 +150,7 @@ class TestTelemetry:
             "readcache.miss",
             "readcache.admit",
             "readcache.hit",
+            "readcache.miss",
             "readcache.miss",
             "readcache.evict",
             "readcache.admit",
@@ -324,8 +326,8 @@ class TestCoalescing:
 class ModelCache:
     """What :class:`ReadCache` promises, written the slow and obvious way."""
 
-    def __init__(self, capacity, admission):
-        self.capacity, self.admission = capacity, admission
+    def __init__(self, capacity):
+        self.capacity = capacity
         self.entries = {}  # insertion-ordered: the first key is the LRU victim
         self.freq = {}
         self.events = []  # (kind, key, extra attrs)
@@ -352,7 +354,7 @@ class ModelCache:
         self.note("misses", "readcache.miss", key)
         if len(self.entries) >= self.capacity:
             victim = next(iter(self.entries))
-            if self.admission and self.freq.get(key, 0) < self.freq.get(victim, 0):
+            if self.freq.get(key, 0) < self.freq.get(victim, 0):
                 self.note("admission_rejected", None, key)
                 return loaded
             del self.entries[victim]
@@ -384,15 +386,12 @@ class TestAgainstModel:
     @settings(max_examples=200, deadline=None)
     @given(
         capacity=st.integers(2, 3),
-        admission=st.booleans(),
         operations=st.lists(OPERATIONS, min_size=25, max_size=100),
     )
-    def test_events_stats_and_results_match_the_model(
-        self, capacity, admission, operations
-    ):
+    def test_events_stats_and_results_match_the_model(self, capacity, operations):
         bus = Telemetry()
-        cache = ReadCache(capacity, name="rc", admission=admission, telemetry=bus)
-        model = ModelCache(capacity, admission)
+        cache = ReadCache(capacity, name="rc", telemetry=bus)
+        model = ModelCache(capacity)
         sim_times = []
         for op, key, loaded in operations:
             bus.clock.advance(1.0)

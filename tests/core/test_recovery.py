@@ -9,8 +9,6 @@ from repro.core.errors import ExecutionError, FaultError
 from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.recovery import (
     NO_RETRY,
-    DeadLetter,
-    DeadLetterLog,
     RetryPolicy,
     run_to_completion,
 )
@@ -57,21 +55,6 @@ class TestRetryPolicy:
         policy = RetryPolicy(max_attempts=2, fallback=fb)
         assert repr(policy) == repr(RetryPolicy(max_attempts=2, fallback=fb))
         assert "TestRetryPolicy" in repr(policy)  # by qualname, not identity
-
-
-class TestDeadLetterLog:
-    def test_appends_filters_and_rows(self):
-        log = DeadLetterLog()
-        letter = DeadLetter(
-            flow="f", stage="s", site="lab", attempts=3, error="boom"
-        )
-        log.append(letter)
-        log.append(
-            DeadLetter(flow="f", stage="t", site="lab", attempts=1, error="x")
-        )
-        assert len(log) == 2
-        assert log.for_stage("s") == [letter]
-        assert log.rows()[0]["error"] == "boom"
 
 
 def flaky_flow(fail_times=1, flow_name="flaky"):

@@ -221,6 +221,23 @@ class TestTracePersistence:
         with pytest.raises(WorkloadError, match="declares"):
             Trace.load(path2)
 
+    @pytest.mark.parametrize(
+        "line, problem",
+        [("{oops", "line 3: Expecting"), ("[1]", "line 3: malformed trace record"),
+         ('{"seq": 0, "arrival_s": 0, "tenant": "a", "op": "o", "key": "k", "params": 1}',
+          "line 3: malformed trace record: params is int")],
+    )
+    def test_load_names_the_bad_request_line(self, tmp_path, line, problem):
+        path = tmp_path / "trace.jsonl"
+        generate_trace(small_spec()).save(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + [line] + lines[2:]) + "\n")
+        with pytest.raises(WorkloadError, match=f"{path}: {problem}"):
+            Trace.load(path)
+        path.write_text("[1]\n")
+        with pytest.raises(WorkloadError, match="bad trace header"):
+            Trace.load(path)
+
 
 class TestAdmissionController:
     def test_burst_then_backpressure(self):

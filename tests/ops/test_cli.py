@@ -90,3 +90,26 @@ def test_corrupt_log_exits_2(tmp_path, capsys):
     path.write_text("{broken\n{\"also\": \"broken\"}\n", encoding="utf-8")
     assert main(["status", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["status", "alerts", "report"])
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ("[1, 2]", "malformed telemetry record: expected an object"),
+        ('{"seq": 1, "kind": "stage.start", "sim_time": 0.0}', "no 'name' key"),
+        ('{"seq": 1, "kind": "k", "name": "n", "sim_time": 0, "attrs": 3}', "attrs is int"),
+        ("{oops", "corrupt interior line"),
+    ],
+)
+def test_wrong_shaped_line_is_one_error_line_and_exit_2(
+    log, tmp_path, capsys, command, line, problem
+):
+    """Exit 1 means "a channel is red"; a log that cannot be read is exit 2."""
+    lines = log.read_text(encoding="utf-8").splitlines()
+    log.write_text("\n".join(lines[:2] + [line] + lines[2:]) + "\n", encoding="utf-8")
+    assert main([command, str(log), "--cache-root", str(tmp_path / "cache")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}: line 3: ") and problem in err
+    assert err.count("\n") == 1
+
