@@ -16,12 +16,9 @@ Run:  python examples/arecibo_streaming.py
 import tempfile
 from pathlib import Path
 
-from repro.arecibo import (
-    AreciboPipelineConfig,
-    ObservationConfig,
-    SkyModel,
-    run_arecibo_incremental,
-)
+from repro.arecibo.pipeline import AreciboPipelineConfig, run_arecibo_incremental
+from repro.arecibo.sky import SkyModel
+from repro.arecibo.telescope import ObservationConfig
 
 ARRIVALS = [2, 1, 0, 1]  # pointings landing per nightly window
 

@@ -14,12 +14,9 @@ Run:  python examples/arecibo_survey.py
 import tempfile
 from pathlib import Path
 
-from repro.arecibo import (
-    AreciboPipelineConfig,
-    ObservationConfig,
-    SkyModel,
-    run_arecibo_pipeline,
-)
+from repro.arecibo.pipeline import AreciboPipelineConfig, run_arecibo_pipeline
+from repro.arecibo.sky import SkyModel
+from repro.arecibo.telescope import ObservationConfig
 
 
 def main() -> None:

@@ -15,12 +15,9 @@ Run:  python examples/cleo_analysis.py
 import tempfile
 from pathlib import Path
 
-from repro.cleo import (
-    AnalysisJob,
-    CleoPipelineConfig,
-    run_cleo_pipeline,
-)
-from repro.eventstore import CollaborationEventStore
+from repro.cleo.analysis import AnalysisJob
+from repro.cleo.pipeline import CleoPipelineConfig, run_cleo_pipeline
+from repro.eventstore.scales import CollaborationEventStore
 
 
 def main() -> None:

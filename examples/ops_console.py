@@ -24,14 +24,11 @@ from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
 from repro.core.cachestore import DiskCacheStore
 from repro.core.telemetry import Telemetry
-from repro.ops import (
-    AlertEvaluator,
-    build_dashboard,
-    build_rollup,
-    default_alert_rules,
-    default_quality_specs,
-    render_report,
-)
+from repro.ops import default_quality_specs
+from repro.ops.alerts import AlertEvaluator, default_alert_rules
+from repro.ops.dashboard import build_dashboard
+from repro.ops.report import render_report
+from repro.ops.rollup import build_rollup
 
 
 def run_pipeline(workdir):

@@ -9,14 +9,11 @@ snapshots that pin an analysis to a consistent data version.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import (
-    DataFlow,
-    Dataset,
-    Engine,
-    GradeHistory,
-    ProcessingStep,
-    ProvenanceStamp,
-)
+from repro.core.dataflow import DataFlow
+from repro.core.dataset import Dataset
+from repro.core.engine import Engine
+from repro.core.provenance import ProcessingStep, ProvenanceStamp
+from repro.core.versioning import GradeHistory
 from repro.core.units import DataSize, Duration
 
 

@@ -11,17 +11,14 @@ Run:  python examples/transport_planning.py
 
 from repro.core.units import DataSize, Duration
 from repro.storage.media import USB_DISK_2005
-from repro.transport import (
-    ARECIBO_TO_CTC,
+from repro.transport.network import (
     ARECIBO_UPLINK,
     INTERNET2_100,
     INTERNET2_500,
     TERAGRID,
-    ShipmentSpec,
-    ShippingLane,
-    TransportPlanner,
-    crossover_bandwidth,
 )
+from repro.transport.planner import TransportPlanner, crossover_bandwidth
+from repro.transport.sneakernet import ARECIBO_TO_CTC, ShipmentSpec, ShippingLane
 
 
 def main() -> None:

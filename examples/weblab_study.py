@@ -13,14 +13,11 @@ Run:  python examples/weblab_study.py
 import tempfile
 from pathlib import Path
 
-from repro.weblab import (
-    BurstSpec,
-    SubsetCriteria,
-    SyntheticWebConfig,
-    build_weblab,
-    export_subset,
-    select_materials,
-)
+from repro.weblab.export import export_subset
+from repro.weblab.focused import select_materials
+from repro.weblab.services import build_weblab
+from repro.weblab.subsets import SubsetCriteria
+from repro.weblab.synthweb import BurstSpec, SyntheticWebConfig
 
 
 def main() -> None:

@@ -13,7 +13,7 @@ Run:  python examples/weblab_traffic.py
 import tempfile
 from pathlib import Path
 
-from repro.core import ReadCache
+from repro.core.readcache import ReadCache
 from repro.core.telemetry import Telemetry
 from repro.core.workload import (
     AdmissionController,
@@ -25,7 +25,8 @@ from repro.core.workload import (
     WorkloadSpec,
     generate_trace,
 )
-from repro.weblab import SyntheticWebConfig, WebLabServices, build_weblab
+from repro.weblab.services import WebLabServices, build_weblab
+from repro.weblab.synthweb import SyntheticWebConfig
 
 
 def traffic_spec(urls, duration_s=20.0):

@@ -19,45 +19,3 @@ Run both from the command line::
     python -m repro.analysis src/            # lint (exit 1 on findings)
     python -m repro.analysis --flowcheck src/  # lint + figure flow checks
 """
-
-from repro.analysis.flowcheck import (
-    FlowIssue,
-    FlowSpec,
-    StageVolume,
-    check_flow,
-    figure_flows,
-)
-from repro.analysis.linter import (
-    Analysis,
-    Finding,
-    Linter,
-    ModuleSource,
-    Rule,
-    register,
-    registered_rules,
-    render_json,
-    render_text,
-    report_dict,
-    summary_counts,
-    unsuppressed,
-)
-
-__all__ = [
-    "Analysis",
-    "Finding",
-    "FlowIssue",
-    "FlowSpec",
-    "Linter",
-    "ModuleSource",
-    "Rule",
-    "StageVolume",
-    "check_flow",
-    "figure_flows",
-    "register",
-    "registered_rules",
-    "render_json",
-    "render_text",
-    "report_dict",
-    "summary_counts",
-    "unsuppressed",
-]

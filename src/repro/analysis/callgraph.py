@@ -855,15 +855,3 @@ def _stage_label(node: ast.Call) -> str:
         if kw.arg == "name" and isinstance(kw.value, ast.Constant):
             return repr(kw.value.value)
     return "<dynamic>"
-
-
-__all__ = [
-    "CacheBinding",
-    "ClassInfo",
-    "FunctionInfo",
-    "ModuleInfo",
-    "Program",
-    "ShardBinding",
-    "module_identity",
-    "source_files",
-]

@@ -595,12 +595,3 @@ def _return_exprs(info: FunctionInfo) -> Iterator[ast.expr]:
     for node in _walk_scope(info.node.body):
         if isinstance(node, ast.Return) and node.value is not None:
             yield node.value
-
-
-__all__ = [
-    "CONFIG_NAMES",
-    "Coverage",
-    "Effect",
-    "EffectMap",
-    "analyze_cache_params",
-]

@@ -285,12 +285,6 @@ def check_flow(flow: DataFlow, spec: Optional[FlowSpec] = None) -> List[FlowIssu
     return issues
 
 
-def render_issues(issues: Sequence[FlowIssue]) -> str:
-    lines = [issue.render() for issue in issues]
-    lines.append(f"{len(issues)} flow issue{'s' if len(issues) != 1 else ''}")
-    return "\n".join(lines)
-
-
 def issues_dict(
     checked: Sequence[Tuple[DataFlow, Sequence[FlowIssue]]]
 ) -> Dict[str, object]:
@@ -350,21 +344,3 @@ def figure_flows() -> List[Tuple[DataFlow, FlowSpec]]:
         (figure1_flow(), FIGURE1_SPEC),
         (figure2_flow(), FIGURE2_SPEC),
     ]
-
-
-__all__ = [
-    "CYCLE",
-    "DANGLING",
-    "FIGURE1_SPEC",
-    "FIGURE2_SPEC",
-    "FlowIssue",
-    "FlowSpec",
-    "SITE",
-    "StageVolume",
-    "UNITS",
-    "VOLUME",
-    "check_flow",
-    "figure_flows",
-    "issues_dict",
-    "render_issues",
-]

@@ -33,7 +33,6 @@ with :func:`register`.  Import the module from
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -463,30 +462,3 @@ def report_dict(
         "summary": summary_counts(findings),
         "ok": not unsuppressed(findings),
     }
-
-
-def render_json(
-    findings: Sequence[Finding],
-    paths: Sequence[Union[str, Path]] = (),
-) -> str:
-    return json.dumps(report_dict(findings, paths), indent=2, sort_keys=True)
-
-
-__all__: Tuple[str, ...] = (
-    "Analysis",
-    "Finding",
-    "ImportMap",
-    "Linter",
-    "ModuleSource",
-    "PARSE_ERROR_CODE",
-    "Rule",
-    "register",
-    "registered_rules",
-    "render_json",
-    "render_text",
-    "report_dict",
-    "resolved_calls",
-    "select_rules",
-    "summary_counts",
-    "unsuppressed",
-)

@@ -148,13 +148,3 @@ MUTATOR_METHODS = {
     "write",
     "writelines",
 }
-
-__all__ = [
-    "ENV_OBJECTS",
-    "ENV_READ_CALLS",
-    "HANDLE_CONSTRUCTORS",
-    "MUTATOR_METHODS",
-    "SANCTIONED_SITES",
-    "classify_call",
-    "is_sanctioned_site",
-]

@@ -2,155 +2,3 @@
 Fourier search with harmonic summing, folding, acceleration search,
 single-pulse search, RFI excision, sifting, meta-analysis, and the Figure-1
 flow."""
-
-from repro.arecibo.accelsearch import (
-    AccelCandidate,
-    accel_search,
-    acceleration_trials,
-    resample_for_acceleration,
-)
-from repro.arecibo.candidates import SiftedCandidate, match_to_truth, sift
-from repro.arecibo.dedisperse import (
-    DMGrid,
-    dedisperse,
-    dedisperse_all,
-    dedisperse_all_reference,
-    dedispersed_size,
-    delay_matrix,
-    delay_samples,
-    unit_delay_samples,
-)
-from repro.arecibo.filterbank import (
-    KDM,
-    Filterbank,
-    dispersion_delay_s,
-    read_filterbank,
-    write_filterbank,
-)
-from repro.arecibo.folding import (
-    FoldedProfile,
-    fold,
-    fold_many,
-    refine_period,
-    refine_period_reference,
-)
-from repro.arecibo.fourier import (
-    DEFAULT_HARMONICS,
-    FourierCandidate,
-    harmonic_sum,
-    power_spectrum,
-    search_dm_block,
-    search_dm_block_reference,
-    search_spectrum,
-    summed_snr,
-)
-from repro.arecibo.nvo import contribute_to_nvo, export_votable, parse_votable
-from repro.arecibo.metaanalysis import (
-    CandidateDatabase,
-    MetaAnalysisReport,
-    candidate_schema,
-)
-from repro.arecibo.pipeline import (
-    AreciboIncrementalReport,
-    AreciboPipelineConfig,
-    AreciboPipelineReport,
-    AreciboWindowReport,
-    DetectionScore,
-    run_arecibo_incremental,
-    run_arecibo_pipeline,
-)
-from repro.arecibo.rfi import (
-    zero_dm_clip,
-    MultibeamResult,
-    clean_filterbank,
-    flag_bad_channels,
-    multibeam_coincidence,
-    zap_channels,
-    zero_dm_subtract,
-)
-from repro.arecibo.singlepulse import (
-    DEFAULT_WIDTHS,
-    SinglePulseEvent,
-    boxcar_snr,
-    search_single_pulses,
-)
-from repro.arecibo.sky import (
-    DEFAULT_RFI_ENVIRONMENT,
-    N_BEAMS,
-    Pointing,
-    Pulsar,
-    RFISource,
-    SkyModel,
-    Transient,
-)
-from repro.arecibo.telescope import C_SIM, ObservationConfig, ObservationSimulator
-
-__all__ = [
-    "AccelCandidate",
-    "accel_search",
-    "acceleration_trials",
-    "resample_for_acceleration",
-    "SiftedCandidate",
-    "match_to_truth",
-    "sift",
-    "DMGrid",
-    "dedisperse",
-    "dedisperse_all",
-    "dedisperse_all_reference",
-    "dedispersed_size",
-    "delay_matrix",
-    "delay_samples",
-    "unit_delay_samples",
-    "KDM",
-    "Filterbank",
-    "dispersion_delay_s",
-    "read_filterbank",
-    "write_filterbank",
-    "FoldedProfile",
-    "fold",
-    "fold_many",
-    "refine_period",
-    "refine_period_reference",
-    "DEFAULT_HARMONICS",
-    "FourierCandidate",
-    "harmonic_sum",
-    "power_spectrum",
-    "search_dm_block",
-    "search_dm_block_reference",
-    "search_spectrum",
-    "summed_snr",
-    "CandidateDatabase",
-    "contribute_to_nvo",
-    "export_votable",
-    "parse_votable",
-    "MetaAnalysisReport",
-    "candidate_schema",
-    "AreciboIncrementalReport",
-    "AreciboPipelineConfig",
-    "AreciboPipelineReport",
-    "AreciboWindowReport",
-    "DetectionScore",
-    "run_arecibo_incremental",
-    "run_arecibo_pipeline",
-    "MultibeamResult",
-    "clean_filterbank",
-    "flag_bad_channels",
-    "multibeam_coincidence",
-    "zap_channels",
-    "zero_dm_subtract",
-    "zero_dm_clip",
-    "DEFAULT_WIDTHS",
-    "SinglePulseEvent",
-    "boxcar_snr",
-    "search_single_pulses",
-    "DEFAULT_RFI_ENVIRONMENT",
-    "N_BEAMS",
-    "Pointing",
-    "Pulsar",
-    "RFISource",
-    "SkyModel",
-    "Transient",
-    "C_SIM",
-    "ObservationConfig",
-    "ObservationSimulator",
-]

@@ -11,12 +11,12 @@ the raw filterbank's when ``len(grid) == n_channels`` — the storage claim
 quantified in experiment FIG1.
 
 The full-grid path is batched: dispersion delay is linear in DM, so the
-per-channel delay vector is computed once at unit DM (:func:`unit_delay_samples`),
-scaled into the whole ``(n_trials, n_channels)`` integer shift matrix
-(:func:`delay_matrix`), and handed to the :func:`repro.core.kernels.shift_sum`
-gather kernel.  :func:`dedisperse_all_reference` keeps the naive per-trial
-``np.roll`` loop; the two are asserted bitwise-equal in the equivalence
-suite and benchmarked against each other in C16.
+per-channel frequency term is computed once and scaled into the whole
+``(n_trials, n_channels)`` integer shift matrix (:func:`delay_matrix`),
+which is handed to the :func:`repro.core.kernels.shift_sum` gather kernel.
+:func:`dedisperse_all_reference` keeps the naive per-trial ``np.roll``
+loop; the two are asserted bitwise-equal in the equivalence suite and
+benchmarked against each other in C16.
 """
 
 from __future__ import annotations
@@ -39,19 +39,6 @@ def delay_samples(filterbank: Filterbank, dm: float) -> np.ndarray:
         dm, filterbank.channel_freqs_mhz, ref_mhz=filterbank.freq_high_mhz
     )
     return np.round(delays / filterbank.tsamp_s).astype(np.int64)
-
-
-def unit_delay_samples(filterbank: Filterbank) -> np.ndarray:
-    """Per-channel delay in *fractional* samples at DM = 1.
-
-    Dispersion delay is linear in DM, so every trial's integer shift
-    vector is one scale-and-round away from this — the hoisted common
-    subexpression of the full-grid sweep.
-    """
-    delays = dispersion_delay_s(
-        1.0, filterbank.channel_freqs_mhz, ref_mhz=filterbank.freq_high_mhz
-    )
-    return delays / filterbank.tsamp_s
 
 
 def delay_matrix(filterbank: Filterbank, dms: Sequence[float]) -> np.ndarray:

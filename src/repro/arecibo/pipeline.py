@@ -36,7 +36,7 @@ from repro.core.engine import Engine, FlowReport
 from repro.core.errors import SearchError
 from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.recovery import RetryPolicy
-from repro.core.shards import SharedArray
+from repro.core.shards import SharedArray, shared_arrays
 from repro.core.stagecache import StageCache
 from repro.core.telemetry import Telemetry, write_event_log
 from repro.core.units import DataSize, Duration
@@ -517,15 +517,21 @@ def run_arecibo_pipeline(
                     beam_culls.append((pointing.pointing_id, filterbank.beam))
             culled_by_pointing[pointing.pointing_id] = frozenset(culled)
 
-        shared_handles: List[SharedArray] = []
-        try:
+        process_shards = ctx.shard_executor == "process"
+        blocks = []
+        if process_shards:
+            blocks = [
+                filterbank.data
+                for pointing in pointings
+                for filterbank in observations[pointing.pointing_id]
+            ]
+        with shared_arrays(blocks) as handles:
+            shared = iter(handles)
             tasks = []
             for pointing in pointings:
                 payloads: List[_BeamPayload] = []
                 for filterbank in observations[pointing.pointing_id]:
-                    if ctx.shard_executor == "process":
-                        shared = SharedArray.copy_from(filterbank.data)
-                        shared_handles.append(shared)
+                    if process_shards:
                         meta = {
                             "freq_low_mhz": filterbank.freq_low_mhz,
                             "freq_high_mhz": filterbank.freq_high_mhz,
@@ -533,7 +539,7 @@ def run_arecibo_pipeline(
                             "pointing_id": filterbank.pointing_id,
                             "beam": filterbank.beam,
                         }
-                        payloads.append((meta, shared))
+                        payloads.append((meta, next(shared)))
                     else:
                         payloads.append(filterbank)
                 tasks.append(
@@ -554,10 +560,6 @@ def run_arecibo_pipeline(
                 ],
                 cache_params=_shard_fingerprint(config),
             )
-        finally:
-            for shared in shared_handles:
-                shared.close()
-                shared.unlink()
 
         presift = 0
         dedispersed_total = DataSize.zero()

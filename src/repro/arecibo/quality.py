@@ -62,6 +62,3 @@ ARECIBO_QUALITY = QualitySpec(
 def quality_spec() -> QualitySpec:
     """The channel spec :func:`repro.ops.default_quality_specs` mounts."""
     return ARECIBO_QUALITY
-
-
-__all__ = ("ARECIBO_QUALITY", "quality_spec")

@@ -1,81 +1,2 @@
 """The CLEO physics pipeline: synthetic detector, reconstruction,
 post-reconstruction, Monte Carlo, analysis, and the Figure-2 flow."""
-
-from repro.cleo.analysis import (
-    AnalysisJob,
-    AnalysisResult,
-    Histogram,
-    SelectionCuts,
-)
-from repro.cleo.calibration import (
-    CalibrationSet,
-    degraded_calibration,
-    perfect_calibration,
-    true_misalignment,
-)
-from repro.cleo.detector import (
-    ASU_ADC,
-    ASU_HITS,
-    ASU_TRIGGER,
-    Detector,
-    DetectorConfig,
-    EventTruth,
-    TrackTruth,
-    hits_of,
-)
-from repro.cleo.montecarlo import MonteCarloProducer, produce_offsite_mc
-from repro.cleo.pipeline import (
-    CleoIncrementalReport,
-    CleoPipelineConfig,
-    CleoPipelineReport,
-    CleoWindowReport,
-    run_cleo_incremental,
-    run_cleo_pipeline,
-)
-from repro.cleo.postrecon import (
-    POSTRECON_ASUS,
-    PostReconstructor,
-    RunStatistics,
-)
-from repro.cleo.reconstruction import (
-    ASU_RECON_SUMMARY,
-    ASU_TRACKS,
-    Reconstructor,
-    track_residual_bias,
-    tracks_of,
-)
-
-__all__ = [
-    "AnalysisJob",
-    "AnalysisResult",
-    "Histogram",
-    "SelectionCuts",
-    "CalibrationSet",
-    "degraded_calibration",
-    "perfect_calibration",
-    "true_misalignment",
-    "ASU_ADC",
-    "ASU_HITS",
-    "ASU_TRIGGER",
-    "Detector",
-    "DetectorConfig",
-    "EventTruth",
-    "TrackTruth",
-    "hits_of",
-    "MonteCarloProducer",
-    "produce_offsite_mc",
-    "CleoIncrementalReport",
-    "CleoPipelineConfig",
-    "CleoPipelineReport",
-    "CleoWindowReport",
-    "run_cleo_incremental",
-    "run_cleo_pipeline",
-    "POSTRECON_ASUS",
-    "PostReconstructor",
-    "RunStatistics",
-    "ASU_RECON_SUMMARY",
-    "ASU_TRACKS",
-    "Reconstructor",
-    "track_residual_bias",
-    "tracks_of",
-]

@@ -54,6 +54,3 @@ CLEO_QUALITY = QualitySpec(
 def quality_spec() -> QualitySpec:
     """The channel spec :func:`repro.ops.default_quality_specs` mounts."""
     return CLEO_QUALITY
-
-
-__all__ = ("CLEO_QUALITY", "quality_spec")

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.errors import SearchError
 from repro.core.provenance import ProvenanceStamp
 from repro.cleo.calibration import CalibrationSet
-from repro.cleo.detector import ASU_HITS, DetectorConfig
+from repro.cleo.detector import DetectorConfig, hits_of
 from repro.eventstore.arrays import array_asu, asu_array
 from repro.eventstore.model import Event
 from repro.eventstore.provenance import stamp_step
@@ -67,8 +67,7 @@ class Reconstructor:
         return np.vstack([params[0], params[1], chi2]).T.astype(np.float32)
 
     def reconstruct_event(self, raw_event: Event) -> Event:
-        hits = asu_array(raw_event.asu(ASU_HITS))
-        tracks = self.fit_tracks(hits)
+        tracks = self.fit_tracks(hits_of(raw_event))
         summary = np.array(
             [tracks.shape[0], float(tracks[:, 2].mean()), float(np.abs(tracks[:, 1]).max())],
             dtype=np.float32,

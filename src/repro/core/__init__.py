@@ -1,230 +1,2 @@
 """Core dataflow framework: units, datasets, DAGs, execution, provenance,
 versioning, and resource/cost models."""
-
-from repro.core.dataflow import DataFlow, Edge, Stage
-from repro.core.dataset import Dataset
-from repro.core.deltas import WindowLedger
-from repro.core.engine import (
-    Engine,
-    FlowReport,
-    StageContext,
-    StageReport,
-)
-from repro.core.errors import (
-    CacheError,
-    CapacityError,
-    DataflowError,
-    DatabaseError,
-    EventStoreError,
-    ExecutionError,
-    FaultError,
-    IncrementalError,
-    InjectedFault,
-    IntegrityError,
-    KernelError,
-    MergeConflictError,
-    OpsError,
-    ProvenanceError,
-    ReproError,
-    SearchError,
-    StorageError,
-    TelemetryError,
-    TransportError,
-    UnitError,
-    VersioningError,
-    WebLabError,
-    WorkloadError,
-)
-from repro.core.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultRecord,
-    FaultSpec,
-)
-from repro.core.kernels import (
-    batched_power_spectra,
-    fold_block,
-    harmonic_snr_block,
-    index_postings,
-    shift_sum,
-    shift_sum_reference,
-    threshold_hits,
-)
-from repro.core.readcache import ReadCache, ReadCacheStats
-from repro.core.workload import (
-    AdmissionController,
-    BurstStorm,
-    DiurnalCycle,
-    LatencySummary,
-    OpSpec,
-    ReplayReport,
-    RequestOutcome,
-    TenantSpec,
-    Trace,
-    TraceReplayer,
-    TraceRequest,
-    WorkloadSpec,
-    ZipfianSampler,
-    generate_trace,
-    percentile,
-)
-from repro.core.provenance import (
-    ProcessingStep,
-    ProvenanceRecord,
-    ProvenanceStamp,
-    ProvenanceStore,
-)
-from repro.core.recovery import (
-    NO_RETRY,
-    AvailabilitySummary,
-    DeadLetter,
-    RetryPolicy,
-    run_to_completion,
-)
-from repro.core.resources import (
-    DISK_COST_2005,
-    RAID_COST_2005,
-    TAPE_COST_2005,
-    CostLedger,
-    CpuPool,
-    PersonnelModel,
-    StorageCostModel,
-)
-from repro.core.stagecache import (
-    CachedShard,
-    CachedStage,
-    StageCache,
-    shard_key,
-    stage_key,
-)
-from repro.core.telemetry import (
-    Counter,
-    availability_from_log,
-    Gauge,
-    HighWaterMark,
-    MetricsRegistry,
-    SimClock,
-    Telemetry,
-    TelemetryEvent,
-    flow_summary_from_log,
-    get_telemetry,
-    peak_storage_from_log,
-    read_event_log,
-    set_telemetry,
-    stage_rows_from_log,
-    strip_wall_clock,
-    telemetry_session,
-    total_cpu_from_log,
-    write_event_log,
-)
-from repro.core.units import DataSize, Duration, Rate
-from repro.core.versioning import GradeHistory, GradeRegistry, SnapshotEntry, VersionId
-
-__all__ = [
-    "DataFlow",
-    "Edge",
-    "Stage",
-    "Dataset",
-    "WindowLedger",
-    "Engine",
-    "FlowReport",
-    "StageContext",
-    "StageReport",
-    "CacheError",
-    "CapacityError",
-    "DataflowError",
-    "DatabaseError",
-    "EventStoreError",
-    "ExecutionError",
-    "FaultError",
-    "IncrementalError",
-    "InjectedFault",
-    "IntegrityError",
-    "KernelError",
-    "MergeConflictError",
-    "OpsError",
-    "ProvenanceError",
-    "ReproError",
-    "SearchError",
-    "StorageError",
-    "TelemetryError",
-    "TransportError",
-    "UnitError",
-    "VersioningError",
-    "WebLabError",
-    "WorkloadError",
-    "ReadCache",
-    "ReadCacheStats",
-    "AdmissionController",
-    "BurstStorm",
-    "DiurnalCycle",
-    "LatencySummary",
-    "OpSpec",
-    "ReplayReport",
-    "RequestOutcome",
-    "TenantSpec",
-    "Trace",
-    "TraceReplayer",
-    "TraceRequest",
-    "WorkloadSpec",
-    "ZipfianSampler",
-    "generate_trace",
-    "percentile",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRecord",
-    "FaultSpec",
-    "AvailabilitySummary",
-    "DeadLetter",
-    "NO_RETRY",
-    "RetryPolicy",
-    "run_to_completion",
-    "ProcessingStep",
-    "ProvenanceRecord",
-    "ProvenanceStamp",
-    "ProvenanceStore",
-    "CostLedger",
-    "CpuPool",
-    "DISK_COST_2005",
-    "PersonnelModel",
-    "RAID_COST_2005",
-    "StorageCostModel",
-    "TAPE_COST_2005",
-    "batched_power_spectra",
-    "fold_block",
-    "harmonic_snr_block",
-    "index_postings",
-    "shift_sum",
-    "shift_sum_reference",
-    "threshold_hits",
-    "CachedShard",
-    "CachedStage",
-    "StageCache",
-    "shard_key",
-    "stage_key",
-    "Counter",
-    "Gauge",
-    "HighWaterMark",
-    "MetricsRegistry",
-    "SimClock",
-    "Telemetry",
-    "TelemetryEvent",
-    "availability_from_log",
-    "flow_summary_from_log",
-    "get_telemetry",
-    "peak_storage_from_log",
-    "read_event_log",
-    "set_telemetry",
-    "stage_rows_from_log",
-    "strip_wall_clock",
-    "telemetry_session",
-    "total_cpu_from_log",
-    "write_event_log",
-    "DataSize",
-    "Duration",
-    "Rate",
-    "GradeHistory",
-    "GradeRegistry",
-    "SnapshotEntry",
-    "VersionId",
-]

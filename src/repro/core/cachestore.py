@@ -207,6 +207,3 @@ class DiskCacheStore:
             f"DiskCacheStore({str(self.root)!r}, max_bytes={self.max_bytes}, "
             f"max_entries={self.max_entries})"
         )
-
-
-__all__: Tuple[str, ...] = ("DiskCacheStore",)

@@ -15,9 +15,7 @@ and canonical telemetry are byte-identical to one cold batch run.
 
 * :class:`WindowLedger` — ``window.open``/``window.close`` accounting
   over the telemetry bus, under a strictly advancing watermark.
-* :func:`run_windows` — the window loop the engine-backed figure flows
-  share.  (The WebLab's crawl-delta ingest is a different algorithm —
-  payload diffs, no engine — with its own loop on the same ledger.)
+* :func:`run_windows` — the window loop both figure flows share.
 """
 
 from __future__ import annotations
@@ -162,6 +160,3 @@ def run_windows(
             }
         )
     return ledger, rows
-
-
-__all__ = ("WindowLedger", "run_windows")

@@ -346,13 +346,3 @@ class FaultInjector:
 def delay_seconds(records: Sequence[FaultRecord]) -> float:
     """Total simulated stall the ``"delay"`` faults in ``records`` demand."""
     return sum(record.param for record in records if record.kind == "delay")
-
-
-__all__ = (
-    "KNOWN_KINDS",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRecord",
-    "FaultSpec",
-    "delay_seconds",
-)

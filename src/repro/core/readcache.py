@@ -279,6 +279,3 @@ class ReadCache:
         return (
             f"ReadCache({self.name!r}, capacity={self.capacity}, entries={len(self)})"
         )
-
-
-__all__ = ["ReadCache", "ReadCacheStats"]

@@ -189,13 +189,3 @@ class AvailabilitySummary:
             {"metric": "availability.retry_wait_s", "value": self.retry_wait_s},
             {"metric": "availability.completion_rate", "value": self.completion_rate},
         ]
-
-
-__all__ = (
-    "NO_RETRY",
-    "AvailabilitySummary",
-    "DeadLetter",
-    "FallbackFn",
-    "RetryPolicy",
-    "run_to_completion",
-)

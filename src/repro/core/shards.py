@@ -181,13 +181,17 @@ class SharedArray:
 def shared_arrays(arrays: Sequence[np.ndarray]) -> Iterator[List[SharedArray]]:
     """Scope a batch of arrays into shared memory; unlink on exit.
 
-    The yield happens after every array is copied in; on exit the owner
-    closes and unlinks all segments.  Workers that are still mapped keep
-    the bytes alive until their own mappings drop (POSIX semantics), so
-    unlinking after a completed :meth:`ShardPool.map` is always safe.
+    The yield happens after every array is copied in; on exit — or when
+    a copy fails part-way, e.g. ``/dev/shm`` is full — the owner closes
+    and unlinks every segment created so far.  Workers that are still
+    mapped keep the bytes alive until their own mappings drop (POSIX
+    semantics), so unlinking after a completed :meth:`ShardPool.map` is
+    always safe.
     """
-    handles = [SharedArray.copy_from(array) for array in arrays]
+    handles: List[SharedArray] = []
     try:
+        for array in arrays:
+            handles.append(SharedArray.copy_from(array))
         yield handles
     finally:
         for handle in handles:
@@ -315,12 +319,3 @@ def map_shards(
     """One-shot :meth:`ShardPool.map` with pool lifecycle handled."""
     with ShardPool(executor=executor, workers=workers, telemetry=telemetry) as pool:
         return pool.map(fn, items)
-
-
-__all__ = (
-    "EXECUTORS",
-    "SharedArray",
-    "ShardPool",
-    "map_shards",
-    "shared_arrays",
-)

@@ -36,21 +36,10 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
+from repro.core.cachestore import DiskCacheStore
 from repro.core.dataset import Dataset
-
-if TYPE_CHECKING:
-    from repro.core.cachestore import DiskCacheStore
 from repro.core.errors import CacheError
 from repro.core.telemetry import MetricsRegistry
 from repro.core.units import DataSize
@@ -236,7 +225,7 @@ class StageCache:
         self,
         max_entries: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        store: Optional["DiskCacheStore"] = None,
+        store: Optional[DiskCacheStore] = None,
     ):
         if max_entries is not None and max_entries < 1:
             raise CacheError(f"max_entries must be >= 1, got {max_entries}")
@@ -261,8 +250,6 @@ class StageCache:
         oldest-first after each write); ``max_entries`` bounds the
         in-memory L1 as usual.
         """
-        from repro.core.cachestore import DiskCacheStore
-
         return cls(
             max_entries=max_entries,
             registry=registry,
@@ -433,12 +420,3 @@ class StageCache:
             {"metric": f"stage_cache.{name}", "value": value}
             for name, value in self.stats().items()
         ]
-
-
-__all__: Tuple[str, ...] = (
-    "CachedShard",
-    "CachedStage",
-    "StageCache",
-    "shard_key",
-    "stage_key",
-)

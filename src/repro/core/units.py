@@ -448,9 +448,5 @@ def days(n: Number) -> Duration:
     return Duration.days(n)
 
 
-def weeks(n: Number) -> Duration:
-    return Duration.weeks(n)
-
-
 def years(n: Number) -> Duration:
     return Duration.years(n)

@@ -665,22 +665,3 @@ class TraceReplayer:
             )
         wall_s = time.perf_counter() - replay_start  # repro: noqa[RPR002]
         return ReplayReport(trace, outcomes, wall_s)
-
-
-__all__ = [
-    "AdmissionController",
-    "BurstStorm",
-    "DiurnalCycle",
-    "LatencySummary",
-    "OpSpec",
-    "ReplayReport",
-    "RequestOutcome",
-    "TenantSpec",
-    "Trace",
-    "TraceReplayer",
-    "TraceRequest",
-    "WorkloadSpec",
-    "ZipfianSampler",
-    "generate_trace",
-    "percentile",
-]

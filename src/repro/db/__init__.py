@@ -1,19 +1,1 @@
 """Backend-independent relational layer over stdlib sqlite3."""
-
-from repro.db.connection import Database, SqliteBackend, connect
-from repro.db.query import Select, rows_to_dicts
-from repro.db.schema import Column, Schema, Table, apply_schema, applied_version, column
-
-__all__ = [
-    "Database",
-    "SqliteBackend",
-    "connect",
-    "Select",
-    "rows_to_dicts",
-    "Column",
-    "Schema",
-    "Table",
-    "apply_schema",
-    "applied_version",
-    "column",
-]

@@ -93,8 +93,3 @@ class Select:
     def count(self, db: Database) -> int:
         inner_sql, params = self.sql()
         return int(db.query_value(f"SELECT count(*) FROM ({inner_sql})", params))
-
-
-def rows_to_dicts(rows: Iterable[Row]) -> List[dict]:
-    """Materialize sqlite3.Row objects as plain dicts."""
-    return [dict(row) for row in rows]

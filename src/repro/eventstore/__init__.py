@@ -1,91 +1,3 @@
 """The CLEO EventStore: event data model, binary file format with provenance
 extensions, grade/snapshot metadata, three store scales, merge-based ingest,
 and hot/warm/cold partitioning."""
-
-from repro.eventstore.fileformat import (
-    EventFile,
-    FileHeader,
-    open_event_file,
-    write_event_file,
-)
-from repro.eventstore.hsm_store import HsmEventStore
-from repro.eventstore.merge import MergeReport, merge_into
-from repro.eventstore.model import (
-    ASU,
-    DATA_KINDS,
-    KIND_MC,
-    KIND_POSTRECON,
-    KIND_RAW,
-    KIND_RECON,
-    Event,
-    Run,
-    parse_run_key,
-    run_key,
-    run_range_key,
-    total_size,
-)
-from repro.eventstore.partition import (
-    TEMPERATURES,
-    AccessProfile,
-    PartitionLayout,
-    PartitionedRun,
-    derive_layout,
-    split_events,
-    write_partitioned_run,
-)
-from repro.eventstore.provenance import (
-    DiscrepancyReport,
-    ProvenanceCost,
-    asu_level_cost,
-    check_consistency,
-    file_level_cost,
-    stamp_step,
-)
-from repro.eventstore.scales import (
-    CollaborationEventStore,
-    GroupEventStore,
-    PersonalEventStore,
-    open_store,
-)
-from repro.eventstore.store import SCALES, EventStore
-
-__all__ = [
-    "EventFile",
-    "FileHeader",
-    "open_event_file",
-    "write_event_file",
-    "HsmEventStore",
-    "MergeReport",
-    "merge_into",
-    "ASU",
-    "DATA_KINDS",
-    "KIND_MC",
-    "KIND_POSTRECON",
-    "KIND_RAW",
-    "KIND_RECON",
-    "Event",
-    "Run",
-    "parse_run_key",
-    "run_key",
-    "run_range_key",
-    "total_size",
-    "TEMPERATURES",
-    "AccessProfile",
-    "PartitionLayout",
-    "PartitionedRun",
-    "derive_layout",
-    "split_events",
-    "write_partitioned_run",
-    "DiscrepancyReport",
-    "ProvenanceCost",
-    "asu_level_cost",
-    "check_consistency",
-    "file_level_cost",
-    "stamp_step",
-    "CollaborationEventStore",
-    "GroupEventStore",
-    "PersonalEventStore",
-    "open_store",
-    "SCALES",
-    "EventStore",
-]

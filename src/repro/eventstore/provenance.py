@@ -99,10 +99,6 @@ class ProvenanceCost:
     records: int
     bytes_total: float
 
-    @property
-    def bytes_per_event(self) -> float:
-        return self.bytes_total
-
 
 def file_level_cost(files: Sequence[EventFile]) -> ProvenanceCost:
     """Metadata footprint of the implemented file-level scheme."""

@@ -1,16 +1,1 @@
 """Section-5 'next steps': service registry, grid data movement, federation."""
-
-from repro.grid.federation import DataResource, Federation, tabular_resource
-from repro.grid.movement import GridMover, MovementJob
-from repro.grid.services import GridError, ServiceEndpoint, ServiceRegistry
-
-__all__ = [
-    "DataResource",
-    "Federation",
-    "tabular_resource",
-    "GridMover",
-    "MovementJob",
-    "GridError",
-    "ServiceEndpoint",
-    "ServiceRegistry",
-]

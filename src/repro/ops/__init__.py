@@ -16,84 +16,18 @@ event logs; this package turns them into an operations surface:
 
 from typing import Tuple
 
-from repro.ops.alerts import (
-    Alert,
-    AlertEvaluator,
-    AlertRule,
-    AlertTransition,
-    default_alert_rules,
-)
-from repro.ops.dashboard import (
-    STATUS_ORDER,
-    ChannelPanel,
-    Dashboard,
-    MetricCell,
-    MetricSpec,
-    QualitySpec,
-    build_dashboard,
-    dashboard_snapshot,
-    status_rank,
-    worst_status,
-)
-from repro.ops.report import load_snapshot, render_report, write_report
-from repro.ops.rollup import (
-    DEFAULT_WINDOW_S,
-    PROJECTION_SCHEMA,
-    UNATTRIBUTED,
-    FlowQuality,
-    QualityCounts,
-    RollupProjection,
-    build_rollup,
-    flow_of,
-    fold_events,
-    merge_projections,
-    scan_log,
-)
+from repro.ops.dashboard import QualitySpec
 
 
 def default_quality_specs() -> Tuple[QualitySpec, ...]:
     """The stock per-pipeline channel specs, in dashboard order.
 
-    Imported lazily from the pipeline packages so ``repro.ops`` never
-    drags all three pipelines in at import time (and so a pipeline
-    package can import ``repro.ops`` types without a cycle).
+    Imported lazily: each pipeline's ``quality`` module imports
+    :mod:`repro.ops.dashboard`, which runs this ``__init__`` first, so a
+    top-level import here would be a cycle.
     """
     from repro.arecibo.quality import quality_spec as arecibo_spec
     from repro.cleo.quality import quality_spec as cleo_spec
     from repro.weblab.quality import quality_spec as weblab_spec
 
     return (arecibo_spec(), cleo_spec(), weblab_spec())
-
-
-__all__ = [
-    "Alert",
-    "AlertEvaluator",
-    "AlertRule",
-    "AlertTransition",
-    "default_alert_rules",
-    "STATUS_ORDER",
-    "ChannelPanel",
-    "Dashboard",
-    "MetricCell",
-    "MetricSpec",
-    "QualitySpec",
-    "build_dashboard",
-    "dashboard_snapshot",
-    "status_rank",
-    "worst_status",
-    "load_snapshot",
-    "render_report",
-    "write_report",
-    "DEFAULT_WINDOW_S",
-    "PROJECTION_SCHEMA",
-    "UNATTRIBUTED",
-    "FlowQuality",
-    "QualityCounts",
-    "RollupProjection",
-    "build_rollup",
-    "default_quality_specs",
-    "flow_of",
-    "fold_events",
-    "merge_projections",
-    "scan_log",
-]

@@ -275,13 +275,3 @@ def default_alert_rules() -> Tuple[AlertRule, ...]:
         ),
         AlertRule(name="stale-channel", kind="staleness", max_idle_s=24 * 3600.0),
     )
-
-
-__all__ = (
-    "RULE_KINDS",
-    "Alert",
-    "AlertEvaluator",
-    "AlertRule",
-    "AlertTransition",
-    "default_alert_rules",
-)

@@ -281,17 +281,3 @@ def dashboard_snapshot(dashboard: Dashboard) -> Dict[str, object]:
             for panel in dashboard.panels
         },
     }
-
-
-__all__ = (
-    "STATUS_ORDER",
-    "ChannelPanel",
-    "Dashboard",
-    "MetricCell",
-    "MetricSpec",
-    "QualitySpec",
-    "build_dashboard",
-    "dashboard_snapshot",
-    "status_rank",
-    "worst_status",
-)

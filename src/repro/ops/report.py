@@ -246,10 +246,3 @@ def write_report(
 def load_snapshot(path: Union[str, Path]) -> Dict[str, object]:
     """Load a previous report's JSON snapshot for trend deltas."""
     return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-__all__ = (
-    "load_snapshot",
-    "render_report",
-    "write_report",
-)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.cachestore import DiskCacheStore
 from repro.core.errors import OpsError, TelemetryError
@@ -495,30 +495,3 @@ def merge_projections(
     merged.consumed_digest = merged.content_digest
     merged.source = "merged"
     return merged
-
-
-def fold_events(
-    events: Iterable[TelemetryEvent],
-    window_s: float = DEFAULT_WINDOW_S,
-) -> RollupProjection:
-    """In-memory fold over already-loaded events (tests, live buses)."""
-    projection = RollupProjection(window_s=float(window_s))
-    for event in events:
-        projection.fold_event(event)
-    projection.source = "memory"
-    return projection
-
-
-__all__ = (
-    "DEFAULT_WINDOW_S",
-    "PROJECTION_SCHEMA",
-    "UNATTRIBUTED",
-    "FlowQuality",
-    "QualityCounts",
-    "RollupProjection",
-    "build_rollup",
-    "flow_of",
-    "fold_events",
-    "merge_projections",
-    "scan_log",
-)

@@ -1,44 +1,1 @@
 """Storage substrate: media, disk pools, robotic tape, HSM, catalog, archive."""
-
-from repro.storage.archive import AgingReport, LongTermArchive, MigrationReport
-from repro.storage.catalog import CatalogEntry, FileCatalog, Replica
-from repro.storage.disk import DiskPool
-from repro.storage.hsm import HierarchicalStore, HsmStats
-from repro.storage.media import (
-    ATA_DISK_2005,
-    LTO3_TAPE,
-    LTO5_TAPE,
-    RAID_SHELF_2005,
-    USB_DISK_2005,
-    MediaType,
-    Medium,
-    StoredFile,
-    checksum_for,
-)
-from repro.storage.recall import RecallDrainReport, RecallQueue
-from repro.storage.tape import RoboticTapeLibrary, TapeStats
-
-__all__ = [
-    "AgingReport",
-    "LongTermArchive",
-    "MigrationReport",
-    "CatalogEntry",
-    "FileCatalog",
-    "Replica",
-    "DiskPool",
-    "HierarchicalStore",
-    "HsmStats",
-    "ATA_DISK_2005",
-    "LTO3_TAPE",
-    "LTO5_TAPE",
-    "RAID_SHELF_2005",
-    "USB_DISK_2005",
-    "MediaType",
-    "Medium",
-    "StoredFile",
-    "checksum_for",
-    "RecallDrainReport",
-    "RecallQueue",
-    "RoboticTapeLibrary",
-    "TapeStats",
-]

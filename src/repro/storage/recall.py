@@ -118,6 +118,3 @@ class RecallQueue:
             elapsed=elapsed,
             files=tuple(batch),
         )
-
-
-__all__ = ["RecallDrainReport", "RecallQueue"]

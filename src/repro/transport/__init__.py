@@ -1,63 +1,1 @@
 """Transport substrate: network links/routes, sneakernet, integrity, planner."""
-
-from repro.transport.integrity import (
-    DeliveryReport,
-    Manifest,
-    ManifestEntry,
-    damage_in_transit,
-    verify_delivery,
-)
-from repro.transport.network import (
-    ARECIBO_UPLINK,
-    CAMPUS_LAN,
-    INTERNET2_100,
-    INTERNET2_500,
-    TERAGRID,
-    NetworkLink,
-    Route,
-    TransferRequest,
-    TransferResult,
-    route,
-    simulate_shared_transfers,
-)
-from repro.transport.planner import (
-    TransportOption,
-    TransportPlanner,
-    crossover_bandwidth,
-    evaluate_network,
-    evaluate_sneakernet,
-)
-from repro.transport.sneakernet import (
-    ARECIBO_TO_CTC,
-    ShipmentResult,
-    ShipmentSpec,
-    ShippingLane,
-)
-
-__all__ = [
-    "DeliveryReport",
-    "Manifest",
-    "ManifestEntry",
-    "damage_in_transit",
-    "verify_delivery",
-    "ARECIBO_UPLINK",
-    "CAMPUS_LAN",
-    "INTERNET2_100",
-    "INTERNET2_500",
-    "TERAGRID",
-    "NetworkLink",
-    "Route",
-    "TransferRequest",
-    "TransferResult",
-    "route",
-    "simulate_shared_transfers",
-    "TransportOption",
-    "TransportPlanner",
-    "crossover_bandwidth",
-    "evaluate_network",
-    "evaluate_sneakernet",
-    "ARECIBO_TO_CTC",
-    "ShipmentResult",
-    "ShipmentSpec",
-    "ShippingLane",
-]

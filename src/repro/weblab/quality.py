@@ -47,6 +47,3 @@ WEBLAB_QUALITY = QualitySpec(
 def quality_spec() -> QualitySpec:
     """The channel spec :func:`repro.ops.default_quality_specs` mounts."""
     return WEBLAB_QUALITY
-
-
-__all__ = ("WEBLAB_QUALITY", "quality_spec")

@@ -100,14 +100,12 @@ class TestDeepSelfScan:
         } <= shard_fns
 
 
-#: Public names that nothing but their own module, a package re-export or
-#: ``tests/`` mentions, by why they stay.  ROADMAP item 3's worklist: a name
-#: leaves this table by gaining a caller or by being deleted, never silently.
+#: Public names that nothing but their own module or ``tests/`` mentions, by
+#: why they stay.  ROADMAP item 3's worklist: a name leaves this table by
+#: gaining a caller or by being deleted, never silently.
 ONLY_TESTS_REACH = {
     "paper substrate (a section-2..5 model with no figure flow on top yet)": """
-        arecibo.nvo.contribute_to_nvo arecibo.nvo.export_votable arecibo.nvo.parse_votable
-        arecibo.webcontrol.CandidateGroup arecibo.webcontrol.SurveyConsole
-        arecibo.webcontrol.publish_services arecibo.rfi.zero_dm_subtract
+        arecibo.rfi.zero_dm_subtract
         cleo.calibration.degraded_calibration cleo.reconstruction.track_residual_bias
         core.resources.CpuPool core.versioning.GradeRegistry core.versioning.VersionId
         eventstore.scales.open_store storage.disk.DiskPool transport.network.Route
@@ -117,12 +115,10 @@ ONLY_TESTS_REACH = {
         cleo.pipeline.run_cleo_incremental core.recovery.run_to_completion""",
     "oracle an equivalence test holds production code to": """
         core.kernels.shift_sum_reference arecibo.singlepulse.boxcar_snr""",
-    "helper no code calls, only its tests if anything: the next deletion candidates": """
-        arecibo.filterbank.read_filterbank weblab.export.read_exported_metadata
-        arecibo.dedisperse.unit_delay_samples ops.rollup.fold_events
-        cleo.detector.hits_of core.shards.shared_arrays core.units.weeks
-        db.query.rows_to_dicts eventstore.model.run_range_key
-        analysis.flowcheck.render_issues analysis.linter.render_json""",
+    "reader of a format a flow writes: the round-trip oracle of its writer": """
+        arecibo.filterbank.read_filterbank weblab.export.read_exported_metadata""",
+    "builds the ``runs:A-B`` key that ``parse_run_key`` parses in production": """
+        eventstore.model.run_range_key""",
 }
 
 
@@ -143,11 +139,41 @@ def _mentions(tree):
     return found
 
 
+def _reexports(program):
+    """Package name -> the ``repro.`` names its ``__init__`` imports at top
+    level and its own body never uses, for every package that has any."""
+    found = {}
+    for module in program.modules.values():
+        if not module.is_package:
+            continue
+        imported, used = set(), set()
+        for stmt in module.source.tree.body:
+            if isinstance(stmt, ast.ImportFrom) and (stmt.module or "").startswith("repro."):
+                imported.update(alias.asname or alias.name for alias in stmt.names)
+            else:
+                used |= _mentions(stmt)
+        if unused := imported - used:
+            found[module.name] = sorted(unused)
+    return found
+
+
+def test_no_package_init_is_a_facade(analysis, tmp_path):
+    """A name has one import path: the module that defines it.  Only the rule
+    pack's ``__init__`` imports what it does not use (to register rules)."""
+    assert list(_reexports(analysis.program)) == ["repro.analysis.rules"]
+    package = tmp_path / "facade"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "from repro.core.units import DataSize, Duration\nHOUR = Duration.hours(1)\n"
+    )
+    assert _reexports(Analysis.build([package]).program) == {"facade": ["DataSize"]}
+
+
 def test_every_public_name_is_reached_or_inventoried(analysis):
     """A name scan over the one program index.  Roots: examples, benchmarks,
-    perfbench, the CLIs, and module-level code (re-exporting imports of a
-    package ``__init__`` excepted); a reached definition reaches what its
-    body mentions.  What is left is only its own tests' business."""
+    perfbench, the CLIs, and the module-level code of every module; a
+    reached definition reaches what its body mentions.  What is left is
+    only its own tests' business."""
     reached, pending = set(), {}
     for tree in ("examples", "benchmarks", "perfbench"):
         for path in sorted((ROOT / tree).rglob("*.py")):
@@ -159,7 +185,7 @@ def test_every_public_name_is_reached_or_inventoried(analysis):
                 pending[module.name.removeprefix("repro."), stmt.name] = _mentions(stmt)
                 if any(isinstance(d, ast.Name) and d.id == "register" for d in stmt.decorator_list):
                     reached.add(stmt.name)  # the rule registry holds it
-            elif not (module.is_package and isinstance(stmt, (ast.Import, ast.ImportFrom))):
+            else:
                 reached |= _mentions(stmt)
     while newly := [key for key in pending if key[1] in reached]:
         for key in newly:

@@ -15,7 +15,6 @@ from repro.arecibo.dedisperse import (
     dedisperse_all_reference,
     delay_matrix,
     delay_samples,
-    unit_delay_samples,
 )
 from repro.arecibo.folding import fold, fold_many, refine_period, refine_period_reference
 from repro.arecibo.fourier import search_dm_block, search_dm_block_reference
@@ -42,15 +41,6 @@ class TestDelayMatrix:
         matrix = delay_matrix(filterbank, grid.trials)
         for row, dm in enumerate(grid.trials):
             assert np.array_equal(matrix[row], delay_samples(filterbank, dm))
-
-    def test_unit_delay_scales_linearly(self):
-        filterbank = small_filterbank()
-        unit = unit_delay_samples(filterbank)
-        np.testing.assert_allclose(
-            np.round(50.0 * unit),
-            delay_samples(filterbank, 50.0).astype(float),
-            atol=1.0,  # rounding of scaled vs exact differs by at most 1 sample
-        )
 
     def test_rejects_negative_and_2d_trials(self):
         filterbank = small_filterbank()

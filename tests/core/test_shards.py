@@ -179,6 +179,28 @@ class TestSharedArray:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
+    def test_failed_copy_unlinks_the_segments_already_made(self, monkeypatch):
+        """``/dev/shm`` fills on the third block: the first two must go."""
+        from multiprocessing import shared_memory
+
+        real_copy = SharedArray.copy_from
+        created = []
+
+        def copy_or_fail(array):
+            if len(created) == 2:
+                raise OSError(28, "No space left on device")
+            created.append(real_copy(array))
+            return created[-1]
+
+        monkeypatch.setattr(SharedArray, "copy_from", copy_or_fail)
+        with pytest.raises(OSError, match="No space left"):
+            with shared_arrays([np.ones(4)] * 3):
+                pytest.fail("yielded after a failed copy")
+        assert len(created) == 2
+        for handle in created:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=handle.name)
+
 
 def read_shared_sum(handle):
     try:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.errors import DatabaseError
-from repro.db import Schema, Select, apply_schema, applied_version, column, connect, rows_to_dicts
+from repro.db.connection import connect
+from repro.db.query import Select
+from repro.db.schema import Schema, applied_version, apply_schema, column
 from repro.eventstore.store import EventStore
 
 
@@ -245,7 +247,7 @@ class TestSelect:
             .order_by("domain")
             .run(loaded)
         )
-        assert rows_to_dicts(rows) == [
+        assert [dict(row) for row in rows] == [
             {"domain": "a.edu", "n": 2},
             {"domain": "b.com", "n": 1},
             {"domain": "c.org", "n": 1},

@@ -3,6 +3,16 @@
 import pytest
 
 from repro.core.telemetry import Telemetry, write_event_log
+from repro.ops.rollup import DEFAULT_WINDOW_S, RollupProjection
+
+
+def fold_events(events, window_s=DEFAULT_WINDOW_S):
+    """The projection over already-loaded events (what ``scan_log`` folds
+    from a log file), for tests that start from a live bus."""
+    projection = RollupProjection(window_s=float(window_s))
+    for event in events:
+        projection.fold_event(event)
+    return projection
 
 
 def pipeline_bus(degraded_last=False, retries=0, recalls=(), stage_gap_s=900.0):

@@ -13,9 +13,8 @@ from repro.core.errors import OpsError
 from repro.core.telemetry import Telemetry, strip_wall_clock
 from repro.ops.alerts import AlertEvaluator, AlertRule, default_alert_rules
 from repro.ops.dashboard import MetricSpec, QualitySpec
-from repro.ops.rollup import fold_events
 
-from tests.ops.conftest import pipeline_bus
+from tests.ops.conftest import fold_events, pipeline_bus
 
 
 def arecibo_spec():

@@ -18,9 +18,8 @@ from repro.ops.dashboard import (
     status_rank,
     worst_status,
 )
-from repro.ops.rollup import fold_events
 
-from tests.ops.conftest import pipeline_bus
+from tests.ops.conftest import fold_events, pipeline_bus
 
 
 def spec_hib(green=0.95, yellow=0.90):

@@ -14,9 +14,8 @@ from repro.ops.dashboard import (
     dashboard_snapshot,
 )
 from repro.ops.report import load_snapshot, render_report, write_report
-from repro.ops.rollup import fold_events
 
-from tests.ops.conftest import pipeline_bus
+from tests.ops.conftest import fold_events, pipeline_bus
 
 
 def dashboard(degraded_last=True):

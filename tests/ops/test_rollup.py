@@ -19,12 +19,11 @@ from repro.ops.rollup import (
     UNATTRIBUTED,
     build_rollup,
     flow_of,
-    fold_events,
     merge_projections,
     scan_log,
 )
 
-from tests.ops.conftest import pipeline_bus
+from tests.ops.conftest import fold_events, pipeline_bus
 
 
 def test_fold_counts_the_pipeline_shape(pipeline_log):

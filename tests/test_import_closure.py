@@ -1,0 +1,44 @@
+"""What importing one module loads.
+
+A package ``__init__`` is a map, not an API: importing a leaf module must
+not drag its siblings in, and the ops CLI — re-run by cron against a
+growing log — must start without numpy.  Each probe runs in a fresh
+interpreter so this suite's own imports cannot mask a regression.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = (
+    "import json, sys, {module}; "
+    "print(json.dumps(sorted(m for m in sys.modules"
+    " if m == 'numpy' or m.startswith('repro.'))))"
+)
+
+
+def loaded_by(module):
+    completed = subprocess.run(
+        [sys.executable, "-c", PROBE.format(module=module)],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout)
+
+
+def test_units_loads_itself_and_its_errors_only_and_no_numpy():
+    assert loaded_by("repro.core.units") == [
+        "repro.core",
+        "repro.core.errors",
+        "repro.core.units",
+    ]
+
+
+def test_ops_cli_starts_without_numpy():
+    assert "numpy" not in loaded_by("repro.ops.__main__")

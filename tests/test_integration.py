@@ -14,7 +14,9 @@ from repro.core.dataflow import DataFlow
 from repro.core.dataset import Dataset
 from repro.core.engine import Engine
 from repro.core.units import DataSize, Duration
-from repro.grid import Federation, GridMover, ServiceRegistry, tabular_resource
+from repro.grid.federation import Federation, tabular_resource
+from repro.grid.movement import GridMover
+from repro.grid.services import ServiceRegistry
 from repro.storage.archive import LongTermArchive
 from repro.storage.hsm import HierarchicalStore
 from repro.storage.media import LTO3_TAPE, LTO5_TAPE
@@ -87,7 +89,9 @@ class TestStorageTransportIntegration:
 
 class TestGridOverWeblabAndTransport:
     def test_registry_fronting_real_services(self, tmp_path):
-        from repro.weblab import SubsetCriteria, SyntheticWebConfig, build_weblab
+        from repro.weblab.services import build_weblab
+        from repro.weblab.subsets import SubsetCriteria
+        from repro.weblab.synthweb import SyntheticWebConfig
 
         weblab, _, _ = build_weblab(tmp_path, SyntheticWebConfig(seed=4), n_crawls=3)
         registry = ServiceRegistry()
@@ -117,12 +121,9 @@ class TestGridOverWeblabAndTransport:
 
     def test_federation_over_pipeline_output(self, tmp_path):
         """Federate real Arecibo pipeline candidates with a mock catalog."""
-        from repro.arecibo import (
-            AreciboPipelineConfig,
-            ObservationConfig,
-            SkyModel,
-            run_arecibo_pipeline,
-        )
+        from repro.arecibo.pipeline import AreciboPipelineConfig, run_arecibo_pipeline
+        from repro.arecibo.sky import SkyModel
+        from repro.arecibo.telescope import ObservationConfig
 
         config = AreciboPipelineConfig(
             n_pointings=2,
