@@ -46,10 +46,6 @@ class SiftedCandidate:
         return self.snr_dm0 / self.snr if self.snr > 0 else 0.0
 
 
-def _same_signal(a: FourierCandidate, b: FourierCandidate, freq_tol: float) -> bool:
-    return abs(a.freq_hz - b.freq_hz) <= freq_tol * max(a.freq_hz, b.freq_hz)
-
-
 def _is_harmonic(fundamental_hz: float, other_hz: float, tol: float) -> bool:
     """True when ``other`` is an integer multiple/submultiple of ``fundamental``."""
     if fundamental_hz <= 0 or other_hz <= 0:
@@ -81,13 +77,22 @@ def sift(
         raise SearchError("frequency tolerance must be positive")
     ordered = sorted(candidates, key=lambda c: -c.snr)
     groups: List[List[FourierCandidate]] = []
+    leader_freqs: List[float] = []  # groups[i][0].freq_hz
     for candidate in ordered:
-        for group in groups:
-            if _same_signal(group[0], candidate, freq_tolerance):
+        freq = candidate.freq_hz
+        # A candidate joins the first (strongest) group whose leader it is
+        # within tolerance of.  ~10^5 pairs a pass, hence plain floats and
+        # max(leader, freq) spelled as a conditional (the builtin is most
+        # of a pair's cost).
+        for group, leader in zip(groups, leader_freqs):
+            if abs(leader - freq) <= freq_tolerance * (
+                freq if freq > leader else leader
+            ):
                 group.append(candidate)
                 break
         else:
             groups.append([candidate])
+            leader_freqs.append(freq)
 
     sifted: List[SiftedCandidate] = []
     for group in groups:

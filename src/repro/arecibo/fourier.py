@@ -37,8 +37,11 @@ def power_spectrum(timeseries: np.ndarray) -> np.ndarray:
     # ln 2, so dividing by median/ln2 restores unit mean under noise while
     # ignoring bright signal bins.
     median = np.median(spectrum)
-    if median <= 0:
-        raise SearchError("degenerate spectrum (zero median power)")
+    # One non-finite sample makes the whole spectrum NaN, and NaN <= 0 is false.
+    if not (median > 0 and np.isfinite(median)):
+        raise SearchError(
+            "degenerate spectrum (zero median power or a non-finite sample)"
+        )
     return spectrum / (median / np.log(2.0))
 
 
@@ -149,11 +152,12 @@ def search_dm_block(
 ) -> List[FourierCandidate]:
     """Search every trial of a dedispersed block, batched.
 
-    One rfft over the whole block, one harmonic-summed S/N ladder per
-    fold depth, one threshold pass — instead of ``n_trials`` independent
-    spectra.  The candidate list (values, insertion order, sort order) is
-    exactly what :func:`search_dm_block_reference` produces: spectra and
-    S/N ladders are per-row reductions that match the 1-D calls bitwise,
+    One rfft over the whole block, one walk of the harmonic ladder (each
+    depth's S/N off the same running sum), one threshold pass per depth —
+    instead of ``n_trials`` independent spectra.  The candidate list
+    (values, insertion order, sort order) is exactly what
+    :func:`search_dm_block_reference` produces: spectra and S/N ladders
+    are per-row reductions that match the 1-D calls bitwise,
     threshold hits are visited in the same (row, ascending-bin) order the
     naive loop uses, and the final sort is stable in both paths.
     """
@@ -171,11 +175,11 @@ def search_dm_block(
     # Best (snr, n_harmonics) per (row, bin), filled in ladder order like
     # search_spectrum's `best` dict — including its strict-> update rule.
     best: List[dict] = [{} for _ in range(n_rows)]
-    for n_harmonics in harmonics:
-        if n_harmonics > spectra.shape[1]:
-            continue
-        snrs = harmonic_snr_block(spectra, n_harmonics)
+    ladder = [n for n in harmonics if n <= spectra.shape[1]]
+    for n_harmonics, snrs in harmonic_snr_block(spectra, ladder):
         for row, (bins, row_snrs) in enumerate(threshold_hits(snrs, snr_threshold)):
+            if not bins.size:
+                continue
             row_best = best[row]
             for bin_index, snr in zip(bins.tolist(), row_snrs.tolist()):
                 current = row_best.get(bin_index)

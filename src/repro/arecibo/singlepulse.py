@@ -5,9 +5,9 @@ associated with astrophysical objects other than pulsars" — matched
 filtering with a ladder of boxcar widths over each dedispersed time
 series, thresholding, and clustering of overlapping detections.
 
-:func:`search_single_pulses` searches a whole block of series at once;
-:func:`boxcar_snr` is the one-series, one-width filter it must agree with
-bitwise, kept as the definition and the test oracle.
+:func:`search_single_pulses` searches a whole block of series at once; the
+one-series, one-width filter it must agree with bitwise is ``boxcar_snr``
+in ``tests/arecibo/conftest.py``, the test oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from repro.core.errors import SearchError
+from repro.core.kernels import row_medians
 
 DEFAULT_WIDTHS = (1, 2, 4, 8, 16, 32)
 
@@ -30,31 +31,6 @@ class SinglePulseEvent:
     width_s: float
     snr: float
     dm: float
-
-
-def boxcar_snr(timeseries: np.ndarray, width: int) -> np.ndarray:
-    """Matched-filter S/N of a boxcar of ``width`` samples at each offset.
-
-    Mean and standard deviation are estimated robustly (median / MAD) so a
-    bright pulse does not suppress its own significance.
-    """
-    series = np.asarray(timeseries, dtype=np.float64)
-    if series.ndim != 1:
-        raise SearchError("time series must be 1-D")
-    if width < 1 or width > len(series):
-        raise SearchError(f"bad boxcar width {width} for {len(series)} samples")
-    median = np.median(series)
-    mad = np.median(np.abs(series - median))
-    sigma = 1.4826 * mad
-    if sigma <= 0:
-        raise SearchError("degenerate time series (zero MAD)")
-    centered = series - median
-    if width == 1:
-        sums = centered
-    else:
-        cumulative = np.concatenate([[0.0], np.cumsum(centered)])
-        sums = cumulative[width:] - cumulative[:-width]
-    return sums / (sigma * np.sqrt(width))
 
 
 def search_single_pulses(
@@ -72,8 +48,8 @@ def search_single_pulses(
     one median, MAD and cumulative sum per series serve every width of the
     ladder, each width's S/N is a slice difference of that one cumulative
     array, and hits are thresholded over all rows at once.  Every row's
-    events equal, value for value and in order, what :func:`boxcar_snr`
-    per width over that row alone yields — the reductions run along
+    events equal, value for value and in order, what a one-series boxcar
+    filter per width over that row alone yields — the reductions run along
     ``axis=1`` and the elementwise arithmetic is the same.
     """
     if tsamp_s <= 0:
@@ -100,12 +76,15 @@ def search_single_pulses(
         # One scratch array serves both medians (partitioned in place) and
         # then every width's S/N.
         scratch = block.copy()
-        block -= np.median(scratch, axis=1, overwrite_input=True, keepdims=True)
+        block -= row_medians(scratch, overwrite_input=True)[:, None]
         centered = block
         np.abs(centered, out=scratch)
-        sigmas = 1.4826 * np.median(scratch, axis=1, overwrite_input=True)
-        if np.any(sigmas <= 0):
-            raise SearchError("degenerate time series (zero MAD)")
+        sigmas = 1.4826 * row_medians(scratch, overwrite_input=True)
+        # A NaN sample makes its row's MAD NaN, and NaN <= 0 is false.
+        if not np.all((sigmas > 0) & np.isfinite(sigmas)):
+            raise SearchError(
+                "degenerate time series (zero MAD or a non-finite sample)"
+            )
         cumulative = np.zeros((n_series, n_samples + 1), dtype=np.float64)
         np.cumsum(centered, axis=1, out=cumulative[:, 1:])
         for width in ladder:

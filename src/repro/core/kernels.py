@@ -1,16 +1,18 @@
 """Batched numeric kernels for the hot search paths.
 
-The ROADMAP's north star is a system that runs "as fast as the hardware
-allows"; the compute that dominates every Figure-1 run is shift-and-sum
+The compute that dominates every Figure-1 run is shift-and-sum
 dedispersion, Fourier search, and folding.  This module holds the
-vectorized cores those paths share, each one paired with the naive loop it
-replaces (kept as ``*_reference``) so equivalence is testable forever.
+vectorized cores those paths share; the naive loop each one replaces is
+kept as its oracle — in ``repro.arecibo`` where the loop is itself the
+definition (``power_spectrum``, ``harmonic_sum``, ``fold``), in the test
+suite otherwise — so equivalence is testable forever.
 
-Every kernel here is **bitwise-equivalent** to its reference, not merely
+Every kernel here is **bitwise-equivalent** to its oracle, not merely
 close: batched execution performs the same floating-point operations in
 the same order as the per-item loops (per-channel accumulation order,
-per-row reductions along ``axis=1``), so pipelines may switch between the
-two freely without perturbing any seeded result.  The equivalence suite
+per-row reductions along ``axis=1``, a harmonic ladder's partial sums
+shared between depths but still accumulated h = 1, 2, 3, ...), so a
+seeded result cannot tell the two apart.  The equivalence suite
 (``tests/core/test_kernels.py``) asserts ``np.array_equal``, and the
 figure benchmarks pin exact recall — either would catch a ULP of drift.
 
@@ -21,7 +23,7 @@ types so callers see the same exceptions the naive paths raised.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -33,27 +35,6 @@ from repro.core.errors import KernelError
 #: a core's L2 while all channels are added into it; 512 KB (16 trials at
 #: 4 096 samples) leaves room for both in the 1-4 MB L2 of current CPUs.
 SHIFT_SUM_TILE_BYTES = 512 * 1024
-
-
-def _validated_shift_sum_args(
-    data: np.ndarray, shifts: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The argument checks :func:`shift_sum` and its reference share."""
-    data = np.asarray(data)
-    shifts = np.asarray(shifts)
-    if data.ndim != 2 or shifts.ndim != 2:
-        raise KernelError("shift_sum needs 2-D data and 2-D shifts")
-    if shifts.shape[1] != data.shape[0]:
-        raise KernelError(
-            f"shifts has {shifts.shape[1]} columns for {data.shape[0]} channels"
-        )
-    if data.shape[1] == 0:
-        raise KernelError("shift_sum needs at least one sample")
-    if not np.issubdtype(shifts.dtype, np.integer):
-        raise KernelError(
-            f"shift_sum needs integer shifts, got dtype {shifts.dtype}"
-        )
-    return data, shifts
 
 
 def shift_sum(data: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -70,14 +51,27 @@ def shift_sum(data: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     contiguous window (``roll(x, -s)[i] == x[(i + s) % n]``), and
     ``sliding_window_view`` exposes all windows without copying.  The
     doubled array is converted to float64 once (the exact conversion the
-    reference's ``float64 += data`` performs per add), and the trials are
+    per-trial ``np.roll`` loop's ``float64 += data`` performs per add), and the trials are
     walked in tiles of :data:`SHIFT_SUM_TILE_BYTES` so one tile's
     accumulator stays cache-resident while every channel is added into
     it.  Each output element still receives its channels in index order,
-    which is exactly the reference loop's addition order — hence bitwise
+    which is exactly that loop's addition order — hence bitwise
     equality, whatever the tile split.
     """
-    data, shifts = _validated_shift_sum_args(data, shifts)
+    data = np.asarray(data)
+    shifts = np.asarray(shifts)
+    if data.ndim != 2 or shifts.ndim != 2:
+        raise KernelError("shift_sum needs 2-D data and 2-D shifts")
+    if shifts.shape[1] != data.shape[0]:
+        raise KernelError(
+            f"shifts has {shifts.shape[1]} columns for {data.shape[0]} channels"
+        )
+    if data.shape[1] == 0:
+        raise KernelError("shift_sum needs at least one sample")
+    if not np.issubdtype(shifts.dtype, np.integer):
+        raise KernelError(
+            f"shift_sum needs integer shifts, got dtype {shifts.dtype}"
+        )
     n_channels, n_samples = data.shape
     wrapped = np.mod(shifts, n_samples)
     doubled = np.concatenate([data, data], axis=1, dtype=np.float64)
@@ -93,14 +87,37 @@ def shift_sum(data: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return out
 
 
-def shift_sum_reference(data: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """The naive per-trial ``np.roll`` loop :func:`shift_sum` replaces."""
-    data, shifts = _validated_shift_sum_args(data, shifts)
-    out = np.zeros((shifts.shape[0], data.shape[1]), dtype=np.float64)
-    for trial in range(shifts.shape[0]):
-        for channel in range(data.shape[0]):
-            out[trial] += np.roll(data[channel], -int(shifts[trial, channel]))
-    return out
+def row_medians(block: np.ndarray, overwrite_input: bool = False) -> np.ndarray:
+    """Median of every row of a 2-D block, from one selection per row.
+
+    Bitwise ``np.median(block, axis=1)``.  ``np.median`` asks ``partition``
+    for three order statistics (both middles and the last element, its NaN
+    sentinel), which takes numpy off its single-pivot selection path; this
+    asks for one, ``n // 2``, and reads the rest off the partitioned row:
+    for even ``n`` the lower middle is the maximum of the left half and the
+    median is ``(lower + upper) / 2`` — the two-element mean ``np.median``
+    takes — and since ``partition`` orders NaN last, a row holds one exactly
+    when the maximum of its right half is NaN, and then reads NaN.
+
+    ``overwrite_input=True`` partitions ``block`` in place instead of a copy.
+    """
+    block = np.asarray(block)
+    if block.ndim != 2 or block.shape[1] == 0:
+        raise KernelError("row_medians needs a 2-D block with at least one column")
+    middle = block.shape[1] // 2
+    if overwrite_input:
+        block.partition(middle, axis=1)
+        part = block
+    else:
+        part = np.partition(block, middle, axis=1)
+    # `+ 0.0`: np.median's mean starts its sum from +0.0, so it never
+    # returns -0.0; every other value is unchanged by it.
+    if block.shape[1] % 2:
+        medians = part[:, middle] + 0.0
+    else:
+        medians = (part[:, :middle].max(axis=1) + 0.0 + part[:, middle]) / 2
+    medians[np.isnan(part[:, middle:].max(axis=1))] = np.nan
+    return medians
 
 
 def batched_power_spectra(block: np.ndarray) -> np.ndarray:
@@ -110,42 +127,66 @@ def batched_power_spectra(block: np.ndarray) -> np.ndarray:
     Row ``r`` equals ``repro.arecibo.fourier.power_spectrum(block[r])``
     bitwise: mean subtraction, ``|rfft|**2``, DC-bin drop, and the
     median/ln2 noise normalization are all per-row reductions along
-    ``axis=1``, which numpy evaluates identically to the 1-D calls.
+    ``axis=1``, which numpy evaluates identically to the 1-D calls (the
+    median through :func:`row_medians`).
     """
-    series = np.asarray(block, dtype=np.float64)
+    # A private float64 copy, centred in place.  It and its transform are
+    # each dropped as soon as the next array exists: held together they
+    # were a Figure-1 pass's memory high-water mark (10 MB a beam).
+    series = np.array(block, dtype=np.float64)
     if series.ndim != 2 or series.shape[1] < 16:
         raise KernelError("need a 2-D block of series with at least 16 samples")
-    series = series - series.mean(axis=1, keepdims=True)
-    spectra = np.abs(np.fft.rfft(series, axis=1)) ** 2
+    series -= series.mean(axis=1, keepdims=True)
+    transform = np.fft.rfft(series, axis=1)
+    del series
+    spectra = np.abs(transform)
+    del transform
+    spectra **= 2
     spectra = spectra[:, 1:]  # drop DC
-    medians = np.median(spectra, axis=1, keepdims=True)
-    if np.any(medians <= 0):
-        raise KernelError("degenerate spectrum (zero median power)")
+    medians = row_medians(spectra)[:, None]
+    # One non-finite sample makes its whole row NaN, and NaN <= 0 is false.
+    if not np.all((medians > 0) & np.isfinite(medians)):
+        raise KernelError(
+            "degenerate spectrum (zero median power or a non-finite sample)"
+        )
     return spectra / (medians / np.log(2.0))
 
 
 def harmonic_snr_block(
-    spectra: np.ndarray, n_harmonics: int
-) -> np.ndarray:
-    """Harmonic-summed detection S/N for every row of a spectra block.
+    spectra: np.ndarray, harmonics: Sequence[int]
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Harmonic-summed detection S/N of a spectra block, one depth at a time.
 
-    Row ``r`` equals ``summed_snr(harmonic_sum(spectra[r], n), n)``: the
-    h-fold compressed copies are gathered for all rows with one fancy
-    index per harmonic, accumulated in ladder order.
+    Yields ``(n_harmonics, snrs)`` for each depth of ``harmonics`` in turn;
+    row ``r`` of ``snrs`` equals ``summed_snr(harmonic_sum(spectra[r], n),
+    n)``.  The ladder is walked once: a depth's sum is the first ``n``
+    terms of any deeper one's, so one running total carries over — cut to
+    the deeper fold's bin count, then extended by harmonics ``n+1..m`` — and
+    every element still accumulates h = 1, 2, 3, ... in order, which is what
+    keeps it bitwise.  A depth below the last one starts the total afresh
+    (a repeated depth reuses it as it stands).  The h-fold compressed copy
+    ``spectra[:, h*(k+1)-1]`` is the strided view ``spectra[:, h-1::h]``,
+    so nothing is gathered.
     """
     spectra = np.asarray(spectra, dtype=np.float64)
     if spectra.ndim != 2:
         raise KernelError("harmonic_snr_block needs a 2-D spectra block")
-    if n_harmonics < 1:
-        raise KernelError("need at least one harmonic")
-    n_bins = spectra.shape[1] // n_harmonics
-    if n_bins < 1:
-        raise KernelError("spectra too short for this many harmonics")
-    total = np.zeros((spectra.shape[0], n_bins), dtype=np.float64)
-    base = np.arange(1, n_bins + 1)
-    for harmonic in range(1, n_harmonics + 1):
-        total += spectra[:, harmonic * base - 1]
-    return (total - n_harmonics) / np.sqrt(n_harmonics)
+    total = np.zeros(spectra.shape, dtype=np.float64)
+    summed = 0  # `total` holds harmonics 1..summed
+    for n_harmonics in harmonics:
+        if n_harmonics < 1:
+            raise KernelError("need at least one harmonic")
+        n_bins = spectra.shape[1] // n_harmonics
+        if n_bins < 1:
+            raise KernelError("spectra too short for this many harmonics")
+        if n_harmonics < summed:
+            total = np.zeros(spectra.shape, dtype=np.float64)
+            summed = 0
+        total = total[:, :n_bins]
+        for harmonic in range(summed + 1, n_harmonics + 1):
+            total += spectra[:, harmonic - 1 :: harmonic][:, :n_bins]
+        summed = n_harmonics
+        yield n_harmonics, (total - n_harmonics) / np.sqrt(n_harmonics)
 
 
 def threshold_hits(
@@ -162,12 +203,13 @@ def threshold_hits(
     if snrs.ndim != 2:
         raise KernelError("threshold_hits needs a 2-D S/N block")
     rows, bins = np.nonzero(snrs >= threshold)
+    values = snrs[rows, bins]
     # np.nonzero is row-major, so `rows` is sorted; searchsorted finds the
     # per-row slice boundaries without a Python-level groupby.
-    bounds = np.searchsorted(rows, np.arange(snrs.shape[0] + 1))
+    bounds = np.searchsorted(rows, np.arange(snrs.shape[0] + 1)).tolist()
     return [
-        (bins[bounds[r] : bounds[r + 1]], snrs[r, bins[bounds[r] : bounds[r + 1]]])
-        for r in range(snrs.shape[0])
+        (bins[start:stop], values[start:stop])
+        for start, stop in zip(bounds, bounds[1:])
     ]
 
 

@@ -113,8 +113,6 @@ ONLY_TESTS_REACH = {
     "Figure-2 incremental mode and the resume driver: tier-1 is their only driver": """
         cleo.pipeline.CleoIncrementalReport cleo.pipeline.CleoWindowReport
         cleo.pipeline.run_cleo_incremental core.recovery.run_to_completion""",
-    "oracle an equivalence test holds production code to": """
-        core.kernels.shift_sum_reference arecibo.singlepulse.boxcar_snr""",
     "reader of a format a flow writes: the round-trip oracle of its writer": """
         arecibo.filterbank.read_filterbank weblab.export.read_exported_metadata""",
     "builds the ``runs:A-B`` key that ``parse_run_key`` parses in production": """

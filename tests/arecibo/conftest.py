@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.arecibo.singlepulse import DEFAULT_WIDTHS, SinglePulseEvent, boxcar_snr
+from repro.arecibo.singlepulse import DEFAULT_WIDTHS, SinglePulseEvent
 from repro.arecibo.sky import N_BEAMS, Pointing, Pulsar
 from repro.arecibo.telescope import ObservationConfig, ObservationSimulator
+from repro.core.errors import SearchError
 
 
 SMALL_CONFIG = ObservationConfig(n_channels=48, n_samples=4096)
@@ -20,6 +21,32 @@ def single_pulsar_pointing(pulsar, beam=2, rfi=(), pointing_id=0):
         transients_by_beam=tuple(() for _ in range(N_BEAMS)),
         rfi=tuple(rfi),
     )
+
+
+def boxcar_snr(timeseries, width):
+    """Matched-filter S/N of a boxcar of ``width`` samples at each offset.
+
+    Mean and standard deviation are estimated robustly (median / MAD) so a
+    bright pulse does not suppress its own significance.  The one-series,
+    one-width definition ``search_single_pulses`` is held to, bitwise.
+    """
+    series = np.asarray(timeseries, dtype=np.float64)
+    if series.ndim != 1:
+        raise SearchError("time series must be 1-D")
+    if width < 1 or width > len(series):
+        raise SearchError(f"bad boxcar width {width} for {len(series)} samples")
+    median = np.median(series)
+    mad = np.median(np.abs(series - median))
+    sigma = 1.4826 * mad
+    if not (sigma > 0 and np.isfinite(sigma)):
+        raise SearchError("degenerate time series (zero MAD or a non-finite sample)")
+    centered = series - median
+    if width == 1:
+        sums = centered
+    else:
+        cumulative = np.concatenate([[0.0], np.cumsum(centered)])
+        sums = cumulative[width:] - cumulative[:-width]
+    return sums / (sigma * np.sqrt(width))
 
 
 def per_series_single_pulse_search(

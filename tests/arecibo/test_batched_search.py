@@ -114,6 +114,23 @@ class TestBatchedSpectrumSearch:
         assert search_dm_block(block, trials, 1e-3, **kwargs) == \
             search_dm_block_reference(block, trials, 1e-3, **kwargs)
 
+    @pytest.mark.parametrize(
+        "harmonics", [(16, 1), (2, 2), (3, 5), (1,), (4, 2, 8, 8, 1, 16), ()]
+    )
+    @pytest.mark.parametrize("n_samples", [1024, 40])
+    def test_matches_reference_any_ladder(self, harmonics, n_samples):
+        """Descending, repeated and non-doubling ladders, and (40 samples:
+        20 bins) a spectrum shorter than 16 folds of itself.  The low
+        threshold makes most bins hit at several depths, so the strict-``>``
+        update and the insertion order both show in the list."""
+        rng = np.random.default_rng(16)
+        block = np.round(rng.normal(size=(5, n_samples)) * 4.0) / 4.0
+        trials = (0.0, 5.0, 10.0, 15.0, 20.0)
+        kwargs = dict(snr_threshold=0.5, harmonics=harmonics, min_freq_hz=0.0)
+        found = search_dm_block(block, trials, 1e-3, **kwargs)
+        assert found == search_dm_block_reference(block, trials, 1e-3, **kwargs)
+        assert bool(found) == bool(harmonics)
+
     def test_rejects_mismatched_rows(self):
         with pytest.raises(SearchError):
             search_dm_block(np.zeros((2, 64)), (0.0,), 1e-3)

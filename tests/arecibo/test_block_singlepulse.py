@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.arecibo.singlepulse import DEFAULT_WIDTHS, search_single_pulses
 from repro.core.errors import SearchError
 
-from tests.arecibo.conftest import per_series_single_pulse_search
+from tests.arecibo.conftest import boxcar_snr, per_series_single_pulse_search
 
 TSAMP_S = 64e-6
 
@@ -95,3 +95,23 @@ def test_block_validation():
         search_single_pulses(block, TSAMP_S, (0.0, 1.0, 2.0), widths=(0, 1))
     with pytest.raises(SearchError, match="sampling time"):
         search_single_pulses(block, 0.0, (0.0, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_noise_estimate_is_rejected(bad):
+    """Was: NaN sigmas pass ``sigmas <= 0``, every S/N compares false, and
+    the block reports no events and no error."""
+    block = np.random.default_rng(1).normal(size=(3, 64))
+    block[1, 10:50] = bad  # most of the row: the median itself is not finite
+    with pytest.raises(SearchError, match="degenerate time series"):
+        search_single_pulses(block, TSAMP_S, (0.0, 1.0, 2.0))
+    with pytest.raises(SearchError, match="degenerate time series"):
+        search_single_pulses(block[1], TSAMP_S, 1.0)
+    with pytest.raises(SearchError, match="degenerate time series"):
+        boxcar_snr(block[1], 4)
+    block[1] = 1.0
+    block[1, 10] = np.nan  # one NaN sample is enough
+    with pytest.raises(SearchError, match="degenerate time series"):
+        search_single_pulses(block, TSAMP_S, (0.0, 1.0, 2.0))
+    with pytest.raises(SearchError, match="degenerate time series"):
+        boxcar_snr(block[1], 4)

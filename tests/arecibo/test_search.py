@@ -3,6 +3,8 @@ acceleration search, single-pulse search, and sifting."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arecibo.accelsearch import (
     accel_search,
@@ -26,7 +28,7 @@ from repro.arecibo.fourier import (
     search_spectrum,
     summed_snr,
 )
-from repro.arecibo.singlepulse import boxcar_snr, search_single_pulses
+from repro.arecibo.singlepulse import search_single_pulses
 from repro.arecibo.sky import Pulsar, Transient
 from repro.arecibo.telescope import ObservationSimulator
 from repro.core.errors import SearchError
@@ -143,6 +145,18 @@ class TestFourierSearch:
         with pytest.raises(SearchError):
             power_spectrum(np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        """Was: an all-NaN spectrum, so zero candidates and no error."""
+        block = np.random.default_rng(4).normal(size=(3, 256))
+        block[1, 100] = bad
+        with pytest.raises(SearchError, match="degenerate spectrum"):
+            power_spectrum(block[1])
+        with pytest.raises(SearchError, match="degenerate spectrum"):
+            search_spectrum(block[1], 0.001, 0.0)
+        with pytest.raises(SearchError, match="degenerate spectrum"):
+            search_dm_block(block, [0.0, 1.0, 2.0], 0.001)
+
 
 class TestFolding:
     def test_fold_concentrates_pulse(self, pulsar_beam):
@@ -251,16 +265,6 @@ class TestSinglePulse:
         events = search_single_pulses(rng.normal(size=8192), 0.0005, 0.0)
         assert len(events) <= 2
 
-    def test_boxcar_validation(self):
-        with pytest.raises(SearchError):
-            boxcar_snr(np.zeros((2, 2)), 1)
-        with pytest.raises(SearchError):
-            boxcar_snr(np.zeros(16), 0)
-        with pytest.raises(SearchError):
-            boxcar_snr(np.zeros(16), 17)
-        with pytest.raises(SearchError):
-            boxcar_snr(np.zeros(16), 2)  # zero MAD
-
 
 class TestSifting:
     def make_candidate(self, freq, snr, dm, beam=0):
@@ -297,6 +301,45 @@ class TestSifting:
     def test_sift_validation(self):
         with pytest.raises(SearchError):
             sift([], freq_tolerance=0.0)
+
+    @given(
+        # Coarse grids: many candidates tie on S/N (the stable sort keeps
+        # their input order) and on frequency, and 0.5 % steps put several
+        # leaders within one tolerance of a candidate — first match wins.
+        picks=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 8), st.integers(0, 5)),
+            max_size=60,
+        ),
+        freq_tolerance=st.sampled_from([0.001, 0.01, 0.05]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_grouping_equals_pairwise_leader_comparison(self, picks, freq_tolerance):
+        candidates = [
+            self.make_candidate(50.0 * 1.005**step, 6.0 + snr / 2.0, dm=0.5 * dm)
+            for step, snr, dm in picks
+        ]
+        # sift's grouping as a comparison of candidate objects, pair by pair.
+        groups = []
+        for candidate in sorted(candidates, key=lambda c: -c.snr):
+            for group in groups:
+                a, b = group[0], candidate
+                if abs(a.freq_hz - b.freq_hz) <= freq_tolerance * max(a.freq_hz, b.freq_hz):
+                    group.append(candidate)
+                    break
+            else:
+                groups.append([candidate])
+        expected = [
+            (
+                group[0].freq_hz, group[0].snr, group[0].dm,
+                len({round(member.dm, 3) for member in group}),
+                max((m.snr for m in group if m.dm <= 1.0), default=0.0),
+            )
+            for group in groups
+        ]
+        sifted = sift(candidates, freq_tolerance, reject_harmonics=False)
+        assert [
+            (c.freq_hz, c.snr, c.dm, c.n_dm_hits, c.snr_dm0) for c in sifted
+        ] == expected
 
     def test_dispersed_flag(self):
         dispersed = sift([self.make_candidate(10.0, 10.0, dm=30.0)])[0]

@@ -6,6 +6,8 @@ kernels' contract is bitwise equality with the naive loops they replace.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import KernelError
 from repro.core.kernels import (
@@ -14,10 +16,19 @@ from repro.core.kernels import (
     fold_block,
     harmonic_snr_block,
     index_postings,
+    row_medians,
     shift_sum,
-    shift_sum_reference,
     threshold_hits,
 )
+
+
+def shift_sum_reference(data, shifts):
+    """The naive per-trial ``np.roll`` loop :func:`shift_sum` replaces."""
+    out = np.zeros((shifts.shape[0], data.shape[1]), dtype=np.float64)
+    for trial in range(shifts.shape[0]):
+        for channel in range(data.shape[0]):
+            out[trial] += np.roll(data[channel], -int(shifts[trial, channel]))
+    return out
 
 
 class TestShiftSum:
@@ -66,15 +77,13 @@ class TestShiftSum:
             shift_sum(data, shifts), shift_sum_reference(data, shifts)
         )
 
-    @pytest.mark.parametrize("kernel", [shift_sum, shift_sum_reference])
-    def test_rejects_non_integer_shifts(self, kernel):
-        """Was: a bare IndexError from the gather, and silent truncation
-        (1.5 -> 1) in the reference."""
+    def test_rejects_non_integer_shifts(self):
+        """Was: a bare IndexError from the gather."""
         data = np.arange(12.0).reshape(3, 4)
         with pytest.raises(KernelError, match="float64"):
-            kernel(data, np.array([[0.0, 1.5, 2.0]]))
+            shift_sum(data, np.array([[0.0, 1.5, 2.0]]))
         with pytest.raises(KernelError, match="bool"):
-            kernel(data, np.zeros((1, 3), dtype=bool))
+            shift_sum(data, np.zeros((1, 3), dtype=bool))
 
     def test_zero_shift_is_plain_sum(self):
         data = np.arange(12.0).reshape(3, 4)
@@ -90,15 +99,70 @@ class TestShiftSum:
             shift_sum(np.zeros((2, 0)), np.zeros((1, 2), dtype=int))
 
 
+@st.composite
+def float_blocks(draw):
+    """A 2-D float block as the search paths pass it: odd, even and 1-2
+    column widths, float32 or float64, often a strided view, tied values,
+    and now and then a NaN or an infinity in a row."""
+    n_rows = draw(st.integers(1, 5))
+    n_columns = draw(st.sampled_from([1, 2, 3, 4, 7, 16, 33, 64, 129]))
+    stride = draw(st.integers(1, 3))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parent = rng.normal(size=(n_rows * stride, n_columns))
+    if draw(st.booleans()):
+        parent = np.round(parent * 2.0) / 2.0  # ties around the middle
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.integers(0, n_rows * stride - 1))
+        column = draw(st.integers(0, n_columns - 1))
+        parent[row, column:] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        if draw(st.booleans()):
+            rng.shuffle(parent[row])
+    return parent.astype(dtype)[::stride]
+
+
+class TestRowMedians:
+    @given(block=float_blocks(), overwrite_input=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_median(self, block, overwrite_input):
+        with np.errstate(invalid="ignore"):  # (-inf + inf) / 2 in both
+            expected = np.median(block, axis=1)
+            before = block.copy()
+            medians = row_medians(block, overwrite_input=overwrite_input)
+        assert medians.dtype == expected.dtype
+        assert np.array_equal(medians, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(medians), np.signbit(expected))
+        if overwrite_input:
+            assert np.array_equal(
+                np.sort(block, axis=1), np.sort(before, axis=1), equal_nan=True
+            )
+        else:
+            assert np.array_equal(block, before, equal_nan=True)
+
+    def test_pipeline_sized_block(self):
+        """Wide rows take numpy's introselect path, not its small-n sort."""
+        rng = np.random.default_rng(14)
+        for width in (2047, 2048):
+            block = rng.exponential(size=(9, width))
+            assert np.array_equal(row_medians(block), np.median(block, axis=1))
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(KernelError):
+            row_medians(np.zeros(4))
+        with pytest.raises(KernelError):
+            row_medians(np.zeros((2, 0)))
+
+
 class TestBatchedSpectra:
     def test_rows_match_single_spectra(self):
         from repro.arecibo.fourier import power_spectrum
 
         rng = np.random.default_rng(2)
-        block = rng.normal(size=(6, 256))
-        spectra = batched_power_spectra(block)
-        for row in range(block.shape[0]):
-            assert np.array_equal(spectra[row], power_spectrum(block[row]))
+        for width in (256, 255):  # odd and even spectrum lengths
+            block = rng.normal(size=(6, width))
+            spectra = batched_power_spectra(block)
+            for row in range(block.shape[0]):
+                assert np.array_equal(spectra[row], power_spectrum(block[row]))
 
     def test_rejects_short_or_1d_input(self):
         with pytest.raises(KernelError):
@@ -111,28 +175,71 @@ class TestBatchedSpectra:
         with pytest.raises(KernelError):
             batched_power_spectra(block)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_sample(self, bad):
+        """Was: an all-NaN spectrum row returned, which no threshold test
+        ever fires on — the trial searched nothing and said nothing."""
+        block = np.random.default_rng(15).normal(size=(3, 64))
+        block[1, 17] = bad
+        with pytest.raises(KernelError, match="degenerate spectrum"):
+            batched_power_spectra(block)
+
 
 class TestHarmonicBlock:
-    def test_matches_single_ladder(self):
+    @given(
+        n_rows=st.integers(1, 4),
+        n_bins=st.integers(1, 70),
+        ladder=st.lists(st.integers(1, 20), min_size=0, max_size=6),
+        drop_dc=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_depth_matches_single_ladder(
+        self, n_rows, n_bins, ladder, drop_dc, seed
+    ):
+        """Any ladder — ascending, descending, repeated depths — over
+        contiguous spectra and over the ``[:, 1:]`` view the search passes."""
         from repro.arecibo.fourier import harmonic_sum, summed_snr
 
+        rng = np.random.default_rng(seed)
+        spectra = rng.exponential(size=(n_rows, n_bins + drop_dc))[:, int(drop_dc):]
+        ladder = [n for n in ladder if n <= n_bins]
+        before = spectra.copy()
+        blocks = list(harmonic_snr_block(spectra, ladder))
+        assert [n_harmonics for n_harmonics, _ in blocks] == ladder
+        for n_harmonics, block_snrs in blocks:
+            assert block_snrs.shape == (n_rows, n_bins // n_harmonics)
+            for row in range(n_rows):
+                expected = summed_snr(
+                    harmonic_sum(spectra[row], n_harmonics), n_harmonics
+                )
+                assert np.array_equal(block_snrs[row], expected)
+        assert np.array_equal(spectra, before)
+
+    def test_matches_single_ladder(self):
+        """The default ladder at the pipeline's width, each depth consumed
+        before the next is computed (the way ``search_dm_block`` iterates)."""
+        from repro.arecibo.fourier import DEFAULT_HARMONICS, harmonic_sum, summed_snr
+
         rng = np.random.default_rng(3)
-        spectra = rng.exponential(size=(5, 128))
-        for n_harmonics in (1, 2, 4, 8):
-            block_snrs = harmonic_snr_block(spectra, n_harmonics)
+        spectra = rng.exponential(size=(5, 2048))
+        depths = []
+        for n_harmonics, block_snrs in harmonic_snr_block(spectra, DEFAULT_HARMONICS):
+            depths.append(n_harmonics)
             for row in range(spectra.shape[0]):
                 expected = summed_snr(
                     harmonic_sum(spectra[row], n_harmonics), n_harmonics
                 )
                 assert np.array_equal(block_snrs[row], expected)
+        assert tuple(depths) == DEFAULT_HARMONICS
 
     def test_rejects_bad_ladder(self):
         with pytest.raises(KernelError):
-            harmonic_snr_block(np.zeros((2, 8)), 0)
+            list(harmonic_snr_block(np.zeros((2, 8)), (0,)))
         with pytest.raises(KernelError):
-            harmonic_snr_block(np.zeros((2, 8)), 9)
+            list(harmonic_snr_block(np.zeros((2, 8)), (1, 9)))
         with pytest.raises(KernelError):
-            harmonic_snr_block(np.zeros(8), 2)
+            list(harmonic_snr_block(np.zeros(8), (2,)))
 
 
 class TestThresholdHits:
