@@ -16,6 +16,7 @@ import pytest
 
 from repro.weblab.cluster import PartitionedGraph, compare_locality
 from repro.weblab.synthweb import SyntheticWeb, SyntheticWebConfig
+from repro.weblab.webgraph import TraversalCost, bfs_with_cost, pagerank_with_cost
 
 import networkx as nx
 
@@ -64,19 +65,28 @@ def test_c11_locality_sweep(benchmark, graph, report_rows):
     report_rows("C11: PageRank, shared memory vs commodity cluster", rows)
 
 
-def test_c11_answers_identical(graph, benchmark):
+def test_c11_answers_identical(graph, benchmark, report_rows):
     """Distribution changes the clock, never the answer."""
     partitioned = PartitionedGraph(graph, 16)
     ranks_cluster, _ = benchmark.pedantic(
         partitioned.pagerank, kwargs={"iterations": 15}, rounds=1, iterations=1
     )
-    from repro.weblab.webgraph import pagerank_with_cost
-
     ranks_single = pagerank_with_cost(graph, iterations=15)
     assert all(
         ranks_cluster[node] == pytest.approx(ranks_single[node])
         for node in graph.nodes()
     )
+    source = max(graph.nodes(), key=lambda n: graph.out_degree(n))
+    hops_cluster, cluster_cost = partitioned.bfs(source)
+    single_cost = TraversalCost()
+    assert bfs_with_cost(graph, source, single_cost) == hops_cluster
+    assert single_cost.edge_visits == cluster_cost.total_visits
+    report_rows("C11c: one machine and 16 workers give the same answers", [
+        {"workload": workload, "answers compared": len(answers), "differing": 0}
+        for workload, answers in (
+            ("PageRank, 15 iterations", ranks_single), ("BFS from the top hub", hops_cluster)
+        )
+    ])
 
 
 def test_c11_bfs_workload(graph, benchmark, report_rows):

@@ -16,7 +16,9 @@ import random
 from repro.core.resources import DISK_COST_2005, TAPE_COST_2005
 from repro.core.units import DataSize, Duration
 from repro.storage.archive import LongTermArchive
+from repro.storage.hsm import HierarchicalStore
 from repro.storage.media import LTO3_TAPE, LTO5_TAPE
+from repro.storage.tape import RoboticTapeLibrary
 
 
 def run_policy(policy, copies, seed, n_files=60, file_gb=20, years=20):
@@ -34,6 +36,7 @@ def run_policy(policy, copies, seed, n_files=60, file_gb=20, years=20):
             policy == "migrate-once-late" and year == 15
         )
         if due:
+            assert archive.fixity_check() == []  # "care is needed": copy only what verifies
             report = archive.migrate(LTO5_TAPE if migrations == 0 else LTO3_TAPE)
             migrations += 1
             personnel_hours += report.personnel_time.hours_
@@ -114,3 +117,24 @@ def test_c15_tape_vs_disk_economics(benchmark, report_rows):
     rows = benchmark(costs)
     assert all(float(row["disk/tape"].rstrip("x")) > 5 for row in rows)
     report_rows("C15b: tape vs disk retention economics", rows)
+
+
+def test_c15_cartridge_loss(report_rows):
+    """One dead cartridge: tape loses everything on it, and what the disk
+    tier still holds is re-archived instead of lost."""
+    rows = []
+    for disk_gb in (20, 100, 200):
+        hsm = HierarchicalStore(
+            RoboticTapeLibrary("archive", LTO3_TAPE), DataSize.gigabytes(disk_gb)
+        )
+        for index in range(10):
+            hsm.store(f"block{index:02d}", DataSize.gigabytes(20))
+        loss = hsm.fail_cartridge(0)
+        assert all(hsm.read(name)[0].verify() for name in loss.recoverable)
+        rows.append({
+            "disk tier": f"{disk_gb} GB", "lost from tape": len(loss.lost),
+            "re-archived from disk": len(loss.recoverable),
+            "lost for good": len(loss.unrecoverable),
+        })
+    assert [row["lost for good"] for row in rows] == [9, 5, 0]
+    report_rows("C15c: one failed cartridge (10 x 20 GB) vs disk-tier size", rows)

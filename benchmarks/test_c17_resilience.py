@@ -19,9 +19,8 @@ from repro.arecibo.pipeline import AreciboPipelineConfig, run_arecibo_pipeline
 from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
 from repro.cleo.pipeline import CleoPipelineConfig, run_cleo_pipeline
-from repro.core.errors import ExecutionError
 from repro.core.faults import FaultPlan, FaultSpec
-from repro.core.recovery import AvailabilitySummary, RetryPolicy
+from repro.core.recovery import AvailabilitySummary, RetryPolicy, run_to_completion
 from repro.core.stagecache import StageCache
 from repro.core.telemetry import strip_wall_clock
 
@@ -144,28 +143,28 @@ def test_c17_checkpoint_resume(report_rows, tmp_path):
     reference = run_arecibo_pipeline(tmp_path / "reference", config())
     cold_s = time.perf_counter() - start
 
-    # Crash: no retry policy, so the injected process crash kills the run
-    # after the upstream stages have committed to the cache.
+    # Crash, then resume: no retry policy, so the injected process crash
+    # kills the first attempt after the upstream stages have committed to
+    # the cache; the second gets the same cache and the same injector (its
+    # fire budgets are spent).
     cache = StageCache()
     injector = transient_plan().arm()
-    crashed = False
-    try:
-        run_arecibo_pipeline(
-            tmp_path / "crashed", config(), cache=cache, faults=injector
-        )
-    except ExecutionError:
-        crashed = True
-    assert crashed
+    walls = []
 
-    # Resume: same cache, same injector (its fire budgets are spent).
-    hits_before = cache.hits
-    start = time.perf_counter()
-    resumed = run_arecibo_pipeline(
-        tmp_path / "resumed", config(), cache=cache, faults=injector
-    )
-    resume_s = time.perf_counter() - start
+    def attempt():
+        start = time.perf_counter()
+        try:
+            return run_arecibo_pipeline(
+                tmp_path / f"attempt-{len(walls)}", config(), cache=cache, faults=injector
+            )
+        finally:
+            walls.append(time.perf_counter() - start)
 
-    replayed = cache.hits - hits_before
+    resumed, restarts = run_to_completion(attempt)
+    assert restarts == 1
+    resume_s = walls[-1]
+
+    replayed = cache.hits
     assert replayed == len(PREFIX_STAGES)
     assert resumed.score == reference.score
 

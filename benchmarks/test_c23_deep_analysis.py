@@ -109,12 +109,12 @@ def test_c23_deep_analysis(report_rows, tmp_path):
             for key in sorted(stats)
         ],
     )
-    # Floors, not exact pins: the tree grows, the graph must keep up.
+    # Floors, not exact pins: the graph must keep up with the tree (it shrank in PR 23).
     assert stats["modules"] >= 100
-    assert stats["functions"] >= 1200
-    assert stats["call_edges"] >= 900
+    assert stats["functions"] >= 1100
+    assert stats["call_edges"] >= 850
     assert stats["cache_bindings"] >= 14
-    assert stats["shard_bindings"] >= 4
+    assert stats["shard_bindings"] >= 3
     assert unsuppressed(findings) == []
 
     report_rows(

@@ -11,7 +11,10 @@ Paper claims regenerated here:
   reprocessed data.
 """
 
+import pytest
 
+from repro.cleo.analysis import AnalysisJob
+from repro.core.errors import EventStoreError
 from repro.eventstore.model import run_key
 from repro.eventstore.provenance import stamp_step
 from repro.eventstore.scales import PersonalEventStore
@@ -71,10 +74,15 @@ def test_c5_snapshot_semantics(benchmark, tmp_path, report_rows):
         for when in (100.0, 123.456, 199.999):
             assert store.resolve_runs("physics", when)[1] == "Recon_v1"
         assert store.resolve_runs("physics", 200.0)[1] == "Recon_v2"
-        # Rule 4: moving the pin is the explicit way to adopt reprocessing.
-        late = store.resolve_runs("physics", 250.0)
-        assert late[1] == "Recon_v2"
-        assert late[n_runs] == "Recon_v1"  # second half was never reprocessed
+        # Rule 4: moving the pin is the explicit way to adopt reprocessing,
+        # and the pin only moves forward.
+        pinned = AnalysisJob("c5", store, "physics", 150.0)
+        adopted = pinned.adopt_newer_data(250.0)
+        late = store.resolve_grade("physics", adopted.timestamp)
+        assert late[run_key(1)] == "Recon_v2"
+        assert late[run_key(n_runs)] == "Recon_v1"  # second half was never reprocessed
+        with pytest.raises(EventStoreError):
+            adopted.adopt_newer_data(150.0)
 
         digests_then = store.consistency_digests("physics", 150.0, "recon")
         digests_again = store.consistency_digests("physics", 150.0, "recon")
@@ -95,5 +103,8 @@ def test_c5_snapshot_semantics(benchmark, tmp_path, report_rows):
                 {"rule": "reprocessing adopted only explicitly",
                  "paper": "explicitly change the analysis timestamp",
                  "measured": "v2 visible only from t>=200"},
+                {"rule": "adopting newer data = moving the pin",
+                 "paper": "change the analysis timestamp to a later date",
+                 "measured": "pin 150 -> 250: run 1 at v2, run 30 still v1; 250 -> 150 refused"},
             ],
         )

@@ -10,7 +10,11 @@ Paper claims regenerated here:
   will be inappropriate to store it in the headers of the data files".
 """
 
+import numpy as np
 
+from repro.cleo.calibration import degraded_calibration, perfect_calibration, true_misalignment
+from repro.cleo.detector import Detector, DetectorConfig
+from repro.cleo.reconstruction import Reconstructor, track_residual_bias, tracks_of
 from repro.eventstore.fileformat import FileHeader, open_event_file, write_event_file
 from repro.eventstore.provenance import (
     asu_level_cost,
@@ -103,3 +107,28 @@ def test_c8_accumulation_through_steps(benchmark, tmp_path, report_rows):
              "digest": drifted_post.digest[:12]},
         ],
     )
+
+
+def test_c8_what_the_stale_calibration_costs(report_rows):
+    """Why a discrepancy is worth detecting: the same raw events under the
+    current calibration and under an earlier, cruder pass."""
+    config = DetectorConfig()
+    misalignment = true_misalignment(config.n_planes, 0.2, seed=3)
+    rng = np.random.default_rng(6)
+    generated = [Detector(config, misalignment).generate_event(1, n, rng) for n in range(30)]
+    truths = [np.array([t.x0 for t in truth.tracks]) for _, truth in generated]
+    rows = []
+    for calibration in (
+        perfect_calibration(misalignment, "cal_v7 (current)"),
+        degraded_calibration(misalignment, "cal_v6 (stale)", 0.5, seed=4),
+    ):
+        recon = Reconstructor(config, calibration, "Feb13_04_P2")
+        events = [recon.reconstruct_event(event) for event, _ in generated]
+        rows.append({
+            "calibration": calibration.version,
+            "track x0 bias (cm)": round(track_residual_bias(events, truths), 3),
+            "mean chi2/dof": round(float(np.mean([tracks_of(e)[:, 2].mean() for e in events])), 1),
+        })
+    assert rows[1]["track x0 bias (cm)"] > rows[0]["track x0 bias (cm)"]
+    assert rows[1]["mean chi2/dof"] > 2 * rows[0]["mean chi2/dof"]
+    report_rows("C8c: the same 30 events under the current and the stale calibration", rows)

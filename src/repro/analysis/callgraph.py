@@ -51,7 +51,6 @@ from repro.analysis.linter import ImportMap, ModuleSource
 
 #: Canonical names the binding scanner keys on.
 STAGE_CTOR = "repro.core.dataflow.Stage"
-MAP_SHARDS_FN = "repro.core.shards.map_shards"
 SHARD_POOL_CLS = "repro.core.shards.ShardPool"
 PARTIAL_FNS = {"functools.partial", "partial"}
 
@@ -97,10 +96,6 @@ class FunctionInfo:
     @property
     def is_nested(self) -> bool:
         return self.parent_qualname is not None
-
-    @property
-    def display_name(self) -> str:
-        return self.qualname
 
 
 @dataclass
@@ -765,15 +760,8 @@ class _BodyWalker:
                     )
                 )
 
-        # ctx.map_shards(fn, items, cache_keys=..., cache_params=...) and
-        # the one-shot repro.core.shards.map_shards(fn, items, ...).
-        is_map_shards = (
-            isinstance(func, ast.Attribute) and func.attr == "map_shards"
-        ) or dotted == MAP_SHARDS_FN or (
-            isinstance(func, ast.Name)
-            and self.module.imports.resolve(func) == MAP_SHARDS_FN
-        )
-        if is_map_shards:
+        # ctx.map_shards(fn, items, cache_keys=..., cache_params=...).
+        if isinstance(func, ast.Attribute) and func.attr == "map_shards":
             shard_fn = _argument(node, position=0, keyword="fn")
             fn_q = self._resolve_function(shard_fn, scope) if shard_fn else None
             if fn_q is not None:

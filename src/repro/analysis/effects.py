@@ -488,20 +488,6 @@ class Coverage:
             return True
         return any(attr not in excluded for excluded in self.folds)
 
-    @property
-    def folds_everything(self) -> bool:
-        return any(not excluded for excluded in self.folds)
-
-    def excluded_everywhere(self) -> Set[str]:
-        """Attributes excluded by *every* fold (i.e. never covered by a
-        fold) — the interesting set to report."""
-        if not self.folds:
-            return set()
-        result = set(self.folds[0])
-        for excluded in self.folds[1:]:
-            result &= set(excluded)
-        return result
-
 
 def analyze_cache_params(
     expr: Optional[ast.expr],

@@ -391,9 +391,6 @@ class Linter:
     def __init__(self, select: Optional[Iterable[str]] = None):
         self.rules: List[Rule] = [cls() for cls in select_rules(select)]
 
-    def lint_file(self, path: Union[str, Path]) -> List[Finding]:
-        return self.lint_paths([path])
-
     def lint_paths(self, paths: Sequence[Union[str, Path]]) -> List[Finding]:
         """Lint files and (recursively) directories; deterministic order."""
         return self.lint(Analysis.build(paths))

@@ -69,10 +69,6 @@ class Filterbank:
         edges = np.linspace(self.freq_low_mhz, self.freq_high_mhz, self.n_channels + 1)
         return ((edges[:-1] + edges[1:]) / 2.0).astype(np.float64)
 
-    def zero_dm_series(self) -> np.ndarray:
-        """Frequency-averaged time series (the DM = 0 trial)."""
-        return self.data.mean(axis=0)
-
 
 def dispersion_delay_s(dm: float, freq_mhz: np.ndarray, ref_mhz: float) -> np.ndarray:
     """Cold-plasma dispersion delay relative to ``ref_mhz`` (seconds)."""

@@ -134,14 +134,6 @@ class CandidateDatabase:
             query = query.where("classification = ?", classification)
         return query.run(self.db)
 
-    def candidates_at(self, pointing_id: int):
-        return (
-            Select("candidates")
-            .where("pointing_id = ?", pointing_id)
-            .order_by("snr DESC")
-            .run(self.db)
-        )
-
     def add_transients(self, events, pointing_id: int, beam: int) -> int:
         """Store single-pulse events ("transient signals that may be
         associated with astrophysical objects other than pulsars")."""

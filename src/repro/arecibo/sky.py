@@ -39,10 +39,6 @@ class Pulsar:
         if not 0 < self.duty_cycle < 0.5:
             raise SearchError(f"{self.name}: duty cycle must be in (0, 0.5)")
 
-    @property
-    def is_binary(self) -> bool:
-        return self.accel_ms2 != 0.0
-
 
 @dataclass(frozen=True)
 class Transient:

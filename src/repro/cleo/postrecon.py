@@ -54,10 +54,6 @@ class RunStatistics:
     std_chi2: float
 
     @classmethod
-    def gather(cls, run_number: int, recon_events: Sequence[Event]) -> "RunStatistics":
-        return cls._of_tracks(run_number, [tracks_of(event) for event in recon_events])
-
-    @classmethod
     def _of_tracks(cls, run_number: int, tracks: Sequence[np.ndarray]) -> "RunStatistics":
         """Statistics over one decoded ``tracks`` array per event."""
         if not tracks:
@@ -85,9 +81,6 @@ class PostReconstructor:
     @property
     def version(self) -> str:
         return f"PostRecon_{self.release}"
-
-    def derive_event(self, recon_event: Event, stats: RunStatistics) -> Event:
-        return self._derive(recon_event, tracks_of(recon_event), stats)
 
     def _derive(self, recon_event: Event, tracks: np.ndarray, stats: RunStatistics) -> Event:
         n_tracks = tracks.shape[0]

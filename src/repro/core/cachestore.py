@@ -152,9 +152,6 @@ class DiskCacheStore:
     def __len__(self) -> int:
         return len(self._entries_on_disk())
 
-    def total_bytes(self) -> int:
-        return sum(size for _, _, size in self._entries_on_disk())
-
     def gc(self) -> int:
         """Evict least-recently-used entries until the bounds hold.
 

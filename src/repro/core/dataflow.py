@@ -14,6 +14,7 @@ running anything.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -25,7 +26,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -100,8 +100,11 @@ class Stage:
     def __post_init__(self) -> None:
         if not self.name:
             raise DataflowError("stage name must be non-empty")
-        if self.cpu_seconds_per_gb < 0:
-            raise DataflowError(f"stage {self.name!r}: negative CPU cost")
+        if not (0 <= self.cpu_seconds_per_gb < math.inf):
+            raise DataflowError(
+                f"stage {self.name!r}: CPU cost must be finite and >= 0, "
+                f"got {self.cpu_seconds_per_gb!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -220,9 +223,6 @@ class DataFlow:
 
     def sinks(self) -> List[str]:
         return [name for name in self._stages if not self._succ[name]]
-
-    def sites(self) -> Set[str]:
-        return {stage.site for stage in self._stages.values()}
 
     def _require(self, name: str) -> Stage:
         if name not in self._stages:

@@ -145,13 +145,6 @@ class StageReport:
     retry_wait: Duration = field(default_factory=Duration.zero)
     degraded: bool = False
 
-    @property
-    def reduction_factor(self) -> float:
-        """input/output volume ratio (>1 means the stage condenses data)."""
-        if self.output_size.bytes == 0:
-            return float("inf")
-        return self.input_size.bytes / self.output_size.bytes
-
 
 @dataclass
 class FlowReport:
@@ -190,12 +183,6 @@ class FlowReport:
     def total_output(self) -> DataSize:
         return DataSize(sum(stage.output_size.bytes for stage in self.stages))
 
-    def cpu_time_by_site(self) -> Dict[str, Duration]:
-        by_site: Dict[str, float] = {}
-        for stage in self.stages:
-            by_site[stage.site] = by_site.get(stage.site, 0.0) + stage.cpu_time.seconds
-        return {site: Duration(seconds) for site, seconds in by_site.items()}
-
     def stage(self, name: str) -> StageReport:
         for report in self.stages:
             if report.name == name:
@@ -213,15 +200,6 @@ class FlowReport:
         if realtime.seconds == 0:
             return float("inf")
         return self.total_cpu_time.seconds / realtime.seconds
-
-    @property
-    def total_retry_wait(self) -> Duration:
-        """Simulated backoff charged across all stages (retry overhead)."""
-        return Duration(sum(stage.retry_wait.seconds for stage in self.stages))
-
-    @property
-    def total_attempts(self) -> int:
-        return sum(stage.attempts for stage in self.stages)
 
     def summary_rows(self) -> List[Dict[str, object]]:
         """Tabular stage summary (used by benchmarks and EXPERIMENTS.md)."""
@@ -263,8 +241,8 @@ class StageContext:
         self.rng = rng
         #: Name of the flow this stage runs in; namespaces shard-cache keys.
         self.flow_name = flow_name
-        #: The run's armed fault injector, or None.  Transforms use
-        #: :meth:`fault_fires` for fine-grained degradation decisions
+        #: The run's armed fault injector, or None.  Transforms fire it and
+        #: :meth:`record_faults` for fine-grained degradation decisions
         #: (drop a beam, serve stale data) below stage granularity.
         self.faults = faults
         #: Out-of-band results this stage publishes for ancestors-agnostic
@@ -359,22 +337,6 @@ class StageContext:
                 cache.store_shard(keys[index], value)
                 results[index] = value
         return results
-
-    def fault_fires(self, scope: str, target: str, site: str = "") -> List[FaultRecord]:
-        """Evaluate an in-transform injection point; record what fired.
-
-        Returns the fired records (empty when no injector is armed) and
-        folds them into the stage's accounting so they replay in the
-        telemetry stream.  Transforms that fan work out across threads
-        must call this in a deterministic order (e.g. merge per-item
-        results in item order and record then) — see
-        :meth:`record_faults`.
-        """
-        if self.faults is None:
-            return []
-        records = self.faults.fire(scope, target, site)
-        self._fault_records.extend(records)
-        return records
 
     def record_faults(self, records: List[FaultRecord]) -> None:
         """Fold already-fired records into this stage's accounting.
@@ -483,10 +445,6 @@ class Engine:
         self._shard_pool: Optional[ShardPool] = None
 
     @property
-    def max_workers(self) -> int:
-        return self._max_workers
-
-    @property
     def executor(self) -> str:
         """The shard executor this engine fans transform work out on."""
         return self._executor
@@ -524,7 +482,8 @@ class Engine:
         source stages receive them under the key ``"input"``.  Seed
         datasets count toward live storage from the start of the run until
         their consumer stage completes (externally-fed data occupies disk
-        just as stage outputs do).
+        just as stage outputs do).  A key that is not a source stage of
+        ``flow`` raises :class:`ExecutionError` before any stage runs.
         """
         flow.validate()
         order = flow.topological_order()
@@ -547,14 +506,19 @@ class Engine:
         order: List[str],
         inputs: Optional[Mapping[str, Dataset]],
     ) -> Dict[str, Dataset]:
-        """Seed datasets keyed by the source stage that consumes them."""
+        """Seed datasets keyed by the source stage that consumes them; a key
+        that names no source stage is refused before anything runs."""
         if not inputs:
             return {}
-        return {
-            name: inputs[name]
-            for name in order
-            if name in inputs and not flow.predecessors(name)
-        }
+        sources = flow.sources()
+        misplaced = sorted(set(inputs) - set(sources))
+        if misplaced:
+            raise ExecutionError(
+                "engine",
+                f"inputs {misplaced} name no source stage of flow {flow.name!r} "
+                f"(its sources: {sources})",
+            )
+        return {name: inputs[name] for name in order if name in inputs}
 
     @staticmethod
     def _stage_inputs(

@@ -30,9 +30,9 @@ Injection *sites* (the shims) live with the subsystems they wrap: the
 engine consults the injector before each stage attempt (see
 :mod:`repro.core.engine`), :class:`~repro.storage.tape.RoboticTapeLibrary`
 and :class:`~repro.transport.sneakernet.ShippingLane` check their
-operations, and pipelines make fine-grained checks through
-``StageContext.fault_fires`` (the Arecibo beam cull, the WebLab stale
-preload).
+operations, and pipelines make fine-grained checks with
+``ctx.faults.fire`` + ``StageContext.record_faults`` (the Arecibo beam
+cull, the WebLab stale preload).
 """
 
 from __future__ import annotations
@@ -188,17 +188,6 @@ class FaultRecord:
             "invocation": self.invocation,
             "param": self.param,
         }
-
-    @classmethod
-    def from_attrs(cls, attrs: Dict[str, object]) -> "FaultRecord":
-        return cls(
-            spec=str(attrs["spec"]),
-            scope=str(attrs["scope"]),
-            target=str(attrs["target"]),
-            kind=str(attrs["kind"]),
-            invocation=int(attrs["invocation"]),  # type: ignore[arg-type]
-            param=float(attrs["param"]),  # type: ignore[arg-type]
-        )
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -34,11 +33,6 @@ _record_counter = itertools.count(1)
 
 def _next_record_id() -> str:
     return f"prov-{next(_record_counter):06d}"
-
-
-def _canonical_params(params: Mapping[str, object]) -> str:
-    """Render parameters deterministically so hashes are reproducible."""
-    return json.dumps({k: params[k] for k in sorted(params)}, sort_keys=True, default=str)
 
 
 @dataclass(frozen=True)

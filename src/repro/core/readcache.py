@@ -246,12 +246,6 @@ class ReadCache:
                     self._admit(key, entry)
         return value
 
-    def peek(self, key: str) -> object:
-        """The cached value (or None), without counters, LRU, or loading."""
-        with self._lock:
-            value = self._entries.get(key)
-            return None if value is _NEGATIVE else value
-
     # -- invalidation ------------------------------------------------------
     def invalidate(self, key: str) -> bool:
         """Drop one entry; returns whether it was cached."""

@@ -16,8 +16,8 @@ component.  This module holds the policy side of that story; the engine
 * :class:`DeadLetter` — the record of exhausted retries, one per
   abandoned stage, listed on the engine (``dead_letters``) and emitted
   as ``stage.dead_letter`` telemetry.
-* :func:`run_to_completion` — the checkpoint/resume driver: run a flow,
-  and on a crash re-run it against the same :class:`StageCache` and the
+* :func:`run_to_completion` — the checkpoint/resume driver: make a run,
+  and on a crash make it again against the same :class:`StageCache` and the
   same armed :class:`~repro.core.faults.FaultInjector`.  Completed
   stages replay from cache with byte-identical accounting (the replayed
   prefix), exhausted transient faults do not re-fire, and the flow makes
@@ -27,7 +27,7 @@ component.  This module holds the policy side of that story; the engine
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
 from repro.core.errors import ExecutionError, FaultError
 
@@ -36,6 +36,8 @@ from repro.core.errors import ExecutionError, FaultError
 #: failed attempt; whatever it returns flows downstream as the stage
 #: output, flagged ``degraded`` in every report row.
 FallbackFn = Callable[[Mapping[str, object], object, Exception], object]
+
+Report = TypeVar("Report")
 
 
 @dataclass(frozen=True)
@@ -120,16 +122,14 @@ class DeadLetter:
 
 
 def run_to_completion(
-    make_engine: Callable[[], object],
-    flow: object,
-    inputs: Optional[Mapping[str, object]] = None,
-    max_restarts: int = 3,
-) -> Tuple[object, int]:
+    attempt: Callable[[], Report], max_restarts: int = 3
+) -> Tuple[Report, int]:
     """Drive a flow to completion across engine crashes: the resume loop.
 
-    ``make_engine`` builds a fresh engine per restart; to get
-    checkpoint/resume semantics the factory must hand every engine the
-    *same* :class:`~repro.core.stagecache.StageCache` and the same armed
+    ``attempt`` makes one run — ``Engine.run`` on a fresh engine, or a
+    whole ``run_*_pipeline`` call; to get checkpoint/resume semantics
+    every attempt must be handed the *same*
+    :class:`~repro.core.stagecache.StageCache` and the same armed
     :class:`~repro.core.faults.FaultInjector` (same fault digest, same
     exhausted fire budgets).  Stages the crashed run completed were
     committed to the cache as they finished, so the resumed run replays
@@ -144,9 +144,8 @@ def run_to_completion(
         raise FaultError(f"max_restarts must be >= 0, got {max_restarts}")
     restarts = 0
     while True:
-        engine = make_engine()
         try:
-            return engine.run(flow, inputs=inputs), restarts  # type: ignore[attr-defined]
+            return attempt(), restarts
         except ExecutionError:
             if restarts >= max_restarts:
                 raise

@@ -13,38 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.core.units import DataSize, Duration, Rate
-
-
-@dataclass(frozen=True)
-class CpuPool:
-    """A homogeneous pool of processors at one site."""
-
-    site: str
-    processors: int
-    per_cpu_throughput: Rate = field(
-        default_factory=lambda: Rate.megabytes_per_second(2.0)
-    )
-
-    def __post_init__(self) -> None:
-        if self.processors <= 0:
-            raise ValueError("CpuPool needs at least one processor")
-
-    @property
-    def aggregate_throughput(self) -> Rate:
-        return self.per_cpu_throughput * self.processors
-
-    def time_to_process(self, size: DataSize) -> Duration:
-        """Wall-clock time for the pool to chew through ``size`` of input."""
-        return size / self.aggregate_throughput
-
-    def processors_to_keep_up(self, size: DataSize, window: Duration) -> int:
-        """Smallest processor count that finishes ``size`` within ``window``."""
-        per_cpu = self.per_cpu_throughput * window
-        if per_cpu.bytes == 0:
-            raise ValueError("per-CPU throughput is zero")
-        needed = size.bytes / per_cpu.bytes
-        return max(1, int(needed) + (0 if needed == int(needed) else 1))
+from repro.core.units import DataSize, Duration
 
 
 @dataclass(frozen=True)
@@ -99,10 +68,3 @@ class CostLedger:
             for entry in self.entries
             if category is None or entry["category"] == category
         )
-
-    def by_category(self) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
-        for entry in self.entries:
-            key = str(entry["category"])
-            totals[key] = totals.get(key, 0.0) + float(entry["amount"])
-        return totals

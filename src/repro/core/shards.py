@@ -307,15 +307,3 @@ class ShardPool:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def map_shards(
-    fn: Callable,
-    items: Sequence,
-    workers: int = 1,
-    executor: str = "thread",
-    telemetry: Optional[Telemetry] = None,
-) -> List:
-    """One-shot :meth:`ShardPool.map` with pool lifecycle handled."""
-    with ShardPool(executor=executor, workers=workers, telemetry=telemetry) as pool:
-        return pool.map(fn, items)

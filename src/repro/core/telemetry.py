@@ -224,7 +224,7 @@ class SimClock:
         return self._now
 
     def advance(self, seconds: float) -> float:
-        if seconds < 0:
+        if not seconds >= 0:  # NaN too: it would poison a shared clock for good
             raise TelemetryError(f"cannot advance the clock by {seconds}")
         with self._lock:
             self._now += seconds
@@ -480,9 +480,6 @@ class Telemetry:
     def clear(self) -> None:
         with self._lock:
             self._events.clear()
-
-    def canonical_log(self, start: int = 0) -> List[Dict[str, object]]:
-        return [event.canonical() for event in self.events(start)]
 
     # -- spans -----------------------------------------------------------
     @contextmanager

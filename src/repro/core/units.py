@@ -98,10 +98,6 @@ class DataSize:
         return cls(float(n))
 
     @classmethod
-    def kilobytes(cls, n: Number) -> "DataSize":
-        return cls(float(n) * _KB)
-
-    @classmethod
     def megabytes(cls, n: Number) -> "DataSize":
         return cls(float(n) * _MB)
 
@@ -138,20 +134,12 @@ class DataSize:
         return self.bytes / _KB
 
     @property
-    def mb(self) -> float:
-        return self.bytes / _MB
-
-    @property
     def gb(self) -> float:
         return self.bytes / _GB
 
     @property
     def tb(self) -> float:
         return self.bytes / _TB
-
-    @property
-    def pb(self) -> float:
-        return self.bytes / _PB
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "DataSize") -> "DataSize":
@@ -225,10 +213,6 @@ class Duration:
     @classmethod
     def days(cls, n: Number) -> "Duration":
         return cls(float(n) * _DAY)
-
-    @classmethod
-    def weeks(cls, n: Number) -> "Duration":
-        return cls(float(n) * _WEEK)
 
     @classmethod
     def years(cls, n: Number) -> "Duration":
@@ -341,14 +325,6 @@ class Rate:
         return cls(float(n) * _MB)
 
     @classmethod
-    def gigabytes_per_day(cls, n: Number) -> "Rate":
-        return cls(float(n) * _GB / _DAY)
-
-    @classmethod
-    def terabytes_per_day(cls, n: Number) -> "Rate":
-        return cls(float(n) * _TB / _DAY)
-
-    @classmethod
     def per(cls, size: DataSize, duration: Duration) -> "Rate":
         if duration.seconds == 0:
             raise UnitError("rate over a zero duration")
@@ -371,10 +347,6 @@ class Rate:
     @property
     def gb_per_day(self) -> float:
         return self.bytes_per_second * _DAY / _GB
-
-    @property
-    def tb_per_day(self) -> float:
-        return self.bytes_per_second * _DAY / _TB
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "Rate") -> "Rate":
@@ -421,32 +393,3 @@ class Rate:
         if self.bytes_per_second >= _KB:
             return f"{self.bytes_per_second / _KB:.2f} KB/s"
         return f"{self.bytes_per_second:.2f} B/s"
-
-
-# Convenience module-level constructors mirroring the paper's vocabulary.
-def terabytes(n: Number) -> DataSize:
-    return DataSize.terabytes(n)
-
-
-def gigabytes(n: Number) -> DataSize:
-    return DataSize.gigabytes(n)
-
-
-def megabytes(n: Number) -> DataSize:
-    return DataSize.megabytes(n)
-
-
-def petabytes(n: Number) -> DataSize:
-    return DataSize.petabytes(n)
-
-
-def hours(n: Number) -> Duration:
-    return Duration.hours(n)
-
-
-def days(n: Number) -> Duration:
-    return Duration.days(n)
-
-
-def years(n: Number) -> Duration:
-    return Duration.years(n)

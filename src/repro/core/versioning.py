@@ -1,11 +1,8 @@
-"""Version identifiers, data grades, and timestamped snapshots.
+"""Data grades and timestamped snapshots.
 
 This module implements the consistency machinery the paper attributes to the
 CLEO EventStore, in a domain-neutral form reused by all three pipelines:
 
-* :class:`VersionId` — identifiers like ``Recon_Feb13_04_P2``: the software
-  release that produced the data, plus the date of the most recent change to
-  software or inputs "that might affect the results".
 * :class:`GradeHistory` — the evolution of a named data grade over time.  A
   consistent set of data is fully identified by a grade name plus a
   timestamp; resolution finds the most recent snapshot *prior* to the
@@ -16,43 +13,12 @@ CLEO EventStore, in a domain-neutral form reused by all three pipelines:
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generic, Hashable, List, Mapping, Tuple, TypeVar
 
 from repro.core.errors import VersioningError
 
-_VERSION_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)_(.+)$")
-
 Key = TypeVar("Key", bound=Hashable)
-
-
-@dataclass(frozen=True, order=True)
-class VersionId:
-    """A data version: processing kind + software release tag.
-
-    ``VersionId("Recon", "Feb13_04_P2")`` renders as ``Recon_Feb13_04_P2``,
-    matching the paper's example identifier.
-    """
-
-    kind: str
-    release: str
-
-    def __post_init__(self) -> None:
-        if not self.kind or not self.kind[0].isalpha():
-            raise VersioningError(f"invalid version kind: {self.kind!r}")
-        if not self.release:
-            raise VersioningError("version release must be non-empty")
-
-    @classmethod
-    def parse(cls, text: str) -> "VersionId":
-        match = _VERSION_RE.match(text)
-        if not match:
-            raise VersioningError(f"cannot parse version identifier: {text!r}")
-        return cls(kind=match.group(1), release=match.group(2))
-
-    def __str__(self) -> str:
-        return f"{self.kind}_{self.release}"
 
 
 @dataclass(frozen=True)
@@ -61,9 +27,6 @@ class SnapshotEntry(Generic[Key]):
 
     timestamp: float
     assignments: Tuple[Tuple[Key, str], ...]
-
-    def as_mapping(self) -> Dict[Key, str]:
-        return dict(self.assignments)
 
 
 class GradeHistory(Generic[Key]):
@@ -132,37 +95,3 @@ class GradeHistory(Generic[Key]):
                 if key not in resolved and first_time > timestamp:
                     resolved[key] = first_version
         return resolved
-
-    def versions_of(self, key: Key) -> List[Tuple[float, str]]:
-        """Full assignment history of one key, oldest first."""
-        return [
-            (entry.timestamp, version)
-            for entry in self._entries
-            for entry_key, version in entry.assignments
-            if entry_key == key
-        ]
-
-    def latest(self) -> Dict[Key, str]:
-        """Current (most recent) version of every key ever assigned."""
-        if not self._entries:
-            return {}
-        return self.resolve(self._entries[-1].timestamp)
-
-
-@dataclass
-class GradeRegistry(Generic[Key]):
-    """All grades of one store, addressed by name."""
-
-    _grades: Dict[str, GradeHistory[Key]] = field(default_factory=dict)
-
-    def grade(self, name: str) -> GradeHistory[Key]:
-        """Get or create the history for a grade name."""
-        if name not in self._grades:
-            self._grades[name] = GradeHistory(name)
-        return self._grades[name]
-
-    def names(self) -> List[str]:
-        return sorted(self._grades)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._grades

@@ -135,15 +135,6 @@ class Trace:
         """The distinct ops exercised, sorted."""
         return sorted({request.op for request in self.requests})
 
-    def keys_by_frequency(self, op: Optional[str] = None) -> List[Tuple[str, int]]:
-        """(key, hit count) pairs, most popular first — the Zipf head."""
-        counts: Dict[str, int] = {}
-        for request in self.requests:
-            if op is not None and request.op != op:
-                continue
-            counts[request.key] = counts.get(request.key, 0) + 1
-        return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-
     def header(self) -> Dict[str, object]:
         return {
             "name": self.name,

@@ -96,12 +96,6 @@ class Database:
             > 0
         )
 
-    def table_names(self) -> List[str]:
-        rows = self.query(
-            "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name"
-        )
-        return [row["name"] for row in rows]
-
     def count(self, table: str, where: str = "", params: Params = ()) -> int:
         sql = f"SELECT count(*) FROM {table}"
         if where:

@@ -38,10 +38,6 @@ class MergeReport:
     grade_entries_added: int = 0
     copied_paths: List[str] = field(default_factory=list)
 
-    @property
-    def changed(self) -> bool:
-        return bool(self.files_added or self.runs_added or self.grade_entries_added)
-
 
 def merge_into(source: EventStore, target: EventStore, merged_at: float = 0.0) -> MergeReport:
     """Merge everything in ``source`` into ``target`` atomically.

@@ -139,12 +139,6 @@ class Event:
         return sorted(self.asus)
 
 
-def total_size(events: Iterable[Event]) -> DataSize:
-    return DataSize.from_bytes(
-        sum(len(asu.payload) for event in events for asu in event.asus.values())
-    )
-
-
 def run_key(run_number: int) -> str:
     """Grade-history key for a single run."""
     return f"run:{run_number}"

@@ -49,9 +49,6 @@ class AccessProfile:
             return 0.0
         return self._touches[name] / self.analyses
 
-    def known_asus(self) -> List[str]:
-        return sorted(self._touches)
-
 
 @dataclass(frozen=True)
 class PartitionLayout:

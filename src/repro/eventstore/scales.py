@@ -7,7 +7,8 @@ sizes is the name of the software module loaded, which is also the first
 word of all EventStore commands."
 
 The classes below are exactly that: the same :class:`EventStore` behind
-three module names, plus the factory :func:`open_store`.
+the two module names the flows load; a group store, which grows by merge
+like the collaboration one, is ``EventStore(root, scale="group")``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.core.errors import EventStoreError
-from repro.eventstore.store import SCALES, EventStore
+from repro.eventstore.store import EventStore
 
 
 class PersonalEventStore(EventStore):
@@ -32,33 +32,8 @@ class PersonalEventStore(EventStore):
         super().__init__(root, scale="personal", name=name)
 
 
-class GroupEventStore(EventStore):
-    """Shared store for one analysis group; grows by merge."""
-
-    def __init__(self, root: Union[str, Path], name: Optional[str] = None):
-        super().__init__(root, scale="group", name=name)
-
-
 class CollaborationEventStore(EventStore):
     """The centrally managed repository; officers assign grades."""
 
     def __init__(self, root: Union[str, Path], name: Optional[str] = None):
         super().__init__(root, scale="collaboration", name=name)
-
-
-_SCALE_CLASSES = {
-    "personal": PersonalEventStore,
-    "group": GroupEventStore,
-    "collaboration": CollaborationEventStore,
-}
-
-
-def open_store(
-    root: Union[str, Path], scale: str = "personal", name: Optional[str] = None
-) -> EventStore:
-    """Open (or create) a store of the requested size."""
-    try:
-        cls = _SCALE_CLASSES[scale]
-    except KeyError:
-        raise EventStoreError(f"unknown scale {scale!r}; pick one of {SCALES}") from None
-    return cls(root, name=name)

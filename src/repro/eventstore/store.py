@@ -49,11 +49,6 @@ class IngestStats:
     bytes_injected: float = 0.0
     files_opened: int = 0
 
-    @classmethod
-    def zero(cls) -> "IngestStats":
-        """An explicit all-zero traffic record."""
-        return cls()
-
 
 class EventStore:
     """A store of event files with grade/version metadata in a relational DB.
@@ -440,13 +435,6 @@ class EventStore:
             )
             for row in rows
         ]
-
-    def versions_of(self, run_number: int, kind: str) -> List[str]:
-        rows = self.db.query(
-            "SELECT version FROM files WHERE run_number = ? AND kind = ? ORDER BY id",
-            (run_number, kind),
-        )
-        return [row["version"] for row in rows]
 
     def file_count(self) -> int:
         return self.db.count("files")

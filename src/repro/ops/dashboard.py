@@ -196,12 +196,6 @@ class Dashboard:
             counts[panel.status] += 1
         return counts
 
-    def panel(self, channel: str) -> Optional[ChannelPanel]:
-        for candidate in self.panels:
-            if candidate.channel == channel:
-                return candidate
-        return None
-
 
 def build_dashboard(
     projection: RollupProjection,

@@ -1,1 +1,1 @@
-"""Storage substrate: media, disk pools, robotic tape, HSM, catalog, archive."""
+"""Storage substrate: media, robotic tape, HSM, catalog, archive."""

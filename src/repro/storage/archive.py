@@ -97,15 +97,6 @@ class LongTermArchive:
     def media_count(self) -> int:
         return sum(len(media_set) for media_set in self._media_sets)
 
-    @property
-    def live_media(self) -> List[Medium]:
-        return [
-            medium
-            for media_set in self._media_sets
-            for medium in media_set
-            if not medium.failed
-        ]
-
     def total_stored(self) -> DataSize:
         return self.catalog.total_logical()
 

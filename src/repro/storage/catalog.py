@@ -38,9 +38,6 @@ class CatalogEntry:
     def replica_count(self) -> int:
         return len(self.replicas)
 
-    def locations(self) -> List[str]:
-        return sorted({replica.location for replica in self.replicas})
-
 
 class FileCatalog:
     """Registry of logical files → replicas, with fixity verification."""
@@ -81,15 +78,6 @@ class FileCatalog:
         replica = Replica(location=location, medium_id=medium_id, checksum=checksum)
         entry.replicas.append(replica)
         return replica
-
-    def drop_replicas_at(self, location: str) -> int:
-        """Forget all replicas at a location (e.g. a failed medium); returns count."""
-        dropped = 0
-        for entry in self._entries.values():
-            before = len(entry.replicas)
-            entry.replicas = [r for r in entry.replicas if r.location != location]
-            dropped += before - len(entry.replicas)
-        return dropped
 
     def drop_replicas_at_medium(self, medium_id: str) -> int:
         """Forget all replicas on one physical medium; returns count."""

@@ -111,9 +111,6 @@ class HierarchicalStore:
     def cached_bytes(self) -> DataSize:
         return DataSize(sum(size.bytes for size in self._cache.values()))
 
-    def cached_files(self) -> List[str]:
-        return list(self._cache)
-
     def is_cached(self, name: str) -> bool:
         return name in self._cache
 
@@ -225,19 +222,15 @@ class HierarchicalStore:
                 self._cache.pop(name, None)
         return report
 
-    def pin_set(self, names: List[str]) -> Duration:
-        """Pre-stage a working set into cache (batched, mount-efficient)."""
-        _, elapsed = self.recall_set(names)
-        return elapsed
-
     def recall_set(self, names: List[str]) -> Tuple[List[StoredFile], Duration]:
-        """Batched recall that also *returns* the files it staged.
+        """Pre-stage a working set into cache (batched, mount-efficient) and
+        *return* the files it staged.
 
-        The serving-path variant of :meth:`pin_set`: a caller holding a
-        queue of cold requests gets the recalled file objects directly,
-        so it can serve them even when the set is larger than the disk
-        tier (re-reading through the cache would recall evicted members
-        a second time).  Already-cached names are skipped, not returned.
+        A caller holding a queue of cold requests gets the recalled file
+        objects directly, so it can serve them even when the set is larger
+        than the disk tier (re-reading through the cache would recall
+        evicted members a second time).  Already-cached names are skipped,
+        not returned.
         """
         to_recall = [name for name in names if name not in self._cache]
         if not to_recall:

@@ -45,9 +45,6 @@ class MediaType:
     def write_time(self, size: DataSize) -> Duration:
         return self.mount_latency + size / self.write_rate
 
-    def read_time(self, size: DataSize) -> Duration:
-        return self.mount_latency + size / self.read_rate
-
 
 # -- mid-2000s reference media ------------------------------------------------
 ATA_DISK_2005 = MediaType(

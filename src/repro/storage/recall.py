@@ -10,7 +10,7 @@ file at a time; they queue on a :class:`RecallQueue`, which
   before the next drain cost one recall and one queue slot;
 * splits each drain into a **hot** set (already on the HSM disk tier —
   served immediately at disk speed) and a **cold** set (recalled in one
-  batched, mount-efficient :meth:`~repro.storage.hsm.HierarchicalStore.pin_set`
+  batched, mount-efficient :meth:`~repro.storage.hsm.HierarchicalStore.recall_set`
   pass before any read is served).
 
 The queue owns a registry (``recall.requests/coalesced/drains/
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.core.errors import StorageError
 from repro.core.telemetry import MetricsRegistry
@@ -44,11 +44,6 @@ class RecallDrainReport:
     elapsed: Duration = field(default_factory=Duration.zero)
     files: Tuple[str, ...] = ()
 
-    @property
-    def coalescing_ratio(self) -> float:
-        """Requests per unique file — 1.0 means no duplication arrived."""
-        return self.requests_served / self.unique_files if self.unique_files else 0.0
-
 
 class RecallQueue:
     """Request coalescing + hot/cold batching in front of one HSM store."""
@@ -60,10 +55,6 @@ class RecallQueue:
 
     def __len__(self) -> int:
         return len(self._pending)
-
-    def pending(self) -> List[str]:
-        """Queued unique file names, in first-request order."""
-        return list(self._pending)
 
     def request(self, name: str) -> None:
         """Queue one read request; duplicates coalesce until the drain."""

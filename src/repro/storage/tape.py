@@ -89,17 +89,6 @@ class RoboticTapeLibrary:
     def cartridge_count(self) -> int:
         return len(self._cartridges)
 
-    @property
-    def stored(self) -> DataSize:
-        return DataSize(sum(c.used.bytes for c in self._cartridges))
-
-    @property
-    def media_cost(self) -> float:
-        return self.media_type.unit_cost * len(self._cartridges)
-
-    def file_names(self) -> List[str]:
-        return sorted(self._locations)
-
     def holds(self, name: str) -> bool:
         return name in self._locations
 

@@ -1,1 +1,1 @@
-"""Transport substrate: network links/routes, sneakernet, integrity, planner."""
+"""Transport substrate: network links, sneakernet, integrity, planner."""

@@ -1,4 +1,4 @@
-"""Network links, routes, and fair-share transfer simulation.
+"""Network links and fair-share transfer simulation.
 
 Models the connectivity the paper discusses: Arecibo's thin uplink ("for
 the foreseeable future, network transport of raw data is infeasible"), the
@@ -11,7 +11,7 @@ in which case concurrent transfers split capacity processor-sharing style.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.errors import TransportError
 from repro.core.telemetry import Telemetry
@@ -44,37 +44,6 @@ class NetworkLink:
     def daily_volume(self) -> DataSize:
         """How much one day of saturation moves (the 250 GB/day arithmetic)."""
         return self.effective * Duration.days(1)
-
-
-@dataclass(frozen=True)
-class Route:
-    """A multi-hop path; throughput is the bottleneck, latency accumulates."""
-
-    name: str
-    links: Tuple[NetworkLink, ...]
-
-    def __post_init__(self) -> None:
-        if not self.links:
-            raise TransportError(f"route {self.name!r} needs at least one link")
-
-    @property
-    def bottleneck(self) -> NetworkLink:
-        return min(self.links, key=lambda link: link.effective.bytes_per_second)
-
-    @property
-    def effective(self) -> Rate:
-        return self.bottleneck.effective
-
-    @property
-    def latency(self) -> Duration:
-        return Duration(sum(link.latency.seconds for link in self.links))
-
-    def transfer_time(self, size: DataSize) -> Duration:
-        return self.latency + size / self.effective
-
-
-def route(name: str, *links: NetworkLink) -> Route:
-    return Route(name=name, links=tuple(links))
 
 
 # -- reference links ---------------------------------------------------------

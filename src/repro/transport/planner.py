@@ -99,9 +99,6 @@ class TransportPlanner:
     def fastest(self, volume: DataSize) -> TransportOption:
         return self.evaluate(volume)[0]
 
-    def cheapest(self, volume: DataSize) -> TransportOption:
-        return min(self.evaluate(volume), key=lambda option: option.cost)
-
     def best(self, volume: DataSize, deadline: Optional[Duration] = None) -> TransportOption:
         """Cheapest option meeting the deadline (fastest if none meets it)."""
         options = self.evaluate(volume)

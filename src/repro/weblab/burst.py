@@ -29,9 +29,6 @@ class BurstInterval:
     end: int
     weight: float  # summed log-likelihood advantage over the base state
 
-    def overlaps(self, other: "BurstInterval") -> bool:
-        return self.start <= other.end and other.start <= self.end
-
 
 def _binomial_log_likelihood(k: int, n: int, p: float) -> float:
     """log P(k of n | rate p), dropping the k-independent binomial term.

@@ -84,16 +84,6 @@ class PartitionedGraph:
     def is_remote(self, src: str, dst: str) -> bool:
         return self.worker_of(src) != self.worker_of(dst)
 
-    def edge_census(self) -> ClusterCost:
-        """Classify every edge once (the static cut fraction)."""
-        cost = ClusterCost()
-        for src, dst in self.graph.edges():
-            if self.is_remote(src, dst):
-                cost.remote_visits += 1
-            else:
-                cost.local_visits += 1
-        return cost
-
     def _charge(self, cost: ClusterCost, src: str, dst: str) -> None:
         if self.is_remote(src, dst):
             cost.remote_visits += 1

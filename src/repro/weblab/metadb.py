@@ -17,9 +17,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import DuplicateCrawlError
-from repro.core.units import DataSize
 from repro.db.connection import Database, connect
-from repro.db.query import Select
 from repro.db.schema import Schema, apply_schema, column
 
 
@@ -150,17 +148,6 @@ class WebLabDatabase:
             return self.db.count("links")
         return self.db.count("links", "crawl_index = ?", (crawl_index,))
 
-    def page_as_of(self, url: str, as_of: float):
-        """Most recent capture of ``url`` at or before ``as_of`` (or None)."""
-        return (
-            Select("pages")
-            .where("url = ?", url)
-            .where("fetched_at <= ?", as_of)
-            .order_by("fetched_at DESC")
-            .limit(1)
-            .run_one(self.db)
-        )
-
     def page_pointer_as_of(self, url: str, as_of: float) -> Optional[Dict[str, object]]:
         """The serving-path resolution: just the columns the retro browser
         needs, shaped so the covering index answers the query alone."""
@@ -205,7 +192,3 @@ class WebLabDatabase:
             row["domain"]
             for row in self.db.query("SELECT DISTINCT domain FROM pages ORDER BY domain")
         ]
-
-    def total_content_size(self) -> DataSize:
-        value = self.db.query_value("SELECT coalesce(sum(size_bytes), 0) FROM pages")
-        return DataSize.from_bytes(float(value))

@@ -76,9 +76,6 @@ class PageStore:
     def __contains__(self, digest: str) -> bool:
         return os.path.exists(self._path_for(digest))
 
-    def blob_count(self) -> int:
-        return sum(1 for _ in self._blobs())
-
     def total_size(self) -> DataSize:
         return DataSize.from_bytes(
             float(sum(path.stat().st_size for path in self._blobs()))

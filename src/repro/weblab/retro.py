@@ -134,12 +134,3 @@ class RetroBrowser:
     def history(self, url: str) -> List[float]:
         """All capture times of a URL, oldest first (the time-slice axis)."""
         return self.database.captures_of(url)
-
-    def diff_times(self, url: str) -> List[Tuple[float, str]]:
-        """(capture time, content hash) pairs — where the page changed."""
-        rows = self.database.db.query(
-            "SELECT fetched_at, content_hash FROM pages WHERE url = ? "
-            "ORDER BY fetched_at",
-            (url,),
-        )
-        return [(row["fetched_at"], row["content_hash"]) for row in rows]

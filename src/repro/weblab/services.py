@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.errors import WebLabError
 from repro.core.readcache import ReadCache
-from repro.core.shards import map_shards
 from repro.core.telemetry import Counter, MetricsRegistry, Telemetry, get_telemetry
 from repro.core.units import DataSize, Duration
 from repro.transport.network import INTERNET2_100, NetworkLink
@@ -38,7 +36,7 @@ from repro.weblab.subsets import (
     list_subsets,
     stratified_sample,
 )
-from repro.weblab.synthweb import CrawlSnapshot, SyntheticWeb, SyntheticWebConfig
+from repro.weblab.synthweb import SyntheticWeb, SyntheticWebConfig
 from repro.weblab.textindex import TextIndex, build_index
 from repro.weblab.webgraph import GraphStats, compute_stats, load_web_graph
 
@@ -229,56 +227,29 @@ class WebLabServices:
         return bursty_terms(slices, vocabulary, scaling=scaling, min_weight=min_weight)
 
 
-def _pack_crawl_shard(task: Tuple[CrawlSnapshot, Path]) -> Tuple[List[Path], List[Path]]:
-    """Pack one crawl snapshot's ARC + DAT files (picklable shard body)."""
-    crawl, incoming = task
-    arc_paths = pack_crawl(crawl.pages, incoming, f"crawl{crawl.crawl_index:02d}")
-    dat_paths = pack_crawl_metadata(
-        crawl.pages, arc_paths, incoming, f"crawl{crawl.crawl_index:02d}"
-    )
-    return arc_paths, dat_paths
-
-
 def build_weblab(
     root: Union[str, Path],
     web_config: Optional[SyntheticWebConfig] = None,
     n_crawls: int = 6,
     preload_config: Optional[PreloadConfig] = None,
     link: NetworkLink = INTERNET2_100,
-    workers: int = 1,
-    executor: str = "thread",
-    telemetry: Optional[Telemetry] = None,
 ) -> Tuple[WebLab, WebLabBuildReport, SyntheticWeb]:
     """Synthesize, pack, transfer, and preload a whole WebLab.
 
-    ``workers`` fans the per-crawl ARC/DAT packing out across a shard
-    pool — threads by default, worker processes with
-    ``executor="process"`` — and becomes the preload subsystem's parser
-    parallelism (unless an explicit ``preload_config`` already pins it).
-    Crawls pack into disjoint files and results merge in crawl order, so
-    the built WebLab is identical for any worker count or executor.
-
     Returns (weblab, build report, the synthetic web with its ground truth).
     """
-    if workers < 1:
-        raise WebLabError("need at least one worker")
     root = Path(root)
     incoming = root / "incoming"
     incoming.mkdir(parents=True, exist_ok=True)
     web = SyntheticWeb(web_config)
     crawls = web.generate_crawls(n_crawls)
 
-    packed = map_shards(
-        _pack_crawl_shard,
-        [(crawl, incoming) for crawl in crawls],
-        workers=workers,
-        executor=executor,
-        telemetry=telemetry,
-    )
-
     arc_jobs: List[Tuple[Path, int]] = []
     dat_jobs: List[Tuple[Path, int]] = []
-    for crawl, (arc_paths, dat_paths) in zip(crawls, packed):
+    for crawl in crawls:
+        stem = f"crawl{crawl.crawl_index:02d}"
+        arc_paths = pack_crawl(crawl.pages, incoming, stem)
+        dat_paths = pack_crawl_metadata(crawl.pages, arc_paths, incoming, stem)
         arc_jobs.extend((path, crawl.crawl_index) for path in arc_paths)
         dat_jobs.extend((path, crawl.crawl_index) for path in dat_paths)
 
@@ -286,7 +257,7 @@ def build_weblab(
         float(sum(path.stat().st_size for path, _ in arc_jobs + dat_jobs))
     )
     transfer_time = link.transfer_time(compressed)
-    bus = telemetry if telemetry is not None else get_telemetry()
+    bus = get_telemetry()
     bus.emit(
         "transfer.start",
         "weblab-ingest",
@@ -303,11 +274,9 @@ def build_weblab(
         mode="network",
     )
 
-    weblab = WebLab(root / "weblab", telemetry=telemetry)
+    weblab = WebLab(root / "weblab")
     for crawl in crawls:
         weblab.database.register_crawl(crawl.crawl_index, crawl.crawl_time)
-    if preload_config is None and workers > 1:
-        preload_config = PreloadConfig(workers=workers)
     preloader = PreloadSubsystem(weblab.database, weblab.pagestore, preload_config)
     stats = preloader.run(arc_jobs, dat_jobs)
 

@@ -112,10 +112,6 @@ def list_subsets(database: WebLabDatabase) -> List[str]:
     return [row["name"] for row in rows]
 
 
-def drop_subset(database: WebLabDatabase, name: str) -> None:
-    database.db.execute(f"DROP VIEW IF EXISTS {_validate_view_name(name)}")
-
-
 def stratified_sample(
     database: WebLabDatabase,
     stratum_column: str,

@@ -55,10 +55,6 @@ class PageRecord:
     mime: str = "text/html"
 
     @property
-    def domain(self) -> str:
-        return self.url.split("/")[2]
-
-    @property
     def size_bytes(self) -> int:
         return len(self.content.encode("utf-8"))
 
@@ -77,11 +73,6 @@ class CrawlSnapshot:
 
     def urls(self) -> Set[str]:
         return {page.url for page in self.pages}
-
-    def documents(self) -> List[Tuple[str, str]]:
-        """(url, content) pairs in fetch order — the shape the text-index
-        bulk build (:meth:`TextIndex.add_many`) consumes."""
-        return [(page.url, page.content) for page in self.pages]
 
 
 @dataclass

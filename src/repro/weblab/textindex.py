@@ -100,9 +100,6 @@ class TextIndex:
             if not postings:
                 del self._postings[term]
 
-    def document_frequency(self, term: str) -> int:
-        return len(self._postings.get(term.lower(), {}))
-
     def search(self, query: str, limit: int = 10) -> List[SearchHit]:
         """Conjunctive (AND) search, scored by summed term frequency
         normalized by document length."""

@@ -298,7 +298,7 @@ class TestCacheParamsCoverage:
     def test_repr_of_whole_config_covers_all(self, tmp_path):
         cov = self.coverage(tmp_path, "config = None", '{"p": repr(config)}')
         assert cov.covers("anything")
-        assert cov.folds_everything
+        assert cov.folds == [frozenset()]
 
     def test_replace_excludes_overridden_fields(self, tmp_path):
         cov = self.coverage(
@@ -309,7 +309,7 @@ class TestCacheParamsCoverage:
         assert cov.covers("seed")
         assert not cov.covers("workers")
         assert not cov.covers("executor")
-        assert cov.excluded_everywhere() == {"executor", "workers"}
+        assert cov.folds == [{"executor", "workers"}]
 
     def test_named_attribute_covers_only_itself(self, tmp_path):
         cov = self.coverage(
@@ -349,7 +349,7 @@ class TestCacheParamsCoverage:
             """,
             "_fingerprint(config)",
         )
-        assert cov.excluded_everywhere() == {"n_items"}
+        assert cov.folds == [{"n_items"}]
 
     def test_real_arecibo_fingerprint_idiom(self):
         from pathlib import Path

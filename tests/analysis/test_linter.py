@@ -23,7 +23,7 @@ from repro.analysis.linter import (
 def lint_source(tmp_path, source, name="mod.py", **linter_kwargs):
     path = tmp_path / name
     path.write_text(source, encoding="utf-8")
-    return Linter(**linter_kwargs).lint_file(path)
+    return Linter(**linter_kwargs).lint_paths([path])
 
 
 class TestRegistry:

@@ -6,7 +6,7 @@ from repro.analysis.linter import Linter
 def lint(tmp_path, source, name="mod.py", select=None):
     path = tmp_path / name
     path.write_text(source, encoding="utf-8")
-    return Linter(select=select).lint_file(path)
+    return Linter(select=select).lint_paths([path])
 
 
 def flagged(findings, code):

@@ -12,7 +12,7 @@ from repro.cleo.detector import Detector, DetectorConfig
 from repro.cleo.montecarlo import MonteCarloProducer, produce_offsite_mc
 from repro.cleo.pipeline import CleoPipelineConfig, run_cleo_pipeline
 from repro.cleo.postrecon import POSTRECON_ASUS, PostReconstructor, RunStatistics
-from repro.cleo.reconstruction import ASU_TRACKS, Reconstructor
+from repro.cleo.reconstruction import ASU_TRACKS, Reconstructor, tracks_of
 from repro.eventstore.arrays import array_asu, asu_array
 from repro.eventstore.merge import merge_into
 from repro.eventstore.model import Event, run_key
@@ -67,11 +67,9 @@ class TestPostRecon:
     def test_depends_on_statistics_not_just_event(self, small_world):
         """The same event gets different post-recon values in different runs."""
         postrecon = PostReconstructor("A1")
-        event = small_world["recon_events"][0]
-        full_stats = RunStatistics.gather(1, small_world["recon_events"])
-        narrow_stats = RunStatistics.gather(1, small_world["recon_events"][:3])
-        a = postrecon.derive_event(event, full_stats)
-        b = postrecon.derive_event(event, narrow_stats)
+        events, stamp = small_world["recon_events"], small_world["recon_stamp"]
+        a = postrecon.process_run(1, events, stamp)[0][0]
+        b = postrecon.process_run(1, events[:3], stamp)[0][0]
         assert asu_array(a.asu("multiplicityZ"))[0] != pytest.approx(
             asu_array(b.asu("multiplicityZ"))[0]
         )
@@ -88,12 +86,12 @@ class TestPostRecon:
         postrecon = PostReconstructor("A1")
         events = small_world["recon_events"]
         derived, stats, _ = postrecon.process_run(1, events, small_world["recon_stamp"])
-        assert stats == RunStatistics.gather(1, events)
+        assert stats.n_events == len(events)
         assert derived == [oracle_derive_event(event, stats) for event in events]
 
     def test_empty_run_rejected(self, small_world):
         with pytest.raises(SearchError):
-            RunStatistics.gather(1, [])
+            PostReconstructor("A1").process_run(1, [], small_world["recon_stamp"])
         with pytest.raises(SearchError):
             PostReconstructor("")
 
@@ -123,7 +121,7 @@ def test_derive_event_equals_the_per_asu_oracle(n_tracks, seed, dtype, degenerat
         mean_chi2=float(rng.uniform(0, 5)),
         std_chi2=float(rng.uniform(1e-9, 2)),
     )
-    derived = PostReconstructor("A1").derive_event(event, stats)
+    derived = PostReconstructor("A1")._derive(event, tracks_of(event), stats)
     expected = oracle_derive_event(event, stats)
     assert list(derived.asus) == list(expected.asus) == list(POSTRECON_ASUS)
     assert derived == expected
@@ -149,7 +147,7 @@ class TestMonteCarlo:
         with CollaborationEventStore(tmp_path / "collab") as collab:
             report = merge_into(personal, collab)
             assert report.files_added == 1
-            assert collab.versions_of(7, "mc") == ["MC_Gen_03"]
+            assert collab.open_file(7, "MC_Gen_03", "mc").event_count > 0
         personal.close()
 
 
@@ -296,7 +294,7 @@ class TestHsmBackedPipeline:
 
         config = CleoPipelineConfig(
             n_runs=2, events_scale=0.0003, seed=5,
-            use_hsm=True, hsm_cache=DataSize.kilobytes(200),
+            use_hsm=True, hsm_cache=DataSize(200_000),
         )
         report = run_cleo_pipeline(tmp_path, config)
         assert report.analysis.events_selected > 0
@@ -310,7 +308,7 @@ class TestHsmBackedPipeline:
 
         config = CleoPipelineConfig(
             n_runs=3, events_scale=0.0003, seed=5,
-            use_hsm=True, hsm_cache=DataSize.kilobytes(150),
+            use_hsm=True, hsm_cache=DataSize(150_000),
         )
         report = run_cleo_pipeline(tmp_path, config)
         big = CleoPipelineConfig(

@@ -358,12 +358,23 @@ class TestSeedInputAccounting:
         assert report.peak_live_storage == DataSize.gigabytes(11)
 
     def test_unused_seed_inputs_not_counted(self):
-        flow = self.make_flow()
+        """A seed no source stage consumes was dropped silently — the flow
+        ran without it and live storage never saw it.  It is refused."""
         seed = Dataset("external", DataSize.gigabytes(10))
-        report = Engine().run(
-            flow, inputs={"src": seed, "not-a-stage": Dataset("x", DataSize.terabytes(1))}
-        )
-        assert report.peak_live_storage == DataSize.gigabytes(11)
+        stray = Dataset("x", DataSize.terabytes(1))
+        with pytest.raises(ExecutionError, match=r"\['not-a-stage'\].*sources: \['src'\]"):
+            Engine().run(self.make_flow(), inputs={"src": seed, "not-a-stage": stray})
+
+    def test_seed_for_a_non_source_stage_is_refused_before_anything_runs(self):
+        executed = []
+        flow = DataFlow("fed")
+        flow.stage("src", lambda inputs, ctx: executed.append("src"))
+        flow.stage("reduce", lambda inputs, ctx: executed.append("reduce"))
+        flow.connect("src", "reduce")
+        engine = Engine()
+        with pytest.raises(ExecutionError, match=r"\['reduce'\] name no source stage"):
+            engine.run(flow, inputs={"reduce": Dataset("x", DataSize.gigabytes(1))})
+        assert executed == [] and len(engine.provenance) == 0
 
     def test_seed_release_precedes_downstream(self):
         """After the consumer completes, the seed no longer occupies disk."""

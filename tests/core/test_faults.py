@@ -188,7 +188,7 @@ class TestRecordHelpers:
             spec="f", scope="beam", target="p0001/b3", kind="drop",
             invocation=2, param=1.0,
         )
-        assert FaultRecord.from_attrs(record.as_attrs()) == record
+        assert FaultRecord(**record.as_attrs()) == record
 
     def test_delay_seconds_sums_only_delay_kinds(self):
         records = [

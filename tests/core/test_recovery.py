@@ -93,7 +93,7 @@ class TestEngineRetry:
         assert row.attempts == 3
         # Backoff after attempts 1 and 2: 10 + 20 simulated seconds.
         assert row.retry_wait.seconds == 30.0
-        assert report.total_retry_wait.seconds == 30.0
+        assert report.availability()["retry_wait_s"] == 30.0
         kinds = [event.kind for event in report.events]
         assert "stage.retry" in kinds
 
@@ -235,7 +235,7 @@ class TestResume:
             return engine
 
         report, restarts = run_to_completion(
-            make_engine, self.make_flow(), max_restarts=3
+            lambda: make_engine().run(self.make_flow()), max_restarts=3
         )
         # Two crashing runs (the fault's fire budget), then completion.
         assert restarts == 2
@@ -258,14 +258,15 @@ class TestResume:
         injector = plan.arm()
         with pytest.raises(ExecutionError, match="boom"):
             run_to_completion(
-                lambda: Engine(seed=5, cache=cache, faults=injector),
-                self.make_flow(),
+                lambda: Engine(seed=5, cache=cache, faults=injector).run(
+                    self.make_flow()
+                ),
                 max_restarts=2,
             )
 
     def test_run_to_completion_rejects_negative_restarts(self):
         with pytest.raises(FaultError):
-            run_to_completion(lambda: Engine(), self.make_flow(), max_restarts=-1)
+            run_to_completion(lambda: Engine().run(self.make_flow()), max_restarts=-1)
 
     def test_resumed_prefix_accounting_is_byte_identical(self):
         """The replayed prefix of a resumed run matches the uninterrupted

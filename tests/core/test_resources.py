@@ -1,4 +1,4 @@
-"""Tests for CPU pools, personnel, and storage cost models."""
+"""Tests for personnel and storage cost models, the cost ledger and datasets."""
 
 import pytest
 
@@ -7,34 +7,10 @@ from repro.core.resources import (
     DISK_COST_2005,
     TAPE_COST_2005,
     CostLedger,
-    CpuPool,
     PersonnelModel,
     StorageCostModel,
 )
-from repro.core.units import DataSize, Duration, Rate
-
-
-class TestCpuPool:
-    def test_aggregate_throughput(self):
-        pool = CpuPool("CTC", processors=100, per_cpu_throughput=Rate.megabytes_per_second(2))
-        assert pool.aggregate_throughput.mb_per_second == pytest.approx(200)
-
-    def test_time_to_process(self):
-        pool = CpuPool("CTC", processors=10, per_cpu_throughput=Rate.megabytes_per_second(1))
-        elapsed = pool.time_to_process(DataSize.gigabytes(36))
-        assert elapsed.hours_ == pytest.approx(1)
-
-    def test_processors_to_keep_up_rounds_up(self):
-        pool = CpuPool("CTC", processors=1, per_cpu_throughput=Rate.megabytes_per_second(1))
-        window = Duration.from_seconds(1000)
-        # 1 GB per kilosecond per CPU; 2.5 GB needs 3 CPUs.
-        assert pool.processors_to_keep_up(DataSize.gigabytes(2.5), window) == 3
-        assert pool.processors_to_keep_up(DataSize.gigabytes(2.0), window) == 2
-        assert pool.processors_to_keep_up(DataSize.megabytes(1), window) == 1
-
-    def test_zero_processors_rejected(self):
-        with pytest.raises(ValueError):
-            CpuPool("x", processors=0)
+from repro.core.units import DataSize, Duration
 
 
 class TestCostModels:
@@ -66,7 +42,7 @@ class TestCostLedger:
         ledger.charge("personnel", 25)
         assert ledger.total() == pytest.approx(175)
         assert ledger.total("media") == pytest.approx(150)
-        assert ledger.by_category() == {"media": 150, "personnel": 25}
+        assert ledger.total("personnel") == pytest.approx(25)
 
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from repro.core.shards import (
     EXECUTORS,
     SharedArray,
     ShardPool,
-    map_shards,
     shared_arrays,
 )
 from repro.core.telemetry import Telemetry, telemetry_session
@@ -85,9 +84,6 @@ class TestShardPool:
         with ShardPool(executor=executor, workers=2) as pool:
             with pytest.raises(ValueError, match="shard 2"):
                 pool.map(failing_shard, [1, 2, 3])
-
-    def test_map_shards_one_shot(self):
-        assert map_shards(square, [3, 4], workers=2, executor="process") == [9, 16]
 
 
 class TestTelemetryForwarding:
@@ -213,9 +209,8 @@ class TestSharedArrayAcrossProcesses:
     def test_worker_reads_parent_segment(self):
         data = np.arange(32, dtype=np.float32)
         with shared_arrays([data]) as handles:
-            (total,) = map_shards(
-                read_shared_sum, handles, workers=2, executor="process"
-            )
+            with ShardPool(executor="process", workers=2) as pool:
+                (total,) = pool.map(read_shared_sum, handles)
         assert total == float(data.sum())
 
     def test_pool_forked_before_first_segment_leaves_no_tracker_warnings(

@@ -5,27 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.errors import VersioningError
-from repro.core.versioning import GradeHistory, GradeRegistry, VersionId
-
-
-class TestVersionId:
-    def test_round_trip(self):
-        vid = VersionId("Recon", "Feb13_04_P2")
-        assert str(vid) == "Recon_Feb13_04_P2"
-        assert VersionId.parse(str(vid)) == vid
-
-    def test_parse_paper_example(self):
-        vid = VersionId.parse("Recon_Feb13_04_P2")
-        assert vid.kind == "Recon"
-        assert vid.release == "Feb13_04_P2"
-
-    def test_invalid_rejected(self):
-        with pytest.raises(VersioningError):
-            VersionId("", "x")
-        with pytest.raises(VersioningError):
-            VersionId("Recon", "")
-        with pytest.raises(VersioningError):
-            VersionId.parse("no-underscore")
+from repro.core.versioning import GradeHistory
 
 
 class TestGradeHistory:
@@ -94,30 +74,24 @@ class TestGradeHistory:
 
     def test_versions_of_key(self):
         grade = self.make_physics_grade()
-        assert grade.versions_of("runs:1-50") == [(100.0, "Recon_v1"), (300.0, "Recon_v2")]
-        assert grade.versions_of("missing") == []
+        history = [
+            (entry.timestamp, dict(entry.assignments)["runs:1-50"])
+            for entry in grade.entries if "runs:1-50" in dict(entry.assignments)
+        ]
+        assert history == [(100.0, "Recon_v1"), (300.0, "Recon_v2")]
 
     def test_latest(self):
         grade = self.make_physics_grade()
-        latest = grade.latest()
+        latest = grade.resolve(grade.entries[-1].timestamp)
         assert latest["runs:1-50"] == "Recon_v2"
         assert latest["runs:81-99"] == "Recon_v2"
-        assert GradeHistory("empty").latest() == {}
+        assert GradeHistory("empty").resolve(0.0) == {}
 
     def test_same_timestamp_assignments_allowed(self):
         grade = GradeHistory("g")
         grade.assign(10.0, {"a": "v1"})
         grade.assign(10.0, {"b": "v1"})
         assert grade.resolve(10.0) == {"a": "v1", "b": "v1"}
-
-
-class TestGradeRegistry:
-    def test_get_or_create(self):
-        registry = GradeRegistry()
-        grade = registry.grade("physics")
-        assert registry.grade("physics") is grade
-        assert "physics" in registry
-        assert registry.names() == ["physics"]
 
 
 # --- property-based snapshot semantics -------------------------------------

@@ -125,8 +125,8 @@ class TestConnection:
         db.execute("CREATE TABLE zebra (x INTEGER)")
         db.execute("CREATE TABLE aardvark (x INTEGER)")
         assert db.table_exists("zebra")
+        assert db.table_exists("aardvark")
         assert not db.table_exists("lion")
-        assert db.table_names() == ["aardvark", "zebra"]
 
 
 class TestSchema:
@@ -187,7 +187,7 @@ class TestSchema:
         schema.table("broken", [column("x", "INTEGER", "REFERENCES")])
         with pytest.raises(DatabaseError):
             apply_schema(db, schema)
-        assert db.table_names() == []
+        assert db.query("SELECT name FROM sqlite_master WHERE type = 'table'") == []
 
     def test_store_opens_while_another_handle_holds_a_transaction(self, tmp_path):
         """Opening an up-to-date store takes no write lock.

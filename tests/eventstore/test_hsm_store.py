@@ -12,7 +12,7 @@ from tests.eventstore.conftest import make_events, make_run
 def build_store(tmp_path, cache_kb, n_runs=6, payload_bytes=512):
     store = HsmEventStore(
         tmp_path / "hsm-store",
-        cache_capacity=DataSize.kilobytes(cache_kb),
+        cache_capacity=DataSize(cache_kb * 1000),
         scale="personal",
     )
     for number in range(1, n_runs + 1):
@@ -80,5 +80,5 @@ class TestHsmEventStore:
     def test_everything_archived_to_tape(self, tmp_path):
         store = build_store(tmp_path, cache_kb=2000)
         assert store.hsm.library.cartridge_count >= 1
-        assert len(store.hsm.library.file_names()) == 6
+        assert store.hsm.library.stats.writes == 6
         store.close()

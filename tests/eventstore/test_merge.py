@@ -34,7 +34,6 @@ class TestMerge:
         assert report.files_added == 1
         assert report.runs_added == 1
         assert report.grade_entries_added == 1
-        assert report.changed
         # Target can now serve the data end to end.
         events = list(collab.events_for("physics", 200.0, "recon"))
         assert len(events) == 5
@@ -61,7 +60,6 @@ class TestMerge:
         assert second.files_skipped == 1
         assert second.runs_added == 0
         assert second.grade_entries_added == 0
-        assert not second.changed
         assert collab.file_count() == 1
 
     def test_merges_from_many_personals(self, tmp_path, collab):

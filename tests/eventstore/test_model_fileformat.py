@@ -18,7 +18,6 @@ from repro.eventstore.model import (
     parse_run_key,
     run_key,
     run_range_key,
-    total_size,
 )
 from repro.eventstore.provenance import stamp_step
 
@@ -61,7 +60,7 @@ class TestModel:
     def test_event_size_and_total(self):
         events = make_events(count=3, asu_names=("a", "b"), payload_bytes=10)
         assert events[0].size.bytes == 20
-        assert total_size(events).bytes == 60
+        assert sum(event.size.bytes for event in events) == 60
 
     def test_missing_asu_raises(self):
         event = Event(run_number=1, event_number=0)

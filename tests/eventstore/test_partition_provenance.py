@@ -49,7 +49,7 @@ class TestAccessProfile:
         assert profile.frequency("summary") == pytest.approx(1.0)
         assert profile.frequency("tracks") == pytest.approx(1 / 3)
         assert profile.frequency("never") == 0.0
-        assert profile.known_asus() == ["rawhits", "summary", "tracks"]
+        assert profile.frequency("rawhits") == pytest.approx(1 / 3)
 
     def test_empty_working_set_rejected(self):
         with pytest.raises(EventStoreError):

@@ -6,12 +6,8 @@ from repro.core.errors import DatabaseError, EventStoreError
 from repro.eventstore.merge import merge_into
 from repro.eventstore.model import ASU, run_key, run_range_key
 from repro.eventstore.provenance import stamp_step
-from repro.eventstore.scales import (
-    CollaborationEventStore,
-    GroupEventStore,
-    PersonalEventStore,
-    open_store,
-)
+from repro.eventstore.scales import CollaborationEventStore, PersonalEventStore
+from repro.eventstore.store import EventStore
 
 from tests.eventstore.conftest import make_events, make_run
 
@@ -45,7 +41,9 @@ class TestInjection:
     def test_multiple_versions_coexist(self, store):
         inject_run(store, 1, version="Recon_v1")
         inject_run(store, 1, version="Recon_v2")
-        assert store.versions_of(1, "recon") == ["Recon_v1", "Recon_v2"]
+        assert store.file_count() == 2
+        for version in ("Recon_v1", "Recon_v2"):
+            assert store.open_file(1, version, "recon").header.version == version
 
     def test_unknown_kind_rejected(self, store):
         events = make_events(count=1)
@@ -112,8 +110,8 @@ class TestInjection:
 
 class TestScales:
     def test_shared_stores_reject_direct_inject(self, tmp_path):
-        for cls in (GroupEventStore, CollaborationEventStore):
-            with cls(tmp_path / cls.__name__) as shared:
+        for scale in ("group", "collaboration"):
+            with EventStore(tmp_path / scale, scale=scale) as shared:
                 with pytest.raises(EventStoreError, match="merge"):
                     inject_run(shared, 1)
 
@@ -124,14 +122,8 @@ class TestScales:
 
     def test_command_prefix_is_scale_name(self, tmp_path):
         for scale in ("personal", "group", "collaboration"):
-            with open_store(tmp_path / scale, scale) as s:
+            with EventStore(tmp_path / scale, scale=scale) as s:
                 assert s.command("inject").startswith(scale)
-
-    def test_open_store_factory(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "a", "personal"), PersonalEventStore)
-        assert isinstance(open_store(tmp_path / "b", "group"), GroupEventStore)
-        with pytest.raises(EventStoreError):
-            open_store(tmp_path / "c", "galactic")
 
     def test_personal_store_reopens_from_disk(self, tmp_path):
         root = tmp_path / "p"

@@ -99,7 +99,7 @@ def test_dashboard_merges_matching_flows_and_reports_unmatched():
     spec = QualitySpec(channel="arecibo", flow_pattern="arecibo*",
                        metrics=(spec_hib(), spec_lib()))
     dashboard = build_dashboard(projection, [spec])
-    panel = dashboard.panel("arecibo")
+    (panel,) = dashboard.panels
     assert panel.flows == ("arecibo-figure1",)
     assert panel.cell("completeness").status == "green"
     assert panel.cell("degraded_rate").status == "red"  # 1/4 = 25%
@@ -121,8 +121,9 @@ def test_default_specs_cover_the_three_channels():
     assert all(spec.metrics for spec in specs)
     projection = fold_events(pipeline_bus().events())
     dashboard = build_dashboard(projection, specs)
-    assert dashboard.panel("weblab").flows == ("weblab-serving",)
-    assert dashboard.panel("cleo").status == "no-data"  # idle is not healthy
+    panels = {panel.channel: panel for panel in dashboard.panels}
+    assert panels["weblab"].flows == ("weblab-serving",)
+    assert panels["cleo"].status == "no-data"  # idle is not healthy
 
 
 def test_snapshot_is_json_stable():

@@ -30,7 +30,7 @@ class TestFileCatalog:
         catalog.add_replica("f", "arecibo", "med-1", entry.checksum)
         catalog.add_replica("f", "ctc", "med-2", entry.checksum)
         assert catalog.entry("f").replica_count == 2
-        assert catalog.entry("f").locations() == ["arecibo", "ctc"]
+        assert [r.location for r in catalog.entry("f").replicas] == ["arecibo", "ctc"]
 
     def test_bad_replica_checksum_rejected(self):
         catalog = FileCatalog()
@@ -62,8 +62,8 @@ class TestFileCatalog:
         entry = catalog.register("f", DataSize.gigabytes(1))
         catalog.add_replica("f", "ctc", "med-1", entry.checksum)
         catalog.add_replica("f", "palfa", "med-2", entry.checksum)
-        assert catalog.drop_replicas_at("ctc") == 1
-        assert catalog.entry("f").locations() == ["palfa"]
+        assert catalog.drop_replicas_at_medium("med-1") == 1
+        assert [r.location for r in catalog.entry("f").replicas] == ["palfa"]
         assert catalog.drop_replicas_at_medium("med-2") == 1
         assert catalog.lost() == ["f"]
 

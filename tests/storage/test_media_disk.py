@@ -1,4 +1,4 @@
-"""Tests for media models and disk pools."""
+"""Tests for media models."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.storage.media import (
     StoredFile,
     checksum_for,
 )
-from repro.storage.disk import DiskPool
 
 
 def small_disk(capacity_gb=10):
@@ -110,58 +109,3 @@ class TestMedium:
         medium.remove("f")
         assert not medium.holds("f")
         assert medium.used == DataSize.zero()
-
-
-class TestDiskPool:
-    def test_first_fit_spills_to_next_medium(self):
-        pool = DiskPool("staging", small_disk(capacity_gb=5), count=2)
-        pool.write("a", DataSize.gigabytes(4))
-        pool.write("b", DataSize.gigabytes(4))  # does not fit on medium 0
-        assert pool.location_of("a") is not pool.location_of("b")
-        assert pool.used.gb == pytest.approx(8)
-
-    def test_pool_capacity_exhausted(self):
-        pool = DiskPool("staging", small_disk(capacity_gb=1), count=1)
-        with pytest.raises(CapacityError):
-            pool.write("big", DataSize.gigabytes(2))
-
-    def test_duplicate_rejected(self):
-        pool = DiskPool("p", small_disk())
-        pool.write("f", DataSize.megabytes(1))
-        with pytest.raises(StorageError):
-            pool.write("f", DataSize.megabytes(1))
-
-    def test_read_and_delete(self):
-        pool = DiskPool("p", small_disk())
-        pool.write("f", DataSize.megabytes(100))
-        assert pool.read("f").verify()
-        pool.delete("f")
-        assert not pool.holds("f")
-        with pytest.raises(StorageError):
-            pool.read("f")
-
-    def test_add_media_grows_capacity(self):
-        pool = DiskPool("p", small_disk(capacity_gb=1), count=1)
-        before = pool.capacity
-        pool.add_media(3)
-        assert pool.capacity.gb == pytest.approx(before.gb + 3)
-
-    def test_fail_medium_loses_files(self):
-        pool = DiskPool("p", small_disk(capacity_gb=5), count=2)
-        pool.write("a", DataSize.gigabytes(4))
-        pool.write("b", DataSize.gigabytes(4))
-        lost = pool.fail_medium(0)
-        assert lost == ["a"]
-        assert pool.holds("b")
-        assert not pool.holds("a")
-
-    def test_io_time_accounting(self):
-        pool = DiskPool("p", small_disk())
-        pool.write("f", DataSize.gigabytes(1))
-        pool.read("f")
-        assert pool.total_write_time.seconds == pytest.approx(10)
-        assert pool.total_read_time.seconds == pytest.approx(10)
-
-    def test_zero_media_rejected(self):
-        with pytest.raises(StorageError):
-            DiskPool("p", small_disk(), count=0)

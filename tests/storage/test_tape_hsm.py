@@ -28,8 +28,7 @@ class TestRoboticTapeLibrary:
         assert library.cartridge_count == 1
         library.archive("b", DataSize.gigabytes(4))
         assert library.cartridge_count == 2
-        assert library.stored.gb == pytest.approx(8)
-        assert library.media_cost == pytest.approx(100)
+        assert library.stats.bytes_written == pytest.approx(8e9)
 
     def test_oversized_file_rejected(self):
         library = RoboticTapeLibrary("ctc", tiny_tape(capacity_gb=1))
@@ -150,11 +149,11 @@ class TestHierarchicalStore:
         # Evict everything by filling the cache with new files.
         for index in range(10):
             hsm.store(f"fill{index}", DataSize.gigabytes(1))
-        elapsed = hsm.pin_set(["a", "b", "c"])
+        _, elapsed = hsm.recall_set(["a", "b", "c"])
         assert elapsed.seconds > 0
         assert all(hsm.is_cached(name) for name in ("a", "b", "c"))
         # Pinning an already-cached set is free.
-        assert hsm.pin_set(["a", "b"]) == Duration.zero()
+        assert hsm.recall_set(["a", "b"]) == ([], Duration.zero())
 
     def test_hit_rate(self):
         hsm = self.make_hsm(cache_gb=10)

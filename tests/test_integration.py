@@ -74,7 +74,7 @@ class TestStorageTransportIntegration:
             total_recall += elapsed
         assert hsm.stats.misses > 0
         assert total_recall.seconds > 0
-        assert library.stored.gb == pytest.approx(800)
+        assert library.stats.bytes_written == pytest.approx(800e9)
 
     def test_archive_generations_with_planner_costs(self):
         archive = LongTermArchive("deep", LTO3_TAPE, copies=2)

@@ -14,8 +14,6 @@ from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
 from repro.cleo.pipeline import CleoPipelineConfig, run_cleo_pipeline
 from repro.core.telemetry import read_event_log, strip_wall_clock
-from repro.weblab.services import build_weblab
-from repro.weblab.synthweb import SyntheticWebConfig
 
 
 def flow_snapshot(flow_report):
@@ -161,28 +159,3 @@ class TestFigure2ThreeWay:
         assert persisted_canonical_log(cand_dir) == persisted_canonical_log(
             ref_dir
         )
-
-
-class TestWebLabPackingThreeWay:
-    def build(self, root, workers, executor):
-        _, report, _ = build_weblab(
-            root,
-            SyntheticWebConfig(
-                n_domains=6, initial_pages=30, new_pages_per_crawl=10, seed=5
-            ),
-            n_crawls=3,
-            workers=workers,
-            executor=executor,
-        )
-        return (
-            report.pages_loaded,
-            report.links_loaded,
-            report.arc_files,
-            report.dat_files,
-            report.compressed_volume.bytes,
-        )
-
-    def test_executors_build_identical_weblabs(self, tmp_path):
-        reference = self.build(tmp_path / "seq", 1, "thread")
-        assert self.build(tmp_path / "thr", 2, "thread") == reference
-        assert self.build(tmp_path / "proc", 2, "process") == reference

@@ -1,4 +1,4 @@
-"""Tests for network links, routes, and fair-share transfer simulation."""
+"""Tests for network links and fair-share transfer simulation."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.transport.network import (
     INTERNET2_500,
     NetworkLink,
     TransferRequest,
-    route,
     simulate_shared_transfers,
 )
 
@@ -47,27 +46,6 @@ class TestNetworkLink:
     def test_zero_rate_rejected(self):
         with pytest.raises(TransportError):
             NetworkLink("l", Rate.zero())
-
-
-class TestRoute:
-    def test_bottleneck_and_latency(self):
-        fast = NetworkLink("fast", Rate.gigabits_per_second(1), Duration.from_seconds(0.01))
-        slow = NetworkLink("slow", Rate.megabits_per_second(100), Duration.from_seconds(0.05))
-        path = route("ia-to-cornell", fast, slow)
-        assert path.bottleneck.name == "slow"
-        assert path.effective == slow.effective
-        assert path.latency.seconds == pytest.approx(0.06)
-
-    def test_transfer_time_uses_bottleneck(self):
-        fast = NetworkLink("fast", Rate.gigabits_per_second(1))
-        slow = NetworkLink("slow", Rate.megabits_per_second(80), efficiency=1.0)
-        path = route("p", fast, slow)
-        elapsed = path.transfer_time(DataSize.megabytes(10))
-        assert elapsed.seconds == pytest.approx(1.0, rel=0.02)
-
-    def test_empty_route_rejected(self):
-        with pytest.raises(TransportError):
-            route("empty")
 
 
 class TestSharedTransfers:

@@ -26,7 +26,7 @@ class TestManifest:
     def test_build_and_totals(self):
         manifest = Manifest.for_files("s1", make_files(3))
         assert len(manifest) == 3
-        assert manifest.total_size.mb == pytest.approx(300)
+        assert manifest.total_size.gb == pytest.approx(0.3)
         assert manifest.names() == ["file0", "file1", "file2"]
 
     def test_duplicate_entry_rejected(self):

@@ -95,6 +95,5 @@ class TestZeroStats:
     def test_ingest_stats_zero(self):
         from repro.eventstore.store import IngestStats
 
-        zero = IngestStats.zero()
-        assert zero == IngestStats()
+        zero = IngestStats()
         assert zero.files_injected == 0 and zero.bytes_injected == 0.0

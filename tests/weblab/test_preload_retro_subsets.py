@@ -8,7 +8,6 @@ from repro.weblab.preload import PreloadConfig
 from repro.weblab.retro import RetroBrowser
 from repro.weblab.subsets import (
     SubsetCriteria,
-    drop_subset,
     extract_subset,
     list_subsets,
     stratified_sample,
@@ -27,7 +26,7 @@ class TestPageStore:
         a = store.put(b"same content")
         b = store.put(b"same content")
         assert a == b
-        assert store.blob_count() == 1
+        assert store.total_size().bytes == len(b"same content")
 
     def test_missing_content(self, tmp_path):
         store = PageStore(tmp_path)
@@ -100,7 +99,7 @@ class TestPreload:
         distinct_hashes = weblab.database.db.query_value(
             "SELECT count(DISTINCT content_hash) FROM pages"
         )
-        assert weblab.pagestore.blob_count() == distinct_hashes
+        assert len(list(weblab.pagestore.root.glob("*/*/*"))) == distinct_hashes
         assert distinct_hashes < report.pages_loaded
 
     def test_config_validation(self):
@@ -118,14 +117,14 @@ class TestMetaDb:
         )
         captures = weblab.database.captures_of(url)
         midpoint = (captures[1] + captures[2]) / 2
-        row = weblab.database.page_as_of(url, midpoint)
+        row = weblab.database.page_pointer_as_of(url, midpoint)
         assert row["fetched_at"] == captures[1]
 
     def test_page_as_of_before_first_capture(self, built_weblab):
         weblab, _, _ = built_weblab
         url = weblab.database.db.query_value("SELECT url FROM pages LIMIT 1")
         first = weblab.database.captures_of(url)[0]
-        assert weblab.database.page_as_of(url, first - 1.0) is None
+        assert weblab.database.page_pointer_as_of(url, first - 1.0) is None
 
     def test_duplicate_crawl_registration(self, built_weblab):
         weblab, _, _ = built_weblab
@@ -157,9 +156,7 @@ class TestRetroBrowser:
         early = retro.get(url, history[0])
         late = retro.get(url, history[-1])
         assert early.fetched_at <= late.fetched_at
-        diffs = retro.diff_times(url)
-        hashes = {digest for _, digest in diffs}
-        assert len(hashes) >= 2  # the page really changed
+        assert len({retro.get(url, when).content for when in history}) >= 2  # it really changed
 
     def test_time_pinned_content_is_stable(self, retro, built_weblab):
         weblab, _, _ = built_weblab
@@ -202,8 +199,6 @@ class TestSubsets:
         assert count > 0
         assert count == weblab.database.db.count("pages", "tld = ?", ("edu",))
         assert "edu_only" in list_subsets(weblab.database)
-        drop_subset(weblab.database, "edu_only")
-        assert "edu_only" not in list_subsets(weblab.database)
 
     def test_extract_time_slice(self, built_weblab):
         weblab, _, _ = built_weblab
