@@ -114,7 +114,8 @@ class TestC19ProcessFarm:
         cold_cache = StageCache.on_disk(store_root)
         cold, t_cold = timed_run(tmp_path / "cold", 1, "thread",
                                  cache=cold_cache)
-        assert cold_cache.disk_writes == ARECIBO_STAGES
+        # One entry per stage, plus an observe and a search shard per pointing.
+        assert cold_cache.disk_writes == ARECIBO_STAGES + 2 * config().n_pointings
 
         start = time.perf_counter()
         with ProcessPoolExecutor(max_workers=1) as pool:

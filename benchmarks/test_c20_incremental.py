@@ -10,6 +10,12 @@ reruns it from caches primed at 50%, 80%, and 90% completion.  The bar
 from the paper's economics: at a ≤10% delta fraction the incremental
 rerun must cost at least 5x less wall-clock than the cold batch — and at
 every fraction the result must be byte-identical to the batch run.
+
+The storage side of the same identity: on a shared on-disk store a window
+writes what arrived, once — a night's raw spectra as its shard entry, and
+stage entries that name it — so store bytes follow the arrivals, not the
+union (the paper keeps the raw volume once, and products are a few
+percent of it).
 """
 
 import time
@@ -27,6 +33,9 @@ N_POINTINGS = 10
 
 #: (delta fraction, pointings already processed when the delta lands)
 FRACTIONS = ((0.5, 5), (0.2, 8), (0.1, 9))
+
+#: Pointings per night for the store-bytes table; the third night is cloudy.
+NIGHTLY_ARRIVALS = (1, 1, 0, 1)
 
 
 def config(n_pointings):
@@ -100,6 +109,30 @@ class TestC20IncrementalCost:
         assert speedups[0.1] >= 5.0, (
             f"expected >=5x at 10% delta, got {speedups[0.1]:.2f}x"
         )
+
+    def test_store_bytes_per_window(self, tmp_path, report_rows):
+        """Each window is the pipeline over the union so far against one
+        ``StageCache.on_disk``; what it adds to the store is measured."""
+        cache = StageCache.on_disk(tmp_path / "store")
+        rows, seen, stored = [], 0, 0
+        for index, arrived in enumerate(NIGHTLY_ARRIVALS):
+            seen += arrived
+            report = run_arecibo_pipeline(
+                tmp_path / f"window{index:02d}", config(seen), cache=cache
+            )
+            raw = int(report.raw_size.bytes * arrived / seen)
+            written = cache.disk_stats()["disk_bytes"] - stored
+            stored += written
+            rows.append({
+                "window": index, "new": arrived, "seen": seen,
+                "raw_arrived_B": raw, "store_written_B": written,
+                "written_per_raw": round(written / raw, 3) if raw else "-",
+            })
+            # What arrived, once, plus the window's small stage entries.
+            # (Stored by value, ``acquire`` would add the whole union again.)
+            assert written <= 1.05 * raw
+        assert cache.disk_write_skips == 0
+        report_rows("C20: store bytes written per nightly window (arrivals 1, 1, 0, 1)", rows)
 
     def test_figure2_run_append(self, tmp_path, report_rows):
         """Figure 2's form of the identity: runs append to the open dataset,

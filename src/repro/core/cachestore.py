@@ -18,7 +18,17 @@ Layout and concurrency contract:
   simply a miss (another process may GC or replace a file at any moment —
   that is allowed and only costs a recompute);
 * keys are content addresses, so two processes racing to write the same
-  key write byte-equivalent payloads and either winner is correct.
+  key write equal values and either winner is correct.
+
+Entry format (this module alone knows it): a protocol-5 pickle streamed
+into the temp file, so a contiguous array goes from its own buffer to
+the file — no ``tobytes`` copy, no whole-entry blob.  Because keys are
+content addresses an entry may *name* another entry instead of
+containing it: the writer's ``key_of`` says which sub-objects already
+live under a key of their own (pickle's persistent ids carry the key),
+and the reader's ``value_of`` turns a key back into the value.  A name
+that no longer resolves makes the entry a miss like any other
+unreadable file.  An entry that names nothing is a plain pickle.
 
 Recency is tracked through file mtimes — a read touches the file — and
 :meth:`DiskCacheStore.gc` evicts oldest-first until the store fits the
@@ -32,11 +42,15 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import CacheError
 
 _SUFFIX = ".pkl"
+_KEY_DIGITS = "0123456789abcdef"
+
+KeyOf = Callable[[object], Optional[str]]
+ValueOf = Callable[[str], object]
 
 
 class DiskCacheStore:
@@ -68,7 +82,10 @@ class DiskCacheStore:
 
     # -- addressing --------------------------------------------------------
     def path_for(self, key: str) -> Path:
-        if not key or any(ch in key for ch in "/\\."):
+        # Every writer keys by lowercase sha-256 hex, and a key can also
+        # arrive from a file's bytes (an entry naming another): ``strip``
+        # leaves nothing exactly when every character is a hex digit.
+        if not isinstance(key, str) or not key or key.strip(_KEY_DIGITS):
             raise CacheError(f"malformed cache key {key!r}")
         return self.root / key[:2] / f"{key}{_SUFFIX}"
 
@@ -84,20 +101,25 @@ class DiskCacheStore:
         return found
 
     # -- the store API -----------------------------------------------------
-    def read(self, key: str) -> Optional[object]:
+    def read(self, key: str, value_of: Optional[ValueOf] = None) -> Optional[object]:
         """The entry for ``key``, or ``None``.
 
         Lock-free: a vanished, truncated, or unpicklable file reads as a
-        miss.  A successful read touches the file's mtime so GC sees it
-        as recently used.
+        miss, and so does an entry naming another that ``value_of`` does
+        not resolve (it raises; without a ``value_of`` every name is
+        unresolved).  A successful read touches the file's mtime so GC
+        sees it as recently used.
         """
         path = self.path_for(key)
         try:
             with path.open("rb") as handle:
-                entry = pickle.load(handle)
+                unpickler = pickle.Unpickler(handle)
+                if value_of is not None:
+                    unpickler.persistent_load = value_of  # type: ignore[method-assign]
+                entry = unpickler.load()
         except FileNotFoundError:
             return None
-        except Exception:  # noqa: BLE001 - torn/corrupt entry == miss
+        except Exception:  # noqa: BLE001 - torn/corrupt/dangling entry == miss
             return None
         try:
             os.utime(path)
@@ -105,32 +127,41 @@ class DiskCacheStore:
             pass  # GC won the race; the value we read is still good
         return entry
 
-    def write(self, key: str, entry: object) -> bool:
+    def write(self, key: str, entry: object, key_of: Optional[KeyOf] = None) -> bool:
         """Atomically persist ``entry`` under ``key``; then enforce bounds.
+
+        The entry streams into the temp file; a sub-object for which
+        ``key_of`` returns a key is written as that key, not by value.
 
         Returns ``False`` (and stores nothing) when the entry does not
         pickle — an unpicklable stash degrades that stage to
-        memory-only caching rather than failing the run.
+        memory-only caching rather than failing the run.  Whatever goes
+        wrong, the temp file does not outlive the call.
         """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            blob = pickle.dumps(entry)
-        except Exception:  # noqa: BLE001 - graceful: skip, don't fail the run
-            return False
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
         )
+        stored = False
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
+                pickler = pickle.Pickler(handle, protocol=5)
+                if key_of is not None:
+                    pickler.persistent_id = key_of  # type: ignore[method-assign]
+                pickler.dump(entry)
             os.replace(tmp_name, path)
+            stored = True
         except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
             raise
+        except Exception:  # noqa: BLE001 - graceful: skip, don't fail the run
+            return False
+        finally:
+            if not stored:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
         self.gc()
         return True
 

@@ -114,7 +114,8 @@ def run_windows(
     """
     if arrivals is None:
         arrivals = [1] * total
-    if any(count != int(count) for count in arrivals):
+    # ``% 1`` is NaN for NaN and the infinities, where ``int()`` would raise.
+    if any(count % 1 != 0 for count in arrivals):
         raise IncrementalError(f"non-integral arrival counts: {list(arrivals)}")
     arrivals = [int(count) for count in arrivals]
     if any(count < 0 for count in arrivals):

@@ -288,6 +288,11 @@ class StageContext:
         seeds, item identity, neighbour-dependent inputs.  Shard traffic is
         counted in ``stage_cache.shard_hits``/``shard_misses``, apart from
         whole-stage hits.
+
+        A memoized result must not be mutated once this returns: the cache
+        keeps the object itself, a later run's (or window's) shard hit
+        hands out the same one, and a stage entry whose stash holds it is
+        stored as the shard's key, not as a second copy of the value.
         """
         if cache_keys is None or self.engine.cache is None:
             return self.engine.map_shards(fn, items)

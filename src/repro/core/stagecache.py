@@ -117,6 +117,12 @@ class CachedShard:
     value: object
 
 
+# Interpreter-wide singletons and values a key would not be shorter than:
+# the same object turns up in unrelated entries, so these are never named.
+_ATOMS = (type(None), bool, int, float, complex, str, bytes)
+_EMPTY_TUPLE = ()
+
+
 @dataclass
 class CachedStage:
     """Everything needed to replay one stage without running it.
@@ -219,6 +225,13 @@ class StageCache:
         harmless because the entry survives on disk.  Multiple engines —
         in one process, many processes, or successive runs — may share one
         store root; content-addressed keys make racing writers safe.
+
+        A stage entry whose stash holds (by identity) the value of a shard
+        entry in the L1 is written naming that shard's key, not copying
+        the value: what a window's fan-out stored once is not stored again
+        by the stage that gathers it.  A reader resolves the name from the
+        L1 or the store, counting nothing; if the shard is gone the stage
+        entry is a miss and the recompute's write heals it.
     """
 
     def __init__(
@@ -233,6 +246,9 @@ class StageCache:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.disk = store
         self._entries: "OrderedDict[str, Union[CachedStage, CachedShard]]" = OrderedDict()
+        # id(value) -> key for the shard values the L1 holds.  The entry's
+        # reference keeps the id from being reused while it is listed here.
+        self._shard_ids: Dict[int, str] = {}
         self._lock = threading.Lock()
 
     @classmethod
@@ -280,7 +296,7 @@ class StageCache:
                 self.registry.counter(hit_counter).inc()
                 return entry
         if self.disk is not None:
-            entry = self.disk.read(key)
+            entry = self.disk.read(key, self._shard_value)
             if isinstance(entry, kind):
                 self._put_memory(key, entry)
                 self.registry.counter(hit_counter).inc()
@@ -289,15 +305,58 @@ class StageCache:
         self.registry.counter(miss_counter).inc()
         return None
 
+    def _forget_shard_id(self, key: str, entry: object) -> None:
+        """``entry`` is leaving the L1 slot ``key`` (lock held)."""
+        if (
+            isinstance(entry, CachedShard)
+            and self._shard_ids.get(id(entry.value)) == key
+        ):
+            del self._shard_ids[id(entry.value)]
+
     def _put_memory(self, key: str, entry: object) -> None:
         """Insert into the L1, evicting LRU entries past ``max_entries``."""
         with self._lock:
+            self._forget_shard_id(key, self._entries.get(key))
             self._entries[key] = entry
             self._entries.move_to_end(key)
+            if (
+                isinstance(entry, CachedShard)
+                and not isinstance(entry.value, _ATOMS)
+                and entry.value is not _EMPTY_TUPLE
+            ):
+                self._shard_ids[id(entry.value)] = key
             while self.max_entries is not None and len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+                self._forget_shard_id(*self._entries.popitem(last=False))
                 self.registry.counter("stage_cache.evictions").inc()
             self.registry.gauge("stage_cache.entries").set(float(len(self._entries)))
+
+    def _shard_key_of(self, obj: object) -> Optional[str]:
+        """The key of the L1 shard entry whose value *is* ``obj``, if any."""
+        key = self._shard_ids.get(id(obj))
+        if key is None:
+            return None
+        with self._lock:
+            entry = self._entries.get(key)
+        if isinstance(entry, CachedShard) and entry.value is obj:
+            return key
+        return None
+
+    def _shard_value(self, key: str) -> object:
+        """The value a stage entry names by ``key``: L1, then the store.
+
+        Not a lookup — no counter moves and nothing is emitted; a value
+        read from the store is promoted so later entries share the object.
+        Raises when ``key`` holds no shard entry (the referring entry is
+        then a miss).
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+        if not isinstance(entry, CachedShard):
+            entry = self.disk.read(key)  # asked only from inside a store read
+            if not isinstance(entry, CachedShard):
+                raise CacheError(f"no shard entry under {key!r}")
+            self._put_memory(key, entry)
+        return entry.value
 
     def _put(self, key: str, entry: object) -> None:
         """Memory-and-disk write of ``entry`` under ``key``.
@@ -305,11 +364,13 @@ class StageCache:
         With a disk store attached the entry is also written through
         (atomic write-then-rename keyed by the content address); an entry
         whose payload cannot pickle stays memory-only and is counted in
-        ``stage_cache.disk_write_skips``.
+        ``stage_cache.disk_write_skips``.  Only a stage entry names shard
+        values; a shard entry always carries its own.
         """
         self._put_memory(key, entry)
         if self.disk is not None:
-            if self.disk.write(key, entry):
+            key_of = self._shard_key_of if isinstance(entry, CachedStage) else None
+            if self.disk.write(key, entry, key_of):
                 self.registry.counter("stage_cache.disk_writes").inc()
             else:
                 self.registry.counter("stage_cache.disk_write_skips").inc()
@@ -345,7 +406,9 @@ class StageCache:
     def invalidate(self, key: str) -> bool:
         """Drop one entry from memory and disk; returns whether it existed."""
         with self._lock:
-            existed = self._entries.pop(key, None) is not None
+            entry = self._entries.pop(key, None)
+            self._forget_shard_id(key, entry)
+            existed = entry is not None
             self.registry.gauge("stage_cache.entries").set(float(len(self._entries)))
         if self.disk is not None:
             existed = self.disk.delete(key) or existed
@@ -355,6 +418,7 @@ class StageCache:
         """Empty the in-memory L1 (and, with ``disk=True``, the store)."""
         with self._lock:
             self._entries.clear()
+            self._shard_ids.clear()
             self.registry.gauge("stage_cache.entries").set(0.0)
         if disk and self.disk is not None:
             self.disk.clear()

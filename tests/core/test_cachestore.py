@@ -2,8 +2,9 @@
 
 Contract under test: atomic write-then-rename, lock-free reads that treat
 missing/corrupt files as misses, mtime-LRU garbage collection bounded by
-``max_bytes`` / ``max_entries``, and graceful degradation for entries that
-do not pickle.
+``max_bytes`` / ``max_entries``, graceful degradation for entries that
+do not pickle, and the entry format: streamed, and able to name another
+entry by key instead of containing its value.
 """
 
 import hashlib
@@ -26,11 +27,19 @@ class TestAddressing:
         key = key_of("a")
         assert store.path_for(key) == tmp_path / key[:2] / f"{key}.pkl"
 
-    @pytest.mark.parametrize("bad", ["", "a/b", "a\\b", "a.b", "../../etc"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "a/b", "a\\b", "a.b", "../../etc", "a\x00b", "ab\n", " ab", "AB", b"ab", 7, None],
+    )
     def test_malformed_keys_rejected(self, tmp_path, bad):
+        """Keys are lowercase hex and nothing else — whoever supplies them,
+        a caller or (an entry naming another) a file's bytes."""
         store = DiskCacheStore(tmp_path)
-        with pytest.raises(CacheError):
+        with pytest.raises(CacheError, match="malformed cache key"):
             store.path_for(bad)
+        with pytest.raises(CacheError, match="malformed cache key"):
+            store.write(bad, "payload")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_bounds_rejected(self, tmp_path):
         with pytest.raises(CacheError):
@@ -86,8 +95,21 @@ class TestReadWrite:
         store = DiskCacheStore(tmp_path)
         for i in range(5):
             store.write(key_of(f"e{i}"), i)
+        # An entry that fails to pickle *after* megabytes reached the file.
+        assert store.write(key_of("late"), [bytes(4 << 20), lambda: None]) is False
         leftovers = [p for p in tmp_path.rglob("*") if p.suffix == ".tmp"]
         assert leftovers == []
+        assert len(store) == 5
+
+    def test_an_entry_streams_and_no_blob_is_built(self, tmp_path, monkeypatch):
+        def no_blob(*args, **kwargs):
+            raise AssertionError("the entry was pickled into memory first")
+
+        monkeypatch.setattr(pickle, "dumps", no_blob)
+        store = DiskCacheStore(tmp_path)
+        key = key_of("streamed")
+        assert store.write(key, {"raw": bytes(1 << 20)}) is True
+        assert store.read(key) == {"raw": bytes(1 << 20)}
 
     def test_delete(self, tmp_path):
         store = DiskCacheStore(tmp_path)
@@ -113,6 +135,37 @@ class TestReadWrite:
         store.write(key, ("tuple", 7))
         with store.path_for(key).open("rb") as handle:
             assert pickle.load(handle) == ("tuple", 7)
+
+
+class TestNamedEntries:
+    """``key_of``/``value_of``: the format's half of "an entry names another"."""
+
+    def test_a_named_object_is_written_as_its_key(self, tmp_path):
+        store = DiskCacheStore(tmp_path)
+        part, part_key = list(range(10_000)), key_of("part")
+        whole, whole_key = {"parts": [part, part], "n": 2}, key_of("whole")
+        store.write(part_key, part)
+        store.write(whole_key, whole, lambda obj: part_key if obj is part else None)
+        assert store.path_for(whole_key).stat().st_size < 200
+        asked = []
+
+        def value_of(key):
+            asked.append(key)
+            return store.read(key)
+
+        assert store.read(whole_key, value_of) == whole
+        assert asked == [part_key, part_key]
+
+    def test_a_name_nothing_resolves_is_a_miss(self, tmp_path):
+        store = DiskCacheStore(tmp_path)
+        part, key = [1, 2, 3], key_of("whole")
+        store.write(key, {"part": part}, lambda obj: "ab" if obj is part else None)
+        assert store.read(key) is None
+
+        def raises(name):
+            raise LookupError(name)
+
+        assert store.read(key, raises) is None
 
 
 class TestGarbageCollection:

@@ -217,6 +217,8 @@ class TestRunWindows:
             ([6, -1], "negative"),
             ([2.5, 2.5], "non-integral"),
             ([0, 5], "window 0 is empty"),
+            ([float("nan"), 1], "non-integral"),
+            ([float("inf")], "non-integral"),
         ],
     )
     def test_bad_schedule_is_rejected_before_anything_runs(self, arrivals, message):

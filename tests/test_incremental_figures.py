@@ -6,8 +6,15 @@ shared stage cache ends byte-identical — canonical telemetry, scores,
 sizes — to a single cold batch run over the union.  The stage/shard
 cache counters pin the cost side: each window recomputes only the
 never-seen shards, and a zero-arrival window recomputes nothing at all.
+On a shared on-disk store the same holds whatever happens to the store:
+a window writes what arrived once, and any one lost or torn file costs a
+recompute, never the result.
 """
 
+import sqlite3
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.arecibo.pipeline import (
@@ -23,7 +30,7 @@ from repro.cleo.pipeline import (
     run_cleo_pipeline,
 )
 from repro.core.errors import IncrementalError
-from repro.core.stagecache import StageCache
+from repro.core.stagecache import CachedShard, StageCache
 from repro.core.telemetry import strip_wall_clock
 
 ARECIBO_STAGES = 6
@@ -122,6 +129,160 @@ class TestAreciboIncremental:
             run_arecibo_incremental(
                 tmp_path, arecibo_config(n_pointings=2), arrivals=[1.5, 1.5]
             )
+
+
+def nightly_config(**changes):
+    """Three pointings at the smallest observation the suite searches."""
+    return replace(
+        arecibo_config(),
+        observation=ObservationConfig(n_channels=32, n_samples=512),
+        **changes,
+    )
+
+
+def persisted_candidates(workdir):
+    """Every row of ``candidates.db`` but the cull's verdict, which only a
+    run that re-executes ``meta-analysis`` writes (a fully warm one does not)."""
+    database = sqlite3.connect(workdir / "candidates.db")
+    try:
+        tables = [
+            name
+            for (name,) in database.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name"
+            )
+        ]
+        rows = {}
+        for table in tables:
+            columns = [
+                column[1]
+                for column in database.execute(f"PRAGMA table_info({table})")
+                if column[1] != "classification"
+            ]
+            rows[table] = database.execute(
+                f"SELECT {', '.join(columns)} FROM {table} ORDER BY 1"
+            ).fetchall()
+        return rows
+    finally:
+        database.close()
+
+
+def store_files(root):
+    return sorted(root.glob("*/*.pkl"))
+
+
+def load_store(root):
+    """key -> the value every entry under ``root`` loads to, names resolved."""
+    cache = StageCache.on_disk(root)
+    return {
+        path.stem: cache.lookup_shard(path.stem) or cache.lookup(path.stem)
+        for path in store_files(root)
+    }
+
+
+def same_value(left, right):
+    """Structural equality that looks into arrays (a Filterbank's ``==``
+    cannot) and past the shipment record, labelled from a process-global
+    counter (its physical outcome is pinned in ``TestAreciboIncremental``)."""
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, np.ndarray):
+        return left.dtype == right.dtype and np.array_equal(left, right)
+    if isinstance(left, dict):
+        return left.keys() == right.keys() and all(
+            key == "shipment" or same_value(left[key], right[key]) for key in left
+        )
+    if isinstance(left, (list, tuple)):
+        return len(left) == len(right) and all(map(same_value, left, right))
+    if hasattr(left, "__dict__"):
+        return same_value(vars(left), vars(right))
+    return left == right
+
+
+class TestAreciboNightlyStore:
+    ARRIVALS = [1, 1, 1]
+
+    @pytest.fixture(scope="class")
+    def night(self, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("fig1-nightly")
+        cold = run_arecibo_pipeline(workdir / "batch", nightly_config())
+        run_arecibo_incremental(
+            workdir / "windows", nightly_config(), arrivals=self.ARRIVALS,
+            cache=StageCache.on_disk(workdir / "store"),
+        )
+        return workdir, cold
+
+    def assert_equals_batch(self, report, workdir, night):
+        batch_dir, cold = night
+        assert strip_wall_clock(report.flow_report.events) == strip_wall_clock(
+            cold.flow_report.events
+        )
+        assert persisted_candidates(workdir) == persisted_candidates(
+            batch_dir / "batch"
+        )
+
+    def test_a_window_writes_what_arrived_once(self, night):
+        """Raw spectra are the volume and are kept once: the stage that
+        gathers the pointings names their shard entries.  (Stored by value,
+        W windows hold 1 + 2 + ... + W copies: about 3 x at W = 3.)"""
+        root = night[0] / "store"
+        entries = load_store(root)
+        assert len(entries) == ARECIBO_STAGES * len(self.ARRIVALS) + 2 * sum(self.ARRIVALS)
+        assert all(entry is not None for entry in entries.values())
+        total = sum(path.stat().st_size for path in store_files(root))
+        shards = sum(
+            path.stat().st_size
+            for path in store_files(root)
+            if isinstance(entries[path.stem], CachedShard)
+        )
+        assert total < 1.2 * shards
+
+    def test_restart_survives_any_one_lost_or_torn_file(self, night):
+        workdir, _ = night
+        files = store_files(workdir / "store")
+        for index, path in enumerate(files):
+            whole = path.read_bytes()
+            for damage in ("lost", "torn"):
+                if damage == "lost":
+                    path.unlink()
+                else:
+                    path.write_bytes(whole[: len(whole) // 2])
+                run_dir = workdir / f"restart-{index}-{damage}"
+                report = run_arecibo_pipeline(
+                    run_dir, nightly_config(),
+                    cache=StageCache.on_disk(workdir / "store"),
+                )
+                self.assert_equals_batch(report, run_dir, night)
+                path.write_bytes(whole)  # the next case starts from a whole store
+
+    def test_a_store_too_small_for_one_pointing_still_ends_on_the_batch(self, night):
+        workdir, _ = night
+        one_shard = max(path.stat().st_size for path in store_files(workdir / "store"))
+        bounded = StageCache.on_disk(workdir / "small-store", max_bytes=one_shard - 1)
+        nightly = run_arecibo_incremental(
+            workdir / "small-windows", nightly_config(), arrivals=self.ARRIVALS,
+            cache=bounded,
+        )
+        assert bounded.disk.stats()["bytes"] < one_shard
+        final_dir = workdir / "small-windows" / f"window{len(self.ARRIVALS) - 1:02d}"
+        self.assert_equals_batch(nightly.final, final_dir, night)
+
+    def test_thread_and_process_farms_write_equal_stores(self, night):
+        workdir, _ = night
+        stores = {}
+        for executor in ("thread", "process"):
+            root = workdir / f"{executor}-store"
+            run_arecibo_incremental(
+                workdir / f"{executor}-windows",
+                nightly_config(workers=2, executor=executor),
+                arrivals=self.ARRIVALS, cache=StageCache.on_disk(root),
+            )
+            stores[executor] = load_store(root)
+        serial = load_store(workdir / "store")
+        for loaded in stores.values():
+            assert loaded.keys() == serial.keys()
+            for key, entry in loaded.items():
+                assert entry is not None
+                assert same_value(entry, serial[key])
 
 
 class TestCleoIncremental:
