@@ -263,18 +263,6 @@ class Program:
             queue.extend(info.bases)
         return None
 
-    def transitive_callees(self, qualname: str) -> Set[str]:
-        """Closure of :attr:`edges` from one root (root excluded)."""
-        seen: Set[str] = set()
-        queue = list(self.callees(qualname))
-        while queue:
-            current = queue.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            queue.extend(self.callees(current))
-        return seen
-
     def iter_functions(self) -> Iterator[FunctionInfo]:
         for qualname in sorted(self.functions):
             yield self.functions[qualname]

@@ -32,19 +32,6 @@ class SiftedCandidate:
     pointing_id: int = -1
     beam: int = -1
 
-    @property
-    def is_dispersed(self) -> bool:
-        """Peak significance at a clearly nonzero DM."""
-        return self.dm > 1.0
-
-    def dm0_ratio(self) -> float:
-        """S/N at DM 0 relative to the peak — the classic RFI test.
-
-        An undispersed (terrestrial) signal is about as strong at DM 0 as
-        anywhere; a genuinely dispersed pulsar loses significance there.
-        """
-        return self.snr_dm0 / self.snr if self.snr > 0 else 0.0
-
 
 def _is_harmonic(fundamental_hz: float, other_hz: float, tol: float) -> bool:
     """True when ``other`` is an integer multiple/submultiple of ``fundamental``."""

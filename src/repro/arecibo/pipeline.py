@@ -36,7 +36,6 @@ from repro.core.engine import Engine, FlowReport
 from repro.core.errors import SearchError
 from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.recovery import RetryPolicy
-from repro.core.shards import SharedArray, shared_arrays
 from repro.core.stagecache import StageCache
 from repro.core.telemetry import Telemetry, write_event_log
 from repro.core.units import DataSize, Duration
@@ -97,12 +96,6 @@ class DetectionScore:
     @property
     def recall(self) -> float:
         return self.recovered / self.injected if self.injected else 1.0
-
-    @property
-    def transient_recall(self) -> float:
-        if self.transients_injected == 0:
-            return 1.0
-        return self.transients_recovered / self.transients_injected
 
 
 @dataclass
@@ -217,11 +210,6 @@ def figure1_flow(
 # and passes the culled beam ids in, so injector state never has to cross
 # into (or back out of) a worker process.
 
-#: One beam's data as it travels to a shard: a :class:`Filterbank` for
-#: in-process execution, or ``(meta dict, SharedArray)`` when the block
-#: crosses a process boundary through shared memory.
-_BeamPayload = Union[Filterbank, Tuple[Dict[str, object], SharedArray]]
-
 
 def _observe_pointing_shard(
     task: Tuple[ObservationConfig, Pointing, int],
@@ -237,22 +225,8 @@ def _observe_pointing_shard(
     return ObservationSimulator(observation).observe(pointing, seed=seed)
 
 
-def _beam_filterbank(payload: "_BeamPayload") -> Filterbank:
-    if isinstance(payload, Filterbank):
-        return payload
-    meta, shared = payload
-    # float32 in, float32 out: the Filterbank constructor's asarray is a
-    # zero-copy view over the shared segment.
-    return Filterbank(data=shared.array, **meta)  # type: ignore[arg-type]
-
-
 def _search_pointing_shard(
-    task: Tuple[
-        AreciboPipelineConfig,
-        Pointing,
-        Sequence["_BeamPayload"],
-        FrozenSet[int],
-    ],
+    task: Tuple[AreciboPipelineConfig, Pointing, Sequence[Filterbank], FrozenSet[int]],
 ):
     """Search one pointing: all seven beams plus the multibeam culls.
 
@@ -264,15 +238,14 @@ def _search_pointing_shard(
     grid as an empty candidate list — they can neither detect nor veto —
     and consume no RNG draws, exactly as under in-line execution.
     """
-    config, pointing, payloads, culled = task
+    config, pointing, filterbanks, culled = task
     rng = np.random.default_rng((config.seed + 1, pointing.pointing_id))
     presift = 0
     dedispersed_total = DataSize.zero()
     per_beam_sifted: List[List] = []
     per_beam_transients: List[Tuple[int, List[SinglePulseEvent]]] = []
     grid: Optional[DMGrid] = None
-    for payload in payloads:
-        filterbank = _beam_filterbank(payload)
+    for filterbank in filterbanks:
         if filterbank.beam in culled:
             # Graceful degradation, the survey's real procedure: a beam
             # whose data are unusable (bad disk, bad tape) is culled from
@@ -492,9 +465,9 @@ def run_arecibo_pipeline(
         count and executor.  Beam-scope faults are evaluated *here*, in
         canonical pointing-major/beam-minor order (identical to sequential
         execution), so injector state never crosses a process boundary;
-        shards receive only the resulting culled-beam sets.  Under the
-        process executor, filterbank blocks travel through shared memory
-        instead of the pickle pipe.
+        shards receive only the resulting culled-beam sets.  The task is
+        the same for every executor; how a filterbank block crosses to a
+        worker process is the shard pool's decision.
         """
         observations = ctx.dep_stash("acquire")["observations"]
 
@@ -517,49 +490,24 @@ def run_arecibo_pipeline(
                     beam_culls.append((pointing.pointing_id, filterbank.beam))
             culled_by_pointing[pointing.pointing_id] = frozenset(culled)
 
-        process_shards = ctx.shard_executor == "process"
-        blocks = []
-        if process_shards:
-            blocks = [
-                filterbank.data
-                for pointing in pointings
-                for filterbank in observations[pointing.pointing_id]
-            ]
-        with shared_arrays(blocks) as handles:
-            shared = iter(handles)
-            tasks = []
-            for pointing in pointings:
-                payloads: List[_BeamPayload] = []
-                for filterbank in observations[pointing.pointing_id]:
-                    if process_shards:
-                        meta = {
-                            "freq_low_mhz": filterbank.freq_low_mhz,
-                            "freq_high_mhz": filterbank.freq_high_mhz,
-                            "tsamp_s": filterbank.tsamp_s,
-                            "pointing_id": filterbank.pointing_id,
-                            "beam": filterbank.beam,
-                        }
-                        payloads.append((meta, next(shared)))
-                    else:
-                        payloads.append(filterbank)
-                tasks.append(
-                    (
-                        config,
-                        pointing,
-                        payloads,
-                        culled_by_pointing[pointing.pointing_id],
-                    )
+        pointing_results = ctx.map_shards(
+            _search_pointing_shard,
+            [
+                (
+                    config,
+                    pointing,
+                    observations[pointing.pointing_id],
+                    culled_by_pointing[pointing.pointing_id],
                 )
-            pointing_results = ctx.map_shards(
-                _search_pointing_shard,
-                tasks,
-                cache_keys=[
-                    f"search|p{pointing.pointing_id:04d}"
-                    f"|culled={sorted(culled_by_pointing[pointing.pointing_id])}"
-                    for pointing in pointings
-                ],
-                cache_params=_shard_fingerprint(config),
-            )
+                for pointing in pointings
+            ],
+            cache_keys=[
+                f"search|p{pointing.pointing_id:04d}"
+                f"|culled={sorted(culled_by_pointing[pointing.pointing_id])}"
+                for pointing in pointings
+            ],
+            cache_params=_shard_fingerprint(config),
+        )
 
         presift = 0
         dedispersed_total = DataSize.zero()
@@ -676,10 +624,13 @@ def run_arecibo_pipeline(
     flow_report = engine.run(flow)
     write_event_log(workdir / "telemetry.jsonl", flow_report.events)
     stashes = flow_report.stashes
-    # A fully-warm run skips every stage, leaving this run's candidates.db
-    # untouched; load it from the cached stash so the persisted artifact
-    # matches a cold run's.
+    # A stage serviced from the cache leaves this run's candidates.db
+    # untouched: load the rows from the cached stash and, when the cull's
+    # own stage hit, re-run the cull (a pure function of the rows), so the
+    # persisted artifact matches a cold run's.
     load_database(stashes["process"])
+    if "meta-analysis" in flow_report.cached_stages:
+        database.cull_widespread(max_pointings=config.meta_max_pointings)
 
     # Score detections against ground truth.
     injected = [p for pointing in pointings for p in pointing.all_pulsars()]

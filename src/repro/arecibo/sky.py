@@ -95,12 +95,6 @@ class Pointing:
     def all_pulsars(self) -> List[Pulsar]:
         return [p for beam in self.pulsars_by_beam for p in beam]
 
-    def beam_of(self, pulsar_name: str) -> int:
-        for beam_index, beam in enumerate(self.pulsars_by_beam):
-            if any(p.name == pulsar_name for p in beam):
-                return beam_index
-        raise SearchError(f"no pulsar {pulsar_name!r} in this pointing")
-
 
 @dataclass
 class SkyModel:

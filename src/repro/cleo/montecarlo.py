@@ -55,6 +55,11 @@ class MonteCarloProducer:
         return events, truths, stamp
 
 
+def offsite_store(staging_dir: Union[str, Path], site: str) -> PersonalEventStore:
+    """The fresh personal EventStore MC made at ``site`` travels in."""
+    return PersonalEventStore(Path(staging_dir) / f"mc-{site}", name=f"mc-{site}")
+
+
 def produce_offsite_mc(
     producer: MonteCarloProducer,
     runs: List[Run],
@@ -70,7 +75,7 @@ def produce_offsite_mc(
     thing that goes on the disk; merging it is the caller's (or the
     shipping lane's) job.
     """
-    store = PersonalEventStore(Path(staging_dir) / f"mc-{site}", name=f"mc-{site}")
+    store = offsite_store(staging_dir, site)
     for index, run in enumerate(runs):
         events, _, stamp = producer.generate_for_run(run, seed=base_seed + index)
         store.inject(run, events, producer.version, "mc", stamp)

@@ -8,6 +8,7 @@ CPU are accounted, and every artifact stored in a real EventStore on disk.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
@@ -16,13 +17,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 from repro.cleo.analysis import AnalysisJob, AnalysisResult
 from repro.cleo.calibration import perfect_calibration, true_misalignment
 from repro.cleo.detector import Detector, DetectorConfig
-from repro.cleo.montecarlo import MonteCarloProducer, produce_offsite_mc
+from repro.cleo.montecarlo import MonteCarloProducer, offsite_store, produce_offsite_mc
 from repro.cleo.postrecon import PostReconstructor
 from repro.cleo.reconstruction import Reconstructor
 from repro.core.dataflow import DataFlow, StageFn, structural_stub
 from repro.core.dataset import Dataset
 from repro.core.deltas import WindowLedger, run_windows
 from repro.core.engine import Engine, FlowReport
+from repro.core.errors import ExecutionError
 from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.recovery import RetryPolicy
 from repro.core.stagecache import StageCache
@@ -229,20 +231,50 @@ def run_cleo_pipeline(
     # run's store).  A stage serviced from the cache leaves the store
     # untouched; its products live in the cached stash instead.
     injected: set = set()
+    restoring = threading.Lock()
+    offsite, mc_site = workdir / "offsite", "remote-u"
 
-    def restore_products(ctx, stage_names):
-        """Re-inject products of cache-hit ancestors a miss depends on.
+    def restore_products(stash_of, stage_names):
+        """Write the products of cache-hit stages into this run's store.
 
-        Idempotent per stage; only needed when an upstream stage hit while
-        this one missed (e.g. after an eviction), so the store lacks the
-        files this stage is about to read.
+        ``stash_of(name)`` is a stage's stash, or None while it is not
+        published.  Walks the flow's topological order and merges Monte
+        Carlo in from a personal store — the order and the way a cold run
+        writes — so a warm store is the cold store row for row.
+        Idempotent per stage.
         """
-        for name in stage_names:
-            if name in injected:
-                continue
-            for run, events, version, kind, stamp in ctx.dep_stash(name)["products"]:
-                store.inject(run, events, version, kind, stamp, admin=True)
-            injected.add(name)
+        with restoring:
+            for name in order:
+                if name not in stage_names or name in injected:
+                    continue
+                stash = stash_of(name)
+                if stash is None or "products" not in stash:
+                    continue
+                if name == "monte-carlo":
+                    personal = offsite_store(offsite, mc_site)
+                    for run, events, version, kind, stamp in stash["products"]:
+                        personal.inject(run, events, version, kind, stamp)
+                    merge_into(personal, store)
+                    personal.close()
+                else:
+                    for run, events, version, kind, stamp in stash["products"]:
+                        store.inject(run, events, version, kind, stamp, admin=True)
+                injected.add(name)
+
+    def catch_up(ctx):
+        """Before a stage touches the store, restore every cache-hit stage
+        ahead of it in topological order: its ancestors (the files it is
+        about to read) and, with one worker, the rest of what a cold run
+        would have written by now.  A stage still running on another
+        worker has published nothing and writes its own products."""
+
+        def published(name):
+            try:
+                return ctx.dep_stash(name)
+            except ExecutionError:
+                return None
+
+        restore_products(published, order[: order.index(ctx.stage.name)])
 
     def acquire(inputs, ctx):
         runs: List[Run] = []
@@ -277,7 +309,7 @@ def run_cleo_pipeline(
         back in run order, so the store contents and accounting are
         byte-identical for any worker count or executor.
         """
-        restore_products(ctx, ["acquisition"])
+        catch_up(ctx)
         runs = ctx.dep_stash("acquisition")["runs"]
         tasks = []
         for run in runs:
@@ -302,7 +334,7 @@ def run_cleo_pipeline(
         return Dataset("recon-runs", DataSize(total), version=reconstructor.version)
 
     def post_reconstruct(inputs, ctx):
-        restore_products(ctx, ["acquisition", "reconstruction"])
+        catch_up(ctx)
         runs = ctx.dep_stash("acquisition")["runs"]
         products = []
         total = 0.0
@@ -320,10 +352,10 @@ def run_cleo_pipeline(
         return Dataset("postrecon-runs", DataSize(total), version=postrecon.version)
 
     def monte_carlo(inputs, ctx):
+        catch_up(ctx)
         runs = ctx.dep_stash("acquisition")["runs"]
         personal = produce_offsite_mc(
-            mc_producer, runs, workdir / "offsite", site="remote-u",
-            base_seed=config.seed + 1000,
+            mc_producer, runs, offsite, site=mc_site, base_seed=config.seed + 1000,
         )
         merge_into(personal, store)
         personal.close()
@@ -341,10 +373,7 @@ def run_cleo_pipeline(
         )
 
     def grade_and_analyze(inputs, ctx):
-        restore_products(
-            ctx,
-            ["acquisition", "reconstruction", "post-reconstruction", "monte-carlo"],
-        )
+        catch_up(ctx)
         runs = ctx.dep_stash("acquisition")["runs"]
         assignments = {run_key(run.number): reconstructor.version for run in runs}
         store.assign_grade(config.grade, config.grade_timestamp, assignments, admin=True)
@@ -372,6 +401,7 @@ def run_cleo_pipeline(
         },
         cache_params=_cache_fingerprint(config),
     )
+    order = flow.topological_order()
 
     flow_report = Engine(
         seed=config.seed,
@@ -384,16 +414,10 @@ def run_cleo_pipeline(
     write_event_log(workdir / "telemetry.jsonl", flow_report.events)
     stashes = flow_report.stashes
 
-    # Cache-hit stages never touched this run's store; re-inject their
+    # Cache-hit stages never touched this run's store; write their
     # products and the pinned grade so the persisted EventStore matches a
     # cold run's (downstream consumers replay analyses from store_root).
-    for name in ("acquisition", "reconstruction", "post-reconstruction",
-                 "monte-carlo"):
-        if name in injected:
-            continue
-        for run, events, version, kind, stamp in stashes[name]["products"]:
-            store.inject(run, events, version, kind, stamp, admin=True)
-        injected.add(name)
+    restore_products(stashes.get, order)
     if "physics-analysis" not in injected:
         store.assign_grade(
             config.grade,

@@ -291,29 +291,6 @@ class DataFlow:
             )
         return order
 
-    def levels(self) -> List[List[str]]:
-        """Stages grouped by dependency depth.
-
-        All stages within one level are mutually independent, so the width
-        of the widest level bounds how many stages a parallel engine can
-        have in flight at once.  Levels are ordered root-to-sink and each
-        level preserves topological (insertion) order.
-        """
-        order = self.topological_order()
-        depth: Dict[str, int] = {}
-        for name in order:
-            depth[name] = max(
-                (depth[pred] + 1 for pred in self._pred[name]), default=0
-            )
-        grouped: List[List[str]] = [[] for _ in range(max(depth.values()) + 1)]
-        for name in order:
-            grouped[depth[name]].append(name)
-        return grouped
-
-    def max_parallelism(self) -> int:
-        """Width of the widest :meth:`levels` level (>= 1 for a valid flow)."""
-        return max(len(level) for level in self.levels())
-
     # -- rendering -----------------------------------------------------------
     def render(self) -> str:
         """ASCII rendering of the flow, grouped by site, in topological order.

@@ -62,17 +62,6 @@ class Dataset:
     def item_count(self) -> int:
         return len(self.items)
 
-    def with_items(self, items: Iterable[Any], size: Optional[DataSize] = None) -> "Dataset":
-        """Return a copy carrying ``items`` (and optionally a new size)."""
-        return Dataset(
-            name=self.name,
-            size=size if size is not None else self.size,
-            items=list(items),
-            version=self.version,
-            provenance_id=self.provenance_id,
-            attrs=dict(self.attrs),
-        )
-
     def derive(
         self,
         name: str,

@@ -258,17 +258,6 @@ class StageContext:
         """Let a stage report extra simulated CPU work beyond the size model."""
         self._extra_cpu_seconds += duration.seconds
 
-    @property
-    def shard_executor(self) -> str:
-        """Where :meth:`map_shards` will run: ``serial``/``thread``/``process``.
-
-        Transforms consult this to decide how to package shard inputs —
-        e.g. wrapping large arrays in
-        :class:`~repro.core.shards.SharedArray` only when they are about
-        to cross a process boundary.
-        """
-        return self.engine.shard_executor
-
     def map_shards(self, fn, items, cache_keys=None, cache_params=None):
         """Fan ``fn`` out over ``items`` on the engine's shard pool.
 
@@ -276,7 +265,9 @@ class StageContext:
         that merges positionally stays byte-identical across sequential,
         threaded, and process runs.  Under ``executor="process"``, ``fn``
         and each item must be picklable (module-level functions, plain
-        data); telemetry the shards emit is forwarded home in item order.
+        data); how an item crosses — large arrays through shared memory —
+        is the pool's business, and telemetry the shards emit is forwarded
+        home in item order.
 
         With ``cache_keys`` (one stable descriptor string per item) and an
         attached engine stage cache, each shard result is memoized under a
@@ -448,19 +439,6 @@ class Engine:
         self._max_workers = int(max_workers)
         self._executor = executor
         self._shard_pool: Optional[ShardPool] = None
-
-    @property
-    def executor(self) -> str:
-        """The shard executor this engine fans transform work out on."""
-        return self._executor
-
-    @property
-    def shard_executor(self) -> str:
-        """Effective executor for :meth:`map_shards` (``serial`` when
-        ``max_workers == 1``)."""
-        if self._max_workers == 1:
-            return "serial"
-        return self._executor
 
     def map_shards(self, fn, items) -> List:
         """Fan ``fn`` over ``items`` on this run's shard pool, item-ordered.

@@ -323,14 +323,6 @@ class FaultInjector:
                 raise InjectedFault(record.spec, scope, target, record=record)
         return records
 
-    def fire_counts(self) -> Dict[str, int]:
-        """Per-spec lifetime fire totals (operator view)."""
-        counts: Dict[str, int] = {}
-        with self._lock:
-            for (spec_name, _target), fires in sorted(self._fires.items()):
-                counts[spec_name] = counts.get(spec_name, 0) + fires
-        return counts
-
 
 def delay_seconds(records: Sequence[FaultRecord]) -> float:
     """Total simulated stall the ``"delay"`` faults in ``records`` demand."""

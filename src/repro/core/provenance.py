@@ -13,7 +13,7 @@ Two layers are provided:
 * :class:`ProvenanceStamp` — the compact, file-embeddable summary (version
   strings accumulated per processing step plus an MD5 digest over all of
   them), exactly the scheme CLEO retrofitted at the data-format level.
-* :class:`ProvenanceStore` — a queryable lineage graph of
+* :class:`ProvenanceStore` — a lineage graph of
   :class:`ProvenanceRecord` objects, the "metadata DB" alternative the paper
   says full ASU-granularity tracking would require.
 """
@@ -24,7 +24,7 @@ import hashlib
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import ProvenanceError
 
@@ -141,11 +141,11 @@ class ProvenanceRecord:
 
 
 class ProvenanceStore:
-    """In-memory lineage graph with ancestry queries.
+    """In-memory lineage graph.
 
     This plays the role of the "metadata DB" that fine-grained tracking
-    would need.  Records are immutable once added; lineage is queried by
-    record id.
+    would need.  Records are immutable once added and looked up by record
+    id; a record's parents are its ``parent_ids``.
 
     Record ids are allocated from a per-store counter, so a fresh store
     always numbers its records ``prov-000001``, ``prov-000002``, ... in
@@ -157,7 +157,6 @@ class ProvenanceStore:
 
     def __init__(self) -> None:
         self._records: Dict[str, ProvenanceRecord] = {}
-        self._by_artifact: Dict[str, List[str]] = {}
         self._lock = threading.RLock()
         self._counter = itertools.count(1)
 
@@ -206,7 +205,6 @@ class ProvenanceStore:
                 stamp=stamp,
             )
             self._records[rec.record_id] = rec
-            self._by_artifact.setdefault(artifact, []).append(rec.record_id)
             return rec
 
     def _get(self, record_id: str) -> ProvenanceRecord:
@@ -222,36 +220,6 @@ class ProvenanceStore:
         """The record's stamp digest — the content address the paper's
         "compare the hashes" test (and the stage cache) keys on."""
         return self._get(record_id).stamp.digest
-
-    def records_for(self, artifact: str) -> List[ProvenanceRecord]:
-        """All derivations recorded for an artifact name, oldest first."""
-        return [self._records[rid] for rid in self._by_artifact.get(artifact, [])]
-
-    def latest_for(self, artifact: str) -> ProvenanceRecord:
-        records = self.records_for(artifact)
-        if not records:
-            raise ProvenanceError(f"no provenance recorded for artifact {artifact!r}")
-        return records[-1]
-
-    def ancestors(self, record_id: str) -> Iterator[ProvenanceRecord]:
-        """Yield all transitive ancestors (each exactly once), parents first."""
-        seen = set()
-        stack = list(self._get(record_id).parent_ids)
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            rec = self._get(current)
-            yield rec
-            stack.extend(rec.parent_ids)
-
-    def lineage_depth(self, record_id: str) -> int:
-        """Length of the longest ancestor chain above this record."""
-        rec = self._get(record_id)
-        if not rec.parent_ids:
-            return 0
-        return 1 + max(self.lineage_depth(pid) for pid in rec.parent_ids)
 
     def consistent(self, record_ids: Sequence[str]) -> bool:
         """Check a set of artifacts was produced by identical histories."""

@@ -33,19 +33,26 @@ thread path:
   and counter values ride home with the shard result, where the pool
   re-emits them (:func:`~repro.core.telemetry.forward_events`) in shard
   order.
-* **Shared-memory transfer** — :class:`SharedArray` moves large NumPy
-  blocks (filterbank spectra, DM trial matrices) to workers through
-  ``multiprocessing.shared_memory`` instead of pickling the bytes
-  through a pipe: pickling a handle costs the metadata, not the array.
+* **Shared-memory transfer** — in process mode the pool pickles each
+  item itself, and every large NumPy array in it (a filterbank block, a
+  DM trial matrix) crosses in a :class:`SharedArray` segment instead of
+  the pickle pipe: the task carries the segment's name, the worker maps a
+  zero-copy view, and the pool unlinks every segment it made when the map
+  ends.  The decision is the pool's alone, by size; a transform hands
+  over the same items whatever executor runs its shards.
 """
 
 from __future__ import annotations
 
+import copyreg
+import io
+import mmap
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
+import pickle
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from functools import partial
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,11 +66,19 @@ from repro.core.telemetry import (
 
 EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process")
 
+#: An array crosses to a worker process in shared memory from this many
+#: bytes up.  Below it a segment — create, copy in, attach, map, unlink:
+#: a fixed ≈ 0.07 ms on a 2-CPU box — costs more than pickling the bytes
+#: through the pipe; from here to ≈ 192 KiB the two differ by less than
+#: that fixed cost, and beyond it the segment wins (≈ 40 % at 256 KiB,
+#: ≈ 2.3 x at 1 MiB).
+SHARE_MIN_BYTES = 64 * 1024
+
 
 # -- shared-memory arrays -------------------------------------------------
 #: Segment names created (owned) by this process.  An attachment made in
-#: the owning process — e.g. a same-process pickle round-trip in tests —
-#: must NOT untrack, or the owner's eventual unlink double-unregisters.
+#: the owning process — e.g. a same-process unpickle in tests — must NOT
+#: untrack, or the owner's eventual unlink double-unregisters.
 _owned_segments: set = set()
 
 
@@ -93,11 +108,10 @@ def _untrack(name: str) -> None:
 class SharedArray:
     """A NumPy array whose buffer lives in named shared memory.
 
-    Pickling a :class:`SharedArray` serializes only ``(segment name,
-    shape, dtype)``; the receiving process attaches the existing segment
-    and sees the same bytes with zero copies.  The creating process owns
-    the segment and must call :meth:`unlink` when every consumer is done
-    (see :func:`shared_arrays` for the scoped idiom).
+    The creating process owns the segment and must :meth:`unlink` it when
+    every consumer is done; :meth:`ShardPool.map` does so for the segments
+    it makes.  Another process sees the same bytes with zero copies
+    through :func:`_attach`.
 
     Views returned by :attr:`array` borrow the mapping — do not use them
     after :meth:`close`.
@@ -155,21 +169,6 @@ class SharedArray:
             self._shm.unlink()
             _owned_segments.discard(self._shm._name)  # type: ignore[attr-defined]
 
-    def __getstate__(self) -> dict:
-        return {
-            "name": self._shm.name,
-            "shape": self._shape,
-            "dtype": self._dtype.str,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        shm = shared_memory.SharedMemory(name=state["name"])
-        _untrack(shm._name)  # type: ignore[attr-defined]
-        self._shm = shm
-        self._shape = tuple(state["shape"])
-        self._dtype = np.dtype(state["dtype"])
-        self._owner = False
-
     def __repr__(self) -> str:
         return (
             f"SharedArray({self._shm.name!r}, shape={self._shape}, "
@@ -177,36 +176,64 @@ class SharedArray:
         )
 
 
-@contextmanager
-def shared_arrays(arrays: Sequence[np.ndarray]) -> Iterator[List[SharedArray]]:
-    """Scope a batch of arrays into shared memory; unlink on exit.
+def _attach(name: str, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """Unpickle side of a shared array: a zero-copy view of segment ``name``.
 
-    The yield happens after every array is copied in; on exit — or when
-    a copy fails part-way, e.g. ``/dev/shm`` is full — the owner closes
-    and unlinks every segment created so far.  Workers that are still
-    mapped keep the bytes alive until their own mappings drop (POSIX
-    semantics), so unlinking after a completed :meth:`ShardPool.map` is
-    always safe.
+    The view holds a private mapping of the segment, so the bytes stay
+    mapped exactly as long as the view or anything derived from it lives
+    — through the shard, and through pickling its result should the
+    shard return its input.  Only the owner ever unlinks.
     """
-    handles: List[SharedArray] = []
+    segment = shared_memory.SharedMemory(name=name)
+    _untrack(segment._name)  # type: ignore[attr-defined]
     try:
-        for array in arrays:
-            handles.append(SharedArray.copy_from(array))
-        yield handles
+        mapping = mmap.mmap(segment._fd, segment.size)  # type: ignore[attr-defined]
     finally:
-        for handle in handles:
-            handle.close()
-            handle.unlink()
+        segment.close()
+    return np.ndarray(shape, dtype=dtype, buffer=mapping)
+
+
+def _share(array: np.ndarray, segments: List[SharedArray]):
+    """Pickle reduction of an ndarray in a shard item: a large C-contiguous
+    block of plain values goes to a fresh segment (kept in ``segments``
+    for the pool to unlink) and is rebuilt by :func:`_attach`; any other
+    array pickles as it always does."""
+    if (
+        array.nbytes < SHARE_MIN_BYTES
+        or not array.flags.c_contiguous
+        or array.dtype.hasobject
+    ):
+        return array.__reduce_ex__(5)
+    handle = SharedArray.copy_from(array)
+    segments.append(handle)
+    return _attach, (handle.name, handle.shape, handle.dtype)
+
+
+def _dumps(item: object, segments: List[SharedArray]) -> bytes:
+    """Pickle one shard item for a worker process (protocol 5); every
+    segment its large arrays went to is appended to ``segments``."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=5)
+    pickler.dispatch_table = {
+        **copyreg.dispatch_table,
+        np.ndarray: partial(_share, segments=segments),
+    }
+    pickler.dump(item)
+    return buffer.getvalue()
 
 
 # -- shard execution ------------------------------------------------------
-def _run_shard(fn: Callable, item: object) -> Tuple[object, list, dict]:
-    """Worker-process entry point: run one shard under a fresh substrate.
+def _run_shard(fn: Callable, payload: bytes) -> Tuple[object, list, dict]:
+    """Worker-process entry point: unpickle one item, run its shard under
+    a fresh substrate.
 
+    The item's large arrays arrive as views of the parent's segments
+    (:func:`_attach`) and stay mapped while the shard holds them.
     Everything the shard emits into the process-default telemetry is
     captured and returned (the tuple records pickle as they are)
     alongside the result, so the parent can forward it in shard order.
     """
+    item = pickle.loads(payload)
     return capture_events(lambda: fn(item))
 
 
@@ -272,6 +299,13 @@ class ShardPool:
         A shard that raises aborts the map and re-raises in the caller
         (after the remaining shards settle), matching the serial path's
         first-failure semantics for items before the failure.
+
+        Serial and thread shards get the items themselves.  Process shards
+        get a protocol-5 pickle of each item in which every C-contiguous
+        array of at least :data:`SHARE_MIN_BYTES` travels through shared
+        memory; the segments are closed and unlinked when the map returns
+        or raises — a raising shard and an item that fails to pickle
+        included.
         """
         if self._closed:
             raise ShardError("shard pool is closed")
@@ -287,14 +321,24 @@ class ShardPool:
         # Process mode: run each shard under a fresh child substrate and
         # forward its telemetry home in shard order.
         pool = self._ensure_pool()
-        futures = [pool.submit(_run_shard, fn, item) for item in items]  # type: ignore[union-attr]
-        bus = self._telemetry if self._telemetry is not None else get_telemetry()
-        values: List[object] = []
-        for future in futures:
-            value, events, counters = future.result()
-            forward_events(bus, events, counters)
-            values.append(value)
-        return values
+        segments: List[SharedArray] = []
+        futures: List[Future] = []
+        try:
+            for item in items:
+                payload = _dumps(item, segments)
+                futures.append(pool.submit(_run_shard, fn, payload))  # type: ignore[union-attr]
+            bus = self._telemetry if self._telemetry is not None else get_telemetry()
+            values: List[object] = []
+            for future in futures:
+                value, events, counters = future.result()
+                forward_events(bus, events, counters)
+                values.append(value)
+            return values
+        finally:
+            wait(futures)
+            for segment in segments:
+                segment.close()
+                segment.unlink()
 
     def close(self) -> None:
         if self._pool is not None:

@@ -230,10 +230,6 @@ class SimClock:
             self._now += seconds
             return self._now
 
-    def reset(self, to: float = 0.0) -> None:
-        with self._lock:
-            self._now = float(to)
-
 
 # -- instruments ---------------------------------------------------------
 class Counter:

@@ -35,7 +35,6 @@ class Select:
     columns: Sequence[str] = ("*",)
     _wheres: List[Tuple[str, Tuple[Any, ...]]] = field(default_factory=list)
     _order: Optional[str] = None
-    _group: Optional[str] = None
     _limit: Optional[int] = None
 
     def where(self, clause: str, *params: Any) -> "Select":
@@ -56,10 +55,6 @@ class Select:
         self._order = clause
         return self
 
-    def group_by(self, clause: str) -> "Select":
-        self._group = clause
-        return self
-
     def limit(self, n: int) -> "Select":
         if n < 0:
             raise DatabaseError(f"negative LIMIT: {n}")
@@ -74,8 +69,6 @@ class Select:
             parts.append(f"WHERE {clauses}")
             for _, clause_params in self._wheres:
                 params.extend(clause_params)
-        if self._group:
-            parts.append(f"GROUP BY {self._group}")
         if self._order:
             parts.append(f"ORDER BY {self._order}")
         if self._limit is not None:
@@ -85,10 +78,6 @@ class Select:
     def run(self, db: Database) -> List[Row]:
         sql, params = self.sql()
         return db.query(sql, params)
-
-    def run_one(self, db: Database) -> Optional[Row]:
-        sql, params = self.sql()
-        return db.query_one(sql, params)
 
     def count(self, db: Database) -> int:
         inner_sql, params = self.sql()

@@ -16,14 +16,13 @@ loaded, which is also the first word of all EventStore commands").
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.core.errors import EventStoreError
 from repro.core.provenance import ProvenanceStamp
 from repro.core.readcache import ReadCache
-from repro.core.telemetry import MetricsRegistry, Telemetry, get_telemetry, registry_view
+from repro.core.telemetry import Telemetry, get_telemetry
 from repro.core.units import DataSize, Duration
 from repro.core.versioning import GradeHistory
 from repro.db.connection import Database, SqliteBackend
@@ -38,16 +37,6 @@ from repro.eventstore.model import DATA_KINDS, Event, Run, parse_run_key
 from repro.eventstore.schema import eventstore_schema
 
 SCALES = ("personal", "group", "collaboration")
-
-
-@dataclass
-class IngestStats:
-    """Write/read traffic counters for one store (a registry snapshot view)."""
-
-    files_injected: int = 0
-    events_injected: int = 0
-    bytes_injected: float = 0.0
-    files_opened: int = 0
 
 
 class EventStore:
@@ -66,7 +55,7 @@ class EventStore:
     cache:
         Optional :class:`ReadCache` for the hot read path: grade
         resolution (``grade:`` keys, invalidated by :meth:`assign_grade`
-        and :meth:`register_run`) and file-row lookups (``file:`` keys,
+        and by a new run) and file-row lookups (``file:`` keys,
         negative results included, invalidated by :meth:`inject`).
     """
 
@@ -87,14 +76,8 @@ class EventStore:
         self.files_dir.mkdir(parents=True, exist_ok=True)
         self.db: Database = SqliteBackend(self.root / "eventstore.db")
         apply_schema(self.db, eventstore_schema())
-        self.metrics = MetricsRegistry()
         self._telemetry = telemetry if telemetry is not None else get_telemetry()
         self.cache = cache
-
-    @property
-    def ingest_stats(self) -> IngestStats:
-        """Write/read traffic counters, read from the metrics registry."""
-        return registry_view(self.metrics, IngestStats, "eventstore")
 
     def close(self) -> None:
         self.db.close()
@@ -145,13 +128,6 @@ class EventStore:
         if self.cache is not None:
             # A new run changes what every grade's run keys expand to.
             self.cache.invalidate_prefix("grade:")
-
-    def register_run(self, run: Run, admin: bool = False) -> None:
-        """Record a run's metadata (idempotent for identical metadata)."""
-        self._require_writable(admin)
-        if not self._run_known(run):
-            self._insert_run(run)
-            self._run_added()
 
     def inject(
         self,
@@ -208,9 +184,6 @@ class EventStore:
             self.cache.invalidate(f"file:{run.number}:{version}:{kind}")
         if not run_known:
             self._run_added()
-        self.metrics.counter("eventstore.files_injected").inc()
-        self.metrics.counter("eventstore.events_injected").inc(count)
-        self.metrics.counter("eventstore.bytes_injected").inc(size_bytes)
         self._telemetry.emit(
             "storage.write",
             filename,
@@ -370,11 +343,10 @@ class EventStore:
     def _touch_file(self, row) -> None:
         """Hook called before a registered file is read.
 
-        The base store only counts the access; the HSM-backed store extends
-        it to charge a disk-cache hit or a tape recall (see
+        The base store reads its disk directly; the HSM-backed store
+        overrides it to charge a disk-cache hit or a tape recall (see
         :mod:`repro.eventstore.hsm_store`).
         """
-        self.metrics.counter("eventstore.files_opened").inc()
 
     def open_file(self, run_number: int, version: str, kind: str) -> EventFile:
         row = self._file_row(run_number, version, kind)

@@ -98,13 +98,6 @@ class FileCatalog:
             name for name, entry in self._entries.items() if entry.replica_count > 0
         )
 
-    def files_at(self, location: str) -> List[str]:
-        return sorted(
-            name
-            for name, entry in self._entries.items()
-            if any(replica.location == location for replica in entry.replicas)
-        )
-
     def unreplicated(self, minimum: int = 2) -> List[str]:
         """Logical files with fewer than ``minimum`` replicas (loss risk)."""
         return sorted(
@@ -119,11 +112,3 @@ class FileCatalog:
 
     def total_logical(self) -> DataSize:
         return DataSize(sum(entry.size.bytes for entry in self._entries.values()))
-
-    def total_physical(self) -> DataSize:
-        return DataSize(
-            sum(
-                entry.size.bytes * entry.replica_count
-                for entry in self._entries.values()
-            )
-        )

@@ -231,7 +231,10 @@ class TestEdges:
                 b()
             """},
         )
-        assert program.transitive_callees("m.a") == {"m.b", "m.c"}
+        # A call chain resolves edge by edge.
+        assert program.callees("m.a") == {"m.b"}
+        assert program.callees("m.b") == {"m.c"}
+        assert program.callees("m.c") == set()
 
 
 class TestBindings:
@@ -332,5 +335,5 @@ class TestRealTree:
         process = "repro.arecibo.pipeline.run_arecibo_pipeline.<locals>.process"
         assert process in program.functions
         assert "repro.arecibo.pipeline._search_pointing_shard" in (
-            program.transitive_callees(process)
+            program.callees(process)
         )

@@ -108,19 +108,6 @@ ONLY_TESTS_REACH = {
         arecibo.filterbank.read_filterbank weblab.export.read_exported_metadata""",
     "builds the ``runs:A-B`` key that ``parse_run_key`` parses in production": """
         eventstore.model.run_range_key""",
-    "to be deleted (ISSUE 23 lists it): the sole subject of a tier-1 test, and one PR "
-    "may retire only a few of those — 23 went with the paper-substrate rows": """
-        analysis.callgraph.Program.transitive_callees
-        arecibo.candidates.SiftedCandidate.dm0_ratio arecibo.candidates.SiftedCandidate.is_dispersed
-        arecibo.pipeline.DetectionScore.transient_recall arecibo.sky.Pointing.beam_of
-        core.dataflow.DataFlow.levels core.dataflow.DataFlow.max_parallelism
-        core.dataset.Dataset.with_items core.faults.FaultInjector.fire_counts
-        core.provenance.ProvenanceStore.ancestors core.provenance.ProvenanceStore.latest_for
-        core.provenance.ProvenanceStore.lineage_depth core.provenance.ProvenanceStore.records_for
-        core.telemetry.SimClock.reset db.query.Select.group_by db.query.Select.run_one
-        eventstore.store.EventStore.ingest_stats eventstore.store.EventStore.register_run
-        eventstore.store.IngestStats
-        storage.catalog.FileCatalog.files_at storage.catalog.FileCatalog.total_physical""",
 }
 
 

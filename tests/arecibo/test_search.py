@@ -344,5 +344,7 @@ class TestSifting:
     def test_dispersed_flag(self):
         dispersed = sift([self.make_candidate(10.0, 10.0, dm=30.0)])[0]
         local = sift([self.make_candidate(11.0, 10.0, dm=0.0)])[0]
-        assert dispersed.is_dispersed
-        assert not local.is_dispersed
+        # Sifting keeps each signal's best DM: the dispersed one peaks
+        # clearly above DM 0, the local one at it.
+        assert dispersed.dm == 30.0
+        assert local.dm == 0.0

@@ -177,9 +177,10 @@ class TestFaultInjector:
 
     def test_fire_counts_aggregates_per_spec(self):
         injector = self.plan(target="flow/*", max_fires=None).arm()
-        injector.fire("stage", "flow/a")
-        injector.fire("stage", "flow/b")
-        assert injector.fire_counts() == {"f": 2}
+        records = injector.fire("stage", "flow/a") + injector.fire("stage", "flow/b")
+        assert [(record.spec, record.target) for record in records] == [
+            ("f", "flow/a"), ("f", "flow/b")
+        ]
 
 
 class TestRecordHelpers:

@@ -81,16 +81,11 @@ class TestProvenanceStore:
         store = ProvenanceStore()
         rec = store.record("run42.recon", step())
         assert store.get(rec.record_id) is rec
-        assert store.latest_for("run42.recon") is rec
 
     def test_unknown_record_raises(self):
         store = ProvenanceStore()
         with pytest.raises(ProvenanceError):
             store.get("prov-999999")
-
-    def test_latest_for_missing_artifact_raises(self):
-        with pytest.raises(ProvenanceError):
-            ProvenanceStore().latest_for("nothing")
 
     def test_child_stamp_extends_parent(self):
         store = ProvenanceStore()
@@ -98,31 +93,6 @@ class TestProvenanceStore:
         recon = store.record("recon", step("recon", "v2"), parents=[raw.record_id])
         assert len(recon.stamp.history) == 2
         assert recon.stamp.history[0] == raw.stamp.history[0]
-
-    def test_ancestors_walks_transitively(self):
-        store = ProvenanceStore()
-        a = store.record("a", step("a", "v1"))
-        b = store.record("b", step("b", "v1"), parents=[a.record_id])
-        c = store.record("c", step("c", "v1"), parents=[b.record_id])
-        ancestor_ids = {rec.record_id for rec in store.ancestors(c.record_id)}
-        assert ancestor_ids == {a.record_id, b.record_id}
-
-    def test_ancestors_deduplicates_diamond(self):
-        store = ProvenanceStore()
-        root = store.record("root", step("root", "v1"))
-        left = store.record("left", step("left", "v1"), parents=[root.record_id])
-        right = store.record("right", step("right", "v1"), parents=[root.record_id])
-        top = store.record("top", step("top", "v1"), parents=[left.record_id, right.record_id])
-        ancestors = list(store.ancestors(top.record_id))
-        assert len(ancestors) == 3
-
-    def test_lineage_depth(self):
-        store = ProvenanceStore()
-        a = store.record("a", step("a", "v1"))
-        b = store.record("b", step("b", "v1"), parents=[a.record_id])
-        c = store.record("c", step("c", "v1"), parents=[b.record_id])
-        assert store.lineage_depth(a.record_id) == 0
-        assert store.lineage_depth(c.record_id) == 2
 
     def test_consistency_check(self):
         store = ProvenanceStore()
@@ -132,15 +102,6 @@ class TestProvenanceStore:
         assert store.consistent([a.record_id, b.record_id])
         assert not store.consistent([a.record_id, c.record_id])
         assert store.consistent([])
-
-    def test_records_for_preserves_order(self):
-        store = ProvenanceStore()
-        first = store.record("f", step("recon", "v1"))
-        second = store.record("f", step("recon", "v2"))
-        assert [r.record_id for r in store.records_for("f")] == [
-            first.record_id,
-            second.record_id,
-        ]
 
 
 @given(

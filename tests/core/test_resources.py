@@ -68,10 +68,9 @@ class TestDataset:
         assert parent.attrs == {"pointings": 400}
 
     def test_with_items(self):
-        base = Dataset("x", DataSize.megabytes(1))
-        loaded = base.with_items([1, 2, 3])
+        loaded = Dataset("x", DataSize.megabytes(1), items=[1, 2, 3])
         assert loaded.item_count == 3
-        assert base.item_count == 0
+        assert Dataset("x", DataSize.megabytes(1)).item_count == 0
 
     def test_unique_ids(self):
         a = Dataset("x", DataSize.zero())

@@ -2,25 +2,32 @@
 
 The pool's contract: for any executor and worker count, ``map`` returns
 results in item order and the telemetry stream the parent observes is the
-same as if the shards had run inline.
+same as if the shards had run inline.  In process mode the pool alone
+decides how an item crosses: large arrays through shared memory, segments
+gone when the map ends.
 """
 
+import mmap
 import os
 import pickle
 import subprocess
 import sys
 import textwrap
+import threading
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.arecibo.filterbank import Filterbank
 from repro.core.errors import ShardError
 from repro.core.shards import (
     EXECUTORS,
+    SHARE_MIN_BYTES,
     SharedArray,
     ShardPool,
-    shared_arrays,
+    _dumps,
 )
 from repro.core.telemetry import Telemetry, telemetry_session
 
@@ -117,6 +124,131 @@ class TestTelemetryForwarding:
         assert [e.seq for e in telemetry.events()] == [0, 1, 2]
 
 
+#: The smallest array the pool sends through shared memory, and one it pickles.
+LARGE = np.arange(SHARE_MIN_BYTES // 4, dtype=np.float32)
+SMALL = np.arange(16, dtype=np.float64)
+
+
+def psm_segments():
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def arrays_in(item, path="item"):
+    """``(path, array)`` for every array ``item`` holds, depth first."""
+    if isinstance(item, np.ndarray):
+        yield path, item
+    elif isinstance(item, Filterbank):
+        yield from arrays_in(item.data, f"{path}.data")
+    elif isinstance(item, dict):
+        for key in sorted(item):
+            yield from arrays_in(item[key], f"{path}[{key!r}]")
+    elif isinstance(item, (list, tuple)):
+        for index, value in enumerate(item):
+            yield from arrays_in(value, f"{path}[{index}]")
+
+
+def in_shared_memory(array):
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, mmap.mmap)
+
+
+def describe(item):
+    return [
+        (path, array.dtype.str, array.shape, float(array.sum()), in_shared_memory(array))
+        for path, array in arrays_in(item)
+    ]
+
+
+def echo(item):
+    return item
+
+
+def total(array):
+    return float(array.sum())
+
+
+def fail_on_negative(array):
+    if array[0] < 0:
+        raise ValueError("negative block")
+    return float(array.sum())
+
+
+def mixed_items():
+    filterbank = Filterbank(
+        data=np.ones((64, 1024), dtype=np.float32) * 3,
+        freq_low_mhz=1200.0, freq_high_mhz=1500.0, tsamp_s=1e-3, beam=4,
+    )
+    return [
+        LARGE,
+        SMALL,
+        filterbank,
+        {"blocks": [LARGE * 2, SMALL], "meta": ("p0001", 7)},
+    ]
+
+
+class TestProcessItems:
+    """In process mode each item is the pool's own protocol-5 pickle."""
+
+    def test_results_equal_the_serial_map(self):
+        items = mixed_items()
+        serial = ShardPool(executor="serial").map(describe, items)
+        with ShardPool(executor="process", workers=2) as pool:
+            shared = pool.map(describe, items)
+            echoed = pool.map(echo, items)
+        assert [row[:4] for rows in shared for row in rows] == [
+            row[:4] for rows in serial for row in rows
+        ]
+        for back, item in zip(echoed, items):
+            for (path, got), (_, want) in zip(arrays_in(back), arrays_in(item)):
+                np.testing.assert_array_equal(got, want, err_msg=path)
+        assert echoed[2].beam == 4
+        assert echoed[3]["meta"] == ("p0001", 7)
+
+    def test_large_arrays_are_shared_small_ones_copied(self):
+        with ShardPool(executor="process", workers=2) as pool:
+            shared = pool.map(describe, mixed_items() + [LARGE[:-1].copy()])
+        # LARGE, SMALL, the filterbank's block, the nested pair, and one
+        # element under the threshold.
+        assert [[flag for *_, flag in rows] for rows in shared] == [
+            [True], [False], [True], [True, False], [False]
+        ]
+
+    def test_thread_shards_get_the_items_themselves(self):
+        items = mixed_items()
+        with ShardPool(executor="thread", workers=2) as pool:
+            back = pool.map(echo, items)
+        assert all(got is item for got, item in zip(back, items))
+
+
+class TestSegmentLifetime:
+    """Every segment a map makes is unlinked when the map ends."""
+
+    def test_raising_shard_leaves_nothing(self):
+        before = psm_segments()
+        with ShardPool(executor="process", workers=2) as pool:
+            with pytest.raises(ValueError, match="negative block"):
+                pool.map(fail_on_negative, [LARGE, -LARGE - 1, LARGE])
+        assert psm_segments() == before
+
+    def test_unpicklable_item_unlinks_earlier_segments(self, monkeypatch):
+        real_copy = SharedArray.copy_from
+        created = []
+
+        def recording_copy(array):
+            created.append(real_copy(array))
+            return created[-1]
+
+        monkeypatch.setattr(SharedArray, "copy_from", recording_copy)
+        before = psm_segments()
+        with ShardPool(executor="process", workers=2) as pool:
+            with pytest.raises(TypeError, match="pickle"):
+                pool.map(echo, [LARGE, LARGE, (LARGE, threading.Lock())])
+        assert len(created) == 3
+        assert psm_segments() == before
+
+
 class TestSharedArray:
     def test_round_trip_preserves_bytes(self):
         data = np.arange(24, dtype=np.float32).reshape(4, 6)
@@ -131,27 +263,29 @@ class TestSharedArray:
             handle.unlink()
 
     def test_pickle_attaches_same_segment(self):
-        data = np.arange(10, dtype=np.float64)
-        handle = SharedArray.copy_from(data)
+        data = np.arange(LARGE.size, dtype=np.float64)
+        segments = []
+        view = pickle.loads(_dumps({"block": data}, segments))["block"]
+        (handle,) = segments
         try:
-            clone = pickle.loads(pickle.dumps(handle))
-            np.testing.assert_array_equal(clone.array, data)
+            np.testing.assert_array_equal(view, data)
+            assert in_shared_memory(view)
             # The attachment sees writes through — same segment, no copy.
             handle.array[0] = -1.0
-            assert clone.array[0] == -1.0
-            clone.close()
+            assert view[0] == -1.0
         finally:
+            del view
             handle.close()
             handle.unlink()
 
     def test_attachment_never_unlinks(self):
-        data = np.ones(4, dtype=np.float32)
-        handle = SharedArray.copy_from(data)
+        segments = []
+        view = pickle.loads(_dumps(LARGE, segments))
+        (handle,) = segments
         try:
-            clone = pickle.loads(pickle.dumps(handle))
-            clone.unlink()  # no-op: not the owner
-            clone.close()
-            np.testing.assert_array_equal(handle.array, data)
+            del view  # drops the attachment's mapping, not the segment
+            shared_memory.SharedMemory(name=handle.name).close()
+            np.testing.assert_array_equal(handle.array, LARGE)
         finally:
             handle.close()
             handle.unlink()
@@ -163,22 +297,28 @@ class TestSharedArray:
         handle.unlink()
         np.testing.assert_array_equal(private, np.full(3, 7, dtype=np.int64))
 
-    def test_shared_arrays_scope(self):
-        blocks = [np.arange(6, dtype=np.float32), np.zeros((2, 2))]
-        with shared_arrays(blocks) as handles:
-            names = [h.name for h in handles]
-            for block, handle in zip(blocks, handles):
-                np.testing.assert_array_equal(handle.array, block)
-        from multiprocessing import shared_memory
+    def test_shared_arrays_scope(self, monkeypatch):
+        """The segments of a map are the map's: gone when it returns."""
+        real_copy = SharedArray.copy_from
+        created = []
 
-        for name in names:
+        def recording_copy(array):
+            created.append(real_copy(array))
+            return created[-1]
+
+        monkeypatch.setattr(SharedArray, "copy_from", recording_copy)
+        blocks = [LARGE, np.zeros((2, SHARE_MIN_BYTES // 16))]
+        before = psm_segments()
+        with ShardPool(executor="process", workers=2) as pool:
+            assert pool.map(total, blocks) == [float(b.sum()) for b in blocks]
+        assert len(created) == 2
+        assert psm_segments() == before
+        for handle in created:
             with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+                shared_memory.SharedMemory(name=handle.name)
 
     def test_failed_copy_unlinks_the_segments_already_made(self, monkeypatch):
         """``/dev/shm`` fills on the third block: the first two must go."""
-        from multiprocessing import shared_memory
-
         real_copy = SharedArray.copy_from
         created = []
 
@@ -189,29 +329,21 @@ class TestSharedArray:
             return created[-1]
 
         monkeypatch.setattr(SharedArray, "copy_from", copy_or_fail)
-        with pytest.raises(OSError, match="No space left"):
-            with shared_arrays([np.ones(4)] * 3):
-                pytest.fail("yielded after a failed copy")
+        with ShardPool(executor="process", workers=2) as pool:
+            with pytest.raises(OSError, match="No space left"):
+                pool.map(total, [LARGE] * 3)
         assert len(created) == 2
         for handle in created:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=handle.name)
 
 
-def read_shared_sum(handle):
-    try:
-        return float(handle.array.sum())
-    finally:
-        handle.close()
-
-
 class TestSharedArrayAcrossProcesses:
     def test_worker_reads_parent_segment(self):
-        data = np.arange(32, dtype=np.float32)
-        with shared_arrays([data]) as handles:
-            with ShardPool(executor="process", workers=2) as pool:
-                (total,) = pool.map(read_shared_sum, handles)
-        assert total == float(data.sum())
+        with ShardPool(executor="process", workers=2) as pool:
+            ((_, _, _, sum_seen, shared),) = pool.map(describe, [LARGE])[0]
+        assert sum_seen == float(LARGE.sum())
+        assert shared
 
     def test_pool_forked_before_first_segment_leaves_no_tracker_warnings(
         self, tmp_path
@@ -225,25 +357,22 @@ class TestSharedArrayAcrossProcesses:
             textwrap.dedent(
                 """
                 import numpy as np
-                from repro.core.shards import ShardPool, SharedArray
+                from repro.core.shards import SHARE_MIN_BYTES, ShardPool
 
                 def noop(x):
                     return x
 
-                def total(handle):
-                    return float(handle.array.sum())
+                def total(block):
+                    return float(block[:8].sum())
 
                 if __name__ == "__main__":
                     with ShardPool(executor="process", workers=2) as pool:
                         pool.map(noop, [1, 2, 3])
-                        handles = [
-                            SharedArray.copy_from(np.arange(8.0) + i)
+                        blocks = [
+                            np.arange(SHARE_MIN_BYTES // 8, dtype=np.float64) + i
                             for i in range(4)
                         ]
-                        print(pool.map(total, handles))
-                        for handle in handles:
-                            handle.close()
-                            handle.unlink()
+                        print(pool.map(total, blocks))
                 """
             ),
             encoding="utf-8",

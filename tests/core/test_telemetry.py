@@ -275,12 +275,6 @@ class TestSimClock:
                 clock.advance(seconds)
         assert clock.now == 0.0
 
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(3.0)
-        clock.reset()
-        assert clock.now == 0.0
-
 
 class TestInstruments:
     def test_counter_is_monotonic(self):

@@ -240,24 +240,11 @@ class TestSelect:
         rows = Select("pages", ["url"]).order_by("fetched_at DESC").limit(2).run(loaded)
         assert [row["url"] for row in rows] == ["http://c.org/1", "http://a.edu/2"]
 
-    def test_group_by(self, loaded):
-        rows = (
-            Select("pages", ["domain", "count(*) AS n"])
-            .group_by("domain")
-            .order_by("domain")
-            .run(loaded)
-        )
-        assert [dict(row) for row in rows] == [
-            {"domain": "a.edu", "n": 2},
-            {"domain": "b.com", "n": 1},
-            {"domain": "c.org", "n": 1},
-        ]
-
     def test_count(self, loaded):
         assert Select("pages").where("fetched_at > ?", 12.0).count(loaded) == 3
 
     def test_run_one(self, loaded):
-        row = Select("pages", ["url"]).where("domain = ?", "b.com").run_one(loaded)
+        (row,) = Select("pages", ["url"]).where("domain = ?", "b.com").run(loaded)
         assert row["url"] == "http://b.com/1"
 
     def test_negative_limit_rejected(self):

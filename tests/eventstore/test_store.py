@@ -51,12 +51,6 @@ class TestInjection:
         with pytest.raises(EventStoreError, match="kind"):
             store.inject(run, events, "v1", "bogus", stamp_step("x", "v1"))
 
-    def test_run_metadata_conflict_rejected(self, store):
-        inject_run(store, 1, count=5)
-        other = make_run(number=1, event_count=999)
-        with pytest.raises(EventStoreError, match="different metadata"):
-            store.register_run(other)
-
     def test_metadata_conflict_is_refused_before_the_file_is_written(self, store):
         inject_run(store, 1, count=5)
         events = make_events(run_number=1, count=3)

@@ -2,9 +2,11 @@
 
 Both figure flows take an optional shared StageCache; an unchanged rerun
 must hit on every stage, skip all compute, and reproduce the cold run's
-accounting exactly (telemetry modulo wall-clock).
+accounting exactly (telemetry modulo wall-clock) and its persisted
+artifacts row for row.
 """
 
+import sqlite3
 from dataclasses import replace
 
 import pytest
@@ -19,6 +21,26 @@ from repro.core.telemetry import strip_wall_clock
 
 ARECIBO_STAGES = 6
 CLEO_STAGES = 5
+
+
+def dump(path):
+    """A sqlite file's full SQL dump: schema and every row, in order."""
+    connection = sqlite3.connect(path)
+    try:
+        return list(connection.iterdump())
+    finally:
+        connection.close()
+
+
+def event_store(workdir):
+    """A Figure-2 run's collaboration store: its database dump and files."""
+    root = workdir / "collab"
+    files = {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted((root / "files").rglob("*"))
+        if path.is_file()
+    }
+    return dump(root / "eventstore.db"), files
 
 
 def small_arecibo_config(workers=1):
@@ -36,19 +58,24 @@ def arecibo_cold(tmp_path_factory):
     cache = StageCache()
     workdir = tmp_path_factory.mktemp("fig1-cold")
     report = run_arecibo_pipeline(workdir, small_arecibo_config(), cache=cache)
-    return cache, report
+    return cache, report, workdir
 
 
 class TestAreciboWarmRerun:
     def test_every_stage_hits(self, arecibo_cold, tmp_path):
-        cache, _ = arecibo_cold
+        cache, _, _ = arecibo_cold
         hits_before = cache.hits
         run_arecibo_pipeline(tmp_path, small_arecibo_config(), cache=cache)
         assert cache.hits - hits_before == ARECIBO_STAGES
 
     def test_report_accounting_identical(self, arecibo_cold, tmp_path):
-        cache, cold = arecibo_cold
+        cache, cold, cold_dir = arecibo_cold
         warm = run_arecibo_pipeline(tmp_path, small_arecibo_config(), cache=cache)
+        assert warm.flow_report.cached_stages == [
+            stage.name for stage in cold.flow_report.stages
+        ]
+        # Nothing re-ran, yet the candidate DB is the cold one, cull included.
+        assert dump(tmp_path / "candidates.db") == dump(cold_dir / "candidates.db")
         assert warm.flow_report.summary_rows() == cold.flow_report.summary_rows()
         assert strip_wall_clock(warm.flow_report.events) == strip_wall_clock(
             cold.flow_report.events
@@ -63,7 +90,7 @@ class TestAreciboWarmRerun:
     def test_parallel_engine_serviced_from_sequential_prime(
         self, arecibo_cold, tmp_path
     ):
-        cache, cold = arecibo_cold
+        cache, cold, _ = arecibo_cold
         warm = run_arecibo_pipeline(
             tmp_path, small_arecibo_config(workers=3), cache=cache
         )
@@ -72,7 +99,7 @@ class TestAreciboWarmRerun:
         )
 
     def test_changed_config_misses(self, arecibo_cold, tmp_path):
-        cache, _ = arecibo_cold
+        cache, _, _ = arecibo_cold
         hits_before = cache.hits
         config = replace(small_arecibo_config(), snr_threshold=8.0)
         run_arecibo_pipeline(tmp_path, config, cache=cache)
@@ -92,6 +119,9 @@ class TestAreciboWarmRerun:
         )
         assert warm.confirmed == cold.confirmed
         assert warm.meta_report == cold.meta_report
+        assert dump(tmp_path / "warm" / "candidates.db") == dump(
+            tmp_path / "cold" / "candidates.db"
+        )
 
 
 class TestCleoWarmRerun:
@@ -107,6 +137,9 @@ class TestCleoWarmRerun:
         assert strip_wall_clock(warm.flow_report.events) == strip_wall_clock(
             cold.flow_report.events
         )
+        # Same rows in the same order (Monte Carlo's merge recorded), same
+        # files byte for byte.
+        assert event_store(tmp_path / "warm") == event_store(tmp_path / "cold")
 
     def test_partial_hit_reinjects_ancestor_products(self, tmp_path):
         """Evict the tail of the chain: the first miss must re-inject its
@@ -122,3 +155,4 @@ class TestCleoWarmRerun:
         assert strip_wall_clock(warm.flow_report.events) == strip_wall_clock(
             cold.flow_report.events
         )
+        assert event_store(tmp_path / "warm") == event_store(tmp_path / "cold")

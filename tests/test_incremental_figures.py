@@ -141,8 +141,7 @@ def nightly_config(**changes):
 
 
 def persisted_candidates(workdir):
-    """Every row of ``candidates.db`` but the cull's verdict, which only a
-    run that re-executes ``meta-analysis`` writes (a fully warm one does not)."""
+    """Every row of ``candidates.db``, the cull's verdict included."""
     database = sqlite3.connect(workdir / "candidates.db")
     try:
         tables = [
@@ -153,13 +152,8 @@ def persisted_candidates(workdir):
         ]
         rows = {}
         for table in tables:
-            columns = [
-                column[1]
-                for column in database.execute(f"PRAGMA table_info({table})")
-                if column[1] != "classification"
-            ]
             rows[table] = database.execute(
-                f"SELECT {', '.join(columns)} FROM {table} ORDER BY 1"
+                f"SELECT * FROM {table} ORDER BY 1"
             ).fetchall()
         return rows
     finally:

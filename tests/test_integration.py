@@ -46,11 +46,14 @@ class TestEngineProvenanceIntegration:
         engine = Engine()
         report = engine.run(flow)
 
-        final_prov = report.stage("stage2").provenance_id
-        chain = list(engine.provenance.ancestors(final_prov))
-        assert {record.artifact for record in chain} == {"raw", "stage1"}
+        store = engine.provenance
+        final = store.get(report.stage("stage2").provenance_id)
+        (middle_id,) = final.parent_ids
+        middle = store.get(middle_id)
+        (first_id,) = middle.parent_ids
+        assert [store.get(first_id).artifact, middle.artifact] == ["raw", "stage1"]
         # The accumulated stamp carries every step.
-        assert len(engine.provenance.get(final_prov).stamp.history) == 3
+        assert len(final.stamp.history) == 3
 
 
 class TestStorageTransportIntegration:

@@ -33,16 +33,15 @@ def persisted_canonical_log(workdir):
 
 
 def provenance_chains(flow_report):
+    # Every record is some stage's, so the per-stage records with their
+    # parent ids are the whole lineage graph.
     store = flow_report.provenance
-    chains = {}
-    for stage in flow_report.stages:
-        rec = store.get(stage.provenance_id)
-        chains[stage.name] = [
-            (r.record_id, r.artifact, r.step, r.parent_ids,
-             r.stamp.history, r.stamp.digest)
-            for r in (rec, *store.ancestors(rec.record_id))
-        ]
-    return chains
+    return {
+        stage.name: (r.record_id, r.artifact, r.step, r.parent_ids,
+                     r.stamp.history, r.stamp.digest)
+        for stage in flow_report.stages
+        for r in [store.get(stage.provenance_id)]
+    }
 
 
 def arecibo_config(seed, workers):

@@ -13,8 +13,6 @@ import pytest
 
 from repro.core.readcache import ReadCache
 from repro.core.units import DataSize, Duration
-from repro.eventstore.provenance import stamp_step
-from repro.eventstore.store import EventStore
 from repro.storage.hsm import HierarchicalStore
 from repro.storage.tape import RoboticTapeLibrary
 from repro.transport.sneakernet import ShipmentSpec, ShippingLane
@@ -23,8 +21,6 @@ from repro.weblab.datformat import pack_crawl_metadata
 from repro.weblab.preload import PreloadSubsystem
 from repro.weblab.services import WebLab
 from repro.weblab.synthweb import SyntheticWeb, SyntheticWebConfig
-
-from tests.eventstore.conftest import make_events, make_run
 
 GB = DataSize.gigabytes(1)
 
@@ -62,20 +58,6 @@ def lane(tmp_path):
         files_missing=3, personnel_time=Duration(20100.0))
 
 
-def eventstore(tmp_path):
-    with EventStore(tmp_path / "es") as store:
-        written = 0.0
-        for number, count in ((1, 4), (2, 6)):
-            events = make_events(run_number=number, count=count)
-            run = make_run(number=number, events=events)
-            path = store.inject(run, events, "Recon_v1", "recon", stamp_step("PassRecon", "P2"))
-            written += path.stat().st_size
-        for number in (1, 2, 1):
-            store.open_file(number, "Recon_v1", "recon")
-        return store.ingest_stats, dict(
-            files_injected=2, events_injected=10, bytes_injected=written, files_opened=3)
-
-
 def preload(tmp_path):
     pages = SyntheticWeb(SyntheticWebConfig(seed=7, initial_pages=30)).generate_crawls(1)[0].pages
     arcs = pack_crawl(pages, tmp_path / "arc", "crawl0", target_file_bytes=20_000)
@@ -103,7 +85,7 @@ def readcache(tmp_path):
         evictions=2, coalesced=0)
 
 
-@pytest.mark.parametrize("script", [hsm, tape, lane, eventstore, preload, readcache])
+@pytest.mark.parametrize("script", [hsm, tape, lane, preload, readcache])
 def test_stats_view_matches_the_recorded_books(script, tmp_path):
     stats, expected = script(tmp_path)
     names = [field.name for field in dataclasses.fields(stats)]

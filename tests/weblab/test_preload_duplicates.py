@@ -91,9 +91,3 @@ class TestZeroStats:
         zero = PreloadStats.zero()
         assert zero == PreloadStats()
         assert zero.pages == 0 and zero.elapsed_s == 0.0
-
-    def test_ingest_stats_zero(self):
-        from repro.eventstore.store import IngestStats
-
-        zero = IngestStats()
-        assert zero.files_injected == 0 and zero.bytes_injected == 0.0
