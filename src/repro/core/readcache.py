@@ -117,6 +117,8 @@ class ReadCache:
         self.capacity = capacity
         self.name = name
         self.metrics = MetricsRegistry()
+        # Each site calls ``self._telemetry.emit`` itself, per event and never
+        # bound ahead: perfbench wraps ``Telemetry.emit`` by name.
         self._telemetry = telemetry
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, object]" = OrderedDict()
@@ -155,10 +157,6 @@ class ReadCache:
             return list(self._entries)
 
     # -- internals ---------------------------------------------------------
-    def _emit(self, kind: str, key: str, **attrs: object) -> None:
-        if self._telemetry is not None:
-            self._telemetry.emit(kind, self.name, key=key, **attrs)
-
     def _count_access(self, key: str) -> None:
         """Bump the popularity sketch, aging it when it saturates."""
         self._freq[key] = self._freq.get(key, 0) + 1
@@ -181,10 +179,12 @@ class ReadCache:
                 return False
             self._entries.popitem(last=False)
             self._evictions.inc()
-            self._emit("readcache.evict", victim)
+            if self._telemetry is not None:
+                self._telemetry.emit("readcache.evict", self.name, key=victim)
         self._entries[key] = value
         self._admitted.inc()
-        self._emit("readcache.admit", key)
+        if self._telemetry is not None:
+            self._telemetry.emit("readcache.admit", self.name, key=key)
         return True
 
     # -- the API -----------------------------------------------------------
@@ -207,11 +207,11 @@ class ReadCache:
                     if value is _NEGATIVE:
                         self._negative_hits.inc()
                         if self._telemetry is not None:
-                            self._emit("readcache.hit", key, negative=True)
+                            self._telemetry.emit("readcache.hit", self.name, key=key, negative=True)
                         return None
                     self._hits.inc()
                     if self._telemetry is not None:
-                        self._emit("readcache.hit", key)
+                        self._telemetry.emit("readcache.hit", self.name, key=key)
                     return value
                 if key in self._inflight:
                     # Coalesce: another thread is loading this key right
@@ -230,7 +230,8 @@ class ReadCache:
             waiter.wait()
             # Re-check the cache: the winner usually filled it.
         self._misses.inc()
-        self._emit("readcache.miss", key)
+        if self._telemetry is not None:
+            self._telemetry.emit("readcache.miss", self.name, key=key)
         entry = None  # stays None when the loader raises: nothing to admit
         try:
             value = loader()

@@ -181,7 +181,7 @@ class TelemetryEvent(NamedTuple):
     def from_dict(cls, record: Mapping[str, object]) -> "TelemetryEvent":
         """The event a parsed log line describes; :class:`TelemetryError`
         unless it is an object with ``seq``/``kind``/``name``/``sim_time``
-        (and ``attrs``, when present, an object)."""
+        (``attrs``, when present, an object; ``span`` an array)."""
         try:
             # ``dict`` first: every log line passes here, and the ABC check
             # alone costs ten times the exact-type one.
@@ -190,6 +190,9 @@ class TelemetryEvent(NamedTuple):
             attrs = record.get("attrs", {})
             if not isinstance(attrs, (dict, Mapping)):
                 raise TypeError(f"attrs is {type(attrs).__name__}, not an object")
+            span = record.get("span", ())
+            if not isinstance(span, (list, tuple)):
+                raise TypeError(f"span is {type(span).__name__}, not an array")
             return cls(
                 seq=int(record["seq"]),  # type: ignore[arg-type]
                 kind=str(record["kind"]),
@@ -198,7 +201,7 @@ class TelemetryEvent(NamedTuple):
                 attrs=tuple(
                     (str(key), _freeze_attr(value)) for key, value in attrs.items()
                 ),
-                span=tuple(str(part) for part in record.get("span", ())),  # type: ignore[union-attr]
+                span=tuple(str(part) for part in span),
                 wall_time=float(record.get("wall_time", 0.0)),  # type: ignore[arg-type]
             )
         except KeyError as exc:
@@ -247,7 +250,7 @@ class Counter:
         return self._value
 
     def inc(self, amount: float = 1.0) -> float:
-        if amount < 0:
+        if not amount >= 0:  # NaN too: it would poison the total for good
             raise TelemetryError(f"counter {self.name!r} cannot decrease")
         with self._lock:
             self._value += amount
@@ -425,6 +428,12 @@ def registry_view(metrics: MetricsRegistry, cls: Type[_Stats], prefix: str) -> _
 
 
 # -- the bus -------------------------------------------------------------
+class _SpanStack(threading.local):
+    """One thread's open span path: the class default ``()`` until it opens one."""
+
+    stack: Tuple[str, ...] = ()
+
+
 class Telemetry:
     """The process-local substrate: event bus + registry + clock + spans.
 
@@ -438,10 +447,12 @@ class Telemetry:
         self.registry = MetricsRegistry()
         self._events: List[TelemetryEvent] = []
         self._lock = threading.Lock()
-        self._spans = threading.local()
+        self._spans = _SpanStack()
 
     # -- events ----------------------------------------------------------
     def emit(self, kind: str, name: str = "", **attrs: object) -> TelemetryEvent:
+        # The runtime kind check stays (≈ 0.04 µs an event): RPR003 proves
+        # only literal kinds, and forward_events re-emits whatever it is given.
         if kind not in EVENT_KINDS:
             raise TelemetryError(
                 f"unknown event kind {kind!r}; expected one of {sorted(EVENT_KINDS)}"
@@ -454,12 +465,12 @@ class Telemetry:
                 value = _freeze_attr(value)
             pairs.append((key, value))
         frozen = tuple(pairs)
-        span_path = tuple(getattr(self._spans, "stack", ()))
         with self._lock:
-            event = TelemetryEvent(
+            # tuple.__new__ skips the NamedTuple's Python-level __new__.
+            event = tuple.__new__(TelemetryEvent, (
                 len(self._events), kind, name, self.clock.now,
-                frozen, span_path, time.time(),
-            )
+                frozen, self._spans.stack, time.time(),
+            ))
             self._events.append(event)
         return event
 
@@ -485,10 +496,10 @@ class Telemetry:
         The finish event records the span's simulated duration — the
         clock delta between entry and exit.
         """
-        stack: List[str] = getattr(self._spans, "stack", None) or []
+        stack = self._spans.stack
         started = self.clock.now
         start_event = self.emit("span.start", name, depth=len(stack), **attrs)
-        self._spans.stack = stack + [name]
+        self._spans.stack = stack + (name,)
         try:
             yield start_event
         finally:

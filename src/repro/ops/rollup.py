@@ -344,6 +344,7 @@ def scan_log(
     _fold_data(projection, data, str(path))
     projection.content_digest = hashlib.sha256(data).hexdigest()
     projection.source = "cold"
+    projection.counters["log.truncated_lines"] = float(projection.truncated_lines)
     return projection
 
 

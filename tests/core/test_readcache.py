@@ -1,6 +1,8 @@
 """The read cache: LRU, admission, negatives, coalescing."""
 
 import dataclasses
+import hashlib
+import json
 import sys
 import threading
 import time
@@ -14,6 +16,14 @@ from repro.core import readcache
 from repro.core.errors import CacheError
 from repro.core.readcache import ReadCache
 from repro.core.telemetry import Telemetry, strip_wall_clock
+from repro.core.workload import (
+    AdmissionController,
+    OpSpec,
+    TenantSpec,
+    TraceReplayer,
+    WorkloadSpec,
+    generate_trace,
+)
 
 
 class CountingLoader:
@@ -158,6 +168,44 @@ class TestTelemetry:
         hits = [e for e in bus.events() if e.kind == "readcache.hit"]
         assert dict(hits[1].attrs).get("negative") is True
         assert all(event.name == "rc" for event in bus.events())
+
+    def test_pinned_replay_keeps_its_canonical_digest(self):
+        assert pinned_replay_digest() == PINNED_REPLAY_DIGEST
+
+
+#: Computed before the cache called ``Telemetry.emit`` directly and before
+#: ``emit`` built its record with ``tuple.__new__``; any change to an
+#: event's kind, name, attrs, span, order or sim-time moves it.
+PINNED_REPLAY_DIGEST = "0a73481366d8f452c01e828e35aff0979aa871e6b5c392e11811d231350cb5bf"
+
+
+def pinned_replay_digest():
+    """SHA-256 of the canonical log of a small fixed replay: two tenants
+    over a cache of 4, one key absent (negative hits), a valve that sheds."""
+    keys = tuple(f"k{i}" for i in range(12))
+    spec = WorkloadSpec(
+        name="pinned",
+        seed=7,
+        duration_s=30.0,
+        tenants=(
+            TenantSpec("crawler", 3.0, (OpSpec("get", 1.0, keys, zipf_s=0.3),)),
+            TenantSpec("analyst", 2.0, (OpSpec("get", 1.0, keys[:5], zipf_s=1.2),)),
+        ),
+    )
+    bus = Telemetry()
+    cache = ReadCache(capacity=4, name="rc", telemetry=bus)
+
+    def get(request):
+        key = request.key
+        return cache.get_or_load(key, lambda: None if key == "k3" else key.upper())
+
+    replayer = TraceReplayer(
+        {"get": get}, telemetry=bus, admission=AdmissionController(4.0, burst=2.0)
+    )
+    with bus.span("serve", tenants=2):
+        replayer.replay(generate_trace(spec))
+    canonical = json.dumps(strip_wall_clock(bus.events()), sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class TestCoalescing:

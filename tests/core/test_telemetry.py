@@ -30,6 +30,7 @@ from repro.core.telemetry import (
     strip_wall_clock,
     telemetry_session,
     total_cpu_from_log,
+    walk_event_log,
     write_event_log,
 )
 from repro.core.telemetry import _freeze_attr
@@ -49,8 +50,13 @@ _scalars = st.one_of(
     st.floats(allow_nan=False).map(np.float64),
     st.booleans().map(np.bool_),
 )
+#: Sets whose members need not be mutually orderable.
+_set_members = st.one_of(st.integers(-9, 9), st.floats(allow_nan=False), st.text(max_size=3))
+_mixed_sets = st.one_of(
+    st.sets(_set_members, max_size=4), st.frozensets(_set_members, max_size=4)
+)
 _attr_values = st.recursive(
-    _scalars,
+    st.one_of(_scalars, _mixed_sets),
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple)),
     max_leaves=8,
 )
@@ -66,6 +72,7 @@ _RECORD = {"seq": 0, "kind": "stage.start", "name": "s", "sim_time": 0.0}
 
 _TORN = b'{"seq": 7, "kind": "stage.st'
 _UNTERMINATED = b'{"seq": 7, "kind": "stage.start", "name": "t", "sim_time": 0.0}'
+_STRING_SPAN = b'{"seq": 7, "kind": "stage.start", "name": "t", "sim_time": 0.0, "span": "abc"}'
 
 
 def _read_both_ways(path):
@@ -212,12 +219,15 @@ class TestEventBus:
     @given(st.dictionaries(_attr_keys, _attr_values, max_size=6))
     def test_emit_freezes_and_sorts_like_the_reference_expression(self, attrs):
         event = Telemetry().emit("service.call", "probe", **attrs)
-        # The expression emit used before it sorted keys and skipped the
-        # freeze call for plain scalars; kept here as the oracle.
-        expected = tuple(sorted((k, _freeze_attr(v)) for k, v in attrs.items()))
+        # Sort by key, freeze every value: emit skips the freeze call only
+        # where it would return the value unchanged.
+        expected = tuple((k, _freeze_attr(v)) for k, v in sorted(attrs.items()))
         assert event.attrs == expected
         assert _types(event.attrs) == _types(expected)
-        json.dumps(event.to_dict(), sort_keys=True)
+        line = (json.dumps(event.to_dict(), sort_keys=True) + "\n").encode("utf-8")
+        restored = []
+        assert walk_event_log(line, restored.append, "probe") == (len(line), 0)
+        assert restored == [event]
 
     def test_malformed_record_raises(self):
         with pytest.raises(TelemetryError, match="malformed"):
@@ -226,7 +236,7 @@ class TestEventBus:
     @pytest.mark.parametrize(
         "record",
         [[1, 2], "event", None, {**_RECORD, "attrs": [1]}, {**_RECORD, "seq": "x"},
-         {**_RECORD, "span": 5}]
+         {**_RECORD, "span": 5}, {**_RECORD, "span": "abc"}]
         + [{k: v for k, v in _RECORD.items() if k != key} for key in _RECORD],
     )
     def test_wrong_shaped_record_is_a_telemetry_error(self, record):
@@ -285,6 +295,13 @@ class TestInstruments:
         assert counter.value == 5
         with pytest.raises(TelemetryError):
             counter.inc(-1)
+
+    def test_counter_refuses_nan(self):
+        counter = MetricsRegistry().counter("x")
+        with pytest.raises(TelemetryError, match="cannot decrease"):
+            counter.inc(float("nan"))  # would read nan for good
+        counter.inc(5)
+        assert counter.value == 5
 
     def test_gauge_moves_both_ways(self):
         gauge = MetricsRegistry().gauge("busy")
@@ -364,6 +381,50 @@ class TestSpans:
             "span.finish",
         ]
         assert bus.emit("storage.write", "later").span == ()
+
+    def test_each_thread_stamps_its_own_open_path(self):
+        bus = Telemetry()
+        barrier = threading.Barrier(5, timeout=10.0)
+        seen = {}
+
+        def opener(outer):
+            with bus.span(outer):
+                barrier.wait()
+                with bus.span("inner"):
+                    barrier.wait()  # every opener is two deep here
+                    nested = bus.emit("bytes.produced", outer, bytes=1)
+                    barrier.wait()
+                try:
+                    with bus.span("doomed"):
+                        raise RuntimeError(outer)
+                except RuntimeError:
+                    pass
+                after_raise = bus.emit("storage.write", outer)
+            closed = bus.emit("storage.evict", outer)
+            seen[outer] = (nested.span, after_raise.span, closed.span)
+
+        def bystander():  # never opens a span
+            spans = []
+            for _ in range(3):
+                barrier.wait()
+                spans.append(bus.emit("storage.recall", "bystander").span)
+            seen["bystander"] = spans
+
+        names = [f"w{index}" for index in range(4)]
+        threads = [threading.Thread(target=opener, args=(name,)) for name in names]
+        threads.append(threading.Thread(target=bystander))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert seen == {
+            **{name: ((name, "inner"), (name,), ()) for name in names},
+            "bystander": [(), (), ()],
+        }
+        for event in bus.events(kind="span.start"):
+            depth = {"inner": 1, "doomed": 1}.get(event.name, 0)
+            assert event.attr("depth") == depth
+        assert [event.seq for event in bus.events()] == list(range(len(bus)))
 
 
 class TestProcessDefault:
@@ -458,6 +519,9 @@ class TestJsonlPersistence:
             (lambda whole: whole + _TORN + b"\n\n  \n", (2, 1)),  # torn, then blank lines
             (lambda whole: whole + b"[1, 2]\n", ("corrupt", "line 3: malformed")),
             (lambda whole: whole + _TORN + b"\n" + whole, ("corrupt", "line 3: corrupt interior")),
+            # A span that is not an array is corruption anywhere, the tail too.
+            (lambda whole: whole + _STRING_SPAN + b"\n" + whole, ("corrupt", "line 3: malformed")),
+            (lambda whole: whole + _STRING_SPAN, ("corrupt", "line 3: malformed")),
         ],
     )
     def test_both_readers_give_one_answer(self, tmp_path, damage, expected):
@@ -499,8 +563,7 @@ class TestJsonlPersistence:
         except OpsError:
             assert count == "corrupt"  # a prefix is corrupt only if the whole is
         else:
-            cold = {**scan_log(path).to_dict(), "counters": grown.to_dict()["counters"]}
-            assert grown.to_dict() == cold
+            assert grown.to_dict() == scan_log(path).to_dict()
 
     def test_roundtrip_with_fault_retry_degraded_kinds(self, tmp_path):
         """Logs carrying the recovery-era event kinds survive the

@@ -154,6 +154,17 @@ def test_truncated_trailing_line_is_skipped_not_consumed(pipeline_log, tmp_path)
     assert projection.counters["log.truncated_lines"] == 1.0
 
 
+@pytest.mark.parametrize("torn", [False, True])
+def test_scan_log_renders_what_build_rollup_renders(pipeline_log, torn):
+    path, _ = pipeline_log
+    if torn:
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"seq": 999, "kind": "workload.req')
+    scanned = scan_log(path).to_dict()
+    assert scanned == build_rollup(path).to_dict()
+    assert scanned["counters"] == {"log.truncated_lines": float(torn)}
+
+
 def test_corrupt_interior_line_raises(tmp_path):
     bus = pipeline_bus()
     path = tmp_path / "telemetry.jsonl"
