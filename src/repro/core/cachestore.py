@@ -30,7 +30,8 @@ and the reader's ``value_of`` turns a key back into the value.  A name
 that no longer resolves makes the entry a miss like any other
 unreadable file.  An entry that names nothing is a plain pickle.
 
-Recency is tracked through file mtimes — a read touches the file — and
+Recency is tracked through file mtimes — a read touches the file, a write
+touches the entries it names, then itself — and
 :meth:`DiskCacheStore.gc` evicts oldest-first until the store fits the
 configured ``max_bytes`` / ``max_entries`` bounds (write-triggered, so
 the store is self-bounding without a daemon).
@@ -132,6 +133,9 @@ class DiskCacheStore:
 
         The entry streams into the temp file; a sub-object for which
         ``key_of`` returns a key is written as that key, not by value.
+        Every entry so named is touched, and the written entry stays the
+        newest, so GC reaches an entry's parts only after the entry itself
+        (a named entry already gone from disk is skipped).
 
         Returns ``False`` (and stores nothing) when the entry does not
         pickle — an unpicklable stash degrades that stage to
@@ -144,11 +148,19 @@ class DiskCacheStore:
             dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
         )
         stored = False
+        named: List[object] = []
+
+        def persistent_id(obj: object) -> Optional[str]:
+            name = key_of(obj)  # type: ignore[misc]
+            if name is not None:
+                named.append(name)
+            return name
+
         try:
             with os.fdopen(fd, "wb") as handle:
                 pickler = pickle.Pickler(handle, protocol=5)
                 if key_of is not None:
-                    pickler.persistent_id = key_of  # type: ignore[method-assign]
+                    pickler.persistent_id = persistent_id  # type: ignore[method-assign]
                 pickler.dump(entry)
             os.replace(tmp_name, path)
             stored = True
@@ -162,6 +174,19 @@ class DiskCacheStore:
                     os.unlink(tmp_name)
                 except OSError:
                     pass
+        if named:
+            # File clocks tick coarsely, so the order is set explicitly: the
+            # named entries 1 ns past the written file, the file 1 ns past them.
+            try:
+                stamp = path.stat().st_mtime_ns + 1
+                for name in named:
+                    try:
+                        os.utime(self.path_for(name), ns=(stamp, stamp))  # type: ignore[arg-type]
+                    except (CacheError, OSError):
+                        pass  # gone or malformed: the entry reads as a miss
+                os.utime(path, ns=(stamp + 1, stamp + 1))
+            except OSError:
+                pass  # GC'd or replaced underneath us
         self.gc()
         return True
 

@@ -15,7 +15,8 @@ keywords only decide where a cache miss executes:
 
 * ``max_workers=1`` (the default) runs it inline, so stages execute one at
   a time, exactly in topological order.
-* ``max_workers=N`` hands it to a thread pool, so independent stages run
+* ``max_workers=N`` hands it to ``N`` worker threads through a queue, and
+  each result comes back through a second queue, so independent stages run
   concurrently — the paper's "50 to 200 processors" argument, exercised
   instead of merely quoted.
 * ``executor="process"`` additionally moves the data-parallel inner loops
@@ -29,8 +30,8 @@ keywords only decide where a cache miss executes:
 Every worker count preserves *exact* sequential semantics:
 
 * every stage draws randomness from its own ``random.Random`` seeded from
-  ``(run seed, stage name)``, so no stage's stream depends on when any
-  other stage ran;
+  ``(run seed, stage name)`` when the transform first reads ``ctx.rng``,
+  so no stage's stream depends on when any other stage ran;
 * provenance record ids are reserved per stage in topological order
   before execution, so the lineage graph (ids, parent chains, stamps) is
   byte-identical to the sequential run's no matter the completion order;
@@ -77,10 +78,10 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import queue
 import random
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+import threading
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.dataflow import DataFlow, Stage
@@ -230,7 +231,6 @@ class StageContext:
         stage: Stage,
         engine: "Engine",
         provenance: ProvenanceStore,
-        rng: random.Random,
         stashes: Optional[Mapping[str, Mapping[str, object]]] = None,
         faults: Optional[FaultInjector] = None,
         flow_name: str = "",
@@ -238,7 +238,7 @@ class StageContext:
         self.stage = stage
         self.engine = engine
         self.provenance = provenance
-        self.rng = rng
+        self._rng: Optional[random.Random] = None
         #: Name of the flow this stage runs in; namespaces shard-cache keys.
         self.flow_name = flow_name
         #: The run's armed fault injector, or None.  Transforms fire it and
@@ -253,6 +253,15 @@ class StageContext:
         self._stashes = stashes if stashes is not None else {}
         self._extra_cpu_seconds = 0.0
         self._fault_records: List[FaultRecord] = []
+
+    @property
+    def rng(self) -> random.Random:
+        """This attempt's ``random.Random``, seeded from ``(run seed, stage
+        name)`` on first read: a transform that draws nothing pays for no
+        seeding, and every attempt starts from the same stream."""
+        if self._rng is None:
+            self._rng = random.Random(_stage_seed(self.engine._seed, self.stage.name))
+        return self._rng
 
     def charge_cpu(self, duration: Duration) -> None:
         """Let a stage report extra simulated CPU work beyond the size model."""
@@ -285,15 +294,15 @@ class StageContext:
         hands out the same one, and a stage entry whose stash holds it is
         stored as the shard's key, not as a second copy of the value.
         """
+        if cache_keys is not None:
+            items, cache_keys = list(items), list(cache_keys)
+            if len(cache_keys) != len(items):
+                raise ExecutionError(
+                    self.stage.name,
+                    f"map_shards: {len(items)} items but {len(cache_keys)} cache keys",
+                )
         if cache_keys is None or self.engine.cache is None:
             return self.engine.map_shards(fn, items)
-        items = list(items)
-        cache_keys = list(cache_keys)
-        if len(cache_keys) != len(items):
-            raise ExecutionError(
-                self.stage.name,
-                f"map_shards: {len(items)} items but {len(cache_keys)} cache keys",
-            )
         # A shard key is only as stable as the function's name: lambdas and
         # nested functions share one ``<locals>`` qualname per transform, and
         # a ``functools.partial`` has none (its repr embeds an address).
@@ -371,13 +380,13 @@ class Engine:
     provenance:
         Shared provenance store; one is created if not supplied.
     seed:
-        Run seed.  Each stage gets its own ``random.Random`` seeded from
-        ``(seed, stage name)``, keeping stochastic pipelines reproducible
-        under any execution order.
+        Run seed.  Each stage gets its own ``random.Random`` (``ctx.rng``)
+        seeded from ``(seed, stage name)``, keeping stochastic pipelines
+        reproducible under any execution order.
     max_workers:
         ``1`` executes stages sequentially in the calling thread;
-        ``N > 1`` runs independent stages concurrently on a thread pool
-        while producing byte-identical reports and provenance.
+        ``N > 1`` runs independent stages concurrently on ``N`` worker
+        threads while producing byte-identical reports and provenance.
     executor:
         ``"thread"`` or ``"process"``: where ``StageContext.map_shards``
         fans a transform's inner loop out when ``max_workers > 1``.
@@ -474,12 +483,17 @@ class Engine:
         # Reserve provenance ids in topological order so the lineage graph
         # is numbered identically regardless of execution strategy.
         reserved = {name: self.provenance.reserve_id() for name in order}
+        # The adjacency, copied once per run: the scheduler, the commits and
+        # the replay read these lists instead of asking the flow per stage.
+        predecessors = {name: flow.predecessors(name) for name in order}
+        successors = {name: flow.successors(name) for name in order}
         stashes: Dict[str, Mapping[str, object]] = {}
-        outputs, records, cached = self._execute(
-            flow, order, seeds, reserved, stashes
+        outputs, records, input_bytes, cached = self._execute(
+            flow, order, seeds, reserved, stashes, predecessors, successors
         )
         return self._build_report(
-            flow, order, seeds, reserved, outputs, records, cached, stashes
+            flow, order, seeds, reserved, outputs, records, input_bytes, cached,
+            stashes, predecessors, successors,
         )
 
     # -- execution ---------------------------------------------------------
@@ -503,18 +517,6 @@ class Engine:
             )
         return {name: inputs[name] for name in order if name in inputs}
 
-    @staticmethod
-    def _stage_inputs(
-        flow: DataFlow,
-        name: str,
-        seeds: Mapping[str, Dataset],
-        outputs: Mapping[str, Dataset],
-    ) -> Dict[str, Dataset]:
-        stage_inputs = {pred: outputs[pred] for pred in flow.predecessors(name)}
-        if not stage_inputs and name in seeds:
-            stage_inputs = {"input": seeds[name]}
-        return stage_inputs
-
     def _attempt_stage(
         self,
         flow: DataFlow,
@@ -536,9 +538,8 @@ class Engine:
         injector is not consulted for it.
         """
         name = stage.name
-        rng = random.Random(_stage_seed(self._seed, name))
         context = StageContext(
-            stage, self, self.provenance, rng, stashes, faults=self.faults,
+            stage, self, self.provenance, stashes, faults=self.faults,
             flow_name=flow.name,
         )
         if self.faults is not None and fallback is None:
@@ -707,11 +708,11 @@ class Engine:
 
     def _commit(
         self,
-        flow: DataFlow,
         stage: Stage,
         stage_inputs: Mapping[str, Dataset],
         output: Dataset,
         reserved: Mapping[str, str],
+        predecessors: List[str],
     ) -> None:
         """Record provenance for a completed stage.
 
@@ -726,7 +727,7 @@ class Engine:
             params={"site": stage.site},
             inputs=sorted(_input_descriptor(ds) for ds in stage_inputs.values()),
         )
-        parents = [reserved[pred] for pred in flow.predecessors(name)]
+        parents = [reserved[pred] for pred in predecessors]
         record = self.provenance.record(
             artifact=output.name,
             step=step,
@@ -742,80 +743,115 @@ class Engine:
         seeds: Mapping[str, Dataset],
         reserved: Mapping[str, str],
         stashes: Dict[str, Mapping[str, object]],
-    ) -> Tuple[Dict[str, Dataset], Dict[str, CachedStage], Set[str]]:
-        """The scheduler: returns live outputs, per-stage records, and the
-        names serviced from the cache.
+        predecessors: Mapping[str, List[str]],
+        successors: Mapping[str, List[str]],
+    ) -> Tuple[
+        Dict[str, Dataset], Dict[str, CachedStage], Dict[str, float], Set[str]
+    ]:
+        """The scheduler: returns live outputs, per-stage records, each
+        stage's input bytes, and the names serviced from the cache.
 
         This thread owns all bookkeeping, so no shared mutable state crosses
-        the pool boundary except what stage functions themselves share.  A
-        cache hit completes here, so a fully warm run finishes without a
-        single worker dispatch; with one worker a miss runs here too, so
-        the first failure ends the run.  With more, a failure stops further
-        starts, in-flight stages drain (and commit), and the failure a
-        sequential run would have hit first is the one raised.
+        the queues except what stage functions themselves share.  A cache
+        hit completes here, so a fully warm run finishes without a single
+        worker dispatch; with one worker a miss runs here too, so the first
+        failure ends the run.  With more, a miss goes to the worker threads
+        through one queue and its outcome comes back through another; a
+        failure stops further starts, in-flight stages drain (and commit),
+        and the failure a sequential run would have hit first is the one
+        raised.  Any other exception a stage raises, on any thread, ends the
+        run as it is.  The workers are joined before this returns or raises.
         """
         stages = flow.stages
         position = {name: index for index, name in enumerate(order)}
-        waiting = {name: len(flow.predecessors(name)) for name in order}
+        waiting = {name: len(predecessors[name]) for name in order}
         # Ascending topological indices: already a valid heap.
         ready = [position[name] for name in order if not waiting[name]]
         outputs: Dict[str, Dataset] = {}
         records: Dict[str, CachedStage] = {}
+        input_bytes: Dict[str, float] = {}
         cached: Set[str] = set()
         failures: Dict[int, ExecutionError] = {}
-        pending: Dict[Future, Tuple[Stage, Dict[str, Dataset], Optional[str]]] = {}
+        todo: queue.SimpleQueue = queue.SimpleQueue()
+        done: queue.SimpleQueue = queue.SimpleQueue()
 
-        def settle(stage, stage_inputs, store_key, produce) -> None:
-            """Commit the ``(output, record)`` that ``produce`` yields, store
-            it under ``store_key`` (None for a hit or an uncacheable stage)
-            and release successors — or note the failure it raises."""
-            name = stage.name
+        def outcome_of(stage: Stage, stage_inputs: Dict[str, Dataset]):
+            """The stage's ``(output, record)``, or whatever it raised."""
             try:
-                output, record = produce()
-            except ExecutionError as exc:
-                failures[position[name]] = exc
+                return self._run_stage(flow, stage, stage_inputs, stashes)
+            except BaseException as exc:  # noqa: BLE001 - settle() sorts it
+                return exc
+
+        def work() -> None:
+            for stage, stage_inputs, key in iter(todo.get, None):
+                done.put((stage, stage_inputs, key, outcome_of(stage, stage_inputs)))
+
+        def settle(stage, stage_inputs, store_key, outcome) -> None:
+            """Commit the ``(output, record)`` outcome, store it under
+            ``store_key`` (None for a hit or an uncacheable stage) and
+            release successors — or note the failure it is."""
+            name = stage.name
+            if isinstance(outcome, BaseException):
+                if not isinstance(outcome, ExecutionError):
+                    raise outcome
+                failures[position[name]] = outcome
                 return
-            self._commit(flow, stage, stage_inputs, output, reserved)
+            output, record = outcome
+            self._commit(stage, stage_inputs, output, reserved, predecessors[name])
             outputs[name] = output
             records[name] = record
+            input_bytes[name] = sum(ds.size.bytes for ds in stage_inputs.values())
             # The record is shared with the cache (and through it with
             # later runs); each run hands out its own copy of the stash.
             stashes[name] = dict(record.stash)
             if store_key is not None:
                 self.cache.store(store_key, record)
-            for successor in flow.successors(name):
+            for successor in successors[name]:
                 waiting[successor] -= 1
                 if not waiting[successor]:
                     heapq.heappush(ready, position[successor])
 
         workers = self._max_workers
-        pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+        threads: List[threading.Thread] = []
+        in_flight = 0
         self._shard_pool = ShardPool(executor=self._executor, workers=workers)
         try:
+            if workers > 1:
+                for _ in range(workers):
+                    thread = threading.Thread(target=work, name="engine-worker", daemon=True)
+                    thread.start()
+                    threads.append(thread)
             while True:
                 while ready and not failures:
                     name = order[heapq.heappop(ready)]
                     stage = stages[name]
-                    stage_inputs = self._stage_inputs(flow, name, seeds, outputs)
+                    stage_inputs = {pred: outputs[pred] for pred in predecessors[name]}
+                    if not stage_inputs and name in seeds:
+                        stage_inputs = {"input": seeds[name]}
                     key, entry = self._cache_lookup(flow, stage, stage_inputs)
                     if entry is not None:
                         cached.add(name)
-                        hit = entry.rebuild_output(), entry
-                        settle(stage, stage_inputs, None, lambda: hit)
-                        continue
-                    run = partial(self._run_stage, flow, stage, stage_inputs, stashes)
-                    if pool is None:
-                        settle(stage, stage_inputs, key, run)
+                        settle(stage, stage_inputs, None, (entry.rebuild_output(), entry))
+                    elif not threads:
+                        settle(stage, stage_inputs, key, outcome_of(stage, stage_inputs))
                     else:
-                        pending[pool.submit(run)] = (stage, stage_inputs, key)
-                if not pending:
+                        todo.put((stage, stage_inputs, key))
+                        in_flight += 1
+                if not in_flight:
                     break
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    settle(*pending.pop(future), future.result)
+                # Block for one outcome, then settle every other that has
+                # arrived before starting more: the heap then picks the
+                # earliest of all the stages they released.
+                settle(*done.get())
+                in_flight -= 1
+                while not done.empty():
+                    settle(*done.get())
+                    in_flight -= 1
         finally:
-            if pool is not None:
-                pool.shutdown()
+            for _ in threads:
+                todo.put(None)
+            for thread in threads:
+                thread.join()
             shards, self._shard_pool = self._shard_pool, None
             shards.close()
         if failures:
@@ -826,7 +862,7 @@ class Engine:
             if error.dead_letter is not None:
                 self.dead_letters.append(error.dead_letter)
             raise error
-        return outputs, records, cached
+        return outputs, records, input_bytes, cached
 
     # -- accounting --------------------------------------------------------
     def _build_report(
@@ -837,8 +873,11 @@ class Engine:
         reserved: Mapping[str, str],
         outputs: Mapping[str, Dataset],
         records: Mapping[str, CachedStage],
+        input_bytes: Mapping[str, float],
         cached: Set[str],
         stashes: Mapping[str, Mapping[str, object]],
+        predecessors: Mapping[str, List[str]],
+        successors: Mapping[str, List[str]],
     ) -> FlowReport:
         """Replay accounting over completed stages in topological order,
         emitting the telemetry event stream, then rebuild the report as a
@@ -854,7 +893,7 @@ class Engine:
         # Reference counts drive the live-storage high-water accounting: a
         # stage output stays "on disk" until every consumer has run, and a
         # seed dataset is live from the start until its consumer completes.
-        remaining_consumers = {name: len(flow.successors(name)) for name in order}
+        remaining_consumers = {name: len(successors[name]) for name in order}
         live_bytes = sum(dataset.size.bytes for dataset in seeds.values())
         peak_bytes = live_bytes
         total_cpu_seconds = 0.0
@@ -865,11 +904,9 @@ class Engine:
             for name in order:
                 stage = stages[name]
                 record = records[name]
+                artifact = outputs[name].name
                 output_bytes = outputs[name].size.bytes
-                stage_inputs = self._stage_inputs(flow, name, seeds, outputs)
-                input_size = DataSize(
-                    sum(dataset.size.bytes for dataset in stage_inputs.values())
-                )
+                input_size = DataSize(input_bytes[name])
                 cpu_seconds = (
                     stage.cpu_seconds_per_gb * input_size.gb + record.extra_cpu_seconds
                 )
@@ -908,7 +945,7 @@ class Engine:
                     peak_bytes = max(peak_bytes, live_bytes)
                     if name in seeds:
                         live_bytes -= seeds[name].size.bytes
-                    for pred in flow.predecessors(name):
+                    for pred in predecessors[name]:
                         remaining_consumers[pred] -= 1
                         if remaining_consumers[pred] == 0:
                             live_bytes -= outputs[pred].size.bytes
@@ -916,14 +953,14 @@ class Engine:
                         "bytes.produced",
                         name,
                         bytes=output_bytes,
-                        artifact=outputs[name].name,
+                        artifact=artifact,
                     )
                     telemetry.emit(
                         "provenance.record",
                         name,
                         record_id=reserved[name],
-                        artifact=outputs[name].name,
-                        parents=[reserved[pred] for pred in flow.predecessors(name)],
+                        artifact=artifact,
+                        parents=[reserved[pred] for pred in predecessors[name]],
                     )
                     if record.degraded:
                         letter_attrs = record.dead_letter_attrs

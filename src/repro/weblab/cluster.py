@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.errors import WebLabError
 from repro.core.units import Duration
+
+if TYPE_CHECKING:  # annotations only: serving never pays for the import
+    import networkx as nx
 
 # Access-time constants: a main-memory pointer chase vs a cluster-network
 # round trip (commodity gigabit + kernel stacks, mid-2000s).

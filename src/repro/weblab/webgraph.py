@@ -15,12 +15,13 @@ per-hop network latency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.errors import WebLabError
 from repro.weblab.metadb import WebLabDatabase
+
+if TYPE_CHECKING:  # imported where a graph is built or analysed
+    import networkx as nx
 
 
 @dataclass
@@ -38,6 +39,8 @@ class GraphStats:
 
 def load_web_graph(database: WebLabDatabase, crawl_index: int) -> nx.DiGraph:
     """Build the directed link graph of one crawl in memory."""
+    import networkx as nx
+
     edges = database.links_of_crawl(crawl_index)
     graph = nx.DiGraph()
     graph.add_edges_from(edges)
@@ -53,6 +56,8 @@ def load_web_graph(database: WebLabDatabase, crawl_index: int) -> nx.DiGraph:
 
 def compute_stats(graph: nx.DiGraph, top_n: int = 5) -> GraphStats:
     """Degree structure, components, and PageRank in one pass."""
+    import networkx as nx
+
     nodes = graph.number_of_nodes()
     edges = graph.number_of_edges()
     in_degrees = dict(graph.in_degree())

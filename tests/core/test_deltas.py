@@ -301,14 +301,15 @@ class TestMapShardsCache:
         )
         assert report.outputs["expand"].items == [4, 9]
 
-    def test_key_count_mismatch_rejected(self):
+    @pytest.mark.parametrize("cache", [StageCache, lambda: None], ids=["cache", "no-cache"])
+    def test_key_count_mismatch_rejected(self, cache):
         def bad(inputs, ctx):
             return ctx.map_shards(_square, [1, 2], cache_keys=["only-one"])
 
         flow = DataFlow("bad-keys")
         flow.stage("bad", bad)
-        with pytest.raises(ExecutionError, match="cache keys"):
-            Engine(seed=1, cache=StageCache()).run(flow)
+        with pytest.raises(ExecutionError, match="2 items but 1 cache keys"):
+            Engine(seed=1, cache=cache()).run(flow)
 
 
     def test_functions_without_a_stable_identity_are_rejected(self):

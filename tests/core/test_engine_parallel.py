@@ -6,16 +6,21 @@ and the same provenance graph (record ids, parent chains, stamps) as the
 sequential engine — on synthetic DAGs and on both figure pipelines.
 """
 
+import random
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dataflow import DataFlow
 from repro.core.dataset import Dataset
-from repro.core.engine import Engine
+from repro.core.engine import Engine, _stage_seed
 from repro.core.errors import ExecutionError, ProvenanceError
+from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.provenance import ProvenanceStore
+from repro.core.recovery import RetryPolicy
 from repro.core.stagecache import StageCache
 from repro.core.telemetry import flow_summary_from_log, strip_wall_clock
 from repro.core.units import DataSize, Duration
@@ -199,6 +204,36 @@ class TestParallelDeterminism:
         # Distinct stages draw distinct streams from the same run seed.
         assert len(set(baseline.values())) == 3
 
+    def test_stage_rng_is_the_seeded_stream_across_reads(self):
+        draws = []
+
+        def record(inputs, ctx):
+            draws.append(ctx.rng.random())
+            draws.append(ctx.rng.random())
+            return Dataset(ctx.stage.name, DataSize.megabytes(1))
+
+        flow = DataFlow("rngs")
+        flow.stage("a", record)
+        Engine(seed=9).run(flow)
+        expected = random.Random(_stage_seed(9, "a"))
+        assert draws == [expected.random(), expected.random()]
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_a_retried_attempt_draws_the_same_first_value(self, max_workers):
+        draws = []
+
+        def flaky(inputs, ctx):
+            draws.append(ctx.rng.random())
+            if len(draws) == 1:
+                raise ValueError("first attempt crashes")
+            return Dataset(ctx.stage.name, DataSize.megabytes(1))
+
+        flow = DataFlow("rngs")
+        flow.stage("flaky", flaky, retry=RetryPolicy(max_attempts=2))
+        report = Engine(seed=9, max_workers=max_workers).run(flow)
+        assert report.stage("flaky").attempts == 2
+        assert draws == [random.Random(_stage_seed(9, "flaky")).random()] * 2
+
     def test_invalid_max_workers_rejected(self):
         with pytest.raises(ExecutionError):
             Engine(max_workers=0)
@@ -330,6 +365,85 @@ class TestParallelFailurePaths:
             letters[workers] = engine.dead_letters
         assert outcomes[1] == outcomes[3]
         assert letters[1] == letters[3] and len(letters[1]) == 1
+
+    @pytest.mark.parametrize("max_workers", [1, 3])
+    def test_an_interrupt_on_a_worker_reaches_the_caller_and_joins_the_workers(
+        self, max_workers
+    ):
+        class Interrupt(BaseException):
+            """Not an ``Exception``: no retry, wrap or dead letter applies."""
+
+        def interrupted(inputs, ctx):
+            raise Interrupt("operator pressed stop")
+
+        flow = DataFlow("interrupted")
+        flow.stage("source", make_source(DataSize.megabytes(1)))
+        flow.stage("stop", interrupted)
+        flow.connect("source", "stop")
+        before = threading.active_count()
+        engine = Engine(max_workers=max_workers)
+        with pytest.raises(Interrupt, match="operator pressed stop"):
+            engine.run(flow)
+        assert threading.active_count() == before
+        assert engine.dead_letters == [] and len(engine.telemetry) == 0
+
+
+@st.composite
+def generated_runs(draw):
+    """A DAG of up to 40 stages, edges only from earlier to later stages,
+    a few stages that raise or crash, and a retry policy or none."""
+    n = draw(st.integers(1, 40))
+    preds = [
+        draw(st.lists(st.integers(0, index - 1), max_size=3, unique=True)) if index else []
+        for index in range(n)
+    ]
+    failing = draw(
+        st.dictionaries(st.integers(0, n - 1), st.sampled_from(["raise", "crash"]), max_size=3)
+    )
+    retry = draw(st.sampled_from([None, RetryPolicy(max_attempts=2)]))
+    return preds, failing, retry
+
+
+def grow(inputs, ctx):
+    total = sum(dataset.size.bytes for dataset in inputs.values())
+    return Dataset(ctx.stage.name, DataSize(total + ctx.rng.randrange(1, 1000)))
+
+
+def refuse(inputs, ctx):
+    raise ValueError(f"{ctx.stage.name} refused its inputs")
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_runs())
+def test_any_dag_runs_alike_on_any_worker_count(run):
+    """Same canonical log, or the same stage's error and dead letters, at
+    1, 2 and 4 workers — and no worker thread outlives its run."""
+    preds, failing, retry = run
+    flow = DataFlow("generated")
+    for index in range(len(preds)):
+        flow.stage(f"s{index:02d}", refuse if failing.get(index) == "raise" else grow)
+    for index, sources in enumerate(preds):
+        for source in sources:
+            flow.connect(f"s{source:02d}", f"s{index:02d}")
+    crashes = tuple(
+        FaultSpec(name=f"crash-{index}", scope="stage", target=f"generated/s{index:02d}")
+        for index, kind in sorted(failing.items())
+        if kind == "crash"
+    )
+    outcomes = []
+    for max_workers in (1, 2, 4):
+        engine = Engine(
+            seed=5, max_workers=max_workers, retry=retry,
+            faults=FaultPlan(specs=crashes) if crashes else None,
+        )
+        before = threading.active_count()
+        try:
+            outcome = ("ok", strip_wall_clock(engine.run(flow).events))
+        except ExecutionError as exc:
+            outcome = ("failed", exc.stage, str(exc))
+        assert threading.active_count() == before
+        outcomes.append((outcome, engine.dead_letters))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 class TestSeedInputAccounting:

@@ -8,16 +8,19 @@ Two contracts:
 * **Entry format** — a stage entry whose stash holds a shard value the
   cache has stored *names* that shard entry instead of containing it; a
   name that no longer resolves is a miss that the next store heals, never
-  a wrong value.
+  a wrong value; a bounded store collects the entries nothing names
+  before the parts of the entry just written.
 * **Unverifiable inputs** — an input dataset that *claims* a provenance
   id whose stamp cannot be resolved must make the stage uncacheable, not
   silently collide with genuinely unstamped seed data on the
   ``"unstamped"`` digest (the bug this PR fixes).
 """
 
+import os
 import pickle
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -248,6 +251,39 @@ class TestStageEntryNamesShards:
         cache.store(KEY, entry(stash={"observations": value}))
         assert cache.disk.read(KEY) is None
         assert cache.disk.read(SHARD) == CachedShard(value)
+
+    def test_a_bounded_store_collects_what_no_entry_names_first(self, tmp_path):
+        """GC is oldest-first, and the shards a stage entry names are older
+        than the entry: storing it touches them, so an unrelated newer
+        shard goes first and the entry stays whole."""
+        cache = StageCache.on_disk(tmp_path)
+        a, b = np.arange(100_000, dtype=np.float64), np.ones(100_000)
+        named, unrelated, stage_key = ("a" * 64, "b" * 64), "c" * 64, "d" * 64
+        cache.store_shard(named[0], a)
+        cache.store_shard(named[1], b)
+        cache.store_shard(unrelated, np.zeros(100_000))
+        for age, key in enumerate((*named, unrelated)):  # set, not slept: clocks are coarse
+            os.utime(cache.disk.path_for(key), ns=(10**18 + age, 10**18 + age))
+        cache.disk.max_bytes = sum(file_size(cache, key) for key in named) + 4096
+        cache.store(stage_key, CachedStage.capture(
+            Dataset("x", DataSize(1.0)), 0.0, {"vals": [a, b]}
+        ))
+        assert cache.disk.keys() == sorted((*named, stage_key))
+        mtimes = {key: cache.disk.path_for(key).stat().st_mtime_ns for key in cache.disk.keys()}
+        assert mtimes[stage_key] > max(mtimes[key] for key in named)
+        hit = StageCache.on_disk(tmp_path).lookup(stage_key)
+        assert hit is not None
+        assert np.array_equal(hit.stash["vals"][0], a)
+        assert np.array_equal(hit.stash["vals"][1], b)
+
+    def test_a_named_entry_gone_from_disk_is_skipped_on_write(self, tmp_path):
+        cache = StageCache.on_disk(tmp_path)
+        value = shard_value()
+        cache.store_shard(SHARD, value)
+        cache.disk.path_for(SHARD).unlink()
+        cache.store(KEY, entry(stash={"observations": value}))
+        assert cache.disk.keys() == [KEY]  # written, and nothing recreated
+        assert StageCache.on_disk(tmp_path).lookup(KEY) is None
 
     def test_an_entry_written_by_plain_pickle_dumps_still_loads(self, tmp_path):
         """The format every store on disk today is in."""

@@ -1,8 +1,9 @@
 """What importing one module loads.
 
 A package ``__init__`` is a map, not an API: importing a leaf module must
-not drag its siblings in, and the ops CLI — re-run by cron against a
-growing log — must start without numpy.  Each probe runs in a fresh
+not drag its siblings in, the ops CLI — re-run by cron against a
+growing log — must start without numpy, and the WebLab services without
+networkx.  Each probe runs in a fresh
 interpreter so this suite's own imports cannot mask a regression.
 """
 
@@ -16,7 +17,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PROBE = (
     "import json, sys, {module}; "
     "print(json.dumps(sorted(m for m in sys.modules"
-    " if m == 'numpy' or m.startswith('repro.'))))"
+    " if m in ('numpy', 'networkx') or m.startswith('repro.'))))"
 )
 
 
@@ -42,3 +43,9 @@ def test_units_loads_itself_and_its_errors_only_and_no_numpy():
 
 def test_ops_cli_starts_without_numpy():
     assert "numpy" not in loaded_by("repro.ops.__main__")
+
+
+def test_weblab_services_start_without_networkx():
+    """Only the graph analyses need it; serving and every benchmark set-up
+    that builds the lab do not pay for its import."""
+    assert "networkx" not in loaded_by("repro.weblab.services")
