@@ -1,17 +1,11 @@
 """Shared benchmark utilities: paper-vs-measured row reporting.
 
-Besides the human-readable table each benchmark prints, every test that
-uses ``report_rows`` also drops a machine-readable ``BENCH_<id>.json``
-(rows, pass/fail outcome, wall time) into ``BENCH_JSON_DIR`` — default
-``benchmarks/results/`` — so report generators and CI dashboards can
-consume benchmark output without scraping stdout.
+Each benchmark hands its tables to ``report_rows``; they are printed at
+teardown (visible with ``-s``).  Timing is perfbench's job, not this
+suite's: a table here may report a wall-derived figure, but no assertion
+holds one against a constant or another configuration's reading.  The one
+exception is C16's ratio of two flow sizes run in one process.
 """
-
-import json
-import os
-import re
-import time
-from pathlib import Path
 
 import pytest
 
@@ -34,65 +28,14 @@ def emit_table(title, rows):
         print("  ".join(str(row.get(key, "")).ljust(widths[key]) for key in keys))
 
 
-def _bench_id(item):
-    """C-number of the benchmark (from the module name), e.g. ``C14``."""
-    match = re.search(r"test_(c\d+)", item.module.__name__)
-    if match:
-        return match.group(1).upper()
-    return re.sub(r"\W+", "_", item.name)
-
-
-def _results_dir():
-    return Path(os.environ.get("BENCH_JSON_DIR", "benchmarks/results"))
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_makereport(item, call):
-    """Stash each phase's report so fixtures can see the test outcome."""
-    outcome = yield
-    report = outcome.get_result()
-    setattr(item, f"rep_{report.when}", report)
-
-
 @pytest.fixture()
-def report_rows(request):
-    """Collects rows during a benchmark; prints them and writes
-    ``BENCH_<id>.json`` at teardown."""
+def report_rows():
+    """Collects a benchmark's tables and prints them at teardown."""
     collected = {}
-    started = time.perf_counter()
 
     def collect(title, rows):
         collected[title] = rows
 
     yield collect
-    wall_s = time.perf_counter() - started
     for title, rows in collected.items():
         emit_table(title, rows)
-
-    call_report = getattr(request.node, "rep_call", None)
-    record = {
-        "bench_id": _bench_id(request.node),
-        "test": request.node.nodeid,
-        "passed": bool(call_report.passed) if call_report is not None else None,
-        "wall_s": round(wall_s, 6),
-        "tables": [
-            {"title": title, "rows": rows} for title, rows in collected.items()
-        ],
-    }
-    results = _results_dir()
-    results.mkdir(parents=True, exist_ok=True)
-    path = results / f"BENCH_{record['bench_id']}.json"
-    existing = []
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text())["tests"]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            existing = []
-    existing = [entry for entry in existing if entry.get("test") != record["test"]]
-    existing.append(record)
-    existing.sort(key=lambda entry: entry.get("test", ""))
-    path.write_text(
-        json.dumps({"bench_id": record["bench_id"], "tests": existing},
-                   indent=2, sort_keys=True)
-        + "\n"
-    )

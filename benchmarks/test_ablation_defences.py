@@ -139,11 +139,9 @@ def ablate(sifted, truths, observations):
     return rows
 
 
-def test_ablation_defences(benchmark, report_rows):
+def test_ablation_defences(report_rows):
     sifted, truths, observations = process_survey()
-    rows = benchmark.pedantic(
-        ablate, args=(sifted, truths, observations), rounds=1, iterations=1
-    )
+    rows = ablate(sifted, truths, observations)
     by_variant = {row["variant"]: row for row in rows}
     full = by_variant["full stack (culls + fold)"]
     culls_only = by_variant["culls only, no fold"]

@@ -71,8 +71,8 @@ def contention_rows():
     return rows
 
 
-def test_c10_link_capacity(benchmark, report_rows):
-    rows = benchmark(capacity_rows)
+def test_c10_link_capacity(report_rows):
+    rows = capacity_rows()
     by_link = {row["link"]: row for row in rows}
     # The dedicated 100 Mb/s line meets 250 GB/day with headroom.
     assert by_link[INTERNET2_100.name]["meets target"] == "yes"
@@ -86,8 +86,8 @@ def test_c10_link_capacity(benchmark, report_rows):
     report_rows("C10a: daily volume per link vs the 250 GB/day target", rows)
 
 
-def test_c10_contention(benchmark, report_rows):
-    rows = benchmark.pedantic(contention_rows, rounds=1, iterations=1)
+def test_c10_contention(report_rows):
+    rows = contention_rows()
     # Even with interactive load sharing the link, the daily bulk volume
     # completes within the day on the dedicated 100 Mb/s line.
     assert all(row["bulk fits the day"] == "yes" for row in rows)

@@ -53,8 +53,8 @@ def sweep(graph):
     return rows
 
 
-def test_c11_locality_sweep(benchmark, graph, report_rows):
-    rows = benchmark.pedantic(sweep, args=(graph,), rounds=1, iterations=1)
+def test_c11_locality_sweep(graph, report_rows):
+    rows = sweep(graph)
     slowdowns = [row["_slowdown"] for row in rows]
     # One worker is the single machine; more workers only add latency.
     assert slowdowns[0] == pytest.approx(1.0)
@@ -65,12 +65,10 @@ def test_c11_locality_sweep(benchmark, graph, report_rows):
     report_rows("C11: PageRank, shared memory vs commodity cluster", rows)
 
 
-def test_c11_answers_identical(graph, benchmark, report_rows):
+def test_c11_answers_identical(graph, report_rows):
     """Distribution changes the clock, never the answer."""
     partitioned = PartitionedGraph(graph, 16)
-    ranks_cluster, _ = benchmark.pedantic(
-        partitioned.pagerank, kwargs={"iterations": 15}, rounds=1, iterations=1
-    )
+    ranks_cluster, _ = partitioned.pagerank(iterations=15)
     ranks_single = pagerank_with_cost(graph, iterations=15)
     assert all(
         ranks_cluster[node] == pytest.approx(ranks_single[node])
@@ -89,15 +87,9 @@ def test_c11_answers_identical(graph, benchmark, report_rows):
     ])
 
 
-def test_c11_bfs_workload(graph, benchmark, report_rows):
+def test_c11_bfs_workload(graph, report_rows):
     source = max(graph.nodes(), key=lambda n: graph.out_degree(n))
-    comparison = benchmark.pedantic(
-        compare_locality,
-        args=(graph, 16),
-        kwargs={"workload": "bfs", "source": source},
-        rounds=1,
-        iterations=1,
-    )
+    comparison = compare_locality(graph, 16, workload="bfs", source=source)
     assert comparison.slowdown > 100
     report_rows(
         "C11b: BFS link-chasing",

@@ -26,7 +26,7 @@ def lab(tmp_path_factory):
     weblab.close()
 
 
-def test_c12_retro_browsing(lab, benchmark, report_rows):
+def test_c12_retro_browsing(lab, report_rows):
     weblab, _ = lab
     url = weblab.database.db.query_value(
         "SELECT url FROM pages GROUP BY url "
@@ -34,7 +34,7 @@ def test_c12_retro_browsing(lab, benchmark, report_rows):
     )
     history = weblab.services.capture_history(url)
 
-    page = benchmark(weblab.services.browse, url, history[-1])
+    page = weblab.services.browse(url, history[-1])
 
     assert page.fetched_at <= history[-1]
     early = weblab.services.browse(url, history[0])
@@ -52,16 +52,11 @@ def test_c12_retro_browsing(lab, benchmark, report_rows):
     )
 
 
-def test_c12_subset_views(lab, benchmark, report_rows):
+def test_c12_subset_views(lab, report_rows):
     weblab, _ = lab
     services = weblab.services
 
-    count = benchmark.pedantic(
-        services.extract_subset,
-        args=("edu_slice", SubsetCriteria(tlds=("edu",))),
-        rounds=1,
-        iterations=1,
-    )
+    count = services.extract_subset("edu_slice", SubsetCriteria(tlds=("edu",)))
     expected = weblab.database.db.count("pages", "tld = ?", ("edu",))
     assert count == expected > 0
     assert "edu_slice" in services.subsets()
@@ -82,9 +77,9 @@ def test_c12_subset_views(lab, benchmark, report_rows):
     )
 
 
-def test_c12_stratified_sampling(lab, benchmark, report_rows):
+def test_c12_stratified_sampling(lab, report_rows):
     weblab, _ = lab
-    sample = benchmark(weblab.services.stratified_sample, "domain", 3)
+    sample = weblab.services.stratified_sample("domain", 3)
 
     domains = weblab.database.domains()
     assert set(sample) == set(domains)

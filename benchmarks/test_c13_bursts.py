@@ -56,8 +56,8 @@ def run_detection(lab):
     return rows
 
 
-def test_c13_burst_detection(lab, benchmark, report_rows):
-    rows = benchmark.pedantic(run_detection, args=(lab,), rounds=1, iterations=1)
+def test_c13_burst_detection(lab, report_rows):
+    rows = run_detection(lab)
     by_term = {row["term"]: row for row in rows}
     # At least 2 of the 3 burst-vocabulary terms are caught in the window.
     hits = sum(1 for term in BURST_TERMS if by_term[term]["overlaps truth"] == "yes")
@@ -70,11 +70,11 @@ def test_c13_burst_detection(lab, benchmark, report_rows):
     report_rows("C13: burst detection vs injected ground truth", rows)
 
 
-def test_c13_synthetic_calibration(benchmark, report_rows):
+def test_c13_synthetic_calibration(report_rows):
     """The decoder on textbook inputs: one clean burst, exact bounds."""
     counts = [5, 6, 5, 42, 40, 44, 5, 6]
     totals = [1000] * 8
-    intervals = benchmark(detect_bursts, counts, totals, 3.0, 1.0)
+    intervals = detect_bursts(counts, totals, 3.0, 1.0)
     assert [(i.start, i.end) for i in intervals] == [(3, 5)]
     report_rows(
         "C13b: decoder calibration",

@@ -12,9 +12,6 @@ Paper claims regenerated here:
 """
 
 import math
-import os
-import time
-
 
 from repro.arecibo.pipeline import AreciboPipelineConfig, run_arecibo_pipeline
 from repro.arecibo.sky import SkyModel
@@ -99,8 +96,8 @@ def comparison_rows():
     return rows
 
 
-def test_c14_three_projects(benchmark, report_rows):
-    rows = benchmark(comparison_rows)
+def test_c14_three_projects(report_rows):
+    rows = comparison_rows()
     by_project = {row["project"]: row for row in rows}
 
     # "About two orders of magnitude" between CLEO and the Petabyte
@@ -119,7 +116,7 @@ def test_c14_three_projects(benchmark, report_rows):
     report_rows("C14: the three projects through one transport model", rows)
 
 
-def _speedup_config(seed, workers):
+def _flow_config(seed, workers):
     return AreciboPipelineConfig(
         n_pointings=4,
         observation=ObservationConfig(n_channels=48, n_samples=4096),
@@ -136,56 +133,6 @@ def _speedup_config(seed, workers):
     )
 
 
-def parallel_speedup_rows(tmp_path):
-    """Wall-clock of the Figure-1 flow, sequential vs workers=4.
-
-    The per-pointing process fan-out is the paper's own scaling story
-    ("the data flow [...] is trivially parallel over pointings"); the rows
-    record how much of it one box recovers, alongside proof that the
-    parallel run changed nothing but the clock.
-    """
-    timings = {}
-    reports = {}
-    for workers in (1, 4):
-        start = time.perf_counter()
-        reports[workers] = run_arecibo_pipeline(
-            tmp_path / f"workers{workers}", _speedup_config(17, workers)
-        )
-        timings[workers] = time.perf_counter() - start
-    rows = [
-        {
-            "engine": "sequential" if workers == 1 else f"parallel (workers={workers})",
-            "wall clock": f"{timings[workers]:.2f} s",
-            "speedup": f"{timings[1] / timings[workers]:.2f}x",
-            "peak storage": str(reports[workers].flow_report.peak_live_storage),
-            "score": f"{reports[workers].score.recovered}/{reports[workers].score.injected}",
-        }
-        for workers in (1, 4)
-    ]
-    return rows, reports, timings
-
-
-def test_c14_parallel_speedup(tmp_path, report_rows):
-    rows, reports, timings = parallel_speedup_rows(tmp_path)
-
-    # Correctness first: the parallel run is byte-identical in everything
-    # the flow reports — only the wall clock may differ.
-    sequential, parallel = reports[1], reports[4]
-    assert parallel.flow_report.summary_rows() == sequential.flow_report.summary_rows()
-    assert (
-        parallel.flow_report.peak_live_storage
-        == sequential.flow_report.peak_live_storage
-    )
-    assert parallel.score == sequential.score
-
-    # Speedup is only observable with real cores; single-CPU boxes (and
-    # starved CI shares) still print the table but skip the assertion.
-    if len(os.sched_getaffinity(0)) >= 2:
-        assert timings[1] / timings[4] > 1.1
-
-    report_rows("C14: parallel speedup on the Figure-1 process stage", rows)
-
-
 def test_c14_report_from_event_log(tmp_path, report_rows):
     """The C14 flow table regenerates from the persisted JSONL log alone.
 
@@ -194,7 +141,7 @@ def test_c14_report_from_event_log(tmp_path, report_rows):
     re-running the flow or keeping the live FlowReport around.
     """
     workdir = tmp_path / "replay"
-    live = run_arecibo_pipeline(workdir, _speedup_config(17, 2))
+    live = run_arecibo_pipeline(workdir, _flow_config(17, 2))
 
     events = read_event_log(workdir / "telemetry.jsonl")
     replayed_rows = flow_summary_from_log(events)
@@ -220,7 +167,7 @@ def test_c14_stage_cache_counters(tmp_path, report_rows):
     """
     registry = MetricsRegistry()
     cache = StageCache(registry=registry)
-    config = _speedup_config(17, 1)
+    config = _flow_config(17, 1)
     cold = run_arecibo_pipeline(tmp_path / "cold", config, cache=cache)
     warm = run_arecibo_pipeline(tmp_path / "warm", config, cache=cache)
 

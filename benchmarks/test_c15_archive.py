@@ -73,8 +73,8 @@ def policy_rows(seeds=range(8)):
     return rows
 
 
-def test_c15_migration_policies(benchmark, report_rows):
-    rows = benchmark.pedantic(policy_rows, rounds=1, iterations=1)
+def test_c15_migration_policies(report_rows):
+    rows = policy_rows()
     by_key = {(row["policy"], row["copies"]): row["_lost"] for row in rows}
     # Never migrating single-copy media for two decades loses data.
     assert by_key[("never-migrate", 1)] > 0
@@ -92,7 +92,7 @@ def test_c15_migration_policies(benchmark, report_rows):
     report_rows("C15a: archive migration policies over 20 years", rows)
 
 
-def test_c15_tape_vs_disk_economics(benchmark, report_rows):
+def test_c15_tape_vs_disk_economics(report_rows):
     """The Petabyte-archive cost argument."""
     def costs():
         rows = []
@@ -114,7 +114,7 @@ def test_c15_tape_vs_disk_economics(benchmark, report_rows):
             )
         return rows
 
-    rows = benchmark(costs)
+    rows = costs()
     assert all(float(row["disk/tape"].rstrip("x")) > 5 for row in rows)
     report_rows("C15b: tape vs disk retention economics", rows)
 

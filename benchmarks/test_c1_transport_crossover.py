@@ -48,8 +48,8 @@ def sweep_rows():
     return rows
 
 
-def test_c1_transport_crossover(benchmark, report_rows):
-    rows = benchmark(sweep_rows)
+def test_c1_transport_crossover(report_rows):
+    rows = sweep_rows()
 
     planner = TransportPlanner(
         links=[ARECIBO_UPLINK, INTERNET2_100], lanes=[ARECIBO_TO_CTC]

@@ -125,8 +125,8 @@ def dm_grid_rows():
     return rows
 
 
-def test_c2_harmonic_summing_controlled(benchmark, report_rows):
-    rows = benchmark.pedantic(harmonic_ladder_rows, rounds=1, iterations=1)
+def test_c2_harmonic_summing_controlled(report_rows):
+    rows = harmonic_ladder_rows()
     # Narrow pulses want deep ladders; broad pulses do not.
     narrow = rows[-1]
     broad = rows[0]
@@ -136,8 +136,8 @@ def test_c2_harmonic_summing_controlled(benchmark, report_rows):
     report_rows("C2a: harmonic summing vs duty cycle (controlled)", rows)
 
 
-def test_c2_harmonic_summing_end_to_end(benchmark, report_rows):
-    rows = benchmark.pedantic(end_to_end_rows, rounds=1, iterations=1)
+def test_c2_harmonic_summing_end_to_end(report_rows):
+    rows = end_to_end_rows()
     recovered = [int(row["recovered"].split("/")[0]) for row in rows]
     # The full ladder never loses pulsars, and gains on this population.
     assert recovered[-1] >= recovered[0]
@@ -147,8 +147,8 @@ def test_c2_harmonic_summing_end_to_end(benchmark, report_rows):
     report_rows("C2a': harmonic summing, end-to-end recovery", rows)
 
 
-def test_c2_dm_grid_resolution(benchmark, report_rows):
-    rows = benchmark.pedantic(dm_grid_rows, rounds=1, iterations=1)
+def test_c2_dm_grid_resolution(report_rows):
+    rows = dm_grid_rows()
     snrs = [
         float(row["recovered S/N"]) if row["recovered S/N"] != "missed" else 0.0
         for row in rows

@@ -129,8 +129,8 @@ def run_stages(n_pointings=3):
     return rows, len(truths)
 
 
-def test_c3_rfi_metaanalysis(benchmark, report_rows):
-    rows, n_truths = benchmark.pedantic(run_stages, rounds=1, iterations=1)
+def test_c3_rfi_metaanalysis(report_rows):
+    rows, n_truths = run_stages()
     counts = [row["candidates"] for row in rows]
     # Each defence reduces the candidate load; meta-analysis is the big cut.
     assert counts[3] < counts[2]

@@ -79,8 +79,8 @@ def pipeline_rows(tmp_path):
     return rows
 
 
-def test_c4_component(benchmark, report_rows):
-    rows = benchmark.pedantic(component_rows, rounds=1, iterations=1)
+def test_c4_component(report_rows):
+    rows = component_rows()
     # Unaccelerated pulsar: both searches see it.
     assert float(rows[0]["plain search S/N"]) > 10
     # Strongly accelerated pulsar: plain search loses it, trials recover it.
@@ -89,8 +89,8 @@ def test_c4_component(benchmark, report_rows):
     report_rows("C4a: acceleration search, component level", rows)
 
 
-def test_c4_pipeline(benchmark, tmp_path, report_rows):
-    rows = benchmark.pedantic(pipeline_rows, args=(tmp_path,), rounds=1, iterations=1)
+def test_c4_pipeline(tmp_path, report_rows):
+    rows = pipeline_rows(tmp_path)
     recall_off = int(rows[0]["recall"].split("/")[0])
     recall_on = int(rows[1]["recall"].split("/")[0])
     # Trials recover binaries the plain pipeline misses; the extra trials

@@ -55,11 +55,11 @@ def build_history(store, n_runs=30):
     return n_runs
 
 
-def test_c5_snapshot_semantics(benchmark, tmp_path, report_rows):
+def test_c5_snapshot_semantics(tmp_path, report_rows):
     with PersonalEventStore(tmp_path / "store") as store:
         n_runs = build_history(store)
 
-        resolved = benchmark(store.resolve_runs, "physics", 150.0)
+        resolved = store.resolve_runs("physics", 150.0)
 
         # Rule 1: analysis pinned at t=150 sees only v1 for existing runs.
         assert all(

@@ -8,8 +8,8 @@ integrity protection for the centrally managed data repositories."
 
 The harness runs N producer jobs against a collaboration store two ways —
 direct writes (failing mid-job) vs produce-into-personal-then-merge
-(failing mid-job) — and measures what the failure leaves behind, plus the
-end-to-end ingest throughput of the merge path.
+(failing mid-job) — and measures what the failure leaves behind, plus five
+successive jobs landing through the merge path.
 """
 
 
@@ -65,8 +65,8 @@ def merge_ingest_with_failure(collab, produced, fail_after, workdir):
         personal.close()
 
 
-def test_c6_integrity_under_failure(benchmark, tmp_path, report_rows):
-    produced = benchmark.pedantic(produce_runs, args=(1, 6), rounds=1, iterations=1)
+def test_c6_integrity_under_failure(tmp_path, report_rows):
+    produced = produce_runs(1, 6)
 
     with CollaborationEventStore(tmp_path / "direct") as direct:
         direct_ingest_with_failure(direct, produced, fail_after=3)
@@ -90,27 +90,20 @@ def test_c6_integrity_under_failure(benchmark, tmp_path, report_rows):
     )
 
 
-def test_c6_merge_throughput(benchmark, tmp_path, report_rows):
-    """Throughput of the full produce-and-merge cycle for one job."""
-    counter = {"n": 0}
-
-    def one_job():
-        counter["n"] += 1
-        base = counter["n"] * 100
-        produced = produce_runs(base, 4, seed_base=base)
-        personal = PersonalEventStore(tmp_path / f"job{base}", name=f"job{base}")
-        for run, events in produced:
-            personal.inject(
-                run, events, "Recon_v1", "recon",
-                stamp_step("PassRecon", "v1", {"run": run.number}),
-            )
-        report = merge_into(personal, collab)
-        personal.close()
-        return report
-
+def test_c6_merge_throughput(tmp_path, report_rows):
+    """Five jobs, each produced into its own personal store and merged."""
     with CollaborationEventStore(tmp_path / "collab") as collab:
-        report = benchmark.pedantic(one_job, rounds=5, iterations=1)
-        assert report.files_added == 4
+        for job in range(1, 6):
+            base = job * 100
+            personal = PersonalEventStore(tmp_path / f"job{base}", name=f"job{base}")
+            for run, events in produce_runs(base, 4, seed_base=base):
+                personal.inject(
+                    run, events, "Recon_v1", "recon",
+                    stamp_step("PassRecon", "v1", {"run": run.number}),
+                )
+            report = merge_into(personal, collab)
+            personal.close()
+            assert report.files_added == 4
         # Successive merges from distinct jobs all landed.
         assert collab.file_count() == 5 * 4
         report_rows(

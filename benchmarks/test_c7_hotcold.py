@@ -83,10 +83,8 @@ def run_experiment(tmp_path):
     return rows, layout, partitioned
 
 
-def test_c7_hot_cold_partitioning(benchmark, tmp_path, report_rows):
-    rows, layout, partitioned = benchmark.pedantic(
-        run_experiment, args=(tmp_path,), rounds=1, iterations=1
-    )
+def test_c7_hot_cold_partitioning(tmp_path, report_rows):
+    rows, layout, partitioned = run_experiment(tmp_path)
     # The derived layout matches the usage pattern.
     assert layout.temperature_of("summary") == "hot"
     assert layout.temperature_of("tracks") == "warm"

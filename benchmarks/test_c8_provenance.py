@@ -47,9 +47,9 @@ def write_population(tmp_path, n_files=20, drifted_indexes=(4, 11, 17)):
     return files
 
 
-def test_c8_discrepancy_detection(benchmark, tmp_path, report_rows):
+def test_c8_discrepancy_detection(tmp_path, report_rows):
     files = write_population(tmp_path)
-    report = benchmark(check_consistency, files)
+    report = check_consistency(files)
 
     # The hash comparison finds exactly the drifted files...
     assert not report.consistent
@@ -87,9 +87,9 @@ def test_c8_discrepancy_detection(benchmark, tmp_path, report_rows):
     report_rows("C8: provenance scheme cost vs detection", rows)
 
 
-def test_c8_accumulation_through_steps(benchmark, tmp_path, report_rows):
+def test_c8_accumulation_through_steps(report_rows):
     """Stamps accumulate per step, and any step's change flips the digest."""
-    base = benchmark(stamp_step, "DAQ", "daq_v3")
+    base = stamp_step("DAQ", "daq_v3")
     recon = stamp_step("PassRecon", "P2", {"cal": "v7"}, parents=[base])
     post = stamp_step("PassPostRecon", "A1", parents=[recon])
     assert len(post.history) == 3

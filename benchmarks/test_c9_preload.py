@@ -66,26 +66,21 @@ def sweep(corpus, tmp_path):
                     "links": stats.links,
                     "throughput": f"{stats.throughput.mb_per_second:.2f} MB/s",
                     "projected/day": f"{stats.projected_daily.gb:.1f} GB",
-                    "_mbps": stats.throughput.mb_per_second,
                 }
             )
     return rows
 
 
-def test_c9_preload_sweep(benchmark, corpus, tmp_path, report_rows):
-    rows = benchmark.pedantic(sweep, args=(corpus, tmp_path), rounds=1, iterations=1)
-
-    by_key = {(row["batch size"], row["workers"]): row["_mbps"] for row in rows}
-    # Tiny batches pay per-transaction overhead: batching matters.
-    assert by_key[(400, 1)] > by_key[(1, 1)]
+def test_c9_preload_sweep(corpus, tmp_path, report_rows):
+    rows = sweep(corpus, tmp_path)
     # Every configuration loads the same data (correctness of the sweep).
+    # The throughput column is this host's wall clock: reported, not held
+    # to a bar.
     assert len({(row["pages"], row["links"]) for row in rows}) == 1
-    for row in rows:
-        row.pop("_mbps")
     report_rows("C9: preload throughput sweep (batch size x parallelism)", rows)
 
 
-def test_c9_arc_dat_independent(corpus, tmp_path, benchmark, report_rows):
+def test_c9_arc_dat_independent(corpus, tmp_path, report_rows):
     """ARC and DAT files load in either order, to the same database state."""
     arc_jobs, dat_jobs = corpus
 
@@ -103,7 +98,7 @@ def test_c9_arc_dat_independent(corpus, tmp_path, benchmark, report_rows):
         database.close()
         return state
 
-    first = benchmark.pedantic(load, args=("arc-first",), rounds=1, iterations=1)
+    first = load("arc-first")
     second = load("dat-first")
     assert first == second
     report_rows(

@@ -11,6 +11,7 @@ Paper claims regenerated here:
   consolidate into the database → meta-analysis.
 """
 
+import time
 
 from repro.arecibo.pipeline import AreciboPipelineConfig, run_arecibo_pipeline
 from repro.arecibo.sky import SkyModel
@@ -79,11 +80,11 @@ def fig1_rows(report, process_wall_seconds):
     ]
 
 
-def test_fig1_arecibo_flow(benchmark, tmp_path, report_rows):
-    import time
-
+def test_fig1_arecibo_flow(tmp_path, report_rows):
+    # The paper's processor estimate is itself a wall-derived rate: it is
+    # reported, never asserted on.
     start = time.perf_counter()
-    report = benchmark.pedantic(run_flow, args=(tmp_path,), rounds=1, iterations=1)
+    report = run_flow(tmp_path)
     wall = time.perf_counter() - start
 
     names = [stage.name for stage in report.flow_report.stages]

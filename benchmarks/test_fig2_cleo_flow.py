@@ -61,8 +61,8 @@ def fig2_rows(report, replay_equal):
     ]
 
 
-def test_fig2_cleo_flow(benchmark, tmp_path, report_rows):
-    report = benchmark.pedantic(run_flow, args=(tmp_path,), rounds=1, iterations=1)
+def test_fig2_cleo_flow(tmp_path, report_rows):
+    report = run_flow(tmp_path)
 
     # Figure-2 structure.
     names = {stage.name for stage in report.flow_report.stages}

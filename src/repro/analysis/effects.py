@@ -195,9 +195,6 @@ class _LocalExtractor:
             root = _root_name(node.func.value)
             if root in _INJECTOR_NAMES:
                 self._emit("fault_state", f"{root}.fire(...)", node, param=root or "")
-        # Handle construction bound to a local (for capture analysis).
-        if name in HANDLE_CONSTRUCTORS:
-            self._bind_handles_from_call(node, HANDLE_CONSTRUCTORS[name])
 
     def _scan_named_call(self, node: ast.Call, name: str) -> None:
         hazard = classify_call(name, bool(node.args or node.keywords))
@@ -303,11 +300,6 @@ class _LocalExtractor:
             node.optional_vars, ast.Name
         ):
             self.handle_bindings[node.optional_vars.id] = HANDLE_CONSTRUCTORS[name]
-
-    def _bind_handles_from_call(self, node: ast.Call, kind: str) -> None:
-        # ``with``/``=`` forms are handled at their statements; nothing to
-        # bind for a bare call expression.
-        del node, kind
 
 
 def _module_handle_bindings(module: ModuleInfo) -> Dict[str, str]:

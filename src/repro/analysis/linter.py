@@ -386,14 +386,10 @@ class Analysis:
 
 
 class Linter:
-    """Runs the selected rules (default: all) over files and trees."""
+    """Runs the selected rules (default: all) over one :class:`Analysis`."""
 
     def __init__(self, select: Optional[Iterable[str]] = None):
         self.rules: List[Rule] = [cls() for cls in select_rules(select)]
-
-    def lint_paths(self, paths: Sequence[Union[str, Path]]) -> List[Finding]:
-        """Lint files and (recursively) directories; deterministic order."""
-        return self.lint(Analysis.build(paths))
 
     def lint(self, analysis: Analysis) -> List[Finding]:
         """Every selected rule against one analysis, plus one RPR000 per

@@ -15,8 +15,7 @@ per-channel frequency term is computed once and scaled into the whole
 ``(n_trials, n_channels)`` integer shift matrix (:func:`delay_matrix`),
 which is handed to the :func:`repro.core.kernels.shift_sum` gather kernel.
 :func:`dedisperse_all_reference` keeps the naive per-trial ``np.roll``
-loop; the two are asserted bitwise-equal in the equivalence suite and
-benchmarked against each other in C16.
+loop; the two are asserted bitwise-equal in the equivalence suite.
 """
 
 from __future__ import annotations
@@ -153,7 +152,7 @@ def dedisperse_all(filterbank: Filterbank, grid: DMGrid) -> np.ndarray:
 def dedisperse_all_reference(filterbank: Filterbank, grid: DMGrid) -> np.ndarray:
     """The naive per-trial loop :func:`dedisperse_all` replaces.
 
-    Retained as the equivalence oracle and the benchmark baseline.
+    Retained as the equivalence oracle.
     """
     block = np.empty((len(grid), filterbank.n_samples), dtype=np.float32)
     for index, dm in enumerate(grid.trials):

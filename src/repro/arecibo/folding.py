@@ -182,7 +182,7 @@ def refine_period_reference(
 ) -> Tuple[float, float]:
     """The naive per-trial fold loop :func:`refine_period` replaces.
 
-    Retained as the equivalence oracle and the benchmark baseline.
+    Retained as the equivalence oracle.
     """
     if n_trials < 1:
         raise SearchError("need at least one refinement trial")

@@ -223,7 +223,7 @@ def search_dm_block_reference(
 ) -> List[FourierCandidate]:
     """The naive row-by-row loop :func:`search_dm_block` replaces.
 
-    Retained as the equivalence oracle and the benchmark baseline.
+    Retained as the equivalence oracle.
     """
     if block.shape[0] != len(dm_trials):
         raise SearchError("block rows must match DM trials")

@@ -24,7 +24,12 @@ One :class:`ReadCache` is:
   wait is paid for by the reader that waits: a lone reader's miss marks
   the key in flight with a plain ``None`` and builds no
   ``threading.Event``; a second reader that finds the mark swaps in the
-  Event it then sleeps on.
+  Event it then sleeps on;
+* **invalidation-safe** — every invalidation bumps a generation counter,
+  and a load admits its value only if no invalidation ran while it was
+  in flight.  The value still goes back to its caller, but a stale read
+  that raced ``invalidate``, ``invalidate_prefix`` or ``clear`` is never
+  pinned; a coalesced waiter then finds no entry and loads again.
 
 Accounting: ``readcache.hits/misses/negative_hits/admitted/
 admission_rejected/evictions/coalesced`` counters on the
@@ -84,8 +89,9 @@ class ReadCache:
 
     What a lookup costs: a hit is one pass under the cache lock (one
     dict probe, the LRU move, the sketch bump, a bound counter); a miss
-    is two — look up + mark in flight + sketch bump, then, after the
-    loader ran unlocked, admit + un-mark — and nothing else that grows
+    is two — look up + mark in flight + note the generation + sketch
+    bump, then, after the loader ran unlocked, un-mark + admit if the
+    generation is unchanged — and nothing else that grows
     with the number of keys: every counter is bound at construction and
     no synchronisation object exists until a second reader needs one.
     Every transition of the in-flight table (mark, install an Event,
@@ -127,6 +133,8 @@ class ReadCache:
         # key -> None while one reader loads it; a second reader swaps in
         # the Event it then waits on (see get_or_load).
         self._inflight: Dict[str, Optional[threading.Event]] = {}
+        # Bumped by every invalidation; a load admits only if it is unchanged.
+        self._generation = 0
         # Every path runs per request; bind the counters once instead of
         # paying a registry lookup per access.
         counter = self.metrics.counter
@@ -223,6 +231,7 @@ class ReadCache:
                 else:
                     waiter = None
                     self._inflight[key] = None
+                    generation = self._generation
                     self._count_access(key)
             if waiter is None:
                 break  # this thread loads
@@ -243,7 +252,7 @@ class ReadCache:
                 waiter = self._inflight.pop(key)
                 if waiter is not None:
                     waiter.set()
-                if entry is not None:
+                if entry is not None and generation == self._generation:
                     self._admit(key, entry)
         return value
 
@@ -251,11 +260,13 @@ class ReadCache:
     def invalidate(self, key: str) -> bool:
         """Drop one entry; returns whether it was cached."""
         with self._lock:
+            self._generation += 1
             return self._entries.pop(key, None) is not None
 
     def invalidate_prefix(self, prefix: str) -> int:
         """Drop every entry whose key starts with ``prefix``."""
         with self._lock:
+            self._generation += 1
             doomed = [key for key in self._entries if key.startswith(prefix)]
             for key in doomed:
                 del self._entries[key]
@@ -264,6 +275,7 @@ class ReadCache:
     def clear(self) -> int:
         """Drop every entry and the popularity sketch."""
         with self._lock:
+            self._generation += 1
             dropped = len(self._entries)
             self._entries.clear()
             self._freq.clear()

@@ -36,7 +36,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 from repro.core.cachestore import DiskCacheStore
 from repro.core.dataset import Dataset
@@ -477,10 +477,3 @@ class StageCache:
             "disk_entries": stored["entries"],
             "disk_bytes": stored["bytes"],
         }
-
-    def rows(self) -> List[Dict[str, object]]:
-        """Benchmark-table rows for the cache counters."""
-        return [
-            {"metric": f"stage_cache.{name}", "value": value}
-            for name, value in self.stats().items()
-        ]

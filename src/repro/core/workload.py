@@ -227,13 +227,6 @@ class ZipfianSampler:
     def sample(self, rng: Random) -> str:
         return self.keys[bisect.bisect_left(self._cumulative, rng.random())]
 
-    def head(self, mass: float = 0.5) -> List[str]:
-        """The hottest keys carrying at least ``mass`` of the probability."""
-        if not 0.0 < mass <= 1.0:
-            raise WorkloadError(f"probability mass must be in (0, 1], got {mass}")
-        cut = bisect.bisect_left(self._cumulative, mass)
-        return list(self.keys[: cut + 1])
-
 
 @dataclass(frozen=True)
 class DiurnalCycle:

@@ -3,7 +3,7 @@
 Alerts here are *evaluated*, never sampled: the evaluator walks rules in
 declaration order against panels in spec order, so the same projection
 sequence always yields the same alert sequence — which is what lets the
-C22 benchmark pin "two runs over the same log emit identical
+tests pin "two runs over the same log emit identical
 ``alert.raised``/``alert.cleared`` streams".
 
 Three rule kinds cover the paper's operational failure modes:

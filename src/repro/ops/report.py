@@ -11,7 +11,7 @@ with two hard properties:
   environment leakage: the report is stamped with the telemetry
   horizon (max simulated time) instead of "generated at".  Two runs
   over the same log produce identical bytes, which is what makes the
-  report diffable and the C22 check possible.
+  report diffable and the byte-identity test possible.
 * **self-contained** — one file, inline CSS, no scripts, no fetches;
   it archives and attaches to CI artifacts as-is.
 

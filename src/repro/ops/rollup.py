@@ -283,11 +283,6 @@ class RollupProjection:
         quality.fold(event, self.window_s)
         self.consumed_events += 1
 
-    def metrics_by_flow(self) -> Dict[str, Dict[str, Optional[float]]]:
-        return {
-            name: self.flows[name].totals.metrics() for name in sorted(self.flows)
-        }
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-stable rendering (sorted keys, windows as strings)."""
         return {
@@ -336,8 +331,8 @@ def scan_log(
 ) -> RollupProjection:
     """Cold build: fold the whole log with no store in sight.
 
-    This is the raw-JSONL-scan baseline the C22 benchmark measures the
-    cached path against.
+    This is the raw-JSONL-scan baseline perfbench's ``ops.scan_s`` times
+    the cached path against.
     """
     data = Path(path).read_bytes()
     projection = RollupProjection(window_s=float(window_s))

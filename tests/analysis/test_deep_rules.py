@@ -3,7 +3,7 @@ the one-module rules (RPR001-004) provably miss."""
 
 import textwrap
 
-from repro.analysis.linter import Linter, unsuppressed
+from repro.analysis.linter import Analysis, Linter, unsuppressed
 
 MODULE_RULES = ["RPR001", "RPR002", "RPR003", "RPR004"]
 
@@ -13,7 +13,7 @@ def scan(tmp_path, files, select=None):
         path = tmp_path / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return Linter(select=select).lint_paths([tmp_path])
+    return Linter(select=select).lint(Analysis.build([tmp_path]))
 
 
 def codes(findings):
@@ -289,25 +289,31 @@ class TestRPR103ProcessBoundary:
         assert len(hits) == 1
         assert "generator" in hits[0].message
 
+    CAPTURED_LOCK = {
+        "m.py": """
+        import threading
+
+        LOCK = threading.Lock()
+
+        def shard_fn(task):
+            with LOCK:
+                return task
+
+        def driver(ctx, items):
+            ctx.map_shards(shard_fn, items)
+        """
+    }
+
     def test_trigger_captured_lock(self, tmp_path):
-        findings = scan(
-            tmp_path,
-            {"m.py": """
-            import threading
-
-            LOCK = threading.Lock()
-
-            def shard_fn(task):
-                with LOCK:
-                    return task
-
-            def driver(ctx, items):
-                ctx.map_shards(shard_fn, items)
-            """},
-        )
+        findings = scan(tmp_path, self.CAPTURED_LOCK)
         hits = [f for f in findings if f.code == "RPR103"]
         assert len(hits) == 1
         assert "fresh lock" in hits[0].message
+
+    def test_seeded_bug_invisible_to_module_rules(self, tmp_path):
+        """A module-level lock is clean to RPR001-004; only the shard
+        binding makes it a process-boundary bug."""
+        assert scan(tmp_path, self.CAPTURED_LOCK, select=MODULE_RULES) == []
 
     def test_clean_module_level_pure_fn(self, tmp_path):
         findings = scan(
@@ -383,6 +389,26 @@ class TestRPR104TransitiveDeterminism:
         hits = [f for f in findings if f.code == "RPR104"]
         assert len(hits) == 1
         assert "time.time()" in hits[0].message
+
+    def test_seeded_bug_invisible_to_module_rules(self, tmp_path):
+        """The draw is suppressed where it happens, so RPR001-004 report
+        nothing unsuppressed; RPR104 still sees it leak into a cached
+        transform two calls away."""
+        tree = {"m.py": """
+        import random
+
+        def _jitter(value):
+            return value + random.random()  # repro: noqa[RPR001]
+
+        def process(items, config):
+            return [_jitter(i) for i in items]
+
+        def register(flow, config):
+            flow.stage("process", lambda items: process(items, config),
+                       cache_params={"seed": config.seed})
+        """}
+        assert codes(scan(tmp_path, tree, select=MODULE_RULES)) == []
+        assert codes(scan(tmp_path, tree)) == ["RPR104"]
 
     def test_clean_seeded_rng(self, tmp_path):
         findings = scan(

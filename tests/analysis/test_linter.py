@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.linter import (
     PARSE_ERROR_CODE,
+    Analysis,
     Finding,
     ImportMap,
     Linter,
@@ -23,7 +24,7 @@ from repro.analysis.linter import (
 def lint_source(tmp_path, source, name="mod.py", **linter_kwargs):
     path = tmp_path / name
     path.write_text(source, encoding="utf-8")
-    return Linter(**linter_kwargs).lint_paths([path])
+    return Linter(**linter_kwargs).lint(Analysis.build([path]))
 
 
 class TestRegistry:
@@ -177,7 +178,7 @@ class TestLinting:
         (tmp_path / "pkg" / "a.py").write_text(
             "import random\nrandom.random()\n", encoding="utf-8"
         )
-        findings = Linter().lint_paths([tmp_path])
+        findings = Linter().lint(Analysis.build([tmp_path]))
         assert len(findings) == 2
         assert findings[0].path.endswith("a.py")
         assert findings[1].path.endswith("b.py")
@@ -195,7 +196,7 @@ class TestLinting:
             return real_read(cls, path)
 
         monkeypatch.setattr(ModuleSource, "read", classmethod(counting_read))
-        findings = Linter().lint_paths([tmp_path])
+        findings = Linter().lint(Analysis.build([tmp_path]))
         assert len(findings) == 3
         assert sorted(reads) == sorted(
             str(tmp_path / name) for name in ("a.py", "b.py", "c.py")

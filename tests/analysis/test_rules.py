@@ -1,12 +1,12 @@
 """Every shipped rule: at least one trigger and one suppressed fixture."""
 
-from repro.analysis.linter import Linter
+from repro.analysis.linter import Analysis, Linter
 
 
 def lint(tmp_path, source, name="mod.py", select=None):
     path = tmp_path / name
     path.write_text(source, encoding="utf-8")
-    return Linter(select=select).lint_paths([path])
+    return Linter(select=select).lint(Analysis.build([path]))
 
 
 def flagged(findings, code):

@@ -54,7 +54,7 @@ def per_series_single_pulse_search(
 ):
     """Single-pulse search as one ``boxcar_snr`` call per series per width.
 
-    The oracle for the block search (and C16's baseline): every median, MAD
+    The oracle for the block search: every median, MAD
     and cumulative sum is recomputed for each width of each row.
     """
     results = []

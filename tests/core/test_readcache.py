@@ -369,6 +369,34 @@ class TestCoalescing:
         assert stats.hits + stats.misses == n_threads * per_thread
         assert cache._inflight == {}
 
+    @pytest.mark.parametrize(
+        "invalidate",
+        [
+            lambda cache: cache.invalidate("k"),
+            lambda cache: cache.invalidate_prefix("k"),
+            ReadCache.clear,
+        ],
+        ids=["invalidate", "invalidate_prefix", "clear"],
+    )
+    def test_invalidation_racing_a_load_is_not_lost(self, invalidate):
+        # The load began before the invalidation, so what it read may be
+        # what the invalidation retired: its caller gets it, the cache not.
+        cache = ReadCache(capacity=8)
+        gate = threading.Event()
+        loader = threading.Thread(
+            target=cache.get_or_load,
+            args=("k", lambda: "old" if gate.wait(timeout=10.0) else "timed out"),
+            daemon=True,
+        )
+        loader.start()
+        wait_until(lambda: "k" in cache._inflight)
+        invalidate(cache)
+        gate.set()
+        loader.join(timeout=10.0)
+        assert not loader.is_alive()
+        assert cache.get_or_load("k", lambda: "new") == "new"
+        assert cache._inflight == {}
+
 
 class ModelCache:
     """What :class:`ReadCache` promises, written the slow and obvious way."""

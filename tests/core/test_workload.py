@@ -68,19 +68,11 @@ class TestZipfianSampler:
             counts[key] = counts.get(key, 0) + 1
         assert counts[KEYS[0]] > counts.get(KEYS[-1], 0) * 5
 
-    def test_head_carries_the_mass(self):
-        sampler = ZipfianSampler(KEYS, s=1.2)
-        head = sampler.head(0.5)
-        assert 0 < len(head) < len(KEYS)
-        assert head[0] == KEYS[0]
-
     def test_validation(self):
         with pytest.raises(WorkloadError, match="at least one key"):
             ZipfianSampler(())
         with pytest.raises(WorkloadError, match="exponent"):
             ZipfianSampler(KEYS, s=-1.0)
-        with pytest.raises(WorkloadError, match="mass"):
-            ZipfianSampler(KEYS).head(0.0)
 
 
 class TestTemporalShapes:

@@ -120,7 +120,7 @@ def test_concurrent_readers_agree_on_a_static_log(tmp_path):
     def read():
         projection = build_rollup(log, store=store)
         with lock:
-            results.append(projection.metrics_by_flow())
+            results.append(projection.to_dict())
 
     threads = [threading.Thread(target=read) for _ in range(8)]
     for thread in threads:

@@ -108,7 +108,7 @@ def test_cached_build_hits_without_parsing(pipeline_log, tmp_path):
     assert cold.source == "cold"
     hit = build_rollup(path, store=store)
     assert hit.source == "cache"
-    assert hit.metrics_by_flow() == cold.metrics_by_flow()
+    assert hit.to_dict() == cold.to_dict()
     assert hit.content_digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -129,7 +129,7 @@ def test_incremental_resume_folds_only_the_tail(pipeline_log, tmp_path):
     assert grown.consumed_events == base.consumed_events + 2
     assert grown.flows["weblab-serving"].totals.requests == 21
     # And the incremental result matches a from-scratch fold exactly.
-    assert grown.metrics_by_flow() == scan_log(path).metrics_by_flow()
+    assert grown.to_dict() == scan_log(path).to_dict()
 
 
 def test_rewritten_log_falls_back_to_cold(pipeline_log, tmp_path):

@@ -198,7 +198,10 @@ class TestAreciboNightlyStore:
     @pytest.fixture(scope="class")
     def night(self, tmp_path_factory):
         workdir = tmp_path_factory.mktemp("fig1-nightly")
-        cold = run_arecibo_pipeline(workdir / "batch", nightly_config())
+        cold = run_arecibo_pipeline(
+            workdir / "batch", nightly_config(),
+            cache=StageCache.on_disk(workdir / "batch-store"),
+        )
         run_arecibo_incremental(
             workdir / "windows", nightly_config(), arrivals=self.ARRIVALS,
             cache=StageCache.on_disk(workdir / "store"),
@@ -221,6 +224,8 @@ class TestAreciboNightlyStore:
         root = night[0] / "store"
         entries = load_store(root)
         assert len(entries) == ARECIBO_STAGES * len(self.ARRIVALS) + 2 * sum(self.ARRIVALS)
+        # The cold batch: one entry per stage, an observe and a search shard per pointing.
+        assert len(store_files(night[0] / "batch-store")) == ARECIBO_STAGES + 2 * sum(self.ARRIVALS)
         assert all(entry is not None for entry in entries.values())
         total = sum(path.stat().st_size for path in store_files(root))
         shards = sum(
