@@ -33,12 +33,14 @@ def run_flow(tmp_path):
     return run_arecibo_pipeline(tmp_path, config)
 
 
-def fig1_rows(report, process_wall_seconds):
+def fig1_rows(report, cpu_seconds):
     """Paper-vs-measured rows for Figure 1."""
-    # Processor estimate: measured single-core search throughput, scaled to
-    # the survey's real-time requirement of 14 TB per 35 hours.
+    # Processor estimate: measured throughput per CPU-second (the kernels
+    # spread a beam's trials over every core, so wall time would undercount
+    # the cores used), scaled to the survey's real-time requirement of
+    # 14 TB per 35 hours.
     survey_rate_gb_s = 14_000.0 / (35 * 3600.0)
-    measured_rate_gb_s = report.raw_size.gb / max(process_wall_seconds, 1e-9)
+    measured_rate_gb_s = report.raw_size.gb / max(cpu_seconds, 1e-9)
     processors = survey_rate_gb_s / measured_rate_gb_s
     dedispersed_ratio = report.dedispersed_size.bytes / report.raw_size.bytes
     candidates_fraction = (
@@ -81,11 +83,11 @@ def fig1_rows(report, process_wall_seconds):
 
 
 def test_fig1_arecibo_flow(tmp_path, report_rows):
-    # The paper's processor estimate is itself a wall-derived rate: it is
-    # reported, never asserted on.
-    start = time.perf_counter()
+    # The paper's processor estimate is itself a measured rate: it is
+    # reported, never asserted on.  process_time() sums every thread's CPU.
+    start = time.process_time()
     report = run_flow(tmp_path)
-    wall = time.perf_counter() - start
+    cpu = time.process_time() - start
 
     names = [stage.name for stage in report.flow_report.stages]
     assert names == ["acquire", "ship", "archive", "process", "consolidate",
@@ -102,4 +104,4 @@ def test_fig1_arecibo_flow(tmp_path, report_rows):
     assert report.shipment.report.clean
     assert report.tape_cartridges >= 1
 
-    report_rows("FIG1: Arecibo data flow", fig1_rows(report, wall))
+    report_rows("FIG1: Arecibo data flow", fig1_rows(report, cpu))

@@ -96,7 +96,8 @@ def write_filterbank(path: Union[str, Path], filterbank: Filterbank) -> DataSize
         stream.write(_MAGIC)
         stream.write(_LEN.pack(len(header)))
         stream.write(header)
-        stream.write(np.ascontiguousarray(filterbank.data).tobytes())
+        # The array's own buffer, not a `.tobytes()` copy of it.
+        stream.write(memoryview(np.ascontiguousarray(filterbank.data)).cast("B"))
     return DataSize.from_bytes(float(path.stat().st_size))
 
 
@@ -106,22 +107,27 @@ def read_filterbank(path: Union[str, Path]) -> Filterbank:
         magic = stream.read(len(_MAGIC))
         if magic != _MAGIC:
             raise SearchError(f"{path} is not a filterbank file")
-        (header_length,) = _LEN.unpack(stream.read(4))
+        length_field = stream.read(_LEN.size)
+        if len(length_field) != _LEN.size:
+            raise SearchError(f"{path}: truncated filterbank header")
+        (header_length,) = _LEN.unpack(length_field)
         try:
             header = json.loads(stream.read(header_length).decode("ascii"))
-        except (ValueError, UnicodeDecodeError) as exc:
+            n_channels = int(header["channels"])
+            n_samples = int(header["samples"])
+            metadata = dict(
+                freq_low_mhz=float(header["freq_low"]),
+                freq_high_mhz=float(header["freq_high"]),
+                tsamp_s=float(header["tsamp"]),
+                pointing_id=int(header["pointing"]),
+                beam=int(header["beam"]),
+            )
+        except KeyError as exc:
+            raise SearchError(f"{path}: filterbank header lacks {exc}") from exc
+        except (ValueError, UnicodeDecodeError, TypeError) as exc:
             raise SearchError(f"{path}: bad filterbank header: {exc}") from exc
-        n_channels = int(header["channels"])
-        n_samples = int(header["samples"])
         body = stream.read(n_channels * n_samples * 4)
         if len(body) != n_channels * n_samples * 4:
             raise SearchError(f"{path}: truncated filterbank data")
         data = np.frombuffer(body, dtype=np.float32).reshape(n_channels, n_samples)
-    return Filterbank(
-        data=data.copy(),
-        freq_low_mhz=float(header["freq_low"]),
-        freq_high_mhz=float(header["freq_high"]),
-        tsamp_s=float(header["tsamp"]),
-        pointing_id=int(header["pointing"]),
-        beam=int(header["beam"]),
-    )
+    return Filterbank(data=data.copy(), **metadata)

@@ -16,9 +16,19 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import KernelError, SearchError
-from repro.core.kernels import batched_power_spectra, harmonic_snr_block, threshold_hits
+from repro.core.kernels import (
+    batched_power_spectra,
+    harmonic_snr_block,
+    run_tiles,
+    threshold_hits,
+)
 
 DEFAULT_HARMONICS = (1, 2, 4, 8, 16)
+
+#: Trials per :func:`search_dm_block` tile.  At 4 096 samples a tile's
+#: float64 spectra are 256 KB and its transform 512 KB, so every thread's
+#: temporaries stay small and cache-sized.
+SEARCH_TILE_ROWS = 16
 
 
 def power_spectrum(timeseries: np.ndarray) -> np.ndarray:
@@ -152,39 +162,49 @@ def search_dm_block(
 ) -> List[FourierCandidate]:
     """Search every trial of a dedispersed block, batched.
 
-    One rfft over the whole block, one walk of the harmonic ladder (each
-    depth's S/N off the same running sum), one threshold pass per depth —
-    instead of ``n_trials`` independent spectra.  The candidate list
-    (values, insertion order, sort order) is exactly what
-    :func:`search_dm_block_reference` produces: spectra and S/N ladders
-    are per-row reductions that match the 1-D calls bitwise,
-    threshold hits are visited in the same (row, ascending-bin) order the
-    naive loop uses, and the final sort is stable in both paths.
+    Per tile of :data:`SEARCH_TILE_ROWS` trials: one rfft, one walk of the
+    harmonic ladder (each depth's S/N off the same running sum), one
+    threshold pass per depth — instead of ``n_trials`` independent
+    spectra; the tiles run through :func:`~repro.core.kernels.run_tiles`.
+    The candidate list (values, insertion order, sort order) is exactly
+    what :func:`search_dm_block_reference` produces: spectra and S/N
+    ladders are per-row reductions that match the 1-D calls bitwise
+    whatever rows share a call, threshold hits are visited in the same
+    (row, ascending-bin) order the naive loop uses, candidates are built
+    in row order after every tile is done, and the final sort is stable
+    in both paths.
     """
     block = np.asarray(block)
     if block.ndim != 2 or block.shape[0] != len(dm_trials):
         raise SearchError("block rows must match DM trials")
     if tsamp_s <= 0:
         raise SearchError("sampling time must be positive")
-    try:
-        spectra = batched_power_spectra(block)
-    except KernelError as exc:
-        raise SearchError(str(exc)) from exc
-    n_rows = block.shape[0]
+
+    def search_tile(tile: int) -> List[dict]:
+        rows = block[tile * SEARCH_TILE_ROWS : (tile + 1) * SEARCH_TILE_ROWS]
+        try:
+            spectra = batched_power_spectra(rows)
+        except KernelError as exc:
+            raise SearchError(str(exc)) from exc
+        # Best (snr, n_harmonics) per (row, bin), filled in ladder order like
+        # search_spectrum's `best` dict — including its strict-> update rule.
+        best: List[dict] = [{} for _ in range(rows.shape[0])]
+        ladder = [n for n in harmonics if n <= spectra.shape[1]]
+        for n_harmonics, snrs in harmonic_snr_block(spectra, ladder):
+            for row_best, (bins, row_snrs) in zip(
+                best, threshold_hits(snrs, snr_threshold)
+            ):
+                if not bins.size:
+                    continue
+                for bin_index, snr in zip(bins.tolist(), row_snrs.tolist()):
+                    current = row_best.get(bin_index)
+                    if current is None or snr > current[0]:
+                        row_best[bin_index] = (snr, n_harmonics)
+        return best
+
+    n_tiles = -(-block.shape[0] // SEARCH_TILE_ROWS)
+    best = [row for tile in run_tiles(search_tile, n_tiles) for row in tile]
     total_time = block.shape[1] * tsamp_s
-    # Best (snr, n_harmonics) per (row, bin), filled in ladder order like
-    # search_spectrum's `best` dict — including its strict-> update rule.
-    best: List[dict] = [{} for _ in range(n_rows)]
-    ladder = [n for n in harmonics if n <= spectra.shape[1]]
-    for n_harmonics, snrs in harmonic_snr_block(spectra, ladder):
-        for row, (bins, row_snrs) in enumerate(threshold_hits(snrs, snr_threshold)):
-            if not bins.size:
-                continue
-            row_best = best[row]
-            for bin_index, snr in zip(bins.tolist(), row_snrs.tolist()):
-                current = row_best.get(bin_index)
-                if current is None or snr > current[0]:
-                    row_best[bin_index] = (snr, n_harmonics)
     candidates: List[FourierCandidate] = []
     for row, dm in enumerate(dm_trials):
         row_candidates: List[FourierCandidate] = []

@@ -19,22 +19,90 @@ figure benchmarks pin exact recall — either would catch a ULP of drift.
 Kernels raise :class:`~repro.core.errors.KernelError` on misuse; domain
 wrappers (``repro.arecibo.dedisperse`` etc.) translate to their own error
 types so callers see the same exceptions the naive paths raised.
+
+A kernel whose output rows are independent splits them into tiles and
+hands the tiles to :func:`run_tiles`, which spreads them over the
+process's CPUs for the length of one call.  A row is computed by exactly
+one thread with exactly the operations of the serial loop, so the split
+cannot move a bit.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+import os
+import threading
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.core.errors import KernelError
 
+T = TypeVar("T")
+
+#: Threads one :func:`run_tiles` call may use, its caller included: the
+#: CPUs this process may run on.
+KERNEL_THREADS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 #: Accumulator bytes per :func:`shift_sum` trial tile.  The tile's float64
 #: accumulator and the equally sized per-channel gather must both stay in
 #: a core's L2 while all channels are added into it; 512 KB (16 trials at
 #: 4 096 samples) leaves room for both in the 1-4 MB L2 of current CPUs.
 SHIFT_SUM_TILE_BYTES = 512 * 1024
+
+
+def run_tiles(fn: Callable[[int], T], n_tiles: int) -> List[T]:
+    """``[fn(0), ..., fn(n_tiles - 1)]``, the tiles spread over the CPUs.
+
+    The caller and up to ``KERNEL_THREADS - 1`` helper threads, started
+    for this call, take tile indices from one shared iterator until it is
+    empty; numpy releases the GIL inside its array loops, so the tiles'
+    array work runs side by side.  With one CPU there are no helpers and
+    the caller runs every tile in order — the same loop, not a second path.
+
+    Every helper is joined before this returns or raises: no thread
+    outlives the call, so nothing is left behind to hold a lock across a
+    ``fork`` and there is no pool to share between callers.  A thread that
+    sees a tile has raised claims no further tile; the tiles already
+    claimed finish, and the exception raised is the lowest-index tile's —
+    the one the serial loop would have stopped on, since tiles are claimed
+    in index order and every tile below a failed one was claimed before it.
+    """
+    results: List[Optional[T]] = [None] * n_tiles
+    errors: Dict[int, BaseException] = {}
+    # Under the GIL, next() on a range iterator and a store to a distinct
+    # index or key are single steps, so the threads need no lock.
+    tiles = iter(range(n_tiles))
+
+    def claim() -> None:
+        while not errors:
+            index = next(tiles, None)
+            if index is None:
+                return
+            try:
+                results[index] = fn(index)
+            except BaseException as exc:  # re-raised in the caller
+                errors[index] = exc
+
+    helpers: List[threading.Thread] = []
+    try:
+        for _ in range(min(KERNEL_THREADS, n_tiles) - 1):
+            helper = threading.Thread(target=claim, name="kernel-tile", daemon=True)
+            helper.start()
+            helpers.append(helper)
+        claim()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        error = errors[min(errors)]
+        errors.clear()
+        try:
+            raise error
+        finally:
+            del error
+    return results  # type: ignore[return-value]
 
 
 def shift_sum(data: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -54,9 +122,10 @@ def shift_sum(data: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     per-trial ``np.roll`` loop's ``float64 += data`` performs per add), and the trials are
     walked in tiles of :data:`SHIFT_SUM_TILE_BYTES` so one tile's
     accumulator stays cache-resident while every channel is added into
-    it.  Each output element still receives its channels in index order,
-    which is exactly that loop's addition order — hence bitwise
-    equality, whatever the tile split.
+    it; the tiles run through :func:`run_tiles`.  Each output element
+    still receives its channels in index order, on one thread, which is
+    exactly that loop's addition order — hence bitwise equality, whatever
+    the tile split or the thread count.
     """
     data = np.asarray(data)
     shifts = np.asarray(shifts)
@@ -79,11 +148,15 @@ def shift_sum(data: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view(doubled, n_samples, axis=1)
     out = np.zeros((shifts.shape[0], n_samples), dtype=np.float64)
     tile_rows = max(1, SHIFT_SUM_TILE_BYTES // (n_samples * out.itemsize))
-    for start in range(0, shifts.shape[0], tile_rows):
-        accumulator = out[start : start + tile_rows]
-        tile_shifts = wrapped[start : start + tile_rows]
+
+    def add_channels(tile: int) -> None:
+        rows = slice(tile * tile_rows, (tile + 1) * tile_rows)
+        accumulator = out[rows]
+        tile_shifts = wrapped[rows]
         for channel in range(n_channels):
             accumulator += windows[channel][tile_shifts[:, channel]]
+
+    run_tiles(add_channels, -(-shifts.shape[0] // tile_rows))
     return out
 
 

@@ -6,6 +6,12 @@ delays that wrap past the observation length, harmonic ladders truncated
 by short spectra, and fold periods short enough to shrink the bin count.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,6 +75,92 @@ class TestBatchedDedispersion:
             dedisperse_all(filterbank, grid),
             dedisperse_all_reference(filterbank, grid),
         )
+
+
+TILE_TRIAL_COUNTS = (1, 15, 16, 17, 124)  # around the 16-row tiles, and Figure 1's grid
+
+
+@pytest.fixture(scope="module")
+def tiled_filterbank():
+    """4 096 samples, so a shift_sum tile is 16 trials, like a search tile."""
+    return small_filterbank(seed=5, config=ObservationConfig(n_channels=16, n_samples=4096))
+
+
+class TestTiledSearch:
+    """Both tiled paths equal their oracles at any thread count, across
+    tile boundaries; ``kernel_threads`` also checks no thread outlives them."""
+
+    @pytest.mark.parametrize("n_trials", TILE_TRIAL_COUNTS)
+    def test_dedisperse_all(self, kernel_threads, tiled_filterbank, n_trials):
+        grid = DMGrid.linear(0.0, 300.0, n_trials)
+        assert np.array_equal(
+            dedisperse_all(tiled_filterbank, grid),
+            dedisperse_all_reference(tiled_filterbank, grid),
+        )
+
+    @pytest.mark.parametrize("n_trials", TILE_TRIAL_COUNTS)
+    def test_search_dm_block(self, kernel_threads, tiled_filterbank, n_trials):
+        grid = DMGrid.linear(0.0, 300.0, n_trials)
+        block = dedisperse_all(tiled_filterbank, grid)
+        kwargs = dict(snr_threshold=3.0, pointing_id=4, beam=2)
+        found = search_dm_block(block, grid.trials, tiled_filterbank.tsamp_s, **kwargs)
+        assert found
+        assert found == search_dm_block_reference(
+            block, grid.trials, tiled_filterbank.tsamp_s, **kwargs
+        )
+
+    def test_degenerate_row_in_a_later_tile(self, kernel_threads):
+        """The error of the tile holding the bad row, as a SearchError."""
+        block = np.random.default_rng(18).normal(size=(40, 256))
+        block[37, 3] = np.nan
+        with pytest.raises(SearchError, match="degenerate spectrum"):
+            search_dm_block(block, tuple(range(40)), 1e-3)
+
+    def test_farm_workers_forked_after_a_tiled_call(self, tmp_path):
+        """The parent runs tiled kernels on helper threads, then forks a
+        process farm whose workers run them too; every helper was joined
+        before the fork, so nothing a worker inherits is held.  In a child
+        interpreter with a timeout, so a hang fails instead of wedging."""
+        script = tmp_path / "fork_after_tiles.py"
+        script.write_text(
+            textwrap.dedent(
+                """
+                import functools
+                import numpy as np
+                from repro.arecibo.dedisperse import DMGrid, dedisperse_all
+                from repro.arecibo.sky import Pointing
+                from repro.arecibo.telescope import ObservationConfig, ObservationSimulator
+                from repro.core import kernels
+                from repro.core.shards import ShardPool
+
+                if __name__ == "__main__":
+                    kernels.KERNEL_THREADS = 2
+                    config = ObservationConfig(n_channels=16, n_samples=4096)
+                    pointing = Pointing(
+                        pointing_id=0, pulsars_by_beam=((),) * 7,
+                        transients_by_beam=((),) * 7, rfi=(),
+                    )
+                    beams = ObservationSimulator(config).observe(pointing, seed=3)[:4]
+                    grid = DMGrid.linear(0.0, 300.0, 40)
+                    serial = [dedisperse_all(beam, grid) for beam in beams]
+                    with ShardPool(executor="process", workers=2) as pool:
+                        farmed = pool.map(functools.partial(dedisperse_all, grid=grid), beams)
+                    assert all(np.array_equal(a, b) for a, b in zip(serial, farmed))
+                    print("same", len(farmed))
+                """
+            ),
+            encoding="utf-8",
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        completed = subprocess.run(
+            [sys.executable, str(script)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.strip() == "same 4"
 
 
 class TestNearestTrial:

@@ -1,5 +1,8 @@
 """Tests for the sky model, telescope simulator, and filterbank IO."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -148,6 +151,30 @@ class TestFilterbankIO:
         assert loaded.tsamp_s == original.tsamp_s
         assert loaded.freq_low_mhz == original.freq_low_mhz
 
+    def test_bytes_match_the_tobytes_encoding(self, tmp_path, pulsar_observation):
+        """The block is written from the array's buffer; the file is byte for
+        byte what the header plus ``.tobytes()`` encoding wrote."""
+        original = pulsar_observation[3]
+        header = json.dumps(
+            {
+                "freq_low": original.freq_low_mhz,
+                "freq_high": original.freq_high_mhz,
+                "tsamp": original.tsamp_s,
+                "pointing": original.pointing_id,
+                "beam": original.beam,
+                "channels": original.n_channels,
+                "samples": original.n_samples,
+            },
+            sort_keys=True,
+        ).encode("ascii")
+        expected = (
+            b"ALFAFB01" + struct.pack("<I", len(header)) + header
+            + original.data.tobytes()
+        )
+        path = tmp_path / "beam3.fb"
+        write_filterbank(path, original)
+        assert path.read_bytes() == expected
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.fb"
         path.write_bytes(b"NOTAFILE" + b"\x00" * 64)
@@ -160,6 +187,40 @@ class TestFilterbankIO:
         data = path.read_bytes()
         path.write_bytes(data[:-100])
         with pytest.raises(SearchError, match="truncated"):
+            read_filterbank(path)
+
+    @pytest.mark.parametrize("kept", [8, 9, 11])
+    def test_cut_inside_the_header_length(self, tmp_path, pulsar_observation, kept):
+        """Was: struct.error ("unpack requires a buffer of 4 bytes")."""
+        path = tmp_path / "beam.fb"
+        write_filterbank(path, pulsar_observation[0])
+        path.write_bytes(path.read_bytes()[:kept])
+        with pytest.raises(SearchError, match="truncated filterbank header") as info:
+            read_filterbank(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("missing", ["channels", "samples", "tsamp", "beam"])
+    def test_header_missing_a_key(self, tmp_path, pulsar_observation, missing):
+        """Was: a bare KeyError."""
+        path = tmp_path / "beam.fb"
+        write_filterbank(path, pulsar_observation[0])
+        raw = path.read_bytes()
+        (length,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12 : 12 + length])
+        del header[missing]
+        encoded = json.dumps(header).encode("ascii")
+        path.write_bytes(
+            raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + length :]
+        )
+        with pytest.raises(SearchError, match=f"lacks '{missing}'") as info:
+            read_filterbank(path)
+        assert str(path) in str(info.value)
+
+    def test_header_that_is_not_an_object(self, tmp_path):
+        encoded = b"[1, 2]"
+        path = tmp_path / "list.fb"
+        path.write_bytes(b"ALFAFB01" + struct.pack("<I", len(encoded)) + encoded)
+        with pytest.raises(SearchError, match="bad filterbank header"):
             read_filterbank(path)
 
     def test_filterbank_validation(self):

@@ -1,8 +1,22 @@
 """Fixtures shared by every test package."""
 
+import threading
+
 import pytest
 
+from repro.core import kernels
 from repro.db.connection import SqliteBackend
+
+
+@pytest.fixture(params=(1, 2, 3, 8), ids=lambda n: f"threads{n}")
+def kernel_threads(request, monkeypatch):
+    """Run the test with ``kernels.KERNEL_THREADS`` at 1, 2, 3 and 8, and
+    check that no thread a tiled kernel started outlives the test."""
+    monkeypatch.setattr(kernels, "KERNEL_THREADS", request.param)
+    before = threading.active_count()
+    yield request.param
+    assert threading.active_count() == before
+
 
 _WRITE_VERBS = {"INSERT", "UPDATE", "DELETE", "REPLACE", "CREATE", "DROP", "ALTER"}
 

@@ -4,11 +4,17 @@ Every assertion here is exact (``np.array_equal``, not ``allclose``): the
 kernels' contract is bitwise equality with the naive loops they replace.
 """
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.errors import KernelError
 from repro.core.kernels import (
     SHIFT_SUM_TILE_BYTES,
@@ -17,9 +23,113 @@ from repro.core.kernels import (
     harmonic_snr_block,
     index_postings,
     row_medians,
+    run_tiles,
     shift_sum,
     threshold_hits,
 )
+
+
+class TileFailure(Exception):
+    pass
+
+
+class Interrupt(BaseException):
+    pass
+
+
+class TestRunTiles:
+    @pytest.mark.parametrize("n_tiles", [0, 1, 2, 7, 40])
+    def test_results_in_tile_order(self, kernel_threads, n_tiles):
+        def tile(index):
+            time.sleep(0.001 * (index % 3))  # finish out of order
+            return index * index
+
+        assert run_tiles(tile, n_tiles) == [i * i for i in range(n_tiles)]
+
+    def test_each_tile_runs_once(self, kernel_threads):
+        seen = []
+        run_tiles(seen.append, 50)
+        assert sorted(seen) == list(range(50))
+
+    def test_stress_with_a_short_switch_interval(self, monkeypatch):
+        """More threads than cores, switching every microsecond: a tile
+        claimed twice or a result lost would break the equalities."""
+        monkeypatch.setattr(kernels, "KERNEL_THREADS", 8)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                seen = []
+
+                def tile(index):
+                    seen.append(index)
+                    return -index
+
+                assert run_tiles(tile, 500) == [-i for i in range(500)]
+                assert sorted(seen) == list(range(500))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    def test_lowest_failing_tile_wins(self, kernel_threads):
+        """Tile 5 fails first in time; the serial loop would have stopped
+        on tile 2, so tile 2's error is the one raised."""
+        def tile(index):
+            if index == 2:
+                time.sleep(0.05)
+                raise TileFailure("tile 2")
+            if index == 5:
+                raise TileFailure("tile 5")
+            return index
+
+        for _ in range(5):
+            with pytest.raises(TileFailure, match="tile 2"):
+                run_tiles(tile, 8)
+
+    def test_no_tile_starts_after_a_failure(self, kernel_threads):
+        started = []
+
+        def tile(index):
+            started.append(index)
+            if index == 0:
+                raise TileFailure("tile 0")
+            time.sleep(0.05)
+
+        with pytest.raises(TileFailure, match="tile 0"):
+            run_tiles(tile, 100)
+        if kernel_threads == 1:
+            assert started == [0]
+        else:  # each other thread finishes the one tile it holds, then stops
+            assert len(started) <= 2 * kernel_threads
+
+    def test_base_exception_in_a_helper_reaches_the_caller(self, monkeypatch):
+        """Both tiles wait for each other, so each runs on its own thread;
+        the helper's tile raises a BaseException."""
+        monkeypatch.setattr(kernels, "KERNEL_THREADS", 2)
+        before = threading.active_count()
+        both_running = threading.Barrier(2, timeout=10.0)
+
+        def tile(index):
+            both_running.wait()
+            if threading.current_thread() is not threading.main_thread():
+                raise Interrupt(index)
+            return index
+
+        with pytest.raises(Interrupt):
+            run_tiles(tile, 2)
+        assert threading.active_count() == before
+
+    def test_one_thread_runs_every_tile_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(kernels, "KERNEL_THREADS", 1)
+        callers = set()
+        run_tiles(lambda index: callers.add(threading.get_ident()), 9)
+        assert callers == {threading.get_ident()}
+
+    def test_kernel_threads_is_the_cpus_this_process_may_use(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert kernels.KERNEL_THREADS == len(os.sched_getaffinity(0))
+        assert kernels.KERNEL_THREADS >= 1
 
 
 def shift_sum_reference(data, shifts):
@@ -67,6 +177,19 @@ class TestShiftSum:
             batched = shift_sum(data, shifts)
             assert batched.dtype == np.float64
             assert np.array_equal(batched, shift_sum_reference(data, shifts))
+
+    def test_any_thread_count_matches_reference(self, kernel_threads):
+        """Tiles spread over 1-8 threads: every row is still one thread's
+        channel-ordered sum."""
+        n_channels, n_samples = 5, 4096
+        tile_rows = SHIFT_SUM_TILE_BYTES // (n_samples * 8)
+        rng = np.random.default_rng(17)
+        data = rng.normal(size=(n_channels, n_samples)).astype(np.float32)
+        for n_trials in (1, tile_rows - 1, tile_rows, tile_rows + 1, 124):
+            shifts = rng.integers(-n_samples, 2 * n_samples, size=(n_trials, n_channels))
+            assert np.array_equal(
+                shift_sum(data, shifts), shift_sum_reference(data, shifts)
+            )
 
     def test_rows_wider_than_a_tile_match_reference(self):
         n_samples = SHIFT_SUM_TILE_BYTES // 8 + 5  # one row overflows the tile
