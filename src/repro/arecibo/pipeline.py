@@ -29,7 +29,7 @@ from repro.arecibo.rfi import clean_filterbank, multibeam_coincidence
 from repro.arecibo.singlepulse import SinglePulseEvent, search_single_pulses
 from repro.arecibo.sky import N_BEAMS, Pointing, SkyModel
 from repro.arecibo.telescope import ObservationConfig, ObservationSimulator
-from repro.core.dataflow import DataFlow, StageFn, structural_stub
+from repro.core.dataflow import DataFlow, StageFn, StageReplay, structural_stub
 from repro.core.dataset import Dataset
 from repro.core.deltas import WindowLedger, run_windows
 from repro.core.engine import Engine, FlowReport
@@ -162,10 +162,12 @@ def _shard_fingerprint(config: AreciboPipelineConfig) -> Dict[str, object]:
 def figure1_flow(
     transforms: Optional[Mapping[str, StageFn]] = None,
     cache_params: Optional[Mapping[str, object]] = None,
+    replays: Optional[Mapping[str, StageReplay]] = None,
 ) -> DataFlow:
     """Build the Figure-1 flow graph: the single construction site.
 
-    :func:`run_arecibo_pipeline` passes its transform closures; static
+    :func:`run_arecibo_pipeline` passes its transform closures and the
+    ``replays`` of the stages that write ``candidates.db``; static
     tooling (:mod:`repro.analysis.flowcheck`, figure rendering, tests)
     calls it bare and gets the identical topology with
     :func:`~repro.core.dataflow.structural_stub` transforms that raise
@@ -199,6 +201,8 @@ def figure1_flow(
                cache_params=cache_params)
     flow.chain("acquire", "ship", "archive", "process", "consolidate",
                "meta-analysis")
+    for name, replay in (replays or {}).items():
+        flow.stages[name].replay = replay
     return flow
 
 
@@ -341,8 +345,12 @@ def run_arecibo_pipeline(
     Pass a shared :class:`~repro.core.stagecache.StageCache` to let reruns
     of an unchanged configuration skip stage compute: stage results
     (outputs, stashes, CPU charges) replay from the cache, the FlowReport
-    and telemetry come out accounting-identical, and the candidate DB is
-    rebuilt from cached stashes; only staging files are skipped.
+    and telemetry come out accounting-identical, and ``consolidate``'s
+    row load and ``meta-analysis``'s cull are their stages' ``replay``,
+    so any hit leaves the cold run's ``candidates.db``; only staging
+    files are skipped.  Each run replaces ``candidates.db`` and closes it
+    even when it raises, so a crashed run resumed in the same ``workdir``
+    ends on the cold database too.
 
     ``faults`` aims one :class:`~repro.core.faults.FaultPlan` (or an
     already-armed injector, the resume idiom) at every injection site the
@@ -380,24 +388,22 @@ def run_arecibo_pipeline(
         ARECIBO_TO_CTC, rng=random.Random(config.seed), faults=injector
     )
     library = RoboticTapeLibrary("ctc-robot", LTO3_TAPE, faults=injector)
+    # A run replaces the candidate database an earlier attempt (a crashed
+    # run resumed in this workdir) may have left, rather than appending.
+    (workdir / "candidates.db").unlink(missing_ok=True)
     database = CandidateDatabase(workdir / "candidates.db")
 
-    db_loaded = {"done": False}
-
-    def load_database(process_stash: Mapping[str, object]) -> None:
-        """Load the candidate DB from the process stage's stash, once.
-
-        Called by ``consolidate`` and lazily by ``meta-analysis``, so the
-        DB is populated by whichever of the two actually executes — a
-        cache hit on ``consolidate`` must not leave a later cache miss on
-        ``meta-analysis`` querying an empty database.
-        """
-        if db_loaded["done"]:
-            return
+    def load_rows(ctx):
+        """``consolidate``'s write: the process stage's rows into the DB."""
+        process_stash = ctx.dep_stash("process")
         database.add_candidates(process_stash["sifted"])
         for pointing_id, beam, event in process_stash["transients"]:
             database.add_transients([event], pointing_id, beam)
-        db_loaded["done"] = True
+
+    def cull(ctx):
+        """``meta-analysis``'s write: classify every row — a pure function
+        of the rows, so a replay classifies exactly as the run did."""
+        return database.cull_widespread(max_pointings=config.meta_max_pointings)
 
     def acquire(inputs, ctx):
         """Record dynamic spectra to local disks; basic quality monitoring.
@@ -541,12 +547,11 @@ def run_arecibo_pipeline(
 
     def consolidate(inputs, ctx):
         """Load candidate data products into the CTC database."""
-        process_stash = ctx.dep_stash("process")
-        load_database(process_stash)
+        load_rows(ctx)
         return inputs["process"].derive(
             "candidate-db",
             inputs["process"].size,
-            attrs={"rows": len(process_stash["sifted"])},
+            attrs={"rows": len(ctx.dep_stash("process")["sifted"])},
         )
 
     def meta_analyze(inputs, ctx):
@@ -556,12 +561,8 @@ def run_arecibo_pipeline(
         dedispersed time series to signal average at the spin period of a
         candidate signal".  Fourier noise excursions do not fold up.
         """
-        load_database(ctx.dep_stash("process"))
         observations = ctx.dep_stash("acquire")["observations"]
-        report = database.cull_widespread(
-            max_pointings=config.meta_max_pointings
-        )
-        ctx.stash["meta"] = report
+        ctx.stash["meta"] = cull(ctx)
         survivors = database.confirmed_pulsars(min_snr=config.snr_threshold)
         confirmed = []
         fold_rng = np.random.default_rng(config.seed + 2)
@@ -619,18 +620,13 @@ def run_arecibo_pipeline(
             "meta-analysis": meta_analyze,
         },
         cache_params=_cache_fingerprint(config),
+        replays={"consolidate": load_rows, "meta-analysis": cull},
     )
 
-    flow_report = engine.run(flow)
+    with database:
+        flow_report = engine.run(flow)
     write_event_log(workdir / "telemetry.jsonl", flow_report.events)
     stashes = flow_report.stashes
-    # A stage serviced from the cache leaves this run's candidates.db
-    # untouched: load the rows from the cached stash and, when the cull's
-    # own stage hit, re-run the cull (a pure function of the rows), so the
-    # persisted artifact matches a cold run's.
-    load_database(stashes["process"])
-    if "meta-analysis" in flow_report.cached_stages:
-        database.cull_widespread(max_pointings=config.meta_max_pointings)
 
     # Score detections against ground truth.
     injected = [p for pointing in pointings for p in pointing.all_pulsars()]
@@ -714,7 +710,6 @@ def run_arecibo_pipeline(
         confirmed=confirmed,
         beam_culls=list(stashes["process"].get("beam_culls", [])),  # type: ignore[union-attr]
     )
-    database.close()
     return report
 
 

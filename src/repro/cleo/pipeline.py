@@ -8,7 +8,7 @@ CPU are accounted, and every artifact stored in a real EventStore on disk.
 
 from __future__ import annotations
 
-import threading
+import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
@@ -17,14 +17,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 from repro.cleo.analysis import AnalysisJob, AnalysisResult
 from repro.cleo.calibration import perfect_calibration, true_misalignment
 from repro.cleo.detector import Detector, DetectorConfig
-from repro.cleo.montecarlo import MonteCarloProducer, offsite_store, produce_offsite_mc
+from repro.cleo.montecarlo import MonteCarloProducer, offsite_store
 from repro.cleo.postrecon import PostReconstructor
 from repro.cleo.reconstruction import Reconstructor
-from repro.core.dataflow import DataFlow, StageFn, structural_stub
+from repro.core.dataflow import DataFlow, StageFn, StageReplay, structural_stub
 from repro.core.dataset import Dataset
 from repro.core.deltas import WindowLedger, run_windows
 from repro.core.engine import Engine, FlowReport
-from repro.core.errors import ExecutionError
 from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.recovery import RetryPolicy
 from repro.core.stagecache import StageCache
@@ -130,10 +129,12 @@ def _shard_fingerprint(config: CleoPipelineConfig) -> Dict[str, object]:
 def figure2_flow(
     transforms: Optional[Mapping[str, StageFn]] = None,
     cache_params: Optional[Mapping[str, object]] = None,
+    replays: Optional[Mapping[str, StageReplay]] = None,
 ) -> DataFlow:
     """Build the Figure-2 flow graph: the single construction site.
 
-    :func:`run_cleo_pipeline` binds its transform closures here; static
+    :func:`run_cleo_pipeline` binds its transform closures and every
+    stage's EventStore writes (``replays``) here; static
     tooling (:mod:`repro.analysis.flowcheck`, rendering, tests) calls it
     bare and gets the same topology with
     :func:`~repro.core.dataflow.structural_stub` transforms that raise
@@ -164,6 +165,8 @@ def figure2_flow(
     flow.connect("acquisition", "monte-carlo", label="run conditions")
     flow.connect("post-reconstruction", "physics-analysis")
     flow.connect("monte-carlo", "physics-analysis", label="simulation")
+    for name, replay in (replays or {}).items():
+        flow.stages[name].replay = replay
     return flow
 
 
@@ -188,10 +191,13 @@ def run_cleo_pipeline(
 
     With a shared :class:`~repro.core.stagecache.StageCache`, reruns of an
     unchanged configuration replay stage results (datasets, stashes, CPU
-    charges) without recomputing; each stage stashes the event products it
-    injected into the store, so a later cache *miss* downstream of a hit
-    lazily re-injects exactly the products its ancestors would have
-    written.
+    charges) without recomputing.  Every stage's EventStore write — inject
+    its stashed products, merge Monte Carlo in from a personal offsite
+    store, assign the grade — is its ``replay``, so at one worker any hit
+    leaves the cold run's store, row for row and in order.  Each run
+    replaces ``workdir/collab`` and ``workdir/offsite`` and closes the
+    store even when it raises, so a crashed run resumed in the same
+    ``workdir`` ends on the cold store too.
 
     ``faults`` aims a :class:`~repro.core.faults.FaultPlan` (or an
     already-armed injector, the resume idiom) at the engine's stage
@@ -210,6 +216,12 @@ def run_cleo_pipeline(
     postrecon = PostReconstructor(config.postrecon_release)
     mc_producer = MonteCarloProducer(detector, config.mc_release)
 
+    # A run replaces the stores an earlier attempt (a crashed run resumed
+    # in this workdir) may have left, rather than appending to them.
+    offsite, mc_site = workdir / "offsite", "remote-u"
+    for artifact in (workdir / "collab", offsite):
+        if artifact.exists():
+            shutil.rmtree(artifact)
     if config.use_hsm:
         store = HsmEventStore(
             workdir / "collab",
@@ -227,54 +239,28 @@ def run_cleo_pipeline(
             )
         ))
 
-    # Stages that executed (and therefore wrote their products into this
-    # run's store).  A stage serviced from the cache leaves the store
-    # untouched; its products live in the cached stash instead.
-    injected: set = set()
-    restoring = threading.Lock()
-    offsite, mc_site = workdir / "offsite", "remote-u"
+    # Each stage's writes outside the flow, from its context alone: the
+    # transform calls one where it writes, and for a cache hit the engine
+    # calls it instead (Stage.replay).
+    def inject_products(ctx):
+        """Inject the stage's stashed event products into the store."""
+        for run, events, version, kind, stamp in ctx.stash["products"]:
+            store.inject(run, events, version, kind, stamp, admin=True)
 
-    def restore_products(stash_of, stage_names):
-        """Write the products of cache-hit stages into this run's store.
+    def merge_offsite(ctx):
+        """Monte Carlo's write: its products land in a personal store at
+        the offsite site, which is merged into the collaboration store —
+        the USB-disk route, so the store records the merge."""
+        with offsite_store(offsite, mc_site) as personal:
+            for run, events, version, kind, stamp in ctx.stash["products"]:
+                personal.inject(run, events, version, kind, stamp)
+            merge_into(personal, store)
 
-        ``stash_of(name)`` is a stage's stash, or None while it is not
-        published.  Walks the flow's topological order and merges Monte
-        Carlo in from a personal store — the order and the way a cold run
-        writes — so a warm store is the cold store row for row.
-        Idempotent per stage.
-        """
-        with restoring:
-            for name in order:
-                if name not in stage_names or name in injected:
-                    continue
-                stash = stash_of(name)
-                if stash is None or "products" not in stash:
-                    continue
-                if name == "monte-carlo":
-                    personal = offsite_store(offsite, mc_site)
-                    for run, events, version, kind, stamp in stash["products"]:
-                        personal.inject(run, events, version, kind, stamp)
-                    merge_into(personal, store)
-                    personal.close()
-                else:
-                    for run, events, version, kind, stamp in stash["products"]:
-                        store.inject(run, events, version, kind, stamp, admin=True)
-                injected.add(name)
-
-    def catch_up(ctx):
-        """Before a stage touches the store, restore every cache-hit stage
-        ahead of it in topological order: its ancestors (the files it is
-        about to read) and, with one worker, the rest of what a cold run
-        would have written by now.  A stage still running on another
-        worker has published nothing and writes its own products."""
-
-        def published(name):
-            try:
-                return ctx.dep_stash(name)
-            except ExecutionError:
-                return None
-
-        restore_products(published, order[: order.index(ctx.stage.name)])
+    def assign_grade(ctx):
+        """Pin every run's reconstruction under the analysis grade."""
+        runs = ctx.dep_stash("acquisition")["runs"]
+        assignments = {run_key(run.number): reconstructor.version for run in runs}
+        store.assign_grade(config.grade, config.grade_timestamp, assignments, admin=True)
 
     def acquire(inputs, ctx):
         runs: List[Run] = []
@@ -288,13 +274,12 @@ def run_cleo_pipeline(
                 events_scale=config.events_scale,
             )
             stamp = stamp_step("DAQ", "daq_v3", {"run": run.number})
-            store.inject(run, events, "Raw_daq_v3", "raw", stamp, admin=True)
             runs.append(run)
             products.append((run, events, "Raw_daq_v3", "raw", stamp))
             total += sum(event.size.bytes for event in events)
-        injected.add("acquisition")
         ctx.stash["runs"] = runs
         ctx.stash["products"] = products
+        inject_products(ctx)
         ctx.stash["kind_size"] = kind_size("raw")
         return Dataset("raw-runs", DataSize(total), version="Raw_daq_v3",
                        attrs={"runs": config.n_runs})
@@ -309,7 +294,6 @@ def run_cleo_pipeline(
         back in run order, so the store contents and accounting are
         byte-identical for any worker count or executor.
         """
-        catch_up(ctx)
         runs = ctx.dep_stash("acquisition")["runs"]
         tasks = []
         for run in runs:
@@ -324,17 +308,14 @@ def run_cleo_pipeline(
         products = []
         total = 0.0
         for run, (recon_events, stamp) in zip(runs, shard_results):
-            store.inject(run, recon_events, reconstructor.version, "recon",
-                         stamp, admin=True)
             products.append((run, recon_events, reconstructor.version, "recon", stamp))
             total += sum(event.size.bytes for event in recon_events)
-        injected.add("reconstruction")
         ctx.stash["products"] = products
+        inject_products(ctx)
         ctx.stash["kind_size"] = kind_size("recon")
         return Dataset("recon-runs", DataSize(total), version=reconstructor.version)
 
     def post_reconstruct(inputs, ctx):
-        catch_up(ctx)
         runs = ctx.dep_stash("acquisition")["runs"]
         products = []
         total = 0.0
@@ -343,45 +324,34 @@ def run_cleo_pipeline(
             derived, _, stamp = postrecon.process_run(
                 run.number, recon_file.read_all(), recon_file.stamp
             )
-            store.inject(run, derived, postrecon.version, "postrecon", stamp, admin=True)
             products.append((run, derived, postrecon.version, "postrecon", stamp))
             total += sum(event.size.bytes for event in derived)
-        injected.add("post-reconstruction")
         ctx.stash["products"] = products
+        inject_products(ctx)
         ctx.stash["kind_size"] = kind_size("postrecon")
         return Dataset("postrecon-runs", DataSize(total), version=postrecon.version)
 
     def monte_carlo(inputs, ctx):
-        catch_up(ctx)
         runs = ctx.dep_stash("acquisition")["runs"]
-        personal = produce_offsite_mc(
-            mc_producer, runs, offsite, site=mc_site, base_seed=config.seed + 1000,
-        )
-        merge_into(personal, store)
-        personal.close()
         products = []
-        for run in runs:
-            mc_file = store.open_file(run.number, mc_producer.version, "mc")
-            products.append(
-                (run, mc_file.read_all(), mc_producer.version, "mc", mc_file.stamp)
+        for index, run in enumerate(runs):
+            events, _, stamp = mc_producer.generate_for_run(
+                run, seed=config.seed + 1000 + index
             )
-        injected.add("monte-carlo")
+            products.append((run, events, mc_producer.version, "mc", stamp))
         ctx.stash["products"] = products
+        merge_offsite(ctx)
         ctx.stash["kind_size"] = kind_size("mc")
         return Dataset(
             "mc-runs", ctx.stash["kind_size"], version=mc_producer.version
         )
 
     def grade_and_analyze(inputs, ctx):
-        catch_up(ctx)
-        runs = ctx.dep_stash("acquisition")["runs"]
-        assignments = {run_key(run.number): reconstructor.version for run in runs}
-        store.assign_grade(config.grade, config.grade_timestamp, assignments, admin=True)
+        assign_grade(ctx)
         job = AnalysisJob(
             "trackSpread", store, config.grade, config.grade_timestamp + 1.0
         )
         result = job.run()
-        injected.add("physics-analysis")
         ctx.stash["analysis"] = result
         ctx.stash["storage"] = store.storage_report() if config.use_hsm else None
         return Dataset(
@@ -400,34 +370,26 @@ def run_cleo_pipeline(
             "physics-analysis": grade_and_analyze,
         },
         cache_params=_cache_fingerprint(config),
+        replays={
+            "acquisition": inject_products,
+            "reconstruction": inject_products,
+            "post-reconstruction": inject_products,
+            "monte-carlo": merge_offsite,
+            "physics-analysis": assign_grade,
+        },
     )
-    order = flow.topological_order()
 
-    flow_report = Engine(
-        seed=config.seed,
-        max_workers=config.workers,
-        executor=config.executor,
-        cache=cache,
-        retry=retry,
-        faults=faults,
-    ).run(flow)
+    with store:
+        flow_report = Engine(
+            seed=config.seed,
+            max_workers=config.workers,
+            executor=config.executor,
+            cache=cache,
+            retry=retry,
+            faults=faults,
+        ).run(flow)
     write_event_log(workdir / "telemetry.jsonl", flow_report.events)
     stashes = flow_report.stashes
-
-    # Cache-hit stages never touched this run's store; write their
-    # products and the pinned grade so the persisted EventStore matches a
-    # cold run's (downstream consumers replay analyses from store_root).
-    restore_products(stashes.get, order)
-    if "physics-analysis" not in injected:
-        store.assign_grade(
-            config.grade,
-            config.grade_timestamp,
-            {
-                run_key(run.number): reconstructor.version
-                for run in stashes["acquisition"]["runs"]
-            },
-            admin=True,
-        )
 
     sizes_by_kind: Dict[str, DataSize] = {
         "raw": stashes["acquisition"]["kind_size"],
@@ -436,7 +398,7 @@ def run_cleo_pipeline(
         "mc": stashes["monte-carlo"]["kind_size"],
     }
 
-    report = CleoPipelineReport(
+    return CleoPipelineReport(
         config=config,
         flow_report=flow_report,
         store_root=store.root,
@@ -445,8 +407,6 @@ def run_cleo_pipeline(
         analysis=stashes["physics-analysis"]["analysis"],
         storage=stashes["physics-analysis"]["storage"],
     )
-    store.close()
-    return report
 
 
 # -- incremental (windowed) execution --------------------------------------

@@ -36,6 +36,8 @@ from repro.core.recovery import RetryPolicy
 # A stage transform receives {upstream stage name: dataset} and a context
 # object supplied by the engine, and returns its output dataset.
 StageFn = Callable[[Mapping[str, Dataset], "object"], Dataset]
+# A stage's writes outside the flow, from that context alone (Stage.replay).
+StageReplay = Callable[["object"], object]
 
 
 def structural_stub(name: str) -> StageFn:
@@ -87,6 +89,13 @@ class Stage:
         Per-stage :class:`~repro.core.recovery.RetryPolicy` override.
         ``None`` falls back to the engine's run-wide policy (which
         defaults to no retry).
+    replay:
+        The stage's writes outside the flow (a database load, a store
+        injection), performed from a :class:`~repro.core.engine.StageContext`
+        alone: its own ``stash`` and ``dep_stash``.  The transform calls
+        it where it writes; on a cache hit the engine calls it instead,
+        so a skipped stage leaves the same persisted bytes.  Its return
+        value is the transform's to use and the engine's to ignore.
     """
 
     name: str
@@ -96,6 +105,7 @@ class Stage:
     description: str = ""
     cache_params: Optional[Mapping[str, object]] = None
     retry: Optional[RetryPolicy] = None
+    replay: Optional[StageReplay] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -151,6 +161,7 @@ class DataFlow:
         description: str = "",
         cache_params: Optional[Mapping[str, object]] = None,
         retry: Optional[RetryPolicy] = None,
+        replay: Optional[StageReplay] = None,
     ) -> Stage:
         """Convenience: build and add a stage in one call."""
         return self.add_stage(
@@ -162,6 +173,7 @@ class DataFlow:
                 description=description,
                 cache_params=cache_params,
                 retry=retry,
+                replay=replay,
             )
         )
 

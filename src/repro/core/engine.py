@@ -57,6 +57,12 @@ stage had run, so cached and uncached runs produce identical reports and
 event logs.  Because the same byte-identical contract holds across worker
 counts, a cache primed by a sequential run services a parallel rerun.
 
+A stage's writes outside the flow (a database, an event store) are its
+``Stage.replay``, which its transform calls where it writes.  For a hit
+the scheduler calls it, without consulting the fault injector, after
+publishing the stash and before releasing any successor: with one worker,
+where a cold run writes.  A raising replay fails the run naming the stage.
+
 Failure handling rides the same determinism contract.  An armed
 :class:`~repro.core.faults.FaultInjector` is consulted before every stage
 attempt (``"crash"`` faults abort the attempt, ``"delay"`` faults charge
@@ -400,8 +406,9 @@ class Engine:
         Optional :class:`~repro.core.stagecache.StageCache`.  When
         supplied, each stage is looked up by its content address before
         execution; hits restore the recorded result (output, CPU charge,
-        stash) and skip the transform entirely, while provenance,
-        accounting, and telemetry replay identically to a real execution.
+        stash) and run the stage's ``replay`` instead of its transform,
+        while provenance, accounting, and telemetry replay identically to
+        a real execution.
         Share one cache across engines to make whole reruns warm.
     retry:
         Run-wide default :class:`~repro.core.recovery.RetryPolicy`;
@@ -753,11 +760,12 @@ class Engine:
 
         This thread owns all bookkeeping, so no shared mutable state crosses
         the queues except what stage functions themselves share.  A cache
-        hit completes here, so a fully warm run finishes without a single
-        worker dispatch; with one worker a miss runs here too, so the first
-        failure ends the run.  With more, a miss goes to the worker threads
-        through one queue and its outcome comes back through another; a
-        failure stops further starts, in-flight stages drain (and commit),
+        hit completes here, its replay included, so a fully warm run
+        finishes without a single worker dispatch; with one worker a miss
+        runs here too, so the first failure ends the run.  With more, a
+        miss goes to the worker threads through one queue and its outcome
+        comes back through another; a failure (a hit's raising replay
+        included) stops further starts, in-flight stages drain (and commit),
         and the failure a sequential run would have hit first is the one
         raised.  Any other exception a stage raises, on any thread, ends the
         run as it is.  The workers are joined before this returns or raises.
@@ -786,10 +794,11 @@ class Engine:
             for stage, stage_inputs, key in iter(todo.get, None):
                 done.put((stage, stage_inputs, key, outcome_of(stage, stage_inputs)))
 
-        def settle(stage, stage_inputs, store_key, outcome) -> None:
+        def settle(stage, stage_inputs, store_key, outcome, replay=None) -> None:
             """Commit the ``(output, record)`` outcome, store it under
-            ``store_key`` (None for a hit or an uncacheable stage) and
-            release successors — or note the failure it is."""
+            ``store_key`` (None for a hit or an uncacheable stage), perform
+            a hit's ``replay`` and release successors — or note the failure
+            it is."""
             name = stage.name
             if isinstance(outcome, BaseException):
                 if not isinstance(outcome, ExecutionError):
@@ -806,6 +815,18 @@ class Engine:
             stashes[name] = dict(record.stash)
             if store_key is not None:
                 self.cache.store(store_key, record)
+            if replay is not None:
+                context = StageContext(
+                    stage, self, self.provenance, stashes, flow_name=flow.name
+                )
+                context.stash = stashes[name]
+                try:
+                    replay(context)
+                except Exception as exc:  # noqa: BLE001 - wrap with stage identity
+                    error = ExecutionError(name, f"replay failed: {exc}")
+                    error.__cause__ = exc
+                    failures[position[name]] = error
+                    return
             for successor in successors[name]:
                 waiting[successor] -= 1
                 if not waiting[successor]:
@@ -831,7 +852,10 @@ class Engine:
                     key, entry = self._cache_lookup(flow, stage, stage_inputs)
                     if entry is not None:
                         cached.add(name)
-                        settle(stage, stage_inputs, None, (entry.rebuild_output(), entry))
+                        settle(
+                            stage, stage_inputs, None,
+                            (entry.rebuild_output(), entry), stage.replay,
+                        )
                     elif not threads:
                         settle(stage, stage_inputs, key, outcome_of(stage, stage_inputs))
                     else:

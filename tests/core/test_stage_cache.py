@@ -7,12 +7,16 @@ recorded results.  Any change to a stage's provenance — seed, parameters,
 input content — must miss.
 """
 
+import threading
+
 import pytest
 
 from repro.core.dataflow import DataFlow
 from repro.core.dataset import Dataset
 from repro.core.engine import Engine
-from repro.core.errors import CacheError
+from repro.core.errors import CacheError, ExecutionError
+from repro.core.faults import FaultPlan, FaultSpec
+from repro.core.recovery import RetryPolicy
 from repro.core.stagecache import CachedStage, StageCache, stage_key
 from repro.core.telemetry import MetricsRegistry, strip_wall_clock
 from repro.core.units import DataSize, Duration
@@ -230,3 +234,114 @@ class TestEngineCache:
         # Both runs executed everything; six distinct entries cached.
         assert calls_a == {"source": 2, "double": 2, "sink": 2}
         assert cache.stats()["entries"] == 6
+
+
+def replaying_flow(log, raising=None):
+    """a -> b -> c, each stage writing outside the flow through its replay.
+
+    A transform logs itself, stashes its name and calls its replay, as a
+    pipeline stage does where it writes; a replay logs its own stash and
+    its predecessors' (``dep_stash``).  ``raising`` names a stage whose
+    replay fails.
+    """
+    flow = DataFlow("replayed")
+    previous = None
+
+    def bind(name, previous):
+        def replay(ctx):
+            upstream = ctx.dep_stash(previous)["name"] if previous else None
+            log.append(("replay", ctx.stash["name"], upstream))
+            if name == raising:
+                raise OSError("disk full")
+
+        def transform(inputs, ctx):
+            log.append(("transform", name))
+            ctx.stash["name"] = name
+            replay(ctx)
+            return Dataset(f"{name}-out", DataSize(100.0), version="v1")
+
+        return transform, replay
+
+    for name in "abc":
+        transform, replay = bind(name, previous)
+        flow.stage(name, transform, replay=replay)
+        previous = name
+    flow.chain("a", "b", "c")
+    return flow
+
+
+def primed_without_c(log, **engine):
+    """A cache holding a and b but not c, and the log of the run that
+    primed it emptied."""
+    cache = StageCache()
+    Engine(seed=3, cache=cache, **engine).run(replaying_flow(log))
+    (c_key,) = [
+        key for key, entry in cache._entries.items()
+        if isinstance(entry, CachedStage) and entry.stash["name"] == "c"
+    ]
+    assert cache.invalidate(c_key)
+    log.clear()
+    return cache
+
+
+class TestHitReplay:
+    """A hit's writes outside the flow happen in the engine, in order."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_hits_replay_in_order_before_the_miss_starts(self, workers):
+        log = []
+        cache = primed_without_c(log)
+        cold = Engine(seed=3).run(replaying_flow([]))
+        warm = Engine(seed=3, cache=cache, max_workers=workers).run(
+            replaying_flow(log)
+        )
+        assert log == [
+            ("replay", "a", None),
+            ("replay", "b", "a"),
+            ("transform", "c"),
+            # The transform's own call: the engine replays no executed stage.
+            ("replay", "c", "b"),
+        ]
+        assert warm.cached_stages == ["a", "b"]
+        assert strip_wall_clock(warm.events) == strip_wall_clock(cold.events)
+
+    def test_a_cold_run_never_replays(self):
+        log = []
+        Engine(seed=3, cache=StageCache()).run(replaying_flow(log))
+        assert [entry[0] for entry in log] == ["transform", "replay"] * 3
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_a_raising_replay_fails_the_run_naming_its_stage(self, workers):
+        log = []
+        cache = primed_without_c(log)
+        threads = threading.active_count()
+        with pytest.raises(ExecutionError, match="'b': replay failed: disk full") as info:
+            Engine(seed=3, cache=cache, max_workers=workers).run(
+                replaying_flow(log, raising="b")
+            )
+        assert info.value.stage == "b"
+        assert isinstance(info.value.__cause__, OSError)
+        assert ("transform", "c") not in log
+        assert threading.active_count() == threads
+
+    def test_a_replay_does_not_consult_the_fault_injector(self):
+        """A plan that crashes ``a`` on its first attempt salts the keys
+        the retried cold run stored; a fresh arming of the same plan would
+        crash ``a`` again, but a hit's replay is not an attempt."""
+
+        def plan():
+            return FaultPlan(specs=(FaultSpec(
+                name="a-crash", scope="stage", target="replayed/a",
+                kind="crash", max_fires=1,
+            ),))
+
+        log = []
+        cache = StageCache()
+        Engine(
+            seed=3, cache=cache, faults=plan(),
+            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
+        ).run(replaying_flow(log))
+        log.clear()
+        warm = Engine(seed=3, cache=cache, faults=plan()).run(replaying_flow(log))
+        assert warm.cached_stages == ["a", "b", "c"]
+        assert [entry[0] for entry in log] == ["replay"] * 3

@@ -3,7 +3,9 @@
 Both figure flows take an optional shared StageCache; an unchanged rerun
 must hit on every stage, skip all compute, and reproduce the cold run's
 accounting exactly (telemetry modulo wall-clock) and its persisted
-artifacts row for row.
+artifacts row for row.  A rerun with any one stage's entry invalidated
+must do the same: the hits' writes are their ``Stage.replay``, which the
+engine performs.
 """
 
 import sqlite3
@@ -15,12 +17,19 @@ from repro.arecibo.pipeline import AreciboPipelineConfig, run_arecibo_pipeline
 from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
 from repro.cleo.pipeline import CleoPipelineConfig, run_cleo_pipeline
-from repro.core.stagecache import StageCache
+from repro.core.stagecache import CachedStage, StageCache
 from repro.core.telemetry import strip_wall_clock
 
 
-ARECIBO_STAGES = 6
-CLEO_STAGES = 5
+ARECIBO_STAGE_NAMES = [
+    "acquire", "ship", "archive", "process", "consolidate", "meta-analysis",
+]
+CLEO_STAGE_NAMES = [
+    "acquisition", "reconstruction", "post-reconstruction", "monte-carlo",
+    "physics-analysis",
+]
+ARECIBO_STAGES = len(ARECIBO_STAGE_NAMES)
+CLEO_STAGES = len(CLEO_STAGE_NAMES)
 
 
 def dump(path):
@@ -32,15 +41,35 @@ def dump(path):
         connection.close()
 
 
-def event_store(workdir):
-    """A Figure-2 run's collaboration store: its database dump and files."""
-    root = workdir / "collab"
+def event_store(workdir, store="collab"):
+    """An EventStore a Figure-2 run wrote under ``workdir`` (by default
+    the collaboration store): its database dump and files."""
+    root = workdir / store
     files = {
         path.relative_to(root).as_posix(): path.read_bytes()
         for path in sorted((root / "files").rglob("*"))
         if path.is_file()
     }
     return dump(root / "eventstore.db"), files
+
+
+def stage_keys(cache, report):
+    """``{stage: stage-cache key}`` of the run ``report`` describes, read
+    from the ``cache`` it alone has primed.
+
+    Picked by entry type, not position: the cache also holds the shard
+    entries each ``map_shards`` fan-out stored.
+    """
+    stage_of = {
+        event.attr("artifact"): event.name
+        for event in report.flow_report.events
+        if event.kind == "bytes.produced"
+    }
+    return {
+        stage_of[entry.output_name]: key
+        for key, entry in cache._entries.items()
+        if isinstance(entry, CachedStage)
+    }
 
 
 def small_arecibo_config(workers=1):
@@ -58,18 +87,18 @@ def arecibo_cold(tmp_path_factory):
     cache = StageCache()
     workdir = tmp_path_factory.mktemp("fig1-cold")
     report = run_arecibo_pipeline(workdir, small_arecibo_config(), cache=cache)
-    return cache, report, workdir
+    return cache, report, workdir, stage_keys(cache, report)
 
 
 class TestAreciboWarmRerun:
     def test_every_stage_hits(self, arecibo_cold, tmp_path):
-        cache, _, _ = arecibo_cold
+        cache, _, _, _ = arecibo_cold
         hits_before = cache.hits
         run_arecibo_pipeline(tmp_path, small_arecibo_config(), cache=cache)
         assert cache.hits - hits_before == ARECIBO_STAGES
 
     def test_report_accounting_identical(self, arecibo_cold, tmp_path):
-        cache, cold, cold_dir = arecibo_cold
+        cache, cold, cold_dir, _ = arecibo_cold
         warm = run_arecibo_pipeline(tmp_path, small_arecibo_config(), cache=cache)
         assert warm.flow_report.cached_stages == [
             stage.name for stage in cold.flow_report.stages
@@ -90,7 +119,7 @@ class TestAreciboWarmRerun:
     def test_parallel_engine_serviced_from_sequential_prime(
         self, arecibo_cold, tmp_path
     ):
-        cache, cold, _ = arecibo_cold
+        cache, cold, _, _ = arecibo_cold
         warm = run_arecibo_pipeline(
             tmp_path, small_arecibo_config(workers=3), cache=cache
         )
@@ -99,29 +128,40 @@ class TestAreciboWarmRerun:
         )
 
     def test_changed_config_misses(self, arecibo_cold, tmp_path):
-        cache, _, _ = arecibo_cold
+        cache, _, _, _ = arecibo_cold
         hits_before = cache.hits
         config = replace(small_arecibo_config(), snr_threshold=8.0)
         run_arecibo_pipeline(tmp_path, config, cache=cache)
         assert cache.hits == hits_before
 
-    def test_partial_hit_rebuilds_candidate_db(self, tmp_path):
-        """meta-analysis evicted, consolidate cached: the meta stage must
-        lazily reload the candidate DB from the process stash."""
-        cache = StageCache()
-        cold = run_arecibo_pipeline(
-            tmp_path / "cold", small_arecibo_config(), cache=cache
-        )
-        meta_key = list(cache._entries)[-1]  # last stage completed
-        assert cache.invalidate(meta_key)
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("stage", ARECIBO_STAGE_NAMES)
+    def test_one_stage_missing(self, arecibo_cold, tmp_path, stage, workers):
+        """Any one stage re-executes, the rest hit and replay their
+        writes: ``candidates.db`` and the event log are the cold run's."""
+        cache, cold, cold_dir, keys = arecibo_cold
+        assert cache.invalidate(keys[stage])
         warm = run_arecibo_pipeline(
-            tmp_path / "warm", small_arecibo_config(), cache=cache
+            tmp_path, small_arecibo_config(workers=workers), cache=cache
+        )
+        assert warm.flow_report.executed_stages == [stage]
+        assert dump(tmp_path / "candidates.db") == dump(cold_dir / "candidates.db")
+        assert strip_wall_clock(warm.flow_report.events) == strip_wall_clock(
+            cold.flow_report.events
         )
         assert warm.confirmed == cold.confirmed
         assert warm.meta_report == cold.meta_report
-        assert dump(tmp_path / "warm" / "candidates.db") == dump(
-            tmp_path / "cold" / "candidates.db"
-        )
+
+
+CLEO_CONFIG = CleoPipelineConfig(n_runs=2, seed=5)
+
+
+@pytest.fixture(scope="module")
+def cleo_cold(tmp_path_factory):
+    cache = StageCache()
+    workdir = tmp_path_factory.mktemp("fig2-cold")
+    report = run_cleo_pipeline(workdir, CLEO_CONFIG, cache=cache)
+    return cache, report, workdir, stage_keys(cache, report)
 
 
 class TestCleoWarmRerun:
@@ -142,17 +182,33 @@ class TestCleoWarmRerun:
         assert event_store(tmp_path / "warm") == event_store(tmp_path / "cold")
 
     def test_partial_hit_reinjects_ancestor_products(self, tmp_path):
-        """Evict the tail of the chain: the first miss must re-inject its
-        cached ancestors' event products before reading the store."""
+        """Evict everything after reconstruction: the hits' products are in
+        the store before the first miss reads it."""
         cache = StageCache()
         config = CleoPipelineConfig(n_runs=2, seed=5)
         cold = run_cleo_pipeline(tmp_path / "cold", config, cache=cache)
-        for key in list(cache._entries)[2:]:
-            cache.invalidate(key)
+        keys = stage_keys(cache, cold)
+        for stage in CLEO_STAGE_NAMES[2:]:
+            assert cache.invalidate(keys[stage])
         warm = run_cleo_pipeline(tmp_path / "warm", config, cache=cache)
+        assert warm.flow_report.cached_stages == CLEO_STAGE_NAMES[:2]
         assert warm.sizes_by_kind == cold.sizes_by_kind
         assert warm.analysis.events_selected == cold.analysis.events_selected
         assert strip_wall_clock(warm.flow_report.events) == strip_wall_clock(
             cold.flow_report.events
         )
         assert event_store(tmp_path / "warm") == event_store(tmp_path / "cold")
+
+    @pytest.mark.parametrize("stage", CLEO_STAGE_NAMES)
+    def test_one_stage_missing(self, cleo_cold, tmp_path, stage):
+        """Any one stage re-executes, the rest hit and replay their
+        writes: the EventStore (rows, order, files) and the event log are
+        the cold run's."""
+        cache, cold, cold_dir, keys = cleo_cold
+        assert cache.invalidate(keys[stage])
+        warm = run_cleo_pipeline(tmp_path, CLEO_CONFIG, cache=cache)
+        assert warm.flow_report.executed_stages == [stage]
+        assert event_store(tmp_path) == event_store(cold_dir)
+        assert strip_wall_clock(warm.flow_report.events) == strip_wall_clock(
+            cold.flow_report.events
+        )
