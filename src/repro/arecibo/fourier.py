@@ -6,6 +6,13 @@ their power is spread over many harmonics of the spin frequency; summing
 the spectrum with its integer-stretched copies concentrates that power
 back into one statistic, buying sensitivity to short-duty-cycle pulsars at
 the cost of a higher trials factor.
+
+:func:`search_spectrum` is the definition: one series, one spectrum, and a
+dict of each bin's best S/N over the harmonic ladder.  The pipeline runs
+:func:`search_dm_block`, which searches every DM trial of a beam in row
+tiles spread over the CPUs and selects candidates with array sorts instead
+of that dict; :func:`search_dm_block_reference`, the row-by-row loop over
+:func:`search_spectrum`, is the oracle it is held to bitwise.
 """
 
 from __future__ import annotations
@@ -29,6 +36,12 @@ DEFAULT_HARMONICS = (1, 2, 4, 8, 16)
 #: float64 spectra are 256 KB and its transform 512 KB, so every thread's
 #: temporaries stay small and cache-sized.
 SEARCH_TILE_ROWS = 16
+
+
+def _check_tsamp(tsamp_s: float) -> None:
+    # `not 0 < t < inf` also refuses NaN, which `t <= 0` let through.
+    if not 0 < tsamp_s < np.inf:
+        raise SearchError("sampling time must be positive")
 
 
 def power_spectrum(timeseries: np.ndarray) -> np.ndarray:
@@ -114,8 +127,7 @@ def search_spectrum(
     beating the threshold (above ``min_freq_hz``, to dodge red noise and
     the 60 Hz comb's DC-side clutter) become candidates.
     """
-    if tsamp_s <= 0:
-        raise SearchError("sampling time must be positive")
+    _check_tsamp(tsamp_s)
     spectrum = power_spectrum(timeseries)
     total_time = len(timeseries) * tsamp_s
     candidates: List[FourierCandidate] = []
@@ -166,69 +178,90 @@ def search_dm_block(
     harmonic ladder (each depth's S/N off the same running sum), one
     threshold pass per depth — instead of ``n_trials`` independent
     spectra; the tiles run through :func:`~repro.core.kernels.run_tiles`.
-    The candidate list (values, insertion order, sort order) is exactly
-    what :func:`search_dm_block_reference` produces: spectra and S/N
-    ladders are per-row reductions that match the 1-D calls bitwise
-    whatever rows share a call, threshold hits are visited in the same
-    (row, ascending-bin) order the naive loop uses, candidates are built
-    in row order after every tile is done, and the final sort is stable
-    in both paths.
+    A tile returns its threshold hits as arrays, one ``(rows, bins,
+    values)`` triple per ladder step; once every tile is done, two stable
+    sorts over all the hits do what :func:`search_spectrum`'s per-bin
+    ``best`` dict does with one probe per hit.  The candidate list (values,
+    sort order, ties) is exactly what :func:`search_dm_block_reference`
+    produces:
+
+    * spectra and S/N ladders are per-row reductions that match the 1-D
+      calls bitwise whatever rows share a call;
+    * the dict replaces a bin's best only on a strictly greater S/N, so a
+      bin keeps the *first* depth that reached its maximum: here a bin's
+      hits, in ladder order, are sorted stably by S/N descending and the
+      first one is kept;
+    * the reference sorts each row stably by S/N over the dict's insertion
+      order — the ladder step that first hit the bin, then bin — and then
+      all rows stably by S/N over row order, which is one ``lexsort`` on
+      (S/N descending, row, first-hit step, bin).
     """
     block = np.asarray(block)
     if block.ndim != 2 or block.shape[0] != len(dm_trials):
         raise SearchError("block rows must match DM trials")
-    if tsamp_s <= 0:
-        raise SearchError("sampling time must be positive")
+    _check_tsamp(tsamp_s)
 
-    def search_tile(tile: int) -> List[dict]:
-        rows = block[tile * SEARCH_TILE_ROWS : (tile + 1) * SEARCH_TILE_ROWS]
+    def search_tile(tile: int) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+        first_row = tile * SEARCH_TILE_ROWS
         try:
-            spectra = batched_power_spectra(rows)
+            spectra = batched_power_spectra(
+                block[first_row : first_row + SEARCH_TILE_ROWS]
+            )
         except KernelError as exc:
             raise SearchError(str(exc)) from exc
-        # Best (snr, n_harmonics) per (row, bin), filled in ladder order like
-        # search_spectrum's `best` dict — including its strict-> update rule.
-        best: List[dict] = [{} for _ in range(rows.shape[0])]
         ladder = [n for n in harmonics if n <= spectra.shape[1]]
+        passes = []
         for n_harmonics, snrs in harmonic_snr_block(spectra, ladder):
-            for row_best, (bins, row_snrs) in zip(
-                best, threshold_hits(snrs, snr_threshold)
-            ):
-                if not bins.size:
-                    continue
-                for bin_index, snr in zip(bins.tolist(), row_snrs.tolist()):
-                    current = row_best.get(bin_index)
-                    if current is None or snr > current[0]:
-                        row_best[bin_index] = (snr, n_harmonics)
-        return best
+            rows, bins, values = threshold_hits(snrs, snr_threshold)
+            passes.append((rows + first_row, bins, values, n_harmonics))
+        return passes
 
-    n_tiles = -(-block.shape[0] // SEARCH_TILE_ROWS)
-    best = [row for tile in run_tiles(search_tile, n_tiles) for row in tile]
-    total_time = block.shape[1] * tsamp_s
-    candidates: List[FourierCandidate] = []
-    for row, dm in enumerate(dm_trials):
-        row_candidates: List[FourierCandidate] = []
-        for bin_index, (snr, n_harmonics) in best[row].items():
-            freq = (bin_index + 1) / total_time
-            if freq < min_freq_hz:
-                continue
-            row_candidates.append(
-                FourierCandidate(
-                    freq_hz=freq,
-                    period_s=1.0 / freq,
-                    snr=snr,
-                    n_harmonics=n_harmonics,
-                    dm=dm,
-                    pointing_id=pointing_id,
-                    beam=beam,
-                )
-            )
-        # Mirror the per-spectrum sort search_spectrum performs before the
-        # global one; both sorts are stable, so ties land identically.
-        row_candidates.sort(key=lambda c: -c.snr)
-        candidates.extend(row_candidates)
-    candidates.sort(key=lambda c: -c.snr)
-    return candidates
+    # Every threshold pass of every tile, in tile and then ladder order: a
+    # (row, bin) cell's hits are in ladder order, and a row's passes too.
+    passes = [
+        hits
+        for tile in run_tiles(search_tile, -(-block.shape[0] // SEARCH_TILE_ROWS))
+        for hits in tile
+    ]
+    if not passes:
+        return []
+    rows, bins, snrs = (
+        np.concatenate([hits[column] for hits in passes]) for column in range(3)
+    )
+    if not rows.size:
+        return []
+    counts = [len(hits[0]) for hits in passes]
+    pass_of = np.repeat(np.arange(len(passes)), counts)
+    depths = np.repeat([hits[3] for hits in passes], counts)
+    # One cell's hits, stably by S/N descending: the first is the first
+    # pass that reached the cell's best, and the cell's smallest pass is
+    # where the reference's dict inserted it.
+    cells = rows * block.shape[1] + bins
+    order = np.lexsort((-snrs, cells))
+    starts = np.flatnonzero(np.diff(cells[order], prepend=-1))
+    first_pass = np.minimum.reduceat(pass_of[order], starts)
+    best = order[starts]
+    rows, bins, snrs, depths = rows[best], bins[best], snrs[best], depths[best]
+    freqs = (bins + 1) / (block.shape[1] * tsamp_s)
+    order = np.lexsort((bins, first_pass, rows, -snrs))
+    order = order[~(freqs[order] < min_freq_hz)]
+    return [
+        FourierCandidate(
+            freq_hz=freq,
+            period_s=1.0 / freq,
+            snr=snr,
+            n_harmonics=n_harmonics,
+            dm=dm_trials[row],
+            pointing_id=pointing_id,
+            beam=beam,
+        )
+        for row, freq, snr, n_harmonics in zip(
+            rows[order].tolist(),
+            freqs[order].tolist(),
+            snrs[order].tolist(),
+            depths[order].tolist(),
+        )
+    ]
 
 
 def search_dm_block_reference(

@@ -264,26 +264,24 @@ def harmonic_snr_block(
 
 def threshold_hits(
     snrs: np.ndarray, threshold: float
-) -> Sequence[Tuple[np.ndarray, np.ndarray]]:
-    """Group above-threshold bins of an ``(n_rows, n_bins)`` S/N block by row.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of an ``(n_rows, n_bins)`` S/N block at or above threshold.
 
-    Returns one ``(bin_indices, snr_values)`` pair per row, each pair in
-    ascending bin order — the same visit order as looping
-    ``np.flatnonzero(row >= threshold)`` row by row, so downstream
-    best-candidate bookkeeping reproduces the naive insertion order.
+    Both searches threshold with it: the Fourier search each harmonic
+    depth's spectra, the single-pulse search each boxcar width's series.
+
+    Returns ``(rows, bins, values)``, one entry per hit in row-major order:
+    by row, and within a row in ascending bin order — the order looping
+    ``np.flatnonzero(row >= threshold)`` row by row visits them — with the
+    hit values gathered once.  The hits are found as flat indices and split
+    by ``divmod``: 2-D ``np.nonzero`` is ~10x slower on a sparse
+    (16, 2048) mask.
     """
     snrs = np.asarray(snrs)
     if snrs.ndim != 2:
         raise KernelError("threshold_hits needs a 2-D S/N block")
-    rows, bins = np.nonzero(snrs >= threshold)
-    values = snrs[rows, bins]
-    # np.nonzero is row-major, so `rows` is sorted; searchsorted finds the
-    # per-row slice boundaries without a Python-level groupby.
-    bounds = np.searchsorted(rows, np.arange(snrs.shape[0] + 1)).tolist()
-    return [
-        (bins[start:stop], values[start:stop])
-        for start, stop in zip(bounds, bounds[1:])
-    ]
+    rows, bins = np.divmod(np.flatnonzero(snrs >= threshold), snrs.shape[1])
+    return rows, bins, snrs[rows, bins]
 
 
 def fold_block(

@@ -6,6 +6,7 @@ delays that wrap past the observation length, harmonic ladders truncated
 by short spectra, and fold periods short enough to shrink the bin count.
 """
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -14,7 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.arecibo import fourier
 from repro.arecibo.dedisperse import (
     DMGrid,
     dedisperse_all,
@@ -23,7 +27,11 @@ from repro.arecibo.dedisperse import (
     delay_samples,
 )
 from repro.arecibo.folding import fold, fold_many, refine_period, refine_period_reference
-from repro.arecibo.fourier import search_dm_block, search_dm_block_reference
+from repro.arecibo.fourier import (
+    DEFAULT_HARMONICS,
+    search_dm_block,
+    search_dm_block_reference,
+)
 from repro.arecibo.sky import Pulsar
 from repro.arecibo.telescope import ObservationConfig, ObservationSimulator
 from repro.core.errors import SearchError
@@ -226,6 +234,83 @@ class TestBatchedSpectrumSearch:
     def test_rejects_mismatched_rows(self):
         with pytest.raises(SearchError):
             search_dm_block(np.zeros((2, 64)), (0.0,), 1e-3)
+
+
+@contextlib.contextmanager
+def block_is_its_spectrum():
+    """Both search paths read each row as its own normalized spectrum, so a
+    test can pick exact powers — and with them exact S/N ties."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fourier, "power_spectrum", lambda series: np.array(series, dtype=float))
+        patch.setattr(fourier, "batched_power_spectra", lambda rows: np.array(rows, dtype=float))
+        yield
+
+
+class TestTieRules:
+    """The two tie rules of the reference's per-bin ``best`` dict, which
+    the block search keeps as arrays: a bin keeps the *first* depth that
+    reached its best S/N (the update is strictly ``>``), and candidates of
+    equal S/N keep the dict's insertion order — row, then the ladder step
+    that first hit the bin, then bin."""
+
+    def test_hand_built_ties(self):
+        # Ladder (1, 4): S/N is P - 1 at depth 1 and (P_k + P_2k+1 + P_3k+2
+        # + P_4k+3 - 4) / 2 at depth 4, exact in binary for these powers.
+        # Bin 1: 2.0 at both depths, so it keeps depth 1.  Bin 0 misses
+        # depth 1 and reaches 2.0 at depth 4: it ties with bin 1 but was
+        # inserted after it (and after bins 2, 3, 7, all 1.0 at depth 1).
+        row = [1.0, 3.0, 2.0, 2.0, 0.0, 1.0, 0.0, 2.0] + [0.0] * 8
+        block = np.array([row, row])
+        kwargs = dict(snr_threshold=1.0, harmonics=(1, 4), min_freq_hz=0.0)
+        with block_is_its_spectrum():
+            found = search_dm_block(block, (10.0, 20.0), 1e-3, **kwargs)
+            assert found == search_dm_block_reference(block, (10.0, 20.0), 1e-3, **kwargs)
+        total_time = block.shape[1] * 1e-3
+        assert [
+            (c.dm, round(c.freq_hz * total_time) - 1, c.n_harmonics, c.snr) for c in found
+        ] == [
+            (10.0, 1, 1, 2.0), (10.0, 0, 4, 2.0), (20.0, 1, 1, 2.0), (20.0, 0, 4, 2.0),
+            (10.0, 2, 1, 1.0), (10.0, 3, 1, 1.0), (10.0, 7, 1, 1.0),
+            (20.0, 2, 1, 1.0), (20.0, 3, 1, 1.0), (20.0, 7, 1, 1.0),
+        ]
+
+    @given(
+        n_trials=st.sampled_from((1, 15, 16, 17, 33)),
+        n_samples=st.sampled_from((32, 48, 64)),
+        seed=st.integers(0, 2**32 - 1),
+        spectral=st.booleans(),
+        harmonics=st.sampled_from(
+            [DEFAULT_HARMONICS, (16, 8, 4, 2, 1), (1, 2, 2, 4, 4), (4, 1, 4), (1,), ()]
+        ),
+        snr_threshold=st.sampled_from((-2.0, -0.5, 0.0, 0.5, 1.0, 3.0)),
+        min_freq_hz=st.sampled_from((0.0, 1.0, 50.0)),
+    )
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_block_search_equals_reference(
+        self, kernel_threads, n_trials, n_samples, seed, spectral, harmonics,
+        snr_threshold, min_freq_hz,
+    ):
+        """Values on a grid of halves: read as spectra they tie S/N across
+        bins and across depths all the time; read as series, the FFT path
+        at the same tile boundaries and thresholds down to -2."""
+        rng = np.random.default_rng(seed)
+        block = rng.integers(0, 7, size=(n_trials, n_samples)) / 2.0
+        trials = tuple(float(trial) for trial in range(n_trials))
+        kwargs = dict(
+            snr_threshold=snr_threshold, harmonics=harmonics, min_freq_hz=min_freq_hz
+        )
+        with block_is_its_spectrum() if spectral else contextlib.nullcontext():
+            try:
+                expected = search_dm_block_reference(block, trials, 1e-3, **kwargs)
+            except SearchError:
+                with pytest.raises(SearchError, match="degenerate spectrum"):
+                    search_dm_block(block, trials, 1e-3, **kwargs)
+                return
+            assert search_dm_block(block, trials, 1e-3, **kwargs) == expected
 
 
 class TestBatchedFolding:

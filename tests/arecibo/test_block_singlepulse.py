@@ -11,7 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arecibo.singlepulse import DEFAULT_WIDTHS, search_single_pulses
+from repro.arecibo.singlepulse import (
+    DEFAULT_WIDTHS,
+    SINGLE_PULSE_TILE_ROWS,
+    search_single_pulses,
+)
 from repro.core.errors import SearchError
 
 from tests.arecibo.conftest import boxcar_snr, per_series_single_pulse_search
@@ -95,6 +99,60 @@ def test_block_validation():
         search_single_pulses(block, TSAMP_S, (0.0, 1.0, 2.0), widths=(0, 1))
     with pytest.raises(SearchError, match="sampling time"):
         search_single_pulses(block, 0.0, (0.0, 1.0, 2.0))
+
+
+def test_one_series_takes_one_dm():
+    """Was: a 1-D series with a sequence of DMs gave events whose ``dm`` was
+    the sequence, and hashing such an event raised."""
+    series = np.random.default_rng(2).normal(size=64)
+    series[30] += 20.0
+    with pytest.raises(SearchError, match="a 1-D series takes one DM"):
+        search_single_pulses(series, TSAMP_S, (0.0, 1.0))
+    with pytest.raises(SearchError, match="a 1-D series takes one DM"):
+        search_single_pulses(series, TSAMP_S, [3.0])
+    assert search_single_pulses(series, TSAMP_S, np.float64(3.0))
+
+
+@pytest.mark.parametrize("tsamp_s", [np.nan, np.inf])
+def test_non_finite_sampling_time_is_rejected(tsamp_s):
+    """Was: NaN passed ``tsamp_s <= 0`` and every event time was NaN."""
+    block = np.random.default_rng(3).normal(size=(3, 64))
+    with pytest.raises(SearchError, match="sampling time must be positive"):
+        search_single_pulses(block, tsamp_s, (0.0, 1.0, 2.0), snr_threshold=0.0)
+
+
+TILE_SERIES_COUNTS = (
+    SINGLE_PULSE_TILE_ROWS - 1,
+    SINGLE_PULSE_TILE_ROWS,
+    SINGLE_PULSE_TILE_ROWS + 1,
+)
+
+
+class TestTiledSearch:
+    """The tiled search equals the per-series loop at any thread count,
+    across tile boundaries; ``kernel_threads`` also checks no thread
+    outlives it."""
+
+    @pytest.mark.parametrize("n_series", TILE_SERIES_COUNTS)
+    def test_equals_per_series_loop(self, kernel_threads, n_series):
+        rng = np.random.default_rng(n_series)
+        block = rng.normal(size=(n_series, 512)).astype(np.float32)
+        for row in (0, n_series // 2, n_series - 1):
+            block[row, 100 + row : 108 + row] += 3.0
+            block[row, 300:302] += 5.0
+        dms = [1.5 * row for row in range(n_series)]
+        # A low threshold: noise hits in every tile, and many to cluster.
+        expected = per_series_single_pulse_search(block, TSAMP_S, dms, 3.0)
+        assert sum(map(len, expected)) > n_series
+        assert search_single_pulses(block, TSAMP_S, dms, 3.0) == expected
+
+    @pytest.mark.parametrize("n_series", TILE_SERIES_COUNTS)
+    def test_degenerate_row_in_a_later_tile(self, kernel_threads, n_series):
+        """The error of the tile holding the bad row."""
+        block = np.random.default_rng(19).normal(size=(n_series + SINGLE_PULSE_TILE_ROWS, 256))
+        block[-1, 3] = np.nan
+        with pytest.raises(SearchError, match="degenerate time series"):
+            search_single_pulses(block, TSAMP_S, np.arange(len(block), dtype=float))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

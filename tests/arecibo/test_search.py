@@ -157,6 +157,21 @@ class TestFourierSearch:
         with pytest.raises(SearchError, match="degenerate spectrum"):
             search_dm_block(block, [0.0, 1.0, 2.0], 0.001)
 
+    @pytest.mark.parametrize("tsamp_s", [np.nan, np.inf])
+    def test_search_spectrum_rejects_non_finite_sampling_time(self, tsamp_s):
+        """Was: NaN passed ``tsamp_s <= 0`` and every frequency came out NaN."""
+        series = np.random.default_rng(5).normal(size=256)
+        with pytest.raises(SearchError, match="sampling time must be positive"):
+            search_spectrum(series, tsamp_s, 0.0, snr_threshold=0.0, min_freq_hz=0.0)
+
+    @pytest.mark.parametrize("tsamp_s", [np.nan, np.inf])
+    def test_search_dm_block_rejects_non_finite_sampling_time(self, tsamp_s):
+        """Was: NaN candidates (``NaN < min_freq_hz`` is false) or, at inf,
+        every frequency 0 and every candidate dropped without an error."""
+        block = np.random.default_rng(6).normal(size=(3, 256))
+        with pytest.raises(SearchError, match="sampling time must be positive"):
+            search_dm_block(block, [0.0, 1.0, 2.0], tsamp_s, snr_threshold=0.0)
+
 
 class TestFolding:
     def test_fold_concentrates_pulse(self, pulsar_beam):

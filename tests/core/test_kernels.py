@@ -368,19 +368,20 @@ class TestHarmonicBlock:
 class TestThresholdHits:
     def test_groups_rows_in_bin_order(self):
         snrs = np.array([[1.0, 5.0, 3.0], [0.0, 0.0, 0.0], [9.0, 2.0, 4.0]])
-        hits = threshold_hits(snrs, 3.0)
-        assert len(hits) == 3
-        assert hits[0][0].tolist() == [1, 2] and hits[0][1].tolist() == [5.0, 3.0]
-        assert hits[1][0].size == 0
-        assert hits[2][0].tolist() == [0, 2] and hits[2][1].tolist() == [9.0, 4.0]
+        rows, bins, values = threshold_hits(snrs, 3.0)
+        assert rows.tolist() == [0, 0, 2, 2]
+        assert bins.tolist() == [1, 2, 0, 2]
+        assert values.tolist() == [5.0, 3.0, 9.0, 4.0]
 
     def test_matches_flatnonzero_per_row(self):
         rng = np.random.default_rng(4)
         snrs = rng.normal(size=(10, 40))
-        for row, (bins, values) in enumerate(threshold_hits(snrs, 0.5)):
+        rows, bins, values = threshold_hits(snrs, 0.5)
+        assert np.all(np.diff(rows) >= 0)
+        for row in range(len(snrs)):
             expected = np.flatnonzero(snrs[row] >= 0.5)
-            assert np.array_equal(bins, expected)
-            assert np.array_equal(values, snrs[row][expected])
+            assert np.array_equal(bins[rows == row], expected)
+            assert np.array_equal(values[rows == row], snrs[row][expected])
 
     def test_rejects_1d(self):
         with pytest.raises(KernelError):
