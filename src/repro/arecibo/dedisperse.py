@@ -138,15 +138,15 @@ def dedisperse_all(filterbank: Filterbank, grid: DMGrid) -> np.ndarray:
 
     One batched gather over the delay matrix — bitwise identical to
     :func:`dedisperse_all_reference` (same per-channel accumulation order,
-    same float64 -> float32 cast), several times faster.
+    same division by the channel count, same float64 -> float32 cast,
+    all inside :func:`~repro.core.kernels.shift_sum`'s tiles), several
+    times faster.
     """
     shifts = delay_matrix(filterbank, grid.trials)
     try:
-        block = shift_sum(filterbank.data, shifts)
+        return shift_sum(filterbank.data, shifts)
     except KernelError as exc:
         raise SearchError(str(exc)) from exc
-    block /= filterbank.n_channels  # in place: no second float64 block
-    return block.astype(np.float32)
 
 
 def dedisperse_all_reference(filterbank: Filterbank, grid: DMGrid) -> np.ndarray:

@@ -3,17 +3,25 @@
 A :class:`Filterbank` is a (channels x time samples) float32 array with its
 frequency axis and sampling time — the "dynamic spectra" acquired at the
 telescope and recorded to local disks.  A small file format (JSON header +
-raw float32 block) supports the acquire-to-disk and ship-to-CTC stages of
-Figure 1 with real bytes.
+raw float32 block) holds them on disk, and the file is where Figure 1's
+raw data lives: a :class:`StagedBeam` names one beam's file, and the
+search maps the block back read-only (:func:`read_filterbank`) one beam
+at a time instead of carrying arrays from stage to stage.
+
+A file is written whole or not at all: :func:`write_filterbank` streams
+into a temp file beside the target and renames it into place, so a
+present file under its name is complete.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -77,31 +85,57 @@ def dispersion_delay_s(dm: float, freq_mhz: np.ndarray, ref_mhz: float) -> np.nd
     return KDM * dm * (freq_mhz**-2 - ref_mhz**-2)
 
 
-def write_filterbank(path: Union[str, Path], filterbank: Filterbank) -> DataSize:
-    """Serialize to disk; returns bytes written."""
-    path = Path(path)
+def _header(beam: "Union[Filterbank, StagedBeam]", shape: Tuple[int, ...]) -> bytes:
+    """Everything a file holds before its data block; ``beam`` supplies
+    the metadata, ``shape`` the block's (channels, samples)."""
+    n_channels, n_samples = shape
     header = json.dumps(
         {
-            "freq_low": filterbank.freq_low_mhz,
-            "freq_high": filterbank.freq_high_mhz,
-            "tsamp": filterbank.tsamp_s,
-            "pointing": filterbank.pointing_id,
-            "beam": filterbank.beam,
-            "channels": filterbank.n_channels,
-            "samples": filterbank.n_samples,
+            "freq_low": beam.freq_low_mhz,
+            "freq_high": beam.freq_high_mhz,
+            "tsamp": beam.tsamp_s,
+            "pointing": beam.pointing_id,
+            "beam": beam.beam,
+            "channels": n_channels,
+            "samples": n_samples,
         },
         sort_keys=True,
     ).encode("ascii")
-    with path.open("wb") as stream:
-        stream.write(_MAGIC)
-        stream.write(_LEN.pack(len(header)))
-        stream.write(header)
-        # The array's own buffer, not a `.tobytes()` copy of it.
-        stream.write(memoryview(np.ascontiguousarray(filterbank.data)).cast("B"))
+    return _MAGIC + _LEN.pack(len(header)) + header
+
+
+def write_filterbank(path: Union[str, Path], filterbank: Filterbank) -> DataSize:
+    """Serialize to disk; returns bytes written.
+
+    The bytes go to a temp file in ``path``'s directory, renamed over
+    ``path`` once complete: a writer that dies mid-write leaves no file
+    under the name, and no temp file when it dies by an exception.
+    """
+    path = Path(path)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as stream:
+            stream.write(_header(filterbank, filterbank.data.shape))
+            # The array's own buffer, not a `.tobytes()` copy of it.
+            stream.write(memoryview(np.ascontiguousarray(filterbank.data)).cast("B"))
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
     return DataSize.from_bytes(float(path.stat().st_size))
 
 
 def read_filterbank(path: Union[str, Path]) -> Filterbank:
+    """The filterbank in ``path``, its block a read-only ``np.memmap``.
+
+    Nothing is copied: the block's pages come from the file as they are
+    touched and go with the last array that views them.
+    """
     path = Path(path)
     with path.open("rb") as stream:
         magic = stream.read(len(_MAGIC))
@@ -126,8 +160,84 @@ def read_filterbank(path: Union[str, Path]) -> Filterbank:
             raise SearchError(f"{path}: filterbank header lacks {exc}") from exc
         except (ValueError, UnicodeDecodeError, TypeError) as exc:
             raise SearchError(f"{path}: bad filterbank header: {exc}") from exc
-        body = stream.read(n_channels * n_samples * 4)
-        if len(body) != n_channels * n_samples * 4:
+        offset = stream.tell()
+        if os.fstat(stream.fileno()).st_size - offset < n_channels * n_samples * 4:
             raise SearchError(f"{path}: truncated filterbank data")
-        data = np.frombuffer(body, dtype=np.float32).reshape(n_channels, n_samples)
-    return Filterbank(data=data.copy(), **metadata)
+    data = np.memmap(
+        path, dtype=np.float32, mode="r", offset=offset, shape=(n_channels, n_samples)
+    )
+    return Filterbank(data=data, **metadata)
+
+
+@dataclass(frozen=True)
+class StagedBeam:
+    """One beam's dynamic spectrum where it lives: its staging file.
+
+    A handle, not the data: the path, where the block starts, its shape
+    and the :class:`Filterbank` metadata.  It is what Figure 1 keeps in
+    stashes, cache entries and shard tasks; :meth:`open` maps the block.
+
+    Unpickling a handle checks its file (:meth:`check`), so a cache entry
+    naming a lost or torn file fails to load — which a store reads as a
+    miss, and the recompute writes the file again.
+    """
+
+    path: str
+    offset: int
+    shape: Tuple[int, int]
+    freq_low_mhz: float
+    freq_high_mhz: float
+    tsamp_s: float
+    pointing_id: int
+    beam: int
+
+    @classmethod
+    def stage(cls, path: Union[str, Path], filterbank: Filterbank) -> "StagedBeam":
+        """Write ``filterbank`` to ``path``; returns its handle.
+
+        Always a fresh write, renamed over whatever the name held: the
+        file is what this call simulated, never bytes left by an earlier
+        run, and a mapping already open keeps the file it opened.
+        """
+        write_filterbank(path, filterbank)
+        return cls(
+            path=str(path),
+            offset=len(_header(filterbank, filterbank.data.shape)),
+            shape=(filterbank.n_channels, filterbank.n_samples),
+            freq_low_mhz=filterbank.freq_low_mhz,
+            freq_high_mhz=filterbank.freq_high_mhz,
+            tsamp_s=filterbank.tsamp_s,
+            pointing_id=filterbank.pointing_id,
+            beam=filterbank.beam,
+        )
+
+    @property
+    def size(self) -> DataSize:
+        """Bytes of the data block (:attr:`Filterbank.size`)."""
+        return DataSize.from_bytes(float(self.shape[0] * self.shape[1] * 4))
+
+    @property
+    def file_size(self) -> DataSize:
+        """Bytes of the whole file, header included."""
+        return DataSize.from_bytes(float(self.offset) + self.size.bytes)
+
+    def check(self) -> None:
+        """Raise :class:`SearchError` unless the file is whole: present,
+        exactly :attr:`file_size` long, and headed by this beam's header."""
+        header = _header(self, self.shape)
+        try:
+            with open(self.path, "rb") as stream:
+                length = os.fstat(stream.fileno()).st_size
+                whole = length == self.file_size.bytes and stream.read(len(header)) == header
+        except OSError as exc:
+            raise SearchError(f"{self.path}: staged beam unreadable: {exc}") from exc
+        if not whole:
+            raise SearchError(f"{self.path}: staged beam is not whole")
+
+    def open(self) -> Filterbank:
+        """The beam, its block mapped read-only from the file."""
+        return read_filterbank(self.path)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.check()

@@ -10,6 +10,7 @@ and processor requirements the paper quotes come out of the run report.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,7 +22,7 @@ from repro.arecibo.accelsearch import acceleration_trials, resample_for_accelera
 from repro.arecibo.candidates import SiftedCandidate, match_to_truth, sift
 from repro.arecibo.dedisperse import DMGrid, dedisperse_all, dedispersed_size
 from repro.arecibo.dedisperse import dedisperse
-from repro.arecibo.filterbank import Filterbank, write_filterbank
+from repro.arecibo.filterbank import StagedBeam
 from repro.arecibo.folding import refine_period
 from repro.arecibo.fourier import search_dm_block, search_spectrum
 from repro.arecibo.metaanalysis import CandidateDatabase, MetaAnalysisReport
@@ -70,8 +71,8 @@ class AreciboPipelineConfig:
     # the dominant `process` stage.  Results are identical for any value;
     # every pointing draws from its own deterministic RNG and the merge
     # happens in pointing order.  ``executor`` picks where the fan-out
-    # runs: ``"thread"`` (default) or ``"process"`` — worker processes fed
-    # filterbank blocks through shared memory, the paper's farm model.
+    # runs: ``"thread"`` (default) or ``"process"`` — worker processes
+    # that map the beams from their staging files, the paper's farm model.
     workers: int = 1
     executor: str = "thread"
     seed: int = 7
@@ -206,9 +207,22 @@ def figure1_flow(
     return flow
 
 
-# -- the per-pointing search shard ----------------------------------------
-# Module-level (not a closure) so it can cross a process boundary under
-# ``executor="process"``; everything it needs travels in the task tuple.
+def _staging_tag(config: AreciboPipelineConfig) -> str:
+    """The part of a staging file's name that stands for the config.
+
+    A hash of exactly what the observe shards' ``cache_params`` hold
+    (:func:`_shard_fingerprint`): together with the pointing id and the
+    beam it fixes what the file contains, so one name never holds two
+    contents — and a shard hit's handles name what an earlier run wrote.
+    """
+    fingerprint = _shard_fingerprint(config)["pipeline"]
+    return hashlib.sha256(str(fingerprint).encode("utf-8")).hexdigest()[:16]
+
+
+# -- the per-pointing shards ----------------------------------------------
+# Module-level (not closures) so they can cross a process boundary under
+# ``executor="process"``; everything they need travels in the task tuple,
+# and raw data travels as StagedBeam handles, never as arrays.
 # Fault evaluation does NOT happen here — the parent evaluates beam-scope
 # faults in canonical (pointing-major, beam-minor) order before dispatch
 # and passes the culled beam ids in, so injector state never has to cross
@@ -216,21 +230,30 @@ def figure1_flow(
 
 
 def _observe_pointing_shard(
-    task: Tuple[ObservationConfig, Pointing, int],
-) -> List[Filterbank]:
-    """Observe one pointing's beams (picklable, shard-cacheable body).
+    task: Tuple[ObservationConfig, Pointing, int, Path, str],
+) -> List[StagedBeam]:
+    """Observe one pointing's beams into staging; returns their handles.
 
-    The simulator is stateless per observation and the RNG derives from
-    the passed seed alone, so one pointing's filterbanks are identical
-    whether observed inline, on a worker, or replayed from a shard-cache
-    entry written by an earlier (shorter) survey window.
+    Each beam goes to ``<staging>/<tag>_p<id>_b<beam>.fb`` and is
+    released once written, so the shard never holds more than the
+    simulator's own arrays.  The simulator is stateless per observation
+    and the RNG derives from the passed seed alone, so one pointing's
+    files are identical whether observed inline, on a worker, or by an
+    earlier (shorter) survey window whose shard-cache entry a later run
+    replays — the handles then name that run's files.
     """
-    observation, pointing, seed = task
-    return ObservationSimulator(observation).observe(pointing, seed=seed)
+    observation, pointing, seed, staging, tag = task
+    filterbanks = ObservationSimulator(observation).observe(pointing, seed=seed)
+    handles: List[StagedBeam] = []
+    while filterbanks:
+        filterbank = filterbanks.pop(0)  # released once the next one is popped
+        name = f"{tag}_p{pointing.pointing_id:04d}_b{filterbank.beam}.fb"
+        handles.append(StagedBeam.stage(staging / name, filterbank))
+    return handles
 
 
 def _search_pointing_shard(
-    task: Tuple[AreciboPipelineConfig, Pointing, Sequence[Filterbank], FrozenSet[int]],
+    task: Tuple[AreciboPipelineConfig, Pointing, Sequence[StagedBeam], FrozenSet[int]],
 ):
     """Search one pointing: all seven beams plus the multibeam culls.
 
@@ -241,24 +264,29 @@ def _search_pointing_shard(
     by the parent's fault evaluation) keep their slot in the multibeam
     grid as an empty candidate list — they can neither detect nor veto —
     and consume no RNG draws, exactly as under in-line execution.
+
+    Beams are mapped from their staging files one at a time, and every
+    array derived from a beam is dropped before the next is opened.
     """
-    config, pointing, filterbanks, culled = task
+    config, pointing, beams, culled = task
     rng = np.random.default_rng((config.seed + 1, pointing.pointing_id))
     presift = 0
     dedispersed_total = DataSize.zero()
     per_beam_sifted: List[List] = []
     per_beam_transients: List[Tuple[int, List[SinglePulseEvent]]] = []
     grid: Optional[DMGrid] = None
-    for filterbank in filterbanks:
-        if filterbank.beam in culled:
+    for staged in beams:
+        if staged.beam in culled:
             # Graceful degradation, the survey's real procedure: a beam
             # whose data are unusable (bad disk, bad tape) is culled from
             # the pointing and recorded; the other six beams still get
             # searched.
             per_beam_sifted.append([])
-            per_beam_transients.append((filterbank.beam, []))
+            per_beam_transients.append((staged.beam, []))
             continue
+        filterbank = staged.open()
         cleaned, _ = clean_filterbank(filterbank, rng=rng)
+        del filterbank
         if grid is None:
             grid = DMGrid.matched(cleaned, config.dm_max)
         block = dedisperse_all(cleaned, grid)
@@ -269,7 +297,7 @@ def _search_pointing_shard(
             cleaned.tsamp_s,
             snr_threshold=config.snr_threshold,
             pointing_id=pointing.pointing_id,
-            beam=filterbank.beam,
+            beam=staged.beam,
         )
         presift += len(raw_candidates)
         if config.accel_trials > 1:
@@ -288,7 +316,7 @@ def _search_pointing_shard(
                         snr_threshold=config.snr_threshold,
                         accel_ms2=trial,
                         pointing_id=pointing.pointing_id,
-                        beam=filterbank.beam,
+                        beam=staged.beam,
                     )
                     presift += len(accel_candidates)
                     raw_candidates.extend(accel_candidates)
@@ -307,13 +335,14 @@ def _search_pointing_shard(
                 current = beam_events.get(key)
                 if current is None or event.snr > current.snr:
                     beam_events[key] = event
-        per_beam_transients.append((filterbank.beam, list(beam_events.values())))
+        per_beam_transients.append((staged.beam, list(beam_events.values())))
+        del cleaned, block
     multibeam = multibeam_coincidence(
         per_beam_sifted, max_beams=config.multibeam_max
     )
     # Transient multibeam cull: an impulse seen simultaneously in more
     # than `transient_max_beams` *other* beams is broadband local RFI.
-    # Survivors record the telescope beam id carried by the filterbank,
+    # Survivors record the telescope beam id carried by the staged beam,
     # matching how sifted candidates record theirs.
     transient_survivors: List[Tuple[int, int, SinglePulseEvent]] = []
     for beam, events in per_beam_transients:
@@ -347,10 +376,16 @@ def run_arecibo_pipeline(
     (outputs, stashes, CPU charges) replay from the cache, the FlowReport
     and telemetry come out accounting-identical, and ``consolidate``'s
     row load and ``meta-analysis``'s cull are their stages' ``replay``,
-    so any hit leaves the cold run's ``candidates.db``; only staging
-    files are skipped.  Each run replaces ``candidates.db`` and closes it
-    even when it raises, so a crashed run resumed in the same ``workdir``
-    ends on the cold database too.
+    so any hit leaves the cold run's ``candidates.db``.  Raw data lives
+    only in staging files (``workdir/arecibo-staging``), named by the
+    survey config, the pointing and the beam; stashes and cache entries
+    hold :class:`~repro.arecibo.filterbank.StagedBeam` handles to them,
+    so a hit names the files the run that computed it wrote, and writes
+    none.  A staging file is never deleted: a cache that outlives a run
+    needs that run's ``workdir`` kept with it, and an on-disk entry
+    naming a lost or torn file loads as a miss.  Each run replaces
+    ``candidates.db`` and closes it even when it raises, so a crashed
+    run resumed in the same ``workdir`` ends on the cold database too.
 
     ``faults`` aims one :class:`~repro.core.faults.FaultPlan` (or an
     already-armed injector, the resume idiom) at every injection site the
@@ -410,12 +445,21 @@ def run_arecibo_pipeline(
 
         Pointings observe independently on the shard pool, keyed per
         pointing in the shard cache: a window that extends the survey by
-        one night recomputes only the new arrivals.
+        one night recomputes only the new arrivals.  Each shard writes
+        its beams to staging and returns their handles; the stash keeps
+        the handles, and the volume is the staged files' bytes.
         """
+        tag = _staging_tag(config)
         observed = ctx.map_shards(
             _observe_pointing_shard,
             [
-                (config.observation, pointing, config.seed + pointing.pointing_id)
+                (
+                    config.observation,
+                    pointing,
+                    config.seed + pointing.pointing_id,
+                    staging,
+                    tag,
+                )
                 for pointing in pointings
             ],
             cache_keys=[
@@ -423,15 +467,12 @@ def run_arecibo_pipeline(
             ],
             cache_params=_shard_fingerprint(config),
         )
-        observations: Dict[int, List[Filterbank]] = {}
+        observations: Dict[int, List[StagedBeam]] = {}
         total = DataSize.zero()
         for pointing, beams in zip(pointings, observed):
             observations[pointing.pointing_id] = beams
-            for filterbank in beams:
-                path = staging / (
-                    f"p{pointing.pointing_id:04d}_b{filterbank.beam}.fb"
-                )
-                total += write_filterbank(path, filterbank)
+            for beam in beams:
+                total += beam.file_size
         ctx.stash["observations"] = observations
         ctx.stash["raw_size"] = total
         return Dataset(
@@ -454,10 +495,8 @@ def run_arecibo_pipeline(
         shipped = inputs["ship"]
         observations = ctx.dep_stash("acquire")["observations"]
         for pointing_id, beams in observations.items():
-            for filterbank in beams:
-                library.archive(
-                    f"p{pointing_id:04d}_b{filterbank.beam}", filterbank.size
-                )
+            for beam in beams:
+                library.archive(f"p{pointing_id:04d}_b{beam.beam}", beam.size)
         ctx.stash["cartridges"] = library.cartridge_count
         return shipped.derive("archived-raw", shipped.size)
 
@@ -472,8 +511,8 @@ def run_arecibo_pipeline(
         canonical pointing-major/beam-minor order (identical to sequential
         execution), so injector state never crosses a process boundary;
         shards receive only the resulting culled-beam sets.  The task is
-        the same for every executor; how a filterbank block crosses to a
-        worker process is the shard pool's decision.
+        the same for every executor and carries the beams' handles, so no
+        raw data crosses to a worker: each shard maps its beams' files.
         """
         observations = ctx.dep_stash("acquire")["observations"]
 
@@ -481,19 +520,18 @@ def run_arecibo_pipeline(
         culled_by_pointing: Dict[int, FrozenSet[int]] = {}
         for pointing in pointings:
             culled: List[int] = []
-            for filterbank in observations[pointing.pointing_id]:
+            for beam in observations[pointing.pointing_id]:
                 if injector is None:
                     continue
                 records = injector.fire(
                     "beam",
-                    f"arecibo-figure1/p{pointing.pointing_id:04d}"
-                    f"/b{filterbank.beam}",
+                    f"arecibo-figure1/p{pointing.pointing_id:04d}/b{beam.beam}",
                     site="CTC/PALFA",
                 )
                 ctx.record_faults(records)
                 if any(record.kind == "drop" for record in records):
-                    culled.append(filterbank.beam)
-                    beam_culls.append((pointing.pointing_id, filterbank.beam))
+                    culled.append(beam.beam)
+                    beam_culls.append((pointing.pointing_id, beam.beam))
             culled_by_pointing[pointing.pointing_id] = frozenset(culled)
 
         pointing_results = ctx.map_shards(
@@ -567,16 +605,19 @@ def run_arecibo_pipeline(
         confirmed = []
         fold_rng = np.random.default_rng(config.seed + 2)
         # Candidate rows carry telescope beam ids, not list positions, so
-        # resolve the filterbank by its own beam attribute.
+        # resolve the staged beam by its own beam attribute.
         beam_lookup = {
-            (pointing_id, filterbank.beam): filterbank
+            (pointing_id, beam.beam): beam
             for pointing_id, beams in observations.items()
-            for filterbank in beams
+            for beam in beams
         }
         for row in survivors:
-            filterbank = beam_lookup[(row["pointing_id"], row["beam"])]
+            # One beam mapped at a time, dropped once its series exists.
+            filterbank = beam_lookup[(row["pointing_id"], row["beam"])].open()
             cleaned, _ = clean_filterbank(filterbank, rng=fold_rng)
             base_series = dedisperse(cleaned, row["dm"])
+            tsamp_s = filterbank.tsamp_s
+            del filterbank, cleaned
             # Fold at the recorded trial acceleration and at zero, keeping
             # the better: the Fourier leader sometimes rides a nonzero
             # trial by chance even for an unaccelerated source.
@@ -593,12 +634,8 @@ def run_arecibo_pipeline(
             for accel in accels:
                 series = base_series
                 if accel:
-                    series = resample_for_acceleration(
-                        base_series, filterbank.tsamp_s, accel
-                    )
-                _, snr = refine_period(
-                    series, filterbank.tsamp_s, row["period_s"], n_trials=11
-                )
+                    series = resample_for_acceleration(base_series, tsamp_s, accel)
+                _, snr = refine_period(series, tsamp_s, row["period_s"], n_trials=11)
                 fold_snr = max(fold_snr, snr)
             if fold_snr >= config.fold_threshold:
                 confirmed.append({**row, "fold_snr": fold_snr})

@@ -183,14 +183,19 @@ class ObservationSimulator:
                 self._inject_transient(beams[beam_index], transient, freqs, times)
         for source in pointing.rfi:
             self._inject_rfi(beams, source, times, rng)
-        return [
-            Filterbank(
-                data=data.astype(np.float32),
-                freq_low_mhz=config.freq_low_mhz,
-                freq_high_mhz=config.freq_high_mhz,
-                tsamp_s=config.tsamp_s,
-                pointing_id=pointing.pointing_id,
-                beam=beam_index,
+        # Each float64 beam is released as soon as its float32 copy exists,
+        # so the conversion never holds both whole sets at once.
+        filterbanks = []
+        for beam_index in range(N_BEAMS):
+            data, beams[beam_index] = beams[beam_index], None
+            filterbanks.append(
+                Filterbank(
+                    data=data.astype(np.float32),
+                    freq_low_mhz=config.freq_low_mhz,
+                    freq_high_mhz=config.freq_high_mhz,
+                    tsamp_s=config.tsamp_s,
+                    pointing_id=pointing.pointing_id,
+                    beam=beam_index,
+                )
             )
-            for beam_index, data in enumerate(beams)
-        ]
+        return filterbanks

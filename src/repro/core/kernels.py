@@ -106,13 +106,14 @@ def run_tiles(fn: Callable[[int], T], n_tiles: int) -> List[T]:
 
 
 def shift_sum(data: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Sum ``data`` rows under per-(trial, channel) circular left-shifts.
+    """Average ``data`` rows under per-(trial, channel) circular left-shifts.
 
     ``data`` is ``(n_channels, n_samples)``; ``shifts`` is
     ``(n_trials, n_channels)`` of integer left-shifts.  Returns the
-    ``(n_trials, n_samples)`` float64 block where row ``t`` is
-    ``sum_c roll(data[c], -shifts[t, c])`` — incoherent dedispersion's
-    inner loop for every trial DM at once.
+    ``(n_trials, n_samples)`` float32 block where row ``t`` is
+    ``sum_c roll(data[c], -shifts[t, c])``, summed in float64, divided by
+    ``n_channels`` and cast to float32 — incoherent dedispersion for
+    every trial DM at once.
 
     The batch is a gather, not ``n_trials * n_channels`` rolls: the array
     is doubled along the sample axis so every circular shift is one
@@ -125,7 +126,11 @@ def shift_sum(data: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     it; the tiles run through :func:`run_tiles`.  Each output element
     still receives its channels in index order, on one thread, which is
     exactly that loop's addition order — hence bitwise equality, whatever
-    the tile split or the thread count.
+    the tile split or the thread count.  The division and the cast are
+    elementwise, so doing them per tile, from the tile's own float64
+    accumulator into the float32 output, is bitwise the whole-block
+    ``(block / n_channels).astype(np.float32)``; no whole float64 block
+    is ever allocated.
     """
     data = np.asarray(data)
     shifts = np.asarray(shifts)
@@ -146,15 +151,17 @@ def shift_sum(data: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     doubled = np.concatenate([data, data], axis=1, dtype=np.float64)
     # (n_channels, n_samples + 1, n_samples): windows[c][s] == roll(data[c], -s)
     windows = np.lib.stride_tricks.sliding_window_view(doubled, n_samples, axis=1)
-    out = np.zeros((shifts.shape[0], n_samples), dtype=np.float64)
-    tile_rows = max(1, SHIFT_SUM_TILE_BYTES // (n_samples * out.itemsize))
+    out = np.empty((shifts.shape[0], n_samples), dtype=np.float32)
+    tile_rows = max(1, SHIFT_SUM_TILE_BYTES // (n_samples * 8))
 
     def add_channels(tile: int) -> None:
         rows = slice(tile * tile_rows, (tile + 1) * tile_rows)
-        accumulator = out[rows]
         tile_shifts = wrapped[rows]
+        accumulator = np.zeros((len(tile_shifts), n_samples), dtype=np.float64)
         for channel in range(n_channels):
             accumulator += windows[channel][tile_shifts[:, channel]]
+        accumulator /= n_channels
+        out[rows] = accumulator
 
     run_tiles(add_channels, -(-shifts.shape[0] // tile_rows))
     return out

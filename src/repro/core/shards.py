@@ -34,12 +34,12 @@ thread path:
   re-emits them (:func:`~repro.core.telemetry.forward_events`) in shard
   order.
 * **Shared-memory transfer** — in process mode the pool pickles each
-  item itself, and every large NumPy array in it (a filterbank block, a
-  DM trial matrix) crosses in a :class:`SharedArray` segment instead of
-  the pickle pipe: the task carries the segment's name, the worker maps a
-  zero-copy view, and the pool unlinks every segment it made when the map
-  ends.  The decision is the pool's alone, by size; a transform hands
-  over the same items whatever executor runs its shards.
+  item itself, and every large NumPy array in it crosses in a
+  :class:`SharedArray` segment instead of the pickle pipe: the task
+  carries the segment's name, the worker maps a zero-copy view, and the
+  pool unlinks every segment it made when the map ends.  The decision is
+  the pool's alone, by size; a transform hands over the same items
+  whatever executor runs its shards.
 """
 
 from __future__ import annotations

@@ -107,7 +107,7 @@ class TestDeepSelfScan:
 #: by gaining a caller or by being deleted, never silently.
 ONLY_TESTS_REACH = {
     "reader of a format a flow writes: the round-trip oracle of its writer": """
-        arecibo.filterbank.read_filterbank weblab.export.read_exported_metadata""",
+        weblab.export.read_exported_metadata""",
     "builds the ``runs:A-B`` key that ``parse_run_key`` parses in production": """
         eventstore.model.run_range_key""",
     "per-trial reference twin a batched kernel is held bitwise-equal to": """

@@ -1,13 +1,16 @@
 """Tests for the sky model, telescope simulator, and filterbank IO."""
 
 import json
+import pickle
 import struct
 
 import numpy as np
 import pytest
 
+from repro.arecibo import filterbank as filterbank_module
 from repro.arecibo.filterbank import (
     Filterbank,
+    StagedBeam,
     dispersion_delay_s,
     read_filterbank,
     write_filterbank,
@@ -175,6 +178,36 @@ class TestFilterbankIO:
         write_filterbank(path, original)
         assert path.read_bytes() == expected
 
+    def test_read_maps_the_block_read_only(self, tmp_path, pulsar_observation):
+        path = tmp_path / "beam.fb"
+        write_filterbank(path, pulsar_observation[1])
+        loaded = read_filterbank(path)
+        assert isinstance(loaded.data.base, np.memmap)
+        assert not loaded.data.flags.writeable
+        with pytest.raises(ValueError):
+            loaded.data[0, 0] = 1.0
+
+    def test_a_write_that_raises_leaves_no_file(
+        self, tmp_path, pulsar_observation, monkeypatch
+    ):
+        """Was: the bytes streamed to the final name, so a writer killed
+        after the header left a torn file under it."""
+        path = tmp_path / "beam.fb"
+
+        def full_disk(_):
+            raise OSError("no space left on device")
+
+        # The header is written; the data block's buffer is not.
+        monkeypatch.setattr(filterbank_module, "memoryview", full_disk, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            write_filterbank(path, pulsar_observation[0])
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        size = write_filterbank(path, pulsar_observation[0])
+        assert list(tmp_path.iterdir()) == [path]
+        assert size.bytes == path.stat().st_size
+        assert np.array_equal(read_filterbank(path).data, pulsar_observation[0].data)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.fb"
         path.write_bytes(b"NOTAFILE" + b"\x00" * 64)
@@ -222,6 +255,39 @@ class TestFilterbankIO:
         path.write_bytes(b"ALFAFB01" + struct.pack("<I", len(encoded)) + encoded)
         with pytest.raises(SearchError, match="bad filterbank header"):
             read_filterbank(path)
+
+    def test_staged_beam_names_the_file_it_wrote(self, tmp_path, pulsar_observation):
+        original = pulsar_observation[4]
+        path = tmp_path / "beam4.fb"
+        handle = StagedBeam.stage(path, original)
+        assert handle.file_size.bytes == path.stat().st_size
+        assert handle.size == original.size
+        assert (handle.beam, handle.pointing_id) == (original.beam, original.pointing_id)
+        assert np.array_equal(handle.open().data, original.data)
+        # Staging always writes what it was given, whatever the name held.
+        write_filterbank(path, pulsar_observation[1])
+        assert StagedBeam.stage(path, original) == handle
+        assert np.array_equal(handle.open().data, original.data)
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("damage", ["lost", "torn", "other beam"])
+    def test_a_staged_beam_whose_file_is_not_whole_fails_to_load(
+        self, tmp_path, pulsar_observation, damage
+    ):
+        """What makes a cache entry naming the file a miss."""
+        path = tmp_path / "beam.fb"
+        handle = StagedBeam.stage(path, pulsar_observation[0])
+        assert pickle.loads(pickle.dumps(handle)) == handle
+        if damage == "lost":
+            path.unlink()
+        elif damage == "torn":
+            path.write_bytes(path.read_bytes()[:-4])
+        else:
+            write_filterbank(path, pulsar_observation[1])
+        with pytest.raises(SearchError, match=str(path)):
+            pickle.loads(pickle.dumps(handle))
+        StagedBeam.stage(path, pulsar_observation[0])  # staging heals it
+        assert pickle.loads(pickle.dumps(handle)) == handle
 
     def test_filterbank_validation(self):
         with pytest.raises(SearchError):

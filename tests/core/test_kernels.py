@@ -133,12 +133,13 @@ class TestRunTiles:
 
 
 def shift_sum_reference(data, shifts):
-    """The naive per-trial ``np.roll`` loop :func:`shift_sum` replaces."""
+    """The naive per-trial ``np.roll`` loop :func:`shift_sum` replaces:
+    a float64 sum over channels, divided by their count, cast to float32."""
     out = np.zeros((shifts.shape[0], data.shape[1]), dtype=np.float64)
     for trial in range(shifts.shape[0]):
         for channel in range(data.shape[0]):
             out[trial] += np.roll(data[channel], -int(shifts[trial, channel]))
-    return out
+    return (out / data.shape[0]).astype(np.float32)
 
 
 class TestShiftSum:
@@ -175,7 +176,7 @@ class TestShiftSum:
             )
             assert (shifts < 0).any() and (shifts >= n_samples).any()
             batched = shift_sum(data, shifts)
-            assert batched.dtype == np.float64
+            assert batched.dtype == np.float32
             assert np.array_equal(batched, shift_sum_reference(data, shifts))
 
     def test_any_thread_count_matches_reference(self, kernel_threads):
@@ -209,9 +210,12 @@ class TestShiftSum:
             shift_sum(data, np.zeros((1, 3), dtype=bool))
 
     def test_zero_shift_is_plain_sum(self):
+        """The channels summed unshifted, then averaged and cast like any row."""
         data = np.arange(12.0).reshape(3, 4)
         shifts = np.zeros((1, 3), dtype=np.int64)
-        assert np.array_equal(shift_sum(data, shifts)[0], data.sum(axis=0))
+        assert np.array_equal(
+            shift_sum(data, shifts)[0], (data.sum(axis=0) / 3).astype(np.float32)
+        )
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(KernelError):

@@ -6,17 +6,21 @@ shared stage cache ends byte-identical — canonical telemetry, scores,
 sizes — to a single cold batch run over the union.  The stage/shard
 cache counters pin the cost side: each window recomputes only the
 never-seen shards, and a zero-arrival window recomputes nothing at all.
-On a shared on-disk store the same holds whatever happens to the store:
-a window writes what arrived once, and any one lost or torn file costs a
-recompute, never the result.
+On a shared on-disk store the same holds whatever happens to the store
+or to staging: raw spectra live only in staging files, a window stages
+what arrived once and stores only handles to it, and any one lost or torn
+file — store entry or staging file — costs a recompute, never the result.
 """
 
+import shutil
 import sqlite3
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.arecibo.filterbank import StagedBeam
 from repro.arecibo.pipeline import (
     AreciboPipelineConfig,
     run_arecibo_incremental,
@@ -30,8 +34,9 @@ from repro.cleo.pipeline import (
     run_cleo_pipeline,
 )
 from repro.core.errors import IncrementalError
-from repro.core.stagecache import CachedShard, StageCache
-from repro.core.telemetry import strip_wall_clock
+from repro.core.shards import SHARE_MIN_BYTES
+from repro.core.stagecache import StageCache
+from repro.core.telemetry import Telemetry, strip_wall_clock
 
 ARECIBO_STAGES = 6
 CLEO_STAGES = 5
@@ -173,12 +178,25 @@ def load_store(root):
     }
 
 
+def staging_files(workdir):
+    return sorted(workdir.glob("*/arecibo-staging/*"))
+
+
 def same_value(left, right):
-    """Structural equality that looks into arrays (a Filterbank's ``==``
-    cannot) and past the shipment record, labelled from a process-global
-    counter (its physical outcome is pinned in ``TestAreciboIncremental``)."""
+    """Structural equality that looks into arrays, compares staged beams
+    by file name and file bytes (two runs stage into their own
+    workdirs), and looks past the shipment record, labelled from a
+    process-global counter (its physical outcome is pinned in
+    ``TestAreciboIncremental``)."""
     if type(left) is not type(right):
         return False
+    if isinstance(left, StagedBeam):
+        left_path, right_path = Path(left.path), Path(right.path)
+        return (
+            left_path.name == right_path.name
+            and replace(left, path="") == replace(right, path="")
+            and left_path.read_bytes() == right_path.read_bytes()
+        )
     if isinstance(left, np.ndarray):
         return left.dtype == right.dtype and np.array_equal(left, right)
     if isinstance(left, dict):
@@ -192,8 +210,27 @@ def same_value(left, right):
     return left == right
 
 
+def large_arrays(value, seen=None):
+    """Every ndarray of at least ``SHARE_MIN_BYTES`` reachable from ``value``."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return [value] if value.nbytes >= SHARE_MIN_BYTES else []
+    if isinstance(value, dict):
+        children = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        children = list(value)
+    elif hasattr(value, "__dict__"):
+        children = list(vars(value).values())
+    else:
+        children = []
+    return [found for child in children for found in large_arrays(child, seen)]
+
+
 class TestAreciboNightlyStore:
-    ARRIVALS = [1, 1, 1]
+    ARRIVALS = [1, 1, 0, 1]
 
     @pytest.fixture(scope="class")
     def night(self, tmp_path_factory):
@@ -202,14 +239,30 @@ class TestAreciboNightlyStore:
             workdir / "batch", nightly_config(),
             cache=StageCache.on_disk(workdir / "batch-store"),
         )
-        run_arecibo_incremental(
+        # Tally the store bytes each window writes, by the window open on
+        # the ledger when the write lands.
+        bus = Telemetry()
+        cache = StageCache.on_disk(workdir / "store")
+        written = [0] * len(self.ARRIVALS)
+        write = cache.disk.write
+
+        def tallied(key, entry, key_of=None):
+            stored = write(key, entry, key_of)
+            if stored:
+                window = len(bus.events(kind="window.open")) - 1
+                written[window] += cache.disk.path_for(key).stat().st_size
+            return stored
+
+        cache.disk.write = tallied
+        nightly = run_arecibo_incremental(
             workdir / "windows", nightly_config(), arrivals=self.ARRIVALS,
-            cache=StageCache.on_disk(workdir / "store"),
+            cache=cache, telemetry=bus,
         )
-        return workdir, cold
+        cache.disk.write = write
+        return workdir, cold, nightly, written
 
     def assert_equals_batch(self, report, workdir, night):
-        batch_dir, cold = night
+        batch_dir, cold = night[:2]
         assert strip_wall_clock(report.flow_report.events) == strip_wall_clock(
             cold.flow_report.events
         )
@@ -218,43 +271,83 @@ class TestAreciboNightlyStore:
         )
 
     def test_a_window_writes_what_arrived_once(self, night):
-        """Raw spectra are the volume and are kept once: the stage that
-        gathers the pointings names their shard entries.  (Stored by value,
-        W windows hold 1 + 2 + ... + W copies: about 3 x at W = 3.)"""
-        root = night[0] / "store"
-        entries = load_store(root)
-        assert len(entries) == ARECIBO_STAGES * len(self.ARRIVALS) + 2 * sum(self.ARRIVALS)
-        # The cold batch: one entry per stage, an observe and a search shard per pointing.
-        assert len(store_files(night[0] / "batch-store")) == ARECIBO_STAGES + 2 * sum(self.ARRIVALS)
+        """Raw spectra are the volume and have one home, the staging file
+        of the window they arrived in: a window stages what arrived and
+        nothing it has seen, and the store keeps handles, not spectra
+        (``test_no_array_hides_in_the_stash_or_the_store``)."""
+        workdir, _, nightly, written = night
+        assert [w.new_pointings for w in nightly.windows] == self.ARRIVALS
+        before = 0.0
+        for window, store_bytes in zip(nightly.windows, written):
+            arrived = window.report.raw_size.bytes - before
+            before = window.report.raw_size.bytes
+            staged = sum(
+                path.stat().st_size
+                for path in (
+                    workdir / "windows" / f"window{window.index:02d}" / "arecibo-staging"
+                ).iterdir()
+            )
+            assert staged <= 1.05 * arrived
+            if window.new_pointings == 0:
+                assert staged == 0 and store_bytes == 0
+            else:
+                assert staged >= arrived > 0 and store_bytes > 0
+        # Nothing but whole beam files: one per arrived beam, no temp files.
+        assert len(staging_files(workdir / "windows")) == 7 * sum(self.ARRIVALS)
+        # One entry per stage of a window that ran (the empty one is all
+        # hits), an observe and a search shard per pointing; none rewritten.
+        entries = load_store(workdir / "store")
+        full_windows = sum(1 for count in self.ARRIVALS if count)
+        assert len(entries) == ARECIBO_STAGES * full_windows + 2 * sum(self.ARRIVALS)
         assert all(entry is not None for entry in entries.values())
-        total = sum(path.stat().st_size for path in store_files(root))
-        shards = sum(
-            path.stat().st_size
-            for path in store_files(root)
-            if isinstance(entries[path.stem], CachedShard)
+        assert sum(written) == sum(
+            path.stat().st_size for path in store_files(workdir / "store")
         )
-        assert total < 1.2 * shards
+        # The cold batch: one entry per stage, an observe and a search shard per pointing.
+        assert len(store_files(workdir / "batch-store")) == ARECIBO_STAGES + 2 * sum(self.ARRIVALS)
+
+    def test_no_array_hides_in_the_stash_or_the_store(self, night):
+        workdir, cold = night[:2]
+        stash = cold.flow_report.stashes["acquire"]
+        beams = [beam for beams in stash["observations"].values() for beam in beams]
+        assert len(beams) == 7 * sum(self.ARRIVALS)
+        assert all(isinstance(beam, StagedBeam) for beam in beams)
+        assert large_arrays(stash) == []
+        for root in (workdir / "store", workdir / "batch-store"):
+            entries = load_store(root)
+            assert entries and all(entry is not None for entry in entries.values())
+            assert large_arrays(entries) == []
 
     def test_restart_survives_any_one_lost_or_torn_file(self, night):
-        workdir, _ = night
-        files = store_files(workdir / "store")
-        for index, path in enumerate(files):
-            whole = path.read_bytes()
+        """Each case damages one file — a store entry, or a staging file
+        an entry names — and restarts on a copy of the whole store.  A
+        damaged staging file is a miss of its pointing's observe shard,
+        which stages the pointing again in the restart's workdir."""
+        workdir = night[0]
+        store = workdir / "store"
+        cases = [("store", path.relative_to(store)) for path in store_files(store)]
+        cases += [("staging", path) for path in staging_files(workdir / "windows")]
+        for index, (kind, name) in enumerate(cases):
             for damage in ("lost", "torn"):
+                case_store = workdir / f"store-{index}-{damage}"
+                shutil.copytree(store, case_store)
+                path = case_store / name if kind == "store" else name
+                whole = path.read_bytes()
                 if damage == "lost":
                     path.unlink()
                 else:
                     path.write_bytes(whole[: len(whole) // 2])
                 run_dir = workdir / f"restart-{index}-{damage}"
-                report = run_arecibo_pipeline(
-                    run_dir, nightly_config(),
-                    cache=StageCache.on_disk(workdir / "store"),
-                )
+                cache = StageCache.on_disk(case_store)
+                report = run_arecibo_pipeline(run_dir, nightly_config(), cache=cache)
                 self.assert_equals_batch(report, run_dir, night)
-                path.write_bytes(whole)  # the next case starts from a whole store
+                if kind == "staging":
+                    assert (cache.shard_hits, cache.shard_misses) == (2, 1)
+                    assert (run_dir / "arecibo-staging" / path.name).read_bytes() == whole
+                    path.write_bytes(whole)  # the next case starts whole
 
     def test_a_store_too_small_for_one_pointing_still_ends_on_the_batch(self, night):
-        workdir, _ = night
+        workdir = night[0]
         one_shard = max(path.stat().st_size for path in store_files(workdir / "store"))
         bounded = StageCache.on_disk(workdir / "small-store", max_bytes=one_shard - 1)
         nightly = run_arecibo_incremental(
@@ -266,7 +359,7 @@ class TestAreciboNightlyStore:
         self.assert_equals_batch(nightly.final, final_dir, night)
 
     def test_thread_and_process_farms_write_equal_stores(self, night):
-        workdir, _ = night
+        workdir = night[0]
         stores = {}
         for executor in ("thread", "process"):
             root = workdir / f"{executor}-store"
@@ -282,6 +375,16 @@ class TestAreciboNightlyStore:
             for key, entry in loaded.items():
                 assert entry is not None
                 assert same_value(entry, serial[key])
+        # Every handle named a file of its own farm's run.
+        for executor in ("thread", "process"):
+            beams = [
+                value
+                for entry in stores[executor].values()
+                for value in getattr(entry, "value", [])
+                if isinstance(value, StagedBeam)
+            ]
+            assert len(beams) == 7 * sum(self.ARRIVALS)
+            assert all(f"{executor}-windows" in beam.path for beam in beams)
 
 
 class TestCleoIncremental:
