@@ -20,18 +20,12 @@ Layout and concurrency contract:
 * keys are content addresses, so two processes racing to write the same
   key write equal values and either winner is correct.
 
-Entry format (this module alone knows it): a protocol-5 pickle streamed
-into the temp file, so a contiguous array goes from its own buffer to
-the file — no ``tobytes`` copy, no whole-entry blob.  Because keys are
-content addresses an entry may *name* another entry instead of
-containing it: the writer's ``key_of`` says which sub-objects already
-live under a key of their own (pickle's persistent ids carry the key),
-and the reader's ``value_of`` turns a key back into the value.  A name
-that no longer resolves makes the entry a miss like any other
-unreadable file.  An entry that names nothing is a plain pickle.
+Entry format (this module alone knows it): a protocol-5 pickle of the
+entry's own value, streamed into the temp file, so a contiguous array
+goes from its own buffer to the file — no ``tobytes`` copy, no
+whole-entry blob.  Any reader needs only :mod:`pickle`.
 
-Recency is tracked through file mtimes — a read touches the file, a write
-touches the entries it names, then itself — and
+Recency is tracked through file mtimes — a read touches the file — and
 :meth:`DiskCacheStore.gc` evicts oldest-first until the store fits the
 configured ``max_bytes`` / ``max_entries`` bounds (write-triggered, so
 the store is self-bounding without a daemon).
@@ -43,15 +37,12 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import CacheError
 
 _SUFFIX = ".pkl"
 _KEY_DIGITS = "0123456789abcdef"
-
-KeyOf = Callable[[object], Optional[str]]
-ValueOf = Callable[[str], object]
 
 
 class DiskCacheStore:
@@ -83,9 +74,8 @@ class DiskCacheStore:
 
     # -- addressing --------------------------------------------------------
     def path_for(self, key: str) -> Path:
-        # Every writer keys by lowercase sha-256 hex, and a key can also
-        # arrive from a file's bytes (an entry naming another): ``strip``
-        # leaves nothing exactly when every character is a hex digit.
+        # Every writer keys by lowercase sha-256 hex: ``strip`` leaves
+        # nothing exactly when every character is a hex digit.
         if not isinstance(key, str) or not key or key.strip(_KEY_DIGITS):
             raise CacheError(f"malformed cache key {key!r}")
         return self.root / key[:2] / f"{key}{_SUFFIX}"
@@ -102,25 +92,20 @@ class DiskCacheStore:
         return found
 
     # -- the store API -----------------------------------------------------
-    def read(self, key: str, value_of: Optional[ValueOf] = None) -> Optional[object]:
+    def read(self, key: str) -> Optional[object]:
         """The entry for ``key``, or ``None``.
 
         Lock-free: a vanished, truncated, or unpicklable file reads as a
-        miss, and so does an entry naming another that ``value_of`` does
-        not resolve (it raises; without a ``value_of`` every name is
-        unresolved).  A successful read touches the file's mtime so GC
-        sees it as recently used.
+        miss.  A successful read touches the file's mtime so GC sees it
+        as recently used.
         """
         path = self.path_for(key)
         try:
             with path.open("rb") as handle:
-                unpickler = pickle.Unpickler(handle)
-                if value_of is not None:
-                    unpickler.persistent_load = value_of  # type: ignore[method-assign]
-                entry = unpickler.load()
+                entry = pickle.load(handle)
         except FileNotFoundError:
             return None
-        except Exception:  # noqa: BLE001 - torn/corrupt/dangling entry == miss
+        except Exception:  # noqa: BLE001 - torn/corrupt entry == miss
             return None
         try:
             os.utime(path)
@@ -128,14 +113,8 @@ class DiskCacheStore:
             pass  # GC won the race; the value we read is still good
         return entry
 
-    def write(self, key: str, entry: object, key_of: Optional[KeyOf] = None) -> bool:
+    def write(self, key: str, entry: object) -> bool:
         """Atomically persist ``entry`` under ``key``; then enforce bounds.
-
-        The entry streams into the temp file; a sub-object for which
-        ``key_of`` returns a key is written as that key, not by value.
-        Every entry so named is touched, and the written entry stays the
-        newest, so GC reaches an entry's parts only after the entry itself
-        (a named entry already gone from disk is skipped).
 
         Returns ``False`` (and stores nothing) when the entry does not
         pickle — an unpicklable stash degrades that stage to
@@ -148,20 +127,9 @@ class DiskCacheStore:
             dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
         )
         stored = False
-        named: List[object] = []
-
-        def persistent_id(obj: object) -> Optional[str]:
-            name = key_of(obj)  # type: ignore[misc]
-            if name is not None:
-                named.append(name)
-            return name
-
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickler = pickle.Pickler(handle, protocol=5)
-                if key_of is not None:
-                    pickler.persistent_id = persistent_id  # type: ignore[method-assign]
-                pickler.dump(entry)
+                pickle.dump(entry, handle, protocol=5)
             os.replace(tmp_name, path)
             stored = True
         except OSError:
@@ -174,19 +142,6 @@ class DiskCacheStore:
                     os.unlink(tmp_name)
                 except OSError:
                     pass
-        if named:
-            # File clocks tick coarsely, so the order is set explicitly: the
-            # named entries 1 ns past the written file, the file 1 ns past them.
-            try:
-                stamp = path.stat().st_mtime_ns + 1
-                for name in named:
-                    try:
-                        os.utime(self.path_for(name), ns=(stamp, stamp))  # type: ignore[arg-type]
-                    except (CacheError, OSError):
-                        pass  # gone or malformed: the entry reads as a miss
-                os.utime(path, ns=(stamp + 1, stamp + 1))
-            except OSError:
-                pass  # GC'd or replaced underneath us
         self.gc()
         return True
 

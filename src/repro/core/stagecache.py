@@ -23,7 +23,7 @@ input dataset including its provenance-stamp MD5 digest — the paper's own
 after.  Anything that would change the stage's behaviour must appear in
 one of those; pipelines surface their config through ``cache_params``.
 
-Hits, misses, and evictions are registry-backed counters
+Hits and misses are registry-backed counters
 (``stage_cache.hits`` etc.) so they flow into benchmark report rows like
 every other instrument.
 """
@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Union
@@ -117,12 +116,6 @@ class CachedShard:
     value: object
 
 
-# Interpreter-wide singletons and values a key would not be shorter than:
-# the same object turns up in unrelated entries, so these are never named.
-_ATOMS = (type(None), bool, int, float, complex, str, bytes)
-_EMPTY_TUPLE = ()
-
-
 @dataclass
 class CachedStage:
     """Everything needed to replay one stage without running it.
@@ -202,77 +195,49 @@ class CachedStage:
 
 
 class StageCache:
-    """LRU cache of :class:`CachedStage` snapshots keyed by provenance.
+    """Cache of :class:`CachedStage` snapshots keyed by provenance.
 
     Parameters
     ----------
-    max_entries:
-        Optional capacity; least-recently-used entries are evicted past
-        it.  ``None`` (default) means unbounded — figure pipelines have a
-        handful of stages.
     registry:
-        Metrics registry the hit/miss/eviction counters live in; a private
-        one is created if not supplied.  Pass the engine's registry to
-        surface cache traffic alongside the flow's other instruments.
+        Metrics registry the hit/miss counters live in; a private one is
+        created if not supplied.  Pass the engine's registry to surface
+        cache traffic alongside the flow's other instruments.
     store:
         Optional :class:`~repro.core.cachestore.DiskCacheStore` backing.
         With a store, this cache becomes a read-through/write-through L1
         over a shared on-disk L2: lookups that miss in memory consult the
         store (a disk hit counts as a hit, plus ``stage_cache.disk_hits``),
-        stores write through (atomic rename; an unpicklable entry degrades
-        that stage to memory-only, counted in
-        ``stage_cache.disk_write_skips``), and in-memory LRU eviction is
-        harmless because the entry survives on disk.  Multiple engines —
-        in one process, many processes, or successive runs — may share one
-        store root; content-addressed keys make racing writers safe.
-
-        A stage entry whose stash holds (by identity) the value of a shard
-        entry in the L1 is written naming that shard's key, not copying
-        the value: what a window's fan-out stored once is not stored again
-        by the stage that gathers it.  A reader resolves the name from the
-        L1 or the store, counting nothing; if the shard is gone the stage
-        entry is a miss and the recompute's write heals it.
+        and stores write through (atomic rename; an unpicklable entry
+        degrades that stage to memory-only, counted in
+        ``stage_cache.disk_write_skips``).  Multiple engines — in one
+        process, many processes, or successive runs — may share one store
+        root; content-addressed keys make racing writers safe.  Every
+        entry on disk holds its own value.
     """
 
     def __init__(
         self,
-        max_entries: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
         store: Optional[DiskCacheStore] = None,
     ):
-        if max_entries is not None and max_entries < 1:
-            raise CacheError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
         self.registry = registry if registry is not None else MetricsRegistry()
         self.disk = store
-        self._entries: "OrderedDict[str, Union[CachedStage, CachedShard]]" = OrderedDict()
-        # id(value) -> key for the shard values the L1 holds.  The entry's
-        # reference keeps the id from being reused while it is listed here.
-        self._shard_ids: Dict[int, str] = {}
+        self._entries: Dict[str, Union[CachedStage, CachedShard]] = {}
         self._lock = threading.Lock()
 
     @classmethod
     def on_disk(
         cls,
         root: "Union[str, Path]",
-        max_bytes: Optional[int] = None,
-        max_disk_entries: Optional[int] = None,
-        max_entries: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> "StageCache":
-        """A stage cache over a shared on-disk store rooted at ``root``.
+        """A stage cache over an unbounded on-disk store rooted at ``root``.
 
-        ``max_bytes``/``max_disk_entries`` bound the on-disk store (GC'd
-        oldest-first after each write); ``max_entries`` bounds the
-        in-memory L1 as usual.
+        A bounded store is passed in whole:
+        ``StageCache(store=DiskCacheStore(root, max_bytes=...))``.
         """
-        return cls(
-            max_entries=max_entries,
-            registry=registry,
-            store=DiskCacheStore(
-                root, max_bytes=max_bytes, max_entries=max_disk_entries
-            ),
-        )
+        return cls(registry=registry, store=DiskCacheStore(root))
 
     def __len__(self) -> int:
         with self._lock:
@@ -285,18 +250,17 @@ class StageCache:
     def _get(self, key: str, kind: type, hit_counter: str, miss_counter: str):
         """Memory-then-disk read of the ``kind`` entry under ``key``.
 
-        A memory hit is marked recently used; a memory miss falls through
-        to the disk store, and a disk hit is promoted into the in-memory
-        L1 and counts as a hit (plus ``stage_cache.disk_hits``).
+        A memory miss falls through to the disk store, and a disk hit is
+        promoted into the in-memory L1 and counts as a hit (plus
+        ``stage_cache.disk_hits``).
         """
         with self._lock:
             entry = self._entries.get(key)
-            if isinstance(entry, kind):
-                self._entries.move_to_end(key)
-                self.registry.counter(hit_counter).inc()
-                return entry
+        if isinstance(entry, kind):
+            self.registry.counter(hit_counter).inc()
+            return entry
         if self.disk is not None:
-            entry = self.disk.read(key, self._shard_value)
+            entry = self.disk.read(key)
             if isinstance(entry, kind):
                 self._put_memory(key, entry)
                 self.registry.counter(hit_counter).inc()
@@ -305,58 +269,10 @@ class StageCache:
         self.registry.counter(miss_counter).inc()
         return None
 
-    def _forget_shard_id(self, key: str, entry: object) -> None:
-        """``entry`` is leaving the L1 slot ``key`` (lock held)."""
-        if (
-            isinstance(entry, CachedShard)
-            and self._shard_ids.get(id(entry.value)) == key
-        ):
-            del self._shard_ids[id(entry.value)]
-
     def _put_memory(self, key: str, entry: object) -> None:
-        """Insert into the L1, evicting LRU entries past ``max_entries``."""
         with self._lock:
-            self._forget_shard_id(key, self._entries.get(key))
             self._entries[key] = entry
-            self._entries.move_to_end(key)
-            if (
-                isinstance(entry, CachedShard)
-                and not isinstance(entry.value, _ATOMS)
-                and entry.value is not _EMPTY_TUPLE
-            ):
-                self._shard_ids[id(entry.value)] = key
-            while self.max_entries is not None and len(self._entries) > self.max_entries:
-                self._forget_shard_id(*self._entries.popitem(last=False))
-                self.registry.counter("stage_cache.evictions").inc()
             self.registry.gauge("stage_cache.entries").set(float(len(self._entries)))
-
-    def _shard_key_of(self, obj: object) -> Optional[str]:
-        """The key of the L1 shard entry whose value *is* ``obj``, if any."""
-        key = self._shard_ids.get(id(obj))
-        if key is None:
-            return None
-        with self._lock:
-            entry = self._entries.get(key)
-        if isinstance(entry, CachedShard) and entry.value is obj:
-            return key
-        return None
-
-    def _shard_value(self, key: str) -> object:
-        """The value a stage entry names by ``key``: L1, then the store.
-
-        Not a lookup — no counter moves and nothing is emitted; a value
-        read from the store is promoted so later entries share the object.
-        Raises when ``key`` holds no shard entry (the referring entry is
-        then a miss).
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-        if not isinstance(entry, CachedShard):
-            entry = self.disk.read(key)  # asked only from inside a store read
-            if not isinstance(entry, CachedShard):
-                raise CacheError(f"no shard entry under {key!r}")
-            self._put_memory(key, entry)
-        return entry.value
 
     def _put(self, key: str, entry: object) -> None:
         """Memory-and-disk write of ``entry`` under ``key``.
@@ -364,24 +280,22 @@ class StageCache:
         With a disk store attached the entry is also written through
         (atomic write-then-rename keyed by the content address); an entry
         whose payload cannot pickle stays memory-only and is counted in
-        ``stage_cache.disk_write_skips``.  Only a stage entry names shard
-        values; a shard entry always carries its own.
+        ``stage_cache.disk_write_skips``.
         """
         self._put_memory(key, entry)
         if self.disk is not None:
-            key_of = self._shard_key_of if isinstance(entry, CachedStage) else None
-            if self.disk.write(key, entry, key_of):
+            if self.disk.write(key, entry):
                 self.registry.counter("stage_cache.disk_writes").inc()
             else:
                 self.registry.counter("stage_cache.disk_write_skips").inc()
 
     def lookup(self, key: str) -> Optional[CachedStage]:
-        """Return the stage entry for ``key`` (marking it recently used),
-        or None; counted in ``stage_cache.hits``/``misses``."""
+        """Return the stage entry for ``key``, or None; counted in
+        ``stage_cache.hits``/``misses``."""
         return self._get(key, CachedStage, "stage_cache.hits", "stage_cache.misses")
 
     def store(self, key: str, entry: CachedStage) -> None:
-        """Insert ``entry``, evicting LRU entries past ``max_entries``."""
+        """Insert ``entry`` under ``key``."""
         if not isinstance(entry, CachedStage):
             raise CacheError(
                 f"expected a CachedStage, got {type(entry).__name__}"
@@ -389,7 +303,7 @@ class StageCache:
         self._put(key, entry)
 
     def lookup_shard(self, key: str) -> Optional[CachedShard]:
-        """Return the shard entry for ``key`` (marking it used), or None.
+        """Return the shard entry for ``key``, or None.
 
         Shard traffic is counted apart from stage traffic
         (``stage_cache.shard_hits``/``shard_misses``) so stage-level
@@ -406,9 +320,7 @@ class StageCache:
     def invalidate(self, key: str) -> bool:
         """Drop one entry from memory and disk; returns whether it existed."""
         with self._lock:
-            entry = self._entries.pop(key, None)
-            self._forget_shard_id(key, entry)
-            existed = entry is not None
+            existed = self._entries.pop(key, None) is not None
             self.registry.gauge("stage_cache.entries").set(float(len(self._entries)))
         if self.disk is not None:
             existed = self.disk.delete(key) or existed
@@ -418,7 +330,6 @@ class StageCache:
         """Empty the in-memory L1 (and, with ``disk=True``, the store)."""
         with self._lock:
             self._entries.clear()
-            self._shard_ids.clear()
             self.registry.gauge("stage_cache.entries").set(0.0)
         if disk and self.disk is not None:
             self.disk.clear()
@@ -431,10 +342,6 @@ class StageCache:
     @property
     def misses(self) -> int:
         return int(self.registry.value("stage_cache.misses"))
-
-    @property
-    def evictions(self) -> int:
-        return int(self.registry.value("stage_cache.evictions"))
 
     @property
     def shard_hits(self) -> int:
@@ -463,7 +370,6 @@ class StageCache:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "entries": len(self),
         }
 

@@ -3,8 +3,8 @@
 Contract under test: atomic write-then-rename, lock-free reads that treat
 missing/corrupt files as misses, mtime-LRU garbage collection bounded by
 ``max_bytes`` / ``max_entries``, graceful degradation for entries that
-do not pickle, and the entry format: streamed, and able to name another
-entry by key instead of containing its value.
+do not pickle, and the entry format: a plain pickle of the entry's own
+value, streamed into the file.
 """
 
 import hashlib
@@ -32,8 +32,8 @@ class TestAddressing:
         ["", "a/b", "a\\b", "a.b", "../../etc", "a\x00b", "ab\n", " ab", "AB", b"ab", 7, None],
     )
     def test_malformed_keys_rejected(self, tmp_path, bad):
-        """Keys are lowercase hex and nothing else — whoever supplies them,
-        a caller or (an entry naming another) a file's bytes."""
+        """Keys are lowercase hex and nothing else, so no key can address
+        a path outside the store."""
         store = DiskCacheStore(tmp_path)
         with pytest.raises(CacheError, match="malformed cache key"):
             store.path_for(bad)
@@ -135,37 +135,6 @@ class TestReadWrite:
         store.write(key, ("tuple", 7))
         with store.path_for(key).open("rb") as handle:
             assert pickle.load(handle) == ("tuple", 7)
-
-
-class TestNamedEntries:
-    """``key_of``/``value_of``: the format's half of "an entry names another"."""
-
-    def test_a_named_object_is_written_as_its_key(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
-        part, part_key = list(range(10_000)), key_of("part")
-        whole, whole_key = {"parts": [part, part], "n": 2}, key_of("whole")
-        store.write(part_key, part)
-        store.write(whole_key, whole, lambda obj: part_key if obj is part else None)
-        assert store.path_for(whole_key).stat().st_size < 200
-        asked = []
-
-        def value_of(key):
-            asked.append(key)
-            return store.read(key)
-
-        assert store.read(whole_key, value_of) == whole
-        assert asked == [part_key, part_key]
-
-    def test_a_name_nothing_resolves_is_a_miss(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
-        part, key = [1, 2, 3], key_of("whole")
-        store.write(key, {"part": part}, lambda obj: "ab" if obj is part else None)
-        assert store.read(key) is None
-
-        def raises(name):
-            raise LookupError(name)
-
-        assert store.read(key, raises) is None
 
 
 class TestGarbageCollection:

@@ -79,19 +79,8 @@ class TestStageCacheUnit:
         cache.store("k1", self.entry())
         cache.lookup("k1")
         assert cache.stats() == {
-            "hits": 1, "misses": 1, "evictions": 0, "entries": 1
+            "hits": 1, "misses": 1, "entries": 1
         }
-
-    def test_lru_eviction(self):
-        cache = StageCache(max_entries=2)
-        cache.store("a", self.entry())
-        cache.store("b", self.entry())
-        cache.lookup("a")          # freshen a; b is now the LRU entry
-        cache.store("c", self.entry())
-        assert cache.lookup("b") is None
-        assert cache.lookup("a") is not None
-        assert cache.lookup("c") is not None
-        assert cache.evictions == 1
 
     def test_invalidate_and_clear(self):
         cache = StageCache()
@@ -102,9 +91,7 @@ class TestStageCacheUnit:
         cache.clear()
         assert len(cache) == 0
 
-    def test_rejects_bad_capacity_and_entry(self):
-        with pytest.raises(CacheError):
-            StageCache(max_entries=0)
+    def test_rejects_an_entry_that_is_not_a_stage(self):
         with pytest.raises(CacheError):
             StageCache().store("k", "not a CachedStage")
 

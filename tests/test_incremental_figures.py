@@ -33,6 +33,7 @@ from repro.cleo.pipeline import (
     run_cleo_incremental,
     run_cleo_pipeline,
 )
+from repro.core.cachestore import DiskCacheStore
 from repro.core.errors import IncrementalError
 from repro.core.shards import SHARE_MIN_BYTES
 from repro.core.stagecache import StageCache
@@ -170,7 +171,7 @@ def store_files(root):
 
 
 def load_store(root):
-    """key -> the value every entry under ``root`` loads to, names resolved."""
+    """key -> the value every entry under ``root`` loads to."""
     cache = StageCache.on_disk(root)
     return {
         path.stem: cache.lookup_shard(path.stem) or cache.lookup(path.stem)
@@ -246,8 +247,8 @@ class TestAreciboNightlyStore:
         written = [0] * len(self.ARRIVALS)
         write = cache.disk.write
 
-        def tallied(key, entry, key_of=None):
-            stored = write(key, entry, key_of)
+        def tallied(key, entry):
+            stored = write(key, entry)
             if stored:
                 window = len(bus.events(kind="window.open")) - 1
                 written[window] += cache.disk.path_for(key).stat().st_size
@@ -349,7 +350,9 @@ class TestAreciboNightlyStore:
     def test_a_store_too_small_for_one_pointing_still_ends_on_the_batch(self, night):
         workdir = night[0]
         one_shard = max(path.stat().st_size for path in store_files(workdir / "store"))
-        bounded = StageCache.on_disk(workdir / "small-store", max_bytes=one_shard - 1)
+        bounded = StageCache(
+            store=DiskCacheStore(workdir / "small-store", max_bytes=one_shard - 1)
+        )
         nightly = run_arecibo_incremental(
             workdir / "small-windows", nightly_config(), arrivals=self.ARRIVALS,
             cache=bounded,
