@@ -1,9 +1,9 @@
 """RPR103: unpicklable or unsafe captures crossing the process boundary.
 
 A shard callable dispatched under ``executor="process"`` is pickled
-into the worker.  Three shapes survive the thread executor (so tests
-pass) and then detonate — or worse, *silently misbehave* — the moment
-the config flips to processes:
+into the worker.  Three shapes run fine inline (so tests pass) and then
+detonate — or worse, *silently misbehave* — the moment the config flips
+to processes:
 
 * **closures and lambdas** — anything defined inside a function does
   not pickle at all;

@@ -1,17 +1,18 @@
 """RPR102: shard-safety — shared mutable state reached from shard callables.
 
 ``StageContext.map_shards`` / ``ShardPool`` fan a callable out across
-workers.  Under the thread executor, any module-global or pre-existing
-closure cell the callable (transitively) mutates is a data race; under
-the process executor the mutation lands on a *copy* in the child and
-silently diverges from the parent — the exact class of bug PR 6 fixed
-by moving fault-injector evaluation to the parent side.
+worker processes.  Any module-global or pre-existing closure cell the
+callable (transitively) mutates then changes only a *copy* in the child,
+and the run silently diverges from the inline one, where every shard saw
+every earlier mutation — the class of bug that moved fault-injector
+evaluation to the parent side.  Inline, the state is still shared: with
+several engine workers, the shards of concurrent stages race on it.
 
 Three hazard shapes are flagged, each with the call chain that reaches
 the mutation:
 
 * **module-global mutation** — the state pre-exists the fan-out in every
-  execution mode, so it is always shared (threads) or diverging
+  execution mode, so it is always shared (inline) or diverging
   (processes);
 * **closure-cell mutation where the cell's owning scope lexically
   encloses the shard callable** — the cell is created *before* the

@@ -71,8 +71,9 @@ class AreciboPipelineConfig:
     # the dominant `process` stage.  Results are identical for any value;
     # every pointing draws from its own deterministic RNG and the merge
     # happens in pointing order.  ``executor`` picks where the fan-out
-    # runs: ``"thread"`` (default) or ``"process"`` — worker processes
-    # that map the beams from their staging files, the paper's farm model.
+    # runs: ``"thread"`` (default), inline on the stage's thread, or
+    # ``"process"`` — ``workers`` worker processes that map the beams from
+    # their staging files, the paper's farm model.
     workers: int = 1
     executor: str = "thread"
     seed: int = 7
@@ -259,8 +260,8 @@ def _search_pointing_shard(
 
     Self-contained and deterministic: the RNG is derived from the run
     seed and the pointing id, never shared across pointings, so the
-    per-pointing results are identical whether pointings run serially,
-    on a thread pool, or in worker processes.  ``culled`` beams (decided
+    per-pointing results are identical whether pointings run inline or
+    in worker processes.  ``culled`` beams (decided
     by the parent's fault evaluation) keep their slot in the multibeam
     grid as an empty candidate list — they can neither detect nor veto —
     and consume no RNG draws, exactly as under in-line execution.
@@ -503,9 +504,9 @@ def run_arecibo_pipeline(
     def process(inputs, ctx):
         """Per-beam excision, dedispersion, Fourier search; multibeam cull.
 
-        Pointings are independent, so with ``config.workers > 1`` they fan
-        out across the engine's shard pool — threads or worker processes
-        per ``config.executor`` — and results merge in pointing order
+        Pointings are independent, so they go through the engine's shard
+        pool — inline, or on worker processes with ``config.workers > 1``
+        and ``executor="process"`` — and results merge in pointing order
         either way, keeping the stage output byte-identical for any worker
         count and executor.  Beam-scope faults are evaluated *here*, in
         canonical pointing-major/beam-minor order (identical to sequential

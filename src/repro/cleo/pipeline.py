@@ -56,9 +56,9 @@ class CleoPipelineConfig:
     # Monte Carlo runs beside the reconstruction chain), so workers > 1
     # overlaps those branches while reporting identical accounting.
     # ``executor`` additionally picks where the per-run reconstruction
-    # batch fans out: ``"thread"`` (default) or ``"process"`` — the
-    # paper's farm of independent reconstruction workers fed from the
-    # central store.
+    # batch runs: ``"thread"`` (default), inline on the stage's thread, or
+    # ``"process"`` — ``workers`` worker processes, the paper's farm of
+    # independent reconstruction workers fed from the central store.
     workers: int = 1
     executor: str = "thread"
     seed: int = 11
@@ -289,7 +289,7 @@ def run_cleo_pipeline(
 
         The parent (this transform) owns all store traffic: it reads each
         run's raw events from the central store, hands ``(reconstructor,
-        events, stamp)`` tasks to the engine's shard pool — threads or
+        events, stamp)`` tasks to the engine's shard pool — inline or on
         worker processes per ``config.executor`` — and injects the results
         back in run order, so the store contents and accounting are
         byte-identical for any worker count or executor.

@@ -19,13 +19,16 @@ keywords only decide where a cache miss executes:
   each result comes back through a second queue, so independent stages run
   concurrently — the paper's "50 to 200 processors" argument, exercised
   instead of merely quoted.
-* ``executor="process"`` additionally moves the data-parallel inner loops
-  of transforms — the shards a stage routes through
-  ``StageContext.map_shards`` — onto worker processes, the paper's farm
-  model (a central store feeding independent reconstruction/search
-  workers).  Stage scheduling itself stays on threads; large arrays cross
-  the process boundary via shared memory and child telemetry is forwarded
-  home in shard order.
+* ``executor`` decides where the data-parallel inner loop of a transform
+  — the shards a stage routes through ``StageContext.map_shards`` — runs.
+  ``"thread"`` (the default) runs them on the thread that runs the stage;
+  ``"process"`` moves them onto ``max_workers`` worker processes, the
+  paper's farm model (a central store feeding independent
+  reconstruction/search workers).  Stage scheduling itself stays on
+  threads; large arrays cross the process boundary via shared memory and
+  child telemetry is forwarded home in shard order.  Inside a stage, the
+  kernels' row tiles (:func:`repro.core.kernels.run_tiles`) are the only
+  thread parallelism.
 
 Every worker count preserves *exact* sequential semantics:
 
@@ -276,13 +279,15 @@ class StageContext:
     def map_shards(self, fn, items, cache_keys=None, cache_params=None):
         """Fan ``fn`` out over ``items`` on the engine's shard pool.
 
-        Results return in item order for every executor, so a transform
-        that merges positionally stays byte-identical across sequential,
-        threaded, and process runs.  Under ``executor="process"``, ``fn``
-        and each item must be picklable (module-level functions, plain
-        data); how an item crosses — large arrays through shared memory —
-        is the pool's business, and telemetry the shards emit is forwarded
-        home in item order.
+        The shards run on this stage's thread, or — under
+        ``executor="process"`` with ``max_workers > 1`` — on the engine's
+        worker processes.  Results return in item order either way, so a
+        transform that merges positionally stays byte-identical across
+        sequential, threaded, and process runs.  Under
+        ``executor="process"``, ``fn`` and each item must be picklable
+        (module-level functions, plain data); how an item crosses — large
+        arrays through shared memory — is the pool's business, and
+        telemetry the shards emit is forwarded home in item order.
 
         With ``cache_keys`` (one stable descriptor string per item) and an
         attached engine stage cache, each shard result is memoized under a
@@ -296,9 +301,8 @@ class StageContext:
         whole-stage hits.
 
         A memoized result must not be mutated once this returns: the cache
-        keeps the object itself, a later run's (or window's) shard hit
-        hands out the same one, and a stage entry whose stash holds it is
-        stored as the shard's key, not as a second copy of the value.
+        keeps the object itself, and a later run's (or window's) shard hit
+        hands out the same one.
         """
         if cache_keys is not None:
             items, cache_keys = list(items), list(cache_keys)
@@ -394,9 +398,10 @@ class Engine:
         ``N > 1`` runs independent stages concurrently on ``N`` worker
         threads while producing byte-identical reports and provenance.
     executor:
-        ``"thread"`` or ``"process"``: where ``StageContext.map_shards``
-        fans a transform's inner loop out when ``max_workers > 1``.
-        Stage scheduling itself always stays on threads.
+        Where ``StageContext.map_shards`` runs a transform's shards:
+        ``"thread"`` on the thread that runs the stage, ``"process"`` on
+        ``max_workers`` worker processes (inline when ``max_workers`` is
+        1).  Stage scheduling itself always stays on threads.
     telemetry:
         The substrate runs emit into.  Each engine owns a private
         :class:`~repro.core.telemetry.Telemetry` by default, so a run's
@@ -835,7 +840,7 @@ class Engine:
         workers = self._max_workers
         threads: List[threading.Thread] = []
         in_flight = 0
-        self._shard_pool = ShardPool(executor=self._executor, workers=workers)
+        self._shard_pool = ShardPool(workers if self._executor == "process" else 1)
         try:
             if workers > 1:
                 for _ in range(workers):

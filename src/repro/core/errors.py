@@ -75,7 +75,7 @@ class UnverifiableInputError(CacheError):
 
 
 class ShardError(ReproError):
-    """Shard-pool misuse (unknown executor, closed pool, bad worker count)."""
+    """Shard-pool misuse (closed pool, bad worker count)."""
 
 
 class FaultError(ReproError):

@@ -1,4 +1,4 @@
-"""Shard-level fan-out across threads or worker processes.
+"""Shard-level fan-out: inline, or across worker processes.
 
 All three case-study flows contain one dominant data-parallel stage — the
 per-pointing Arecibo search, the per-run CLEO reconstruction batch, the
@@ -8,38 +8,41 @@ and results are merged back in a deterministic order (the CDF
 data-processing model referenced in PAPERS.md).
 
 This module is that farm, scaled to one machine.  A :class:`ShardPool`
-maps a function over a list of *shard* work items:
+maps a function over a list of *shard* work items, and its one number,
+``workers``, picks how:
 
-* ``executor="serial"`` (or ``workers == 1``) runs the shards inline in
-  the calling thread — the reference semantics;
-* ``executor="thread"`` fans them out across a thread pool (NumPy-bound
-  shards overlap where the kernels release the GIL);
-* ``executor="process"`` fans them out across worker *processes*, the
+* ``workers == 1`` runs the shards inline in the calling thread — the
+  reference semantics;
+* ``workers > 1`` fans them out across that many worker *processes*, the
   true multi-core path.  The shard function must be picklable (a
   module-level function) and so must its items.
 
-Whatever the executor, results are returned **in item order** — never in
-completion order — so a stage that merges shard results positionally is
-byte-identical for any executor and worker count.  That is the same
-determinism contract the engine holds for whole stages.
+Shards never run on extra threads: the kernels already tile their rows
+over every core (:func:`repro.core.kernels.run_tiles`), so shard threads
+would only contend with those tiles for the same cores.
+
+Either way, results are returned **in item order** — never in completion
+order — so a stage that merges shard results positionally is
+byte-identical for any worker count.  That is the same determinism
+contract the engine holds for whole stages.
 
 Two supporting pieces keep process sharding observably identical to the
-thread path:
+inline path:
 
 * **Child telemetry forwarding** — a worker process cannot append to the
   parent's event bus, so each shard runs under a fresh process-default
   :class:`~repro.core.telemetry.Telemetry`
   (:func:`~repro.core.telemetry.capture_events`) and the captured events
   and counter values ride home with the shard result, where the pool
-  re-emits them (:func:`~repro.core.telemetry.forward_events`) in shard
-  order.
+  re-emits them (:func:`~repro.core.telemetry.forward_events`) into the
+  process-default substrate in shard order: where an inline shard emits.
 * **Shared-memory transfer** — in process mode the pool pickles each
   item itself, and every large NumPy array in it crosses in a
   :class:`SharedArray` segment instead of the pickle pipe: the task
   carries the segment's name, the worker maps a zero-copy view, and the
   pool unlinks every segment it made when the map ends.  The decision is
   the pool's alone, by size; a transform hands over the same items
-  whatever executor runs its shards.
+  whatever its shards run on.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import io
 import mmap
 import multiprocessing
 import pickle
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from functools import partial
 from multiprocessing import resource_tracker, shared_memory
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -57,14 +60,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import ShardError
-from repro.core.telemetry import (
-    Telemetry,
-    capture_events,
-    forward_events,
-    get_telemetry,
-)
-
-EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process")
+from repro.core.telemetry import capture_events, forward_events, get_telemetry
 
 #: An array crosses to a worker process in shared memory from this many
 #: bytes up.  Below it a segment — create, copy in, attach, map, unlink:
@@ -238,71 +234,30 @@ def _run_shard(fn: Callable, payload: bytes) -> Tuple[object, list, dict]:
 
 
 class ShardPool:
-    """Maps shard functions over work items on a chosen executor.
+    """Maps shard functions over work items, inline or on worker processes.
 
-    Parameters
-    ----------
-    executor:
-        ``"serial"``, ``"thread"``, or ``"process"``.
-    workers:
-        Concurrency; ``1`` always degrades to the serial path.
-    telemetry:
-        Where forwarded child-process events land; defaults to the
-        process-default substrate (which is exactly where thread-mode
-        shards emit directly, keeping the two paths equivalent).
-
-    The underlying pool is created lazily on first :meth:`map` and reused
-    until :meth:`close`; the pool is also a context manager.
+    ``workers == 1`` runs every map inline; ``workers > 1`` runs it on that
+    many worker processes, started on the first :meth:`map` and reused
+    until :meth:`close`.  The pool is also a context manager.
     """
 
-    def __init__(
-        self,
-        executor: str = "thread",
-        workers: int = 1,
-        telemetry: Optional[Telemetry] = None,
-    ):
-        if executor not in EXECUTORS:
-            raise ShardError(
-                f"unknown shard executor {executor!r}; pick one of {EXECUTORS}"
-            )
+    def __init__(self, workers: int):
         if workers < 1:
             raise ShardError(f"workers must be >= 1, got {workers}")
-        self.executor = executor
         self.workers = int(workers)
-        self._telemetry = telemetry
-        self._pool: Optional[object] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
-
-    @property
-    def effective_executor(self) -> str:
-        """The executor shards actually run on (``workers == 1`` is serial)."""
-        if self.workers == 1:
-            return "serial"
-        return self.executor
-
-    def _ensure_pool(self) -> object:
-        if self._pool is None:
-            if self.effective_executor == "thread":
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
-            elif self.effective_executor == "process":
-                # Workers must fork *after* the tracker exists: a worker
-                # forked before the parent's first SharedArray would start
-                # a private tracker on attach and report every segment as
-                # leaked (the premise _untrack's fork branch rests on).
-                resource_tracker.ensure_running()
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
 
     def map(self, fn: Callable, items: Sequence) -> List:
         """Run ``fn`` over ``items``; results come back in item order.
 
         A shard that raises aborts the map and re-raises in the caller
-        (after the remaining shards settle), matching the serial path's
+        (after the remaining shards settle), matching the inline path's
         first-failure semantics for items before the failure.
 
-        Serial and thread shards get the items themselves.  Process shards
-        get a protocol-5 pickle of each item in which every C-contiguous
-        array of at least :data:`SHARE_MIN_BYTES` travels through shared
+        Inline shards get the items themselves.  Process shards get a
+        protocol-5 pickle of each item in which every C-contiguous array
+        of at least :data:`SHARE_MIN_BYTES` travels through shared
         memory; the segments are closed and unlinked when the map returns
         or raises — a raising shard and an item that fails to pickle
         included.
@@ -312,22 +267,24 @@ class ShardPool:
         items = list(items)
         if not items:
             return []
-        mode = self.effective_executor
-        if mode == "serial":
+        if self.workers == 1:
             return [fn(item) for item in items]
-        if mode == "thread":
-            pool = self._ensure_pool()
-            return list(pool.map(fn, items))  # type: ignore[union-attr]
+        if self._pool is None:
+            # Workers must fork *after* the tracker exists: a worker
+            # forked before the parent's first SharedArray would start
+            # a private tracker on attach and report every segment as
+            # leaked (the premise _untrack's fork branch rests on).
+            resource_tracker.ensure_running()
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         # Process mode: run each shard under a fresh child substrate and
         # forward its telemetry home in shard order.
-        pool = self._ensure_pool()
         segments: List[SharedArray] = []
         futures: List[Future] = []
         try:
             for item in items:
                 payload = _dumps(item, segments)
-                futures.append(pool.submit(_run_shard, fn, payload))  # type: ignore[union-attr]
-            bus = self._telemetry if self._telemetry is not None else get_telemetry()
+                futures.append(self._pool.submit(_run_shard, fn, payload))
+            bus = get_telemetry()
             values: List[object] = []
             for future in futures:
                 value, events, counters = future.result()
@@ -342,7 +299,7 @@ class ShardPool:
 
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.shutdown(wait=True)  # type: ignore[union-attr]
+            self._pool.shutdown(wait=True)
             self._pool = None
         self._closed = True
 

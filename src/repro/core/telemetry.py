@@ -558,8 +558,8 @@ def telemetry_session(telemetry: Optional[Telemetry] = None) -> Iterator[Telemet
 # runs each unit of work under a fresh process-default substrate, captures
 # what it emitted, and the parent replays it in shard order.  The replay
 # assigns fresh sequence numbers from the parent's bus and timestamps from
-# the parent's clock — exactly what a thread-mode shard emitting directly
-# would have gotten — so thread and process runs forward to identical
+# the parent's clock — exactly what an inline shard emitting directly
+# would have gotten — so inline and process runs forward to identical
 # canonical logs.
 def capture_events(
     fn: Callable[[], object],

@@ -385,7 +385,9 @@ def build_rollup(
        digest of exactly these log bytes: return it, zero lines parsed;
     2. **incremental resume** — a head pointer records the last build
        for this log path; if its consumed prefix is still a byte-exact
-       prefix of the current content, fold only the tail;
+       prefix of the current content and ends in a newline, fold only the
+       tail (an unterminated last record is complete only while nothing
+       follows it, so a prefix that ends in one is folded again, cold);
     3. **cold build** — fold everything.
 
     The result is written back under its content digest and the head
@@ -413,6 +415,7 @@ def build_rollup(
             and head.get("schema") == PROJECTION_SCHEMA
             and isinstance(head.get("consumed_bytes"), int)
             and 0 < head["consumed_bytes"] <= len(data)
+            and data.endswith(b"\n", 0, head["consumed_bytes"])
         ):
             prefix_digest = hashlib.sha256(data[: head["consumed_bytes"]]).hexdigest()
             if prefix_digest == head.get("consumed_digest"):

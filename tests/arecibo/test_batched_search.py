@@ -151,7 +151,7 @@ class TestTiledSearch:
                     beams = ObservationSimulator(config).observe(pointing, seed=3)[:4]
                     grid = DMGrid.linear(0.0, 300.0, 40)
                     serial = [dedisperse_all(beam, grid) for beam in beams]
-                    with ShardPool(executor="process", workers=2) as pool:
+                    with ShardPool(2) as pool:
                         farmed = pool.map(functools.partial(dedisperse_all, grid=grid), beams)
                     assert all(np.array_equal(a, b) for a, b in zip(serial, farmed))
                     print("same", len(farmed))

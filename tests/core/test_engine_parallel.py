@@ -446,6 +446,28 @@ def test_any_dag_runs_alike_on_any_worker_count(run):
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
+def test_shards_run_on_the_thread_that_runs_their_stage():
+    """With the default executor, ``ctx.map_shards`` runs a stage's shards
+    inline: under three engine workers, every shard of each of three
+    concurrent stages sees the thread that runs that stage."""
+    seen = {}
+
+    def fan_out(inputs, ctx):
+        shard_threads = ctx.map_shards(lambda _: threading.get_ident(), range(4))
+        seen[ctx.stage.name] = (threading.get_ident(), shard_threads)
+        return grow(inputs, ctx)
+
+    flow = DataFlow("shard-threads")
+    flow.stage("source", make_source(DataSize.megabytes(1)))
+    for index in range(3):
+        flow.stage(f"fan{index}", fan_out)
+        flow.connect("source", f"fan{index}")
+    Engine(max_workers=3).run(flow)
+    assert sorted(seen) == ["fan0", "fan1", "fan2"]
+    for stage_thread, shard_threads in seen.values():
+        assert shard_threads == [stage_thread] * 4
+
+
 class TestSeedInputAccounting:
     """Externally-fed datasets occupy storage until consumed (bugfix)."""
 

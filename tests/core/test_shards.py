@@ -1,10 +1,11 @@
 """Shard-level fan-out: ordering, telemetry forwarding, shared memory.
 
-The pool's contract: for any executor and worker count, ``map`` returns
-results in item order and the telemetry stream the parent observes is the
-same as if the shards had run inline.  In process mode the pool alone
-decides how an item crosses: large arrays through shared memory, segments
-gone when the map ends.
+The pool's contract: for any worker count — one runs the shards inline,
+more run them on worker processes — ``map`` returns results in item order
+and the telemetry stream the parent observes is the same as if the shards
+had run inline.  In process mode the pool alone decides how an item
+crosses: large arrays through shared memory, segments gone when the map
+ends.
 """
 
 import mmap
@@ -22,14 +23,12 @@ import pytest
 
 from repro.arecibo.filterbank import Filterbank
 from repro.core.errors import ShardError
-from repro.core.shards import (
-    EXECUTORS,
-    SHARE_MIN_BYTES,
-    SharedArray,
-    ShardPool,
-    _dumps,
-)
-from repro.core.telemetry import Telemetry, telemetry_session
+from repro.core.shards import SHARE_MIN_BYTES, SharedArray, ShardPool, _dumps
+from repro.core.telemetry import telemetry_session
+
+#: The pool's two modes: one worker runs the shards inline, two run them
+#: on worker processes.
+MODES = pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
 
 
 def square(x):
@@ -52,75 +51,68 @@ def failing_shard(x):
 
 
 class TestShardPool:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_results_in_item_order(self, executor):
+    @MODES
+    def test_results_in_item_order(self, workers):
         items = list(range(8))
-        with ShardPool(executor=executor, workers=3) as pool:
+        with ShardPool(workers) as pool:
             assert pool.map(square, items) == [x * x for x in items]
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_empty_items(self, executor):
-        with ShardPool(executor=executor, workers=2) as pool:
+    @MODES
+    def test_empty_items(self, workers):
+        with ShardPool(workers) as pool:
             assert pool.map(square, []) == []
 
     def test_one_worker_degrades_to_serial(self):
-        pool = ShardPool(executor="process", workers=1)
-        assert pool.effective_executor == "serial"
-        # Serial mode never builds a pool, so even unpicklable closures run.
+        pool = ShardPool(1)
+        # One worker never starts a process, so even unpicklable closures run.
         assert pool.map(lambda x: x + 1, [1, 2]) == [2, 3]
 
     def test_pool_reuse_across_maps(self):
-        with ShardPool(executor="process", workers=2) as pool:
+        with ShardPool(2) as pool:
             assert pool.map(square, [1, 2, 3]) == [1, 4, 9]
             assert pool.map(square, [4, 5]) == [16, 25]
 
     def test_closed_pool_rejects_map(self):
-        pool = ShardPool(executor="thread", workers=2)
+        pool = ShardPool(2)
         pool.close()
         with pytest.raises(ShardError):
             pool.map(square, [1])
 
     def test_bad_arguments(self):
         with pytest.raises(ShardError):
-            ShardPool(executor="coroutine")
-        with pytest.raises(ShardError):
-            ShardPool(workers=0)
+            ShardPool(0)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_shard_exception_propagates(self, executor):
-        with ShardPool(executor=executor, workers=2) as pool:
+    @MODES
+    def test_shard_exception_propagates(self, workers):
+        with ShardPool(workers) as pool:
             with pytest.raises(ValueError, match="shard 2"):
                 pool.map(failing_shard, [1, 2, 3])
 
 
 class TestTelemetryForwarding:
-    def events_for(self, executor):
-        telemetry = Telemetry()
-        with ShardPool(executor=executor, workers=2, telemetry=telemetry) as pool:
-            values = pool.map(emitting_shard, [0, 1, 2])
-        return values, telemetry
+    def events_for(self, workers):
+        """What a map over three emitting shards returns, and the session
+        it emitted into."""
+        with telemetry_session() as session:
+            with ShardPool(workers) as pool:
+                values = pool.map(emitting_shard, [0, 1, 2])
+        return values, session
 
     def test_process_forwarding_matches_serial(self):
-        # Serial/thread shards emit straight into the given bus only via
-        # the process-default substrate, so compare against an explicit
-        # session capturing the inline run.
-        with telemetry_session() as session:
-            inline_values = [emitting_shard(x) for x in [0, 1, 2]]
-            inline = [
-                (e.kind, e.name, dict(e.attrs)) for e in session.events()
-            ]
-            inline_count = session.registry.value("shard.count")
+        inline_values, inline = self.events_for(1)
+        values, forwarded = self.events_for(2)
 
-        values, telemetry = self.events_for("process")
-        forwarded = [
-            (e.kind, e.name, dict(e.attrs)) for e in telemetry.events()
-        ]
+        def shape(telemetry):
+            return [(e.kind, e.name, dict(e.attrs)) for e in telemetry.events()]
+
         assert values == inline_values
-        assert forwarded == inline
-        assert telemetry.registry.value("shard.count") == inline_count
+        assert shape(forwarded) == shape(inline)
+        assert forwarded.registry.value("shard.count") == inline.registry.value(
+            "shard.count"
+        )
 
     def test_forwarded_events_get_parent_sequence(self):
-        _, telemetry = self.events_for("process")
+        _, telemetry = self.events_for(2)
         assert [e.seq for e in telemetry.events()] == [0, 1, 2]
 
 
@@ -193,8 +185,8 @@ class TestProcessItems:
 
     def test_results_equal_the_serial_map(self):
         items = mixed_items()
-        serial = ShardPool(executor="serial").map(describe, items)
-        with ShardPool(executor="process", workers=2) as pool:
+        serial = ShardPool(1).map(describe, items)
+        with ShardPool(2) as pool:
             shared = pool.map(describe, items)
             echoed = pool.map(echo, items)
         assert [row[:4] for rows in shared for row in rows] == [
@@ -207,7 +199,7 @@ class TestProcessItems:
         assert echoed[3]["meta"] == ("p0001", 7)
 
     def test_large_arrays_are_shared_small_ones_copied(self):
-        with ShardPool(executor="process", workers=2) as pool:
+        with ShardPool(2) as pool:
             shared = pool.map(describe, mixed_items() + [LARGE[:-1].copy()])
         # LARGE, SMALL, the filterbank's block, the nested pair, and one
         # element under the threshold.
@@ -215,9 +207,9 @@ class TestProcessItems:
             [True], [False], [True], [True, False], [False]
         ]
 
-    def test_thread_shards_get_the_items_themselves(self):
+    def test_inline_shards_get_the_items_themselves(self):
         items = mixed_items()
-        with ShardPool(executor="thread", workers=2) as pool:
+        with ShardPool(1) as pool:
             back = pool.map(echo, items)
         assert all(got is item for got, item in zip(back, items))
 
@@ -227,7 +219,7 @@ class TestSegmentLifetime:
 
     def test_raising_shard_leaves_nothing(self):
         before = psm_segments()
-        with ShardPool(executor="process", workers=2) as pool:
+        with ShardPool(2) as pool:
             with pytest.raises(ValueError, match="negative block"):
                 pool.map(fail_on_negative, [LARGE, -LARGE - 1, LARGE])
         assert psm_segments() == before
@@ -242,7 +234,7 @@ class TestSegmentLifetime:
 
         monkeypatch.setattr(SharedArray, "copy_from", recording_copy)
         before = psm_segments()
-        with ShardPool(executor="process", workers=2) as pool:
+        with ShardPool(2) as pool:
             with pytest.raises(TypeError, match="pickle"):
                 pool.map(echo, [LARGE, LARGE, (LARGE, threading.Lock())])
         assert len(created) == 3
@@ -309,7 +301,7 @@ class TestSharedArray:
         monkeypatch.setattr(SharedArray, "copy_from", recording_copy)
         blocks = [LARGE, np.zeros((2, SHARE_MIN_BYTES // 16))]
         before = psm_segments()
-        with ShardPool(executor="process", workers=2) as pool:
+        with ShardPool(2) as pool:
             assert pool.map(total, blocks) == [float(b.sum()) for b in blocks]
         assert len(created) == 2
         assert psm_segments() == before
@@ -329,7 +321,7 @@ class TestSharedArray:
             return created[-1]
 
         monkeypatch.setattr(SharedArray, "copy_from", copy_or_fail)
-        with ShardPool(executor="process", workers=2) as pool:
+        with ShardPool(2) as pool:
             with pytest.raises(OSError, match="No space left"):
                 pool.map(total, [LARGE] * 3)
         assert len(created) == 2
@@ -340,7 +332,7 @@ class TestSharedArray:
 
 class TestSharedArrayAcrossProcesses:
     def test_worker_reads_parent_segment(self):
-        with ShardPool(executor="process", workers=2) as pool:
+        with ShardPool(2) as pool:
             ((_, _, _, sum_seen, shared),) = pool.map(describe, [LARGE])[0]
         assert sum_seen == float(LARGE.sum())
         assert shared
@@ -366,7 +358,7 @@ class TestSharedArrayAcrossProcesses:
                     return float(block[:8].sum())
 
                 if __name__ == "__main__":
-                    with ShardPool(executor="process", workers=2) as pool:
+                    with ShardPool(2) as pool:
                         pool.map(noop, [1, 2, 3])
                         blocks = [
                             np.arange(SHARE_MIN_BYTES // 8, dtype=np.float64) + i

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dataflow import DataFlow
@@ -534,6 +534,24 @@ class TestJsonlPersistence:
         else:
             assert (count, detail) == expected
 
+    def test_rollup_resumes_only_after_a_newline(self, tmp_path):
+        """An unterminated record is complete only while nothing follows
+        it: once a second record is glued on, the line is torn, and the
+        rollup built over the first must not resume past it."""
+        path = tmp_path / "log.jsonl"
+        bus = Telemetry()
+        bus.emit("workload.request", "a")
+        write_event_log(path, bus)
+        record = path.read_bytes().rstrip(b"\n")
+        store = DiskCacheStore(tmp_path / "rollups")
+        path.write_bytes(record)
+        assert build_rollup(path, store=store).consumed_events == 1
+        path.write_bytes(record + record)
+        grown = build_rollup(path, store=store)
+        assert (grown.consumed_events, grown.truncated_lines) == (0, 1)
+        assert grown.to_dict() == scan_log(path).to_dict()
+        assert _read_both_ways(path) == (0, 1)
+
     @settings(max_examples=60, deadline=None)
     @given(
         names=st.lists(st.text("ab", max_size=2), max_size=5),
@@ -541,6 +559,8 @@ class TestJsonlPersistence:
         tail=st.lists(st.sampled_from([b"\n", b"  \n", _TORN, _UNTERMINATED]), max_size=3),
         shares=st.lists(st.floats(0.0, 1.0), max_size=3),
     )
+    # Two unterminated records back to back, the first built on its own.
+    @example(names=[], cut=0, tail=[_UNTERMINATED, _UNTERMINATED], shares=[0.5])
     def test_damaged_logs_read_one_way_and_resume_to_the_cold_scan(
         self, tmp_path_factory, names, cut, tail, shares
     ):
