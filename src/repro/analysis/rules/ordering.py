@@ -16,8 +16,8 @@ Heuristics, to keep the rule quiet on honest code:
 * only **set-valued** iterables are flagged — set literals, ``set()`` /
   ``frozenset()`` calls, set comprehensions, and names bound to one of
   those in the same scope.  Python dicts iterate in insertion order, so
-  ``dict.values()`` is deterministic whenever insertion is (parallel
-  insertion races are the engine's job to serialize, and it does);
+  ``dict.values()`` is deterministic whenever insertion is (the engine
+  inserts from one thread);
 * a bare ``for`` over a set is flagged only when its body does something
   order-sensitive: an ``append`` / ``extend`` / ``add`` / ``insert`` /
   ``emit`` / ``record`` / ``inc`` / ``observe`` / ``write`` call, an

@@ -5,8 +5,7 @@ worker processes.  Any module-global or pre-existing closure cell the
 callable (transitively) mutates then changes only a *copy* in the child,
 and the run silently diverges from the inline one, where every shard saw
 every earlier mutation — the class of bug that moved fault-injector
-evaluation to the parent side.  Inline, the state is still shared: with
-several engine workers, the shards of concurrent stages race on it.
+evaluation to the parent side.
 
 Three hazard shapes are flagged, each with the call chain that reaches
 the mutation:
@@ -95,7 +94,6 @@ class ShardSafetyRule(Rule):
             message = (
                 f"shard callable {_short(binding.fn_qualname)} "
                 f"({binding.via}) reaches shared mutable state: {details} "
-                f"(via {chain}) — racy under threads, silently diverging "
-                "under processes"
+                f"(via {chain}) — silently diverging under processes"
             )
             yield self.finding(binding.module.source, binding.node, message)

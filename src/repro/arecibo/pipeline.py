@@ -67,13 +67,13 @@ class AreciboPipelineConfig:
     single_pulse_threshold: float = 7.0
     single_pulse_dm_stride: int = 4
     transient_max_beams: int = 3
-    # Parallelism: engine stage concurrency and per-pointing fan-out inside
-    # the dominant `process` stage.  Results are identical for any value;
-    # every pointing draws from its own deterministic RNG and the merge
-    # happens in pointing order.  ``executor`` picks where the fan-out
-    # runs: ``"thread"`` (default), inline on the stage's thread, or
-    # ``"process"`` — ``workers`` worker processes that map the beams from
-    # their staging files, the paper's farm model.
+    # Parallelism: the per-pointing fan-out inside the dominant `process`
+    # stage.  Results are identical for any value; every pointing draws
+    # from its own deterministic RNG and the merge happens in pointing
+    # order.  ``executor`` picks where the fan-out runs: ``"thread"``
+    # (default), inline on the calling thread, or ``"process"`` —
+    # ``workers`` worker processes that map the beams from their staging
+    # files, the paper's farm model.
     workers: int = 1
     executor: str = "thread"
     seed: int = 7
@@ -138,8 +138,8 @@ def _cache_fingerprint(config: AreciboPipelineConfig) -> Dict[str, object]:
     The whole config is folded in — any parameter change invalidates every
     stage — except ``workers`` and ``executor``: stage outputs are
     byte-identical across worker counts and executors (the determinism
-    contract the three-way suite pins), so a cache primed sequentially
-    must service threaded and process-sharded reruns alike.
+    contract ``tests/test_process_figures.py`` pins), so a cache primed
+    inline must service process-sharded reruns alike.
     """
     return {"pipeline": repr(replace(config, workers=1, executor="thread"))}
 

@@ -52,13 +52,11 @@ class CleoPipelineConfig:
     # determines how much analysis traffic pages against tape.
     use_hsm: bool = False
     hsm_cache: DataSize = field(default_factory=lambda: DataSize.megabytes(1))
-    # Engine stage concurrency: Figure 2 is a genuine DAG (the offsite
-    # Monte Carlo runs beside the reconstruction chain), so workers > 1
-    # overlaps those branches while reporting identical accounting.
-    # ``executor`` additionally picks where the per-run reconstruction
-    # batch runs: ``"thread"`` (default), inline on the stage's thread, or
+    # Parallelism: ``executor`` picks where the per-run reconstruction
+    # batch runs: ``"thread"`` (default), inline on the calling thread, or
     # ``"process"`` — ``workers`` worker processes, the paper's farm of
     # independent reconstruction workers fed from the central store.
+    # Results are identical for any value.
     workers: int = 1
     executor: str = "thread"
     seed: int = 11

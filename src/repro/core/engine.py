@@ -8,48 +8,44 @@ instantaneous storage high-water mark (the "minimum of 30 Terabytes of
 storage required instantaneously" argument for Arecibo), and a provenance
 record per stage output.
 
-One scheduler runs every flow: ready stages wait in a heap ordered by
-topological index, and the scheduling thread pops them and owns every cache
-lookup, provenance commit, cache store and successor release.  The engine's
-keywords only decide where a cache miss executes:
+One thread runs every flow: the calling thread walks the topological
+order and, for each stage, does the cache lookup, runs the transform on a
+miss (or the stage's ``replay`` on a hit), commits provenance and stores
+the result before the next stage starts.  Parallelism lives below the
+stage, in two places only:
 
-* ``max_workers=1`` (the default) runs it inline, so stages execute one at
-  a time, exactly in topological order.
-* ``max_workers=N`` hands it to ``N`` worker threads through a queue, and
-  each result comes back through a second queue, so independent stages run
-  concurrently — the paper's "50 to 200 processors" argument, exercised
-  instead of merely quoted.
+* the kernels' row tiles (:func:`repro.core.kernels.run_tiles`) spread one
+  stage's array work over every core;
 * ``executor`` decides where the data-parallel inner loop of a transform
   — the shards a stage routes through ``StageContext.map_shards`` — runs.
-  ``"thread"`` (the default) runs them on the thread that runs the stage;
+  ``"thread"`` (the default) runs them inline on the calling thread;
   ``"process"`` moves them onto ``max_workers`` worker processes, the
   paper's farm model (a central store feeding independent
-  reconstruction/search workers).  Stage scheduling itself stays on
-  threads; large arrays cross the process boundary via shared memory and
-  child telemetry is forwarded home in shard order.  Inside a stage, the
-  kernels' row tiles (:func:`repro.core.kernels.run_tiles`) are the only
-  thread parallelism.
+  reconstruction/search workers).  Transforms stay on the calling thread;
+  large arrays cross the process boundary via shared memory and child
+  telemetry is forwarded home in shard order.  ``max_workers`` sizes
+  that process pool and decides nothing else.
 
-Every worker count preserves *exact* sequential semantics:
+Every worker count and shard executor gives the same bytes:
 
 * every stage draws randomness from its own ``random.Random`` seeded from
   ``(run seed, stage name)`` when the transform first reads ``ctx.rng``,
-  so no stage's stream depends on when any other stage ran;
+  so no stage's stream depends on which other stages the flow holds;
 * provenance record ids are reserved per stage in topological order
   before execution, so the lineage graph (ids, parent chains, stamps) is
-  byte-identical to the sequential run's no matter the completion order;
+  numbered the same whichever stages hit the cache;
 * storage and CPU accounting are replayed over the completed stages in
   topological order, so ``peak_live_storage`` and every
-  :class:`StageReport` row match the sequential run exactly.
+  :class:`StageReport` row are views over one canonical event stream.
 
 Accounting itself lives on the :mod:`repro.core.telemetry` substrate: the
 replay emits a typed event stream (``flow.start``, ``stage.start/finish``,
 ``bytes.produced``, ``provenance.record``, ``flow.finish``, wrapped in
 nested trace spans) and the :class:`FlowReport` is a *view* rebuilt from
 that stream.  Because emission happens during the topological replay, a
-parallel run's event log is byte-identical to the sequential run's once
-wall-clock fields are stripped — and a persisted JSONL log can regenerate
-the report offline (see :func:`repro.core.telemetry.flow_summary_from_log`).
+process-farm or warm run's event log is byte-identical to a cold inline
+run's once wall-clock fields are stripped — and a persisted JSONL log can
+regenerate the report offline (see :func:`repro.core.telemetry.flow_summary_from_log`).
 
 Passing a :class:`~repro.core.stagecache.StageCache` lets the engine skip
 stages whose content address — flow, stage identity, per-stage seed,
@@ -57,14 +53,14 @@ declared ``cache_params``, and input provenance digests — matches a prior
 execution.  A hit restores the recorded output, CPU charge, and stage
 stash, then commits provenance and replays accounting exactly as if the
 stage had run, so cached and uncached runs produce identical reports and
-event logs.  Because the same byte-identical contract holds across worker
-counts, a cache primed by a sequential run services a parallel rerun.
+event logs.  Because the same byte-identical contract holds across shard
+executors, a cache primed by an inline run services a process-farm rerun.
 
 A stage's writes outside the flow (a database, an event store) are its
 ``Stage.replay``, which its transform calls where it writes.  For a hit
 the scheduler calls it, without consulting the fault injector, after
-publishing the stash and before releasing any successor: with one worker,
-where a cold run writes.  A raising replay fails the run naming the stage.
+publishing the stash and before the next stage starts: where a cold run
+writes.  A raising replay fails the run naming the stage.
 
 Failure handling rides the same determinism contract.  An armed
 :class:`~repro.core.faults.FaultInjector` is consulted before every stage
@@ -86,10 +82,7 @@ is resumed — see :func:`repro.core.recovery.run_to_completion`.
 from __future__ import annotations
 
 import hashlib
-import heapq
-import queue
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
@@ -120,8 +113,8 @@ def _stage_seed(run_seed: int, stage_name: str) -> int:
     """Stable per-stage RNG seed derived from the run seed and stage name.
 
     Uses SHA-256 rather than ``hash()`` so the derivation survives
-    interpreter restarts (``PYTHONHASHSEED``) and is identical across
-    sequential and parallel runs.
+    interpreter restarts (``PYTHONHASHSEED``) and is identical in every
+    process that runs the stage.
     """
     digest = hashlib.sha256(f"{run_seed}\x1f{stage_name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -279,11 +272,11 @@ class StageContext:
     def map_shards(self, fn, items, cache_keys=None, cache_params=None):
         """Fan ``fn`` out over ``items`` on the engine's shard pool.
 
-        The shards run on this stage's thread, or — under
+        The shards run inline on the calling thread, or — under
         ``executor="process"`` with ``max_workers > 1`` — on the engine's
         worker processes.  Results return in item order either way, so a
         transform that merges positionally stays byte-identical across
-        sequential, threaded, and process runs.  Under
+        inline and process runs.  Under
         ``executor="process"``, ``fn`` and each item must be picklable
         (module-level functions, plain data); how an item crosses — large
         arrays through shared memory — is the pool's business, and
@@ -356,19 +349,20 @@ class StageContext:
     def record_faults(self, records: List[FaultRecord]) -> None:
         """Fold already-fired records into this stage's accounting.
 
-        For transforms that evaluate injection points on worker threads:
-        fire via ``ctx.faults.fire(...)`` inside the worker, then record
-        the results here in deterministic (input) order.
+        For transforms that evaluate injection points below stage
+        granularity (per beam, per item): fire via ``ctx.faults.fire(...)``
+        in the transform, before any fan-out, then record the results here
+        in deterministic (input) order.
         """
         self._fault_records.extend(records)
 
     def dep_stash(self, stage_name: str) -> Mapping[str, object]:
         """The stash a completed ancestor stage published.
 
-        Available for any stage that finished before this one was started
-        (the engine registers stashes before starting successors, for any
-        worker count); cached stages restore their recorded
-        stash, so hits and real executions are indistinguishable here.
+        Available for any stage earlier in topological order (the engine
+        registers a stage's stash before the next stage starts); cached
+        stages restore their recorded stash, so hits and real executions
+        are indistinguishable here.
         """
         try:
             return self._stashes[stage_name]
@@ -383,7 +377,7 @@ class StageContext:
 
 
 class Engine:
-    """Topological executor with accounting: one scheduler, any worker count.
+    """Topological executor with accounting: one thread runs every stage.
 
     Parameters
     ----------
@@ -394,14 +388,14 @@ class Engine:
         seeded from ``(seed, stage name)``, keeping stochastic pipelines
         reproducible under any execution order.
     max_workers:
-        ``1`` executes stages sequentially in the calling thread;
-        ``N > 1`` runs independent stages concurrently on ``N`` worker
-        threads while producing byte-identical reports and provenance.
+        How many worker processes run a stage's shards under
+        ``executor="process"``; it decides nothing else.  Stages always
+        run one at a time on the calling thread.
     executor:
         Where ``StageContext.map_shards`` runs a transform's shards:
-        ``"thread"`` on the thread that runs the stage, ``"process"`` on
+        ``"thread"`` inline on the calling thread, ``"process"`` on
         ``max_workers`` worker processes (inline when ``max_workers`` is
-        1).  Stage scheduling itself always stays on threads.
+        1).
     telemetry:
         The substrate runs emit into.  Each engine owns a private
         :class:`~repro.core.telemetry.Telemetry` by default, so a run's
@@ -454,7 +448,7 @@ class Engine:
         self.faults: Optional[FaultInjector] = faults
         #: Dead letters this engine produced: degraded stages append
         #: during the accounting replay (deterministic order); an aborting
-        #: run appends the letter of the one failure it raises.
+        #: run appends the letter of the failure it raises.
         self.dead_letters: List[DeadLetter] = []
         self._seed = seed
         self._max_workers = int(max_workers)
@@ -464,12 +458,12 @@ class Engine:
     def map_shards(self, fn, items) -> List:
         """Fan ``fn`` over ``items`` on this run's shard pool, item-ordered.
 
-        Stage *scheduling* always stays on threads (transforms are
-        closures over live pipeline state and cannot cross a process
-        boundary); what ``executor="process"`` moves to worker processes
-        is this call — the data-parallel inner loop of a transform, whose
-        shard functions are module-level and picklable.  Outside a run
-        (no pool), shards execute inline.
+        Transforms always run on the calling thread (they are closures
+        over live pipeline state and cannot cross a process boundary);
+        what ``executor="process"`` moves to worker processes is this call
+        — the data-parallel inner loop of a transform, whose shard
+        functions are module-level and picklable.  Outside a run (no
+        pool), shards execute inline.
         """
         if self._shard_pool is None:
             return [fn(item) for item in items]
@@ -492,8 +486,9 @@ class Engine:
         flow.validate()
         order = flow.topological_order()
         seeds = self._seed_datasets(flow, order, inputs)
-        # Reserve provenance ids in topological order so the lineage graph
-        # is numbered identically regardless of execution strategy.
+        # Reserve every stage's provenance id up front, in topological
+        # order: the lineage graph is numbered the same whichever stages
+        # hit the cache, run, or never start.
         reserved = {name: self.provenance.reserve_id() for name in order}
         # The adjacency, copied once per run: the scheduler, the commits and
         # the replay read these lists instead of asking the flow per stage.
@@ -501,7 +496,7 @@ class Engine:
         successors = {name: flow.successors(name) for name in order}
         stashes: Dict[str, Mapping[str, object]] = {}
         outputs, records, input_bytes, cached = self._execute(
-            flow, order, seeds, reserved, stashes, predecessors, successors
+            flow, order, seeds, reserved, stashes, predecessors
         )
         return self._build_report(
             flow, order, seeds, reserved, outputs, records, input_bytes, cached,
@@ -586,9 +581,8 @@ class Engine:
         seed, so the attempt that finally succeeds is byte-identical to
         a first-try success.  Backoff accumulates into the record as
         simulated stall, replayed onto the clock during accounting.  A
-        fatal exhaustion raises with its dead letter attached
-        (``ExecutionError.dead_letter``): this may run on a worker thread,
-        and only the scheduler knows which failure the run reports.
+        fatal exhaustion appends its dead letter to ``dead_letters`` and
+        raises, which ends the run.
         """
         name = stage.name
         policy = stage.retry if stage.retry is not None else self.retry
@@ -637,8 +631,8 @@ class Engine:
                     flow, stage, stage_inputs, stashes, faults, fallback=degrade
                 )
                 break
-            except ExecutionError as exc:
-                exc.dead_letter = letter
+            except ExecutionError:
+                self.dead_letters.append(letter)
                 raise
         return output, CachedStage.capture(
             output,
@@ -728,9 +722,8 @@ class Engine:
     ) -> None:
         """Record provenance for a completed stage.
 
-        Runs before any successor is started, so downstream transforms see
-        their inputs' ``provenance_id`` exactly as under sequential
-        execution.
+        Runs before the next stage starts, so downstream transforms see
+        their inputs' ``provenance_id``.
         """
         name = stage.name
         step = ProcessingStep.create(
@@ -756,141 +749,62 @@ class Engine:
         reserved: Mapping[str, str],
         stashes: Dict[str, Mapping[str, object]],
         predecessors: Mapping[str, List[str]],
-        successors: Mapping[str, List[str]],
     ) -> Tuple[
         Dict[str, Dataset], Dict[str, CachedStage], Dict[str, float], Set[str]
     ]:
         """The scheduler: returns live outputs, per-stage records, each
         stage's input bytes, and the names serviced from the cache.
 
-        This thread owns all bookkeeping, so no shared mutable state crosses
-        the queues except what stage functions themselves share.  A cache
-        hit completes here, its replay included, so a fully warm run
-        finishes without a single worker dispatch; with one worker a miss
-        runs here too, so the first failure ends the run.  With more, a
-        miss goes to the worker threads through one queue and its outcome
-        comes back through another; a failure (a hit's raising replay
-        included) stops further starts, in-flight stages drain (and commit),
-        and the failure a sequential run would have hit first is the one
-        raised.  Any other exception a stage raises, on any thread, ends the
-        run as it is.  The workers are joined before this returns or raises.
+        Stages run one at a time on the calling thread, in topological
+        order, so every predecessor has committed before its successor
+        starts.  A hit completes here, its replay included; a miss runs its
+        transform here.  The first failure — a stage's, or a hit's raising
+        replay — ends the run: the stages before it stay committed (and
+        stored), and nothing after it starts.  The shard pool is closed
+        before this returns or raises.
         """
         stages = flow.stages
-        position = {name: index for index, name in enumerate(order)}
-        waiting = {name: len(predecessors[name]) for name in order}
-        # Ascending topological indices: already a valid heap.
-        ready = [position[name] for name in order if not waiting[name]]
         outputs: Dict[str, Dataset] = {}
         records: Dict[str, CachedStage] = {}
         input_bytes: Dict[str, float] = {}
         cached: Set[str] = set()
-        failures: Dict[int, ExecutionError] = {}
-        todo: queue.SimpleQueue = queue.SimpleQueue()
-        done: queue.SimpleQueue = queue.SimpleQueue()
-
-        def outcome_of(stage: Stage, stage_inputs: Dict[str, Dataset]):
-            """The stage's ``(output, record)``, or whatever it raised."""
-            try:
-                return self._run_stage(flow, stage, stage_inputs, stashes)
-            except BaseException as exc:  # noqa: BLE001 - settle() sorts it
-                return exc
-
-        def work() -> None:
-            for stage, stage_inputs, key in iter(todo.get, None):
-                done.put((stage, stage_inputs, key, outcome_of(stage, stage_inputs)))
-
-        def settle(stage, stage_inputs, store_key, outcome, replay=None) -> None:
-            """Commit the ``(output, record)`` outcome, store it under
-            ``store_key`` (None for a hit or an uncacheable stage), perform
-            a hit's ``replay`` and release successors — or note the failure
-            it is."""
-            name = stage.name
-            if isinstance(outcome, BaseException):
-                if not isinstance(outcome, ExecutionError):
-                    raise outcome
-                failures[position[name]] = outcome
-                return
-            output, record = outcome
-            self._commit(stage, stage_inputs, output, reserved, predecessors[name])
-            outputs[name] = output
-            records[name] = record
-            input_bytes[name] = sum(ds.size.bytes for ds in stage_inputs.values())
-            # The record is shared with the cache (and through it with
-            # later runs); each run hands out its own copy of the stash.
-            stashes[name] = dict(record.stash)
-            if store_key is not None:
-                self.cache.store(store_key, record)
-            if replay is not None:
-                context = StageContext(
-                    stage, self, self.provenance, stashes, flow_name=flow.name
-                )
-                context.stash = stashes[name]
-                try:
-                    replay(context)
-                except Exception as exc:  # noqa: BLE001 - wrap with stage identity
-                    error = ExecutionError(name, f"replay failed: {exc}")
-                    error.__cause__ = exc
-                    failures[position[name]] = error
-                    return
-            for successor in successors[name]:
-                waiting[successor] -= 1
-                if not waiting[successor]:
-                    heapq.heappush(ready, position[successor])
-
-        workers = self._max_workers
-        threads: List[threading.Thread] = []
-        in_flight = 0
-        self._shard_pool = ShardPool(workers if self._executor == "process" else 1)
+        self._shard_pool = ShardPool(
+            self._max_workers if self._executor == "process" else 1
+        )
         try:
-            if workers > 1:
-                for _ in range(workers):
-                    thread = threading.Thread(target=work, name="engine-worker", daemon=True)
-                    thread.start()
-                    threads.append(thread)
-            while True:
-                while ready and not failures:
-                    name = order[heapq.heappop(ready)]
-                    stage = stages[name]
-                    stage_inputs = {pred: outputs[pred] for pred in predecessors[name]}
-                    if not stage_inputs and name in seeds:
-                        stage_inputs = {"input": seeds[name]}
-                    key, entry = self._cache_lookup(flow, stage, stage_inputs)
-                    if entry is not None:
-                        cached.add(name)
-                        settle(
-                            stage, stage_inputs, None,
-                            (entry.rebuild_output(), entry), stage.replay,
-                        )
-                    elif not threads:
-                        settle(stage, stage_inputs, key, outcome_of(stage, stage_inputs))
-                    else:
-                        todo.put((stage, stage_inputs, key))
-                        in_flight += 1
-                if not in_flight:
-                    break
-                # Block for one outcome, then settle every other that has
-                # arrived before starting more: the heap then picks the
-                # earliest of all the stages they released.
-                settle(*done.get())
-                in_flight -= 1
-                while not done.empty():
-                    settle(*done.get())
-                    in_flight -= 1
+            for name in order:
+                stage = stages[name]
+                stage_inputs = {pred: outputs[pred] for pred in predecessors[name]}
+                if not stage_inputs and name in seeds:
+                    stage_inputs = {"input": seeds[name]}
+                key, entry = self._cache_lookup(flow, stage, stage_inputs)
+                if entry is not None:
+                    cached.add(name)
+                    output, record = entry.rebuild_output(), entry
+                else:
+                    output, record = self._run_stage(flow, stage, stage_inputs, stashes)
+                self._commit(stage, stage_inputs, output, reserved, predecessors[name])
+                outputs[name] = output
+                records[name] = record
+                input_bytes[name] = sum(ds.size.bytes for ds in stage_inputs.values())
+                # The record is shared with the cache (and through it with
+                # later runs); each run hands out its own copy of the stash.
+                stashes[name] = dict(record.stash)
+                if entry is None:
+                    if key is not None:
+                        self.cache.store(key, record)
+                elif stage.replay is not None:
+                    context = StageContext(
+                        stage, self, self.provenance, stashes, flow_name=flow.name
+                    )
+                    context.stash = stashes[name]
+                    try:
+                        stage.replay(context)
+                    except Exception as exc:  # noqa: BLE001 - wrap with stage identity
+                        raise ExecutionError(name, f"replay failed: {exc}") from exc
         finally:
-            for _ in threads:
-                todo.put(None)
-            for thread in threads:
-                thread.join()
             shards, self._shard_pool = self._shard_pool, None
             shards.close()
-        if failures:
-            # Surface the failure a sequential run would have hit first, and
-            # report only its dead letter: the other failures belong to
-            # stages a sequential run would never have started.
-            error = failures[min(failures)]
-            if error.dead_letter is not None:
-                self.dead_letters.append(error.dead_letter)
-            raise error
         return outputs, records, input_bytes, cached
 
     # -- accounting --------------------------------------------------------
@@ -910,7 +824,7 @@ class Engine:
     ) -> FlowReport:
         """Replay accounting over completed stages in topological order,
         emitting the telemetry event stream, then rebuild the report as a
-        view over that stream — identical output for any completion order."""
+        view over that stream — identical output for any shard executor."""
         telemetry = self.telemetry
         metrics = telemetry.registry
         stages_run = metrics.counter("engine.stages")

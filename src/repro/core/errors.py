@@ -26,9 +26,6 @@ class ExecutionError(ReproError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage!r}: {message}")
         self.stage = stage
-        #: The :class:`~repro.core.recovery.DeadLetter` of a stage whose
-        #: retries ran out; the engine reports only the one it raises.
-        self.dead_letter: object = None
 
 
 class ProvenanceError(ReproError):

@@ -22,8 +22,8 @@ declarative failure model instead of scattered ad-hoc damage knobs:
 
 Determinism contract: every piece of injector state is keyed by
 ``(spec, target)``, and per-target RNG streams are seeded from
-``(plan seed, spec name, target)`` with SHA-256.  Whether stages run
-sequentially or on a thread pool, each target sees the same sequence of
+``(plan seed, spec name, target)`` with SHA-256.  However calls for
+different targets interleave, each target sees the same sequence of
 decisions, so fault-injected runs replay byte-identically.
 
 Injection *sites* (the shims) live with the subsystems they wrap: the
@@ -236,9 +236,8 @@ class FaultInjector:
     """One armed :class:`FaultPlan`: all mutable trigger state lives here.
 
     Every counter and RNG stream is keyed by ``(spec, target)``, so the
-    decision sequence each target observes is independent of thread
-    interleaving — the property that keeps parallel-engine runs
-    byte-identical to sequential ones under injection.  Reusing one
+    decision sequence each target observes is independent of how calls
+    for other targets interleave with its own.  Reusing one
     injector across a crash/resume boundary preserves fire budgets:
     a transient fault that already struck does not strike the resumed
     run again, which is exactly how checkpoint/resume makes progress.

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -149,15 +148,14 @@ class ProvenanceStore:
 
     Record ids are allocated from a per-store counter, so a fresh store
     always numbers its records ``prov-000001``, ``prov-000002``, ... in
-    allocation order — which is what lets a parallel engine run reproduce a
-    sequential run's ids exactly (ids are reserved in topological order,
-    then attached to records as stages complete).  Recording is guarded by
-    a lock, so concurrently completing stages may register records safely.
+    allocation order — which is what lets every run of a flow reproduce the
+    same ids (the engine reserves them in topological order, then attaches
+    them to records as stages complete).  A store is not thread-safe: one
+    thread records into it.
     """
 
     def __init__(self) -> None:
         self._records: Dict[str, ProvenanceRecord] = {}
-        self._lock = threading.RLock()
         self._counter = itertools.count(1)
 
     def __len__(self) -> int:
@@ -166,12 +164,11 @@ class ProvenanceStore:
     def reserve_id(self) -> str:
         """Allocate the next record id without creating a record yet.
 
-        Callers that need deterministic ids under concurrent recording
-        (the parallel engine) reserve ids up front in a deterministic
-        order and pass them to :meth:`record` later.
+        Callers that need an id before its record exists (the engine
+        reserves one per stage, in topological order, before any stage
+        runs) pass it to :meth:`record` later.
         """
-        with self._lock:
-            return f"prov-{next(self._counter):06d}"
+        return f"prov-{next(self._counter):06d}"
 
     def record(
         self,
@@ -187,25 +184,24 @@ class ProvenanceStore:
         ``record_id`` may be a previously :meth:`reserve_id`-d id; if
         omitted, the next id is allocated here.
         """
-        with self._lock:
-            if record_id is None:
-                record_id = self.reserve_id()
-            elif record_id in self._records:
-                raise ProvenanceError(f"duplicate provenance record id {record_id!r}")
-            parent_records = [self._get(parent_id) for parent_id in parents]
-            if parent_records:
-                stamp = ProvenanceStamp.merged([p.stamp for p in parent_records], step)
-            else:
-                stamp = ProvenanceStamp.initial(step)
-            rec = ProvenanceRecord(
-                artifact=artifact,
-                step=step,
-                parent_ids=tuple(parents),
-                record_id=record_id,
-                stamp=stamp,
-            )
-            self._records[rec.record_id] = rec
-            return rec
+        if record_id is None:
+            record_id = self.reserve_id()
+        elif record_id in self._records:
+            raise ProvenanceError(f"duplicate provenance record id {record_id!r}")
+        parent_records = [self._get(parent_id) for parent_id in parents]
+        if parent_records:
+            stamp = ProvenanceStamp.merged([p.stamp for p in parent_records], step)
+        else:
+            stamp = ProvenanceStamp.initial(step)
+        rec = ProvenanceRecord(
+            artifact=artifact,
+            step=step,
+            parent_ids=tuple(parents),
+            record_id=record_id,
+            stamp=stamp,
+        )
+        self._records[rec.record_id] = rec
+        return rec
 
     def _get(self, record_id: str) -> ProvenanceRecord:
         try:

@@ -24,8 +24,8 @@ This module is the single substrate they all now share:
 
 Determinism contract: every event carries a ``wall_time`` field (the only
 wall-clock field anywhere in the stream) and :meth:`TelemetryEvent.canonical`
-strips it.  Two runs of the same flow — sequential or thread-parallel —
-produce byte-identical canonical logs.
+strips it.  Two runs of the same flow — shards inline or on worker
+processes — produce byte-identical canonical logs.
 """
 
 from __future__ import annotations

@@ -175,7 +175,7 @@ class TestRPR102ShardSafety:
         hits = [f for f in findings if f.code == "RPR102"]
         assert len(hits) == 1
         assert "SEEN" in hits[0].message
-        assert "racy under threads" in hits[0].message
+        assert "silently diverging under processes" in hits[0].message
 
     def test_seeded_bug_invisible_to_module_rules(self, tmp_path):
         """RPR001-004 have no concept of 'reachable from a shard call':

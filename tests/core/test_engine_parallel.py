@@ -1,11 +1,13 @@
-"""Parallel engine determinism: byte-identical accounting and provenance.
+"""Engine determinism: byte-identical accounting and provenance.
 
-The contract under test: ``Engine(max_workers=N)`` for any ``N`` produces
-the same :class:`FlowReport` stage rows, the same ``peak_live_storage``,
-and the same provenance graph (record ids, parent chains, stamps) as the
-sequential engine — on synthetic DAGs and on both figure pipelines.
+The contract under test: every stage runs on the calling thread, in
+topological order, so ``Engine(max_workers=N)`` — which only sizes the
+process shard pool — produces the same :class:`FlowReport` stage rows,
+the same ``peak_live_storage``, and the same provenance graph (record ids,
+parent chains, stamps) for any ``N``; and the first failure ends the run.
 """
 
+import multiprocessing
 import random
 import threading
 import time
@@ -184,23 +186,25 @@ class TestParallelDeterminism:
             assert provenance_snapshot(report) == provenance_snapshot(reports[0])
 
     def test_stage_rng_is_execution_order_independent(self):
-        """A stage's random stream depends on (seed, name) only."""
-        values = {}
+        """A stage's random stream depends on (seed, name) only: not on
+        where the stage sits in the order, nor on what ran before it."""
 
-        def record(inputs, ctx):
-            values[ctx.stage.name] = ctx.rng.random()
-            return Dataset(ctx.stage.name, DataSize.megabytes(1))
+        def first_draws(names):
+            values = {}
 
-        for workers in (1, 2, 4):
-            values.clear()
+            def record(inputs, ctx):
+                values[ctx.stage.name] = ctx.rng.random()
+                return Dataset(ctx.stage.name, DataSize.megabytes(1))
+
             flow = DataFlow("rngs")
-            for name in ("a", "b", "c"):
+            for name in names:
                 flow.stage(name, record)
-            Engine(seed=9, max_workers=workers).run(flow)
-            if workers == 1:
-                baseline = dict(values)
-            else:
-                assert values == baseline
+            Engine(seed=9).run(flow)
+            return values
+
+        baseline = first_draws(("a", "b", "c"))
+        assert first_draws(("c", "b", "a")) == baseline
+        assert first_draws(("b",)) == {"b": baseline["b"]}
         # Distinct stages draw distinct streams from the same run seed.
         assert len(set(baseline.values())) == 3
 
@@ -218,8 +222,7 @@ class TestParallelDeterminism:
         expected = random.Random(_stage_seed(9, "a"))
         assert draws == [expected.random(), expected.random()]
 
-    @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_a_retried_attempt_draws_the_same_first_value(self, max_workers):
+    def test_a_retried_attempt_draws_the_same_first_value(self):
         draws = []
 
         def flaky(inputs, ctx):
@@ -230,7 +233,7 @@ class TestParallelDeterminism:
 
         flow = DataFlow("rngs")
         flow.stage("flaky", flaky, retry=RetryPolicy(max_attempts=2))
-        report = Engine(seed=9, max_workers=max_workers).run(flow)
+        report = Engine(seed=9).run(flow)
         assert report.stage("flaky").attempts == 2
         assert draws == [random.Random(_stage_seed(9, "flaky")).random()] * 2
 
@@ -250,7 +253,8 @@ class TestParallelDeterminism:
 
 
 class TestParallelFailurePaths:
-    """A stage raising mid-pool must drain cleanly and corrupt nothing."""
+    """A raising stage ends the run, whatever ``max_workers`` says, and
+    corrupts nothing."""
 
     def build_flow(self, executed, slow_finished):
         """source -> (slow, boom) -> after; boom raises while slow runs."""
@@ -286,19 +290,17 @@ class TestParallelFailurePaths:
         flow.connect("boom", "after")
         return flow
 
-    def test_failure_surfaces_stage_name_and_drains_pool(self):
+    def test_failure_surfaces_stage_name_and_ends_the_run(self):
         executed = []
         slow_finished = threading.Event()
         flow = self.build_flow(executed, slow_finished)
         with pytest.raises(ExecutionError, match="boom") as excinfo:
             Engine(max_workers=3).run(flow)
         assert excinfo.value.stage == "boom"
-        # The in-flight sibling ran to completion before the engine raised
-        # (the pool is drained, not abandoned), and nothing downstream of
-        # the failure was ever submitted.
+        # The sibling before the failure in topological order ran to
+        # completion, once, and nothing after the failure was started.
         assert slow_finished.is_set()
-        assert executed.count("slow") == 1
-        assert "after" not in executed
+        assert executed == ["source", "slow", "boom"]
 
     def test_no_partial_provenance_after_failure(self):
         executed = []
@@ -323,8 +325,8 @@ class TestParallelFailurePaths:
         assert len(engine.telemetry) == 0
 
     def test_earliest_topological_failure_wins(self):
-        """With several failing stages, the one a sequential run would hit
-        first is the one surfaced."""
+        """With several failing stages, the first in topological order is
+        the one surfaced, and the only one dead-lettered."""
 
         def boom(message):
             def fn(inputs, ctx):
@@ -338,42 +340,42 @@ class TestParallelFailurePaths:
         flow.stage("beta", boom("second"))
         flow.connect("source", "alpha")
         flow.connect("source", "beta")
-        order = flow.topological_order()
-        first_failing = next(n for n in order if n in ("alpha", "beta"))
-        letters = {}
-        for workers in (1, 4):
-            engine = Engine(max_workers=workers)
-            with pytest.raises(ExecutionError) as excinfo:
-                engine.run(flow)
-            assert excinfo.value.stage == first_failing
-            letters[workers] = engine.dead_letters
-        # Only the surfaced failure is dead-lettered, whatever else failed.
-        assert [letter.stage for letter in letters[1]] == [first_failing]
-        assert letters[4] == letters[1]
+        engine = Engine(max_workers=4)
+        with pytest.raises(ExecutionError) as excinfo:
+            engine.run(flow)
+        assert excinfo.value.stage == "alpha"
+        assert [letter.stage for letter in engine.dead_letters] == ["alpha"]
 
-    def test_sequential_and_parallel_commit_same_prefix(self):
-        """Both engines leave the same provenance state behind a failure."""
-        outcomes = {}
+    def test_a_failure_ends_the_run_before_later_sources(self):
+        """Three independent sources, the first failing: neither later one
+        is called, whatever ``max_workers`` says, and the run holds the
+        failing stage's letter alone."""
+        called = []
+
+        def called_source(inputs, ctx):
+            called.append(ctx.stage.name)
+            return Dataset(ctx.stage.name, DataSize.megabytes(1))
+
+        flow = DataFlow("sources")
+        flow.stage("broken", refuse)
+        flow.stage("second", called_source)
+        flow.stage("third", called_source)
         letters = {}
         for workers in (1, 3):
-            store = ProvenanceStore()
-            flow = self.build_flow([], threading.Event())
-            engine = Engine(provenance=store, max_workers=workers)
-            with pytest.raises(ExecutionError):
+            engine = Engine(max_workers=workers)
+            with pytest.raises(ExecutionError, match="broken"):
                 engine.run(flow)
-            outcomes[workers] = recorded_artifacts(store)
+            assert called == []
             letters[workers] = engine.dead_letters
-        assert outcomes[1] == outcomes[3]
-        assert letters[1] == letters[3] and len(letters[1]) == 1
+        assert [letter.stage for letter in letters[3]] == ["broken"]
+        assert letters[3] == letters[1]
 
-    @pytest.mark.parametrize("max_workers", [1, 3])
-    def test_an_interrupt_on_a_worker_reaches_the_caller_and_joins_the_workers(
-        self, max_workers
-    ):
+    def test_an_interrupt_in_a_stage_reaches_the_caller_and_closes_the_shard_pool(self):
         class Interrupt(BaseException):
             """Not an ``Exception``: no retry, wrap or dead letter applies."""
 
         def interrupted(inputs, ctx):
+            assert ctx.map_shards(abs, [-1, -2]) == [1, 2]
             raise Interrupt("operator pressed stop")
 
         flow = DataFlow("interrupted")
@@ -381,9 +383,11 @@ class TestParallelFailurePaths:
         flow.stage("stop", interrupted)
         flow.connect("source", "stop")
         before = threading.active_count()
-        engine = Engine(max_workers=max_workers)
+        engine = Engine(max_workers=2, executor="process")
         with pytest.raises(Interrupt, match="operator pressed stop"):
             engine.run(flow)
+        assert engine._shard_pool is None
+        assert multiprocessing.active_children() == []
         assert threading.active_count() == before
         assert engine.dead_letters == [] and len(engine.telemetry) == 0
 
@@ -417,7 +421,7 @@ def refuse(inputs, ctx):
 @given(generated_runs())
 def test_any_dag_runs_alike_on_any_worker_count(run):
     """Same canonical log, or the same stage's error and dead letters, at
-    1, 2 and 4 workers — and no worker thread outlives its run."""
+    1, 2 and 4 workers — and no run leaves a thread behind."""
     preds, failing, retry = run
     flow = DataFlow("generated")
     for index in range(len(preds)):
@@ -446,10 +450,28 @@ def test_any_dag_runs_alike_on_any_worker_count(run):
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
+def test_every_transform_runs_on_the_calling_thread():
+    """``max_workers`` starts no stage thread: every transform of a lanes
+    flow sees the caller's thread, and no thread beyond the caller's."""
+    caller = threading.get_ident()
+    before = threading.active_count()
+    seen = []
+    flow = lanes_flow(lanes=4, depth=3)
+    for stage in flow.stages.values():
+
+        def recorded(inputs, ctx, fn=stage.fn):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return fn(inputs, ctx)
+
+        stage.fn = recorded
+    Engine(max_workers=3).run(flow)
+    assert seen == [(caller, before)] * len(flow.stages)
+
+
 def test_shards_run_on_the_thread_that_runs_their_stage():
     """With the default executor, ``ctx.map_shards`` runs a stage's shards
     inline: under three engine workers, every shard of each of three
-    concurrent stages sees the thread that runs that stage."""
+    sibling stages sees the thread that runs that stage."""
     seen = {}
 
     def fan_out(inputs, ctx):

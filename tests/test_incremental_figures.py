@@ -361,33 +361,29 @@ class TestAreciboNightlyStore:
         final_dir = workdir / "small-windows" / f"window{len(self.ARRIVALS) - 1:02d}"
         self.assert_equals_batch(nightly.final, final_dir, night)
 
-    def test_thread_and_process_farms_write_equal_stores(self, night):
+    def test_process_farm_writes_the_serial_store(self, night):
         workdir = night[0]
-        stores = {}
-        for executor in ("thread", "process"):
-            root = workdir / f"{executor}-store"
-            run_arecibo_incremental(
-                workdir / f"{executor}-windows",
-                nightly_config(workers=2, executor=executor),
-                arrivals=self.ARRIVALS, cache=StageCache.on_disk(root),
-            )
-            stores[executor] = load_store(root)
+        root = workdir / "process-store"
+        run_arecibo_incremental(
+            workdir / "process-windows",
+            nightly_config(workers=2, executor="process"),
+            arrivals=self.ARRIVALS, cache=StageCache.on_disk(root),
+        )
+        farmed = load_store(root)
         serial = load_store(workdir / "store")
-        for loaded in stores.values():
-            assert loaded.keys() == serial.keys()
-            for key, entry in loaded.items():
-                assert entry is not None
-                assert same_value(entry, serial[key])
-        # Every handle named a file of its own farm's run.
-        for executor in ("thread", "process"):
-            beams = [
-                value
-                for entry in stores[executor].values()
-                for value in getattr(entry, "value", [])
-                if isinstance(value, StagedBeam)
-            ]
-            assert len(beams) == 7 * sum(self.ARRIVALS)
-            assert all(f"{executor}-windows" in beam.path for beam in beams)
+        assert farmed.keys() == serial.keys()
+        for key, entry in farmed.items():
+            assert entry is not None
+            assert same_value(entry, serial[key])
+        # Every handle named a file of the farm's own run.
+        beams = [
+            value
+            for entry in farmed.values()
+            for value in getattr(entry, "value", [])
+            if isinstance(value, StagedBeam)
+        ]
+        assert len(beams) == 7 * sum(self.ARRIVALS)
+        assert all("process-windows" in beam.path for beam in beams)
 
 
 class TestCleoIncremental:

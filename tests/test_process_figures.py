@@ -1,10 +1,12 @@
-"""Sequential vs threaded vs multi-process execution of the figure flows.
+"""Inline vs multi-process shards in the figure flows.
 
 The acceptance bar for the process executor: for both figure pipelines,
-``executor="process"`` with several workers must reproduce the sequential
+``executor="process"`` with several workers must reproduce the inline
 run *byte-identically* — FlowReport stage rows, provenance chains, domain
 results, and the canonical telemetry log both in memory and as persisted
-to ``telemetry.jsonl``.  The three modes differ only in wall-clock.
+to ``telemetry.jsonl``.  The two modes differ only in wall-clock.  (The
+classes keep their ``ThreeWay`` names from when stage threads were a
+third mode.)
 """
 
 import pytest
@@ -57,7 +59,6 @@ class TestFigure1ThreeWay:
         out = {}
         for tag, workers, executor in [
             ("seq", 1, "thread"),
-            ("thr", 4, "thread"),
             ("proc", 4, "process"),
         ]:
             out[tag] = (
@@ -68,7 +69,7 @@ class TestFigure1ThreeWay:
             )
         return out
 
-    @pytest.mark.parametrize("mode", ["thr", "proc"])
+    @pytest.mark.parametrize("mode", ["proc"])
     def test_flow_accounting_matches_sequential(self, runs, mode):
         reference, _ = runs["seq"]
         candidate, _ = runs[mode]
@@ -76,7 +77,7 @@ class TestFigure1ThreeWay:
             reference.flow_report
         )
 
-    @pytest.mark.parametrize("mode", ["thr", "proc"])
+    @pytest.mark.parametrize("mode", ["proc"])
     def test_science_results_match_sequential(self, runs, mode):
         reference, _ = runs["seq"]
         candidate, _ = runs[mode]
@@ -92,7 +93,7 @@ class TestFigure1ThreeWay:
         assert candidate.multibeam_rejected == reference.multibeam_rejected
         assert candidate.dedispersed_size == reference.dedispersed_size
 
-    @pytest.mark.parametrize("mode", ["thr", "proc"])
+    @pytest.mark.parametrize("mode", ["proc"])
     def test_canonical_logs_byte_identical(self, runs, mode):
         reference, ref_dir = runs["seq"]
         candidate, cand_dir = runs[mode]
@@ -111,7 +112,6 @@ class TestFigure2ThreeWay:
         out = {}
         for tag, workers, executor in [
             ("seq", 1, "thread"),
-            ("thr", 3, "thread"),
             ("proc", 3, "process"),
         ]:
             out[tag] = (
@@ -129,7 +129,7 @@ class TestFigure2ThreeWay:
             )
         return out
 
-    @pytest.mark.parametrize("mode", ["thr", "proc"])
+    @pytest.mark.parametrize("mode", ["proc"])
     def test_flow_accounting_matches_sequential(self, runs, mode):
         reference, _ = runs["seq"]
         candidate, _ = runs[mode]
@@ -137,7 +137,7 @@ class TestFigure2ThreeWay:
             reference.flow_report
         )
 
-    @pytest.mark.parametrize("mode", ["thr", "proc"])
+    @pytest.mark.parametrize("mode", ["proc"])
     def test_physics_results_match_sequential(self, runs, mode):
         reference, _ = runs["seq"]
         candidate, _ = runs[mode]
@@ -149,7 +149,7 @@ class TestFigure2ThreeWay:
             k: v.bytes for k, v in reference.sizes_by_kind.items()
         }
 
-    @pytest.mark.parametrize("mode", ["thr", "proc"])
+    @pytest.mark.parametrize("mode", ["proc"])
     def test_canonical_logs_byte_identical(self, runs, mode):
         reference, ref_dir = runs["seq"]
         candidate, cand_dir = runs[mode]
