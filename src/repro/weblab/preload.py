@@ -8,17 +8,17 @@ the subsystem does not require the corresponding ARC and DAT files to be
 processed together."
 
 Accordingly, :meth:`PreloadSubsystem.process_arc` and
-:meth:`~PreloadSubsystem.process_dat` are independent; :meth:`run` drives
-any mix of files through a parsing thread pool, batching database loads.
-``batch_size`` and ``workers`` are the tunables the paper earmarks for
-"extensive benchmarking" (experiment C9 sweeps them).
+:meth:`~PreloadSubsystem.process_dat` are independent; :meth:`run` loads
+any mix of files on the calling thread — the ARC files in the order given,
+then the DAT files — batching database loads, so one set of files always
+yields the same metadata database, ids included.  ``batch_size`` is the
+tunable the paper earmarks for "extensive benchmarking" (experiment C9
+sweeps it).
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -76,16 +76,13 @@ class PreloadStats:
 
 @dataclass(frozen=True)
 class PreloadConfig:
-    """Tunables: database batch size and parser parallelism."""
+    """Tunable: rows per database load transaction."""
 
     batch_size: int = 200
-    workers: int = 2
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise WebLabError("batch size must be at least 1")
-        if self.workers < 1:
-            raise WebLabError("need at least one worker")
 
 
 class PreloadSubsystem:
@@ -101,8 +98,6 @@ class PreloadSubsystem:
         self.database = database
         self.pagestore = pagestore
         self.config = config if config is not None else PreloadConfig()
-        # The relational load is serialized; parsers run in parallel.
-        self._load_lock = threading.Lock()
         self.metrics = MetricsRegistry()
         #: Armed fault injector (or None), consulted once per :meth:`run`
         #: under scope ``"preload"``, target ``"weblab/preload"``.  A
@@ -132,8 +127,7 @@ class PreloadSubsystem:
         def flush() -> None:
             nonlocal batch
             if batch:
-                with self._load_lock:
-                    self.database.load_page_batch(batch)
+                self.database.load_page_batch(batch)
                 batch = []
 
         for record in read_arc(path):
@@ -173,8 +167,7 @@ class PreloadSubsystem:
         def flush() -> None:
             nonlocal batch
             if batch:
-                with self._load_lock:
-                    self.database.load_link_batch(batch)
+                self.database.load_link_batch(batch)
                 batch = []
 
         for record in read_dat(path):
@@ -197,7 +190,7 @@ class PreloadSubsystem:
         arc_paths: Sequence[Tuple[Union[str, Path], int]],
         dat_paths: Sequence[Tuple[Union[str, Path], int]] = (),
     ) -> PreloadStats:
-        """Preload a mixed set of (path, crawl_index) pairs in parallel.
+        """Preload a mixed set of (path, crawl_index) pairs, ARCs then DATs.
 
         Returns the stats of *this* run — the delta of the subsystem's
         lifetime registry across the run (see :attr:`lifetime_stats` for
@@ -228,17 +221,10 @@ class PreloadSubsystem:
                 pass
         before = self.lifetime_stats
         start = time.perf_counter()  # repro: noqa[RPR002] operational counter only
-        with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-            arc_futures = [
-                pool.submit(self.process_arc, path, index) for path, index in arc_paths
-            ]
-            dat_futures = [
-                pool.submit(self.process_dat, path, index) for path, index in dat_paths
-            ]
-            for future in arc_futures:
-                future.result()
-            for future in dat_futures:
-                future.result()
+        for path, index in arc_paths:
+            self.process_arc(path, index)
+        for path, index in dat_paths:
+            self.process_dat(path, index)
         self.metrics.counter("preload.elapsed_s").inc(
             time.perf_counter() - start + delay_seconds(injected)  # repro: noqa[RPR002]
         )

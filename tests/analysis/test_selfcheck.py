@@ -65,6 +65,51 @@ def test_figure_flows_pass_flowcheck():
         assert issues == [], "\n".join(issue.render() for issue in issues)
 
 
+_THREAD_STARTERS = {"Thread", "ThreadPoolExecutor"}
+
+
+def _thread_constructions(root):
+    """``(path, line)`` of every ``Thread`` or ``ThreadPoolExecutor`` built
+    under ``root``: a call of the attribute (``threading.Thread(...)``) or of
+    a name imported from ``threading``/``concurrent.futures``, aliased or not."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        local = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module in ("threading", "concurrent.futures")
+            for alias in node.names
+            if alias.name in _THREAD_STARTERS
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr in _THREAD_STARTERS) or (
+                isinstance(func, ast.Name) and func.id in local
+            ):
+                found.append((path.relative_to(root).as_posix(), node.lineno))
+    return found
+
+
+def test_only_kernel_tiles_start_threads(tmp_path):
+    """``src/`` starts threads in one place, ``kernels.run_tiles``: the
+    engine runs stages on one thread, shards run inline or in processes, and
+    the WebLab preload loads its files on the calling thread."""
+    sites = _thread_constructions(SRC)
+    assert [path for path, _ in sites if path != "repro/core/kernels.py"] == []
+    assert sites, "the scan no longer sees the kernel tile threads"
+    (tmp_path / "pool.py").write_text(
+        "from concurrent.futures import ThreadPoolExecutor as Pool\n"
+        "import threading\n"
+        "Pool(2)\n"
+        "threading.Thread(target=print)\n"
+    )
+    assert _thread_constructions(tmp_path) == [("pool.py", 3), ("pool.py", 4)]
+
+
 class TestDeepSelfScan:
     """The whole-program rules over src/: the interprocedural bar."""
 

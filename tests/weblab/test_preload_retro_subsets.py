@@ -1,11 +1,14 @@
 """Tests for the preload subsystem, metadata DB, retro browser, and subsets."""
 
+import sqlite3
+
 import pytest
 
 from repro.core.errors import WebLabError
 from repro.weblab.pagestore import PageStore, content_hash
 from repro.weblab.preload import PreloadConfig
 from repro.weblab.retro import RetroBrowser
+from repro.weblab.services import build_weblab
 from repro.weblab.subsets import (
     SubsetCriteria,
     extract_subset,
@@ -105,8 +108,30 @@ class TestPreload:
     def test_config_validation(self):
         with pytest.raises(WebLabError):
             PreloadConfig(batch_size=0)
-        with pytest.raises(WebLabError):
-            PreloadConfig(workers=0)
+
+    def test_two_builds_give_the_same_bytes(self, tmp_path):
+        """Row ids follow load order, so one file set yields one database."""
+
+        def build(root):
+            weblab, _, _ = build_weblab(root)
+            weblab.close()
+            connection = sqlite3.connect(weblab.root / "weblab.db")
+            try:
+                dump = list(connection.iterdump())
+            finally:
+                connection.close()
+            pages = weblab.pagestore.root
+            blobs = {
+                path.relative_to(pages).as_posix(): path.read_bytes()
+                for path in sorted(pages.rglob("*"))
+                if path.is_file()
+            }
+            return dump, blobs
+
+        first_dump, first_blobs = build(tmp_path / "first")
+        second_dump, second_blobs = build(tmp_path / "second")
+        assert first_dump == second_dump
+        assert first_blobs == second_blobs
 
 
 class TestMetaDb:
