@@ -64,6 +64,7 @@ def test_c9_preload_sweep(corpus, tmp_path, report_rows):
         )
         stats = subsystem.run(arc_jobs, dat_jobs)
         database.close()
+        pagestore.close()
         dumps.add(tuple(dump(path)))
         rows.append(
             {
@@ -98,6 +99,7 @@ def test_c9_arc_dat_independent(corpus, tmp_path, report_rows):
             subsystem.run(arc_jobs, ())
         row = {"pages": database.page_count(), "links": database.link_count()}
         database.close()
+        pagestore.close()
         return row, dump(path)
 
     first, first_dump = load("arc-first")

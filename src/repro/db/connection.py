@@ -39,6 +39,9 @@ class Database:
     def _execute(self, sql: str, params: Params = ()) -> sqlite3.Cursor:
         raise NotImplementedError
 
+    def _executemany(self, sql: str, rows: Sequence[Params]) -> None:
+        raise NotImplementedError
+
     def close(self) -> None:
         raise NotImplementedError
 
@@ -53,11 +56,9 @@ class Database:
 
     def executemany(self, sql: str, rows: Iterable[Params]) -> int:
         """Run one statement for many parameter rows; returns the row count."""
-        count = 0
-        for row in rows:
-            self._execute(sql, row)
-            count += 1
-        return count
+        rows = list(rows)
+        self._executemany(sql, rows)
+        return len(rows)
 
     def query(self, sql: str, params: Params = ()) -> List[Row]:
         """Run a SELECT and return all rows."""
@@ -133,6 +134,15 @@ class SqliteBackend(Database):
         with self._lock:
             try:
                 return self._conn.execute(sql, params)
+            except sqlite3.Error as exc:
+                raise DatabaseError(f"{exc} (while executing {sql!r})") from exc
+
+    def _executemany(self, sql: str, rows: Sequence[Params]) -> None:
+        if self._closed:
+            raise DatabaseError(f"database {self.path!r} is closed")
+        with self._lock:
+            try:
+                self._conn.executemany(sql, rows)
             except sqlite3.Error as exc:
                 raise DatabaseError(f"{exc} (while executing {sql!r})") from exc
 

@@ -80,6 +80,14 @@ def weblab_schema() -> Schema:
     return schema
 
 
+# Named parameters: a batch row is the dict the preload builds per record.
+_INSERT_PAGE = (
+    "INSERT INTO pages (url, domain, tld, crawl_index, fetched_at, ip, mime, "
+    "size_bytes, content_hash) VALUES (:url, :domain, :tld, :crawl_index, "
+    ":fetched_at, :ip, :mime, :size_bytes, :content_hash)"
+)
+
+
 class WebLabDatabase:
     """Metadata + link store over the relational layer."""
 
@@ -113,9 +121,8 @@ class WebLabDatabase:
     def load_page_batch(self, rows: Sequence[Dict[str, object]]) -> int:
         """Load one metadata batch (one short transaction)."""
         with self.db.transaction():
-            for row in rows:
-                self.db.insert("pages", **row)
             if rows:
+                self.db.executemany(_INSERT_PAGE, rows)
                 self.db.execute(
                     "UPDATE crawls SET page_count = page_count + ? "
                     "WHERE crawl_index = ?",
@@ -125,10 +132,10 @@ class WebLabDatabase:
 
     def load_link_batch(self, rows: Sequence[Tuple[int, str, str]]) -> int:
         with self.db.transaction():
-            for crawl_index, src_url, dst_url in rows:
-                self.db.insert(
-                    "links", crawl_index=crawl_index, src_url=src_url, dst_url=dst_url
-                )
+            self.db.executemany(
+                "INSERT INTO links (crawl_index, src_url, dst_url) VALUES (?, ?, ?)",
+                rows,
+            )
         return len(rows)
 
     # -- queries ---------------------------------------------------------------

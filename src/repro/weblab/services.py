@@ -72,6 +72,7 @@ class WebLab:
 
     def close(self) -> None:
         self.database.close()
+        self.pagestore.close()
 
     def __enter__(self) -> "WebLab":
         return self

@@ -50,10 +50,14 @@ class TestConnection:
         db.close()
         with pytest.raises(DatabaseError, match="closed"):
             db.query("SELECT 1")
+        with pytest.raises(DatabaseError, match="closed"):
+            db.executemany("INSERT INTO t (x) VALUES (?)", [(1,)])
 
     def test_sql_error_wrapped(self, db):
         with pytest.raises(DatabaseError):
             db.query("SELECT * FROM nonexistent")
+        with pytest.raises(DatabaseError, match="nonexistent"):
+            db.executemany("INSERT INTO nonexistent (x) VALUES (?)", [(1,), (2,)])
 
     def test_query_one(self, db):
         db.execute("CREATE TABLE t (x INTEGER)")

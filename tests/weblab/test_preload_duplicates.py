@@ -38,6 +38,7 @@ def preload_parts(tmp_path):
     pagestore = PageStore(tmp_path / "pages")
     yield database, pagestore
     database.close()
+    pagestore.close()
 
 
 class TestRegisterCrawlErrors:

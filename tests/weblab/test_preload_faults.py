@@ -37,6 +37,7 @@ def preload_parts(tmp_path):
     pagestore = PageStore(tmp_path / "pages")
     yield database, pagestore
     database.close()
+    pagestore.close()
 
 
 class TestPreloadFaultShims:

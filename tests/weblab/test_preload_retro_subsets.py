@@ -1,5 +1,6 @@
 """Tests for the preload subsystem, metadata DB, retro browser, and subsets."""
 
+import os
 import sqlite3
 
 import pytest
@@ -15,6 +16,7 @@ from repro.weblab.subsets import (
     list_subsets,
     stratified_sample,
 )
+from repro.weblab.synthweb import SyntheticWebConfig
 
 
 class TestPageStore:
@@ -69,6 +71,28 @@ class TestPageStore:
         with pytest.raises(WebLabError, match=f"page store has no content '{digest}'"):
             store.get(digest)
 
+    def test_reopened_store_indexes_what_the_writer_wrote(self, tmp_path):
+        writer = PageStore(tmp_path)
+        for content in (b"first", b"", b"second" * 1000, b"first"):
+            writer.put(content)
+        reopened = PageStore(tmp_path)
+        assert reopened._index == writer._index
+        assert len(reopened) == 3
+        assert reopened.get(content_hash(b"second" * 1000)) == b"second" * 1000
+        writer.close()
+        reopened.close()
+
+    def test_a_store_opened_before_a_put_serves_the_page(self, tmp_path):
+        reader = PageStore(tmp_path)
+        writer = PageStore(tmp_path)
+        assert content_hash(b"late page") not in reader
+        digest = writer.put(b"late page")
+        assert digest in reader
+        assert reader.get(digest) == b"late page"
+        assert reader.total_size().bytes == len(b"late page")
+        writer.close()
+        reader.close()
+
 
 class TestPreload:
     def test_everything_loaded(self, built_weblab):
@@ -102,12 +126,40 @@ class TestPreload:
         distinct_hashes = weblab.database.db.query_value(
             "SELECT count(DISTINCT content_hash) FROM pages"
         )
-        assert len(list(weblab.pagestore.root.glob("*/*/*"))) == distinct_hashes
+        assert len(weblab.pagestore) == distinct_hashes
         assert distinct_hashes < report.pages_loaded
 
     def test_config_validation(self):
         with pytest.raises(WebLabError):
             PreloadConfig(batch_size=0)
+
+    @pytest.mark.parametrize("n_crawls", [1, 4])
+    def test_the_page_store_is_one_file(self, tmp_path, n_crawls):
+        config = SyntheticWebConfig(
+            seed=5, n_domains=4, initial_pages=20, new_pages_per_crawl=5
+        )
+        weblab, _, _ = build_weblab(tmp_path, config, n_crawls=n_crawls)
+        weblab.close()
+        assert [path.name for path in weblab.pagestore.root.iterdir()] == ["pages.pack"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_close_leaves_no_open_descriptor(self, tmp_path):
+        def open_under_root():
+            found = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    target = os.readlink(f"/proc/self/fd/{fd}")
+                except OSError:
+                    continue
+                if target.startswith(str(tmp_path)):
+                    found.append(target)
+            return found
+
+        config = SyntheticWebConfig(seed=5, n_domains=4, initial_pages=20)
+        weblab, _, _ = build_weblab(tmp_path, config, n_crawls=2)
+        assert str(weblab.pagestore.path) in open_under_root()
+        weblab.close()
+        assert open_under_root() == []
 
     def test_two_builds_give_the_same_bytes(self, tmp_path):
         """Row ids follow load order, so one file set yields one database."""
