@@ -405,10 +405,13 @@ def run_arecibo_pipeline(
 
     # The engine arms a FaultPlan against its own simulated clock; the
     # resulting injector is shared with the lane/library/beam shims so
-    # one plan covers every injection site (and `after_sim_time`
-    # predicates see the run's clock).  Passing an already-armed
-    # FaultInjector instead is the crash/resume idiom: exhausted fire
-    # budgets carry over, so transient faults do not restrike the rerun.
+    # one plan covers every injection site.  That clock moves only in the
+    # engine's accounting replay, after every stage has run, so an
+    # `after_sim_time` predicate sees the clock as the run found it, not
+    # the sim time earlier stages charged (an open defect).  Passing an
+    # already-armed FaultInjector instead is the crash/resume idiom:
+    # exhausted fire budgets carry over, so transient faults do not
+    # restrike the rerun.
     engine = Engine(
         seed=config.seed,
         max_workers=config.workers,

@@ -446,9 +446,10 @@ class Engine:
         if isinstance(faults, FaultPlan):
             faults = faults.arm(clock=self.telemetry.clock)
         self.faults: Optional[FaultInjector] = faults
-        #: Dead letters this engine produced: degraded stages append
-        #: during the accounting replay (deterministic order); an aborting
-        #: run appends the letter of the failure it raises.
+        #: Dead letters this engine produced, in topological order: a
+        #: degraded stage appends its letter when it completes, hit or
+        #: miss; an aborting run appends the letter of the failure it
+        #: raises.
         self.dead_letters: List[DeadLetter] = []
         self._seed = seed
         self._max_workers = int(max_workers)
@@ -802,6 +803,8 @@ class Engine:
                         stage.replay(context)
                     except Exception as exc:  # noqa: BLE001 - wrap with stage identity
                         raise ExecutionError(name, f"replay failed: {exc}") from exc
+                if record.degraded:
+                    self.dead_letters.append(DeadLetter(**record.dead_letter_attrs))  # type: ignore[arg-type]
         finally:
             shards, self._shard_pool = self._shard_pool, None
             shards.close()
@@ -906,14 +909,12 @@ class Engine:
                         parents=[reserved[pred] for pred in predecessors[name]],
                     )
                     if record.degraded:
-                        letter_attrs = record.dead_letter_attrs
-                        self.dead_letters.append(DeadLetter(**letter_attrs))  # type: ignore[arg-type]
                         metrics.counter("engine.dead_letters").inc()
                         telemetry.emit(
                             "stage.degraded", name, site=stage.site,
                             attempts=record.attempts,
                         )
-                        telemetry.emit("stage.dead_letter", name, **letter_attrs)
+                        telemetry.emit("stage.dead_letter", name, **record.dead_letter_attrs)
                     telemetry.emit(
                         "stage.finish",
                         name,

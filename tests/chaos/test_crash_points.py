@@ -5,9 +5,9 @@ faults=armed))`` is the resume idiom.  The crashed attempt committed its
 completed prefix to the cache; the resumed attempt replays that prefix —
 each hit's writes included — and executes the rest.  Whether every
 attempt gets a fresh workdir or all share one, the resumed run's
-``candidates.db`` (Figure 1) or collaboration and offsite EventStores
-(Figure 2) must equal a clean cold run's, and a run that raises still
-closes its store.
+fingerprint must equal a clean cold run's: its event log, and
+``candidates.db`` (Figure 1) or the collaboration and offsite
+EventStores (Figure 2).  A run that raises still closes its store.
 """
 
 import pytest
@@ -21,12 +21,8 @@ from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.recovery import run_to_completion
 from repro.core.stagecache import StageCache
 from repro.eventstore.store import EventStore
-from tests.test_figure_cache import (
-    ARECIBO_STAGE_NAMES,
-    CLEO_STAGE_NAMES,
-    dump,
-    event_store,
-)
+from tests.conftest import fingerprint
+from tests.test_figure_cache import ARECIBO_STAGE_NAMES, CLEO_STAGE_NAMES
 
 ARECIBO = AreciboPipelineConfig(
     n_pointings=2, observation=ObservationConfig(n_channels=32, n_samples=1024)
@@ -41,57 +37,48 @@ def crash_at(target):
     ),))
 
 
-def resumed_workdir(run, config, target, workdir, shared):
-    """Crash at ``target``, resume to completion; the last attempt's workdir."""
+def resumed(run, config, target, workdir, shared):
+    """Crash at ``target``, resume to completion: the fingerprint of the
+    last attempt's report and workdir."""
     cache, injector, attempts = StageCache(), crash_at(target).arm(), []
 
     def attempt():
         attempts.append(workdir if shared else workdir / f"attempt{len(attempts)}")
         return run(attempts[-1], config, cache=cache, faults=injector)
 
-    _, restarts = run_to_completion(attempt)
+    report, restarts = run_to_completion(attempt)
     assert restarts == 1
-    return attempts[-1]
+    return fingerprint(report, attempts[-1])
 
 
-def figure2_stores(workdir):
-    return event_store(workdir), event_store(workdir / "offsite", "mc-remote-u")
-
-
-@pytest.fixture(scope="module")
-def arecibo_cold_db(tmp_path_factory):
-    workdir = tmp_path_factory.mktemp("fig1-cold")
-    run_arecibo_pipeline(workdir, ARECIBO)
-    return dump(workdir / "candidates.db")
+def cold(run, config, workdir):
+    return fingerprint(run(workdir, config), workdir)
 
 
 @pytest.fixture(scope="module")
-def cleo_cold_stores(tmp_path_factory):
-    workdir = tmp_path_factory.mktemp("fig2-cold")
-    run_cleo_pipeline(workdir, CLEO)
-    return figure2_stores(workdir)
+def arecibo_cold(tmp_path_factory):
+    return cold(run_arecibo_pipeline, ARECIBO, tmp_path_factory.mktemp("fig1-cold"))
+
+
+@pytest.fixture(scope="module")
+def cleo_cold(tmp_path_factory):
+    return cold(run_cleo_pipeline, CLEO, tmp_path_factory.mktemp("fig2-cold"))
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
 @pytest.mark.parametrize("stage", ARECIBO_STAGE_NAMES)
-def test_figure1_resume_persists_the_cold_database(
-    arecibo_cold_db, tmp_path, stage, shared
-):
-    workdir = resumed_workdir(
+def test_figure1_resume_persists_the_cold_database(arecibo_cold, tmp_path, stage, shared):
+    assert resumed(
         run_arecibo_pipeline, ARECIBO, f"arecibo-figure1/{stage}", tmp_path, shared
-    )
-    assert dump(workdir / "candidates.db") == arecibo_cold_db
+    ) == arecibo_cold
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
 @pytest.mark.parametrize("stage", CLEO_STAGE_NAMES)
-def test_figure2_resume_persists_the_cold_stores(
-    cleo_cold_stores, tmp_path, stage, shared
-):
-    workdir = resumed_workdir(
+def test_figure2_resume_persists_the_cold_stores(cleo_cold, tmp_path, stage, shared):
+    assert resumed(
         run_cleo_pipeline, CLEO, f"cleo-figure2/{stage}", tmp_path, shared
-    )
-    assert figure2_stores(workdir) == cleo_cold_stores
+    ) == cleo_cold
 
 
 def counting_closes(monkeypatch, cls):

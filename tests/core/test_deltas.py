@@ -18,21 +18,9 @@ from repro.core.deltas import WindowLedger, run_windows
 from repro.core.engine import Engine, FlowReport
 from repro.core.errors import ExecutionError, IncrementalError
 from repro.core.stagecache import StageCache
-from repro.core.telemetry import Telemetry, strip_wall_clock
+from repro.core.telemetry import Telemetry
 from repro.core.units import DataSize
-
-
-def canonical(report):
-    """The byte-comparable projection of a flow report."""
-    return (
-        report.summary_rows(),
-        strip_wall_clock(report.events),
-        {name: (ds.name, ds.version, tuple(ds.items)) for name, ds in report.outputs.items()},
-        {
-            name: report.provenance.get(ds.provenance_id).stamp
-            for name, ds in report.outputs.items()
-        },
-    )
+from tests.conftest import fingerprint
 
 
 class TestWindowLedger:
@@ -154,7 +142,7 @@ class TestRunWindows:
         final = rows[-1]["report"].flow_report
         cold = run_toy(len(ITEMS), StageCache(), {"expand": 0, "reduce": 0})
         assert final.outputs["reduce"].items == [55]
-        assert canonical(final) == canonical(cold)
+        assert fingerprint(final) == fingerprint(cold)
 
     def test_middle_empty_window_is_all_hit_and_still_accounted(self, windows):
         ledger, rows, _, _ = windows
@@ -186,7 +174,7 @@ class TestRunWindows:
         cold = run_toy(len(ITEMS), StageCache(), {"expand": 0, "reduce": 0})
         assert rows[-1]["stage_misses"] == 0
         assert calls == {"expand": 2, "reduce": 2}
-        assert canonical(rows[-1]["report"].flow_report) == canonical(cold)
+        assert fingerprint(rows[-1]["report"].flow_report) == fingerprint(cold)
 
     def test_ledger_stream_is_open_close_per_window(self, windows):
         ledger, rows, _, _ = windows

@@ -24,8 +24,9 @@ from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.provenance import ProvenanceStore
 from repro.core.recovery import RetryPolicy
 from repro.core.stagecache import StageCache
-from repro.core.telemetry import flow_summary_from_log, strip_wall_clock
+from repro.core.telemetry import flow_summary_from_log
 from repro.core.units import DataSize, Duration
+from tests.conftest import fingerprint
 
 
 def make_source(size, name="raw"):
@@ -91,20 +92,6 @@ def lanes_flow(lanes=20, depth=5):
     return flow
 
 
-def report_snapshot(report):
-    """Everything a run reports, in comparable form."""
-    return {
-        "rows": report.summary_rows(),
-        "peak": report.peak_live_storage.bytes,
-        "cpu": report.total_cpu_time.seconds,
-        "outputs": {
-            name: (ds.name, ds.size.bytes, ds.version, ds.provenance_id)
-            for name, ds in report.outputs.items()
-        },
-        "provenance_ids": [stage.provenance_id for stage in report.stages],
-    }
-
-
 def recorded_artifacts(store, reserved=4):
     """The artifact recorded under each id a run reserved (in topological
     order), None where the stage never committed."""
@@ -115,18 +102,6 @@ def recorded_artifacts(store, reserved=4):
         except ProvenanceError:
             artifacts.append(None)
     return artifacts
-
-
-def provenance_snapshot(report):
-    """Full lineage of every stage output: ids, parents, steps, stamps."""
-    store = report.provenance
-    records = {stage.name: store.get(stage.provenance_id) for stage in report.stages}
-    # Every record is some stage's, so the per-stage records with their
-    # parent ids are the whole graph.
-    return {
-        name: (r.record_id, r.artifact, r.step, r.parent_ids, r.stamp.history, r.stamp.digest)
-        for name, r in records.items()
-    }
 
 
 def run_with_cache(build, seed, max_workers, cache_mode):
@@ -154,9 +129,7 @@ class TestParallelDeterminism:
     def test_matches_sequential(self, build, seed, max_workers, cache_mode):
         sequential, _ = run_with_cache(build, seed, 1, cache_mode)
         parallel, cache = run_with_cache(build, seed, max_workers, cache_mode)
-        assert report_snapshot(parallel) == report_snapshot(sequential)
-        assert provenance_snapshot(parallel) == provenance_snapshot(sequential)
-        assert strip_wall_clock(parallel.events) == strip_wall_clock(sequential.events)
+        assert fingerprint(parallel) == fingerprint(sequential)
         assert parallel.executed_stages == sequential.executed_stages
         assert parallel.cached_stages == sequential.cached_stages
         stages = build().topological_order()
@@ -177,13 +150,11 @@ class TestParallelDeterminism:
         ]
         assert reports[2].cached_stages == []
         assert reports[3].executed_stages == []
-        logs = [strip_wall_clock(report.events) for report in reports]
         # The flow's span pair and start/finish, six events for each stage.
-        assert len(logs[0]) == 4 + 6 * 101
-        for report, log in zip(reports, logs):
-            assert log == logs[0]
+        assert len(reports[0].events) == 4 + 6 * 101
+        for report in reports:
+            assert fingerprint(report) == fingerprint(reports[0])
             assert flow_summary_from_log(report.events) == report.summary_rows()
-            assert provenance_snapshot(report) == provenance_snapshot(reports[0])
 
     def test_stage_rng_is_execution_order_independent(self):
         """A stage's random stream depends on (seed, name) only: not on
@@ -442,7 +413,7 @@ def test_any_dag_runs_alike_on_any_worker_count(run):
         )
         before = threading.active_count()
         try:
-            outcome = ("ok", strip_wall_clock(engine.run(flow).events))
+            outcome = ("ok", fingerprint(engine.run(flow)))
         except ExecutionError as exc:
             outcome = ("failed", exc.stage, str(exc))
         assert threading.active_count() == before

@@ -1,8 +1,6 @@
 """The read cache: LRU, admission, negatives, coalescing."""
 
 import dataclasses
-import hashlib
-import json
 import sys
 import threading
 import time
@@ -15,7 +13,7 @@ from hypothesis import strategies as st
 from repro.core import readcache
 from repro.core.errors import CacheError
 from repro.core.readcache import ReadCache
-from repro.core.telemetry import Telemetry, strip_wall_clock
+from repro.core.telemetry import Telemetry
 from repro.core.workload import (
     AdmissionController,
     OpSpec,
@@ -24,6 +22,8 @@ from repro.core.workload import (
     WorkloadSpec,
     generate_trace,
 )
+from tests.conftest import fingerprint
+from tests.test_pins import PINS
 
 
 class CountingLoader:
@@ -170,18 +170,16 @@ class TestTelemetry:
         assert all(event.name == "rc" for event in bus.events())
 
     def test_pinned_replay_keeps_its_canonical_digest(self):
-        assert pinned_replay_digest() == PINNED_REPLAY_DIGEST
+        """Its log was pinned before the cache called ``Telemetry.emit``
+        directly and before ``emit`` built its record with
+        ``tuple.__new__``; any change to an event's kind, name, attrs,
+        span, order or sim-time moves it."""
+        assert fingerprint(pinned_replay()) == PINS["readcache replay"]
 
 
-#: Computed before the cache called ``Telemetry.emit`` directly and before
-#: ``emit`` built its record with ``tuple.__new__``; any change to an
-#: event's kind, name, attrs, span, order or sim-time moves it.
-PINNED_REPLAY_DIGEST = "0a73481366d8f452c01e828e35aff0979aa871e6b5c392e11811d231350cb5bf"
-
-
-def pinned_replay_digest():
-    """SHA-256 of the canonical log of a small fixed replay: two tenants
-    over a cache of 4, one key absent (negative hits), a valve that sheds."""
+def pinned_replay():
+    """The bus of a small fixed replay: two tenants over a cache of 4, one
+    key absent (negative hits), a valve that sheds."""
     keys = tuple(f"k{i}" for i in range(12))
     spec = WorkloadSpec(
         name="pinned",
@@ -204,8 +202,7 @@ def pinned_replay_digest():
     )
     with bus.span("serve", tenants=2):
         replayer.replay(generate_trace(spec))
-    canonical = json.dumps(strip_wall_clock(bus.events()), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return bus
 
 
 class TestCoalescing:
@@ -481,7 +478,7 @@ class TestAgainstModel:
                 assert cache.clear() == model.clear()
             sim_times += [bus.clock.now] * (len(model.events) - emitted)
             assert cache.keys() == list(model.entries)
-        assert strip_wall_clock(bus.events()) == [
+        assert [event.canonical() for event in bus.events()] == [
             {"seq": seq, "kind": kind, "name": "rc", "sim_time": sim_time,
              "span": [], "attrs": {"key": key, **attrs}}
             for seq, ((kind, key, attrs), sim_time) in enumerate(

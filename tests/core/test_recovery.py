@@ -13,8 +13,8 @@ from repro.core.recovery import (
     run_to_completion,
 )
 from repro.core.stagecache import StageCache
-from repro.core.telemetry import strip_wall_clock
 from repro.core.units import DataSize
+from tests.conftest import fingerprint
 
 
 class TestRetryPolicy:
@@ -166,6 +166,29 @@ class TestEngineRetry:
         assert availability["degraded"] == 1
         assert availability["dead_letters"] == 1
 
+    def test_a_degraded_letter_survives_a_later_abort(self):
+        """The degraded stage completed before the run aborted, so its
+        letter is kept ahead of the abort's own."""
+        def stale(inputs, ctx, error):
+            return Dataset("stale", DataSize(1.0))
+
+        flow = DataFlow("chain")
+        flow.stage(
+            "s1", lambda inputs, ctx: Dataset("raw", DataSize(1.0)),
+            retry=RetryPolicy(max_attempts=1, fallback=stale),
+        )
+        flow.stage("s2", lambda inputs, ctx: 1 / 0)
+        flow.connect("s1", "s2")
+        plan = FaultPlan(specs=(FaultSpec(
+            name="down", scope="stage", target="chain/s1", kind="crash", max_fires=None,
+        ),))
+        engine = Engine(seed=1, faults=plan)
+        with pytest.raises(ExecutionError, match="'s2'"):
+            engine.run(flow)
+        assert [(letter.stage, letter.degraded) for letter in engine.dead_letters] == [
+            ("s1", True), ("s2", False),
+        ]
+
     def test_injected_crash_is_retried_like_any_failure(self):
         flow, attempts = flaky_flow(fail_times=0, flow_name="injected")
         plan = FaultPlan(
@@ -295,11 +318,7 @@ class TestResume:
         )
 
         def prefix(report):
-            return [
-                event
-                for event in strip_wall_clock(report.events)
-                if event["name"] == "source"
-            ]
+            return fingerprint([event for event in report.events if event.name == "source"])
 
         assert prefix(resumed) == prefix(reference)
         # The resumed run's own "work" row is a clean first-try success
@@ -347,6 +366,7 @@ class TestResume:
         warm_engine = Engine(seed=5, cache=cache, faults=plan)
         warm = warm_engine.run(flow)
         assert warm.stage("work").degraded
-        assert strip_wall_clock(warm.events) == strip_wall_clock(cold.events)
-        # The warm engine re-reports the dead letter during replay.
+        assert fingerprint(warm) == fingerprint(cold)
+        # A hit on a degraded record appends its dead letter again as the
+        # stage completes.
         assert len(warm_engine.dead_letters) == len(cold_engine.dead_letters) == 1

@@ -18,8 +18,9 @@ from repro.core.errors import CacheError, ExecutionError
 from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.recovery import RetryPolicy
 from repro.core.stagecache import CachedStage, StageCache, stage_key
-from repro.core.telemetry import MetricsRegistry, strip_wall_clock
+from repro.core.telemetry import MetricsRegistry
 from repro.core.units import DataSize, Duration
+from tests.conftest import fingerprint
 
 
 class TestStageKey:
@@ -147,10 +148,7 @@ class TestEngineCache:
         assert calls == {"source": 1, "double": 1, "sink": 1}  # unchanged
         assert cache.hits == 3
 
-        assert warm.summary_rows() == cold.summary_rows()
-        assert warm.total_cpu_time == cold.total_cpu_time
-        assert warm.peak_live_storage == cold.peak_live_storage
-        assert strip_wall_clock(warm.events) == strip_wall_clock(cold.events)
+        assert fingerprint(warm) == fingerprint(cold)
 
     def test_warm_run_restores_stashes(self):
         calls = {"source": 0, "double": 0, "sink": 0}
@@ -209,7 +207,7 @@ class TestEngineCache:
         )
         assert calls == {"source": 1, "double": 1, "sink": 1}
         assert cache.hits == 3
-        assert strip_wall_clock(warm.events) == strip_wall_clock(cold.events)
+        assert fingerprint(warm) == fingerprint(cold)
 
     def test_downstream_of_changed_stage_reruns(self):
         """A mid-chain result change (different stage seed) propagates:
@@ -290,7 +288,7 @@ class TestHitReplay:
             ("replay", "c", "b"),
         ]
         assert warm.cached_stages == ["a", "b"]
-        assert strip_wall_clock(warm.events) == strip_wall_clock(cold.events)
+        assert fingerprint(warm) == fingerprint(cold)
 
     def test_a_cold_run_never_replays(self):
         log = []

@@ -29,8 +29,8 @@ from repro.core.dataset import Dataset
 from repro.core.engine import Engine
 from repro.core.errors import UnverifiableInputError
 from repro.core.stagecache import CachedShard, CachedStage, StageCache
-from repro.core.telemetry import strip_wall_clock
 from repro.core.units import DataSize, Duration
+from tests.conftest import fingerprint
 
 
 def entry(name="out", stash=None):
@@ -270,8 +270,7 @@ class TestEngineOverSharedStore:
         warm = Engine(seed=5, cache=warm_cache).run(counting_flow(calls))
         assert calls == {"source": 1, "double": 1}  # nothing re-ran
         assert warm_cache.hits == 2 and warm_cache.disk_hits == 2
-        assert warm.summary_rows() == cold.summary_rows()
-        assert strip_wall_clock(warm.events) == strip_wall_clock(cold.events)
+        assert fingerprint(warm) == fingerprint(cold)
 
     def test_process_engine_warm_from_sequential_prime(self, tmp_path):
         calls = {"source": 0, "double": 0}
@@ -283,7 +282,7 @@ class TestEngineOverSharedStore:
             cache=StageCache.on_disk(tmp_path / "store"),
         ).run(counting_flow(calls))
         assert calls == {"source": 1, "double": 1}
-        assert strip_wall_clock(warm.events) == strip_wall_clock(cold.events)
+        assert fingerprint(warm) == fingerprint(cold)
 
     def test_two_engines_hammer_one_store(self, tmp_path):
         """Concurrent runs against one store stay correct: every engine
@@ -310,10 +309,7 @@ class TestEngineOverSharedStore:
             thread.join()
         assert errors == []
         for report in reports.values():
-            assert report.summary_rows() == reference.summary_rows()
-            assert strip_wall_clock(report.events) == strip_wall_clock(
-                reference.events
-            )
+            assert fingerprint(report) == fingerprint(reference)
 
 
 class TestUnverifiableInputRegression:

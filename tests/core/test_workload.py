@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.core.errors import WorkloadError
-from repro.core.telemetry import Telemetry, strip_wall_clock
+from repro.core.telemetry import Telemetry
 from repro.core.workload import (
     AdmissionController,
     BurstStorm,
@@ -20,6 +20,7 @@ from repro.core.workload import (
     generate_trace,
     percentile,
 )
+from tests.conftest import fingerprint
 
 KEYS = tuple(f"http://site{i:02d}.example/" for i in range(20))
 
@@ -308,8 +309,7 @@ class TestTraceReplayer:
         first, second = Telemetry(), Telemetry()
         self.replay(trace, first)
         self.replay(trace, second)
-        assert strip_wall_clock(first.events()) == strip_wall_clock(second.events())
-        assert first.registry.as_dict() == second.registry.as_dict()
+        assert fingerprint(first) == fingerprint(second)
 
     def test_backpressure_rejects_and_accounts(self):
         trace = generate_trace(small_spec(rate=8.0))
