@@ -22,7 +22,6 @@ from repro.cleo.pipeline import CleoPipelineConfig, run_cleo_pipeline
 from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.recovery import AvailabilitySummary, RetryPolicy, run_to_completion
 from repro.core.stagecache import StageCache
-from repro.core.telemetry import strip_wall_clock
 
 SEED = 17
 
@@ -175,8 +174,8 @@ def test_c17_checkpoint_resume(report_rows, tmp_path):
     def prefix(workdir_report):
         return [
             event
-            for event in strip_wall_clock(workdir_report.flow_report.events)
-            if event["name"] in PREFIX_STAGES
+            for event in workdir_report.flow_report.events
+            if event.name in PREFIX_STAGES
         ]
 
     uninterrupted = run_arecibo_pipeline(

@@ -21,7 +21,6 @@ from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
 from repro.cleo.pipeline import CleoPipelineConfig, run_cleo_incremental, run_cleo_pipeline
 from repro.core.stagecache import StageCache
-from repro.core.telemetry import strip_wall_clock
 
 SEED = 20
 
@@ -82,9 +81,7 @@ class TestC20IncrementalCost:
         cold = run_cleo_pipeline(tmp_path / "cold", cleo)
         appended = run_cleo_incremental(tmp_path / "windows", cleo, arrivals=[1, 0, 2])
         final = appended.final
-        assert strip_wall_clock(final.flow_report.events) == strip_wall_clock(
-            cold.flow_report.events
-        )
+        assert final.flow_report.events == cold.flow_report.events
         assert final.analysis.histogram.fingerprint() == cold.analysis.histogram.fingerprint()
         assert [w.shard_misses for w in appended.windows] == [1, 0, 2]
         report_rows("C20: Figure-2 run-append windows (final window = cold batch)", [

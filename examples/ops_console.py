@@ -55,7 +55,7 @@ def append_serving_traffic(log, n_requests=300):
             bus.emit(kind, f"r{index}")
     with open(log, "a", encoding="utf-8") as handle:
         for event in bus.events():
-            handle.write(json.dumps(event.canonical(), sort_keys=True) + "\n")
+            handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
 
 
 def main():

@@ -10,8 +10,7 @@ kinds:
 ``rng``            a draw from OS entropy or the process-global
                    ``random``/``numpy.random`` stream (seeded, locally
                    held generators are invisible — by design)
-``wall_clock``     host-clock read outside the sanctioned telemetry
-                   ``wall_time`` site
+``wall_clock``     host-clock read
 ``config_read``    attribute read off a pipeline config object
                    (``config.x`` / ``cfg.x`` / ``self.config.x``);
                    ``Effect.param`` carries the attribute name
@@ -61,7 +60,6 @@ from repro.analysis.sites import (
     HANDLE_CONSTRUCTORS,
     MUTATOR_METHODS,
     classify_call,
-    is_sanctioned_site,
 )
 
 #: Names under which pipeline code conventionally holds its config.
@@ -199,8 +197,7 @@ class _LocalExtractor:
     def _scan_named_call(self, node: ast.Call, name: str) -> None:
         hazard = classify_call(name, bool(node.args or node.keywords))
         if hazard is not None:
-            if not is_sanctioned_site(str(self.module.path), name):
-                self._emit(*hazard, node)
+            self._emit(*hazard, node)
         elif name in ENV_READ_CALLS or name.startswith(ENV_OBJECTS):
             self._emit("env_read", f"{name}(...)", node)
 

@@ -70,10 +70,9 @@ class Finding:
     path: str
     line: int
     col: int
-    #: True when the finding is silenced — by an inline
-    #: ``# repro: noqa[CODE]`` or a rule's built-in allowlist.
+    #: True when the finding is silenced by an inline ``# repro: noqa[CODE]``.
     suppressed: bool = False
-    #: Why it is silenced: ``"noqa"``, ``"allowlist"``, or ``""``.
+    #: Why it is silenced: ``"noqa"``, or ``""``.
     suppression: str = ""
 
     def render(self) -> str:
@@ -182,19 +181,11 @@ class Rule:
         for module in analysis.program.sources:
             yield from self.check(module)
 
-    def finding(
-        self,
-        module: ModuleSource,
-        node: ast.AST,
-        message: str,
-        suppressed: bool = False,
-        suppression: str = "",
-    ) -> Finding:
+    def finding(self, module: ModuleSource, node: ast.AST, message: str) -> Finding:
         """Build a finding at ``node``, applying inline noqa suppression."""
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
-        if not suppressed and self.code in module.suppressed_codes(line):
-            suppressed, suppression = True, "noqa"
+        suppressed = self.code in module.suppressed_codes(line)
         return Finding(
             code=self.code,
             rule=self.name,
@@ -203,7 +194,7 @@ class Rule:
             line=line,
             col=col,
             suppressed=suppressed,
-            suppression=suppression,
+            suppression="noqa" if suppressed else "",
         )
 
 

@@ -12,8 +12,7 @@ This rule walks every cache binding and reports any ``rng`` or
 ``wall_clock`` effect in the transform's transitive summary, with the
 call chain from the binding down to the offending site.  Seeded,
 locally held generators never appear in the effect lattice, so the
-repo's ``rng = random.Random(config.seed)`` idiom stays invisible;
-the sanctioned telemetry ``wall_time`` site is excluded at extraction.
+repo's ``rng = random.Random(config.seed)`` idiom stays invisible.
 Sites and reach are classified by the same function
 (:func:`repro.analysis.sites.classify_call`), so what RPR001/RPR002 flag
 is exactly what can propagate here.

@@ -61,14 +61,6 @@ DATETIME_NOW_CALLS = {
     "datetime.date.today",
 }
 
-#: The one sanctioned wall-clock site: ``wall_time=time.time()`` inside
-#: ``Telemetry.emit`` (repro/core/telemetry.py) — the single field the
-#: canonical log strips.
-SANCTIONED_SITES: Tuple[Tuple[str, str], ...] = (
-    ("repro/core/telemetry.py", "time.time"),
-)
-
-
 
 def classify_call(name: str, has_args: bool) -> Optional[Tuple[str, str]]:
     """``(hazard kind, message)`` for a call to the resolved ``name``.
@@ -89,15 +81,6 @@ def classify_call(name: str, has_args: bool) -> Optional[Tuple[str, str]]:
     if name in WALL_CLOCK_CALLS or (name in DATETIME_NOW_CALLS and not has_args):
         return "wall_clock", f"{name}() reads the host clock"
     return None
-
-
-def is_sanctioned_site(path: str, name: str) -> bool:
-    """Whether a call to ``name`` in the file at ``path`` is allowlisted."""
-    path = path.replace("\\", "/")
-    return any(
-        path.endswith(suffix) and name == call
-        for suffix, call in SANCTIONED_SITES
-    )
 
 
 #: Host-environment reads that make behaviour machine-dependent.

@@ -44,7 +44,7 @@ replay emits a typed event stream (``flow.start``, ``stage.start/finish``,
 nested trace spans) and the :class:`FlowReport` is a *view* rebuilt from
 that stream.  Because emission happens during the topological replay, a
 process-farm or warm run's event log is byte-identical to a cold inline
-run's once wall-clock fields are stripped — and a persisted JSONL log can
+run's — an event holds no host-clock reading — and a persisted JSONL log can
 regenerate the report offline (see :func:`repro.core.telemetry.flow_summary_from_log`).
 
 Passing a :class:`~repro.core.stagecache.StageCache` lets the engine skip
@@ -173,7 +173,7 @@ class FlowReport:
     #: Which stages actually ran vs. replayed from the stage cache, in
     #: topological order.  Deliberately *not* part of the telemetry event
     #: slice: the cache contract is that warm and cold runs emit
-    #: byte-identical canonical logs, so cache provenance lives on the
+    #: byte-identical logs, so cache provenance lives on the
     #: report object only (incremental runs use it to pin what recomputed).
     executed_stages: List[str] = field(default_factory=list, repr=False)
     cached_stages: List[str] = field(default_factory=list, repr=False)

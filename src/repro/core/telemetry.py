@@ -22,19 +22,18 @@ This module is the single substrate they all now share:
   :func:`peak_storage_from_log`) that regenerate a flow report offline
   from a persisted log, with no engine or pipeline objects in sight.
 
-Determinism contract: every event carries a ``wall_time`` field (the only
-wall-clock field anywhere in the stream) and :meth:`TelemetryEvent.canonical`
-strips it.  Two runs of the same flow — shards inline or on worker
-processes — produce byte-identical canonical logs.
+Determinism contract: an event records what happened and when in
+simulated seconds, and nothing of the host clock.  Two runs of the same
+flow — shards inline or on worker processes — produce byte-identical logs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import threading
-import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
@@ -141,10 +140,9 @@ def _thaw(value: object) -> object:
 class TelemetryEvent(NamedTuple):
     """One record on the bus: an immutable tuple record.
 
-    ``sim_time`` is the emitting :class:`SimClock`'s virtual seconds;
-    ``wall_time`` is the only wall-clock field and is dropped by
-    :meth:`canonical` so logs can be compared across runs.  ``attrs`` is
-    sorted by key, with every value frozen by :func:`_freeze_attr`.
+    ``sim_time`` is the emitting :class:`SimClock`'s virtual seconds, the
+    only time an event carries.  ``attrs`` is sorted by key, with every
+    value frozen by :func:`_freeze_attr`.
     """
 
     seq: int
@@ -153,7 +151,6 @@ class TelemetryEvent(NamedTuple):
     sim_time: float
     attrs: Tuple[Tuple[str, object], ...] = ()
     span: Tuple[str, ...] = ()
-    wall_time: float = 0.0
 
     def attr(self, key: str, default: object = None) -> object:
         for attr_key, value in self.attrs:
@@ -161,8 +158,8 @@ class TelemetryEvent(NamedTuple):
                 return _thaw(value)
         return default
 
-    def canonical(self) -> Dict[str, object]:
-        """Stable dict form with every wall-clock field stripped."""
+    def to_dict(self) -> Dict[str, object]:
+        """The event's one dict form: what a log line holds."""
         return {
             "seq": self.seq,
             "kind": self.kind,
@@ -172,16 +169,13 @@ class TelemetryEvent(NamedTuple):
             "attrs": {key: _thaw(value) for key, value in self.attrs},
         }
 
-    def to_dict(self) -> Dict[str, object]:
-        record = self.canonical()
-        record["wall_time"] = self.wall_time
-        return record
-
     @classmethod
     def from_dict(cls, record: Mapping[str, object]) -> "TelemetryEvent":
         """The event a parsed log line describes; :class:`TelemetryError`
-        unless it is an object with ``seq``/``kind``/``name``/``sim_time``
-        (``attrs``, when present, an object; ``span`` an array)."""
+        unless it is an object with ``seq``/``kind``/``name`` and a finite
+        ``sim_time`` (``attrs``, when present, an object; ``span`` an array).
+        Keys it does not name are ignored, so a line from an older writer
+        that also stamped host time still loads."""
         try:
             # ``dict`` first: every log line passes here, and the ABC check
             # alone costs ten times the exact-type one.
@@ -193,16 +187,19 @@ class TelemetryEvent(NamedTuple):
             span = record.get("span", ())
             if not isinstance(span, (list, tuple)):
                 raise TypeError(f"span is {type(span).__name__}, not an array")
+            # json.loads takes NaN and Infinity, which no SimClock reads.
+            sim_time = float(record["sim_time"])  # type: ignore[arg-type]
+            if not math.isfinite(sim_time):
+                raise ValueError(f"sim_time is {sim_time}, not a finite number")
             return cls(
                 seq=int(record["seq"]),  # type: ignore[arg-type]
                 kind=str(record["kind"]),
                 name=str(record["name"]),
-                sim_time=float(record["sim_time"]),  # type: ignore[arg-type]
+                sim_time=sim_time,
                 attrs=tuple(
                     (str(key), _freeze_attr(value)) for key, value in attrs.items()
                 ),
                 span=tuple(str(part) for part in span),
-                wall_time=float(record.get("wall_time", 0.0)),  # type: ignore[arg-type]
             )
         except KeyError as exc:
             raise TelemetryError(f"malformed telemetry record: no {exc} key") from exc
@@ -219,6 +216,8 @@ class SimClock:
     """
 
     def __init__(self, start: float = 0.0):
+        if not math.isfinite(start):  # it would poison a shared clock for good
+            raise TelemetryError(f"cannot start the clock at {start}")
         self._now = float(start)
         self._lock = threading.Lock()
 
@@ -227,7 +226,8 @@ class SimClock:
         return self._now
 
     def advance(self, seconds: float) -> float:
-        if not seconds >= 0:  # NaN too: it would poison a shared clock for good
+        # NaN or inf too: it would poison a shared clock for good.
+        if not 0 <= seconds < math.inf:
             raise TelemetryError(f"cannot advance the clock by {seconds}")
         with self._lock:
             self._now += seconds
@@ -469,7 +469,7 @@ class Telemetry:
             # tuple.__new__ skips the NamedTuple's Python-level __new__.
             event = tuple.__new__(TelemetryEvent, (
                 len(self._events), kind, name, self.clock.now,
-                frozen, self._spans.stack, time.time(),
+                frozen, self._spans.stack,
             ))
             self._events.append(event)
         return event
@@ -560,7 +560,7 @@ def telemetry_session(telemetry: Optional[Telemetry] = None) -> Iterator[Telemet
 # assigns fresh sequence numbers from the parent's bus and timestamps from
 # the parent's clock — exactly what an inline shard emitting directly
 # would have gotten — so inline and process runs forward to identical
-# canonical logs.
+# logs.
 def capture_events(
     fn: Callable[[], object],
 ) -> Tuple[object, List[TelemetryEvent], Dict[str, Tuple[str, float]]]:
@@ -679,8 +679,10 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
 def strip_wall_clock(
     events: Iterable[TelemetryEvent],
 ) -> List[Dict[str, object]]:
-    """Canonical (comparable) form of a log: wall-clock fields removed."""
-    return [event.canonical() for event in events]
+    """``[event.to_dict() for event in events]``: an event holds no wall
+    clock to strip.  Kept under its old name for perfbench's
+    ``canonical_digest``, which imports it."""
+    return [event.to_dict() for event in events]
 
 
 # -- views over a flow log -----------------------------------------------

@@ -223,7 +223,7 @@ class TestLocalEffects:
         )
         assert effects == []
 
-    def test_sanctioned_telemetry_clock_site_excluded(self, tmp_path):
+    def test_telemetry_module_clock_read_is_an_effect(self, tmp_path):
         program = build(
             tmp_path,
             {"repro/__init__.py": "",
@@ -236,7 +236,7 @@ class TestLocalEffects:
             """},
         )
         em = EffectMap.compute(program)
-        assert em.effects_of("repro.core.telemetry.emit_stamp") == []
+        assert kinds_of(em.effects_of("repro.core.telemetry.emit_stamp")) == ["wall_clock"]
 
 
 class TestPropagation:

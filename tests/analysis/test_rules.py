@@ -93,7 +93,8 @@ class TestWallClock:
         )
         assert [f.line for f in flagged(findings, "RPR002")] == [2]
 
-    def test_sanctioned_telemetry_site_allowlisted(self, tmp_path):
+    def test_telemetry_module_clock_read_is_flagged(self, tmp_path):
+        """No file is exempt: the telemetry module stamps no host time."""
         core = tmp_path / "repro" / "core"
         core.mkdir(parents=True)
         findings = lint(
@@ -101,9 +102,8 @@ class TestWallClock:
             "import time\nwall = time.time()\n",
             name="telemetry.py",
         )
-        assert flagged(findings, "RPR002") == []
-        allowed = silenced(findings, "RPR002")
-        assert [f.suppression for f in allowed] == ["allowlist"]
+        assert [f.line for f in flagged(findings, "RPR002")] == [2]
+        assert silenced(findings, "RPR002") == []
 
     def test_noqa_suppresses(self, tmp_path):
         findings = lint(

@@ -42,13 +42,12 @@ def test_suppressions_are_known_and_accounted(findings):
     sites = sorted(
         (Path(f.path).name, f.code, f.suppression) for f in silenced
     )
-    # One allowlisted wall_time stamp, the preload's two perf counters
-    # (C9's MB/s), and the workload replayer's five wall-latency probes
-    # (C21's latency_s; reported in ReplayReport only — never on the bus).
+    # The preload's two perf counters (C9's MB/s) and the workload
+    # replayer's five wall-latency probes (C21's latency_s; reported in
+    # ReplayReport only — never on the bus).
     assert sites == [
         ("preload.py", "RPR002", "noqa"),
         ("preload.py", "RPR002", "noqa"),
-        ("telemetry.py", "RPR002", "allowlist"),
         ("workload.py", "RPR002", "noqa"),
         ("workload.py", "RPR002", "noqa"),
         ("workload.py", "RPR002", "noqa"),
@@ -56,7 +55,7 @@ def test_suppressions_are_known_and_accounted(findings):
         ("workload.py", "RPR002", "noqa"),
     ]
     counts = summary_counts(findings)
-    assert counts["RPR002"] == {"flagged": 0, "suppressed": 8}
+    assert counts["RPR002"] == {"flagged": 0, "suppressed": 7}
 
 
 def test_figure_flows_pass_flowcheck():

@@ -14,14 +14,14 @@ from repro.arecibo.pipeline import AreciboPipelineReport
 from repro.cleo.pipeline import CleoPipelineConfig, CleoPipelineReport, run_cleo_incremental
 from repro.core import kernels
 from repro.core.stagecache import CachedStage
-from repro.core.telemetry import Telemetry, read_event_log, strip_wall_clock
+from repro.core.telemetry import Telemetry, read_event_log
 from repro.db.connection import SqliteBackend
 
 
 def digest(value):
     """sha256 of ``value`` as sorted-key JSON, a dataclass as its fields and
-    anything else JSON cannot hold as its ``str``.  On a stripped event log
-    this is perfbench's ``canonical_digest``."""
+    anything else JSON cannot hold as its ``str``.  On an event log's
+    ``to_dict()`` forms this is perfbench's ``canonical_digest``."""
     text = json.dumps(
         value, sort_keys=True, default=lambda v: asdict(v) if is_dataclass(v) else str(v)
     )
@@ -29,7 +29,7 @@ def digest(value):
 
 
 def _log(events):
-    return digest(strip_wall_clock(events))
+    return digest([event.to_dict() for event in events])
 
 
 def _dump(path):

@@ -478,7 +478,7 @@ class TestAgainstModel:
                 assert cache.clear() == model.clear()
             sim_times += [bus.clock.now] * (len(model.events) - emitted)
             assert cache.keys() == list(model.entries)
-        assert [event.canonical() for event in bus.events()] == [
+        assert [event.to_dict() for event in bus.events()] == [
             {"seq": seq, "kind": kind, "name": "rc", "sim_time": sim_time,
              "span": [], "attrs": {"key": key, **attrs}}
             for seq, ((kind, key, attrs), sim_time) in enumerate(

@@ -27,7 +27,6 @@ from repro.core.telemetry import (
     read_event_log,
     set_telemetry,
     stage_rows_from_log,
-    strip_wall_clock,
     telemetry_session,
     total_cpu_from_log,
     walk_event_log,
@@ -66,13 +65,16 @@ _attr_keys = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=6).filt
 )
 
 
-#: The keys a record must carry; ``attrs``, ``span`` and ``wall_time`` may be absent.
+#: The keys a record must carry; ``attrs`` and ``span`` may be absent.
 _RECORD = {"seq": 0, "kind": "stage.start", "name": "s", "sim_time": 0.0}
 
 
 _TORN = b'{"seq": 7, "kind": "stage.st'
 _UNTERMINATED = b'{"seq": 7, "kind": "stage.start", "name": "t", "sim_time": 0.0}'
 _STRING_SPAN = b'{"seq": 7, "kind": "stage.start", "name": "t", "sim_time": 0.0, "span": "abc"}'
+#: ``json.loads`` reads ``NaN`` and ``Infinity``; no clock does.
+_NAN_TIME = b'{"seq": 7, "kind": "stage.start", "name": "t", "sim_time": NaN}'
+_INFINITE_TIME = b'{"seq": 7, "kind": "stage.start", "name": "t", "sim_time": Infinity}'
 
 
 def _read_both_ways(path):
@@ -138,14 +140,18 @@ class TestEventBus:
         assert [e.name for e in bus.events(kind="storage.write")] == ["a", "c"]
         assert [e.name for e in bus.events(start=1)] == ["b", "c"]
 
-    def test_canonical_strips_only_wall_clock(self):
+    def test_event_has_no_wall_clock_field(self):
         bus = Telemetry()
         event = bus.emit("transfer.start", "ship-1", bytes=10)
-        assert event.wall_time > 0
-        canonical = event.canonical()
-        assert "wall_time" not in canonical
-        assert canonical["kind"] == "transfer.start"
-        assert canonical["attrs"] == {"bytes": 10}
+        assert TelemetryEvent._fields == ("seq", "kind", "name", "sim_time", "attrs", "span")
+        assert event.to_dict() == {
+            "seq": 0,
+            "kind": "transfer.start",
+            "name": "ship-1",
+            "sim_time": 0.0,
+            "span": [],
+            "attrs": {"bytes": 10},
+        }
 
     def test_dict_roundtrip(self):
         bus = Telemetry()
@@ -211,7 +217,7 @@ class TestEventBus:
         assert event != event._replace(name="other")
         # attr() thaws tuples one level (as it always has) and honours its default.
         assert event.attr("parents") == ["p1", ("p2",)]
-        assert event.canonical()["attrs"]["parents"] == ["p1", ("p2",)]
+        assert event.to_dict()["attrs"]["parents"] == ["p1", ("p2",)]
         assert event.attr("n") == 3
         assert event.attr("absent") is None
         assert event.attr("absent", 7) == 7
@@ -237,7 +243,8 @@ class TestEventBus:
         "record",
         [[1, 2], "event", None, {**_RECORD, "attrs": [1]}, {**_RECORD, "seq": "x"},
          {**_RECORD, "span": 5}, {**_RECORD, "span": "abc"}]
-        + [{k: v for k, v in _RECORD.items() if k != key} for key in _RECORD],
+        + [{k: v for k, v in _RECORD.items() if k != key} for key in _RECORD]
+        + [{**_RECORD, "sim_time": value} for value in (float("nan"), float("inf"), float("-inf"))],
     )
     def test_wrong_shaped_record_is_a_telemetry_error(self, record):
         with pytest.raises(TelemetryError, match="malformed telemetry record"):
@@ -280,10 +287,16 @@ class TestSimClock:
 
     def test_rejects_negative_advance(self):
         clock = SimClock()
-        for seconds in (-1.0, float("nan")):  # NaN would stay on a shared clock for good
+        # NaN or inf would stay on a shared clock for good.
+        for seconds in (-1.0, float("nan"), float("inf")):
             with pytest.raises(TelemetryError):
                 clock.advance(seconds)
         assert clock.now == 0.0
+
+    def test_refuses_a_non_finite_start(self):
+        for start in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(TelemetryError, match="cannot start the clock"):
+                SimClock(start)
 
 
 class TestInstruments:
@@ -463,19 +476,34 @@ class TestJsonlPersistence:
         return bus
 
     def test_roundtrip_preserves_every_event(self, tmp_path):
+        """A log reads back as the events written, and so does one written
+        while every line still carried a ``wall_time`` field."""
         bus = self.make_log()
-        path = tmp_path / "log.jsonl"
+        path, old = tmp_path / "log.jsonl", tmp_path / "old.jsonl"
         count = write_event_log(path, bus)
         assert count == len(bus)
         assert read_event_log(path) == bus.events()
+        old.write_text("".join(
+            json.dumps({**event.to_dict(), "wall_time": 1.7e9 + event.seq}, sort_keys=True) + "\n"
+            for event in bus.events()
+        ))
+        assert read_event_log(old) == bus.events()
 
-    def test_strip_wall_clock_makes_logs_comparable(self, tmp_path):
-        bus = self.make_log()
-        path = tmp_path / "log.jsonl"
-        write_event_log(path, bus.events())
-        assert strip_wall_clock(read_event_log(path)) == strip_wall_clock(
-            bus.events()
-        )
+        def folded(log):  # what the events give; the offsets count file bytes
+            rendered = scan_log(log).to_dict()
+            del rendered["consumed_bytes"], rendered["content_digest"]
+            return rendered
+
+        assert folded(old) == folded(path)
+
+    def test_two_runs_logs_compare_equal_as_read(self, tmp_path):
+        """Nothing in an event follows the host clock: two runs of one
+        workload write the same bytes, and read back equal."""
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_event_log(first, self.make_log())
+        write_event_log(second, self.make_log())
+        assert first.read_bytes() == second.read_bytes()
+        assert read_event_log(first) == read_event_log(second)
 
     def test_read_rejects_bad_json_mid_log(self, tmp_path):
         """Invalid JSON *before* the final line is corruption, not a
@@ -522,6 +550,9 @@ class TestJsonlPersistence:
             # A span that is not an array is corruption anywhere, the tail too.
             (lambda whole: whole + _STRING_SPAN + b"\n" + whole, ("corrupt", "line 3: malformed")),
             (lambda whole: whole + _STRING_SPAN, ("corrupt", "line 3: malformed")),
+            # So is a time no clock reads: it parses, so it is not torn.
+            (lambda whole: whole + _NAN_TIME + b"\n" + whole, ("corrupt", "line 3: malformed")),
+            (lambda whole: whole + _INFINITE_TIME + b"\n", ("corrupt", "line 3: malformed")),
         ],
     )
     def test_both_readers_give_one_answer(self, tmp_path, damage, expected):
@@ -587,8 +618,8 @@ class TestJsonlPersistence:
 
     def test_roundtrip_with_fault_retry_degraded_kinds(self, tmp_path):
         """Logs carrying the recovery-era event kinds survive the
-        write/read cycle exactly, and strip_wall_clock leaves their
-        payloads (kind, name, attrs, sim time, seq) untouched."""
+        write/read cycle exactly, payloads (kind, name, attrs, sim time,
+        seq) included."""
         bus = Telemetry()
         bus.emit(
             "fault.injected",
@@ -611,25 +642,23 @@ class TestJsonlPersistence:
         assert write_event_log(path, bus) == 4
         restored = read_event_log(path)
         assert restored == bus.events()
-        stripped = strip_wall_clock(restored)
-        assert [event["kind"] for event in stripped] == [
+        records = [event.to_dict() for event in restored]
+        assert [event["kind"] for event in records] == [
             "fault.injected",
             "stage.retry",
             "stage.degraded",
             "stage.dead_letter",
         ]
-        assert all("wall_time" not in event for event in stripped)
-        attrs = [dict(event["attrs"]) for event in stripped]
+        attrs = [dict(event["attrs"]) for event in records]
         assert attrs[0]["fault_kind"] == "crash"
         assert attrs[1]["attempt"] == 2.0
         assert attrs[2]["reason"] == "beam culled"
-        assert [event["seq"] for event in stripped] == [0, 1, 2, 3]
-        assert stripped == strip_wall_clock(bus.events())
+        assert [event["seq"] for event in records] == [0, 1, 2, 3]
 
     def test_roundtrip_with_serving_kinds(self, tmp_path):
         """Logs carrying the C21 serving-era kinds (workload requests,
         read-cache traffic, admission rejections) survive write/read
-        exactly and strip to wall-clock-free canonical form."""
+        exactly."""
         bus = Telemetry()
         bus.clock.advance(0.5)
         bus.emit("workload.request", "browse", seq=0, tenant="crawler", key="u1")
@@ -644,8 +673,8 @@ class TestJsonlPersistence:
         assert write_event_log(path, bus) == 7
         restored = read_event_log(path)
         assert restored == bus.events()
-        stripped = strip_wall_clock(restored)
-        assert [event["kind"] for event in stripped] == [
+        records = [event.to_dict() for event in restored]
+        assert [event["kind"] for event in records] == [
             "workload.request",
             "readcache.miss",
             "readcache.admit",
@@ -654,16 +683,13 @@ class TestJsonlPersistence:
             "readcache.evict",
             "serve.rejected",
         ]
-        assert all("wall_time" not in event for event in stripped)
-        assert stripped[0]["sim_time"] == 0.5
-        assert stripped[3]["attrs"]["seq"] == 1
-        assert stripped[6]["attrs"]["tenant"] == "storm"
-        assert stripped == strip_wall_clock(bus.events())
+        assert records[0]["sim_time"] == 0.5
+        assert records[3]["attrs"]["seq"] == 1
+        assert records[6]["attrs"]["tenant"] == "storm"
 
     def test_roundtrip_with_ops_and_alert_kinds(self, tmp_path):
         """Logs carrying the operations-console kinds (rollup builds,
-        report renders, alert transitions) survive write/read exactly and
-        strip to wall-clock-free canonical form."""
+        report renders, alert transitions) survive write/read exactly."""
         bus = Telemetry()
         bus.clock.advance(10.0)
         bus.emit(
@@ -696,18 +722,16 @@ class TestJsonlPersistence:
         restored = read_event_log(path)
         assert restored == bus.events()
         assert restored.truncated_lines == 0
-        stripped = strip_wall_clock(restored)
-        assert [event["kind"] for event in stripped] == [
+        records = [event.to_dict() for event in restored]
+        assert [event["kind"] for event in records] == [
             "ops.rollup",
             "ops.report",
             "alert.raised",
             "alert.cleared",
         ]
-        assert all("wall_time" not in event for event in stripped)
-        assert stripped[0]["attrs"]["source"] == "cold"
-        assert stripped[2]["attrs"]["value"] == 0.5
-        assert stripped[3]["sim_time"] == 15.0
-        assert stripped == strip_wall_clock(bus.events())
+        assert records[0]["attrs"]["source"] == "cold"
+        assert records[2]["attrs"]["value"] == 0.5
+        assert records[3]["sim_time"] == 15.0
 
     def test_event_kinds_cover_the_ops_vocabulary(self):
         for kind in ("ops.rollup", "ops.report", "alert.raised", "alert.cleared"):

@@ -23,7 +23,7 @@ READERS = 6
 
 
 def _event_line(event):
-    return json.dumps(event.canonical(), sort_keys=True) + "\n"
+    return json.dumps(event.to_dict(), sort_keys=True) + "\n"
 
 
 def test_readers_never_observe_a_torn_projection(tmp_path):

@@ -123,7 +123,7 @@ def test_incremental_resume_folds_only_the_tail(pipeline_log, tmp_path):
     with open(path, "a", encoding="utf-8") as handle:
         for event in extra.events():
             if event.kind in ("workload.request", "readcache.miss"):
-                handle.write(json.dumps(event.canonical(), sort_keys=True) + "\n")
+                handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
     grown = build_rollup(path, store=store)
     assert grown.source == "incremental"
     assert grown.consumed_events == base.consumed_events + 2
