@@ -23,27 +23,37 @@ LANE_COUNTS = (100, 1600)
 LANE_DEPTH = 5
 
 
-def best_of(fn, reps=3):
-    """(best wall seconds, last result) over ``reps`` calls, each on a
-    settled heap: no collection owed to the call before lands in this one."""
-    best = float("inf")
-    result = None
+#: Timed runs of each size, taken in turn (small, large, small, large, ...)
+#: so that both sizes' best runs come from the same stretch of the box.
+REPEATS = 7
+
+
+def interleaved_best(fns, reps=REPEATS):
+    """(best wall seconds, last result) of each of ``fns``, over ``reps``
+    rounds that call each once in turn, each call on a settled heap: no
+    collection owed to the call before lands in this one."""
+    best = [float("inf")] * len(fns)
+    results = [None] * len(fns)
     for _ in range(reps):
-        gc.collect()
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        for index, fn in enumerate(fns):
+            gc.collect()
+            start = time.perf_counter()
+            results[index] = fn()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return list(zip(best, results))
 
 
 def test_c16_engine_stage_cost_is_flat_in_flow_size(report_rows):
+    flows = [lanes_flow(lanes, LANE_DEPTH, seed=16) for lanes in LANE_COUNTS]
+    for flow in flows:
+        Engine(seed=16).run(flow)
+    timed = interleaved_best(
+        [lambda flow=flow: Engine(seed=16).run(flow) for flow in flows]
+    )
     rows = []
     per_stage_us = []
-    for lanes in LANE_COUNTS:
-        flow = lanes_flow(lanes, LANE_DEPTH, seed=16)
+    for lanes, flow, (best, report) in zip(LANE_COUNTS, flows, timed):
         stages = len(flow.stages)
-        Engine(seed=16).run(flow)
-        best, report = best_of(lambda: Engine(seed=16).run(flow))
         assert len(report.stages) == stages
         per_stage_us.append(best / stages * 1e6)
         rows.append(

@@ -41,7 +41,6 @@ import fnmatch
 import hashlib
 import json
 import random
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -246,7 +245,6 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, clock: Optional[SimClock] = None):
         self.plan = plan
         self.clock = clock
-        self._lock = threading.Lock()
         self._invocations: Dict[Tuple[str, str], int] = {}
         self._fires: Dict[Tuple[str, str], int] = {}
         self._rngs: Dict[Tuple[str, str], random.Random] = {}
@@ -279,34 +277,33 @@ class FaultInjector:
         """
         records: List[FaultRecord] = []
         now = self.clock.now if self.clock is not None else 0.0
-        with self._lock:
-            for spec in self.plan.specs:
-                if not spec.matches(scope, target, site):
-                    continue
-                key = (spec.name, target)
-                invocation = self._invocations.get(key, 0) + 1
-                self._invocations[key] = invocation
-                if invocation < spec.first_invocation:
-                    continue
-                if spec.max_fires is not None and self._fires.get(key, 0) >= spec.max_fires:
-                    continue
-                if spec.after_sim_time and now < spec.after_sim_time:
-                    continue
-                if spec.probability < 1.0 and not (
-                    self._rng_for(key).random() < spec.probability
-                ):
-                    continue
-                self._fires[key] = self._fires.get(key, 0) + 1
-                record = FaultRecord(
-                    spec=spec.name,
-                    scope=scope,
-                    target=target,
-                    kind=spec.kind,
-                    invocation=invocation,
-                    param=spec.param,
-                )
-                records.append(record)
-                self.fired.append(record)
+        for spec in self.plan.specs:
+            if not spec.matches(scope, target, site):
+                continue
+            key = (spec.name, target)
+            invocation = self._invocations.get(key, 0) + 1
+            self._invocations[key] = invocation
+            if invocation < spec.first_invocation:
+                continue
+            if spec.max_fires is not None and self._fires.get(key, 0) >= spec.max_fires:
+                continue
+            if spec.after_sim_time and now < spec.after_sim_time:
+                continue
+            if spec.probability < 1.0 and not (
+                self._rng_for(key).random() < spec.probability
+            ):
+                continue
+            self._fires[key] = self._fires.get(key, 0) + 1
+            record = FaultRecord(
+                spec=spec.name,
+                scope=scope,
+                target=target,
+                kind=spec.kind,
+                invocation=invocation,
+                param=spec.param,
+            )
+            records.append(record)
+            self.fired.append(record)
         return records
 
     def check(self, scope: str, target: str, site: str = "") -> List[FaultRecord]:

@@ -8,8 +8,7 @@ resolution, and (through the recall queue) archive reads.
 
 One :class:`ReadCache` is:
 
-* an **LRU** over at most ``capacity`` entries, guarded by one lock so a
-  facade shared across reader threads stays consistent;
+* an **LRU** over at most ``capacity`` entries;
 * **frequency-admitted** — on a miss with a full cache, the new key is
   admitted only if it has been asked for at least as often as the LRU
   victim (a TinyLFU-style filter: one-hit wonders cannot wash out the
@@ -18,29 +17,22 @@ One :class:`ReadCache` is:
   set);
 * a **negative cache** — a loader returning ``None`` ("no capture at or
   before that date", "no file for that run/version/kind") is remembered
-  too, so repeated misses for absent objects never re-run the query;
-* **request-coalescing** — concurrent loads of the same key collapse to
-  one loader call, with the other threads waiting on the winner.  The
-  wait is paid for by the reader that waits: a lone reader's miss marks
-  the key in flight with a plain ``None`` and builds no
-  ``threading.Event``; a second reader that finds the mark swaps in the
-  Event it then sleeps on;
-* **invalidation-safe** — every invalidation bumps a generation counter,
-  and a load admits its value only if no invalidation ran while it was
-  in flight.  The value still goes back to its caller, but a stale read
-  that raced ``invalidate``, ``invalidate_prefix`` or ``clear`` is never
-  pinned; a coalesced waiter then finds no entry and loads again.
+  too, so repeated misses for absent objects never re-run the query.
+
+A cache belongs to the one thread that serves its facade: the systems
+this reproduces get their parallelism from worker processes, each with
+caches of its own.  So a lookup takes no lock, and a miss simply runs
+its loader.
 
 Accounting: ``readcache.hits/misses/negative_hits/admitted/
-admission_rejected/evictions/coalesced`` counters on the
-cache's registry, and (when a telemetry bus is attached)
-``readcache.hit|miss|admit|evict`` events so a replayed trace's cache
-behaviour is part of the canonical log.
+admission_rejected/evictions`` counters on the cache's registry, and
+(when a telemetry bus is attached) ``readcache.hit|miss|admit|evict``
+events so a replayed trace's cache behaviour is part of the canonical
+log.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -76,7 +68,6 @@ class ReadCacheStats:
     admitted: int = 0
     admission_rejected: int = 0
     evictions: int = 0
-    coalesced: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -85,20 +76,12 @@ class ReadCacheStats:
 
 
 class ReadCache:
-    """LRU + frequency admission + negative caching + load coalescing.
+    """LRU + frequency admission + negative caching.
 
-    What a lookup costs: a hit is one pass under the cache lock (one
-    dict probe, the LRU move, the sketch bump, a bound counter); a miss
-    is two — look up + mark in flight + note the generation + sketch
-    bump, then, after the loader ran unlocked, un-mark + admit if the
-    generation is unchanged — and nothing else that grows
-    with the number of keys: every counter is bound at construction and
-    no synchronisation object exists until a second reader needs one.
-    Every transition of the in-flight table (mark, install an Event,
-    un-mark and set it) happens under the cache lock, so a waiter's
-    Event is either seen by the winner or installed after the winner
-    left, in which case the waiter finds no mark and re-checks the
-    entries instead of sleeping.
+    What a lookup costs: a hit is one dict probe, the LRU move, the
+    sketch bump and a bound counter; a miss is the probe, the sketch
+    bump, the loader and the admission — and nothing else that grows
+    with the number of keys: every counter is bound at construction.
 
     Parameters
     ----------
@@ -126,15 +109,9 @@ class ReadCache:
         # Each site calls ``self._telemetry.emit`` itself, per event and never
         # bound ahead: perfbench wraps ``Telemetry.emit`` by name.
         self._telemetry = telemetry
-        self._lock = threading.RLock()
         self._entries: "OrderedDict[str, object]" = OrderedDict()
         self._freq: Dict[str, int] = {}
         self._freq_total = 0
-        # key -> None while one reader loads it; a second reader swaps in
-        # the Event it then waits on (see get_or_load).
-        self._inflight: Dict[str, Optional[threading.Event]] = {}
-        # Bumped by every invalidation; a load admits only if it is unchanged.
-        self._generation = 0
         # Every path runs per request; bind the counters once instead of
         # paying a registry lookup per access.
         counter = self.metrics.counter
@@ -144,7 +121,6 @@ class ReadCache:
         self._admitted = counter("readcache.admitted")
         self._admission_rejected = counter("readcache.admission_rejected")
         self._evictions = counter("readcache.evictions")
-        self._coalesced = counter("readcache.coalesced")
 
     # -- introspection -----------------------------------------------------
     @property
@@ -152,17 +128,14 @@ class ReadCache:
         return registry_view(self.metrics, ReadCacheStats, "readcache")
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
     def keys(self) -> List[str]:
         """Cached keys, LRU-first (the next victim leads)."""
-        with self._lock:
-            return list(self._entries)
+        return list(self._entries)
 
     # -- internals ---------------------------------------------------------
     def _count_access(self, key: str) -> None:
@@ -201,86 +174,51 @@ class ReadCache:
         key: str,
         loader: Callable[[], object],
     ) -> object:
-        """The value for ``key``, loading (once) on a miss.
+        """The value for ``key``, loading it on a miss.
 
         ``loader`` returning ``None`` is a *negative* result: it is
-        cached like any other entry and served back as ``None``.
+        cached like any other entry and served back as ``None``.  A
+        loader that raises admits nothing.
         """
-        while True:
-            with self._lock:
-                value = self._entries.get(key)  # never None: absence is _NEGATIVE
-                if value is not None:
-                    self._entries.move_to_end(key)
-                    self._count_access(key)
-                    if value is _NEGATIVE:
-                        self._negative_hits.inc()
-                        if self._telemetry is not None:
-                            self._telemetry.emit("readcache.hit", self.name, key=key, negative=True)
-                        return None
-                    self._hits.inc()
-                    if self._telemetry is not None:
-                        self._telemetry.emit("readcache.hit", self.name, key=key)
-                    return value
-                if key in self._inflight:
-                    # Coalesce: another thread is loading this key right
-                    # now.  The first reader to find it so installs the
-                    # Event the winner will set; later ones share it.
-                    waiter = self._inflight[key]
-                    if waiter is None:
-                        waiter = self._inflight[key] = threading.Event()
-                else:
-                    waiter = None
-                    self._inflight[key] = None
-                    generation = self._generation
-                    self._count_access(key)
-            if waiter is None:
-                break  # this thread loads
-            self._coalesced.inc()
-            waiter.wait()
-            # Re-check the cache: the winner usually filled it.
+        self._count_access(key)
+        value = self._entries.get(key)  # never None: absence is _NEGATIVE
+        if value is not None:
+            self._entries.move_to_end(key)
+            if value is _NEGATIVE:
+                self._negative_hits.inc()
+                if self._telemetry is not None:
+                    self._telemetry.emit("readcache.hit", self.name, key=key, negative=True)
+                return None
+            self._hits.inc()
+            if self._telemetry is not None:
+                self._telemetry.emit("readcache.hit", self.name, key=key)
+            return value
         self._misses.inc()
         if self._telemetry is not None:
             self._telemetry.emit("readcache.miss", self.name, key=key)
-        entry = None  # stays None when the loader raises: nothing to admit
-        try:
-            value = loader()
-            entry = _NEGATIVE if value is None else value
-        finally:
-            # Un-register under the lock that waiters register under, so
-            # an Event is either seen here and set, or never installed.
-            with self._lock:
-                waiter = self._inflight.pop(key)
-                if waiter is not None:
-                    waiter.set()
-                if entry is not None and generation == self._generation:
-                    self._admit(key, entry)
+        value = loader()
+        self._admit(key, _NEGATIVE if value is None else value)
         return value
 
     # -- invalidation ------------------------------------------------------
     def invalidate(self, key: str) -> bool:
         """Drop one entry; returns whether it was cached."""
-        with self._lock:
-            self._generation += 1
-            return self._entries.pop(key, None) is not None
+        return self._entries.pop(key, None) is not None
 
     def invalidate_prefix(self, prefix: str) -> int:
         """Drop every entry whose key starts with ``prefix``."""
-        with self._lock:
-            self._generation += 1
-            doomed = [key for key in self._entries if key.startswith(prefix)]
-            for key in doomed:
-                del self._entries[key]
-            return len(doomed)
+        doomed = [key for key in self._entries if key.startswith(prefix)]
+        for key in doomed:
+            del self._entries[key]
+        return len(doomed)
 
     def clear(self) -> int:
         """Drop every entry and the popularity sketch."""
-        with self._lock:
-            self._generation += 1
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._freq.clear()
-            self._freq_total = 0
-            return dropped
+        dropped = len(self._entries)
+        self._entries.clear()
+        self._freq.clear()
+        self._freq_total = 0
+        return dropped
 
     def __repr__(self) -> str:
         return (

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Union
@@ -224,7 +223,6 @@ class StageCache:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.disk = store
         self._entries: Dict[str, Union[CachedStage, CachedShard]] = {}
-        self._lock = threading.Lock()
 
     @classmethod
     def on_disk(
@@ -240,12 +238,10 @@ class StageCache:
         return cls(registry=registry, store=DiskCacheStore(root))
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
     def _get(self, key: str, kind: type, hit_counter: str, miss_counter: str):
         """Memory-then-disk read of the ``kind`` entry under ``key``.
@@ -254,8 +250,7 @@ class StageCache:
         promoted into the in-memory L1 and counts as a hit (plus
         ``stage_cache.disk_hits``).
         """
-        with self._lock:
-            entry = self._entries.get(key)
+        entry = self._entries.get(key)
         if isinstance(entry, kind):
             self.registry.counter(hit_counter).inc()
             return entry
@@ -270,9 +265,8 @@ class StageCache:
         return None
 
     def _put_memory(self, key: str, entry: object) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self.registry.gauge("stage_cache.entries").set(float(len(self._entries)))
+        self._entries[key] = entry
+        self.registry.gauge("stage_cache.entries").set(float(len(self._entries)))
 
     def _put(self, key: str, entry: object) -> None:
         """Memory-and-disk write of ``entry`` under ``key``.
@@ -319,18 +313,16 @@ class StageCache:
 
     def invalidate(self, key: str) -> bool:
         """Drop one entry from memory and disk; returns whether it existed."""
-        with self._lock:
-            existed = self._entries.pop(key, None) is not None
-            self.registry.gauge("stage_cache.entries").set(float(len(self._entries)))
+        existed = self._entries.pop(key, None) is not None
+        self.registry.gauge("stage_cache.entries").set(float(len(self._entries)))
         if self.disk is not None:
             existed = self.disk.delete(key) or existed
         return existed
 
     def clear(self, disk: bool = False) -> None:
         """Empty the in-memory L1 (and, with ``disk=True``, the store)."""
-        with self._lock:
-            self._entries.clear()
-            self.registry.gauge("stage_cache.entries").set(0.0)
+        self._entries.clear()
+        self.registry.gauge("stage_cache.entries").set(0.0)
         if disk and self.disk is not None:
             self.disk.clear()
 

@@ -33,7 +33,6 @@ import dataclasses
 import json
 import math
 import numbers
-import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
@@ -219,7 +218,6 @@ class SimClock:
         if not math.isfinite(start):  # it would poison a shared clock for good
             raise TelemetryError(f"cannot start the clock at {start}")
         self._now = float(start)
-        self._lock = threading.Lock()
 
     @property
     def now(self) -> float:
@@ -229,21 +227,19 @@ class SimClock:
         # NaN or inf too: it would poison a shared clock for good.
         if not 0 <= seconds < math.inf:
             raise TelemetryError(f"cannot advance the clock by {seconds}")
-        with self._lock:
-            self._now += seconds
-            return self._now
+        self._now += seconds
+        return self._now
 
 
 # -- instruments ---------------------------------------------------------
 class Counter:
     """A monotonically increasing total."""
 
-    __slots__ = ("name", "_value", "_lock")
+    __slots__ = ("name", "_value")
 
-    def __init__(self, name: str, lock: threading.Lock):
+    def __init__(self, name: str):
         self.name = name
         self._value = 0.0
-        self._lock = lock
 
     @property
     def value(self) -> float:
@@ -252,55 +248,49 @@ class Counter:
     def inc(self, amount: float = 1.0) -> float:
         if not amount >= 0:  # NaN too: it would poison the total for good
             raise TelemetryError(f"counter {self.name!r} cannot decrease")
-        with self._lock:
-            self._value += amount
-            return self._value
+        self._value += amount
+        return self._value
 
 
 class Gauge:
     """A value that can move both ways (live bytes, busy seconds)."""
 
-    __slots__ = ("name", "_value", "_lock")
+    __slots__ = ("name", "_value")
 
-    def __init__(self, name: str, lock: threading.Lock):
+    def __init__(self, name: str):
         self.name = name
         self._value = 0.0
-        self._lock = lock
 
     @property
     def value(self) -> float:
         return self._value
 
     def set(self, value: float) -> float:
-        with self._lock:
-            self._value = float(value)
-            return self._value
+        self._value = float(value)
+        return self._value
 
     def add(self, amount: float) -> float:
-        with self._lock:
-            self._value += amount
-            return self._value
+        self._value += amount
+        return self._value
 
 
 class HighWaterMark:
     """Tracks the maximum a quantity ever reached (peak live storage)."""
 
-    __slots__ = ("name", "_peak", "_lock")
+    __slots__ = ("name", "_peak")
 
-    def __init__(self, name: str, lock: threading.Lock):
+    def __init__(self, name: str):
         self.name = name
         self._peak = 0.0
-        self._lock = lock
 
     @property
     def peak(self) -> float:
         return self._peak
 
     def observe(self, value: float) -> float:
-        with self._lock:
-            if value > self._peak:
-                self._peak = float(value)
-            return self._peak
+        if value > self._peak:
+            self._peak = float(value)
+        return self._peak
 
 
 Instrument = Union[Counter, Gauge, HighWaterMark]
@@ -314,21 +304,18 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._instruments: Dict[str, Instrument] = {}
 
-    def _get_or_create(self, name: str, factory: Callable[..., Instrument]) -> Instrument:
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = factory(name, threading.Lock())
-                self._instruments[name] = instrument
-            elif not isinstance(instrument, factory):  # type: ignore[arg-type]
-                raise TelemetryError(
-                    f"instrument {name!r} is a {type(instrument).__name__}, "
-                    f"not a {factory.__name__}"
-                )
-            return instrument
+    def _get_or_create(self, name: str, factory: Callable[[str], Instrument]) -> Instrument:
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            instrument = self._instruments[name] = factory(name)
+        elif not isinstance(instrument, factory):  # type: ignore[arg-type]
+            raise TelemetryError(
+                f"instrument {name!r} is a {type(instrument).__name__}, "
+                f"not a {factory.__name__}"
+            )
+        return instrument
 
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)  # type: ignore[return-value]
@@ -371,10 +358,8 @@ class MetricsRegistry:
         plain strings and floats, nothing that needs this module on the
         unpickling side.
         """
-        with self._lock:
-            instruments = list(self._instruments.items())
         snapshot: Dict[str, Tuple[str, float]] = {}
-        for name, instrument in instruments:
+        for name, instrument in self._instruments.items():
             if isinstance(instrument, Counter):
                 snapshot[name] = ("counter", instrument.value)
             elif isinstance(instrument, Gauge):
@@ -428,26 +413,21 @@ def registry_view(metrics: MetricsRegistry, cls: Type[_Stats], prefix: str) -> _
 
 
 # -- the bus -------------------------------------------------------------
-class _SpanStack(threading.local):
-    """One thread's open span path: the class default ``()`` until it opens one."""
-
-    stack: Tuple[str, ...] = ()
-
-
 class Telemetry:
     """The process-local substrate: event bus + registry + clock + spans.
 
-    Emission is thread-safe (sequence numbers and the log are guarded by
-    one lock); span nesting is tracked per thread so a worker pool cannot
-    corrupt another thread's span path.
+    One thread owns a bus: an event's sequence number is the log's length
+    when it lands, and its span path is the bus's one open-span tuple.
+    Worker processes emit onto a bus of their own (:func:`capture_events`),
+    and kernel tiles, the only threads, never reach one.
     """
 
     def __init__(self, clock: Optional[SimClock] = None):
         self.clock = clock if clock is not None else SimClock()
         self.registry = MetricsRegistry()
         self._events: List[TelemetryEvent] = []
-        self._lock = threading.Lock()
-        self._spans = _SpanStack()
+        #: The open span path, outermost first.
+        self._span_path: Tuple[str, ...] = ()
 
     # -- events ----------------------------------------------------------
     def emit(self, kind: str, name: str = "", **attrs: object) -> TelemetryEvent:
@@ -464,19 +444,16 @@ class Telemetry:
             if type(value) not in _PLAIN_TYPES:
                 value = _freeze_attr(value)
             pairs.append((key, value))
-        frozen = tuple(pairs)
-        with self._lock:
-            # tuple.__new__ skips the NamedTuple's Python-level __new__.
-            event = tuple.__new__(TelemetryEvent, (
-                len(self._events), kind, name, self.clock.now,
-                frozen, self._spans.stack,
-            ))
-            self._events.append(event)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__.
+        event = tuple.__new__(TelemetryEvent, (
+            len(self._events), kind, name, self.clock.now,
+            tuple(pairs), self._span_path,
+        ))
+        self._events.append(event)
         return event
 
     def events(self, start: int = 0, kind: Optional[str] = None) -> List[TelemetryEvent]:
-        with self._lock:
-            window = self._events[start:]
+        window = self._events[start:]
         if kind is None:
             return window
         return [event for event in window if event.kind == kind]
@@ -485,8 +462,7 @@ class Telemetry:
         return len(self._events)
 
     def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
+        self._events.clear()
 
     # -- spans -----------------------------------------------------------
     @contextmanager
@@ -496,14 +472,14 @@ class Telemetry:
         The finish event records the span's simulated duration — the
         clock delta between entry and exit.
         """
-        stack = self._spans.stack
+        stack = self._span_path
         started = self.clock.now
         start_event = self.emit("span.start", name, depth=len(stack), **attrs)
-        self._spans.stack = stack + (name,)
+        self._span_path = stack + (name,)
         try:
             yield start_event
         finally:
-            self._spans.stack = stack
+            self._span_path = stack
             self.emit(
                 "span.finish",
                 name,
@@ -514,7 +490,6 @@ class Telemetry:
 
 
 # -- process default -----------------------------------------------------
-_default_lock = threading.Lock()
 _default: Optional[Telemetry] = None
 
 
@@ -527,19 +502,16 @@ def get_telemetry() -> Telemetry:
     instance so a run's log is self-contained and deterministic.
     """
     global _default
-    with _default_lock:
-        if _default is None:
-            _default = Telemetry()
-        return _default
+    if _default is None:
+        _default = Telemetry()
+    return _default
 
 
 def set_telemetry(telemetry: Optional[Telemetry]) -> Optional[Telemetry]:
     """Install (or, with ``None``, reset) the process default; returns the old one."""
     global _default
-    with _default_lock:
-        previous = _default
-        _default = telemetry
-        return previous
+    previous, _default = _default, telemetry
+    return previous
 
 
 @contextmanager

@@ -17,7 +17,6 @@ scale and file-backed with immediate-mode locking for shared scales.
 from __future__ import annotations
 
 import sqlite3
-import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Union
@@ -110,67 +109,63 @@ class SqliteBackend(Database):
     ``path=None`` gives a private in-memory database (the "personal
     EventStore on a laptop" case, "supporting completely disconnected
     operation"); a filesystem path gives a durable store that multiple
-    components of one process share.
+    components of one process share.  A backend belongs to the thread that
+    opened it: sqlite refuses a statement from any other, and that refusal
+    surfaces as :class:`DatabaseError` like any other sqlite error.
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None):
         self.path = str(path) if path is not None else ":memory:"
         try:
-            # Cross-thread use is safe here: every statement goes through
-            # _execute, which serializes on an RLock.
-            self._conn = sqlite3.connect(self.path, check_same_thread=False)
+            self._conn = sqlite3.connect(self.path)
         except sqlite3.Error as exc:
             raise DatabaseError(f"cannot open database {self.path!r}: {exc}") from exc
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA foreign_keys = ON")
         self._conn.isolation_level = None  # autocommit; transactions are explicit
-        self._lock = threading.RLock()
         self._in_transaction = False
         self._closed = False
 
     def _execute(self, sql: str, params: Params = ()) -> sqlite3.Cursor:
         if self._closed:
             raise DatabaseError(f"database {self.path!r} is closed")
-        with self._lock:
-            try:
-                return self._conn.execute(sql, params)
-            except sqlite3.Error as exc:
-                raise DatabaseError(f"{exc} (while executing {sql!r})") from exc
+        try:
+            return self._conn.execute(sql, params)
+        except sqlite3.Error as exc:
+            raise DatabaseError(f"{exc} (while executing {sql!r})") from exc
 
     def _executemany(self, sql: str, rows: Sequence[Params]) -> None:
         if self._closed:
             raise DatabaseError(f"database {self.path!r} is closed")
-        with self._lock:
-            try:
-                self._conn.executemany(sql, rows)
-            except sqlite3.Error as exc:
-                raise DatabaseError(f"{exc} (while executing {sql!r})") from exc
+        try:
+            self._conn.executemany(sql, rows)
+        except sqlite3.Error as exc:
+            raise DatabaseError(f"{exc} (while executing {sql!r})") from exc
 
     @contextmanager
     def transaction(self) -> Iterator["SqliteBackend"]:
         """Explicit transaction; nested use raises (keep transactions short —
         the paper's merge strategy exists precisely to avoid long-running
         open transactions on the main repository)."""
-        with self._lock:
-            if self._in_transaction:
-                raise DatabaseError("nested transactions are not supported")
-            self._execute("BEGIN IMMEDIATE")
-            self._in_transaction = True
+        if self._in_transaction:
+            raise DatabaseError("nested transactions are not supported")
+        self._execute("BEGIN IMMEDIATE")
+        self._in_transaction = True
+        try:
+            yield self
+        except Exception:
+            # The caller's exception is the diagnosis; a ROLLBACK that
+            # itself fails (connection died, disk gone) must not mask
+            # it.  sqlite aborts the transaction either way.
             try:
-                yield self
-            except Exception:
-                # The caller's exception is the diagnosis; a ROLLBACK that
-                # itself fails (connection died, disk gone) must not mask
-                # it.  sqlite aborts the transaction either way.
-                try:
-                    self._execute("ROLLBACK")
-                except DatabaseError:
-                    pass
-                raise
-            else:
-                self._execute("COMMIT")
-            finally:
-                self._in_transaction = False
+                self._execute("ROLLBACK")
+            except DatabaseError:
+                pass
+            raise
+        else:
+            self._execute("COMMIT")
+        finally:
+            self._in_transaction = False
 
     def close(self) -> None:
         if not self._closed:

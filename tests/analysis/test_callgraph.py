@@ -326,11 +326,8 @@ class TestBindings:
 
 
 class TestRealTree:
-    def test_src_repro_resolves_the_figure_flows(self):
-        from pathlib import Path
-
-        src = Path(__file__).resolve().parents[2] / "src" / "repro"
-        program = Program.build([src])
+    def test_src_repro_resolves_the_figure_flows(self, src_analysis):
+        program = src_analysis.program
         assert program.parse_errors == {}
         process = "repro.arecibo.pipeline.run_arecibo_pipeline.<locals>.process"
         assert process in program.functions

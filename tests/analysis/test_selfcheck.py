@@ -13,17 +13,18 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.callgraph import Program, _walk_scope
 from repro.analysis.flowcheck import check_flow, figure_flows
 from repro.analysis.linter import Analysis, Linter, summary_counts, unsuppressed
+from tests.analysis.conftest import SRC
 
-ROOT = Path(__file__).resolve().parents[2]
-SRC = ROOT / "src"
+ROOT = SRC.parent
 
 
 @pytest.fixture(scope="module")
-def analysis():
-    """One pass over ``src/``, shared by every test below."""
-    return Analysis.build([SRC])
+def analysis(src_analysis):
+    """The session's one pass over ``src/``, shared by every test below."""
+    return src_analysis
 
 
 @pytest.fixture(scope="module")
@@ -66,38 +67,57 @@ def test_figure_flows_pass_flowcheck():
 
 _THREAD_STARTERS = {"Thread", "ThreadPoolExecutor"}
 
+#: What an object needs only when a second thread can reach it.
+_SYNC_PRIMITIVES = {
+    "Lock", "RLock", "Event", "Condition", "Semaphore", "BoundedSemaphore",
+    "Barrier", "local",
+}
 
-def _thread_constructions(root):
-    """``(path, line)`` of every ``Thread`` or ``ThreadPoolExecutor`` built
-    under ``root``: a call of the attribute (``threading.Thread(...)``) or of
-    a name imported from ``threading``/``concurrent.futures``, aliased or not."""
+
+def _constructions(program, root, names, modules):
+    """Sorted ``(path under root, line)`` of every one of ``names`` built or
+    subclassed in ``program``'s files: a call of, or a class based on, the
+    attribute (``threading.Thread(...)``, ``class S(threading.local)``) or a
+    name imported from one of ``modules``, aliased or not."""
     found = []
-    for path in sorted(root.rglob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    for source in program.sources:
+        tree = source.tree
         local = {
             alias.asname or alias.name
             for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            and node.module in ("threading", "concurrent.futures")
+            if isinstance(node, ast.ImportFrom) and node.module in modules
             for alias in node.names
-            if alias.name in _THREAD_STARTERS
+            if alias.name in names
         }
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
+            if isinstance(node, ast.Call):
+                used = [node.func]
+            elif isinstance(node, ast.ClassDef):
+                used = node.bases
+            else:
                 continue
-            func = node.func
-            if (isinstance(func, ast.Attribute) and func.attr in _THREAD_STARTERS) or (
-                isinstance(func, ast.Name) and func.id in local
-            ):
-                found.append((path.relative_to(root).as_posix(), node.lineno))
-    return found
+            found += [
+                (Path(source.path).relative_to(root).as_posix(), expr.lineno)
+                for expr in used
+                if (isinstance(expr, ast.Attribute) and expr.attr in names)
+                or (isinstance(expr, ast.Name) and expr.id in local)
+            ]
+    return sorted(found)
 
 
-def test_only_kernel_tiles_start_threads(tmp_path):
+def _thread_constructions(program, root):
+    return _constructions(program, root, _THREAD_STARTERS, ("threading", "concurrent.futures"))
+
+
+def _sync_constructions(program, root):
+    return _constructions(program, root, _SYNC_PRIMITIVES, ("threading", "multiprocessing"))
+
+
+def test_only_kernel_tiles_start_threads(analysis, tmp_path):
     """``src/`` starts threads in one place, ``kernels.run_tiles``: the
     engine runs stages on one thread, shards run inline or in processes, and
     the WebLab preload loads its files on the calling thread."""
-    sites = _thread_constructions(SRC)
+    sites = _thread_constructions(analysis.program, SRC)
     assert [path for path, _ in sites if path != "repro/core/kernels.py"] == []
     assert sites, "the scan no longer sees the kernel tile threads"
     (tmp_path / "pool.py").write_text(
@@ -106,7 +126,138 @@ def test_only_kernel_tiles_start_threads(tmp_path):
         "Pool(2)\n"
         "threading.Thread(target=print)\n"
     )
-    assert _thread_constructions(tmp_path) == [("pool.py", 3), ("pool.py", 4)]
+    assert _thread_constructions(Program.build([tmp_path]), tmp_path) == [
+        ("pool.py", 3), ("pool.py", 4),
+    ]
+
+
+def test_no_object_outside_the_kernels_is_built_for_two_threads(analysis, tmp_path):
+    """One thread owns every bus, registry, cache, injector and database,
+    so ``src/`` builds no lock, event, condition, semaphore, barrier or
+    thread-local outside ``core/kernels.py``, and only that module imports
+    ``threading`` at all."""
+    program = analysis.program
+    assert [path for path, _ in _sync_constructions(program, SRC)
+            if path != "repro/core/kernels.py"] == []
+    importers = {
+        Path(source.path).relative_to(SRC).as_posix()
+        for source in program.sources
+        for node in ast.walk(source.tree)
+        if (isinstance(node, ast.Import) and "threading" in (a.name for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "threading")
+    }
+    assert importers == {"repro/core/kernels.py"}
+    (tmp_path / "locks.py").write_text(
+        "import threading as t\n"
+        "from multiprocessing import RLock as Reentrant\n"
+        "t.Lock()\n"
+        "Reentrant()\n"
+        "class Spans(t.local):\n"
+        "    pass\n"
+    )
+    assert _sync_constructions(Program.build([tmp_path]), tmp_path) == [
+        ("locks.py", 3), ("locks.py", 4), ("locks.py", 5),
+    ]
+
+
+#: What a kernel tile, run on a helper thread, may not reach: the books,
+#: caches, fault state and stores of the thread that runs the flow.
+_NOT_FROM_TILES = tuple(
+    f"repro.{name}." for name in
+    ("core.telemetry", "core.readcache", "core.stagecache", "core.faults", "db")
+)
+_TILE_EFFECTS = ("telemetry", "fault_state", "handle_capture")
+
+
+def _tile_reach(analysis):
+    """``{tile: what it reaches that it may not}`` for every callable
+    passed to ``run_tiles``: any function of ``_NOT_FROM_TILES`` on a path
+    through the program's call edges, then any ``_TILE_EFFECTS`` kind in
+    its effect summary.  A tile the index cannot name is reported as
+    such, keyed by where it is passed."""
+    program = analysis.program
+    found = {}
+    for info in program.iter_functions():
+        module = info.module
+        body = info.node.body if isinstance(info.node.body, list) else [info.node.body]
+        for node in _walk_scope(body):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            callee = module.imports.resolve(node.func)
+            if callee is None and isinstance(node.func, ast.Name):
+                callee = module.functions_by_name.get(node.func.id)
+            if callee != "repro.core.kernels.run_tiles":
+                continue
+            arg = node.args[0]
+            name = arg.id if isinstance(arg, ast.Name) else f"<lambda:{arg.lineno}>"
+            tile = next(
+                (q for q in (f"{info.qualname}.<locals>.{name}",
+                             module.functions_by_name.get(name),
+                             module.imports.resolve(arg))
+                 if q in program.functions),
+                None,
+            )
+            if tile is None:
+                found[f"{module.name}:{node.lineno}"] = ["a tile the index cannot name"]
+                continue
+            reached, queue = set(), [tile]
+            while queue:
+                for callee in program.callees(queue.pop()) - reached:
+                    reached.add(callee)
+                    queue.append(callee)
+            found[tile] = sorted(q for q in reached if q.startswith(_NOT_FROM_TILES)) + sorted(
+                {effect.kind for effect in analysis.effects.effects_of(tile, _TILE_EFFECTS)}
+            )
+    return found
+
+
+def test_no_kernel_tile_reaches_the_books(analysis, tmp_path):
+    """The tiles are the only code that runs on a second thread, and none
+    of them reaches telemetry, a cache, the fault injector or a database:
+    that is why those objects need no lock."""
+    assert _tile_reach(analysis) == {
+        "repro.arecibo.fourier.search_dm_block.<locals>.search_tile": [],
+        "repro.arecibo.singlepulse.search_single_pulses.<locals>.search_tile": [],
+        "repro.core.kernels.shift_sum.<locals>.add_channels": [],
+    }
+    tree = {
+        "__init__.py": "",
+        "core/__init__.py": "",
+        "core/kernels.py": "def run_tiles(fn, n):\n    return [fn(i) for i in range(n)]\n",
+        "core/telemetry.py": "class Telemetry:\n    def emit(self, kind):\n        return kind\n",
+        "db/__init__.py": "",
+        "db/connection.py": "def connect():\n    return None\n",
+        "search.py": textwrap.dedent("""\
+            from repro.core.kernels import run_tiles
+            from repro.db.connection import connect
+
+            def clean(block):
+                def tile(index):
+                    return block[index]
+                return run_tiles(tile, len(block))
+
+            def metered(block, bus):
+                def tile(index):
+                    return bus.emit("span.start")
+                return run_tiles(tile, len(block))
+
+            def stored(block):
+                return run_tiles(lambda index: connect(), len(block))
+
+            def hidden(tiles):
+                return run_tiles(tiles[0], 1)
+        """),
+    }
+    for name, text in tree.items():
+        path = tmp_path / "repro" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert _tile_reach(Analysis.build([tmp_path / "repro"])) == {
+        "repro.search.clean.<locals>.tile": [],
+        "repro.search.metered.<locals>.tile": ["telemetry"],
+        "repro.search.stored.<locals>.<lambda:15>": ["repro.db.connection.connect"],
+        "repro.search:18": ["a tile the index cannot name"],
+    }
 
 
 class TestDeepSelfScan:

@@ -1,10 +1,7 @@
-"""The read cache: LRU, admission, negatives, coalescing."""
+"""The read cache: LRU, admission, negatives."""
 
 import dataclasses
-import sys
-import threading
-import time
-import types
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -45,31 +42,6 @@ def failing_loader():
     raise RuntimeError("backend down")
 
 
-@pytest.fixture()
-def events_built(monkeypatch):
-    """Every ``threading.Event`` the cache module constructs, as a list."""
-    built = []
-
-    def counting_event():
-        event = threading.Event()
-        built.append(event)
-        return event
-
-    monkeypatch.setattr(
-        readcache,
-        "threading",
-        types.SimpleNamespace(Event=counting_event, RLock=threading.RLock),
-    )
-    return built
-
-
-def wait_until(condition, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while not condition():
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.001)
-
-
 class TestBasics:
     def test_hit_after_miss(self):
         cache = ReadCache(capacity=4)
@@ -88,6 +60,13 @@ class TestBasics:
         assert cache.get_or_load("gone", source.loader_for("gone")) is None
         assert source.calls == 1
         assert cache.stats.negative_hits == 1
+
+    def test_a_failed_load_admits_nothing(self):
+        cache = ReadCache(capacity=4)
+        with pytest.raises(RuntimeError, match="backend down"):
+            cache.get_or_load("broken", failing_loader)
+        assert "broken" not in cache and cache.stats.misses == 1
+        assert cache.get_or_load("broken", lambda: "up") == "up"
 
     def test_capacity_validation(self):
         with pytest.raises(CacheError, match="capacity"):
@@ -205,194 +184,28 @@ def pinned_replay():
     return bus
 
 
-class TestCoalescing:
-    def test_concurrent_loads_collapse_to_one(self):
-        cache = ReadCache(capacity=8)
-        gate = threading.Event()
-        calls = []
+class TestReentrantLoad:
+    def test_a_loader_may_load_its_own_key(self):
+        """A loader that asks the cache for the key it is loading gets a
+        second miss and its own load; the outer call returns its value."""
+        cache = ReadCache(capacity=4)
 
-        def slow_loader():
-            gate.wait(timeout=5.0)
-            calls.append(1)
-            return b"payload"
+        def outer():
+            assert cache.get_or_load("k", lambda: "inner") == "inner"
+            return "outer"
 
-        results = []
-
-        def reader():
-            results.append(cache.get_or_load("k", slow_loader))
-
-        threads = [threading.Thread(target=reader) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        gate.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert results == [b"payload"] * 6
-        assert len(calls) == 1
-        assert cache.stats.coalesced >= 1
-        assert cache.stats.misses == 1
-
-
-    def test_a_lone_reader_builds_no_event(self, events_built):
-        cache = ReadCache(capacity=2)
-        for _ in range(4):
-            cache.get_or_load("hot", lambda: 1)  # miss, then hits
-        cache.get_or_load("gone", lambda: None)  # negative miss
-        cache.get_or_load("gone", lambda: None)  # negative hit
-        cache.get_or_load("wonder", lambda: 3)  # full: rejected against "hot"
-        for _ in range(5):
-            cache.get_or_load("riser", lambda: 4)  # builds frequency, then evicts
-        with pytest.raises(RuntimeError):
-            cache.get_or_load("broken", failing_loader)
-        stats = cache.stats
-        assert stats.hits and stats.misses and stats.negative_hits
-        assert stats.admission_rejected and stats.evictions
-        assert events_built == []
-        assert cache._inflight == {}
-
-    def test_five_waiters_share_one_load_and_one_event(self, events_built):
-        cache = ReadCache(capacity=8)
-        gate = threading.Event()
-        calls = []
-
-        def gated_loader():
-            calls.append(1)
-            assert gate.wait(timeout=10.0)
-            return b"payload"
-
-        results = []
-        threads = [
-            threading.Thread(
-                target=lambda: results.append(cache.get_or_load("k", gated_loader)),
-                daemon=True,  # a reader left waiting must fail the test, not hang it
-            )
-            for _ in range(6)
-        ]
-        for thread in threads:
-            thread.start()
-        # The gate opens only once every other reader is parked on the winner.
-        wait_until(lambda: cache.stats.coalesced == 5)
-        gate.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == [b"payload"] * 6
-        assert len(calls) == 1
-        stats = cache.stats
-        assert (stats.misses, stats.coalesced, stats.hits) == (1, 5, 5)
-        assert len(events_built) == 1  # installed by the first waiter, shared
-        assert cache._inflight == {}
-
-    def test_failed_winner_wakes_every_waiter_and_one_loads_next(self):
-        cache = ReadCache(capacity=8)
-        first_gate, second_gate = threading.Event(), threading.Event()
-        calls = []
-
-        def loader():
-            calls.append(1)
-            if len(calls) == 1:
-                assert first_gate.wait(timeout=10.0)
-                raise RuntimeError("backend down")
-            assert second_gate.wait(timeout=10.0)
-            return b"payload"
-
-        results, errors = [], []
-
-        def reader():
-            try:
-                results.append(cache.get_or_load("k", loader))
-            except RuntimeError as exc:
-                errors.append(str(exc))
-
-        threads = [threading.Thread(target=reader, daemon=True) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        wait_until(lambda: cache.stats.coalesced == 3)
-        first_gate.set()  # the winner fails with three readers waiting on it
-        # All three wake; one becomes the loader, the other two wait again.
-        wait_until(lambda: cache.stats.coalesced == 5)
-        assert len(calls) == 2
-        second_gate.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == ["backend down"]  # only the winner sees its failure
-        assert results == [b"payload"] * 3
-        assert len(calls) == 2
-        stats = cache.stats
-        assert (stats.misses, stats.coalesced, stats.hits) == (2, 5, 2)
-        assert cache._inflight == {}
-
-    def test_no_wakeup_is_lost_under_contention(self):
-        # More threads than cores on few keys with a tiny switch interval:
-        # a waiter that installed its Event after the winner popped the
-        # slot would sleep forever and show up as a thread still alive.
-        cache = ReadCache(capacity=2)
-        keys = ["a", "b", "c"]
-        loads, per_thread, n_threads = [], 400, 8
-        wrong = []
-
-        def reader(worker):
-            for i in range(per_thread):
-                key = keys[(worker + i) % len(keys)]
-
-                def loader(key=key):
-                    loads.append(key)
-                    if len(loads) % 7 == 0:
-                        time.sleep(0)  # hand the GIL over mid-load
-                    return key.upper()
-
-                if cache.get_or_load(key, loader) != key.upper():
-                    wrong.append(key)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+        previous = signal.signal(signal.SIGALRM, _timed_out)
+        signal.alarm(5)
         try:
-            threads = [
-                threading.Thread(target=reader, args=(n,), daemon=True)
-                for n in range(n_threads)
-            ]
-            for thread in threads:
-                thread.start()
-            deadline = time.monotonic() + 30.0
-            for thread in threads:
-                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert cache.get_or_load("k", outer) == "outer"
         finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert wrong == []
-        stats = cache.stats
-        assert stats.misses == len(loads)  # one loader call per counted miss
-        assert stats.hits + stats.misses == n_threads * per_thread
-        assert cache._inflight == {}
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert cache.stats.misses == 2 and cache.stats.hits == 0
 
-    @pytest.mark.parametrize(
-        "invalidate",
-        [
-            lambda cache: cache.invalidate("k"),
-            lambda cache: cache.invalidate_prefix("k"),
-            ReadCache.clear,
-        ],
-        ids=["invalidate", "invalidate_prefix", "clear"],
-    )
-    def test_invalidation_racing_a_load_is_not_lost(self, invalidate):
-        # The load began before the invalidation, so what it read may be
-        # what the invalidation retired: its caller gets it, the cache not.
-        cache = ReadCache(capacity=8)
-        gate = threading.Event()
-        loader = threading.Thread(
-            target=cache.get_or_load,
-            args=("k", lambda: "old" if gate.wait(timeout=10.0) else "timed out"),
-            daemon=True,
-        )
-        loader.start()
-        wait_until(lambda: "k" in cache._inflight)
-        invalidate(cache)
-        gate.set()
-        loader.join(timeout=10.0)
-        assert not loader.is_alive()
-        assert cache.get_or_load("k", lambda: "new") == "new"
-        assert cache._inflight == {}
+
+def _timed_out(signum, frame):
+    raise TimeoutError("a re-entrant load blocked")
 
 
 class ModelCache:
@@ -486,4 +299,3 @@ class TestAgainstModel:
             )
         ]
         assert dataclasses.asdict(cache.stats) == model.stats
-        assert cache._inflight == {}

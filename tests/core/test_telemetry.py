@@ -2,7 +2,6 @@
 
 import json
 import pickle
-import threading
 
 import numpy as np
 import pytest
@@ -346,20 +345,6 @@ class TestInstruments:
         assert registry.value("missing", default=-1.0) == -1.0
         assert registry.as_dict() == {"a": 2.0, "b": 9.0}
 
-    def test_counter_is_thread_safe(self):
-        counter = MetricsRegistry().counter("hits")
-
-        def hammer():
-            for _ in range(1000):
-                counter.inc()
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert counter.value == 8000
-
 
 class TestSpans:
     def test_nested_spans_stamp_the_path(self):
@@ -395,49 +380,14 @@ class TestSpans:
         ]
         assert bus.emit("storage.write", "later").span == ()
 
-    def test_each_thread_stamps_its_own_open_path(self):
+    def test_a_raising_inner_span_restores_the_outer_path(self):
         bus = Telemetry()
-        barrier = threading.Barrier(5, timeout=10.0)
-        seen = {}
-
-        def opener(outer):
-            with bus.span(outer):
-                barrier.wait()
-                with bus.span("inner"):
-                    barrier.wait()  # every opener is two deep here
-                    nested = bus.emit("bytes.produced", outer, bytes=1)
-                    barrier.wait()
-                try:
-                    with bus.span("doomed"):
-                        raise RuntimeError(outer)
-                except RuntimeError:
-                    pass
-                after_raise = bus.emit("storage.write", outer)
-            closed = bus.emit("storage.evict", outer)
-            seen[outer] = (nested.span, after_raise.span, closed.span)
-
-        def bystander():  # never opens a span
-            spans = []
-            for _ in range(3):
-                barrier.wait()
-                spans.append(bus.emit("storage.recall", "bystander").span)
-            seen["bystander"] = spans
-
-        names = [f"w{index}" for index in range(4)]
-        threads = [threading.Thread(target=opener, args=(name,)) for name in names]
-        threads.append(threading.Thread(target=bystander))
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-        assert seen == {
-            **{name: ((name, "inner"), (name,), ()) for name in names},
-            "bystander": [(), (), ()],
-        }
-        for event in bus.events(kind="span.start"):
-            depth = {"inner": 1, "doomed": 1}.get(event.name, 0)
-            assert event.attr("depth") == depth
-        assert [event.seq for event in bus.events()] == list(range(len(bus)))
+        with bus.span("outer"):
+            with pytest.raises(RuntimeError):
+                with bus.span("doomed"):
+                    raise RuntimeError("nope")
+            assert bus.emit("storage.write", "after").span == ("outer",)
+        assert [event.attr("depth") for event in bus.events(kind="span.start")] == [0, 1]
 
 
 class TestProcessDefault:

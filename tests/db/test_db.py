@@ -1,5 +1,7 @@
 """Tests for the relational layer (connection, schema, query builder)."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core.errors import DatabaseError
@@ -58,6 +60,16 @@ class TestConnection:
             db.query("SELECT * FROM nonexistent")
         with pytest.raises(DatabaseError, match="nonexistent"):
             db.executemany("INSERT INTO nonexistent (x) VALUES (?)", [(1,), (2,)])
+
+    def test_another_thread_is_refused(self, db):
+        """A backend belongs to the thread that opened it; any other gets a
+        loud DatabaseError, not a statement run beside the owner's."""
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(DatabaseError, match="thread"):
+                pool.submit(db.query, "SELECT 1").result()
+            with pytest.raises(DatabaseError, match="thread"):
+                pool.submit(db.executemany, "SELECT ?", [(1,)]).result()
+        assert db.query_value("SELECT 1") == 1
 
     def test_query_one(self, db):
         db.execute("CREATE TABLE t (x INTEGER)")

@@ -82,7 +82,7 @@ def readcache(tmp_path):
         cache.get_or_load(key, lambda: None if key == "gone" else key)
     return cache.stats, dict(
         hits=3, misses=7, negative_hits=2, admitted=4, admission_rejected=3,
-        evictions=2, coalesced=0)
+        evictions=2)
 
 
 @pytest.mark.parametrize("script", [hsm, tape, lane, preload, readcache])
