@@ -501,6 +501,8 @@ class _Scope:
         self.instances: Dict[str, str] = {}
         #: name -> nested function qualname defined in this scope
         self.nested_fns: Dict[str, str] = {}
+        #: name -> dotted path a function-local import binds it to
+        self.imported: Dict[str, Optional[str]] = {}
 
 
 class _BodyWalker:
@@ -526,6 +528,9 @@ class _BodyWalker:
                     return current.nested_fns[node.id]
                 if node.id in current.fn_aliases:
                     return current.fn_aliases[node.id]
+                if node.id in current.imported:
+                    dotted = current.imported[node.id]
+                    return dotted if dotted in self.program.functions else None
                 # A local binding that is *not* a known alias shadows
                 # anything outer.
                 if current.info is not None and node.id in current.info.local_names:
@@ -567,6 +572,8 @@ class _BodyWalker:
         if isinstance(node, ast.Name):
             current: Optional[_Scope] = scope
             while current is not None:
+                if node.id in current.imported:
+                    return current.imported[node.id]
                 if current.info is not None and node.id in current.info.local_names:
                     return None
                 current = current.parent
@@ -613,7 +620,22 @@ class _BodyWalker:
 
     # -- the walk ----------------------------------------------------------
     def _prescan(self, body: Sequence[ast.AST], scope: _Scope) -> None:
-        """Record nested defs, function aliases, and instance bindings."""
+        """Record a function's own imports, then nested defs, function
+        aliases, and instance bindings.
+
+        The imports come first: a name a function imports is a local,
+        but it names the imported definition, so it must not shadow it.
+        """
+        if scope.info is not None:
+            for child in _walk_scope(list(body)):
+                if isinstance(child, (ast.Import, ast.ImportFrom)):
+                    imports = ImportMap(
+                        child, module_name=self.module.name,
+                        is_package=self.module.is_package,
+                    )
+                    for alias in child.names:
+                        local = alias.asname or alias.name.split(".")[0]
+                        scope.imported[local] = imports.resolve(ast.Name(id=local))
         for child in _walk_scope(list(body)):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 info = self.program._info_by_node.get(child)

@@ -403,14 +403,10 @@ def run_arecibo_pipeline(
     staging = workdir / "arecibo-staging"
     staging.mkdir(parents=True, exist_ok=True)
 
-    # The engine arms a FaultPlan against its own simulated clock; the
-    # resulting injector is shared with the lane/library/beam shims so
-    # one plan covers every injection site.  That clock moves only in the
-    # engine's accounting replay, after every stage has run, so an
-    # `after_sim_time` predicate sees the clock as the run found it, not
-    # the sim time earlier stages charged (an open defect).  Passing an
-    # already-armed FaultInjector instead is the crash/resume idiom:
-    # exhausted fire budgets carry over, so transient faults do not
+    # The engine arms a FaultPlan; the resulting injector is shared with
+    # the lane/library/beam shims so one plan covers every injection site.
+    # Passing an already-armed FaultInjector instead is the crash/resume
+    # idiom: exhausted fire budgets carry over, so transient faults do not
     # restrike the rerun.
     engine = Engine(
         seed=config.seed,

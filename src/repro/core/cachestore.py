@@ -15,7 +15,7 @@ Layout and concurrency contract:
   same directory and ``os.replace``d into place, so a reader can never
   observe a torn entry — it sees the old file, the new file, or no file;
 * reads are **lock-free**: a missing, truncated, or unpicklable file is
-  simply a miss (another process may GC or replace a file at any moment —
+  simply a miss (another process may delete or replace a file at any moment —
   that is allowed and only costs a recompute);
 * keys are content addresses, so two processes racing to write the same
   key write equal values and either winner is correct.
@@ -25,10 +25,8 @@ entry's own value, streamed into the temp file, so a contiguous array
 goes from its own buffer to the file — no ``tobytes`` copy, no
 whole-entry blob.  Any reader needs only :mod:`pickle`.
 
-Recency is tracked through file mtimes — a read touches the file — and
-:meth:`DiskCacheStore.gc` evicts oldest-first until the store fits the
-configured ``max_bytes`` / ``max_entries`` bounds (write-triggered, so
-the store is self-bounding without a daemon).
+Like the paper's central stores, the store keeps whatever it is given:
+nothing is evicted, and a read leaves the entry file as it found it.
 """
 
 from __future__ import annotations
@@ -46,30 +44,16 @@ _KEY_DIGITS = "0123456789abcdef"
 
 
 class DiskCacheStore:
-    """A shared, size-bounded, content-addressed entry store on disk.
+    """A shared, content-addressed entry store on disk.
 
     Parameters
     ----------
     root:
         Directory the store lives in (created on first use).
-    max_bytes / max_entries:
-        GC bounds; ``None`` leaves that dimension unbounded.  Bounds are
-        enforced by :meth:`gc`, which runs after every write.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        max_bytes: Optional[int] = None,
-        max_entries: Optional[int] = None,
-    ):
-        if max_bytes is not None and max_bytes < 1:
-            raise CacheError(f"max_bytes must be >= 1, got {max_bytes}")
-        if max_entries is not None and max_entries < 1:
-            raise CacheError(f"max_entries must be >= 1, got {max_entries}")
+    def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        self.max_bytes = max_bytes
-        self.max_entries = max_entries
         self.root.mkdir(parents=True, exist_ok=True)
 
     # -- addressing --------------------------------------------------------
@@ -80,15 +64,15 @@ class DiskCacheStore:
             raise CacheError(f"malformed cache key {key!r}")
         return self.root / key[:2] / f"{key}{_SUFFIX}"
 
-    def _entries_on_disk(self) -> List[Tuple[Path, int, int]]:
-        """``(path, mtime_ns, size)`` for every entry file, stat-race safe."""
-        found: List[Tuple[Path, int, int]] = []
+    def _entries_on_disk(self) -> List[Tuple[Path, int]]:
+        """``(path, size)`` for every entry file, stat-race safe."""
+        found: List[Tuple[Path, int]] = []
         for path in self.root.glob(f"*/*{_SUFFIX}"):
             try:
-                stat = path.stat()
+                size = path.stat().st_size
             except OSError:
-                continue  # GC'd or replaced underneath us: fine
-            found.append((path, stat.st_mtime_ns, stat.st_size))
+                continue  # deleted or replaced underneath us: fine
+            found.append((path, size))
         return found
 
     # -- the store API -----------------------------------------------------
@@ -96,25 +80,18 @@ class DiskCacheStore:
         """The entry for ``key``, or ``None``.
 
         Lock-free: a vanished, truncated, or unpicklable file reads as a
-        miss.  A successful read touches the file's mtime so GC sees it
-        as recently used.
+        miss.
         """
-        path = self.path_for(key)
         try:
-            with path.open("rb") as handle:
-                entry = pickle.load(handle)
+            with self.path_for(key).open("rb") as handle:
+                return pickle.load(handle)
         except FileNotFoundError:
             return None
         except Exception:  # noqa: BLE001 - torn/corrupt entry == miss
             return None
-        try:
-            os.utime(path)
-        except OSError:
-            pass  # GC won the race; the value we read is still good
-        return entry
 
     def write(self, key: str, entry: object) -> bool:
-        """Atomically persist ``entry`` under ``key``; then enforce bounds.
+        """Atomically persist ``entry`` under ``key``; then call :meth:`gc`.
 
         Returns ``False`` (and stores nothing) when the entry does not
         pickle — an unpicklable stash degrades that stage to
@@ -154,8 +131,8 @@ class DiskCacheStore:
             return False
 
     def keys(self) -> List[str]:
-        """All stored keys, sorted (a stable inventory, not LRU order)."""
-        return sorted(path.stem for path, _, _ in self._entries_on_disk())
+        """All stored keys, sorted."""
+        return sorted(path.stem for path, _ in self._entries_on_disk())
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()
@@ -164,38 +141,17 @@ class DiskCacheStore:
         return len(self._entries_on_disk())
 
     def gc(self) -> int:
-        """Evict least-recently-used entries until the bounds hold.
+        """Evict nothing and return 0: the store keeps every entry.
 
-        Returns the number of entries removed.  Ordering is by mtime
-        (reads touch), key as tie-break; racing processes may each try to
-        remove the same file — only the winner counts it.
+        :meth:`write` still calls it only because perfbench times the
+        ``DiskCacheStore.gc`` boundary by name (``cachestore.gc_s``).
         """
-        if self.max_bytes is None and self.max_entries is None:
-            return 0
-        entries = sorted(
-            self._entries_on_disk(), key=lambda item: (item[1], item[0].name)
-        )
-        count = len(entries)
-        volume = sum(size for _, _, size in entries)
-        evicted = 0
-        for path, _, size in entries:
-            over_entries = self.max_entries is not None and count > self.max_entries
-            over_bytes = self.max_bytes is not None and volume > self.max_bytes
-            if not (over_entries or over_bytes):
-                break
-            try:
-                path.unlink()
-                evicted += 1
-            except OSError:
-                pass  # another process evicted or replaced it first
-            count -= 1
-            volume -= size
-        return evicted
+        return 0
 
     def clear(self) -> int:
         """Remove every entry; returns how many were dropped."""
         dropped = 0
-        for path, _, _ in self._entries_on_disk():
+        for path, _ in self._entries_on_disk():
             try:
                 path.unlink()
                 dropped += 1
@@ -207,11 +163,8 @@ class DiskCacheStore:
         entries = self._entries_on_disk()
         return {
             "entries": len(entries),
-            "bytes": sum(size for _, _, size in entries),
+            "bytes": sum(size for _, size in entries),
         }
 
     def __repr__(self) -> str:
-        return (
-            f"DiskCacheStore({str(self.root)!r}, max_bytes={self.max_bytes}, "
-            f"max_entries={self.max_entries})"
-        )
+        return f"DiskCacheStore({str(self.root)!r})"

@@ -96,9 +96,10 @@ def run_windows(
 
     ``arrivals`` lists how many new ``unit`` items (``"pointings"``,
     ``"runs"``) land in each window (default: one per window): whole,
-    non-negative counts summing to ``total``.  The first window must not
-    be empty — a flow cannot run over nothing — but later empty windows
-    are fine: they replay as all stage hits and are still accounted.
+    non-negative counts summing to ``total``.  There must be a window,
+    and the first must not be empty — a flow cannot run over nothing —
+    but later empty windows are fine: they replay as all stage hits and
+    are still accounted.
 
     Window ``index`` opens on the ledger ``name`` at watermark
     ``index + 1``, calls ``run(index, seen)`` — a full rerun over the
@@ -114,6 +115,8 @@ def run_windows(
     """
     if arrivals is None:
         arrivals = [1] * total
+    if not arrivals:
+        raise IncrementalError(f"no window to run: the schedule is empty (n_{unit}={total})")
     # ``% 1`` is NaN for NaN and the infinities, where ``int()`` would raise.
     if any(count % 1 != 0 for count in arrivals):
         raise IncrementalError(f"non-integral arrival counts: {list(arrivals)}")
@@ -125,7 +128,7 @@ def run_windows(
             f"arrivals {arrivals} sum to {sum(arrivals)}, "
             f"expected n_{unit}={total}"
         )
-    if arrivals and arrivals[0] == 0:
+    if arrivals[0] == 0:
         raise IncrementalError(
             f"window 0 is empty (arrivals {arrivals}): "
             f"the first window needs at least one of the {unit}"

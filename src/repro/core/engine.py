@@ -444,7 +444,7 @@ class Engine:
         self.cache = cache
         self.retry = retry if retry is not None else NO_RETRY
         if isinstance(faults, FaultPlan):
-            faults = faults.arm(clock=self.telemetry.clock)
+            faults = faults.arm()
         self.faults: Optional[FaultInjector] = faults
         #: Dead letters this engine produced, in topological order: a
         #: degraded stage appends its letter when it completes, hit or

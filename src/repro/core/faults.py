@@ -9,8 +9,8 @@ declarative failure model instead of scattered ad-hoc damage knobs:
 * a :class:`FaultSpec` names a *scope* (``"stage"``, ``"storage"``,
   ``"lane"``, ``"beam"``, ``"preload"``), a target pattern, a *kind*
   (``"crash"``, ``"delay"``, ``"corrupt"``, ``"drop"``, ``"stale"``),
-  and trigger predicates over invocation count, site, simulated time,
-  and a seeded per-target probability;
+  and trigger predicates over invocation count, site, and a seeded
+  per-target probability;
 * a :class:`FaultPlan` is an ordered, digestable set of specs — the
   digest is folded into stage-cache keys so faulted runs never poison a
   warm cache primed without faults (or under a different plan);
@@ -40,12 +40,12 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import FaultError, InjectedFault
-from repro.core.telemetry import SimClock
 
 #: Fault kinds with engine/shim interpretations.  The vocabulary is open
 #: (shims interpret kinds they understand and ignore others), but these
@@ -90,9 +90,6 @@ class FaultSpec:
     probability:
         Chance of firing per armed invocation, drawn from the spec's
         per-target seeded stream; 1.0 is deterministic.
-    after_sim_time:
-        Only fire once the injector's clock has reached this many
-        simulated seconds (0.0 disables the predicate).
     param:
         Kind-specific magnitude: seconds for ``"delay"``, a fraction for
         ``"corrupt"``.
@@ -106,7 +103,6 @@ class FaultSpec:
     first_invocation: int = 1
     max_fires: Optional[int] = 1
     probability: float = 1.0
-    after_sim_time: float = 0.0
     param: float = 0.0
 
     def __post_init__(self) -> None:
@@ -133,12 +129,12 @@ class FaultSpec:
                 f"fault {self.name!r}: probability must be within [0, 1], "
                 f"got {self.probability}"
             )
-        if self.after_sim_time < 0.0:
+        # NaN or inf too, as ``SimClock.advance`` refuses them: a delay
+        # reaches the clock only in the accounting replay, after every stage.
+        if not 0.0 <= self.param < math.inf:
             raise FaultError(
-                f"fault {self.name!r}: after_sim_time must be >= 0"
+                f"fault {self.name!r}: param must be finite and >= 0, got {self.param}"
             )
-        if self.param < 0.0:
-            raise FaultError(f"fault {self.name!r}: param must be >= 0")
 
     def matches(self, scope: str, target: str, site: str = "") -> bool:
         """Structural match (scope, target pattern, site pattern)."""
@@ -161,7 +157,6 @@ class FaultSpec:
             "first_invocation": self.first_invocation,
             "max_fires": self.max_fires,
             "probability": repr(self.probability),
-            "after_sim_time": repr(self.after_sim_time),
             "param": repr(self.param),
         }
 
@@ -220,9 +215,9 @@ class FaultPlan:
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
-    def arm(self, clock: Optional[SimClock] = None) -> "FaultInjector":
+    def arm(self) -> "FaultInjector":
         """Create the runtime injector for this plan."""
-        return FaultInjector(self, clock=clock)
+        return FaultInjector(self)
 
 
 def _target_seed(plan_seed: int, spec_name: str, target: str) -> int:
@@ -242,9 +237,8 @@ class FaultInjector:
     run again, which is exactly how checkpoint/resume makes progress.
     """
 
-    def __init__(self, plan: FaultPlan, clock: Optional[SimClock] = None):
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self.clock = clock
         self._invocations: Dict[Tuple[str, str], int] = {}
         self._fires: Dict[Tuple[str, str], int] = {}
         self._rngs: Dict[Tuple[str, str], random.Random] = {}
@@ -276,7 +270,6 @@ class FaultInjector:
         near-misses.
         """
         records: List[FaultRecord] = []
-        now = self.clock.now if self.clock is not None else 0.0
         for spec in self.plan.specs:
             if not spec.matches(scope, target, site):
                 continue
@@ -286,8 +279,6 @@ class FaultInjector:
             if invocation < spec.first_invocation:
                 continue
             if spec.max_fires is not None and self._fires.get(key, 0) >= spec.max_fires:
-                continue
-            if spec.after_sim_time and now < spec.after_sim_time:
                 continue
             if spec.probability < 1.0 and not (
                 self._rng_for(key).random() < spec.probability

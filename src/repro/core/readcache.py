@@ -87,24 +87,20 @@ class ReadCache:
     ----------
     capacity:
         Maximum in-memory entries.
-    name:
-        Event name used on the telemetry bus (one bus can carry several
-        caches' streams apart).
     telemetry:
-        When given, the cache emits ``readcache.*`` events; counters are
-        kept on the cache's own registry either way.
+        When given, the cache emits ``readcache.*`` events, each named
+        ``"readcache"``; counters are kept on the cache's own registry
+        either way.
     """
 
     def __init__(
         self,
         capacity: int = 1024,
-        name: str = "readcache",
         telemetry: Optional[Telemetry] = None,
     ):
         if capacity < 1:
             raise CacheError(f"read cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.name = name
         self.metrics = MetricsRegistry()
         # Each site calls ``self._telemetry.emit`` itself, per event and never
         # bound ahead: perfbench wraps ``Telemetry.emit`` by name.
@@ -161,11 +157,11 @@ class ReadCache:
             self._entries.popitem(last=False)
             self._evictions.inc()
             if self._telemetry is not None:
-                self._telemetry.emit("readcache.evict", self.name, key=victim)
+                self._telemetry.emit("readcache.evict", "readcache", key=victim)
         self._entries[key] = value
         self._admitted.inc()
         if self._telemetry is not None:
-            self._telemetry.emit("readcache.admit", self.name, key=key)
+            self._telemetry.emit("readcache.admit", "readcache", key=key)
         return True
 
     # -- the API -----------------------------------------------------------
@@ -187,15 +183,15 @@ class ReadCache:
             if value is _NEGATIVE:
                 self._negative_hits.inc()
                 if self._telemetry is not None:
-                    self._telemetry.emit("readcache.hit", self.name, key=key, negative=True)
+                    self._telemetry.emit("readcache.hit", "readcache", key=key, negative=True)
                 return None
             self._hits.inc()
             if self._telemetry is not None:
-                self._telemetry.emit("readcache.hit", self.name, key=key)
+                self._telemetry.emit("readcache.hit", "readcache", key=key)
             return value
         self._misses.inc()
         if self._telemetry is not None:
-            self._telemetry.emit("readcache.miss", self.name, key=key)
+            self._telemetry.emit("readcache.miss", "readcache", key=key)
         value = loader()
         self._admit(key, _NEGATIVE if value is None else value)
         return value
@@ -221,6 +217,4 @@ class ReadCache:
         return dropped
 
     def __repr__(self) -> str:
-        return (
-            f"ReadCache({self.name!r}, capacity={self.capacity}, entries={len(self)})"
-        )
+        return f"ReadCache(capacity={self.capacity}, entries={len(self)})"

@@ -26,6 +26,7 @@ component.  This module holds the policy side of that story; the engine
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
@@ -61,12 +62,14 @@ class RetryPolicy:
             raise FaultError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_base_s < 0:
-            raise FaultError("backoff_base_s must be >= 0")
+        # Finite and non-negative, as ``SimClock.advance`` wants every
+        # backoff: a NaN or inf would surface only in the accounting replay.
+        for field in ("backoff_base_s", "backoff_factor", "max_backoff_s"):
+            value = getattr(self, field)
+            if not 0 <= value < math.inf:
+                raise FaultError(f"{field} must be finite and >= 0, got {value}")
         if self.backoff_factor < 1.0:
             raise FaultError("backoff_factor must be >= 1")
-        if self.max_backoff_s < 0:
-            raise FaultError("max_backoff_s must be >= 0")
 
     def delay_for(self, attempt: int) -> float:
         """Simulated backoff seconds after failed attempt ``attempt``."""

@@ -230,11 +230,7 @@ class StageCache:
         root: "Union[str, Path]",
         registry: Optional[MetricsRegistry] = None,
     ) -> "StageCache":
-        """A stage cache over an unbounded on-disk store rooted at ``root``.
-
-        A bounded store is passed in whole:
-        ``StageCache(store=DiskCacheStore(root, max_bytes=...))``.
-        """
+        """A stage cache over an on-disk store rooted at ``root``."""
         return cls(registry=registry, store=DiskCacheStore(root))
 
     def __len__(self) -> int:

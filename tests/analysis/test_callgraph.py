@@ -148,6 +148,45 @@ class TestEdges:
         )
         assert "pkg.a.work" in program.callees("pkg.b.driver")
 
+    def test_function_local_import_edge(self, tmp_path):
+        """A name a function imports is a local that names the imported
+        definition: calls through it, through an alias of it and through
+        a relative import get their edges; a class gets its ``__init__``."""
+        program = build(
+            tmp_path,
+            {"pkg/__init__.py": "",
+            "pkg/a.py":"""
+            def helper():
+                pass
+
+            class Tool:
+                def __init__(self):
+                    pass
+            """,
+            "pkg/b.py":"""
+            def direct():
+                from pkg.a import helper
+                return helper()
+
+            def aliased():
+                from pkg.a import helper as h
+                again = h
+                again()
+
+            def relative():
+                from .a import Tool
+                return Tool()
+
+            def shadowed():
+                helper = None
+                helper()
+            """},
+        )
+        assert program.callees("pkg.b.direct") == {"pkg.a.helper"}
+        assert program.callees("pkg.b.aliased") == {"pkg.a.helper"}
+        assert program.callees("pkg.b.relative") == {"pkg.a.Tool.__init__"}
+        assert program.callees("pkg.b.shadowed") == set()
+
     def test_self_method_dispatch_follows_bases(self, tmp_path):
         program = build(
             tmp_path,

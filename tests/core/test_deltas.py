@@ -222,6 +222,21 @@ class TestRunWindows:
             )
         assert ran == [] and telemetry.events() == []
 
+    @pytest.mark.parametrize("arrivals", [None, []], ids=["default", "given"])
+    def test_an_empty_schedule_is_rejected_before_anything_runs(self, arrivals):
+        """No window would leave no final report to read."""
+        ran = []
+        telemetry = Telemetry()
+        with pytest.raises(IncrementalError, match="the schedule is empty"):
+            run_windows(
+                "toy-windows", "items", 0, arrivals,
+                run=lambda index, seen: ran.append(index),
+                close_attrs=lambda report: {},
+                cache=StageCache(),
+                telemetry=telemetry,
+            )
+        assert ran == [] and telemetry.events() == []
+
 
 class TestMapShardsCache:
     def shard_flow(self, cache_keys=True, cache_params=None):

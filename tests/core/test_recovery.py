@@ -38,6 +38,12 @@ class TestRetryPolicy:
             {"backoff_base_s": -1.0},
             {"backoff_factor": 0.5},
             {"max_backoff_s": -1.0},
+            {"backoff_base_s": float("nan")},
+            {"backoff_base_s": float("inf")},
+            {"backoff_factor": float("nan")},
+            {"backoff_factor": float("inf")},
+            {"max_backoff_s": float("nan")},
+            {"max_backoff_s": float("inf")},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

@@ -23,7 +23,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.cachestore import DiskCacheStore
 from repro.core.dataflow import DataFlow
 from repro.core.dataset import Dataset
 from repro.core.engine import Engine
@@ -94,14 +93,6 @@ class TestStageCacheWithDiskStore:
         assert cache.lookup(KEY) is not None  # refilled from the store
         cache.clear(disk=True)
         assert cache.lookup(KEY) is None
-
-    def test_disk_store_bounds_plumbed(self, tmp_path):
-        """A bounded store is passed in whole; the cache's writes run its GC."""
-        cache = StageCache(store=DiskCacheStore(tmp_path, max_entries=1))
-        cache.store(KEY, entry("first"))
-        cache.store(OTHER, entry("second"))
-        assert cache.disk.keys() == [OTHER]
-        assert cache.lookup(KEY) is not None and cache.disk_hits == 0
 
     def test_stats_shape_unchanged(self, tmp_path):
         cache = StageCache.on_disk(tmp_path)

@@ -28,7 +28,6 @@ from repro.arecibo.pipeline import (
 from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
 from repro.cleo.pipeline import CleoPipelineConfig, run_cleo_incremental
-from repro.core.cachestore import DiskCacheStore
 from repro.core.errors import IncrementalError
 from repro.core.shards import SHARE_MIN_BYTES
 from repro.core.stagecache import StageCache
@@ -314,20 +313,6 @@ class TestAreciboNightlyStore:
                     assert (cache.shard_hits, cache.shard_misses) == (2, 1)
                     assert (run_dir / "arecibo-staging" / path.name).read_bytes() == whole
                     path.write_bytes(whole)  # the next case starts whole
-
-    def test_a_store_too_small_for_one_pointing_still_ends_on_the_batch(self, night):
-        workdir = night[0]
-        one_shard = max(path.stat().st_size for path in store_files(workdir / "store"))
-        bounded = StageCache(
-            store=DiskCacheStore(workdir / "small-store", max_bytes=one_shard - 1)
-        )
-        nightly = run_arecibo_incremental(
-            workdir / "small-windows", nightly_config(), arrivals=self.ARRIVALS,
-            cache=bounded,
-        )
-        assert bounded.disk.stats()["bytes"] < one_shard
-        final_dir = workdir / "small-windows" / f"window{len(self.ARRIVALS) - 1:02d}"
-        self.assert_equals_batch(nightly.final, final_dir, night)
 
     def test_process_farm_writes_the_serial_store(self, night):
         workdir = night[0]
