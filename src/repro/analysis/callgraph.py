@@ -544,7 +544,7 @@ class _BodyWalker:
                 return dotted
             return None
         if isinstance(node, ast.Attribute):
-            dotted = self.module.imports.resolve(node)
+            dotted = self._resolve_dotted(node, scope)
             if dotted:
                 if dotted in self.program.functions:
                     return dotted
@@ -586,8 +586,32 @@ class _BodyWalker:
             # binding detection (ShardPool) needs the name regardless.
             return self.module.imports.resolve(node)
         if isinstance(node, ast.Attribute):
-            return self.module.imports.resolve(node)
+            return self._resolve_dotted(node, scope)
         return None
+
+    def _resolve_dotted(self, node: ast.Attribute, scope: _Scope) -> Optional[str]:
+        """Dotted name of an attribute chain whose head is an import.
+
+        The head resolves through the scope chain as a bare name does: a
+        scope's own imports first, then its locals and parameters, which
+        shadow anything outer; only then the module's imports.
+        """
+        attrs: List[str] = []
+        head: ast.AST = node
+        while isinstance(head, ast.Attribute):
+            attrs.append(head.attr)
+            head = head.value
+        if not isinstance(head, ast.Name):
+            return None
+        current: Optional[_Scope] = scope
+        while current is not None:
+            if head.id in current.imported:
+                base = current.imported[head.id]
+                return ".".join([base, *reversed(attrs)]) if base else None
+            if current.info is not None and head.id in current.info.local_names:
+                return None
+            current = current.parent
+        return self.module.imports.resolve(node)
 
     def _resolve_receiver_class(self, node: ast.AST, scope: _Scope) -> Optional[str]:
         """Class of the object a method is called on, where knowable."""
@@ -688,7 +712,7 @@ class _BodyWalker:
                 if target is not None and caller is not None:
                     self._add_edge(caller, target)
             elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
-                dotted = self.module.imports.resolve(child)
+                dotted = self._resolve_dotted(child, scope)
                 if dotted and dotted in self.program.functions and caller is not None:
                     self._add_edge(caller, dotted)
 

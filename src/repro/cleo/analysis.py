@@ -15,6 +15,7 @@ job with tightened cuts whose provenance extends the previous iteration's.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,6 +24,7 @@ import numpy as np
 from repro.core.errors import EventStoreError
 from repro.core.provenance import ProvenanceStamp
 from repro.cleo.reconstruction import ASU_TRACKS, tracks_of
+from repro.cleo.reductions import max_of, mean_of, std_of
 from repro.eventstore.partition import AccessProfile
 from repro.eventstore.provenance import stamp_step
 from repro.eventstore.store import EventStore
@@ -36,12 +38,23 @@ class SelectionCuts:
     max_mean_chi2: float = 5.0
     max_abs_slope: float = 0.05
 
+    def __post_init__(self) -> None:
+        # ``accepts`` reduces the tracks of every event it lets past the
+        # multiplicity cut, so that cut must refuse an empty event.
+        if self.min_tracks < 1:
+            raise EventStoreError(f"min_tracks must be >= 1, got {self.min_tracks}")
+        for name in ("max_mean_chi2", "max_abs_slope"):
+            if not math.isfinite(getattr(self, name)):
+                raise EventStoreError(f"{name} must be finite, got {getattr(self, name)}")
+
     def accepts(self, tracks: np.ndarray) -> bool:
         if tracks.shape[0] < self.min_tracks:
             return False
-        if float(tracks[:, 2].mean()) > self.max_mean_chi2:
+        # Compared as Python floats: a float32 compared with a Python float
+        # would round the cut to float32 first.
+        if float(mean_of(tracks[:, 2])) > self.max_mean_chi2:
             return False
-        if float(np.abs(tracks[:, 1]).max()) > self.max_abs_slope:
+        if float(max_of(np.abs(tracks[:, 1]))) > self.max_abs_slope:
             return False
         return True
 
@@ -64,16 +77,23 @@ class Histogram:
     counts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
+            raise EventStoreError(
+                f"histogram bounds must be finite, got [{self.low}, {self.high})"
+            )
         if self.high <= self.low or self.bins <= 0:
             raise EventStoreError("histogram needs high > low and bins > 0")
         if self.counts is None:
             self.counts = np.zeros(self.bins, dtype=np.int64)
 
     def fill(self, value: float) -> None:
+        if math.isnan(value):
+            raise EventStoreError("cannot fill a histogram with NaN")
         if value < self.low or value >= self.high:
             return
         index = int((value - self.low) / (self.high - self.low) * self.bins)
-        self.counts[index] += 1
+        # Rounding can carry a value just below ``high`` to ``bins``.
+        self.counts[min(index, self.bins - 1)] += 1
 
     @property
     def total(self) -> int:
@@ -149,7 +169,7 @@ class AnalysisJob:
             if not self.cuts.accepts(tracks):
                 continue
             events_selected += 1
-            histogram.fill(float(tracks[:, 0].std() * 2.0))
+            histogram.fill(float(std_of(tracks[:, 0]) * 2.0))
         stamp = stamp_step(
             module=f"Analysis_{self.name}",
             release=f"iter{self.iteration}",

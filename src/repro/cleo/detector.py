@@ -77,10 +77,8 @@ class Detector:
             )
         self.config = config
         self.misalignment = np.asarray(misalignment, dtype=np.float64)
-
-    @property
-    def plane_z(self) -> np.ndarray:
-        return np.arange(self.config.n_planes) * self.config.plane_spacing_cm
+        #: Position of each wire plane along the beam axis.
+        self.plane_z = np.arange(config.n_planes) * config.plane_spacing_cm
 
     def _sample_multiplicity(self, rng: np.random.Generator) -> int:
         n = int(rng.poisson(self.config.mean_multiplicity))

@@ -31,7 +31,7 @@ from repro.core.telemetry import Telemetry, write_event_log
 from repro.core.units import DataSize
 from repro.eventstore.hsm_store import HsmEventStore
 from repro.eventstore.merge import merge_into
-from repro.eventstore.model import Run, run_key
+from repro.eventstore.model import Event, Run, run_key
 from repro.eventstore.provenance import stamp_step
 from repro.eventstore.scales import CollaborationEventStore
 
@@ -168,6 +168,12 @@ def figure2_flow(
     return flow
 
 
+def _payload_bytes(events: Sequence[Event]) -> int:
+    """The bytes ``Event.size`` counts, summed over ``events`` as one
+    integer instead of one ``DataSize`` per event."""
+    return sum(len(asu.payload) for event in events for asu in event.asus.values())
+
+
 # Module-level (not a closure) so it can cross a process boundary under
 # ``executor="process"``.  A Reconstructor is a plain dataclass (detector
 # geometry, calibration, release tag) and an event batch is plain data, so
@@ -274,7 +280,7 @@ def run_cleo_pipeline(
             stamp = stamp_step("DAQ", "daq_v3", {"run": run.number})
             runs.append(run)
             products.append((run, events, "Raw_daq_v3", "raw", stamp))
-            total += sum(event.size.bytes for event in events)
+            total += _payload_bytes(events)
         ctx.stash["runs"] = runs
         ctx.stash["products"] = products
         inject_products(ctx)
@@ -307,7 +313,7 @@ def run_cleo_pipeline(
         total = 0.0
         for run, (recon_events, stamp) in zip(runs, shard_results):
             products.append((run, recon_events, reconstructor.version, "recon", stamp))
-            total += sum(event.size.bytes for event in recon_events)
+            total += _payload_bytes(recon_events)
         ctx.stash["products"] = products
         inject_products(ctx)
         ctx.stash["kind_size"] = kind_size("recon")
@@ -323,7 +329,7 @@ def run_cleo_pipeline(
                 run.number, recon_file.read_all(), recon_file.stamp
             )
             products.append((run, derived, postrecon.version, "postrecon", stamp))
-            total += sum(event.size.bytes for event in derived)
+            total += _payload_bytes(derived)
         ctx.stash["products"] = products
         inject_products(ctx)
         ctx.stash["kind_size"] = kind_size("postrecon")

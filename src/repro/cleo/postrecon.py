@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.errors import SearchError
 from repro.core.provenance import ProvenanceStamp
 from repro.cleo.reconstruction import tracks_of
+from repro.cleo.reductions import max_of, mean_of, std_of
 from repro.eventstore.arrays import array_header
 from repro.eventstore.model import ASU, Event
 from repro.eventstore.provenance import stamp_step
@@ -59,14 +60,14 @@ class RunStatistics:
         if not tracks:
             raise SearchError(f"run {run_number}: no reconstructed events")
         multiplicities = np.asarray([t.shape[0] for t in tracks], dtype=np.float64)
-        chi2_means = np.asarray([float(t[:, 2].mean()) for t in tracks], dtype=np.float64)
+        chi2_means = np.asarray([float(mean_of(t[:, 2])) for t in tracks], dtype=np.float64)
         return cls(
             run_number=run_number,
             n_events=len(tracks),
-            mean_multiplicity=float(multiplicities.mean()),
-            std_multiplicity=float(max(multiplicities.std(), 1e-9)),
-            mean_chi2=float(chi2_means.mean()),
-            std_chi2=float(max(chi2_means.std(), 1e-9)),
+            mean_multiplicity=float(mean_of(multiplicities)),
+            std_multiplicity=float(max(std_of(multiplicities), 1e-9)),
+            mean_chi2=float(mean_of(chi2_means)),
+            std_chi2=float(max(std_of(chi2_means), 1e-9)),
         )
 
 
@@ -87,22 +88,22 @@ class PostReconstructor:
         x0 = tracks[:, 0]
         slopes = tracks[:, 1]
         chi2 = tracks[:, 2]
-        mean_chi2 = float(chi2.mean())
-        # Kept as the float32 scalars numpy returns: eventShape divides them.
-        slope_spread = slopes.std()
-        intercept_spread = x0.std()
+        mean_chi2 = float(mean_of(chi2))
+        # Kept as float32 scalars: eventShape divides them.
+        slope_spread = std_of(slopes)
+        intercept_spread = std_of(x0)
         # One float32 conversion for the dozen, in POSTRECON_ASUS order.
         values = np.array(
             [
                 n_tracks,
                 mean_chi2,
-                chi2.max(),
+                max_of(chi2),
                 slope_spread,
                 intercept_spread,
                 # A crude sphericity proxy: spread of intercepts over spread of slopes.
                 intercept_spread / (slope_spread + 1e-6),
-                x0.mean(),                                   # vertexEstimate
-                np.abs(slopes).mean(),                       # momentumProxy
+                mean_of(x0),                                 # vertexEstimate
+                mean_of(np.abs(slopes)),                     # momentumProxy
                 1.0 if mean_chi2 < 3.0 else 0.0,             # qualityFlag
                 (n_tracks - stats.mean_multiplicity) / stats.std_multiplicity,
                 (mean_chi2 - stats.mean_chi2) / stats.std_chi2,
@@ -132,6 +133,12 @@ class PostReconstructor:
     ) -> Tuple[List[Event], RunStatistics, ProvenanceStamp]:
         """The two-phase pass: gather statistics, then derive per event."""
         tracks = [tracks_of(event) for event in recon_events]
+        for event, event_tracks in zip(recon_events, tracks):
+            if event_tracks.shape[0] == 0:
+                raise SearchError(
+                    f"run {run_number} event {event.event_number}: "
+                    "no reconstructed tracks"
+                )
         stats = RunStatistics._of_tracks(run_number, tracks)
         derived = [
             self._derive(event, event_tracks, stats)

@@ -22,6 +22,7 @@ from repro.core.errors import SearchError
 from repro.core.provenance import ProvenanceStamp
 from repro.cleo.calibration import CalibrationSet
 from repro.cleo.detector import DetectorConfig, hits_of
+from repro.cleo.reductions import max_of, mean_of
 from repro.eventstore.arrays import array_asu, asu_array
 from repro.eventstore.model import Event
 from repro.eventstore.provenance import stamp_step
@@ -39,6 +40,12 @@ class Reconstructor:
     calibration: CalibrationSet
     release: str
 
+    def __post_init__(self) -> None:
+        # The fit's design matrix, one [1, z] row per wire plane: built
+        # once per release, not once per event.
+        z = np.arange(self.config.n_planes) * self.config.plane_spacing_cm
+        self._design = np.vstack([np.ones_like(z), z]).T  # (n_planes, 2)
+
     @property
     def version(self) -> str:
         return f"Recon_{self.release}"
@@ -54,8 +61,7 @@ class Reconstructor:
                 f"hits must be (n_tracks, {self.config.n_planes}), got {hits.shape}"
             )
         corrected = self.calibration.apply(hits.astype(np.float64))
-        z = np.arange(self.config.n_planes) * self.config.plane_spacing_cm
-        design = np.vstack([np.ones_like(z), z]).T  # (n_planes, 2)
+        design = self._design
         # Solve all tracks at once: design @ params.T = corrected.T
         params, *_ = np.linalg.lstsq(design, corrected.T, rcond=None)
         fitted = design @ params  # (n_planes, n_tracks)
@@ -67,9 +73,15 @@ class Reconstructor:
         return np.vstack([params[0], params[1], chi2]).T.astype(np.float32)
 
     def reconstruct_event(self, raw_event: Event) -> Event:
-        tracks = self.fit_tracks(hits_of(raw_event))
+        hits = hits_of(raw_event)
+        if hits.shape[0] == 0:
+            raise SearchError(
+                f"run {raw_event.run_number} event {raw_event.event_number}: "
+                "no tracks to reconstruct"
+            )
+        tracks = self.fit_tracks(hits)
         summary = np.array(
-            [tracks.shape[0], float(tracks[:, 2].mean()), float(np.abs(tracks[:, 1]).max())],
+            [tracks.shape[0], mean_of(tracks[:, 2]), max_of(np.abs(tracks[:, 1]))],
             dtype=np.float32,
         )
         return Event(

@@ -187,6 +187,46 @@ class TestEdges:
         assert program.callees("pkg.b.relative") == {"pkg.a.Tool.__init__"}
         assert program.callees("pkg.b.shadowed") == set()
 
+    def test_another_functions_import_does_not_resolve_an_attribute(self, tmp_path):
+        """An attribute call's head resolves in its own scope: a module that
+        another function imports as ``m`` does not make ``m.helper()`` on a
+        parameter, a local or an outer binding a call into that module."""
+        program = build(
+            tmp_path,
+            {"pkg/__init__.py": "",
+            "pkg/a.py":"""
+            def helper():
+                pass
+            """,
+            "pkg/b.py":"""
+            def a():
+                import pkg.a as m
+                return m.helper()
+
+            def b(m):
+                return m.helper()
+
+            def local():
+                m = object()
+                return m.helper()
+
+            def closure():
+                import pkg.a as m
+
+                def inner():
+                    return m.helper()
+
+                def shadowing(m):
+                    return m.helper()
+                return inner, shadowing
+            """},
+        )
+        assert program.callees("pkg.b.a") == {"pkg.a.helper"}
+        assert program.callees("pkg.b.b") == set()
+        assert program.callees("pkg.b.local") == set()
+        assert program.callees("pkg.b.closure.<locals>.inner") == {"pkg.a.helper"}
+        assert program.callees("pkg.b.closure.<locals>.shadowing") == set()
+
     def test_self_method_dispatch_follows_bases(self, tmp_path):
         program = build(
             tmp_path,

@@ -20,6 +20,7 @@ from repro.cleo.detector import (
 )
 from repro.cleo.reconstruction import Reconstructor, track_residual_bias, tracks_of
 from repro.eventstore.arrays import array_asu, asu_array, pack_array, unpack_array
+from repro.eventstore.model import Event
 from repro.eventstore.provenance import stamp_step
 
 from tests.cleo.conftest import oracle_measure
@@ -198,6 +199,15 @@ class TestReconstruction:
         recon = self.make_recon(config, misalignment)
         with pytest.raises(SearchError):
             recon.fit_tracks(np.zeros((2, config.n_planes + 1), dtype=np.float32))
+
+    def test_an_event_with_no_tracks_is_refused_by_name(self, config, misalignment):
+        recon = self.make_recon(config, misalignment)
+        empty = Event(
+            run_number=4, event_number=17,
+            asus={ASU_HITS: array_asu(ASU_HITS, np.zeros((0, config.n_planes), np.float32))},
+        )
+        with pytest.raises(SearchError, match="run 4 event 17"):
+            recon.reconstruct_event(empty)
 
     def test_empty_residual_comparison_rejected(self):
         with pytest.raises(SearchError):

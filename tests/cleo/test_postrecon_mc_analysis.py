@@ -95,6 +95,15 @@ class TestPostRecon:
         with pytest.raises(SearchError):
             PostReconstructor("")
 
+    def test_an_event_with_no_tracks_is_refused_by_name(self, small_world):
+        events = list(small_world["recon_events"])
+        events[5] = Event(
+            run_number=1, event_number=events[5].event_number,
+            asus={ASU_TRACKS: array_asu(ASU_TRACKS, np.zeros((0, 3), np.float32))},
+        )
+        with pytest.raises(SearchError, match=f"run 1 event {events[5].event_number}:"):
+            PostReconstructor("A1").process_run(1, events, small_world["recon_stamp"])
+
 
 @given(
     n_tracks=st.integers(1, 12),
@@ -211,6 +220,36 @@ class TestAnalysis:
         histogram.fill(10)  # overflow ignored
         histogram.fill(5)
         assert histogram.total == 1
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"min_tracks": 0}, {"min_tracks": -1},
+         {"max_mean_chi2": float("nan")}, {"max_mean_chi2": float("inf")},
+         {"max_abs_slope": float("nan")}, {"max_abs_slope": float("-inf")}],
+    )
+    def test_cuts_refuse_an_empty_event_or_a_non_finite_cut(self, fields):
+        with pytest.raises(EventStoreError):
+            SelectionCuts(**fields)
+
+    @pytest.mark.parametrize("low, high", [(float("nan"), 1.0), (0.0, float("nan")),
+                                           (float("-inf"), 1.0), (0.0, float("inf"))])
+    def test_histogram_refuses_non_finite_bounds(self, low, high):
+        with pytest.raises(EventStoreError):
+            Histogram(low=low, high=high, bins=10)
+
+    def test_histogram_refuses_nan(self):
+        histogram = Histogram(low=0.0, high=10.0, bins=10)
+        with pytest.raises(EventStoreError):
+            histogram.fill(float("nan"))
+        histogram.fill(float("inf"))  # overflow, ignored like any value >= high
+        histogram.fill(float("-inf"))
+        assert histogram.total == 0
+
+    def test_a_value_just_below_high_lands_in_the_last_bin(self):
+        low, high = -9.669447289429417, -1.536558167665893
+        histogram = Histogram(low=low, high=high, bins=21)
+        histogram.fill(np.nextafter(high, -np.inf))
+        assert histogram.counts[-1] == 1 and histogram.total == 1
 
 
 class TestPipeline:
