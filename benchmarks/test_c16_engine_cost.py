@@ -8,6 +8,20 @@ and checks their ratio, which a fixed-size workload cannot tell from a
 slower constant.  Kernel cost and the warm stage-cache rerun are read from
 perfbench (``kernels.*_s`` on ``fig1-cold``, ``stagecache.*`` on
 ``engine-lanes`` and ``fig1-nightly``).
+
+Each timed run has CPython's cyclic collector off.  Its full collections
+are not a per-stage cost that grows with the flow: a full collection
+waits until the objects that survived younger collections outnumber a
+quarter of the heap the last full collection left, and that heap is
+mostly the interpreter's imports and the flows built here, not the run.
+So the 501-stage run never reaches one and the 8001-stage run reaches
+three.  Timed with ``gc.callbacks`` on a 2-CPU box, best of 5 runs at
+501 / 8001 / 16001 stages: young collections cost 2.4-2.8 and 2.5-3.3
+us a stage at every size, full collections 0 / 24.8 / 22.3 us a stage
+(0 / 3 / 4 of them) — a step at the first threshold, then flat — and the
+per-stage ratio to the smallest flow read 1.76 / 1.95 with the collector
+on and 1.31 / 1.29 with it off.  With it on, the ratio measured where a
+run falls against that threshold, and 1 run in 16 crossed the 2.0 bound.
 """
 
 import gc
@@ -30,16 +44,20 @@ REPEATS = 7
 
 def interleaved_best(fns, reps=REPEATS):
     """(best wall seconds, last result) of each of ``fns``, over ``reps``
-    rounds that call each once in turn, each call on a settled heap: no
-    collection owed to the call before lands in this one."""
+    rounds that call each once in turn, each call on a settled heap with
+    the cyclic collector off (see the module docstring)."""
     best = [float("inf")] * len(fns)
     results = [None] * len(fns)
     for _ in range(reps):
         for index, fn in enumerate(fns):
             gc.collect()
-            start = time.perf_counter()
-            results[index] = fn()
-            best[index] = min(best[index], time.perf_counter() - start)
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                results[index] = fn()
+                best[index] = min(best[index], time.perf_counter() - start)
+            finally:
+                gc.enable()
     return list(zip(best, results))
 
 

@@ -1,11 +1,14 @@
-"""The Section-5 "next steps": Web Services, grid movement, NVO federation.
+"""The Section-5 "next steps": a Web console, automated transfers, the NVO.
 
-Publishes the Arecibo survey console into the grid service registry and
-drives a small Figure-1 run through it, automates bulk transfers through
-the grid mover (which picks network or sneakernet per job), then exports
-the run's candidate database as a VOTable, contributes it to a federation
-and cross-matches it against another survey's catalog — the National
-Virtual Observatory workflow the paper says the survey is building toward.
+Drives a small Figure-1 run through the survey's Web console and asks it
+for cross-pointing correlations, a uniqueness verdict and the plot data
+of a confirmed pulsar; picks the transport for each of a few bulk
+transfers (network or sneakernet, per volume and deadline); then exports
+the run's candidate database as a VOTable and cross-matches it against
+another survey's catalog — the National Virtual Observatory workflow the
+paper says the survey is building toward.  Each step calls the code that
+does it: the console's methods, the transport planner, the VOTable
+parser and the cross-match.
 
 Run:  python examples/grid_federation.py
 """
@@ -14,15 +17,12 @@ import tempfile
 from pathlib import Path
 
 from repro.arecibo.metaanalysis import CandidateDatabase
-from repro.arecibo.nvo import contribute_to_nvo, export_votable
+from repro.arecibo.nvo import cross_match, export_votable, parse_votable
 from repro.arecibo.pipeline import AreciboPipelineConfig
 from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
-from repro.arecibo.webcontrol import SurveyConsole, publish_services
+from repro.arecibo.webcontrol import SurveyConsole
 from repro.core.units import DataSize, Duration
-from repro.grid.federation import Federation, tabular_resource
-from repro.grid.movement import GridMover
-from repro.grid.services import ServiceRegistry
 from repro.transport.network import ARECIBO_UPLINK, INTERNET2_100
 from repro.transport.planner import TransportPlanner
 from repro.transport.sneakernet import ARECIBO_TO_CTC
@@ -42,51 +42,48 @@ def main() -> None:
 
 def run(workdir: Path) -> None:
     # ------------------------------------------------------------------ #
-    # 1. Service registry: the survey console, controllable as services.
+    # 1. The Web console: launch a run, then test it for correlations.
     # ------------------------------------------------------------------ #
     console = SurveyConsole(workdir / "survey")
-    registry = publish_services(console, ServiceRegistry())
-
-    print("Published services:")
-    for endpoint in registry.discover():
-        print(f"  {endpoint.qualified_name:30s} {endpoint.description}")
-    print()
-
-    run_id = registry.call("arecibo.launch_run", CONFIG)
+    run_id = console.launch_run(CONFIG)
     report = console.report(run_id)
-    print(f"arecibo.launch_run -> {run_id}: "
+    print(f"console.launch_run -> {run_id}: "
           f"{report.candidate_count_sifted} sifted candidates, "
           f"{len(report.confirmed)} confirmed")
-    recurring = registry.call("arecibo.correlation_test", run_id)
-    print(f"arecibo.correlation_test({run_id}) -> "
+    recurring = console.correlation_test(run_id)
+    print(f"console.correlation_test({run_id}) -> "
           f"{len(recurring)} frequencies recur across pointings")
-    print(f"usage counters: {registry.usage()}")
+    pulsar = report.confirmed[0]
+    verdict = console.uniqueness_test(run_id, pulsar["freq_hz"])
+    print(f"console.uniqueness_test({pulsar['freq_hz']:.3f} Hz) -> "
+          f"{verdict['verdict']} (pointings {verdict['pointings']})")
+    plot = console.plot_data(run_id, pulsar["pointing_id"], pulsar["beam"],
+                             pulsar["period_s"], pulsar["dm"])
+    print(f"console.plot_data -> {len(plot['profile'])}-bin profile, "
+          f"S/N {plot['profile_snr']:.1f}, "
+          f"DM curve over {len(plot['dm_trials'])} trials")
     print()
 
     # ------------------------------------------------------------------ #
-    # 2. Grid data movement: the queue picks the transport per job.
+    # 2. Bulk transfers: the planner picks the transport per volume.
     # ------------------------------------------------------------------ #
     planner = TransportPlanner(
         links=[ARECIBO_UPLINK, INTERNET2_100], lanes=[ARECIBO_TO_CTC]
     )
-    mover = GridMover(planner)
-    mover.submit("arecibo", "ctc", DataSize.terabytes(14))
-    mover.submit("internet-archive", "cornell", DataSize.gigabytes(250),
-                 deadline=Duration.days(2))
-    mover.submit("ctc", "palfa-member", DataSize.gigabytes(40))
-    jobs = mover.run_queue()
-
-    print("Grid mover queue:")
-    for job in jobs:
-        assert job.chosen is not None
-        print(f"  {job.job_id}: {job.source} -> {job.destination} "
-              f"({job.volume})  via {job.chosen.mode:10s} "
-              f"[{job.chosen.name}]  {job.status}")
-    print(f"total moved: {mover.total_moved()}  modes: {mover.modes_used()}")
+    transfers = [
+        ("arecibo", "ctc", DataSize.terabytes(14), None),
+        ("internet-archive", "cornell", DataSize.gigabytes(250), Duration.days(2)),
+        ("ctc", "palfa-member", DataSize.gigabytes(40), None),
+    ]
+    print("Transport chosen per transfer:")
+    for source, destination, volume, deadline in transfers:
+        chosen = planner.best(volume, deadline=deadline)
+        print(f"  {source} -> {destination} ({volume})  via {chosen.mode:10s} "
+              f"[{chosen.name}]  {chosen.elapsed}")
     print()
 
     # ------------------------------------------------------------------ #
-    # 3. NVO federation: export the run's catalog, cross-match it.
+    # 3. NVO: export the run's catalog, cross-match it.
     # ------------------------------------------------------------------ #
     votable = workdir / "palfa.vot.xml"
     database = CandidateDatabase(workdir / "survey" / run_id / "candidates.db")
@@ -103,14 +100,8 @@ def run(workdir: Path) -> None:
         {"name": known.name, "period_s": known.period_s, "dm": known.dm},
         {"name": "J0540-71", "period_s": 0.0503, "dm": 140.3},
     ]
-    federation = Federation()
-    contribute_to_nvo(federation, votable)
-    federation.contribute(tabular_resource("parkes-multibeam", parkes_catalog,
-                                           description="another contributor"))
-    print(f"Federated resources: {federation.resources()}")
-
-    matches = federation.cross_match(
-        "arecibo-palfa", "parkes-multibeam", on="period_s", tolerance=0.0005
+    matches = cross_match(
+        parse_votable(votable), parkes_catalog, on="period_s", tolerance=0.0005
     )
     matches.sort(key=lambda pair: -pair[0]["snr"])
     print("Cross-match on spin period (tolerance 0.5 ms), strongest first:")

@@ -13,7 +13,7 @@ PR 6 fixed by hand.  This module reads and parses every file of a run
   :class:`~repro.analysis.linter.ImportMap` extended to resolve
   *relative* imports;
 * a **function index** keyed by dotted qualname
-  (``repro.core.engine.Engine.map_shards``,
+  (``repro.core.engine.StageContext.map_shards``,
   ``pkg.mod.outer.<locals>.inner`` for closures), recording lexical
   scope facts the effect pass needs — local/enclosing names,
   ``global``/``nonlocal`` declarations, generator-ness;

@@ -8,20 +8,21 @@ protocols."
 
 This module implements a VOTable-shaped XML export of the candidate
 database (typed FIELD declarations + TABLEDATA rows), a parser for the
-same, and the bridge that contributes an exported catalog to a
-:class:`repro.grid.federation.Federation` — the "federating their data
-with other data resources from the Astronomy community" step.
+same, and :func:`cross_match` over the parsed rows and another
+contributor's catalog — the query that "federating their data with other
+data resources from the Astronomy community" makes possible.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.arecibo.metaanalysis import CandidateDatabase
 from repro.core.errors import SearchError
-from repro.grid.federation import DataResource, Federation, tabular_resource
 
 # The exported columns, with VOTable datatypes.
 _FIELDS: Tuple[Tuple[str, str], ...] = (
@@ -110,35 +111,75 @@ def parse_votable(path: Union[str, Path]) -> List[Dict[str, object]]:
         return value
 
     rows: List[Dict[str, object]] = []
-    for tr in table.findall("./DATA/TABLEDATA/TR"):
+    for number, tr in enumerate(table.findall("./DATA/TABLEDATA/TR"), start=1):
         cells = tr.findall("TD")
         if len(cells) != len(fields):
             raise SearchError(
                 f"{path}: row has {len(cells)} cells for {len(fields)} fields"
             )
-        rows.append(
-            {
-                name: convert(cell.text or "", datatype)
-                for (name, datatype), cell in zip(fields, cells)
-            }
-        )
+        row: Dict[str, object] = {}
+        for (name, datatype), cell in zip(fields, cells):
+            try:
+                row[name] = convert(cell.text or "", datatype)
+            except ValueError:
+                raise SearchError(
+                    f"{path}: row {number}: field {name!r}: "
+                    f"{cell.text!r} is not a valid {datatype}"
+                ) from None
+        rows.append(row)
     return rows
 
 
-def contribute_to_nvo(
-    federation: Federation,
-    votable_path: Union[str, Path],
-    resource_name: str = "arecibo-palfa",
-) -> DataResource:
-    """Load an exported VOTable and contribute it to a federation.
+Row = Mapping[str, object]
 
-    This is the survey's NVO hand-off: once contributed, the catalog
-    participates in cross-matches with any other federated resource.
+
+def cross_match(
+    left_rows: Sequence[Row],
+    right_rows: Sequence[Row],
+    on: str,
+    tolerance: float = 0.0,
+) -> List[Tuple[Row, Row]]:
+    """Pair each left row with every right row whose ``on`` value lies
+    within ``tolerance`` of its own, in left-row order.
+
+    The astronomer's workflow once a catalog is federated: match the
+    survey's candidate periods (or positions) from :func:`parse_votable`
+    against another contributor's catalog.  Both sides are plain row
+    lists; each must be non-empty, with the same columns in every row,
+    ``on`` among them and a finite number in it.
     """
-    rows = parse_votable(votable_path)
-    if not rows:
-        raise SearchError(f"{votable_path}: VOTable has no rows to contribute")
-    resource = tabular_resource(resource_name, rows,
-                                description="PALFA candidate catalog (VOTable)")
-    federation.contribute(resource)
-    return resource
+    if not math.isfinite(tolerance) or tolerance < 0:
+        raise SearchError(
+            f"cross-match tolerance must be finite and >= 0, got {tolerance}"
+        )
+    keys: List[List[float]] = []
+    for side, rows in (("left", left_rows), ("right", right_rows)):
+        if not rows:
+            raise SearchError(f"cross-match: the {side} side has no rows")
+        columns = set(rows[0])
+        if any(set(row) != columns for row in rows):
+            raise SearchError(f"cross-match: the {side} rows have inconsistent columns")
+        if on not in columns:
+            raise SearchError(f"cross-match: the {side} rows have no column {on!r}")
+        try:
+            values = [float(row[on]) for row in rows]  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            values = [math.nan]
+        # Refuse a value that does not convert, and a NaN: it would fall
+        # inside every tolerance window.
+        if not all(map(math.isfinite, values)):
+            raise SearchError(
+                f"cross-match: the {side} column {on!r} holds a value "
+                "that is not a finite number"
+            )
+        keys.append(values)
+    left_keys, right_keys = keys
+    order = sorted(range(len(right_rows)), key=right_keys.__getitem__)
+    right = [right_rows[index] for index in order]
+    sorted_keys = [right_keys[index] for index in order]
+    matches: List[Tuple[Row, Row]] = []
+    for row, value in zip(left_rows, left_keys):
+        low = bisect.bisect_left(sorted_keys, value - tolerance)
+        high = bisect.bisect_right(sorted_keys, value + tolerance)
+        matches.extend((row, other) for other in right[low:high])
+    return matches

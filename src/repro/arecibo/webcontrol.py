@@ -9,8 +9,7 @@ processing pipeline will be controllable from the Web-based system."
 :class:`SurveyConsole` is that controller: it launches pipeline runs,
 serves interactive candidate groupings and uniqueness/correlation tests
 over the live database, and generates plot-ready data (folded profiles,
-DM curves) for any candidate.  `publish_services` exposes the whole thing
-through the grid service registry.
+DM curves) for any candidate.  Its methods are the console's API.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.arecibo.pipeline import (
 from repro.arecibo.rfi import clean_filterbank
 from repro.arecibo.telescope import ObservationSimulator
 from repro.core.errors import SearchError
-from repro.grid.services import ServiceRegistry
 
 _run_counter = itertools.count(1)
 
@@ -180,21 +178,3 @@ class SurveyConsole:
             "dm_trials": list(grid.trials),
             "dm_snr_curve": dm_curve,
         }
-
-
-def publish_services(console: SurveyConsole,
-                     registry: ServiceRegistry) -> ServiceRegistry:
-    """Expose the console through the grid service registry."""
-    registry.publish("arecibo", "launch_run", console.launch_run,
-                     description="run the Figure-1 pipeline")
-    registry.publish("arecibo", "runs", console.runs,
-                     description="list survey runs")
-    registry.publish("arecibo", "group_candidates", console.group_candidates,
-                     description="interactive candidate grouping")
-    registry.publish("arecibo", "uniqueness_test", console.uniqueness_test,
-                     description="sky-uniqueness test")
-    registry.publish("arecibo", "correlation_test", console.correlation_test,
-                     description="cross-pointing correlations")
-    registry.publish("arecibo", "plot_data", console.plot_data,
-                     description="folded profile + DM curve for plotting")
-    return registry

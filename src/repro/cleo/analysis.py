@@ -219,4 +219,5 @@ class AnalysisJob:
             cuts=self.cuts,
             iteration=self.iteration,
             parent_stamp=self.parent_stamp,
+            access_profile=self.access_profile,
         )

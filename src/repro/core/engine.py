@@ -270,17 +270,21 @@ class StageContext:
         self._extra_cpu_seconds += duration.seconds
 
     def map_shards(self, fn, items, cache_keys=None, cache_params=None):
-        """Fan ``fn`` out over ``items`` on the engine's shard pool.
+        """Fan ``fn`` out over ``items`` on the run's shard pool.
 
-        The shards run inline on the calling thread, or — under
-        ``executor="process"`` with ``max_workers > 1`` — on the engine's
-        worker processes.  Results return in item order either way, so a
-        transform that merges positionally stays byte-identical across
-        inline and process runs.  Under
-        ``executor="process"``, ``fn`` and each item must be picklable
-        (module-level functions, plain data); how an item crosses — large
-        arrays through shared memory — is the pool's business, and
-        telemetry the shards emit is forwarded home in item order.
+        The engine opens one :class:`~repro.core.shards.ShardPool` at the
+        start of each run and builds every context inside that run, so
+        this calls the pool directly; ``ShardPool(1)`` is the inline path.
+        The transform itself stays on the calling thread (it closes over
+        live pipeline state): what ``executor="process"`` with
+        ``max_workers > 1`` moves to worker processes is this call, the
+        data-parallel inner loop.  Results return in item order either
+        way, so a transform that merges positionally stays byte-identical
+        across inline and process runs.  Under ``executor="process"``,
+        ``fn`` and each item must be picklable (module-level functions,
+        plain data); how an item crosses — large arrays through shared
+        memory — is the pool's business, and telemetry the shards emit is
+        forwarded home in item order.
 
         With ``cache_keys`` (one stable descriptor string per item) and an
         attached engine stage cache, each shard result is memoized under a
@@ -305,7 +309,7 @@ class StageContext:
                     f"map_shards: {len(items)} items but {len(cache_keys)} cache keys",
                 )
         if cache_keys is None or self.engine.cache is None:
-            return self.engine.map_shards(fn, items)
+            return self.engine._shard_pool.map(fn, items)
         # A shard key is only as stable as the function's name: lambdas and
         # nested functions share one ``<locals>`` qualname per transform, and
         # a ``functools.partial`` has none (its repr embeds an address).
@@ -340,7 +344,7 @@ class StageContext:
             else:
                 results.append(entry.value)
         if missing:
-            computed = self.engine.map_shards(fn, [items[i] for i in missing])
+            computed = self.engine._shard_pool.map(fn, [items[i] for i in missing])
             for index, value in zip(missing, computed):
                 cache.store_shard(keys[index], value)
                 results[index] = value
@@ -392,8 +396,10 @@ class Engine:
         ``executor="process"``; it decides nothing else.  Stages always
         run one at a time on the calling thread.
     executor:
-        Where ``StageContext.map_shards`` runs a transform's shards:
-        ``"thread"`` inline on the calling thread, ``"process"`` on
+        Where ``StageContext.map_shards`` runs a transform's shards: on
+        the run's :class:`~repro.core.shards.ShardPool`, which ``run``
+        opens before the first stage and closes at its end — with
+        ``"thread"`` inline on the calling thread, with ``"process"`` on
         ``max_workers`` worker processes (inline when ``max_workers`` is
         1).
     telemetry:
@@ -454,21 +460,9 @@ class Engine:
         self._seed = seed
         self._max_workers = int(max_workers)
         self._executor = executor
+        #: The run's shard pool: open from the start of ``run`` to its end,
+        #: the one place ``StageContext.map_shards`` fans out.
         self._shard_pool: Optional[ShardPool] = None
-
-    def map_shards(self, fn, items) -> List:
-        """Fan ``fn`` over ``items`` on this run's shard pool, item-ordered.
-
-        Transforms always run on the calling thread (they are closures
-        over live pipeline state and cannot cross a process boundary);
-        what ``executor="process"`` moves to worker processes is this call
-        — the data-parallel inner loop of a transform, whose shard
-        functions are module-level and picklable.  Outside a run (no
-        pool), shards execute inline.
-        """
-        if self._shard_pool is None:
-            return [fn(item) for item in items]
-        return self._shard_pool.map(fn, items)
 
     def run(
         self,

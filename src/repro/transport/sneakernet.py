@@ -29,8 +29,6 @@ from repro.transport.integrity import (
     verify_delivery,
 )
 
-_shipment_counter = itertools.count(1)
-
 # Human handling per medium: label, log, pack on dispatch; unpack, log,
 # shelve on arrival.
 _HANDLING_MINUTES_PER_MEDIUM = 10.0
@@ -184,6 +182,9 @@ class ShippingLane:
         #: ``"drop"`` damage the leading media of the attempt — caught by
         #: manifest verification and retransmitted like organic damage.
         self.faults = faults
+        #: Numbers this lane's shipments ``ship-00001``, ``ship-00002``, ...
+        #: so a shipment's id depends on the lane's history alone.
+        self._shipment_ids = itertools.count(1)
 
     @property
     def stats(self) -> LaneStats:
@@ -213,7 +214,7 @@ class ShippingLane:
             self.faults.check("lane", self.spec.name) if self.faults is not None else []
         )
         injected_stall = Duration(delay_seconds(injected))
-        shipment_id = f"ship-{next(_shipment_counter):05d}"
+        shipment_id = f"ship-{next(self._shipment_ids):05d}"
         outgoing = self._files_for(shipment_id, volume)
         manifest = Manifest.for_files(shipment_id, outgoing)
         media_count = len(outgoing)

@@ -5,9 +5,8 @@ import pytest
 from repro.arecibo.pipeline import AreciboPipelineConfig
 from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
-from repro.arecibo.webcontrol import SurveyConsole, publish_services
+from repro.arecibo.webcontrol import SurveyConsole
 from repro.core.errors import SearchError
-from repro.grid.services import ServiceRegistry
 
 
 @pytest.fixture(scope="module")
@@ -85,12 +84,3 @@ class TestConsole:
             console_obj.plot_data(run_id, 999, 0, 0.1, 30.0)
         with pytest.raises(SearchError, match="beam"):
             console_obj.plot_data(run_id, 0, 99, 0.1, 30.0)
-
-    def test_published_services(self, console):
-        console_obj, run_id = console
-        registry = publish_services(console_obj, ServiceRegistry())
-        names = [endpoint.qualified_name for endpoint in registry.discover("arecibo")]
-        assert "arecibo.group_candidates" in names
-        groups = registry.call("arecibo.group_candidates", run_id)
-        assert groups
-        assert registry.usage()["arecibo.group_candidates"] == 1

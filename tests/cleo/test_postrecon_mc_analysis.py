@@ -209,6 +209,17 @@ class TestAnalysis:
         with pytest.raises(EventStoreError):
             job.adopt_newer_data(10.0)
 
+    def test_adopt_newer_data_keeps_recording_the_working_set(self, store_with_grade):
+        from repro.eventstore.partition import AccessProfile
+
+        profile = AccessProfile()
+        job = AnalysisJob("test", store_with_grade, "physics", 150.0,
+                          access_profile=profile)
+        later = job.adopt_newer_data(2.0 * job.timestamp)
+        assert later.access_profile is profile
+        later.run()
+        assert profile.analyses == 1
+
     def test_cuts_and_histogram_validation(self):
         cuts = SelectionCuts()
         tighter = cuts.tighten()

@@ -2,7 +2,7 @@
 
 Each test wires several subsystems together the way the examples and
 benchmarks do, and checks the joints: engine + provenance store, storage +
-transport + integrity, EventStore + CLEO physics, WebLab + grid services.
+transport + integrity, Arecibo pipeline output + the NVO cross-match.
 """
 
 import runpy
@@ -14,15 +14,10 @@ from repro.core.dataflow import DataFlow
 from repro.core.dataset import Dataset
 from repro.core.engine import Engine
 from repro.core.units import DataSize, Duration
-from repro.grid.federation import Federation, tabular_resource
-from repro.grid.movement import GridMover
-from repro.grid.services import ServiceRegistry
 from repro.storage.archive import LongTermArchive
 from repro.storage.hsm import HierarchicalStore
 from repro.storage.media import LTO3_TAPE, LTO5_TAPE
 from repro.storage.tape import RoboticTapeLibrary
-from repro.transport.network import INTERNET2_100
-from repro.transport.planner import TransportPlanner
 from repro.transport.sneakernet import ARECIBO_TO_CTC
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
@@ -91,39 +86,9 @@ class TestStorageTransportIntegration:
 
 
 class TestGridOverWeblabAndTransport:
-    def test_registry_fronting_real_services(self, tmp_path):
-        from repro.weblab.services import build_weblab
-        from repro.weblab.subsets import SubsetCriteria
-        from repro.weblab.synthweb import SyntheticWebConfig
-
-        weblab, _, _ = build_weblab(tmp_path, SyntheticWebConfig(seed=4), n_crawls=3)
-        registry = ServiceRegistry()
-        registry.publish("weblab", "extract_subset", weblab.services.extract_subset)
-        registry.publish("weblab", "graph_stats", weblab.services.graph_stats)
-
-        count = registry.call(
-            "weblab.extract_subset", "edu_view", SubsetCriteria(tlds=("edu",))
-        )
-        assert count > 0
-        stats = registry.call("weblab.graph_stats", 2)
-        assert stats.nodes > 0
-        assert registry.usage() == {
-            "weblab.extract_subset": 1,
-            "weblab.graph_stats": 1,
-        }
-        weblab.close()
-
-    def test_mover_routes_mixed_queue(self):
-        planner = TransportPlanner(links=[INTERNET2_100], lanes=[ARECIBO_TO_CTC])
-        mover = GridMover(planner)
-        mover.submit("a", "b", DataSize.terabytes(30))
-        mover.submit("c", "d", DataSize.gigabytes(2))
-        mover.run_queue()
-        modes = mover.modes_used()
-        assert modes == {"sneakernet": 1, "network": 1}
-
     def test_federation_over_pipeline_output(self, tmp_path):
-        """Federate real Arecibo pipeline candidates with a mock catalog."""
+        """Cross-match real Arecibo pipeline candidates with a mock catalog."""
+        from repro.arecibo.nvo import cross_match
         from repro.arecibo.pipeline import AreciboPipelineConfig, run_arecibo_pipeline
         from repro.arecibo.sky import SkyModel
         from repro.arecibo.telescope import ObservationConfig
@@ -141,12 +106,8 @@ class TestGridOverWeblabAndTransport:
         ]
         if not rows:  # tiny config found nothing confirmable; still a pass
             pytest.skip("no confirmed candidates at this miniature scale")
-        federation = Federation()
-        federation.contribute(tabular_resource("palfa", rows))
         known = [{"name": "K1", "period_s": rows[0]["period_s"], "dm": rows[0]["dm"]}]
-        federation.contribute(tabular_resource("known-pulsars", known))
-        matches = federation.cross_match("palfa", "known-pulsars", on="period_s",
-                                         tolerance=1e-6)
+        matches = cross_match(rows, known, on="period_s", tolerance=1e-6)
         assert matches
 
 

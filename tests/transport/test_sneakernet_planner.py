@@ -168,6 +168,14 @@ class TestShippingLane:
         assert lane.ledger.total("shipping") > 0
         assert lane.ledger.total("personnel") > 0
 
+    def test_shipment_ids_number_each_lane_alone(self):
+        first = ShippingLane(ARECIBO_TO_CTC, rng=random.Random(1))
+        second = ShippingLane(ARECIBO_TO_CTC, rng=random.Random(1))
+        shipped = first.ship(DataSize.terabytes(1))
+        assert second.ship(DataSize.terabytes(1)) == shipped
+        assert shipped.shipment_id == "ship-00001"
+        assert first.ship(DataSize.terabytes(1)).shipment_id == "ship-00002"
+
 
 class TestPlanner:
     def planner(self):
