@@ -14,7 +14,6 @@ DM curves) for any candidate.  Its methods are the console's API.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -32,9 +31,6 @@ from repro.arecibo.pipeline import (
 from repro.arecibo.rfi import clean_filterbank
 from repro.arecibo.telescope import ObservationSimulator
 from repro.core.errors import SearchError
-
-_run_counter = itertools.count(1)
-
 
 @dataclass
 class CandidateGroup:
@@ -67,8 +63,13 @@ class SurveyConsole:
 
     # -- pipeline control ------------------------------------------------- #
     def launch_run(self, config: Optional[AreciboPipelineConfig] = None) -> str:
-        """Run the whole Figure-1 pipeline; returns a run id."""
-        run_id = f"run-{next(_run_counter):04d}"
+        """Run the whole Figure-1 pipeline; returns a run id, the first
+        ``run-NNNN`` not already in the workdir (so ids follow the workdir,
+        and a second console on it never overwrites a run)."""
+        number = 1
+        while (self.workdir / f"run-{number:04d}").exists():
+            number += 1
+        run_id = f"run-{number:04d}"
         report = run_arecibo_pipeline(self.workdir / run_id, config)
         self._runs[run_id] = report
         return run_id

@@ -33,9 +33,11 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
+    BinaryIO,
     Callable,
     Dict,
     Iterable,
@@ -95,6 +97,10 @@ EVENT_KINDS = frozenset(
 
 _Scalar = Union[str, int, float, bool, None]
 
+#: Bytes a log walk reads at a time: what a reader holds of a log, whatever
+#: its length.
+READ_CHUNK = 1 << 16
+
 #: Exact types :meth:`Telemetry.emit` stores as they are, without a
 #: :func:`_freeze_attr` call (which would return them unchanged).
 _PLAIN_TYPES = frozenset({str, int, float, bool, type(None)})
@@ -136,6 +142,17 @@ def _thaw(value: object) -> object:
     return list(value) if isinstance(value, tuple) else value
 
 
+def _from_json(value: object) -> object:
+    """An attribute value as :func:`_freeze_attr` left it, from the JSON a
+    log line holds: an array becomes a tuple.  An object raises
+    :class:`TypeError` — a frozen value is never one."""
+    if type(value) in _PLAIN_TYPES:
+        return value
+    if type(value) is list or type(value) is tuple:
+        return tuple(_from_json(item) for item in value)
+    raise TypeError(f"attribute value {value!r} is {type(value).__name__}, not a scalar or array")
+
+
 class TelemetryEvent(NamedTuple):
     """One record on the bus: an immutable tuple record.
 
@@ -171,39 +188,51 @@ class TelemetryEvent(NamedTuple):
     @classmethod
     def from_dict(cls, record: Mapping[str, object]) -> "TelemetryEvent":
         """The event a parsed log line describes; :class:`TelemetryError`
-        unless it is an object with ``seq``/``kind``/``name`` and a finite
-        ``sim_time`` (``attrs``, when present, an object; ``span`` an array).
-        Keys it does not name are ignored, so a line from an older writer
-        that also stamped host time still loads."""
+        unless it is an object with an integer ``seq``, a string ``kind``
+        and ``name`` and a finite number ``sim_time`` (``attrs``, when
+        present, an object of scalars and arrays of them; ``span`` an array
+        of strings).  Nothing is coerced: :meth:`Telemetry.emit` writes no
+        other shape, so a coerced line would read back as an event no run
+        emitted.  Keys it does not name are ignored, so a line from an older
+        writer that also stamped host time still loads."""
         try:
             # ``dict`` first: every log line passes here, and the ABC check
             # alone costs ten times the exact-type one.
             if not isinstance(record, (dict, Mapping)):
                 raise TypeError(f"expected an object, got {type(record).__name__}")
+            seq, kind, name = record["seq"], record["kind"], record["name"]
+            sim_time = record["sim_time"]
             attrs = record.get("attrs", {})
-            if not isinstance(attrs, (dict, Mapping)):
-                raise TypeError(f"attrs is {type(attrs).__name__}, not an object")
             span = record.get("span", ())
-            if not isinstance(span, (list, tuple)):
-                raise TypeError(f"span is {type(span).__name__}, not an array")
+            if type(seq) is not int:  # a bool is an int to isinstance
+                raise TypeError(f"seq is {type(seq).__name__}, not an integer")
+            if type(kind) is not str or type(name) is not str:
+                raise TypeError(f"kind and name are {type(kind).__name__} and "
+                                f"{type(name).__name__}, not strings")
+            if type(sim_time) is not float:
+                if type(sim_time) is not int:
+                    raise TypeError(f"sim_time is {type(sim_time).__name__}, not a number")
+                sim_time = float(sim_time)
             # json.loads takes NaN and Infinity, which no SimClock reads.
-            sim_time = float(record["sim_time"])  # type: ignore[arg-type]
             if not math.isfinite(sim_time):
                 raise ValueError(f"sim_time is {sim_time}, not a finite number")
-            return cls(
-                seq=int(record["seq"]),  # type: ignore[arg-type]
-                kind=str(record["kind"]),
-                name=str(record["name"]),
-                sim_time=sim_time,
-                attrs=tuple(
-                    (str(key), _freeze_attr(value)) for key, value in attrs.items()
-                ),
-                span=tuple(str(part) for part in span),
-            )
+            if not isinstance(attrs, (dict, Mapping)):
+                raise TypeError(f"attrs is {type(attrs).__name__}, not an object")
+            pairs = []
+            for key, value in attrs.items():
+                if type(value) not in _PLAIN_TYPES:
+                    value = _from_json(value)
+                pairs.append((key, value))
+            if not isinstance(span, (list, tuple)):
+                raise TypeError(f"span is {type(span).__name__}, not an array")
+            for part in span:
+                if type(part) is not str:
+                    raise TypeError(f"span part {part!r} is not a string")
         except KeyError as exc:
             raise TelemetryError(f"malformed telemetry record: no {exc} key") from exc
         except (TypeError, ValueError) as exc:
             raise TelemetryError(f"malformed telemetry record: {exc}") from exc
+        return tuple.__new__(cls, (seq, kind, name, sim_time, tuple(pairs), tuple(span)))
 
 
 class SimClock:
@@ -600,16 +629,59 @@ class EventLog(List[TelemetryEvent]):
         self.truncated_lines = truncated_lines
 
 
+def read_chunks(handle: BinaryIO, start: int, stop: int) -> Iterator[bytes]:
+    """``handle``'s bytes ``[start, stop)``, :data:`READ_CHUNK` at a time
+    (fewer if the file is shorter)."""
+    handle.seek(start)
+    while start < stop:
+        chunk = handle.read(min(READ_CHUNK, stop - start))
+        if not chunk:
+            return
+        start += len(chunk)
+        yield chunk
+        # Let go before the next read, and a reader that does the same holds
+        # one chunk at a time, never two.
+        del chunk
+
+
+def _lines(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """The lines of a chunked byte stream, each with its newline (the last
+    may lack one).  A line is a slice of its chunk, or of the few chunks it
+    straddles joined."""
+    pending = b""
+    for chunk in chunks:
+        pos, found = 0, chunk.find(b"\n")
+        if pending and found >= 0:
+            yield pending + chunk[: found + 1]
+            pending, pos = b"", found + 1
+            found = chunk.find(b"\n", pos)
+        while found >= 0:
+            yield chunk[pos : found + 1]
+            pos = found + 1
+            found = chunk.find(b"\n", pos)
+        pending += chunk[pos:]
+        del chunk  # before the next read (see read_chunks)
+    if pending:
+        yield pending
+
+
 def walk_event_log(
-    data: bytes,
+    handle: BinaryIO,
+    size: int,
     sink: Callable[[TelemetryEvent], object],
     source: str,
     start: int = 0,
 ) -> Tuple[int, int]:
-    """The one log reader: hand every event in ``data[start:]`` to ``sink``.
+    """The one log reader: hand every event in bytes ``[start, size)`` of
+    the binary file ``handle`` to ``sink``.
 
     Returns ``(consumed, truncated_lines)`` — the offset a later walk over
     the grown log resumes from, and the torn lines skipped (0 or 1).
+
+    The file is read :data:`READ_CHUNK` bytes at a time, so a walk holds one
+    chunk and the line in hand, never the log.  ``size`` is what the caller
+    took when it opened the log: bytes appended during the walk are the
+    next walk's.
 
     A *record* is a non-blank line :meth:`TelemetryEvent.from_dict` accepts.
     The *torn tail* is the last non-blank line when it does not parse (a
@@ -620,31 +692,56 @@ def walk_event_log(
     to something other than an event, is *corruption* and raises
     :class:`TelemetryError` naming ``source`` and the line.
     """
-    offset, end = start, len(data)
-    while offset < end:
-        found = data.find(b"\n", offset)
-        stop = end if found < 0 else found + 1
-        line = data[offset:stop].strip()
-        if line:
+    offset = start
+    lines = _lines(read_chunks(handle, start, size))
+    for line in lines:
+        text = line.strip()
+        if text:
             try:
-                event = TelemetryEvent.from_dict(json.loads(line.decode("utf-8")))
+                event = TelemetryEvent.from_dict(json.loads(text.decode("utf-8")))
             except (ValueError, TelemetryError) as exc:
                 problem = str(exc)
                 if isinstance(exc, ValueError):  # bad JSON, or bytes that are not UTF-8
-                    if not data[stop:].strip():
+                    if not any(rest.strip() for rest in lines):
                         return offset, 1
                     problem = f"corrupt interior line at byte {offset}, not valid JSON: {exc}"
-                line_number = data.count(b"\n", 0, offset) + 1
+                before = read_chunks(handle, 0, offset)
+                line_number = 1 + sum(chunk.count(b"\n") for chunk in before)
                 raise TelemetryError(f"{source}: line {line_number}: {problem}") from exc
             sink(event)
-        offset = stop
+        offset += len(line)
     return offset, 0
 
 
 def read_event_log(path: Union[str, Path]) -> EventLog:
-    """Load a JSONL event log (:func:`walk_event_log`'s rules) into a list."""
+    """Load a JSONL event log (:func:`walk_event_log`'s rules) into a list.
+
+    The events share their strings: each distinct kind, name, attribute
+    key, span part and string value (in arrays too) is one object across
+    the list.  The memo lives for this read only — no :func:`sys.intern` —
+    and the folds, which keep no event, walk without it.
+    """
     events = EventLog()
-    _, events.truncated_lines = walk_event_log(Path(path).read_bytes(), events.append, str(path))
+    share = {}.setdefault
+
+    def shared(value: object) -> object:
+        if type(value) is str:
+            return share(value, value)
+        if type(value) is tuple:
+            return tuple([shared(item) for item in value])
+        return value
+
+    def keep(event: TelemetryEvent) -> None:
+        seq, kind, name, sim_time, attrs, span = event
+        events.append(tuple.__new__(TelemetryEvent, (
+            seq, share(kind, kind), share(name, name), sim_time,
+            tuple([(share(key, key), shared(value)) for key, value in attrs]),
+            tuple([share(part, part) for part in span]),
+        )))
+
+    with Path(path).open("rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        _, events.truncated_lines = walk_event_log(handle, size, keep, str(path))
     return events
 
 

@@ -37,13 +37,14 @@ report byte-reproducible.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.cachestore import DiskCacheStore
 from repro.core.errors import OpsError, TelemetryError
-from repro.core.telemetry import Telemetry, TelemetryEvent, walk_event_log
+from repro.core.telemetry import Telemetry, TelemetryEvent, read_chunks, walk_event_log
 
 #: Bumped whenever the projection layout or fold semantics change, so a
 #: store shared across versions can never serve a stale-schema entry.
@@ -308,8 +309,24 @@ class RollupProjection:
 
 
 # -- folding raw log bytes -------------------------------------------------
-def _fold_data(projection: RollupProjection, data: bytes, source: str) -> None:
-    """Fold ``data`` into the projection from ``consumed_bytes`` on.
+def _digests(handle: BinaryIO, *stops: int) -> List[str]:
+    """The sha256 of the log's bytes ``[0, stop)`` for each of ``stops``
+    (ascending), hashed in one streamed pass."""
+    sha, done, digests = hashlib.sha256(), 0, []
+    for stop in stops:
+        for chunk in read_chunks(handle, done, stop):
+            sha.update(chunk)
+            del chunk  # before the next read (see read_chunks)
+        digests.append(sha.hexdigest())
+        done = stop
+    return digests
+
+
+def _fold_log(
+    projection: RollupProjection, handle: BinaryIO, size: int, source: str
+) -> None:
+    """Fold bytes ``[consumed_bytes, size)`` of the log into the projection,
+    and digest what it then covers.
 
     What a record, a torn tail and corruption are is
     :func:`~repro.core.telemetry.walk_event_log`'s to say; a torn tail is
@@ -318,11 +335,13 @@ def _fold_data(projection: RollupProjection, data: bytes, source: str) -> None:
     """
     try:
         projection.consumed_bytes, projection.truncated_lines = walk_event_log(
-            data, projection.fold_event, source, projection.consumed_bytes
+            handle, size, projection.fold_event, source, projection.consumed_bytes
         )
     except TelemetryError as exc:
         raise OpsError(str(exc)) from exc
-    projection.consumed_digest = hashlib.sha256(data[: projection.consumed_bytes]).hexdigest()
+    projection.consumed_digest, projection.content_digest = _digests(
+        handle, projection.consumed_bytes, size
+    )
 
 
 def scan_log(
@@ -334,10 +353,9 @@ def scan_log(
     This is the raw-JSONL-scan baseline perfbench's ``ops.scan_s`` times
     the cached path against.
     """
-    data = Path(path).read_bytes()
     projection = RollupProjection(window_s=float(window_s))
-    _fold_data(projection, data, str(path))
-    projection.content_digest = hashlib.sha256(data).hexdigest()
+    with Path(path).open("rb") as handle:
+        _fold_log(projection, handle, os.fstat(handle.fileno()).st_size, str(path))
     projection.source = "cold"
     projection.counters["log.truncated_lines"] = float(projection.truncated_lines)
     return projection
@@ -370,6 +388,40 @@ def _valid_projection(entry: object, window_s: float) -> Optional[RollupProjecti
     return None
 
 
+def _from_store(
+    store: DiskCacheStore, path: Path, handle: BinaryIO, size: int, window_s: float
+) -> Optional[RollupProjection]:
+    """A content hit, or the last build's projection resumed over the grown
+    log; ``None`` when neither is there (see :func:`build_rollup`)."""
+    head = store.read(_head_key(window_s, str(path.resolve())))
+    resume_at = 0
+    if (
+        isinstance(head, dict)
+        and head.get("schema") == PROJECTION_SCHEMA
+        and isinstance(head.get("consumed_bytes"), int)
+        and 0 < head["consumed_bytes"] <= size
+    ):
+        resume_at = head["consumed_bytes"]
+    prefix_digest, digest = _digests(handle, resume_at, size)
+    hit = _valid_projection(store.read(_entry_key(window_s, digest)), window_s)
+    if hit is not None:
+        hit.source = "cache"
+        return hit
+    if not resume_at or prefix_digest != head.get("consumed_digest"):
+        return None
+    handle.seek(resume_at - 1)
+    if handle.read(1) != b"\n":
+        return None
+    base = _valid_projection(
+        store.read(_entry_key(window_s, head.get("content_digest", ""))), window_s
+    )
+    if base is None or base.consumed_bytes != resume_at:
+        return None
+    _fold_log(base, handle, size, str(path))
+    base.source = "incremental"
+    return base
+
+
 def build_rollup(
     path: Union[str, Path],
     window_s: float = DEFAULT_WINDOW_S,
@@ -399,51 +451,28 @@ def build_rollup(
     function of the log bytes.
     """
     path = Path(path)
-    data = path.read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    projection: Optional[RollupProjection] = None
-    if store is not None:
-        hit = _valid_projection(store.read(_entry_key(window_s, digest)), window_s)
-        if hit is not None:
-            hit.source = "cache"
-            projection = hit
-    head_key = _head_key(window_s, str(path.resolve()))
-    if projection is None and store is not None:
-        head = store.read(head_key)
-        if (
-            isinstance(head, dict)
-            and head.get("schema") == PROJECTION_SCHEMA
-            and isinstance(head.get("consumed_bytes"), int)
-            and 0 < head["consumed_bytes"] <= len(data)
-            and data.endswith(b"\n", 0, head["consumed_bytes"])
-        ):
-            prefix_digest = hashlib.sha256(data[: head["consumed_bytes"]]).hexdigest()
-            if prefix_digest == head.get("consumed_digest"):
-                base = _valid_projection(
-                    store.read(_entry_key(window_s, head.get("content_digest", ""))),
-                    window_s,
-                )
-                if base is not None and base.consumed_bytes == head["consumed_bytes"]:
-                    _fold_data(base, data, str(path))
-                    base.content_digest = digest
-                    base.source = "incremental"
-                    projection = base
-    if projection is None:
-        projection = RollupProjection(window_s=float(window_s))
-        _fold_data(projection, data, str(path))
-        projection.content_digest = digest
-        projection.source = "cold"
-    if store is not None and projection.source != "cache":
-        store.write(_entry_key(window_s, digest), projection)
-        store.write(
-            head_key,
-            {
-                "schema": PROJECTION_SCHEMA,
-                "content_digest": digest,
-                "consumed_bytes": projection.consumed_bytes,
-                "consumed_digest": projection.consumed_digest,
-            },
-        )
+    with path.open("rb") as handle:
+        # Every step below reads bytes [0, size) and no further: what is
+        # appended meanwhile is the next build's.
+        size = os.fstat(handle.fileno()).st_size
+        projection = None
+        if store is not None:
+            projection = _from_store(store, path, handle, size, window_s)
+        if projection is None:
+            projection = RollupProjection(window_s=float(window_s))
+            _fold_log(projection, handle, size, str(path))
+            projection.source = "cold"
+        if store is not None and projection.source != "cache":
+            store.write(_entry_key(window_s, projection.content_digest), projection)
+            store.write(
+                _head_key(window_s, str(path.resolve())),
+                {
+                    "schema": PROJECTION_SCHEMA,
+                    "content_digest": projection.content_digest,
+                    "consumed_bytes": projection.consumed_bytes,
+                    "consumed_digest": projection.consumed_digest,
+                },
+            )
     if counters:
         for name in sorted(counters):
             projection.counters[name] = float(counters[name])

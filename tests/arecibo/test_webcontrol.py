@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.arecibo import webcontrol
 from repro.arecibo.pipeline import AreciboPipelineConfig
 from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
@@ -84,3 +85,20 @@ class TestConsole:
             console_obj.plot_data(run_id, 999, 0, 0.1, 30.0)
         with pytest.raises(SearchError, match="beam"):
             console_obj.plot_data(run_id, 0, 99, 0.1, 30.0)
+
+
+def test_run_ids_follow_the_workdir_not_the_process(tmp_path, monkeypatch):
+    """Two fresh consoles number their runs alike; a second console on a
+    workdir numbers after the runs already there."""
+    def pipeline(workdir, config):
+        workdir.mkdir(parents=True)
+        return workdir.name
+
+    monkeypatch.setattr(webcontrol, "run_arecibo_pipeline", pipeline)
+    assert SurveyConsole(tmp_path / "a").launch_run() == "run-0001"
+    assert SurveyConsole(tmp_path / "b").launch_run() == "run-0001"
+    again = SurveyConsole(tmp_path / "a")
+    assert [again.launch_run(), again.launch_run()] == ["run-0002", "run-0003"]
+    assert sorted(path.name for path in (tmp_path / "a").iterdir()) == [
+        "run-0001", "run-0002", "run-0003"
+    ]

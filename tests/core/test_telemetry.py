@@ -1,5 +1,6 @@
 """The telemetry substrate: bus, instruments, spans, and the JSONL log."""
 
+import io
 import json
 import pickle
 
@@ -231,7 +232,8 @@ class TestEventBus:
         assert _types(event.attrs) == _types(expected)
         line = (json.dumps(event.to_dict(), sort_keys=True) + "\n").encode("utf-8")
         restored = []
-        assert walk_event_log(line, restored.append, "probe") == (len(line), 0)
+        consumed = walk_event_log(io.BytesIO(line), len(line), restored.append, "probe")
+        assert consumed == (len(line), 0)
         assert restored == [event]
 
     def test_malformed_record_raises(self):
@@ -243,7 +245,13 @@ class TestEventBus:
         [[1, 2], "event", None, {**_RECORD, "attrs": [1]}, {**_RECORD, "seq": "x"},
          {**_RECORD, "span": 5}, {**_RECORD, "span": "abc"}]
         + [{k: v for k, v in _RECORD.items() if k != key} for key in _RECORD]
-        + [{**_RECORD, "sim_time": value} for value in (float("nan"), float("inf"), float("-inf"))],
+        + [{**_RECORD, "sim_time": value} for value in (float("nan"), float("inf"), float("-inf"))]
+        # Shapes emit never writes, refused rather than coerced.
+        + [{**_RECORD, "seq": value} for value in (1.9, "7", True)]
+        + [{**_RECORD, "kind": 5}, {**_RECORD, "name": 5}]
+        + [{**_RECORD, "sim_time": value} for value in ("2.5", True)]
+        + [{**_RECORD, "attrs": {"a": {"b": 1}}}, {**_RECORD, "attrs": {"a": [1, {"b": 1}]}}]
+        + [{**_RECORD, "span": [1]}, {**_RECORD, "span": ["flow", None]}],
     )
     def test_wrong_shaped_record_is_a_telemetry_error(self, record):
         with pytest.raises(TelemetryError, match="malformed telemetry record"):
