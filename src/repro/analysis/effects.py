@@ -16,7 +16,7 @@ kinds:
                    ``Effect.param`` carries the attribute name
 ``env_read``       ``os.environ`` / ``os.getenv`` access
 ``global_mutation``   store into / in-place mutation of a module-level
-                   binding
+                   binding, ``next()`` on one included
 ``closure_mutation``  store into / in-place mutation of an enclosing
                    function's local (a closure cell)
 ``handle_capture``    a closure- or module-level name bound to an OS
@@ -185,6 +185,13 @@ class _LocalExtractor:
                         node,
                         param=root,
                     )
+        # Advancing a non-local iterator: ``next(_ids)`` on a module counter.
+        if isinstance(node.func, ast.Name) and node.func.id == "next" and node.args:
+            root = _root_name(node.args[0])
+            if root is not None and root not in ("self", "cls"):
+                scope = self._classify(root)
+                if scope is not None:
+                    self._emit(f"{scope}_mutation", f"next({root})", node, param=root)
         # Telemetry emission.
         if isinstance(node.func, ast.Attribute) and node.func.attr == "emit":
             self._emit("telemetry", "telemetry emit", node)

@@ -10,18 +10,10 @@ accounting without knowing any domain detail.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 
 from repro.core.units import DataSize
-
-_dataset_counter = itertools.count(1)
-
-
-def _next_dataset_id() -> str:
-    return f"ds-{next(_dataset_counter):06d}"
-
 
 @dataclass
 class Dataset:
@@ -50,7 +42,6 @@ class Dataset:
     version: str = "unversioned"
     provenance_id: Optional[str] = None
     attrs: dict = field(default_factory=dict)
-    dataset_id: str = field(default_factory=_next_dataset_id)
 
     def __post_init__(self) -> None:
         if not self.name:

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import IncrementalError
 from repro.core.stagecache import StageCache
-from repro.core.telemetry import Telemetry, get_telemetry
+from repro.core.telemetry import Telemetry
 
 
 class WindowLedger:
@@ -39,7 +39,7 @@ class WindowLedger:
 
     def __init__(self, name: str, telemetry: Optional[Telemetry] = None):
         self.name = name
-        self.telemetry = telemetry if telemetry is not None else get_telemetry()
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         #: Closed windows as ``(index, watermark)`` pairs.
         self.windows: List[Tuple[int, float]] = []
         self._open: Optional[Tuple[int, float]] = None
@@ -133,7 +133,7 @@ def run_windows(
             f"window 0 is empty (arrivals {arrivals}): "
             f"the first window needs at least one of the {unit}"
         )
-    ledger = WindowLedger(name, telemetry if telemetry is not None else Telemetry())
+    ledger = WindowLedger(name, telemetry)
     rows: List[Dict[str, object]] = []
     seen = 0
     for index, count in enumerate(arrivals):

@@ -121,13 +121,7 @@ def _stage_seed(run_seed: int, stage_name: str) -> int:
 
 
 def _input_descriptor(dataset: Dataset) -> str:
-    """Stable provenance description of one input dataset.
-
-    Deliberately excludes the process-global ``dataset_id`` counter: two
-    runs of the same flow must produce byte-identical provenance stamps,
-    which is the property the determinism suite (and the paper's
-    digest-comparison scheme) relies on.
-    """
+    """Stable provenance description of one input dataset."""
     return f"{dataset.name}@{dataset.version}"
 
 

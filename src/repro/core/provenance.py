@@ -27,13 +27,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import ProvenanceError
 
-_record_counter = itertools.count(1)
-
-
-def _next_record_id() -> str:
-    return f"prov-{next(_record_counter):06d}"
-
-
 @dataclass(frozen=True)
 class ProcessingStep:
     """One software module invocation in a provenance chain."""
@@ -135,7 +128,7 @@ class ProvenanceRecord:
     artifact: str
     step: ProcessingStep
     parent_ids: Tuple[str, ...] = ()
-    record_id: str = field(default_factory=_next_record_id)
+    record_id: str = field(kw_only=True)
     stamp: ProvenanceStamp = field(default_factory=ProvenanceStamp.empty)
 
 

@@ -26,23 +26,15 @@ order — so a stage that merges shard results positionally is
 byte-identical for any worker count.  That is the same determinism
 contract the engine holds for whole stages.
 
-Two supporting pieces keep process sharding observably identical to the
-inline path:
+A shard returns its value and nothing else: no shard function is handed
+a bus, so a worker process has nothing to send home but the value.
 
-* **Child telemetry forwarding** — a worker process cannot append to the
-  parent's event bus, so each shard runs under a fresh process-default
-  :class:`~repro.core.telemetry.Telemetry`
-  (:func:`~repro.core.telemetry.capture_events`) and the captured events
-  and counter values ride home with the shard result, where the pool
-  re-emits them (:func:`~repro.core.telemetry.forward_events`) into the
-  process-default substrate in shard order: where an inline shard emits.
-* **Shared-memory transfer** — in process mode the pool pickles each
-  item itself, and every large NumPy array in it crosses in a
-  :class:`SharedArray` segment instead of the pickle pipe: the task
-  carries the segment's name, the worker maps a zero-copy view, and the
-  pool unlinks every segment it made when the map ends.  The decision is
-  the pool's alone, by size; a transform hands over the same items
-  whatever its shards run on.
+In process mode the pool pickles each item itself, and every large NumPy
+array in it crosses in a :class:`SharedArray` segment instead of the
+pickle pipe: the task carries the segment's name, the worker maps a
+zero-copy view, and the pool unlinks every segment it made when the map
+ends.  The decision is the pool's alone, by size; a transform hands over
+the same items whatever its shards run on.
 """
 
 from __future__ import annotations
@@ -60,7 +52,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import ShardError
-from repro.core.telemetry import capture_events, forward_events, get_telemetry
 
 #: An array crosses to a worker process in shared memory from this many
 #: bytes up.  Below it a segment — create, copy in, attach, map, unlink:
@@ -219,18 +210,13 @@ def _dumps(item: object, segments: List[SharedArray]) -> bytes:
 
 
 # -- shard execution ------------------------------------------------------
-def _run_shard(fn: Callable, payload: bytes) -> Tuple[object, list, dict]:
-    """Worker-process entry point: unpickle one item, run its shard under
-    a fresh substrate.
+def _run_shard(fn: Callable, payload: bytes) -> object:
+    """Worker-process entry point: unpickle one item and run its shard.
 
     The item's large arrays arrive as views of the parent's segments
     (:func:`_attach`) and stay mapped while the shard holds them.
-    Everything the shard emits into the process-default telemetry is
-    captured and returned (the tuple records pickle as they are)
-    alongside the result, so the parent can forward it in shard order.
     """
-    item = pickle.loads(payload)
-    return capture_events(lambda: fn(item))
+    return fn(pickle.loads(payload))
 
 
 class ShardPool:
@@ -276,21 +262,13 @@ class ShardPool:
             # leaked (the premise _untrack's fork branch rests on).
             resource_tracker.ensure_running()
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        # Process mode: run each shard under a fresh child substrate and
-        # forward its telemetry home in shard order.
         segments: List[SharedArray] = []
         futures: List[Future] = []
         try:
             for item in items:
                 payload = _dumps(item, segments)
                 futures.append(self._pool.submit(_run_shard, fn, payload))
-            bus = get_telemetry()
-            values: List[object] = []
-            for future in futures:
-                value, events, counters = future.result()
-                forward_events(bus, events, counters)
-                values.append(value)
-            return values
+            return [future.result() for future in futures]
         finally:
             wait(futures)
             for segment in segments:

@@ -181,8 +181,7 @@ class CachedStage:
 
         ``provenance_id`` is left unset — the engine re-commits the stage
         and attaches the run's own reserved id, exactly as it would after
-        real execution.  ``dataset_id`` is freshly allocated; it is
-        process-local bookkeeping excluded from provenance descriptors.
+        real execution.
         """
         return Dataset(
             name=self.output_name,

@@ -5,7 +5,7 @@ recalls, transfer rates, "50 to 200 processors" — and the reproduction
 used to keep those books in half a dozen disconnected counter structs.
 This module is the single substrate they all now share:
 
-* a process-local **event bus** of typed, ordered
+* an **event bus** of typed, ordered
   :class:`TelemetryEvent` records (``stage.start/finish``,
   ``bytes.produced``, ``storage.write/recall/evict``,
   ``transfer.start/finish``, ``provenance.record``, ...);
@@ -379,46 +379,6 @@ class MetricsRegistry:
             if name.startswith(prefix)
         ]
 
-    # -- cross-process transfer ------------------------------------------
-    def export(self) -> Dict[str, Tuple[str, float]]:
-        """Picklable snapshot ``{name: (instrument type, value)}``.
-
-        The transfer format for moving a worker process's registry home:
-        plain strings and floats, nothing that needs this module on the
-        unpickling side.
-        """
-        snapshot: Dict[str, Tuple[str, float]] = {}
-        for name, instrument in self._instruments.items():
-            if isinstance(instrument, Counter):
-                snapshot[name] = ("counter", instrument.value)
-            elif isinstance(instrument, Gauge):
-                snapshot[name] = ("gauge", instrument.value)
-            else:
-                snapshot[name] = ("highwater", instrument.peak)
-        return snapshot
-
-    def absorb(self, snapshot: Mapping[str, Tuple[str, float]]) -> None:
-        """Merge an :meth:`export` snapshot into this registry.
-
-        Counters accumulate (a child's total is added), gauges adopt the
-        snapshot value (last write wins), high-water marks observe it.
-        Names are merged in sorted order so instrument creation order —
-        and therefore :meth:`names`/:meth:`as_dict` — is deterministic no
-        matter which worker finished first.
-        """
-        for name in sorted(snapshot):
-            kind, value = snapshot[name]
-            if kind == "counter":
-                self.counter(name).inc(float(value))
-            elif kind == "gauge":
-                self.gauge(name).set(float(value))
-            elif kind == "highwater":
-                self.highwater(name).observe(float(value))
-            else:
-                raise TelemetryError(
-                    f"cannot absorb unknown instrument type {kind!r} for {name!r}"
-                )
-
 
 _Stats = TypeVar("_Stats")
 
@@ -443,12 +403,12 @@ def registry_view(metrics: MetricsRegistry, cls: Type[_Stats], prefix: str) -> _
 
 # -- the bus -------------------------------------------------------------
 class Telemetry:
-    """The process-local substrate: event bus + registry + clock + spans.
+    """The substrate: event bus + registry + clock + spans.
 
     One thread owns a bus: an event's sequence number is the log's length
     when it lands, and its span path is the bus's one open-span tuple.
-    Worker processes emit onto a bus of their own (:func:`capture_events`),
-    and kernel tiles, the only threads, never reach one.
+    A subsystem handed no bus keeps a private one; there is no process
+    default.  Shard workers and kernel tiles never reach a bus.
     """
 
     def __init__(self, clock: Optional[SimClock] = None):
@@ -460,12 +420,15 @@ class Telemetry:
 
     # -- events ----------------------------------------------------------
     def emit(self, kind: str, name: str = "", **attrs: object) -> TelemetryEvent:
-        # The runtime kind check stays (≈ 0.04 µs an event): RPR003 proves
-        # only literal kinds, and forward_events re-emits whatever it is given.
+        # The runtime checks stay (≈ 0.04 µs an event): RPR003 proves only
+        # literal kinds, and a name that is not a str writes a log line the
+        # reader refuses.
         if kind not in EVENT_KINDS:
             raise TelemetryError(
                 f"unknown event kind {kind!r}; expected one of {sorted(EVENT_KINDS)}"
             )
+        if type(name) is not str and not isinstance(name, str):
+            raise TelemetryError(f"event name {name!r} is {type(name).__name__}, not a str")
         # Keys are unique, so sorting them alone orders the (key, value) pairs.
         pairs = []
         for key in sorted(attrs):
@@ -518,78 +481,20 @@ class Telemetry:
             )
 
 
-# -- process default -----------------------------------------------------
-_default: Optional[Telemetry] = None
-
-
-def get_telemetry() -> Telemetry:
-    """The process-local default substrate (created on first use).
-
-    Subsystems that are not handed an explicit :class:`Telemetry` publish
-    here, so one operational stream covers a whole process by default.
-    The engine deliberately does *not* use it: each engine owns a private
-    instance so a run's log is self-contained and deterministic.
-    """
-    global _default
-    if _default is None:
-        _default = Telemetry()
-    return _default
-
-
-def set_telemetry(telemetry: Optional[Telemetry]) -> Optional[Telemetry]:
-    """Install (or, with ``None``, reset) the process default; returns the old one."""
-    global _default
-    previous, _default = _default, telemetry
-    return previous
-
-
-@contextmanager
-def telemetry_session(telemetry: Optional[Telemetry] = None) -> Iterator[Telemetry]:
-    """Scoped default-telemetry override (tests, benchmark isolation)."""
-    session = telemetry if telemetry is not None else Telemetry()
-    previous = set_telemetry(session)
-    try:
-        yield session
-    finally:
-        set_telemetry(previous)
-
-
-# -- child-process event forwarding ---------------------------------------
-# A worker process cannot emit onto the parent's bus, so shard execution
-# runs each unit of work under a fresh process-default substrate, captures
-# what it emitted, and the parent replays it in shard order.  The replay
-# assigns fresh sequence numbers from the parent's bus and timestamps from
-# the parent's clock — exactly what an inline shard emitting directly
-# would have gotten — so inline and process runs forward to identical
-# logs.
-def capture_events(
-    fn: Callable[[], object],
-) -> Tuple[object, List[TelemetryEvent], Dict[str, Tuple[str, float]]]:
-    """Run ``fn`` under a private default substrate; return what it emitted.
-
-    Returns ``(fn's result, emitted events, registry export)``.
-    """
-    with telemetry_session() as session:
-        value = fn()
-        return value, session.events(), session.registry.export()
-
-
 def forward_events(
-    telemetry: Telemetry,
-    events: Iterable[TelemetryEvent],
-    counters: Optional[Mapping[str, Tuple[str, float]]] = None,
+    telemetry: Telemetry, events: Iterable[TelemetryEvent]
 ) -> List[TelemetryEvent]:
-    """Re-emit captured child events onto a bus.
+    """Re-emit events onto a bus, each with a fresh sequence number and
+    the receiving bus's clock.
 
-    Each event lands with a fresh sequence number and the receiving bus's
-    clock; the optional ``counters`` snapshot is absorbed afterwards.
+    Nothing in ``src/`` forwards events any more (a shard emits nothing);
+    this stays while perfbench's ``shards.forward`` boundary wraps it by
+    name.
     """
     forwarded: List[TelemetryEvent] = []
     for event in events:
         attrs = {key: _thaw(value) for key, value in event.attrs}
         forwarded.append(telemetry.emit(event.kind, event.name, **attrs))
-    if counters:
-        telemetry.registry.absorb(counters)
     return forwarded
 
 

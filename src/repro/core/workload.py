@@ -50,7 +50,7 @@ from random import Random
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import WorkloadError
-from repro.core.telemetry import Counter, Telemetry, get_telemetry
+from repro.core.telemetry import Counter, Telemetry
 
 _Param = Tuple[str, Union[str, int, float, bool, None]]
 
@@ -92,22 +92,33 @@ class TraceRequest:
 
     @classmethod
     def from_dict(cls, record: Mapping[str, object]) -> "TraceRequest":
+        """The request a parsed trace line describes; :class:`WorkloadError`
+        unless ``seq`` is an integer, ``arrival_s`` a finite number,
+        ``tenant``, ``op`` and ``key`` strings and ``params`` an object of
+        scalars.  Nothing is coerced: :meth:`Trace.save` writes no other
+        shape, so a coerced line would replay a request no trace held."""
         try:
             if not isinstance(record, Mapping):
                 raise TypeError(f"expected an object, got {type(record).__name__}")
             params = record.get("params", {})
             if not isinstance(params, Mapping):
                 raise TypeError(f"params is {type(params).__name__}, not an object")
-            return cls(
-                seq=int(record["seq"]),  # type: ignore[arg-type]
-                arrival_s=float(record["arrival_s"]),  # type: ignore[arg-type]
-                tenant=str(record["tenant"]),
-                op=str(record["op"]),
-                key=str(record["key"]),
-                params=tuple(sorted(params.items())),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            seq, arrival_s = record["seq"], record["arrival_s"]
+            tenant, op, key = record["tenant"], record["op"], record["key"]
+            if type(seq) is not int:  # a bool is an int to isinstance
+                raise TypeError(f"seq is {type(seq).__name__}, not an integer")
+            if type(arrival_s) not in (int, float) or not math.isfinite(arrival_s):
+                raise TypeError(f"arrival_s is {arrival_s!r}, not a finite number")
+            for name, value in (("tenant", tenant), ("op", op), ("key", key)):
+                if type(value) is not str:
+                    raise TypeError(f"{name} is {type(value).__name__}, not a string")
+            for name, value in params.items():
+                if type(value) not in (str, int, float, bool, type(None)):
+                    raise TypeError(f"param {name!r} is {type(value).__name__}, not a scalar")
+        except (KeyError, TypeError) as exc:
             raise WorkloadError(f"malformed trace record: {exc}") from exc
+        return cls(seq=seq, arrival_s=float(arrival_s), tenant=tenant, op=op, key=key,
+                   params=tuple(sorted(params.items())))
 
 
 class Trace:
@@ -166,23 +177,23 @@ class Trace:
     def load(cls, path: Union[str, Path]) -> "Trace":
         path = Path(path)
         with path.open("r", encoding="utf-8") as handle:
-            lines = [
-                (number, line) for number, line in enumerate(handle, start=1) if line.strip()
-            ]
-        if not lines:
-            raise WorkloadError(f"{path} holds no trace header")
-        try:
-            header = json.loads(lines[0][1])
-            if not isinstance(header, dict):
-                raise ValueError(f"expected an object, got {type(header).__name__}")
-        except ValueError as exc:
-            raise WorkloadError(f"{path}: bad trace header: {exc}") from exc
-        requests = []
-        for number, line in lines[1:]:
+            lines = ((number, line) for number, line in enumerate(handle, start=1)
+                     if line.strip())
+            first = next(lines, None)
+            if first is None:
+                raise WorkloadError(f"{path} holds no trace header")
             try:
-                requests.append(TraceRequest.from_dict(json.loads(line)))
-            except (ValueError, WorkloadError) as exc:
-                raise WorkloadError(f"{path}: line {number}: {exc}") from exc
+                header = json.loads(first[1])
+                if not isinstance(header, dict):
+                    raise ValueError(f"expected an object, got {type(header).__name__}")
+            except ValueError as exc:
+                raise WorkloadError(f"{path}: bad trace header: {exc}") from exc
+            requests = []
+            for number, line in lines:
+                try:
+                    requests.append(TraceRequest.from_dict(json.loads(line)))
+                except (ValueError, WorkloadError) as exc:
+                    raise WorkloadError(f"{path}: line {number}: {exc}") from exc
         trace = cls(
             requests,
             name=str(header.get("name", "trace")),
@@ -563,7 +574,7 @@ class TraceReplayer:
         if not handlers:
             raise WorkloadError("replayer needs at least one op handler")
         self.handlers = dict(handlers)
-        self.telemetry = telemetry if telemetry is not None else get_telemetry()
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.admission = admission
 
     def replay(self, trace: Trace) -> ReplayReport:

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 from repro.core.errors import EventStoreError
 from repro.core.provenance import ProvenanceStamp
 from repro.core.readcache import ReadCache
-from repro.core.telemetry import Telemetry, get_telemetry
+from repro.core.telemetry import Telemetry
 from repro.core.units import DataSize, Duration
 from repro.core.versioning import GradeHistory
 from repro.db.connection import Database, SqliteBackend
@@ -76,7 +76,7 @@ class EventStore:
         self.files_dir.mkdir(parents=True, exist_ok=True)
         self.db: Database = SqliteBackend(self.root / "eventstore.db")
         apply_schema(self.db, eventstore_schema())
-        self._telemetry = telemetry if telemetry is not None else get_telemetry()
+        self._telemetry = telemetry if telemetry is not None else Telemetry()
         self.cache = cache
 
     def close(self) -> None:

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.core.errors import StorageError
 from repro.core.resources import CostLedger, PersonnelModel
-from repro.core.telemetry import MetricsRegistry, Telemetry, get_telemetry
+from repro.core.telemetry import MetricsRegistry, Telemetry
 from repro.core.units import DataSize, Duration
 from repro.storage.catalog import FileCatalog
 from repro.storage.media import MediaType, Medium, StoredFile
@@ -87,7 +87,7 @@ class LongTermArchive:
         self.catalog = FileCatalog()
         self.ledger = CostLedger()
         self.metrics = MetricsRegistry()
-        self._telemetry = telemetry if telemetry is not None else get_telemetry()
+        self._telemetry = telemetry if telemetry is not None else Telemetry()
         # One media set per copy index, so copies of a file never share a medium.
         self._media_sets: List[List[Medium]] = [[] for _ in range(copies)]
         self._content_tags: Dict[str, str] = {}
@@ -134,7 +134,7 @@ class LongTermArchive:
             self.catalog.add_replica(
                 name,
                 location=f"{self.name}/copy{copy_index}",
-                medium_id=medium.medium_id,
+                medium_id=medium.label,
                 checksum=entry.checksum,
             )
         self.metrics.counter("archive.files_ingested").inc()
@@ -192,7 +192,7 @@ class LongTermArchive:
                 prob = min(0.95, hazard * years)
                 if self.rng.random() < prob:
                     medium.fail()
-                    self.catalog.drop_replicas_at_medium(medium.medium_id)
+                    self.catalog.drop_replicas_at_medium(medium.label)
                     failed += 1
         lost = [name for name in self.catalog.lost()]
         degraded = self.catalog.unreplicated(minimum=self.copies)

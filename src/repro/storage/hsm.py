@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
 from repro.core.errors import CapacityError, StorageError
-from repro.core.telemetry import MetricsRegistry, Telemetry, get_telemetry, registry_view
+from repro.core.telemetry import MetricsRegistry, Telemetry, registry_view
 from repro.core.units import DataSize, Duration
 from repro.storage.media import StoredFile
 from repro.storage.tape import RoboticTapeLibrary
@@ -99,7 +99,7 @@ class HierarchicalStore:
         self.cache_capacity = cache_capacity
         self._cache: "OrderedDict[str, DataSize]" = OrderedDict()
         self.metrics = MetricsRegistry()
-        self._telemetry = telemetry if telemetry is not None else get_telemetry()
+        self._telemetry = telemetry if telemetry is not None else Telemetry()
 
     @property
     def stats(self) -> HsmStats:

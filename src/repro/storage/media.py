@@ -12,14 +12,11 @@ WebLab server.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 from typing import List
 
 from repro.core.errors import CapacityError, StorageError
 from repro.core.units import DataSize, Duration, Rate
-
-_medium_counter = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -127,11 +124,14 @@ class StoredFile:
 
 @dataclass
 class Medium:
-    """One physical instance of a media type (a cartridge, a disk)."""
+    """One physical instance of a media type (a cartridge, a disk).
+
+    ``label`` is its id: the owner that buys the medium names it, uniquely
+    among its own media.
+    """
 
     media_type: MediaType
-    label: str = ""
-    medium_id: str = field(default_factory=lambda: f"med-{next(_medium_counter):05d}")
+    label: str
     files: List[StoredFile] = field(default_factory=list)
     failed: bool = False
     age_years: float = 0.0
@@ -147,12 +147,12 @@ class Medium:
     def store(self, file: StoredFile) -> Duration:
         """Write a file; returns simulated write time."""
         if self.failed:
-            raise StorageError(f"medium {self.medium_id} has failed")
+            raise StorageError(f"medium {self.label} has failed")
         if any(existing.name == file.name for existing in self.files):
-            raise StorageError(f"medium {self.medium_id} already holds {file.name!r}")
+            raise StorageError(f"medium {self.label} already holds {file.name!r}")
         if file.size.bytes > self.free.bytes:
             raise CapacityError(
-                f"medium {self.medium_id} ({self.media_type.name}): "
+                f"medium {self.label} ({self.media_type.name}): "
                 f"{file.size} does not fit in {self.free} free"
             )
         self.files.append(file)
@@ -160,11 +160,11 @@ class Medium:
 
     def fetch(self, name: str) -> StoredFile:
         if self.failed:
-            raise StorageError(f"medium {self.medium_id} has failed")
+            raise StorageError(f"medium {self.label} has failed")
         for file in self.files:
             if file.name == name:
                 return file
-        raise StorageError(f"medium {self.medium_id} does not hold {name!r}")
+        raise StorageError(f"medium {self.label} does not hold {name!r}")
 
     def holds(self, name: str) -> bool:
         return any(file.name == name for file in self.files)

@@ -9,13 +9,12 @@ and sequential append is the natural write mode.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.errors import StorageError
 from repro.core.faults import FaultInjector, delay_seconds
-from repro.core.telemetry import MetricsRegistry, Telemetry, get_telemetry, registry_view
+from repro.core.telemetry import MetricsRegistry, Telemetry, registry_view
 from repro.core.units import DataSize, Duration
 from repro.storage.media import LTO3_TAPE, MediaType, Medium, StoredFile, checksum_for
 
@@ -62,7 +61,7 @@ class RoboticTapeLibrary:
         self._mounted: Optional[Medium] = None
         self._fill: Optional[Medium] = None
         self.metrics = MetricsRegistry()
-        self._telemetry = telemetry if telemetry is not None else get_telemetry()
+        self._telemetry = telemetry if telemetry is not None else Telemetry()
         #: Armed fault injector shared with the rest of the run (or None).
         #: Operations consult it under scope ``"storage"`` with targets
         #: ``"<library>/archive"`` and ``"<library>/recall"``: ``"crash"``
@@ -95,7 +94,7 @@ class RoboticTapeLibrary:
     def _new_cartridge(self) -> Medium:
         cartridge = Medium(
             media_type=self.media_type,
-            label=f"{self.name}-tape-{next(_cartridge_counter):05d}",
+            label=f"{self.name}-tape-{len(self._cartridges) + 1:05d}",
         )
         self._cartridges.append(cartridge)
         return cartridge
@@ -189,7 +188,7 @@ class RoboticTapeLibrary:
             raise StorageError(f"library {self.name!r} missing files: {missing}")
         by_cartridge: Dict[str, List[str]] = {}
         for name in names:
-            by_cartridge.setdefault(self._locations[name].medium_id, []).append(name)
+            by_cartridge.setdefault(self._locations[name].label, []).append(name)
         files: List[StoredFile] = []
         total = Duration.zero()
         for cartridge_names in by_cartridge.values():
@@ -214,5 +213,3 @@ class RoboticTapeLibrary:
             self._mounted = None
         return lost
 
-
-_cartridge_counter = itertools.count(1)

@@ -19,7 +19,7 @@ from typing import List, Optional
 from repro.core.errors import TransportError
 from repro.core.faults import FaultInjector, delay_seconds
 from repro.core.resources import CostLedger, PersonnelModel
-from repro.core.telemetry import MetricsRegistry, Telemetry, get_telemetry, registry_view
+from repro.core.telemetry import MetricsRegistry, Telemetry, registry_view
 from repro.core.units import DataSize, Duration, Rate
 from repro.storage.media import ATA_DISK_2005, MediaType, StoredFile, checksum_for
 from repro.transport.integrity import (
@@ -173,7 +173,7 @@ class ShippingLane:
         self.rng = rng if rng is not None else random.Random(DEFAULT_LANE_SEED)
         self.ledger = CostLedger()
         self.metrics = MetricsRegistry()
-        self._telemetry = telemetry if telemetry is not None else get_telemetry()
+        self._telemetry = telemetry if telemetry is not None else Telemetry()
         #: Armed fault injector shared with the rest of the run (or None).
         #: ``ship`` consults it once per dispatch attempt under scope
         #: ``"lane"``, target = the lane name: ``"crash"`` aborts the

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.readcache import ReadCache
-from repro.core.telemetry import Counter, MetricsRegistry, Telemetry, get_telemetry
+from repro.core.telemetry import Counter, MetricsRegistry, Telemetry
 from repro.core.units import DataSize, Duration
 from repro.transport.network import INTERNET2_100, NetworkLink
 from repro.weblab.arcformat import pack_crawl
@@ -106,7 +106,7 @@ class WebLabServices:
         self._retro = RetroBrowser(weblab.database, weblab.pagestore, cache=cache)
         self.metrics = MetricsRegistry()
         self._calls: Dict[str, Counter] = {}
-        self._telemetry = telemetry if telemetry is not None else get_telemetry()
+        self._telemetry = telemetry if telemetry is not None else Telemetry()
 
     def _record(self, method: str, **attrs: object) -> None:
         # One registry lookup per method name, not per call; a method
@@ -258,22 +258,6 @@ def build_weblab(
         float(sum(path.stat().st_size for path, _ in arc_jobs + dat_jobs))
     )
     transfer_time = link.transfer_time(compressed)
-    bus = get_telemetry()
-    bus.emit(
-        "transfer.start",
-        "weblab-ingest",
-        link=link.name,
-        bytes=compressed.bytes,
-        mode="network",
-    )
-    bus.emit(
-        "transfer.finish",
-        "weblab-ingest",
-        link=link.name,
-        bytes=compressed.bytes,
-        elapsed_s=transfer_time.seconds,
-        mode="network",
-    )
 
     weblab = WebLab(root / "weblab")
     for crawl in crawls:

@@ -114,15 +114,19 @@ class TestLocalEffects:
         effects = effects_for(
             tmp_path,
             """
+            import itertools
+
             STATE = {}
             SEEN = []
             COUNT = 0
+            IDS = itertools.count(1)
 
             def mutate():
                 global COUNT
                 COUNT = 1
                 STATE["k"] = 2
                 SEEN.append(3)
+                return next(IDS)
             """,
             "m.mutate",
         )
@@ -131,6 +135,26 @@ class TestLocalEffects:
         assert any("COUNT" in d for d in details)
         assert any("STATE" in d for d in details)
         assert any("SEEN.append" in d for d in details)
+        assert "next(IDS)" in details
+
+    def test_next_on_a_local_or_attribute_iterator_is_not_an_effect(self, tmp_path):
+        effects = effects_for(
+            tmp_path,
+            """
+            import itertools
+
+            class Library:
+                def __init__(self):
+                    self._ids = itertools.count(1)
+
+                def label(self, names):
+                    first = next(iter(names))
+                    ids = itertools.count(1)
+                    return first, next(ids), next(self._ids)
+            """,
+            "m.Library.label",
+        )
+        assert effects == []
 
     def test_local_mutation_is_not_an_effect(self, tmp_path):
         effects = effects_for(
@@ -151,20 +175,25 @@ class TestLocalEffects:
         program = build(
             tmp_path,
             {"m.py": """
+            import itertools
+
             def outer():
                 hits = 0
                 cache = {}
+                ids = itertools.count(1)
 
                 def bump():
                     nonlocal hits
                     hits += 1
                     cache["k"] = hits
+                    return next(ids)
                 return bump
             """},
         )
         em = EffectMap.compute(program)
         effects = em.effects_of("m.outer.<locals>.bump")
         assert kinds_of(effects) == ["closure_mutation"]
+        assert "next(ids)" in {e.detail for e in effects}
 
     def test_telemetry_emit(self, tmp_path):
         effects = effects_for(

@@ -499,3 +499,62 @@ def test_every_public_name_is_reached_or_inventoried(analysis, tmp_path):
     assert "pkg.m.terabytes" not in unreached("from pkg.m import terabytes")
     assert "pkg.m.terabytes" not in unreached("from pkg import m\nm.terabytes(1)")
     assert "pkg.m.terabytes" in unreached("import numpy as m\nm.terabytes(1)")
+
+
+#: The functions in ``src/`` that change module-level state, by why each
+#: may.  Anything else that does is state a run would inherit from what its
+#: process ran before: an id numbered from a module counter, a default
+#: installed for the whole process.  An owner numbers its own ids and keeps
+#: its own bus instead.
+PROCESS_STATE = {
+    "the rule registry: the ``@register`` decorator fills it at import": """
+        analysis.linter.register""",
+    "the shared-memory segments this process created, so that an attachment "
+    "made in the creator never drops the creator's tracker entry": """
+        core.shards.SharedArray.copy_from core.shards.SharedArray.unlink""",
+}
+
+
+def _process_state(analysis):
+    """Every function (``repro.`` dropped) with a ``global_mutation``
+    effect of its own: a store into, an in-place change of, or ``next()``
+    on a module-level binding."""
+    return {
+        qualname.removeprefix("repro.")
+        for qualname, effects in analysis.effects.local.items()
+        if any(effect.kind == "global_mutation" for effect in effects)
+    }
+
+
+def test_no_function_keeps_process_state_outside_the_inventory(analysis, tmp_path):
+    assert _process_state(analysis) == {
+        name for names in PROCESS_STATE.values() for name in names.split()
+    }
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "m.py").write_text(textwrap.dedent("""
+        import itertools
+
+        _labels = itertools.count(1)
+        _default = None
+
+        def new_label():
+            return f"tape-{next(_labels):05d}"
+
+        def get_default():
+            global _default
+            if _default is None:
+                _default = object()
+            return _default
+
+        class Library:
+            def __init__(self):
+                self._cartridges = []
+
+            def new_label(self):
+                return f"tape-{len(self._cartridges) + 1:05d}"
+    """))
+    assert _process_state(Analysis.build([package])) == {
+        "pkg.m.new_label", "pkg.m.get_default",
+    }

@@ -71,8 +71,3 @@ class TestDataset:
         loaded = Dataset("x", DataSize.megabytes(1), items=[1, 2, 3])
         assert loaded.item_count == 3
         assert Dataset("x", DataSize.megabytes(1)).item_count == 0
-
-    def test_unique_ids(self):
-        a = Dataset("x", DataSize.zero())
-        b = Dataset("x", DataSize.zero())
-        assert a.dataset_id != b.dataset_id

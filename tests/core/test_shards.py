@@ -24,7 +24,6 @@ import pytest
 from repro.arecibo.filterbank import Filterbank
 from repro.core.errors import ShardError
 from repro.core.shards import SHARE_MIN_BYTES, SharedArray, ShardPool, _dumps
-from repro.core.telemetry import telemetry_session
 
 #: The pool's two modes: one worker runs the shards inline, two run them
 #: on worker processes.
@@ -33,15 +32,6 @@ MODES = pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
 
 def square(x):
     return x * x
-
-
-def emitting_shard(x):
-    from repro.core.telemetry import get_telemetry
-
-    bus = get_telemetry()
-    bus.emit("service.call", f"shard-{x}", payload=x)
-    bus.registry.counter("shard.count").inc()
-    return x + 100
 
 
 def failing_shard(x):
@@ -87,33 +77,6 @@ class TestShardPool:
         with ShardPool(workers) as pool:
             with pytest.raises(ValueError, match="shard 2"):
                 pool.map(failing_shard, [1, 2, 3])
-
-
-class TestTelemetryForwarding:
-    def events_for(self, workers):
-        """What a map over three emitting shards returns, and the session
-        it emitted into."""
-        with telemetry_session() as session:
-            with ShardPool(workers) as pool:
-                values = pool.map(emitting_shard, [0, 1, 2])
-        return values, session
-
-    def test_process_forwarding_matches_serial(self):
-        inline_values, inline = self.events_for(1)
-        values, forwarded = self.events_for(2)
-
-        def shape(telemetry):
-            return [(e.kind, e.name, dict(e.attrs)) for e in telemetry.events()]
-
-        assert values == inline_values
-        assert shape(forwarded) == shape(inline)
-        assert forwarded.registry.value("shard.count") == inline.registry.value(
-            "shard.count"
-        )
-
-    def test_forwarded_events_get_parent_sequence(self):
-        _, telemetry = self.events_for(2)
-        assert [e.seq for e in telemetry.events()] == [0, 1, 2]
 
 
 #: The smallest array the pool sends through shared memory, and one it pickles.

@@ -22,12 +22,9 @@ from repro.core.telemetry import (
     Telemetry,
     TelemetryEvent,
     flow_summary_from_log,
-    get_telemetry,
     peak_storage_from_log,
     read_event_log,
-    set_telemetry,
     stage_rows_from_log,
-    telemetry_session,
     total_cpu_from_log,
     walk_event_log,
     write_event_log,
@@ -112,6 +109,14 @@ class TestEventBus:
         bus = Telemetry()
         with pytest.raises(TelemetryError, match="unknown event kind"):
             bus.emit("storage.wrote", "a")
+
+    @pytest.mark.parametrize("name", [5, None, b"stage", ("a",)])
+    def test_a_name_that_is_not_a_str_is_refused(self, name):
+        """A name the log reader would refuse never lands on the bus."""
+        bus = Telemetry()
+        with pytest.raises(TelemetryError, match="not a str"):
+            bus.emit("stage.start", name)
+        assert len(bus) == 0
 
     def test_attrs_are_coerced_and_sorted(self):
         bus = Telemetry()
@@ -396,23 +401,6 @@ class TestSpans:
                     raise RuntimeError("nope")
             assert bus.emit("storage.write", "after").span == ("outer",)
         assert [event.attr("depth") for event in bus.events(kind="span.start")] == [0, 1]
-
-
-class TestProcessDefault:
-    def test_session_override_restores_previous(self):
-        outer = get_telemetry()
-        with telemetry_session() as session:
-            assert get_telemetry() is session
-            assert session is not outer
-        assert get_telemetry() is outer
-
-    def test_set_telemetry_returns_previous(self):
-        previous = set_telemetry(None)
-        try:
-            fresh = get_telemetry()
-            assert get_telemetry() is fresh
-        finally:
-            set_telemetry(previous)
 
 
 class TestJsonlPersistence:

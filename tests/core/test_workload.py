@@ -1,5 +1,6 @@
 """The trace-driven workload engine: seeded, shaped, replayable."""
 
+import re
 from collections import Counter
 
 import pytest
@@ -55,6 +56,33 @@ class TestTraceRequest:
     def test_malformed_record_raises(self):
         with pytest.raises(WorkloadError, match="malformed"):
             TraceRequest.from_dict({"seq": 0})
+
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            ({"seq": "7"}, "seq is str"),
+            ({"seq": 1.9}, "seq is float"),
+            ({"seq": True}, "seq is bool"),
+            ({"arrival_s": True}, "arrival_s is True"),
+            ({"arrival_s": "2.5"}, "arrival_s is '2.5'"),
+            ({"arrival_s": float("nan")}, "arrival_s is nan"),
+            ({"tenant": 5}, "tenant is int"),
+            ({"op": None}, "op is NoneType"),
+            ({"key": ["k"]}, "key is list"),
+            ({"params": {"as_of": [9.0]}}, "param 'as_of' is list"),
+            ({"params": {"as_of": {"t": 9.0}}}, "param 'as_of' is dict"),
+        ],
+    )
+    def test_wrong_typed_field_is_refused_not_coerced(self, fields, problem):
+        """Only what ``Trace.save`` writes loads: a coerced field would
+        replay a request the trace never held."""
+        record = {"seq": 7, "arrival_s": 1.5, "tenant": "t", "op": "browse", "key": "k"}
+        with pytest.raises(WorkloadError, match=f"malformed trace record: {re.escape(problem)}"):
+            TraceRequest.from_dict({**record, **fields})
+
+    def test_an_integer_arrival_reads_as_seconds(self):
+        record = {"seq": 7, "arrival_s": 2, "tenant": "t", "op": "browse", "key": "k"}
+        assert TraceRequest.from_dict(record).arrival_s == 2.0
 
 
 class TestZipfianSampler:
@@ -214,6 +242,18 @@ class TestTracePersistence:
         path2.write_text("\n".join(lines[:-1]) + "\n")  # drop one request
         with pytest.raises(WorkloadError, match="declares"):
             Trace.load(path2)
+
+    def test_load_reports_a_bad_request_before_reading_on(self, tmp_path):
+        """Lines are parsed as they are read: a bad third line is reported
+        even when bytes far past it do not decode."""
+        path = tmp_path / "trace.jsonl"
+        trace = generate_trace(small_spec())
+        trace.save(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        filler = b"".join(lines[1:]) * (200_000 // len(b"".join(lines[1:])) + 1)
+        path.write_bytes(b"".join(lines[:2]) + b"[1]\n" + filler + b"\xff\xfe\n")
+        with pytest.raises(WorkloadError, match=f"{path}: line 3: malformed trace record"):
+            Trace.load(path)
 
     @pytest.mark.parametrize(
         "line, problem",

@@ -137,7 +137,7 @@ class TestLongTermArchive:
         # Fail one copy's medium by hand.
         first_medium = archive._media_sets[0][0]
         first_medium.fail()
-        archive.catalog.drop_replicas_at_medium(first_medium.medium_id)
+        archive.catalog.drop_replicas_at_medium(first_medium.label)
         assert archive.readable("f")
         assert archive.catalog.files_alive() == ["f"]
 

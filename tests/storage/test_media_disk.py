@@ -73,7 +73,7 @@ class TestStoredFile:
 
 class TestMedium:
     def test_store_and_fetch(self):
-        medium = Medium(media_type=small_disk())
+        medium = Medium(media_type=small_disk(), label="disk-1")
         size = DataSize.gigabytes(2)
         elapsed = medium.store(StoredFile("f", size, checksum_for("f", size)))
         assert medium.used == size
@@ -81,29 +81,29 @@ class TestMedium:
         assert medium.fetch("f").size == size
 
     def test_capacity_enforced(self):
-        medium = Medium(media_type=small_disk(capacity_gb=1))
+        medium = Medium(media_type=small_disk(capacity_gb=1), label="disk-1")
         size = DataSize.gigabytes(2)
         with pytest.raises(CapacityError):
             medium.store(StoredFile("f", size, checksum_for("f", size)))
 
     def test_duplicate_name_rejected(self):
-        medium = Medium(media_type=small_disk())
+        medium = Medium(media_type=small_disk(), label="disk-1")
         size = DataSize.megabytes(1)
         medium.store(StoredFile("f", size, checksum_for("f", size)))
         with pytest.raises(StorageError):
             medium.store(StoredFile("f", size, checksum_for("f", size)))
 
     def test_failed_medium_unusable(self):
-        medium = Medium(media_type=small_disk())
+        medium = Medium(media_type=small_disk(), label="disk-1")
         medium.fail()
         size = DataSize.megabytes(1)
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match="medium disk-1 has failed"):
             medium.store(StoredFile("f", size, checksum_for("f", size)))
         with pytest.raises(StorageError):
             medium.fetch("f")
 
     def test_remove(self):
-        medium = Medium(media_type=small_disk())
+        medium = Medium(media_type=small_disk(), label="disk-1")
         size = DataSize.megabytes(1)
         medium.store(StoredFile("f", size, checksum_for("f", size)))
         medium.remove("f")
