@@ -33,9 +33,6 @@ weblab
     preload subsystem, metadata database, retro browser, subset extraction
     and stratified sampling, web-graph analytics, burst detection, and a
     full-text index.
-grid
-    Section-5 "next steps": service registry, grid data movement, and
-    NVO-style federation.
 """
 
 __version__ = "1.0.0"

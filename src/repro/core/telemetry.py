@@ -34,7 +34,9 @@ import json
 import math
 import numbers
 import os
+from collections import _tuplegetter  # type: ignore[attr-defined]
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 from typing import (
     BinaryIO,
@@ -44,7 +46,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -109,12 +110,15 @@ _PLAIN_TYPES = frozenset({str, int, float, bool, type(None)})
 def _freeze_attr(value: object) -> object:
     """Coerce an attribute value to a JSON-stable, hashable form.
 
-    A number stays a number: numpy integer/floating/bool scalars that are
-    not Python subclasses become ``int``/``float``/``bool`` rather than
-    their string.  Sets become a sorted tuple, so the frozen form does not
-    follow ``PYTHONHASHSEED``.
+    A number stays a number: numpy integer/floating/bool scalars become
+    ``int``/``float``/``bool`` rather than their string, ``numpy.float64``
+    (a ``float`` subclass) included: a plain float is what the log line
+    holds and a read gives back.  Sets become a sorted tuple, so the frozen
+    form does not follow ``PYTHONHASHSEED``.
     """
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    if isinstance(value, float):
+        return float(value)
+    if isinstance(value, (str, int, bool)) or value is None:
         return value
     if isinstance(value, DataSize):
         return value.bytes
@@ -153,40 +157,81 @@ def _from_json(value: object) -> object:
     raise TypeError(f"attribute value {value!r} is {type(value).__name__}, not a scalar or array")
 
 
-class TelemetryEvent(NamedTuple):
-    """One record on the bus: an immutable tuple record.
+class TelemetryEvent(tuple):
+    """One record on the bus: one immutable flat tuple,
+    ``(seq, kind, name, sim_time, span, keys, *values)``.
 
     ``sim_time`` is the emitting :class:`SimClock`'s virtual seconds, the
-    only time an event carries.  ``attrs`` is sorted by key, with every
-    value frozen by :func:`_freeze_attr`.
+    only time an event carries.  ``keys`` is the tuple of attribute keys,
+    sorted (:meth:`Telemetry.emit` sorts them, and a log line holds them as
+    :func:`write_event_log` sorted them), and ``values`` follow in its
+    order, each frozen by :func:`_freeze_attr`.  Events of one shape share
+    one ``keys`` object (the emitting bus, or the read, keeps the memo), so
+    an attribute costs its event one slot, not a ``(key, value)`` pair.
+    Equality and hashing are the tuple's: by value.
     """
 
-    seq: int
-    kind: str
-    name: str
-    sim_time: float
-    attrs: Tuple[Tuple[str, object], ...] = ()
-    span: Tuple[str, ...] = ()
+    __slots__ = ()
+
+    # The read-only field descriptor a NamedTuple's fields use: a fold reads
+    # ~5 fields an event, and property(itemgetter(i)) reads each ~15 ns slower.
+    seq = _tuplegetter(0, "Position in the emitting bus's log.")
+    kind = _tuplegetter(1, "The event's kind, one of EVENT_KINDS.")
+    name = _tuplegetter(2, "What the event is about: a stage, file, request, ...")
+    sim_time = _tuplegetter(3, "The emitting clock's simulated seconds.")
+    span = _tuplegetter(4, "The open span path, outermost first.")
+
+    def __new__(
+        cls,
+        seq: int,
+        kind: str,
+        name: str,
+        sim_time: float,
+        attrs: Iterable[Tuple[str, object]] = (),
+        span: Tuple[str, ...] = (),
+    ) -> "TelemetryEvent":
+        pairs = sorted(attrs, key=itemgetter(0))
+        keys = tuple([key for key, _ in pairs])
+        return tuple.__new__(cls, (seq, kind, name, sim_time, tuple(span), keys,
+                                   *[value for _, value in pairs]))
+
+    def __getnewargs__(self) -> Tuple[object, ...]:
+        return (self[0], self[1], self[2], self[3], self.attrs, self[4])
+
+    def __repr__(self) -> str:
+        return (f"TelemetryEvent(seq={self[0]!r}, kind={self[1]!r}, name={self[2]!r}, "
+                f"sim_time={self[3]!r}, attrs={self.attrs!r}, span={self[4]!r})")
+
+    @property
+    def attrs(self) -> Tuple[Tuple[str, object], ...]:
+        """The ``(key, value)`` pairs, sorted by key, built on each read."""
+        return tuple(zip(self[5], self[6:]))
 
     def attr(self, key: str, default: object = None) -> object:
-        for attr_key, value in self.attrs:
-            if attr_key == key:
-                return _thaw(value)
+        keys = self[5]
+        if key in keys:
+            return _thaw(self[6 + keys.index(key)])
         return default
 
     def to_dict(self) -> Dict[str, object]:
         """The event's one dict form: what a log line holds."""
         return {
-            "seq": self.seq,
-            "kind": self.kind,
-            "name": self.name,
-            "sim_time": self.sim_time,
-            "span": list(self.span),
-            "attrs": {key: _thaw(value) for key, value in self.attrs},
+            "seq": self[0],
+            "kind": self[1],
+            "name": self[2],
+            "sim_time": self[3],
+            "span": list(self[4]),
+            # _thaw inline: every event written passes here.
+            "attrs": {
+                key: list(value) if type(value) is tuple else value
+                for key, value in zip(self[5], self[6:])
+            },
         }
 
     @classmethod
-    def from_dict(cls, record: Mapping[str, object]) -> "TelemetryEvent":
+    def from_dict(
+        cls, record: Mapping[str, object], memo: Optional[Dict[object, object]] = None
+    ) -> "TelemetryEvent":
         """The event a parsed log line describes; :class:`TelemetryError`
         unless it is an object with an integer ``seq``, a string ``kind``
         and ``name`` and a finite number ``sim_time`` (``attrs``, when
@@ -194,7 +239,11 @@ class TelemetryEvent(NamedTuple):
         of strings).  Nothing is coerced: :meth:`Telemetry.emit` writes no
         other shape, so a coerced line would read back as an event no run
         emitted.  Keys it does not name are ignored, so a line from an older
-        writer that also stamped host time still loads."""
+        writer that also stamped host time still loads.
+
+        With a ``memo`` (a dict kept for one read), the event shares each
+        string — kind, name, key, span part, string value — and its ``keys``
+        tuple with every event built through the same memo."""
         try:
             # ``dict`` first: every log line passes here, and the ABC check
             # alone costs ten times the exact-type one.
@@ -218,11 +267,13 @@ class TelemetryEvent(NamedTuple):
                 raise ValueError(f"sim_time is {sim_time}, not a finite number")
             if not isinstance(attrs, (dict, Mapping)):
                 raise TypeError(f"attrs is {type(attrs).__name__}, not an object")
-            pairs = []
-            for key, value in attrs.items():
+            # The keys in the line's order: write_event_log wrote them sorted,
+            # and sorting them again added ~8 % to every line's parse.
+            items = [seq, kind, name, sim_time, (), tuple(attrs)]
+            for value in attrs.values():
                 if type(value) not in _PLAIN_TYPES:
                     value = _from_json(value)
-                pairs.append((key, value))
+                items.append(value)
             if not isinstance(span, (list, tuple)):
                 raise TypeError(f"span is {type(span).__name__}, not an array")
             for part in span:
@@ -232,7 +283,25 @@ class TelemetryEvent(NamedTuple):
             raise TelemetryError(f"malformed telemetry record: no {exc} key") from exc
         except (TypeError, ValueError) as exc:
             raise TelemetryError(f"malformed telemetry record: {exc}") from exc
-        return tuple.__new__(cls, (seq, kind, name, sim_time, tuple(pairs), tuple(span)))
+        if memo is not None:
+            share = memo.setdefault
+            keys = memo.get(items[5])
+            if keys is None:
+                keys = memo[items[5]] = tuple([share(key, key) for key in items[5]])
+            items[1], items[2], items[5] = share(kind, kind), share(name, name), keys
+            items[6:] = [_shared(value, share) for value in items[6:]]
+            span = [share(part, part) for part in span]
+        items[4] = tuple(span)
+        return tuple.__new__(cls, items)
+
+
+def _shared(value: object, share: Callable[[str, str], str]) -> object:
+    """``value`` with each string in it, in arrays too, taken from ``share``."""
+    if type(value) is str:
+        return share(value, value)
+    if type(value) is tuple:
+        return tuple([_shared(item, share) for item in value])
+    return value
 
 
 class SimClock:
@@ -417,6 +486,9 @@ class Telemetry:
         self._events: List[TelemetryEvent] = []
         #: The open span path, outermost first.
         self._span_path: Tuple[str, ...] = ()
+        #: A call's attribute keys, in the order it passed them, and also
+        #: sorted -> the one sorted ``keys`` tuple its events share.
+        self._keys: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     # -- events ----------------------------------------------------------
     def emit(self, kind: str, name: str = "", **attrs: object) -> TelemetryEvent:
@@ -429,17 +501,22 @@ class Telemetry:
             )
         if type(name) is not str and not isinstance(name, str):
             raise TelemetryError(f"event name {name!r} is {type(name).__name__}, not a str")
-        # Keys are unique, so sorting them alone orders the (key, value) pairs.
-        pairs = []
-        for key in sorted(attrs):
+        # One call site passes its keys in one order: the memo sorts each
+        # order once, and every event of the shape holds the same tuple.
+        order = tuple(attrs)
+        keys = self._keys.get(order)
+        if keys is None:
+            ordered = tuple(sorted(order))
+            keys = self._keys[order] = self._keys.setdefault(ordered, ordered)
+        values = []
+        for key in keys:
             value = attrs[key]
             if type(value) not in _PLAIN_TYPES:
                 value = _freeze_attr(value)
-            pairs.append((key, value))
-        # tuple.__new__ skips the NamedTuple's Python-level __new__.
+            values.append(value)
+        # tuple.__new__ skips TelemetryEvent.__new__, which sorts pairs.
         event = tuple.__new__(TelemetryEvent, (
-            len(self._events), kind, name, self.clock.now,
-            tuple(pairs), self._span_path,
+            len(self._events), kind, name, self.clock.now, self._span_path, keys, *values,
         ))
         self._events.append(event)
         return event
@@ -493,7 +570,7 @@ def forward_events(
     """
     forwarded: List[TelemetryEvent] = []
     for event in events:
-        attrs = {key: _thaw(value) for key, value in event.attrs}
+        attrs = {key: _thaw(value) for key, value in zip(event[5], event[6:])}
         forwarded.append(telemetry.emit(event.kind, event.name, **attrs))
     return forwarded
 
@@ -508,9 +585,11 @@ def write_event_log(
         events = events.events()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # json.dumps(..., sort_keys=True) builds this encoder once a call.
+    encode = json.JSONEncoder(sort_keys=True).encode
     with path.open("w", encoding="utf-8") as handle:
         for event in events:
-            handle.write(json.dumps(event.to_dict(), sort_keys=True))
+            handle.write(encode(event.to_dict()))
             handle.write("\n")
     return len(events)
 
@@ -576,6 +655,7 @@ def walk_event_log(
     sink: Callable[[TelemetryEvent], object],
     source: str,
     start: int = 0,
+    memo: Optional[Dict[object, object]] = None,
 ) -> Tuple[int, int]:
     """The one log reader: hand every event in bytes ``[start, size)`` of
     the binary file ``handle`` to ``sink``.
@@ -596,6 +676,9 @@ def walk_event_log(
     are a complete record.  Any other line that does not parse, or parses
     to something other than an event, is *corruption* and raises
     :class:`TelemetryError` naming ``source`` and the line.
+
+    ``memo`` goes to :meth:`TelemetryEvent.from_dict`: the events share
+    their strings and key tuples through it.
     """
     offset = start
     lines = _lines(read_chunks(handle, start, size))
@@ -603,7 +686,7 @@ def walk_event_log(
         text = line.strip()
         if text:
             try:
-                event = TelemetryEvent.from_dict(json.loads(text.decode("utf-8")))
+                event = TelemetryEvent.from_dict(json.loads(text.decode("utf-8")), memo)
             except (ValueError, TelemetryError) as exc:
                 problem = str(exc)
                 if isinstance(exc, ValueError):  # bad JSON, or bytes that are not UTF-8
@@ -621,32 +704,17 @@ def walk_event_log(
 def read_event_log(path: Union[str, Path]) -> EventLog:
     """Load a JSONL event log (:func:`walk_event_log`'s rules) into a list.
 
-    The events share their strings: each distinct kind, name, attribute
-    key, span part and string value (in arrays too) is one object across
-    the list.  The memo lives for this read only — no :func:`sys.intern` —
-    and the folds, which keep no event, walk without it.
+    The events share their strings and key tuples: each distinct kind,
+    name, attribute key, span part and string value (in arrays too), and
+    each shape's ``keys``, is one object across the list.  The memo lives
+    for this read only — no :func:`sys.intern` — and the folds, which keep
+    no event, walk without it.
     """
     events = EventLog()
-    share = {}.setdefault
-
-    def shared(value: object) -> object:
-        if type(value) is str:
-            return share(value, value)
-        if type(value) is tuple:
-            return tuple([shared(item) for item in value])
-        return value
-
-    def keep(event: TelemetryEvent) -> None:
-        seq, kind, name, sim_time, attrs, span = event
-        events.append(tuple.__new__(TelemetryEvent, (
-            seq, share(kind, kind), share(name, name), sim_time,
-            tuple([(share(key, key), shared(value)) for key, value in attrs]),
-            tuple([share(part, part) for part in span]),
-        )))
-
     with Path(path).open("rb") as handle:
         size = os.fstat(handle.fileno()).st_size
-        _, events.truncated_lines = walk_event_log(handle, size, keep, str(path))
+        _, events.truncated_lines = walk_event_log(
+            handle, size, events.append, str(path), memo={})
     return events
 
 
@@ -671,7 +739,7 @@ def stage_rows_from_log(
     for event in events:
         if event.kind != "stage.finish":
             continue
-        attr = dict(event.attrs).get
+        attr = dict(zip(event[5], event[6:])).get
         rows.append(
             {
                 "name": event.name,

@@ -186,6 +186,17 @@ class Trace:
                 header = json.loads(first[1])
                 if not isinstance(header, dict):
                     raise ValueError(f"expected an object, got {type(header).__name__}")
+                # Refused, not coerced, like a request line: a coerced header
+                # would name, seed or time a trace the file never held.
+                name = header.get("name", "trace")
+                seed = header.get("seed", 0)
+                duration_s = header.get("duration_s", 0.0)
+                if type(name) is not str:
+                    raise ValueError(f"name is {type(name).__name__}, not a string")
+                if type(seed) is not int:  # a bool is an int to isinstance
+                    raise ValueError(f"seed is {type(seed).__name__}, not an integer")
+                if type(duration_s) not in (int, float) or not math.isfinite(duration_s):
+                    raise ValueError(f"duration_s is {duration_s!r}, not a finite number")
             except ValueError as exc:
                 raise WorkloadError(f"{path}: bad trace header: {exc}") from exc
             requests = []
@@ -194,19 +205,13 @@ class Trace:
                     requests.append(TraceRequest.from_dict(json.loads(line)))
                 except (ValueError, WorkloadError) as exc:
                     raise WorkloadError(f"{path}: line {number}: {exc}") from exc
-        trace = cls(
-            requests,
-            name=str(header.get("name", "trace")),
-            seed=int(header.get("seed", 0)),
-            duration_s=float(header.get("duration_s", 0.0)),
-        )
         declared = header.get("requests")
-        if declared is not None and int(declared) != len(requests):
+        if declared is not None and (type(declared) is not int or declared != len(requests)):
             raise WorkloadError(
-                f"{path}: header declares {declared} requests, file holds "
+                f"{path}: header declares {declared!r} requests, file holds "
                 f"{len(requests)}"
             )
-        return trace
+        return cls(requests, name=name, seed=seed, duration_s=duration_s)
 
 
 # -- popularity, cycles, storms -------------------------------------------

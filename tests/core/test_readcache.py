@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core import readcache
 from repro.core.errors import CacheError
 from repro.core.readcache import ReadCache
-from repro.core.telemetry import Telemetry
+from repro.core.telemetry import Telemetry, TelemetryEvent
 from repro.core.workload import (
     AdmissionController,
     OpSpec,
@@ -162,7 +162,8 @@ class TestTelemetry:
         bus = pinned_replay()
         got = fingerprint(bus)
         got["accounting"]["events"] = fingerprint([
-            event._replace(name="rc") if event.name == "readcache" else event
+            TelemetryEvent(event.seq, event.kind, "rc", event.sim_time, event.attrs, event.span)
+            if event.name == "readcache" else event
             for event in bus.events()
         ])["accounting"]["events"]
         assert got == PINS["readcache replay"]

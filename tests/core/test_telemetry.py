@@ -1,12 +1,16 @@
 """The telemetry substrate: bus, instruments, spans, and the JSONL log."""
 
+import contextlib
+import copy
+import gc
 import io
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dataflow import DataFlow
@@ -148,7 +152,9 @@ class TestEventBus:
     def test_event_has_no_wall_clock_field(self):
         bus = Telemetry()
         event = bus.emit("transfer.start", "ship-1", bytes=10)
-        assert TelemetryEvent._fields == ("seq", "kind", "name", "sim_time", "attrs", "span")
+        # The flat record holds these and nothing else.
+        assert event == TelemetryEvent(0, "transfer.start", "ship-1", 0.0, (("bytes", 10),))
+        assert tuple(event) == (0, "transfer.start", "ship-1", 0.0, (), ("bytes",), 10)
         assert event.to_dict() == {
             "seq": 0,
             "kind": "transfer.start",
@@ -219,7 +225,9 @@ class TestEventBus:
         assert TelemetryEvent.from_dict(event.to_dict()) == event
         assert pickle.loads(pickle.dumps(event)) == event
         assert hash(pickle.loads(pickle.dumps(event))) == hash(event)
-        assert event != event._replace(name="other")
+        assert event != TelemetryEvent(
+            event.seq, event.kind, "other", event.sim_time, event.attrs, event.span
+        )
         # attr() thaws tuples one level (as it always has) and honours its default.
         assert event.attr("parents") == ["p1", ("p2",)]
         assert event.to_dict()["attrs"]["parents"] == ["p1", ("p2",)]
@@ -227,6 +235,9 @@ class TestEventBus:
         assert event.attr("absent") is None
         assert event.attr("absent", 7) == 7
 
+    # The session's first text draw builds Hypothesis's charmap cache, which
+    # can trip the too_slow health check on a fresh checkout.
+    @settings(suppress_health_check=[HealthCheck.too_slow])
     @given(st.dictionaries(_attr_keys, _attr_values, max_size=6))
     def test_emit_freezes_and_sorts_like_the_reference_expression(self, attrs):
         event = Telemetry().emit("service.call", "probe", **attrs)
@@ -286,6 +297,103 @@ class TestEventBus:
             "serve.rejected",
         ):
             assert kind in EVENT_KINDS
+
+
+class TestEventRecord:
+    """The flat record ``(seq, kind, name, sim_time, span, keys, *values)``."""
+
+    def test_equal_and_hashed_by_value(self):
+        events = []
+        for bus in (Telemetry(), Telemetry()):
+            with bus.span("outer"):  # its span.start is seq 0
+                events.append(bus.emit("storage.write", "f", n=3, tags=["a"], ok=True))
+        first, second = events
+        assert first == second and hash(first) == hash(second)
+        assert first[5] is not second[5]  # one memo per bus: shared within, not across
+        assert first == TelemetryEvent(
+            1, "storage.write", "f", 0.0, (("n", 3), ("ok", True), ("tags", ("a",))), ("outer",)
+        )
+        assert first != TelemetryEvent(1, "storage.write", "f", 0.0, first.attrs)
+        assert first != TelemetryEvent(1, "storage.write", "f", 0.0, (("n", 3),), first.span)
+        assert len({first, second}) == 1
+
+    def test_immutable_and_pickled_at_every_protocol(self):
+        bus = Telemetry()
+        event = bus.emit("stage.finish", "s", cpu_seconds=1.5, site="ctc")
+        for field in ("seq", "kind", "name", "sim_time", "span", "attrs"):
+            with pytest.raises(AttributeError):
+                setattr(event, field, None)
+        with pytest.raises(TypeError):
+            event[0] = 5  # type: ignore[index]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(event, protocol=protocol))
+            assert type(restored) is TelemetryEvent
+            assert tuple(restored) == tuple(event) and hash(restored) == hash(event)
+        assert copy.deepcopy(event) == event
+        assert repr(event) == (
+            "TelemetryEvent(seq=0, kind='stage.finish', name='s', sim_time=0.0, "
+            "attrs=(('cpu_seconds', 1.5), ('site', 'ctc')), span=())"
+        )
+
+    def test_attrs_are_sorted_pairs_and_attr_thaws_arrays(self):
+        event = Telemetry().emit("service.call", "probe", zeta=1, alpha=("x", ("y",)), mid=None)
+        assert event.attrs == (("alpha", ("x", ("y",))), ("mid", None), ("zeta", 1))
+        # The constructor sorts the pairs it is given, as emit does.
+        assert TelemetryEvent(0, "service.call", "probe", 0.0, reversed(event.attrs)) == event
+        assert event.attr("alpha") == ["x", ("y",)]
+        assert event.attr("mid", "default") is None
+        assert event.attr("absent", "default") == "default"
+        assert event.to_dict()["attrs"] == {"alpha": ["x", ("y",)], "mid": None, "zeta": 1}
+
+    @given(
+        st.dictionaries(_attr_keys, _attr_values, max_size=6),
+        st.lists(st.text("abc/-", max_size=4), max_size=3).map(tuple),
+        st.floats(min_value=0, max_value=1e9),
+    )
+    def test_from_dict_inverts_to_dict(self, attrs, span, advance):
+        bus = Telemetry()
+        bus.clock.advance(advance)
+        with contextlib.ExitStack() as stack:
+            for part in span:
+                stack.enter_context(bus.span(part))
+            event = bus.emit("service.call", "probe", **attrs)
+        assert event.span == span
+        assert TelemetryEvent.from_dict(event.to_dict()) == event
+        assert TelemetryEvent.from_dict(event.to_dict(), memo={}) == event
+
+    def test_events_of_one_shape_share_one_keys_tuple(self, tmp_path):
+        bus = Telemetry()
+        events = [bus.emit("storage.write", "f", size=index, site="ctc") for index in range(3)]
+        events.append(bus.emit("storage.write", "f", site="ctc", size=9))  # another order
+        events.append(bus.emit("storage.recall", "g", size=1, site="x"))  # another kind
+        assert all(event[5] is events[0][5] for event in events)
+        assert events[0][5] == ("site", "size")
+        other = bus.emit("storage.write", "f", size=1)
+        assert other[5] == ("size",) and other[5] is not events[0][5]
+        path = tmp_path / "log.jsonl"
+        write_event_log(path, bus)
+        read = read_event_log(path)
+        assert read == bus.events()
+        assert all(event[5] is read[0][5] for event in read[:5])
+        assert read[0][5] is not events[0][5]
+
+    def test_an_event_holds_no_per_attribute_objects(self):
+        """10 000 three-attribute events whose values are shared cost the
+        bus about 150 B each: the flat tuple, its seq and the list slot.
+        A ``(key, value)`` tuple per attribute made it 362."""
+        bus = Telemetry()
+        values = {"bytes": 1 << 40, "site": "arecibo", "ratio": 0.25}
+        bus.emit("storage.write", "f", **values)  # the shape's keys, before tracing
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10_000):
+                bus.emit("storage.write", "f", **values)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / 10_000 <= 200, held / 10_000
 
 
 class TestSimClock:

@@ -1,5 +1,6 @@
 """The trace-driven workload engine: seeded, shaped, replayable."""
 
+import json
 import re
 from collections import Counter
 
@@ -271,6 +272,47 @@ class TestTracePersistence:
         path.write_text("[1]\n")
         with pytest.raises(WorkloadError, match="bad trace header"):
             Trace.load(path)
+
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            ({"name": 5}, "bad trace header: name is int"),
+            ({"name": None}, "bad trace header: name is NoneType"),
+            ({"seed": True}, "bad trace header: seed is bool"),
+            ({"seed": 1.0}, "bad trace header: seed is float"),
+            ({"seed": "11"}, "bad trace header: seed is str"),
+            ({"duration_s": "2.5"}, "bad trace header: duration_s is '2.5'"),
+            ({"duration_s": True}, "bad trace header: duration_s is True"),
+            ({"duration_s": float("nan")}, "bad trace header: duration_s is nan"),
+            ({"duration_s": float("inf")}, "bad trace header: duration_s is inf"),
+            # Each count coerces to the number of requests the file holds.
+            ({"requests": 1.9}, "header declares 1.9 requests"),
+            ({"requests": "2"}, "header declares '2' requests"),
+            ({"requests": True}, "header declares True requests"),
+        ],
+    )
+    def test_a_wrong_typed_header_is_refused_not_coerced(self, tmp_path, fields, problem):
+        """Only what ``Trace.save`` writes loads: a header coerced to a
+        name, seed, duration or count would describe a trace the file
+        does not hold."""
+        trace = generate_trace(small_spec())
+        path = tmp_path / "trace.jsonl"
+        trace.save(path)
+        header, *lines = path.read_text().splitlines()
+        declared = fields.get("requests", 2)
+        lines = lines[: int(declared)]
+        header = {**json.loads(header), "requests": len(lines), **fields}
+        path.write_text("\n".join([json.dumps(header)] + lines) + "\n")
+        with pytest.raises(WorkloadError, match=f"{re.escape(str(path))}: {re.escape(problem)}"):
+            Trace.load(path)
+
+    def test_absent_header_keys_keep_their_defaults(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("{}\n")
+        loaded = Trace.load(path)
+        assert (loaded.name, loaded.seed, loaded.duration_s, len(loaded)) == ("trace", 0, 0.0, 0)
+        path.write_text('{"duration_s": 3, "requests": 0}\n')
+        assert Trace.load(path).duration_s == 3.0
 
 
 class TestAdmissionController:
