@@ -201,19 +201,20 @@ class TestC21RecallQueue:
         queue = RecallQueue(hsm_queued)
         queued_elapsed = Duration.zero()
         window_end = 10.0
-        drains = 0
+        drains = coalesced = 0
         for request in trace:
             while request.arrival_s >= window_end:
                 report = queue.drain()
                 queued_elapsed += report.elapsed
+                coalesced += report.coalesced
                 drains += 1
                 window_end += 10.0
             queue.request(request.key)
         final = queue.drain()
         queued_elapsed += final.elapsed
+        coalesced += final.coalesced
         drains += 1
 
-        coalesced = queue.metrics.value("recall.coalesced")
         report_rows(
             "C21: archive recall, naive vs coalesced+batched",
             [
@@ -229,7 +230,7 @@ class TestC21RecallQueue:
                     "strategy": "queued (10 s windows)",
                     "tape seconds": f"{queued_elapsed.seconds:.0f}",
                     "drains": drains,
-                    "coalesced": int(coalesced),
+                    "coalesced": coalesced,
                 },
             ],
         )

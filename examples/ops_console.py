@@ -93,8 +93,7 @@ def main():
                   f"- {alert.detail}")
         evaluator.evaluate(grown)  # same state: dedup, no new events
         print(f"active={len(evaluator.active())} "
-              f"raised={evaluator.metrics.value('ops.alerts.raised'):.0f} "
-              f"deduped={evaluator.metrics.value('ops.alerts.deduped'):.0f}")
+              f"raised={evaluator.raised} deduped={evaluator.deduped}")
 
         print("\n== nightly report ==")
         first = render_report(dashboard, alerts=evaluator.active())

@@ -24,21 +24,22 @@ this reproduces get their parallelism from worker processes, each with
 caches of its own.  So a lookup takes no lock, and a miss simply runs
 its loader.
 
-Accounting: ``readcache.hits/misses/negative_hits/admitted/
-admission_rejected/evictions`` counters on the cache's registry, and
-(when a telemetry bus is attached) ``readcache.hit|miss|admit|evict``
-events so a replayed trace's cache behaviour is part of the canonical
-log.
+Accounting: the cache's one :class:`ReadCacheStats` (``hits``,
+``misses``, ``negative_hits``, ``admitted``, ``admission_rejected``,
+``evictions``), bumped in place, and (when a telemetry bus is attached)
+``readcache.hit|miss|admit|evict`` events so a replayed trace's cache
+behaviour is part of the canonical log.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from copy import copy
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import CacheError
-from repro.core.telemetry import MetricsRegistry, Telemetry, registry_view
+from repro.core.telemetry import Telemetry
 
 
 class _Negative:
@@ -60,7 +61,7 @@ _SKETCH_DECAY_FACTOR = 10
 
 @dataclass
 class ReadCacheStats:
-    """Snapshot of a cache's counters (a :func:`registry_view`, like HsmStats)."""
+    """A cache's counters: the cache bumps its own, ``stats`` hands out a copy."""
 
     hits: int = 0
     misses: int = 0
@@ -79,9 +80,9 @@ class ReadCache:
     """LRU + frequency admission + negative caching.
 
     What a lookup costs: a hit is one dict probe, the LRU move, the
-    sketch bump and a bound counter; a miss is the probe, the sketch
+    sketch bump and a field increment; a miss is the probe, the sketch
     bump, the loader and the admission — and nothing else that grows
-    with the number of keys: every counter is bound at construction.
+    with the number of keys.
 
     Parameters
     ----------
@@ -89,8 +90,7 @@ class ReadCache:
         Maximum in-memory entries.
     telemetry:
         When given, the cache emits ``readcache.*`` events, each named
-        ``"readcache"``; counters are kept on the cache's own registry
-        either way.
+        ``"readcache"``; the counters are kept either way.
     """
 
     def __init__(
@@ -101,27 +101,19 @@ class ReadCache:
         if capacity < 1:
             raise CacheError(f"read cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.metrics = MetricsRegistry()
+        self._stats = ReadCacheStats()
         # Each site calls ``self._telemetry.emit`` itself, per event and never
         # bound ahead: perfbench wraps ``Telemetry.emit`` by name.
         self._telemetry = telemetry
         self._entries: "OrderedDict[str, object]" = OrderedDict()
         self._freq: Dict[str, int] = {}
         self._freq_total = 0
-        # Every path runs per request; bind the counters once instead of
-        # paying a registry lookup per access.
-        counter = self.metrics.counter
-        self._hits = counter("readcache.hits")
-        self._misses = counter("readcache.misses")
-        self._negative_hits = counter("readcache.negative_hits")
-        self._admitted = counter("readcache.admitted")
-        self._admission_rejected = counter("readcache.admission_rejected")
-        self._evictions = counter("readcache.evictions")
 
     # -- introspection -----------------------------------------------------
     @property
     def stats(self) -> ReadCacheStats:
-        return registry_view(self.metrics, ReadCacheStats, "readcache")
+        """A snapshot: later lookups do not move it."""
+        return copy(self._stats)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -152,14 +144,14 @@ class ReadCache:
         if len(self._entries) >= self.capacity:
             victim = next(iter(self._entries))
             if self._freq.get(key, 0) < self._freq.get(victim, 0):
-                self._admission_rejected.inc()
+                self._stats.admission_rejected += 1
                 return False
             self._entries.popitem(last=False)
-            self._evictions.inc()
+            self._stats.evictions += 1
             if self._telemetry is not None:
                 self._telemetry.emit("readcache.evict", "readcache", key=victim)
         self._entries[key] = value
-        self._admitted.inc()
+        self._stats.admitted += 1
         if self._telemetry is not None:
             self._telemetry.emit("readcache.admit", "readcache", key=key)
         return True
@@ -181,15 +173,15 @@ class ReadCache:
         if value is not None:
             self._entries.move_to_end(key)
             if value is _NEGATIVE:
-                self._negative_hits.inc()
+                self._stats.negative_hits += 1
                 if self._telemetry is not None:
                     self._telemetry.emit("readcache.hit", "readcache", key=key, negative=True)
                 return None
-            self._hits.inc()
+            self._stats.hits += 1
             if self._telemetry is not None:
                 self._telemetry.emit("readcache.hit", "readcache", key=key)
             return value
-        self._misses.inc()
+        self._stats.misses += 1
         if self._telemetry is not None:
             self._telemetry.emit("readcache.miss", "readcache", key=key)
         value = loader()

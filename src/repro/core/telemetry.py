@@ -10,9 +10,9 @@ This module is the single substrate they all now share:
   ``bytes.produced``, ``storage.write/recall/evict``,
   ``transfer.start/finish``, ``provenance.record``, ...);
 * a **metrics registry** of named instruments — :class:`Counter`,
-  :class:`Gauge`, and :class:`HighWaterMark` — with one read side,
-  :func:`registry_view`, which every subsystem ``stats`` property
-  (``HsmStats``, ``TapeStats``, ``LaneStats``, ...) is a call to;
+  :class:`Gauge`, and :class:`HighWaterMark` — the bus's own and the
+  stage cache's (a subsystem keeps its books in its own stats dataclass,
+  ``HsmStats``, ``TapeStats``, ``LaneStats``, ..., bumped in place);
 * nested **trace spans** stamped by a :class:`SimClock` (simulated
   seconds, not wall-clock), so a log is reproducible run to run;
 * a **replayable JSONL log** — :func:`write_event_log` and one reader,
@@ -29,7 +29,6 @@ flow — shards inline or on worker processes — produce byte-identical logs.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import numbers
@@ -49,8 +48,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Type,
-    TypeVar,
     Union,
 )
 
@@ -447,27 +444,6 @@ class MetricsRegistry:
             for name in self.names()
             if name.startswith(prefix)
         ]
-
-
-_Stats = TypeVar("_Stats")
-
-
-def registry_view(metrics: MetricsRegistry, cls: Type[_Stats], prefix: str) -> _Stats:
-    """A stats dataclass read from a registry's ``<prefix>.<field>`` instruments.
-
-    The one read side of every subsystem's books: each value is cast to
-    the type of its field's default (``int`` counts, ``float`` volumes,
-    :class:`Duration` times), and an instrument that was never touched
-    reads as zero.  A field kept under another instrument name says so
-    where it is declared, ``field(metadata={"instrument": "busy_seconds"})``.
-    """
-    blank = cls()  # every stats field has a default; its type is the field's
-    values = {}
-    for spec in dataclasses.fields(blank):  # type: ignore[arg-type]
-        instrument = spec.metadata.get("instrument", spec.name)
-        cast = type(getattr(blank, spec.name))
-        values[spec.name] = cast(metrics.value(f"{prefix}.{instrument}"))
-    return cls(**values)
 
 
 # -- the bus -------------------------------------------------------------

@@ -29,7 +29,7 @@ from fnmatch import fnmatchcase
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import OpsError
-from repro.core.telemetry import MetricsRegistry, Telemetry
+from repro.core.telemetry import Telemetry
 from repro.ops.dashboard import (
     ChannelPanel,
     QualitySpec,
@@ -182,7 +182,12 @@ class AlertEvaluator:
         self.rules = tuple(rules)
         self.specs = tuple(specs)
         self.telemetry = telemetry
-        self.metrics = MetricsRegistry()
+        #: Lifetime counts: alerts raised, raises that followed a clear,
+        #: firings folded into an alert already active, alerts cleared.
+        self.raised = 0
+        self.deduped = 0
+        self.flapped = 0
+        self.cleared = 0
         self._active: Dict[str, Alert] = {}
         self._raise_counts: Dict[str, int] = {}
 
@@ -217,7 +222,7 @@ class AlertEvaluator:
         for key in sorted(firing):
             rule, panel, value, detail = firing[key]
             if key in self._active:
-                self.metrics.counter("ops.alerts.deduped").inc()
+                self.deduped += 1
                 continue
             flap = self._raise_counts.get(key, 0)
             alert = Alert(
@@ -231,9 +236,9 @@ class AlertEvaluator:
             )
             self._active[key] = alert
             self._raise_counts[key] = flap + 1
-            self.metrics.counter("ops.alerts.raised").inc()
+            self.raised += 1
             if flap:
-                self.metrics.counter("ops.alerts.flapped").inc()
+                self.flapped += 1
             transitions.append(AlertTransition(action="raised", alert=alert))
             if self.telemetry is not None:
                 self.telemetry.emit(
@@ -249,7 +254,7 @@ class AlertEvaluator:
             if key in firing:
                 continue
             alert = self._active.pop(key)
-            self.metrics.counter("ops.alerts.cleared").inc()
+            self.cleared += 1
             transitions.append(AlertTransition(action="cleared", alert=alert))
             if self.telemetry is not None:
                 self.telemetry.emit(

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.core.errors import StorageError
 from repro.core.resources import CostLedger, PersonnelModel
-from repro.core.telemetry import MetricsRegistry, Telemetry
+from repro.core.telemetry import Telemetry
 from repro.core.units import DataSize, Duration
 from repro.storage.catalog import FileCatalog
 from repro.storage.media import MediaType, Medium, StoredFile
@@ -86,7 +86,6 @@ class LongTermArchive:
         self.rng = rng if rng is not None else random.Random(DEFAULT_ARCHIVE_SEED)
         self.catalog = FileCatalog()
         self.ledger = CostLedger()
-        self.metrics = MetricsRegistry()
         self._telemetry = telemetry if telemetry is not None else Telemetry()
         # One media set per copy index, so copies of a file never share a medium.
         self._media_sets: List[List[Medium]] = [[] for _ in range(copies)]
@@ -137,9 +136,6 @@ class LongTermArchive:
                 medium_id=medium.label,
                 checksum=entry.checksum,
             )
-        self.metrics.counter("archive.files_ingested").inc()
-        self.metrics.counter("archive.bytes_ingested").inc(size.bytes)
-        self.metrics.counter("archive.copies_written").inc(self.copies)
         self._telemetry.emit(
             "storage.write",
             name,

@@ -6,21 +6,21 @@ a fixed-size disk cache in front of a robotic tape library, write-through
 archival, LRU eviction, and recall accounting — enough to quantify the cost
 of cold reads versus the hot/warm/cold partitioning studied in experiment C7.
 
-Accounting is registry-backed: every store owns a
-:class:`~repro.core.telemetry.MetricsRegistry` and publishes
-``storage.write/recall/evict`` events on the telemetry bus; the public
-:attr:`HierarchicalStore.stats` property is a thin :class:`HsmStats`
-snapshot over those instruments.
+Accounting: every store keeps one :class:`HsmStats`, bumped in place,
+and publishes ``storage.write/recall/evict`` events on the telemetry bus;
+the public :attr:`HierarchicalStore.stats` property is a copy of those
+books.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from copy import copy
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
 from repro.core.errors import CapacityError, StorageError
-from repro.core.telemetry import MetricsRegistry, Telemetry, registry_view
+from repro.core.telemetry import Telemetry
 from repro.core.units import DataSize, Duration
 from repro.storage.media import StoredFile
 from repro.storage.tape import RoboticTapeLibrary
@@ -28,15 +28,13 @@ from repro.storage.tape import RoboticTapeLibrary
 
 @dataclass
 class HsmStats:
-    """Cache behaviour counters (a snapshot view over the metrics registry)."""
+    """Cache behaviour counters."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     bytes_recalled: float = 0.0
-    recall_time: Duration = field(
-        default_factory=Duration.zero, metadata={"instrument": "recall_seconds"}
-    )
+    recall_time: Duration = Duration.zero()
 
     @property
     def hit_rate(self) -> float:
@@ -98,13 +96,13 @@ class HierarchicalStore:
         self.library = library
         self.cache_capacity = cache_capacity
         self._cache: "OrderedDict[str, DataSize]" = OrderedDict()
-        self.metrics = MetricsRegistry()
+        self._stats = HsmStats()
         self._telemetry = telemetry if telemetry is not None else Telemetry()
 
     @property
     def stats(self) -> HsmStats:
-        """Cache behaviour counters, read from the metrics registry."""
-        return registry_view(self.metrics, HsmStats, "hsm")
+        """A snapshot of the cache counters: later reads do not move it."""
+        return copy(self._stats)
 
     # -- cache bookkeeping ---------------------------------------------------
     @property
@@ -121,7 +119,7 @@ class HierarchicalStore:
             )
         while self.cached_bytes.bytes + size.bytes > self.cache_capacity.bytes:
             evicted_name, evicted_size = self._cache.popitem(last=False)
-            self.metrics.counter("hsm.evictions").inc()
+            self._stats.evictions += 1
             self._telemetry.emit(
                 "storage.evict",
                 evicted_name,
@@ -138,8 +136,6 @@ class HierarchicalStore:
         elapsed = self.library.archive(name, size, content_tag)
         self._make_room(size)
         self._cache[name] = size
-        self.metrics.counter("hsm.writes").inc()
-        self.metrics.counter("hsm.bytes_written").inc(size.bytes)
         self._telemetry.emit(
             "storage.write",
             name,
@@ -152,17 +148,17 @@ class HierarchicalStore:
     def read(self, name: str) -> Tuple[StoredFile, Duration]:
         """Read a file, recalling from tape on a cache miss."""
         if name in self._cache:
-            self.metrics.counter("hsm.hits").inc()
+            self._stats.hits += 1
             self._touch(name)
             # Cache reads are disk-speed; negligible next to tape recall in
             # this model, but we still need the file object, which lives on
             # tape (the cache stores no content in the simulation).
             file, _ = self._peek_tape(name)
             return file, Duration.zero()
-        self.metrics.counter("hsm.misses").inc()
+        self._stats.misses += 1
         file, elapsed = self.library.recall(name)
-        self.metrics.counter("hsm.bytes_recalled").inc(file.size.bytes)
-        self.metrics.gauge("hsm.recall_seconds").add(elapsed.seconds)
+        self._stats.bytes_recalled += file.size.bytes
+        self._stats.recall_time += elapsed
         self._telemetry.emit(
             "storage.recall",
             name,
@@ -192,7 +188,7 @@ class HierarchicalStore:
         evicted from the cache too (no dangling cache entries pointing at
         dead tape), modelling an operator who declines the re-migration.
         """
-        cartridge = self.library._cartridges[index]  # noqa: SLF001 - same package
+        cartridge = self.library._cartridge(index)  # noqa: SLF001 - same package
         survivors = {
             file.name: file
             for file in cartridge.files
@@ -210,7 +206,6 @@ class HierarchicalStore:
             if remigrate:
                 file = survivors[name]
                 self.library.archive(name, file.size, file.content_tag)
-                self.metrics.counter("hsm.remigrations").inc()
                 self._telemetry.emit(
                     "storage.write",
                     name,
@@ -237,8 +232,8 @@ class HierarchicalStore:
             return [], Duration.zero()
         files, elapsed = self.library.recall_batch(to_recall)
         for file in files:
-            self.metrics.counter("hsm.misses").inc()
-            self.metrics.counter("hsm.bytes_recalled").inc(file.size.bytes)
+            self._stats.misses += 1
+            self._stats.bytes_recalled += file.size.bytes
             self._telemetry.emit(
                 "storage.recall",
                 file.name,
@@ -248,5 +243,5 @@ class HierarchicalStore:
             )
             self._make_room(file.size)
             self._cache[file.name] = file.size
-        self.metrics.gauge("hsm.recall_seconds").add(elapsed.seconds)
+        self._stats.recall_time += elapsed
         return files, elapsed

@@ -13,9 +13,9 @@ file at a time; they queue on a :class:`RecallQueue`, which
   batched, mount-efficient :meth:`~repro.storage.hsm.HierarchicalStore.recall_set`
   pass before any read is served).
 
-The queue owns a registry (``recall.requests/coalesced/drains/
-hot_served/cold_recalled``); per-file ``storage.recall`` events stay where
-they always were, on the HSM's telemetry stream.
+Each drain's :class:`RecallDrainReport` is the queue's book: requests
+served, coalesced, hot and cold; per-file ``storage.recall`` events stay
+where they always were, on the HSM's telemetry stream.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from repro.core.errors import StorageError
-from repro.core.telemetry import MetricsRegistry
 from repro.core.units import DataSize, Duration
 from repro.storage.hsm import HierarchicalStore
 from repro.storage.media import StoredFile
@@ -50,7 +49,6 @@ class RecallQueue:
 
     def __init__(self, hsm: HierarchicalStore):
         self.hsm = hsm
-        self.metrics = MetricsRegistry()
         self._pending: "OrderedDict[str, int]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -60,10 +58,8 @@ class RecallQueue:
         """Queue one read request; duplicates coalesce until the drain."""
         if not name:
             raise StorageError("cannot queue a recall for an empty file name")
-        self.metrics.counter("recall.requests").inc()
         if name in self._pending:
             self._pending[name] += 1
-            self.metrics.counter("recall.coalesced").inc()
         else:
             self._pending[name] = 1
 
@@ -80,7 +76,6 @@ class RecallQueue:
         if not self._pending:
             return RecallDrainReport()
         batch, self._pending = self._pending, OrderedDict()
-        self.metrics.counter("recall.drains").inc()
         hot = [name for name in batch if self.hsm.is_cached(name)]
         cold = [name for name in batch if not self.hsm.is_cached(name)]
         elapsed = Duration.zero()
@@ -97,8 +92,6 @@ class RecallQueue:
         total_bytes = sum(
             served[name].size.bytes * count for name, count in batch.items()
         )
-        self.metrics.counter("recall.hot_served").inc(len(hot))
-        self.metrics.counter("recall.cold_recalled").inc(len(cold))
         return RecallDrainReport(
             requests_served=sum(batch.values()),
             unique_files=len(batch),

@@ -9,28 +9,27 @@ and sequential append is the natural write mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.errors import StorageError
 from repro.core.faults import FaultInjector, delay_seconds
-from repro.core.telemetry import MetricsRegistry, Telemetry, registry_view
+from repro.core.telemetry import Telemetry
 from repro.core.units import DataSize, Duration
 from repro.storage.media import LTO3_TAPE, MediaType, Medium, StoredFile, checksum_for
 
 
 @dataclass
 class TapeStats:
-    """Operation counters for a library (a registry snapshot view)."""
+    """Operation counters for a library."""
 
     writes: int = 0
     reads: int = 0
     mounts: int = 0
     bytes_written: float = 0.0
     bytes_read: float = 0.0
-    busy_time: Duration = field(
-        default=Duration.zero(), metadata={"instrument": "busy_seconds"}
-    )
+    busy_time: Duration = Duration.zero()
 
 
 class RoboticTapeLibrary:
@@ -60,7 +59,7 @@ class RoboticTapeLibrary:
         self._locations: Dict[str, Medium] = {}
         self._mounted: Optional[Medium] = None
         self._fill: Optional[Medium] = None
-        self.metrics = MetricsRegistry()
+        self._stats = TapeStats()
         self._telemetry = telemetry if telemetry is not None else Telemetry()
         #: Armed fault injector shared with the rest of the run (or None).
         #: Operations consult it under scope ``"storage"`` with targets
@@ -80,13 +79,22 @@ class RoboticTapeLibrary:
 
     @property
     def stats(self) -> TapeStats:
-        """Operation counters, read from the metrics registry."""
-        return registry_view(self.metrics, TapeStats, "tape")
+        """A snapshot of the operation counters: later operations do not move it."""
+        return copy(self._stats)
 
     # -- inventory ---------------------------------------------------------
     @property
     def cartridge_count(self) -> int:
         return len(self._cartridges)
+
+    def _cartridge(self, index: int) -> Medium:
+        """The cartridge at ``index``, counted from 0; no negative indexes."""
+        if not 0 <= index < len(self._cartridges):
+            raise StorageError(
+                f"library {self.name!r} has no cartridge {index} "
+                f"(it holds {len(self._cartridges)})"
+            )
+        return self._cartridges[index]
 
     def holds(self, name: str) -> bool:
         return name in self._locations
@@ -103,7 +111,7 @@ class RoboticTapeLibrary:
         if self._mounted is cartridge:
             return Duration.zero()
         self._mounted = cartridge
-        self.metrics.counter("tape.mounts").inc()
+        self._stats.mounts += 1
         return self.media_type.mount_latency
 
     # -- operations ----------------------------------------------------------
@@ -132,9 +140,9 @@ class RoboticTapeLibrary:
         elapsed += size / self.media_type.write_rate
         elapsed += stall
         self._locations[name] = self._fill
-        self.metrics.counter("tape.writes").inc()
-        self.metrics.counter("tape.bytes_written").inc(size.bytes)
-        self.metrics.gauge("tape.busy_seconds").add(elapsed.seconds)
+        self._stats.writes += 1
+        self._stats.bytes_written += size.bytes
+        self._stats.busy_time += elapsed
         self._telemetry.emit(
             "storage.write",
             name,
@@ -168,9 +176,9 @@ class RoboticTapeLibrary:
             file = damaged
         elapsed += file.size / self.media_type.read_rate
         elapsed += stall
-        self.metrics.counter("tape.reads").inc()
-        self.metrics.counter("tape.bytes_read").inc(file.size.bytes)
-        self.metrics.gauge("tape.busy_seconds").add(elapsed.seconds)
+        self._stats.reads += 1
+        self._stats.bytes_read += file.size.bytes
+        self._stats.busy_time += elapsed
         self._telemetry.emit(
             "storage.recall",
             name,
@@ -200,7 +208,7 @@ class RoboticTapeLibrary:
 
     def fail_cartridge(self, index: int) -> List[str]:
         """Fail one cartridge; returns names of files lost."""
-        cartridge = self._cartridges[index]
+        cartridge = self._cartridge(index)
         cartridge.fail()
         lost = sorted(
             name for name, location in self._locations.items() if location is cartridge

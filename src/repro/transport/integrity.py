@@ -90,8 +90,8 @@ def verify_delivery(
     *missing* when listed but absent, and *unexpected* when delivered but
     never listed.  When ``telemetry`` is given, the verification outcome is
     published as an ``integrity.verify`` event (carriers like
-    :class:`~repro.transport.sneakernet.ShippingLane` aggregate the tallies
-    into their registries from the returned report).
+    :class:`~repro.transport.sneakernet.ShippingLane` add the tallies to
+    their stats from the returned report).
     """
     report = DeliveryReport(shipment_id=manifest.shipment_id)
     by_name: Dict[str, StoredFile] = {}

@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from copy import copy
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.errors import TransportError
 from repro.core.faults import FaultInjector, delay_seconds
 from repro.core.resources import CostLedger, PersonnelModel
-from repro.core.telemetry import MetricsRegistry, Telemetry, registry_view
+from repro.core.telemetry import Telemetry
 from repro.core.units import DataSize, Duration, Rate
 from repro.storage.media import ATA_DISK_2005, MediaType, StoredFile, checksum_for
 from repro.transport.integrity import (
@@ -130,7 +131,7 @@ class ShipmentResult:
 
 @dataclass
 class LaneStats:
-    """Lifetime operation counters for one lane (a registry snapshot view)."""
+    """Lifetime operation counters for one lane."""
 
     shipments: int = 0
     attempts: int = 0
@@ -140,9 +141,7 @@ class LaneStats:
     files_delivered: int = 0
     files_corrupt: int = 0
     files_missing: int = 0
-    personnel_time: Duration = field(
-        default_factory=Duration.zero, metadata={"instrument": "personnel_seconds"}
-    )
+    personnel_time: Duration = Duration.zero()
 
 
 #: Default seed for a lane's damage/transit RNG when the caller does not
@@ -154,10 +153,9 @@ DEFAULT_LANE_SEED = 0
 class ShippingLane:
     """A recurring physical-transport operation between two sites.
 
-    Lifetime accounting is registry-backed: each lane owns a
-    :class:`~repro.core.telemetry.MetricsRegistry` and publishes
-    ``transfer.start``/``transfer.finish`` events per shipment; the
-    :attr:`stats` property is a :class:`LaneStats` snapshot over it.
+    Lifetime accounting: each lane keeps one :class:`LaneStats`, bumped
+    in place, and publishes ``transfer.start``/``transfer.finish`` events
+    per shipment; the :attr:`stats` property is a copy of those books.
     """
 
     def __init__(
@@ -172,7 +170,7 @@ class ShippingLane:
         self.personnel = personnel if personnel is not None else PersonnelModel()
         self.rng = rng if rng is not None else random.Random(DEFAULT_LANE_SEED)
         self.ledger = CostLedger()
-        self.metrics = MetricsRegistry()
+        self._stats = LaneStats()
         self._telemetry = telemetry if telemetry is not None else Telemetry()
         #: Armed fault injector shared with the rest of the run (or None).
         #: ``ship`` consults it once per dispatch attempt under scope
@@ -188,8 +186,8 @@ class ShippingLane:
 
     @property
     def stats(self) -> LaneStats:
-        """Lifetime shipment counters, read from the metrics registry."""
-        return registry_view(self.metrics, LaneStats, "lane")
+        """A snapshot of the lifetime counters: later shipments do not move it."""
+        return copy(self._stats)
 
     def _files_for(self, shipment_id: str, volume: DataSize) -> List[StoredFile]:
         """Split a volume across media-sized files for manifest purposes."""
@@ -242,12 +240,12 @@ class ShippingLane:
                     f"shipment {shipment_id}: {len(pending)} media still bad "
                     f"after {max_attempts} attempts"
                 )
-            self.metrics.counter("lane.attempts").inc()
-            self.metrics.counter("lane.media_shipped").inc(len(pending))
+            self._stats.attempts += 1
+            self._stats.media_shipped += len(pending)
             if attempts > 1:
-                self.metrics.counter("lane.media_retransmitted").inc(len(pending))
+                self._stats.media_retransmitted += len(pending)
             batch_volume = DataSize(sum(file.size.bytes for file in pending))
-            self.metrics.counter("lane.bytes_shipped").inc(batch_volume.bytes)
+            self._stats.bytes_shipped += batch_volume.bytes
             handling = self.spec.handling_time(len(pending))
             elapsed += (
                 self.spec.copy_time(batch_volume)
@@ -271,16 +269,18 @@ class ShippingLane:
                             file.corrupt()
                     elif record.kind == "drop":
                         del arrived[:count]
-            good_names = {f.name for f in received}
-            received.extend(f for f in arrived if f.verify() and f.name not in good_names)
-            report = verify_delivery(manifest, received, telemetry=self._telemetry)
-            self.metrics.counter("lane.files_corrupt").inc(len(report.corrupt))
-            self.metrics.counter("lane.files_missing").inc(len(report.missing))
+            # The manifest check sees this attempt's arrivals, damaged ones
+            # too, beside the media already delivered intact; only intact
+            # media stay received.  (``arrived`` holds pending media only.)
+            report = verify_delivery(manifest, received + arrived, telemetry=self._telemetry)
+            received.extend(f for f in arrived if f.verify())
+            self._stats.files_corrupt += len(report.corrupt)
+            self._stats.files_missing += len(report.missing)
             pending = [file for file in outgoing if file.name in report.needs_retransmission()]
 
-        self.metrics.counter("lane.shipments").inc()
-        self.metrics.counter("lane.files_delivered").inc(len(report.delivered))
-        self.metrics.gauge("lane.personnel_seconds").add(personnel_time.seconds)
+        self._stats.shipments += 1
+        self._stats.files_delivered += len(report.delivered)
+        self._stats.personnel_time += personnel_time
         self._telemetry.emit(
             "transfer.finish",
             shipment_id,

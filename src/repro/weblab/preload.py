@@ -19,13 +19,13 @@ sweeps it).
 from __future__ import annotations
 
 import time
+from copy import copy
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import DuplicateCrawlError, WebLabError
 from repro.core.faults import FaultInjector, delay_seconds
-from repro.core.telemetry import MetricsRegistry, registry_view
 from repro.core.units import DataSize, Duration, Rate
 from repro.weblab.arcformat import read_arc
 from repro.weblab.datformat import read_dat
@@ -56,13 +56,8 @@ class PreloadStats:
         """Content volume one day of this throughput would preload."""
         return self.throughput * Duration.days(1)
 
-    @classmethod
-    def zero(cls) -> "PreloadStats":
-        """An explicit all-zero stats record (e.g. a culled batch)."""
-        return cls()
-
     def __sub__(self, other: "PreloadStats") -> "PreloadStats":
-        """Difference of two snapshots (the per-run view of a busy registry)."""
+        """Difference of two snapshots (the per-run view of lifetime totals)."""
         return PreloadStats(
             arc_files=self.arc_files - other.arc_files,
             dat_files=self.dat_files - other.dat_files,
@@ -98,12 +93,15 @@ class PreloadSubsystem:
         self.database = database
         self.pagestore = pagestore
         self.config = config if config is not None else PreloadConfig()
-        self.metrics = MetricsRegistry()
+        self._stats = PreloadStats()
+        #: Runs a ``"stale"`` fault skipped, and the files those runs held.
+        self.stale_serves = 0
+        self.stale_files = 0
         #: Armed fault injector (or None), consulted once per :meth:`run`
         #: under scope ``"preload"``, target ``"weblab/preload"``.  A
         #: ``"stale"`` fault makes the run serve its previous state — the
-        #: batch is skipped (``preload.stale_serves``/``preload.stale_files``
-        #: count the degradation) and users keep reading the last loaded
+        #: batch is skipped (:attr:`stale_serves`/:attr:`stale_files` count
+        #: the degradation) and users keep reading the last loaded
         #: crawl, the WebLab's graceful answer to a preload stall.  A
         #: ``"crash"`` raises before any file is parsed; ``"delay"``
         #: stretches the run's recorded elapsed time.
@@ -111,8 +109,8 @@ class PreloadSubsystem:
 
     @property
     def lifetime_stats(self) -> PreloadStats:
-        """Accumulated totals across every run, read from the registry."""
-        return registry_view(self.metrics, PreloadStats, "preload")
+        """A snapshot of the totals across every run: later runs do not move it."""
+        return copy(self._stats)
 
     # -- single-file paths -----------------------------------------------------
     def process_arc(self, path: Union[str, Path], crawl_index: int) -> Tuple[int, float]:
@@ -151,12 +149,10 @@ class PreloadSubsystem:
             if len(batch) >= self.config.batch_size:
                 flush()
         flush()
-        self.metrics.counter("preload.arc_files").inc()
-        self.metrics.counter("preload.pages").inc(pages)
-        self.metrics.counter("preload.content_bytes").inc(content_bytes)
-        self.metrics.counter("preload.compressed_bytes").inc(
-            float(Path(path).stat().st_size)
-        )
+        self._stats.arc_files += 1
+        self._stats.pages += pages
+        self._stats.content_bytes += content_bytes
+        self._stats.compressed_bytes += Path(path).stat().st_size
         return pages, content_bytes
 
     def process_dat(self, path: Union[str, Path], crawl_index: int) -> int:
@@ -177,11 +173,9 @@ class PreloadSubsystem:
                 if len(batch) >= self.config.batch_size:
                     flush()
         flush()
-        self.metrics.counter("preload.dat_files").inc()
-        self.metrics.counter("preload.links").inc(links)
-        self.metrics.counter("preload.compressed_bytes").inc(
-            float(Path(path).stat().st_size)
-        )
+        self._stats.dat_files += 1
+        self._stats.links += links
+        self._stats.compressed_bytes += Path(path).stat().st_size
         return links
 
     # -- bulk run ---------------------------------------------------------------
@@ -193,7 +187,7 @@ class PreloadSubsystem:
         """Preload a mixed set of (path, crawl_index) pairs, ARCs then DATs.
 
         Returns the stats of *this* run — the delta of the subsystem's
-        lifetime registry across the run (see :attr:`lifetime_stats` for
+        lifetime totals across the run (see :attr:`lifetime_stats` for
         the running totals).
         """
         injected = (
@@ -204,11 +198,9 @@ class PreloadSubsystem:
         if any(record.kind == "stale" for record in injected):
             # Serve stale: skip this batch entirely; readers keep the
             # previously loaded crawls.  The cull is recorded, not silent.
-            self.metrics.counter("preload.stale_serves").inc()
-            self.metrics.counter("preload.stale_files").inc(
-                len(list(arc_paths)) + len(list(dat_paths))
-            )
-            return PreloadStats.zero()
+            self.stale_serves += 1
+            self.stale_files += len(list(arc_paths)) + len(list(dat_paths))
+            return PreloadStats()
         crawl_indexes = {index for _, index in list(arc_paths) + list(dat_paths)}
         for index in sorted(crawl_indexes):
             # Registration is idempotent for matching times; preload callers
@@ -225,7 +217,7 @@ class PreloadSubsystem:
             self.process_arc(path, index)
         for path, index in dat_paths:
             self.process_dat(path, index)
-        self.metrics.counter("preload.elapsed_s").inc(
+        self._stats.elapsed_s += (
             time.perf_counter() - start + delay_seconds(injected)  # repro: noqa[RPR002]
         )
         return self.lifetime_stats - before

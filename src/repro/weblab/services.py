@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.readcache import ReadCache
-from repro.core.telemetry import Counter, MetricsRegistry, Telemetry
+from repro.core.telemetry import Telemetry
 from repro.core.units import DataSize, Duration
 from repro.transport.network import INTERNET2_100, NetworkLink
 from repro.weblab.arcformat import pack_crawl
@@ -84,8 +84,8 @@ class WebLab:
 class WebLabServices:
     """The researcher-facing service facade.
 
-    Every facade call is metered: a per-method ``service.calls.<method>``
-    counter in the facade's registry, plus a ``service.call`` event on the
+    Every facade call is metered: a per-method call count
+    (:attr:`service_stats`), plus a ``service.call`` event on the
     telemetry bus — the Web-server access log of the simulated lab.
 
     An optional :class:`ReadCache` accelerates the hot read paths: retro
@@ -104,30 +104,17 @@ class WebLabServices:
         self._weblab = weblab
         self.cache = cache
         self._retro = RetroBrowser(weblab.database, weblab.pagestore, cache=cache)
-        self.metrics = MetricsRegistry()
-        self._calls: Dict[str, Counter] = {}
+        self._calls: Dict[str, int] = {}
         self._telemetry = telemetry if telemetry is not None else Telemetry()
 
     def _record(self, method: str, **attrs: object) -> None:
-        # One registry lookup per method name, not per call; a method
-        # never called still has no counter (service_stats lists names).
-        counter = self._calls.get(method)
-        if counter is None:
-            counter = self._calls[method] = self.metrics.counter(
-                f"service.calls.{method}"
-            )
-        counter.inc()
+        self._calls[method] = self._calls.get(method, 0) + 1
         self._telemetry.emit("service.call", method, **attrs)
 
     @property
     def service_stats(self) -> Dict[str, int]:
-        """Per-method call counts, read from the metrics registry."""
-        prefix = "service.calls."
-        return {
-            name[len(prefix):]: int(self.metrics.value(name))
-            for name in self.metrics.names()
-            if name.startswith(prefix)
-        }
+        """Per-method call counts, by method name."""
+        return dict(sorted(self._calls.items()))
 
     # -- retro browsing ----------------------------------------------------
     def browse(self, url: str, as_of: float) -> RetroPage:

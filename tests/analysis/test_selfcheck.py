@@ -558,3 +558,71 @@ def test_no_function_keeps_process_state_outside_the_inventory(analysis, tmp_pat
     assert _process_state(Analysis.build([package])) == {
         "pkg.m.new_label", "pkg.m.get_default",
     }
+
+
+#: The scopes in ``src/`` that build a ``MetricsRegistry``: the bus's own
+#: (the pins fold it, perfbench reads it) and the stage cache's fallback.
+#: A component keeps its books in the stats dataclass it declares.
+REGISTRY_BUILDERS = {
+    "core.telemetry.Telemetry.__init__", "core.stagecache.StageCache.__init__",
+}
+
+
+def _registry_builders(program, registry="repro.core.telemetry.MetricsRegistry"):
+    """Every scope (``repro.`` dropped) that calls ``registry``: a function
+    with a call edge to its ``__init__``, or a module whose code outside
+    any function calls it by an imported name or its own."""
+    found = {
+        caller for caller, callees in program.edges.items()
+        if f"{registry}.__init__" in callees
+    }
+    for module in program.modules.values():
+        stack = list(module.source.tree.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Call) and registry in (
+                module.imports.resolve(node.func),
+                module.classes_by_name.get(getattr(node.func, "id", "")),
+            ):
+                found.add(module.name)
+    return {name.removeprefix("repro.") for name in found}
+
+
+def test_no_component_builds_a_private_registry(analysis, tmp_path):
+    assert _registry_builders(analysis.program) == REGISTRY_BUILDERS
+    tree = {
+        "__init__.py": "",
+        "core/__init__.py": "",
+        "core/telemetry.py": textwrap.dedent("""\
+            class MetricsRegistry:
+                def __init__(self):
+                    self.instruments = {}
+
+            class Telemetry:
+                def __init__(self):
+                    self.registry = MetricsRegistry()
+        """),
+        "lane.py": textwrap.dedent("""\
+            from repro.core import telemetry
+            from repro.core.telemetry import MetricsRegistry as Books
+
+            DEFAULT = telemetry.MetricsRegistry()
+
+            class Lane:
+                def __init__(self):
+                    self.metrics = Books()
+
+                def books(self):
+                    return self.metrics
+        """),
+    }
+    for name, text in tree.items():
+        path = tmp_path / "repro" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert _registry_builders(Analysis.build([tmp_path / "repro"]).program) == {
+        "core.telemetry.Telemetry.__init__", "lane", "lane.Lane.__init__",
+    }

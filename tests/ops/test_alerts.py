@@ -71,7 +71,7 @@ def test_threshold_raise_dedup_clear_and_flap():
 
     deduped = evaluator.evaluate(degraded_projection())
     assert deduped == []
-    assert evaluator.metrics.value("ops.alerts.deduped") == 1.0
+    assert evaluator.deduped == 1
 
     cleared = evaluator.evaluate(healthy_projection())
     assert [t.action for t in cleared] == ["cleared"]
@@ -80,9 +80,9 @@ def test_threshold_raise_dedup_clear_and_flap():
     flapped = evaluator.evaluate(degraded_projection())
     assert [t.action for t in flapped] == ["raised"]
     assert flapped[0].alert.flap == 1
-    assert evaluator.metrics.value("ops.alerts.flapped") == 1.0
-    assert evaluator.metrics.value("ops.alerts.raised") == 2.0
-    assert evaluator.metrics.value("ops.alerts.cleared") == 1.0
+    assert evaluator.flapped == 1
+    assert evaluator.raised == 2
+    assert evaluator.cleared == 1
 
 
 def test_threshold_rule_can_watch_one_metric():

@@ -39,8 +39,9 @@ class TestQueueing:
             queue.request("a1")
         queue.request("a2")
         assert len(queue) == 2
-        assert queue.metrics.value("recall.requests") == 5
-        assert queue.metrics.value("recall.coalesced") == 3
+        report = queue.drain()
+        assert report.requests_served == 5
+        assert report.coalesced == 3
 
     def test_empty_name_rejected(self, hsm):
         with pytest.raises(StorageError, match="empty"):
@@ -74,8 +75,6 @@ class TestDrain:
         report = queue.drain()
         assert report.hot_served == 2
         assert report.cold_recalled == 1
-        assert queue.metrics.value("recall.hot_served") == 2
-        assert queue.metrics.value("recall.cold_recalled") == 1
 
     def test_cold_set_recalls_in_one_batched_pass(self, hsm):
         # Both a-files are tape-only; the drain must batch them

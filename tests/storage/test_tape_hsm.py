@@ -91,6 +91,15 @@ class TestRoboticTapeLibrary:
             library.recall("a")
         assert library.holds("b")
 
+    @pytest.mark.parametrize("index", [-1, 1, 5])
+    def test_fail_cartridge_refuses_an_index_it_does_not_hold(self, index):
+        library = RoboticTapeLibrary("ctc", tiny_tape())
+        library.archive("a", DataSize.gigabytes(1))
+        with pytest.raises(StorageError, match=f"no cartridge {index}"):
+            library.fail_cartridge(index)
+        assert library.holds("a")  # -1 used to fail the last cartridge
+        assert library.recall("a")[0].verify()
+
     def test_stats_track_bytes(self):
         library = RoboticTapeLibrary("ctc", tiny_tape())
         library.archive("a", DataSize.gigabytes(2))
@@ -240,7 +249,8 @@ class TestCartridgeLossRecovery:
 
     def test_remigration_rearchives_the_survivors(self):
         library, hsm = self.loaded_hsm(cache_gb=3)
-        hsm.fail_cartridge(0)
+        report = hsm.fail_cartridge(0)
+        assert library.stats.writes == 4 + len(report.recoverable) == 7
         # Re-archived to a fresh cartridge, still cached, still readable.
         for name in ("b", "c", "d"):
             assert library.holds(name)
@@ -248,7 +258,6 @@ class TestCartridgeLossRecovery:
             file, _ = hsm.read(name)
             assert file.verify()
         assert not library.holds("a")
-        assert int(hsm.metrics.value("hsm.remigrations")) == 3
 
     def test_remigrate_false_reports_but_evicts(self):
         library, hsm = self.loaded_hsm(cache_gb=3)
@@ -259,7 +268,15 @@ class TestCartridgeLossRecovery:
         for name in ("b", "c", "d"):
             assert not library.holds(name)
             assert not hsm.is_cached(name)
-        assert int(hsm.metrics.value("hsm.remigrations")) == 0
+        assert library.stats.writes == 4
+
+    @pytest.mark.parametrize("index", [-1, 1, 5])
+    def test_fail_cartridge_refuses_an_index_the_library_does_not_hold(self, index):
+        library, hsm = self.loaded_hsm(cache_gb=3)
+        with pytest.raises(StorageError, match=f"no cartridge {index}"):
+            hsm.fail_cartridge(index)
+        assert [library.holds(name) for name in "abcd"] == [True] * 4
+        assert [hsm.is_cached(name) for name in "abcd"] == [False, True, True, True]
 
     def test_unrecoverable_files_cannot_be_read(self):
         library, hsm = self.loaded_hsm(cache_gb=3)

@@ -1,9 +1,17 @@
-"""Every ``stats`` property is one ``registry_view`` of its component's books.
+"""Every ``stats`` property is a snapshot of its component's one book.
 
 One scripted sequence per component.  The expected values were recorded
-while each class still had its hand-written ``from_registry``, so this
-file is green on both sides of that change.  Types are part of the
-contract: counts are ``int``, volumes ``float``, ``*_time`` a ``Duration``.
+while the books still lived in per-component metrics registries, so this
+file is green on both sides of their removal; only the lane's split of
+bad media between ``files_corrupt`` and ``files_missing`` moved, when
+damaged media stopped being dropped before the manifest check.  Types
+are part of the contract: counts are ``int``, volumes ``float``,
+``*_time`` a ``Duration``.
+
+Each script then runs one more operation: the snapshot it took must not
+move, and a fresh read must.  A before/after difference of two snapshots
+(``PreloadSubsystem.run``, a serving pass over a ``ReadCache``) relies on
+that.
 """
 
 import dataclasses
@@ -25,13 +33,27 @@ from repro.weblab.synthweb import SyntheticWeb, SyntheticWebConfig
 GB = DataSize.gigabytes(1)
 
 
+def books(stats):
+    return {field.name: getattr(stats, field.name) for field in dataclasses.fields(stats)}
+
+
+def snapshot(read, step):
+    """``read()``, then one more ``step()``: the copy taken must not follow it."""
+    stats = read()
+    before = books(stats)
+    step()
+    assert books(stats) == before
+    assert books(read()) != before
+    return stats
+
+
 def hsm(tmp_path):
     store = HierarchicalStore(RoboticTapeLibrary("robot"), cache_capacity=GB * 2)
     for name in "abc":  # the third store evicts "a"
         store.store(name, GB)
     store.read("c")  # cached
     store.read("a")  # recalled from tape, evicts "b"
-    return store.stats, dict(
+    return snapshot(lambda: store.stats, lambda: store.read("c")), dict(
         hits=1, misses=1, evictions=2, bytes_recalled=1e9, recall_time=Duration(12.5))
 
 
@@ -41,7 +63,7 @@ def tape(tmp_path):
     library.archive("b", GB)
     library.recall("a")
     library.recall("b")  # same cartridge: no second mount
-    return library.stats, dict(
+    return snapshot(lambda: library.stats, lambda: library.recall("a")), dict(
         writes=2, reads=2, mounts=1, bytes_written=4e9, bytes_read=4e9,
         busy_time=Duration(190.0))
 
@@ -51,11 +73,11 @@ def lane(tmp_path):
     shipping = ShippingLane(spec, rng=random.Random(5))
     shipping.ship(DataSize.terabytes(2))
     shipping.ship(DataSize.terabytes(1))
-    # files_corrupt: a damaged medium is dropped before the manifest check sees it.
-    return shipping.stats, dict(
+    stats = snapshot(lambda: shipping.stats, lambda: shipping.ship(DataSize.terabytes(1)))
+    return stats, dict(
         shipments=2, attempts=5, media_shipped=11, media_retransmitted=3,
-        bytes_shipped=4066666666666.667, files_delivered=8, files_corrupt=0,
-        files_missing=3, personnel_time=Duration(20100.0))
+        bytes_shipped=4066666666666.667, files_delivered=8, files_corrupt=2,
+        files_missing=1, personnel_time=Duration(20100.0))
 
 
 def preload(tmp_path):
@@ -66,7 +88,8 @@ def preload(tmp_path):
         preloader = PreloadSubsystem(weblab.database, weblab.pagestore)
         assert preloader.run([(p, 0) for p in arcs], [(p, 0) for p in dats]) == (
             preloader.lifetime_stats)  # one run: its delta is the lifetime
-        stats = preloader.lifetime_stats
+        stats = snapshot(
+            lambda: preloader.lifetime_stats, lambda: preloader.run([(arcs[0], 1)]))
     assert stats.elapsed_s > 0.0  # wall clock: typed below, not pinned
     return stats, dict(
         arc_files=len(arcs), dat_files=len(dats), pages=30,
@@ -80,7 +103,7 @@ def readcache(tmp_path):
     cache = ReadCache(capacity=2)
     for key in ("a", "a", "b", "b", "c", "gone", "gone", "gone", "gone", "c", "c", "a"):
         cache.get_or_load(key, lambda: None if key == "gone" else key)
-    return cache.stats, dict(
+    return snapshot(lambda: cache.stats, lambda: cache.get_or_load("a", str)), dict(
         hits=3, misses=7, negative_hits=2, admitted=4, admission_rejected=3,
         evictions=2)
 
@@ -89,7 +112,7 @@ def readcache(tmp_path):
 def test_stats_view_matches_the_recorded_books(script, tmp_path):
     stats, expected = script(tmp_path)
     names = [field.name for field in dataclasses.fields(stats)]
-    assert {name: getattr(stats, name) for name in names} == expected
+    assert books(stats) == expected
     # Exact types: a count that came back as 3.0 would still compare equal.
     assert [type(getattr(stats, name)) for name in names] == [
         type(expected[name]) for name in names

@@ -164,6 +164,9 @@ class TestLaneFaultShims:
         assert result.attempts == 2
         assert result.report.clean
         assert lane.stats.media_retransmitted == 2
+        # Booked as damaged, not lost: the manifest check saw both copies.
+        assert lane.stats.files_corrupt == 2
+        assert lane.stats.files_missing == 0
 
     def test_injected_drop_forces_a_retransmission(self):
         from repro.core.faults import FaultSpec

@@ -89,6 +89,6 @@ class TestPreloadRegistration:
 
 class TestZeroStats:
     def test_preload_stats_zero(self):
-        zero = PreloadStats.zero()
-        assert zero == PreloadStats()
+        zero = PreloadStats()
         assert zero.pages == 0 and zero.elapsed_s == 0.0
+        assert zero.throughput.bytes_per_second == 0.0

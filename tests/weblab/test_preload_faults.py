@@ -60,8 +60,8 @@ class TestPreloadFaultShims:
         assert delta.pages == 0
         assert database.page_count() == 0
         # ...and the degradation is recorded, not silent.
-        assert preload.metrics.value("preload.stale_serves") == 1
-        assert preload.metrics.value("preload.stale_files") == 1
+        assert preload.stale_serves == 1
+        assert preload.stale_files == 1
         # The fault was transient; the next run catches up normally.
         recovered = preload.run([(arc_file, 0)])
         assert recovered.pages == 3
@@ -103,4 +103,4 @@ class TestPreloadFaultShims:
             ),
         )
         preload.run([(arc_file, 0)])
-        assert preload.metrics.value("preload.elapsed_s") >= 900.0
+        assert preload.lifetime_stats.elapsed_s >= 900.0
