@@ -11,7 +11,11 @@ The paper is explicit about this layering for the CLEO EventStore:
 We reproduce exactly that: :class:`Database` is the interface every
 subsystem codes against; :class:`SqliteBackend` is the one concrete backend
 (Python's stdlib ``sqlite3``), usable embedded/in-memory for "personal"
-scale and file-backed with immediate-mode locking for shared scales.
+scale and file-backed for shared scales: a file store journals ahead
+(``journal_mode = WAL``), so readers take no lock on the database file and
+a writer's ``BEGIN IMMEDIATE`` ... ``COMMIT`` neither waits for them nor
+stops them reading the last committed state.  ``synchronous`` keeps its
+default ``FULL``: every commit is still fsynced.
 """
 
 from __future__ import annotations
@@ -109,7 +113,11 @@ class SqliteBackend(Database):
     ``path=None`` gives a private in-memory database (the "personal
     EventStore on a laptop" case, "supporting completely disconnected
     operation"); a filesystem path gives a durable store that multiple
-    components of one process share.  A backend belongs to the thread that
+    components of one process share.  While a file store is open sqlite
+    keeps two files beside it, ``<path>-wal`` (committed pages not yet
+    copied back into the database) and ``<path>-shm`` (the index readers
+    share); the last connection's :meth:`close` checkpoints the log into
+    the database and deletes both.  A backend belongs to the thread that
     opened it: sqlite refuses a statement from any other, and that refusal
     surfaces as :class:`DatabaseError` like any other sqlite error.
     """
@@ -122,6 +130,12 @@ class SqliteBackend(Database):
             raise DatabaseError(f"cannot open database {self.path!r}: {exc}") from exc
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA foreign_keys = ON")
+        if self.path != ":memory:":
+            try:
+                self._conn.execute("PRAGMA journal_mode = WAL")
+            except sqlite3.Error as exc:
+                self._conn.close()
+                raise DatabaseError(f"cannot open database {self.path!r}: {exc}") from exc
         self._conn.isolation_level = None  # autocommit; transactions are explicit
         self._in_transaction = False
         self._closed = False

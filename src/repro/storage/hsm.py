@@ -96,6 +96,9 @@ class HierarchicalStore:
         self.library = library
         self.cache_capacity = cache_capacity
         self._cache: "OrderedDict[str, DataSize]" = OrderedDict()
+        #: Running sum of the sizes in ``_cache``, kept by ``_admit``,
+        #: ``_drop`` and ``_make_room``: nothing else adds or removes an entry.
+        self._cached_bytes = 0.0
         self._stats = HsmStats()
         self._telemetry = telemetry if telemetry is not None else Telemetry()
 
@@ -105,10 +108,6 @@ class HierarchicalStore:
         return copy(self._stats)
 
     # -- cache bookkeeping ---------------------------------------------------
-    @property
-    def cached_bytes(self) -> DataSize:
-        return DataSize(sum(size.bytes for size in self._cache.values()))
-
     def is_cached(self, name: str) -> bool:
         return name in self._cache
 
@@ -117,8 +116,9 @@ class HierarchicalStore:
             raise CapacityError(
                 f"file of {size} exceeds entire HSM cache ({self.cache_capacity})"
             )
-        while self.cached_bytes.bytes + size.bytes > self.cache_capacity.bytes:
+        while self._cached_bytes + size.bytes > self.cache_capacity.bytes:
             evicted_name, evicted_size = self._cache.popitem(last=False)
+            self._cached_bytes -= evicted_size.bytes
             self._stats.evictions += 1
             self._telemetry.emit(
                 "storage.evict",
@@ -126,6 +126,17 @@ class HierarchicalStore:
                 store=self.library.name,
                 bytes=evicted_size.bytes,
             )
+
+    def _admit(self, name: str, size: DataSize) -> None:
+        """Cache ``name`` at ``size``; a re-admitted name keeps its place."""
+        previous = self._cache.get(name)
+        self._cache[name] = size
+        self._cached_bytes += size.bytes - (previous.bytes if previous is not None else 0.0)
+
+    def _drop(self, name: str) -> None:
+        previous = self._cache.pop(name, None)
+        if previous is not None:
+            self._cached_bytes -= previous.bytes
 
     def _touch(self, name: str) -> None:
         self._cache.move_to_end(name)
@@ -135,7 +146,7 @@ class HierarchicalStore:
         """Archive a file (write-through) and cache it; returns elapsed time."""
         elapsed = self.library.archive(name, size, content_tag)
         self._make_room(size)
-        self._cache[name] = size
+        self._admit(name, size)
         self._telemetry.emit(
             "storage.write",
             name,
@@ -167,7 +178,7 @@ class HierarchicalStore:
             elapsed_s=elapsed.seconds,
         )
         self._make_room(file.size)
-        self._cache[name] = file.size
+        self._admit(name, file.size)
         return file, elapsed
 
     def _peek_tape(self, name: str) -> Tuple[StoredFile, Duration]:
@@ -201,7 +212,7 @@ class HierarchicalStore:
                 report.recoverable.append(name)
             else:
                 report.unrecoverable.append(name)
-                self._cache.pop(name, None)
+                self._drop(name)
         for name in report.recoverable:
             if remigrate:
                 file = survivors[name]
@@ -214,7 +225,7 @@ class HierarchicalStore:
                     remigrated=True,
                 )
             else:
-                self._cache.pop(name, None)
+                self._drop(name)
         return report
 
     def recall_set(self, names: List[str]) -> Tuple[List[StoredFile], Duration]:
@@ -242,6 +253,6 @@ class HierarchicalStore:
                 batched=True,
             )
             self._make_room(file.size)
-            self._cache[file.name] = file.size
+            self._admit(file.name, file.size)
         self._stats.recall_time += elapsed
         return files, elapsed

@@ -13,6 +13,7 @@ tunable batch size is one of the preload parameters the paper says needs
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -119,15 +120,18 @@ class WebLabDatabase:
         self.db.insert("crawls", crawl_index=crawl_index, crawl_time=crawl_time)
 
     def load_page_batch(self, rows: Sequence[Dict[str, object]]) -> int:
-        """Load one metadata batch (one short transaction)."""
+        """Load one metadata batch (one short transaction); each crawl the
+        batch holds rows for gains exactly those rows in ``page_count``."""
         with self.db.transaction():
             if rows:
                 self.db.executemany(_INSERT_PAGE, rows)
-                self.db.execute(
-                    "UPDATE crawls SET page_count = page_count + ? "
-                    "WHERE crawl_index = ?",
-                    (len(rows), rows[0]["crawl_index"]),
-                )
+                per_crawl = Counter(row["crawl_index"] for row in rows)
+                for crawl_index, pages in per_crawl.items():
+                    self.db.execute(
+                        "UPDATE crawls SET page_count = page_count + ? "
+                        "WHERE crawl_index = ?",
+                        (pages, crawl_index),
+                    )
         return len(rows)
 
     def load_link_batch(self, rows: Sequence[Tuple[int, str, str]]) -> int:

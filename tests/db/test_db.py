@@ -4,11 +4,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.arecibo.metaanalysis import CandidateDatabase
 from repro.core.errors import DatabaseError
 from repro.db.connection import connect
 from repro.db.query import Select
 from repro.db.schema import Schema, applied_version, apply_schema, column
 from repro.eventstore.store import EventStore
+from repro.weblab.metadb import WebLabDatabase
+from repro.weblab.services import WebLab
 
 
 @pytest.fixture()
@@ -219,6 +222,61 @@ class TestSchema:
                     assert second.grades() == []  # uncommitted rows stay invisible
             with EventStore(tmp_path / "store") as third:
                 assert third.grades() == ["physics"]
+
+
+def _log_files(root):
+    return sorted(path.name for path in root.rglob("*") if path.name.endswith(("-wal", "-shm")))
+
+
+class TestWriteAheadLog:
+    """File stores journal ahead; ``:memory:`` keeps its memory journal."""
+
+    def test_a_file_store_journals_ahead_and_still_syncs_in_full(self, tmp_path):
+        with connect(tmp_path / "store.db") as store:
+            assert store.query_value("PRAGMA journal_mode") == "wal"
+            assert store.query_value("PRAGMA synchronous") == 2  # FULL
+        with connect() as private:
+            assert private.query_value("PRAGMA journal_mode") == "memory"
+
+    def test_an_open_reader_does_not_block_a_batch_load(self, tmp_path):
+        """The Retro Browser keeps reading while the preload commits.
+
+        In rollback-journal mode the reader's SHARED lock held the writer's
+        ``COMMIT`` out until sqlite's busy timeout raised.
+        """
+        rows = [
+            {"url": f"http://s{i}.example.com/", "domain": f"s{i}.example.com",
+             "tld": "com", "crawl_index": 0, "fetched_at": float(i), "ip": "10.0.0.1",
+             "mime": "text/html", "size_bytes": 1, "content_hash": "0" * 40}
+            for i in range(6)
+        ]
+        with WebLabDatabase(tmp_path / "weblab.db") as writer:
+            writer.register_crawl(0, 0.0)
+            writer.load_page_batch(rows[:2])
+            with connect(tmp_path / "weblab.db") as reader:
+                reader.execute("BEGIN")
+                assert reader.count("pages") == 2  # the snapshot starts here
+                writer.load_page_batch(rows[2:])
+                assert writer.page_count() == 6
+                assert reader.count("pages") == 2  # still its snapshot
+                reader.execute("COMMIT")
+                assert reader.count("pages") == 6
+
+    def test_closing_a_store_leaves_no_log_files(self, tmp_path):
+        weblab = WebLab(tmp_path / "weblab")
+        weblab.database.register_crawl(0, 0.0)
+        assert _log_files(tmp_path) == ["weblab.db-shm", "weblab.db-wal"]
+        weblab.close()
+        with CandidateDatabase(tmp_path / "candidates.db") as candidates:
+            candidates.db.execute("CREATE TABLE scratch (x INTEGER)")
+        store = EventStore(tmp_path / "store")
+        store.db.insert("grade_entries", grade="physics", timestamp=1.0,
+                        run_key="run:1", version="v1")
+        store.close()
+        assert _log_files(tmp_path) == []
+        assert sorted(path.name for path in tmp_path.rglob("*.db")) == [
+            "candidates.db", "eventstore.db", "weblab.db"
+        ]
 
 
 class TestSelect:

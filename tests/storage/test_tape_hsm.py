@@ -1,9 +1,14 @@
 """Tests for the robotic tape library and the hierarchical store."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import CapacityError, InjectedFault, StorageError
 from repro.core.faults import FaultPlan, FaultSpec
+from repro.core.telemetry import Telemetry
 from repro.core.units import DataSize, Duration, Rate
 from repro.storage.hsm import HierarchicalStore, HsmStats
 from repro.storage.media import MediaType
@@ -326,3 +331,107 @@ class TestTapeFaultShims:
         assert not file.verify()  # the bad read
         file, _ = library.recall("a")
         assert file.verify()  # re-read succeeds: archive copy intact
+
+
+class ResummingCache:
+    """The LRU tier as a plain model: the total is re-summed on every test."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.cache = OrderedDict()
+        self.evicted = []
+
+    def admit(self, name, size):
+        while sum(self.cache.values()) + size > self.capacity:
+            evicted, _ = self.cache.popitem(last=False)
+            self.evicted.append(evicted)
+        self.cache[name] = size
+
+
+NAMES = st.sampled_from("abcdefgh")
+HSM_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("store"), NAMES, st.integers(1, 12)),
+        st.tuples(st.just("read"), NAMES),
+        st.tuples(st.just("recall_set"), st.lists(NAMES, max_size=4)),
+        st.tuples(st.just("fail"), st.integers(0, 4), st.booleans()),
+    ),
+    max_size=40,
+)
+
+
+class TestRunningCacheTotal:
+    """The cached bytes are a running total, kept at every cache mutation.
+
+    Every file fits the cache (sizes 1-12 B, capacity 12-30 B); an
+    oversized one is refused before the cache changes (tested above).
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(12, 30), operations=HSM_OPERATIONS)
+    # A name listed twice is recalled twice: its second admission replaces
+    # its first in place.
+    @example(capacity=12, operations=[
+        ("store", "a", 5), ("store", "b", 12), ("recall_set", ["a", "a"]),
+    ])
+    def test_the_total_and_the_evictions_match_a_resumming_model(self, capacity, operations):
+        media = MediaType(
+            name="byte tape", capacity=DataSize(20.0),
+            read_rate=Rate.megabytes_per_second(100),
+            write_rate=Rate.megabytes_per_second(100),
+            mount_latency=Duration.from_seconds(1), unit_cost=1.0,
+        )
+        library = RoboticTapeLibrary("ctc", media)
+        bus = Telemetry()
+        hsm = HierarchicalStore(library, cache_capacity=DataSize(float(capacity)), telemetry=bus)
+        model = ResummingCache(capacity)
+        sizes = {}
+        for operation, *args in operations:
+            if operation == "store":
+                name, size = args
+                if library.holds(name):
+                    with pytest.raises(StorageError):
+                        hsm.store(name, DataSize(float(size)))
+                else:
+                    hsm.store(name, DataSize(float(size)))
+                    sizes[name] = size
+                    model.admit(name, size)
+            elif operation == "read":
+                (name,) = args
+                if not library.holds(name):
+                    with pytest.raises(StorageError):
+                        hsm.read(name)
+                elif name in model.cache:
+                    hsm.read(name)
+                    model.cache.move_to_end(name)
+                else:
+                    hsm.read(name)
+                    model.admit(name, sizes[name])
+            elif operation == "recall_set":
+                (names,) = args
+                to_recall = [name for name in names if name not in model.cache]
+                if not all(library.holds(name) for name in to_recall):
+                    with pytest.raises(StorageError):
+                        hsm.recall_set(names)
+                else:
+                    files, _ = hsm.recall_set(names)
+                    # The recall order is the library's (cartridge-major).
+                    assert sorted(file.name for file in files) == sorted(to_recall)
+                    for file in files:
+                        model.admit(file.name, sizes[file.name])
+            else:
+                index, remigrate = args
+                if index >= library.cartridge_count:
+                    with pytest.raises(StorageError):
+                        hsm.fail_cartridge(index, remigrate=remigrate)
+                    continue
+                report = hsm.fail_cartridge(index, remigrate=remigrate)
+                assert report.recoverable == [n for n in report.lost if n in model.cache]
+                if not remigrate:
+                    for name in report.recoverable:
+                        del model.cache[name]
+            assert hsm._cached_bytes == sum(size.bytes for size in hsm._cache.values())
+            assert hsm._cached_bytes == sum(model.cache.values())
+            assert list(hsm._cache) == list(model.cache)
+            assert [event.name for event in bus.events(kind="storage.evict")] == model.evicted
+            assert hsm.stats.evictions == len(model.evicted)

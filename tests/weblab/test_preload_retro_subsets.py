@@ -6,6 +6,7 @@ from contextlib import closing
 import pytest
 
 from repro.core.errors import WebLabError
+from repro.weblab.metadb import WebLabDatabase
 from repro.weblab.pagestore import PageStore, content_hash
 from repro.weblab.preload import PreloadConfig
 from repro.weblab.retro import RetroBrowser
@@ -187,6 +188,50 @@ class TestMetaDb:
         weblab.database.register_crawl(index, time)  # idempotent
         with pytest.raises(WebLabError):
             weblab.database.register_crawl(index, time + 99)
+
+
+def _page_row(url, crawl_index):
+    return {
+        "url": url, "domain": url.split("/")[2], "tld": "com",
+        "crawl_index": crawl_index, "fetched_at": float(crawl_index), "ip": "10.0.0.1",
+        "mime": "text/html", "size_bytes": 1, "content_hash": "0" * 40,
+    }
+
+
+class TestPageBatchCounts:
+    def test_a_batch_spanning_crawls_counts_each_crawl(self):
+        with WebLabDatabase() as database:
+            database.register_crawl(0, 0.0)
+            database.register_crawl(1, 1.0)
+            database.load_page_batch([
+                _page_row("http://a.example.com/", 0),
+                _page_row("http://a.example.com/", 1),
+                _page_row("http://b.example.com/", 1),
+            ])
+            recorded = database.db.query(
+                "SELECT crawl_index, page_count FROM crawls ORDER BY crawl_index"
+            )
+            assert [tuple(row) for row in recorded] == [(0, 1), (1, 2)]
+            assert [database.page_count(index) for index in (0, 1)] == [1, 2]
+
+    def test_a_single_crawl_batch_issues_one_update(self, monkeypatch):
+        with WebLabDatabase() as database:
+            database.register_crawl(3, 3.0)
+            executed = []
+            real_execute = database.db.execute
+
+            def recording(sql, params=()):
+                executed.append((sql.split()[0], tuple(params)))
+                real_execute(sql, params)
+
+            monkeypatch.setattr(database.db, "execute", recording)
+            database.load_page_batch(
+                [_page_row(f"http://s{i}.example.com/", 3) for i in range(4)]
+            )
+            assert executed == [("UPDATE", (4, 3))]
+            assert database.db.query_value(
+                "SELECT page_count FROM crawls WHERE crawl_index = 3"
+            ) == 4
 
 
 class TestRetroBrowser:
