@@ -3,8 +3,9 @@
 Evaluates the paper's three transport situations through one planner —
 Arecibo's weekly 14 TB against its thin island uplink, CLEO's offsite
 Monte Carlo on USB disks, and WebLab's 250 GB/day over dedicated
-Internet2 — and sweeps the volume/bandwidth space to find the crossover
-where networks start to win.
+Internet2 — sweeps the volume/bandwidth space to find the crossover
+where networks start to win, and picks the transport for a few bulk
+transfers by volume and deadline.
 
 Run:  python examples/transport_planning.py
 """
@@ -30,6 +31,21 @@ def main() -> None:
     print("One week of Arecibo raw data (14 TB) — every option, fastest first:")
     for option in planner.evaluate(DataSize.terabytes(14)):
         print(f"  {option.summary()}")
+    print()
+
+    print("Transport chosen per transfer (uplink, Internet2 100 Mb/s or disks):")
+    reachable = TransportPlanner(
+        links=[ARECIBO_UPLINK, INTERNET2_100], lanes=[ARECIBO_TO_CTC]
+    )
+    transfers = [
+        ("arecibo", "ctc", DataSize.terabytes(14), None),
+        ("internet-archive", "cornell", DataSize.gigabytes(250), Duration.days(2)),
+        ("ctc", "palfa-member", DataSize.gigabytes(40), None),
+    ]
+    for source, destination, volume, deadline in transfers:
+        chosen = reachable.best(volume, deadline=deadline)
+        print(f"  {source} -> {destination} ({volume})  via {chosen.mode:10s} "
+              f"[{chosen.name}]  {chosen.elapsed}")
     print()
 
     print("Crossover bandwidth (network beats shipping disks above this):")

@@ -13,8 +13,6 @@ Run:  python examples/weblab_study.py
 import tempfile
 from pathlib import Path
 
-from repro.weblab.export import export_subset
-from repro.weblab.focused import select_materials
 from repro.weblab.services import build_weblab
 from repro.weblab.subsets import SubsetCriteria
 from repro.weblab.synthweb import BurstSpec, SyntheticWebConfig
@@ -28,7 +26,7 @@ def main() -> None:
             bursts=(BurstSpec(topic="weblog", start_crawl=3, end_crawl=5,
                               intensity=6.0),),
         )
-        weblab, build, web = build_weblab(Path(workdir), config, n_crawls=8)
+        weblab, build, _ = build_weblab(Path(workdir), config, n_crawls=8)
         services = weblab.services
 
         print("Ingestion report:")
@@ -92,38 +90,6 @@ def main() -> None:
               f"({len(index)} documents, {index.vocabulary_size} terms):")
         for hit in hits:
             print(f"  {hit.score:.3f}  {hit.url}")
-        print()
-
-        # Focused selection: build a topical reading list from two seeds.
-        last_crawl = weblab.database.crawl_indexes()[-1]
-        astronomy_seeds = [
-            row["url"]
-            for row in weblab.database.db.query(
-                "SELECT url FROM pages WHERE crawl_index = ?", (last_crawl,)
-            )
-            if web.topic_of(row["url"]) == "astronomy"
-        ][:2]
-        if len(astronomy_seeds) == 2:
-            selection = select_materials(
-                weblab.database, weblab.pagestore, astronomy_seeds,
-                last_crawl, budget=40, min_score=0.45,
-            )
-            print("Focused selection (2 astronomy seeds):")
-            print(f"  examined {selection.pages_examined} pages, selected "
-                  f"{len(selection.selected)} "
-                  f"(harvest ratio {selection.harvest_ratio:.2f})")
-            for page in selection.selected[:3]:
-                print(f"    {page.score:.2f}  {page.url}")
-            print()
-
-        # Download bundle: what a researcher takes home.
-        bundle = export_subset(
-            weblab.database, weblab.pagestore, Path(workdir) / "download",
-            SubsetCriteria(tlds=("edu",)), name="edu", include_content=True,
-        )
-        print("Download bundle (edu subset):")
-        print(f"  {bundle.pages} pages, {bundle.links} internal links, "
-              f"{bundle.total_size} on disk")
         print()
 
         # Burst detection: the weblog topic's rise.

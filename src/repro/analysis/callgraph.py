@@ -443,6 +443,9 @@ class _Indexer:
             self._index_stmt(stmt, prefix=qualname, class_q=qualname,
                              parent=parent, enclosing=enclosing,
                              module_level=False)
+        # A class body is not an enclosing scope: its lambdas (a field's
+        # ``default_factory``) see only what the class itself sees.
+        self._index_lambdas(node.body, qualname, parent, enclosing)
 
     def _index_lambdas(
         self,

@@ -128,12 +128,6 @@ class CandidateDatabase:
         )
         return [row["pointing_id"] for row in rows]
 
-    def strongest(self, limit: int = 10, classification: Optional[str] = None):
-        query = Select("candidates").order_by("snr DESC").limit(limit)
-        if classification is not None:
-            query = query.where("classification = ?", classification)
-        return query.run(self.db)
-
     def add_transients(self, events, pointing_id: int, beam: int) -> int:
         """Store single-pulse events ("transient signals that may be
         associated with astrophysical objects other than pulsars")."""

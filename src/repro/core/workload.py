@@ -55,6 +55,13 @@ from repro.core.telemetry import Counter, Telemetry
 _Param = Tuple[str, Union[str, int, float, bool, None]]
 
 
+def _require_finite(what: str, value: float) -> None:
+    """Refuse NaN and infinity before any range check: a NaN passes every
+    ``<=`` test, and an infinite rate or duration never ends a trace."""
+    if not math.isfinite(value):
+        raise WorkloadError(f"{what} must be finite, got {value!r}")
+
+
 # -- the trace ------------------------------------------------------------
 @dataclass(frozen=True)
 class TraceRequest:
@@ -226,6 +233,7 @@ class ZipfianSampler:
     def __init__(self, keys: Sequence[str], s: float = 1.1):
         if not keys:
             raise WorkloadError("Zipfian sampler needs at least one key")
+        _require_finite("Zipf exponent", s)
         if s < 0:
             raise WorkloadError(f"Zipf exponent must be >= 0, got {s}")
         self.keys: Tuple[str, ...] = tuple(keys)
@@ -257,6 +265,8 @@ class DiurnalCycle:
     peak_s: float = 43_200.0
 
     def __post_init__(self) -> None:
+        _require_finite("diurnal period", self.period_s)
+        _require_finite("diurnal peak", self.peak_s)
         if self.period_s <= 0:
             raise WorkloadError(f"diurnal period must be positive, got {self.period_s}")
         if not 0.0 < self.trough <= 1.0:
@@ -284,6 +294,9 @@ class BurstStorm:
     multiplier: float = 5.0
 
     def __post_init__(self) -> None:
+        _require_finite("storm start", self.start_s)
+        _require_finite("storm end", self.end_s)
+        _require_finite("storm multiplier", self.multiplier)
         if self.end_s <= self.start_s:
             raise WorkloadError(
                 f"storm window [{self.start_s}, {self.end_s}) is empty"
@@ -307,6 +320,8 @@ class OpSpec:
     params: Tuple[_Param, ...] = ()
 
     def __post_init__(self) -> None:
+        _require_finite(f"op {self.op!r} weight", self.weight)
+        _require_finite(f"op {self.op!r} Zipf exponent", self.zipf_s)
         if self.weight <= 0:
             raise WorkloadError(f"op {self.op!r} needs a positive weight")
         if not self.keys:
@@ -324,6 +339,7 @@ class TenantSpec:
     storms: Tuple[BurstStorm, ...] = ()
 
     def __post_init__(self) -> None:
+        _require_finite(f"tenant {self.name!r} rate", self.rate_per_s)
         if self.rate_per_s <= 0:
             raise WorkloadError(f"tenant {self.name!r} needs a positive rate")
         if not self.ops:
@@ -339,12 +355,15 @@ class TenantSpec:
         return rate
 
     def peak_rate(self) -> float:
-        """An upper bound on the instantaneous rate (for thinning)."""
-        rate = self.rate_per_s
-        storm_boost = 1.0
-        for storm in self.storms:
-            storm_boost = max(storm_boost, storm.multiplier)
-        return rate * storm_boost
+        """An upper bound on :meth:`rate_at` (for thinning).  Active storms
+        multiply, so the bound is the largest product of multipliers active
+        together, read at each storm edge (where it changes), never below 1."""
+        edges = sorted({edge for storm in self.storms for edge in (storm.start_s, storm.end_s)})
+        together = [
+            math.prod(storm.multiplier for storm in self.storms if storm.active(t))
+            for t in edges
+        ]
+        return self.rate_per_s * max([1.0, *together])
 
 
 @dataclass(frozen=True)
@@ -359,6 +378,7 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if not self.tenants:
             raise WorkloadError("workload needs at least one tenant")
+        _require_finite("duration", self.duration_s)
         if self.duration_s <= 0:
             raise WorkloadError(f"duration must be positive, got {self.duration_s}")
         names = [tenant.name for tenant in self.tenants]
@@ -436,6 +456,8 @@ class AdmissionController:
     """
 
     def __init__(self, rate_per_s: float, burst: float = 1.0):
+        _require_finite("admission rate", rate_per_s)
+        _require_finite("burst", burst)
         if rate_per_s <= 0:
             raise WorkloadError(f"admission rate must be positive, got {rate_per_s}")
         if burst < 1:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.errors import DatabaseError
 from repro.db.connection import Database, Row
 
 
@@ -26,7 +25,6 @@ class Select:
             .where("domain = ?", "cornell.edu")
             .where("fetched_at <= ?", cutoff)
             .order_by("fetched_at DESC")
-            .limit(10)
             .run(db)
         )
     """
@@ -35,7 +33,6 @@ class Select:
     columns: Sequence[str] = ("*",)
     _wheres: List[Tuple[str, Tuple[Any, ...]]] = field(default_factory=list)
     _order: Optional[str] = None
-    _limit: Optional[int] = None
 
     def where(self, clause: str, *params: Any) -> "Select":
         self._wheres.append((clause, tuple(params)))
@@ -55,12 +52,6 @@ class Select:
         self._order = clause
         return self
 
-    def limit(self, n: int) -> "Select":
-        if n < 0:
-            raise DatabaseError(f"negative LIMIT: {n}")
-        self._limit = n
-        return self
-
     def sql(self) -> Tuple[str, Tuple[Any, ...]]:
         parts = [f"SELECT {', '.join(self.columns)} FROM {self.table}"]
         params: List[Any] = []
@@ -71,8 +62,6 @@ class Select:
                 params.extend(clause_params)
         if self._order:
             parts.append(f"ORDER BY {self._order}")
-        if self._limit is not None:
-            parts.append(f"LIMIT {self._limit}")
         return " ".join(parts), tuple(params)
 
     def run(self, db: Database) -> List[Row]:

@@ -185,12 +185,6 @@ class SyntheticWeb:
         return page
 
     # -- public API ----------------------------------------------------------
-    def topic_of(self, url: str) -> str:
-        try:
-            return self._page_topics[url]
-        except KeyError:
-            raise WebLabError(f"unknown page {url!r}") from None
-
     def generate_crawls(self, n_crawls: int) -> List[CrawlSnapshot]:
         """Simulate ``n_crawls`` bimonthly passes over the evolving web."""
         if n_crawls < 1:

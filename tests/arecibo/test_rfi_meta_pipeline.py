@@ -19,6 +19,7 @@ from repro.arecibo.sky import N_BEAMS, RFISource, SkyModel
 from repro.arecibo.telescope import ObservationConfig, ObservationSimulator
 from repro.core.errors import SearchError
 from repro.core.units import Duration
+from repro.db.query import Select
 
 from tests.arecibo.conftest import SMALL_CONFIG, single_pulsar_pointing
 
@@ -119,7 +120,7 @@ class TestCandidateDatabase:
             db.add_candidates([self.sifted(0, 10.0), self.sifted(1, 25.0)])
             assert db.count() == 2
             assert db.pointings() == [0, 1]
-            strongest = db.strongest(limit=1)
+            strongest = Select("candidates").order_by("snr DESC").run(db.db)[:1]
             assert len(strongest) == 1
 
     def test_cull_widespread_frequency(self):
@@ -157,7 +158,7 @@ class TestCandidateDatabase:
     def test_version_tagging(self):
         with CandidateDatabase(version="search_v2") as db:
             db.add_candidates([self.sifted(0, 10.0)])
-            row = db.strongest(limit=1)[0]
+            row = Select("candidates").order_by("snr DESC").run(db.db)[0]
             assert row["version"] == "search_v2"
 
 

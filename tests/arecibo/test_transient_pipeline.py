@@ -8,6 +8,7 @@ from repro.arecibo.singlepulse import SinglePulseEvent
 from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
 from repro.core.errors import SearchError
+from repro.db.query import Select
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +73,7 @@ class TestTransientPipeline:
         db = CandidateDatabase(workdir / "candidates.db")
         try:
             transient_rows = db.transients()
-            candidate_beams = {row["beam"] for row in db.strongest(limit=db.count())}
+            candidate_beams = {row["beam"] for row in Select("candidates").run(db.db)}
         finally:
             db.close()
         assert len(transient_rows) == report.transient_count > 0

@@ -147,9 +147,58 @@ class TestSpecValidation:
             WorkloadSpec(tenants=(tenant,), duration_s=0.0)
         with pytest.raises(WorkloadError, match="duplicate"):
             WorkloadSpec(tenants=(tenant, tenant), duration_s=1.0)
+        # Refused before the range checks: a NaN passes every comparison,
+        # and an infinite duration or rate never ends a trace.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(WorkloadError, match="duration must be finite"):
+                WorkloadSpec(tenants=(tenant,), duration_s=bad)
+            with pytest.raises(WorkloadError, match="rate must be finite"):
+                TenantSpec(name="t", rate_per_s=bad, ops=(op,))
+            with pytest.raises(WorkloadError, match="weight must be finite"):
+                OpSpec(op="x", weight=bad, keys=KEYS)
+            with pytest.raises(WorkloadError, match="Zipf exponent must be finite"):
+                OpSpec(op="x", weight=1.0, keys=KEYS, zipf_s=bad)
+            with pytest.raises(WorkloadError, match="Zipf exponent must be finite"):
+                ZipfianSampler(KEYS, s=bad)
+            with pytest.raises(WorkloadError, match="period must be finite"):
+                DiurnalCycle(period_s=bad)
+            with pytest.raises(WorkloadError, match="peak must be finite"):
+                DiurnalCycle(peak_s=bad)
+            with pytest.raises(WorkloadError, match="start must be finite"):
+                BurstStorm(start_s=bad, end_s=1.0)
+            with pytest.raises(WorkloadError, match="end must be finite"):
+                BurstStorm(start_s=0.0, end_s=bad)
+            with pytest.raises(WorkloadError, match="multiplier must be finite"):
+                BurstStorm(start_s=0.0, end_s=1.0, multiplier=bad)
 
 
 class TestGenerateTrace:
+    def test_overlapping_storms_thin_at_their_product(self):
+        """Two overlapping x3 storms make a 1 req/s tenant a 9 req/s one:
+        thinning candidates drawn at 9 req/s keeps every one, so the trace
+        is a plain 9 req/s tenant's, draw for draw."""
+        op = OpSpec(op="browse", weight=1.0, keys=KEYS)
+        storms = (BurstStorm(0.0, 100.0, 3.0), BurstStorm(0.0, 100.0, 3.0))
+        stormy = TenantSpec(name="t", rate_per_s=1.0, ops=(op,), storms=storms)
+        plain = TenantSpec(name="t", rate_per_s=9.0, ops=(op,))
+        assert stormy.peak_rate() == 9.0
+        traces = [
+            generate_trace(WorkloadSpec(tenants=(tenant,), duration_s=100.0, seed=5))
+            for tenant in (stormy, plain)
+        ]
+        assert traces[0].digest() == traces[1].digest()
+        # Storms apart bound the rate by the largest one; a damping storm
+        # inside a boost lowers no bound, and the bound never drops below 1.
+        assert TenantSpec(name="t", rate_per_s=1.0, ops=(op,), storms=(
+            BurstStorm(0.0, 10.0, 3.0), BurstStorm(10.0, 20.0, 4.0),
+        )).peak_rate() == 4.0
+        assert TenantSpec(name="t", rate_per_s=1.0, ops=(op,), storms=(
+            BurstStorm(0.0, 10.0, 3.0), BurstStorm(0.0, 5.0, 0.5),
+        )).peak_rate() == 3.0
+        assert TenantSpec(name="t", rate_per_s=2.0, ops=(op,), storms=(
+            BurstStorm(0.0, 10.0, 0.5),
+        )).peak_rate() == 2.0
+
     def test_same_spec_same_trace(self):
         first = generate_trace(small_spec())
         second = generate_trace(small_spec())
@@ -335,6 +384,11 @@ class TestAdmissionController:
             AdmissionController(rate_per_s=0.0)
         with pytest.raises(WorkloadError, match="burst"):
             AdmissionController(rate_per_s=1.0, burst=0.5)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(WorkloadError, match="rate must be finite"):
+                AdmissionController(rate_per_s=bad)
+            with pytest.raises(WorkloadError, match="burst must be finite"):
+                AdmissionController(rate_per_s=1.0, burst=bad)
 
 
 class TestPercentile:

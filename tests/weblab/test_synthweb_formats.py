@@ -71,14 +71,8 @@ class TestSyntheticWeb:
         web = SyntheticWeb(config)
         crawls = web.generate_crawls(3)
         new_in_burst = crawls[1].urls() - crawls[0].urls()
-        topics = [web.topic_of(url) for url in new_in_burst]
+        topics = [web._page_topics[url] for url in new_in_burst]
         assert topics.count("sports") > len(topics) / 2
-
-    def test_topic_of_unknown_page(self):
-        web = SyntheticWeb(SyntheticWebConfig(seed=0))
-        web.generate_crawls(1)
-        with pytest.raises(WebLabError):
-            web.topic_of("http://nowhere/")
 
     def test_validation(self):
         with pytest.raises(WebLabError):
