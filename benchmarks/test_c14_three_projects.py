@@ -18,7 +18,6 @@ from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
 from repro.core.stagecache import StageCache
 from repro.core.telemetry import (
-    MetricsRegistry,
     flow_summary_from_log,
     peak_storage_from_log,
     read_event_log,
@@ -159,24 +158,30 @@ def test_c14_report_from_event_log(tmp_path, report_rows):
 
 
 def test_c14_stage_cache_counters(tmp_path, report_rows):
-    """Cache traffic shows up in the shared metrics registry.
+    """Cache traffic across a cold and a warm Figure-1 run.
 
     Reruns of an unchanged flow are the common case when regenerating
-    figures; the registry-backed counters make the hit/miss economics a
+    figures; the cache's own counters make the hit/miss economics a
     first-class report row rather than something dug out of logs.
     """
-    registry = MetricsRegistry()
-    cache = StageCache(registry=registry)
+    cache = StageCache()
     config = _flow_config(17, 1)
     cold = run_arecibo_pipeline(tmp_path / "cold", config, cache=cache)
     warm = run_arecibo_pipeline(tmp_path / "warm", config, cache=cache)
 
     stage_count = len(cold.flow_report.summary_rows())
     assert cache.hits == stage_count
+    assert cache.misses == stage_count
     assert warm.score == cold.score
 
-    rows = registry.rows("stage_cache.")
-    by_metric = {row["metric"]: row["value"] for row in rows}
-    assert by_metric["stage_cache.hits"] == stage_count
-    assert by_metric["stage_cache.misses"] == stage_count
+    rows = [
+        {"metric": f"stage_cache.{name}", "value": value}
+        for name, value in (
+            ("entries", len(cache)),
+            ("hits", cache.hits),
+            ("misses", cache.misses),
+            ("shard_hits", cache.shard_hits),
+            ("shard_misses", cache.shard_misses),
+        )
+    ]
     report_rows("C14: stage-cache traffic across a cold+warm Figure-1 pair", rows)

@@ -20,7 +20,7 @@ from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
 from repro.cleo.pipeline import CleoPipelineConfig, run_cleo_pipeline
 from repro.core.faults import FaultPlan, FaultSpec
-from repro.core.recovery import AvailabilitySummary, RetryPolicy, run_to_completion
+from repro.core.recovery import RetryPolicy, run_to_completion
 from repro.core.stagecache import StageCache
 
 SEED = 17
@@ -77,7 +77,7 @@ def dead_beam_plan():
 
 
 def summarize(report):
-    return AvailabilitySummary(**report.flow_report.availability())
+    return report.flow_report.availability()
 
 
 def availability_row(scenario, summary, extra=None):

@@ -736,6 +736,10 @@ class _BodyWalker:
             cls = self._resolve_class(node.func, scope)
             if cls is not None and caller is not None:
                 init = self.program.lookup_method(cls, "__init__")
+                if init is None:
+                    # A dataclass's generated ``__init__`` runs its
+                    # ``__post_init__``.
+                    init = self.program.lookup_method(cls, "__post_init__")
                 if init is not None:
                     self._add_edge(caller, init)
         self._scan_bindings(node, scope, caller)

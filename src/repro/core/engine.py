@@ -22,9 +22,9 @@ stage, in two places only:
   ``"process"`` moves them onto ``max_workers`` worker processes, the
   paper's farm model (a central store feeding independent
   reconstruction/search workers).  Transforms stay on the calling thread;
-  large arrays cross the process boundary via shared memory and child
-  telemetry is forwarded home in shard order.  ``max_workers`` sizes
-  that process pool and decides nothing else.
+  large arrays cross the process boundary via shared memory, and no shard
+  emits telemetry.  ``max_workers`` sizes that process pool and decides
+  nothing else.
 
 Every worker count and shard executor gives the same bytes:
 
@@ -96,7 +96,7 @@ from repro.core.errors import (
 )
 from repro.core.faults import FaultInjector, FaultPlan, FaultRecord, delay_seconds
 from repro.core.provenance import ProcessingStep, ProvenanceStore
-from repro.core.recovery import NO_RETRY, DeadLetter, RetryPolicy
+from repro.core.recovery import NO_RETRY, AvailabilitySummary, DeadLetter, RetryPolicy
 from repro.core.shards import ShardPool
 from repro.core.stagecache import CachedStage, StageCache, shard_key, stage_key
 from repro.core.telemetry import (
@@ -214,7 +214,7 @@ class FlowReport:
             for report in self.stages
         ]
 
-    def availability(self) -> Dict[str, object]:
+    def availability(self) -> AvailabilitySummary:
         """Flow availability accounting, regenerated from this run's log."""
         return availability_from_log(self.events)
 
@@ -277,8 +277,7 @@ class StageContext:
         across inline and process runs.  Under ``executor="process"``,
         ``fn`` and each item must be picklable (module-level functions,
         plain data); how an item crosses — large arrays through shared
-        memory — is the pool's business, and telemetry the shards emit is
-        forwarded home in item order.
+        memory — is the pool's business.  Shards emit no telemetry.
 
         With ``cache_keys`` (one stable descriptor string per item) and an
         attached engine stage cache, each shard result is memoized under a
@@ -288,7 +287,7 @@ class StageContext:
         cover everything the shard's result depends on beyond
         ``cache_params`` (which should pin the pipeline configuration) —
         seeds, item identity, neighbour-dependent inputs.  Shard traffic is
-        counted in ``stage_cache.shard_hits``/``shard_misses``, apart from
+        counted in the cache's ``shard_hits``/``shard_misses``, apart from
         whole-stage hits.
 
         A memoized result must not be mutated once this returns: the cache
@@ -687,7 +686,7 @@ class Engine:
                 for slot, dataset in stage_inputs.items()
             ]
         except UnverifiableInputError:
-            self.cache.registry.counter("stage_cache.unverified_inputs").inc()
+            self.cache.unverified_inputs += 1
             return None, None
         key = stage_key(
             flow_name=flow.name,
@@ -817,11 +816,6 @@ class Engine:
         emitting the telemetry event stream, then rebuild the report as a
         view over that stream — identical output for any shard executor."""
         telemetry = self.telemetry
-        metrics = telemetry.registry
-        stages_run = metrics.counter("engine.stages")
-        bytes_produced = metrics.counter("engine.bytes_produced")
-        cpu_charged = metrics.counter("engine.cpu_seconds")
-        peak_live = metrics.highwater("engine.peak_live_bytes")
         stages = flow.stages
         start_index = len(telemetry)
         # Reference counts drive the live-storage high-water accounting: a
@@ -859,7 +853,6 @@ class Engine:
                         fault_attrs = dict(attrs)
                         fault_attrs["fault_kind"] = fault_attrs.pop("kind")
                         telemetry.emit("fault.injected", name, **fault_attrs)
-                        metrics.counter("engine.faults_injected").inc()
                     if record.attempts > 1:
                         telemetry.emit(
                             "stage.retry",
@@ -869,7 +862,6 @@ class Engine:
                             retries=record.attempts - 1,
                             retry_wait_s=record.retry_wait_seconds,
                         )
-                        metrics.counter("engine.retries").inc(record.attempts - 1)
                     if record.retry_wait_seconds:
                         # Backoff and injected delays are simulated stall:
                         # they advance the clock without charging CPU.
@@ -897,7 +889,6 @@ class Engine:
                         parents=[reserved[pred] for pred in predecessors[name]],
                     )
                     if record.degraded:
-                        metrics.counter("engine.dead_letters").inc()
                         telemetry.emit(
                             "stage.degraded", name, site=stage.site,
                             attempts=record.attempts,
@@ -916,10 +907,6 @@ class Engine:
                         retry_wait_s=record.retry_wait_seconds,
                         degraded=record.degraded,
                     )
-                stages_run.inc()
-                bytes_produced.inc(output_bytes)
-                cpu_charged.inc(cpu_seconds)
-                peak_live.observe(peak_bytes)
             telemetry.emit(
                 "flow.finish",
                 flow.name,

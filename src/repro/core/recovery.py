@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Mapping, Optional, Tuple, TypeVar
 
 from repro.core.errors import ExecutionError, FaultError
 
@@ -157,10 +157,10 @@ def run_to_completion(
 
 @dataclass
 class AvailabilitySummary:
-    """Flow-level availability accounting (the C17 experiment's columns)."""
+    """Flow-level availability accounting (the C17 experiment's columns),
+    as :func:`~repro.core.telemetry.availability_from_log` folds it."""
 
     stages: int = 0
-    completed: int = 0
     degraded: int = 0
     dead_letters: int = 0
     attempts: int = 0
@@ -172,22 +172,9 @@ class AvailabilitySummary:
         """Fraction of stages that produced a non-degraded result."""
         if self.stages == 0:
             return 1.0
-        return (self.completed - self.degraded) / self.stages
+        return (self.stages - self.degraded) / self.stages
 
     @property
     def retries(self) -> int:
         """Attempts beyond the first, summed over stages."""
-        return self.attempts - self.completed
-
-    def rows(self) -> List[Dict[str, object]]:
-        return [
-            {"metric": "availability.stages", "value": self.stages},
-            {"metric": "availability.completed", "value": self.completed},
-            {"metric": "availability.degraded", "value": self.degraded},
-            {"metric": "availability.dead_letters", "value": self.dead_letters},
-            {"metric": "availability.attempts", "value": self.attempts},
-            {"metric": "availability.retries", "value": self.retries},
-            {"metric": "availability.faults_injected", "value": self.faults_injected},
-            {"metric": "availability.retry_wait_s", "value": self.retry_wait_s},
-            {"metric": "availability.completion_rate", "value": self.completion_rate},
-        ]
+        return self.attempts - self.stages

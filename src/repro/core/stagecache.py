@@ -23,9 +23,10 @@ input dataset including its provenance-stamp MD5 digest — the paper's own
 after.  Anything that would change the stage's behaviour must appear in
 one of those; pipelines surface their config through ``cache_params``.
 
-Hits and misses are registry-backed counters
-(``stage_cache.hits`` etc.) so they flow into benchmark report rows like
-every other instrument.
+The cache keeps its own books in plain ``int`` attributes (``hits``,
+``misses``, ``shard_hits``, ...), bumped in place like every other
+component's stats; :meth:`StageCache.stats` and
+:meth:`StageCache.disk_stats` give them as dicts.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from typing import Dict, Mapping, Optional, Sequence, Union
 from repro.core.cachestore import DiskCacheStore
 from repro.core.dataset import Dataset
 from repro.core.errors import CacheError
-from repro.core.telemetry import MetricsRegistry
 from repro.core.units import DataSize
 
 
@@ -197,40 +197,39 @@ class StageCache:
 
     Parameters
     ----------
-    registry:
-        Metrics registry the hit/miss counters live in; a private one is
-        created if not supplied.  Pass the engine's registry to surface
-        cache traffic alongside the flow's other instruments.
     store:
         Optional :class:`~repro.core.cachestore.DiskCacheStore` backing.
         With a store, this cache becomes a read-through/write-through L1
         over a shared on-disk L2: lookups that miss in memory consult the
-        store (a disk hit counts as a hit, plus ``stage_cache.disk_hits``),
-        and stores write through (atomic rename; an unpicklable entry
-        degrades that stage to memory-only, counted in
-        ``stage_cache.disk_write_skips``).  Multiple engines — in one
-        process, many processes, or successive runs — may share one store
-        root; content-addressed keys make racing writers safe.  Every
-        entry on disk holds its own value.
+        store (a disk hit counts as a hit, plus ``disk_hits``), and stores
+        write through (atomic rename; an unpicklable entry degrades that
+        stage to memory-only, counted in ``disk_write_skips``).  Multiple
+        engines — in one process, many processes, or successive runs — may
+        share one store root; content-addressed keys make racing writers
+        safe.  Every entry on disk holds its own value.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        store: Optional[DiskCacheStore] = None,
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self, store: Optional[DiskCacheStore] = None):
         self.disk = store
         self._entries: Dict[str, Union[CachedStage, CachedShard]] = {}
+        self.hits = 0
+        self.misses = 0
+        #: Shard-level traffic, apart from whole-stage ``hits``/``misses``.
+        self.shard_hits = 0
+        self.shard_misses = 0
+        #: Stage and shard hits serviced from the on-disk store.
+        self.disk_hits = 0
+        self.disk_writes = 0
+        #: Entries that could not pickle and stayed memory-only.
+        self.disk_write_skips = 0
+        #: Stages the engine left uncached: an input's stamp digest could
+        #: not be resolved.
+        self.unverified_inputs = 0
 
     @classmethod
-    def on_disk(
-        cls,
-        root: "Union[str, Path]",
-        registry: Optional[MetricsRegistry] = None,
-    ) -> "StageCache":
+    def on_disk(cls, root: "Union[str, Path]") -> "StageCache":
         """A stage cache over an on-disk store rooted at ``root``."""
-        return cls(registry=registry, store=DiskCacheStore(root))
+        return cls(store=DiskCacheStore(root))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -238,30 +237,22 @@ class StageCache:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def _get(self, key: str, kind: type, hit_counter: str, miss_counter: str):
+    def _get(self, key: str, kind: type):
         """Memory-then-disk read of the ``kind`` entry under ``key``.
 
         A memory miss falls through to the disk store, and a disk hit is
-        promoted into the in-memory L1 and counts as a hit (plus
-        ``stage_cache.disk_hits``).
+        promoted into the in-memory L1 and counted in ``disk_hits``.
         """
         entry = self._entries.get(key)
         if isinstance(entry, kind):
-            self.registry.counter(hit_counter).inc()
             return entry
         if self.disk is not None:
             entry = self.disk.read(key)
             if isinstance(entry, kind):
-                self._put_memory(key, entry)
-                self.registry.counter(hit_counter).inc()
-                self.registry.counter("stage_cache.disk_hits").inc()
+                self._entries[key] = entry
+                self.disk_hits += 1
                 return entry
-        self.registry.counter(miss_counter).inc()
         return None
-
-    def _put_memory(self, key: str, entry: object) -> None:
-        self._entries[key] = entry
-        self.registry.gauge("stage_cache.entries").set(float(len(self._entries)))
 
     def _put(self, key: str, entry: object) -> None:
         """Memory-and-disk write of ``entry`` under ``key``.
@@ -269,19 +260,24 @@ class StageCache:
         With a disk store attached the entry is also written through
         (atomic write-then-rename keyed by the content address); an entry
         whose payload cannot pickle stays memory-only and is counted in
-        ``stage_cache.disk_write_skips``.
+        ``disk_write_skips``.
         """
-        self._put_memory(key, entry)
+        self._entries[key] = entry
         if self.disk is not None:
             if self.disk.write(key, entry):
-                self.registry.counter("stage_cache.disk_writes").inc()
+                self.disk_writes += 1
             else:
-                self.registry.counter("stage_cache.disk_write_skips").inc()
+                self.disk_write_skips += 1
 
     def lookup(self, key: str) -> Optional[CachedStage]:
         """Return the stage entry for ``key``, or None; counted in
-        ``stage_cache.hits``/``misses``."""
-        return self._get(key, CachedStage, "stage_cache.hits", "stage_cache.misses")
+        ``hits``/``misses``."""
+        entry = self._get(key, CachedStage)
+        if entry is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return entry
 
     def store(self, key: str, entry: CachedStage) -> None:
         """Insert ``entry`` under ``key``."""
@@ -295,12 +291,15 @@ class StageCache:
         """Return the shard entry for ``key``, or None.
 
         Shard traffic is counted apart from stage traffic
-        (``stage_cache.shard_hits``/``shard_misses``) so stage-level
-        warm-start assertions stay unchanged by shard fan-out.
+        (``shard_hits``/``shard_misses``) so stage-level warm-start
+        assertions stay unchanged by shard fan-out.
         """
-        return self._get(
-            key, CachedShard, "stage_cache.shard_hits", "stage_cache.shard_misses"
-        )
+        entry = self._get(key, CachedShard)
+        if entry is None:
+            self.shard_misses += 1
+        else:
+            self.shard_hits += 1
+        return entry
 
     def store_shard(self, key: str, value: object) -> None:
         """Memoize one shard result under its content address."""
@@ -309,7 +308,6 @@ class StageCache:
     def invalidate(self, key: str) -> bool:
         """Drop one entry from memory and disk; returns whether it existed."""
         existed = self._entries.pop(key, None) is not None
-        self.registry.gauge("stage_cache.entries").set(float(len(self._entries)))
         if self.disk is not None:
             existed = self.disk.delete(key) or existed
         return existed
@@ -317,41 +315,8 @@ class StageCache:
     def clear(self, disk: bool = False) -> None:
         """Empty the in-memory L1 (and, with ``disk=True``, the store)."""
         self._entries.clear()
-        self.registry.gauge("stage_cache.entries").set(0.0)
         if disk and self.disk is not None:
             self.disk.clear()
-
-    # -- counters ---------------------------------------------------------
-    @property
-    def hits(self) -> int:
-        return int(self.registry.value("stage_cache.hits"))
-
-    @property
-    def misses(self) -> int:
-        return int(self.registry.value("stage_cache.misses"))
-
-    @property
-    def shard_hits(self) -> int:
-        """Shard-level hits (separate from whole-stage ``hits``)."""
-        return int(self.registry.value("stage_cache.shard_hits"))
-
-    @property
-    def shard_misses(self) -> int:
-        return int(self.registry.value("stage_cache.shard_misses"))
-
-    @property
-    def disk_hits(self) -> int:
-        """Hits that were serviced from the on-disk store (subset of hits)."""
-        return int(self.registry.value("stage_cache.disk_hits"))
-
-    @property
-    def disk_writes(self) -> int:
-        return int(self.registry.value("stage_cache.disk_writes"))
-
-    @property
-    def disk_write_skips(self) -> int:
-        """Entries that could not pickle and stayed memory-only."""
-        return int(self.registry.value("stage_cache.disk_write_skips"))
 
     def stats(self) -> Dict[str, int]:
         return {

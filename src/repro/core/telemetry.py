@@ -9,10 +9,11 @@ This module is the single substrate they all now share:
   :class:`TelemetryEvent` records (``stage.start/finish``,
   ``bytes.produced``, ``storage.write/recall/evict``,
   ``transfer.start/finish``, ``provenance.record``, ...);
-* a **metrics registry** of named instruments — :class:`Counter`,
-  :class:`Gauge`, and :class:`HighWaterMark` — the bus's own and the
-  stage cache's (a subsystem keeps its books in its own stats dataclass,
-  ``HsmStats``, ``TapeStats``, ``LaneStats``, ..., bumped in place);
+* a **metrics registry** of named :class:`Counter` totals on each bus,
+  which the trace replayer's ``workload.*`` counts fill.  The engine
+  books a run only in its events, and every other subsystem keeps its
+  books in its own stats (``HsmStats``, ``TapeStats``, ``LaneStats``,
+  the stage cache's ``int`` fields, ...), bumped in place;
 * nested **trace spans** stamped by a :class:`SimClock` (simulated
   seconds, not wall-clock), so a log is reproducible run to run;
 * a **replayable JSONL log** — :func:`write_event_log` and one reader,
@@ -52,6 +53,7 @@ from typing import (
 )
 
 from repro.core.errors import TelemetryError
+from repro.core.recovery import AvailabilitySummary
 from repro.core.units import DataSize, Duration
 
 #: The typed vocabulary.  Emitting an unknown kind is a programming error:
@@ -326,7 +328,7 @@ class SimClock:
         return self._now
 
 
-# -- instruments ---------------------------------------------------------
+# -- counters ------------------------------------------------------------
 class Counter:
     """A monotonically increasing total."""
 
@@ -347,103 +349,24 @@ class Counter:
         return self._value
 
 
-class Gauge:
-    """A value that can move both ways (live bytes, busy seconds)."""
-
-    __slots__ = ("name", "_value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def set(self, value: float) -> float:
-        self._value = float(value)
-        return self._value
-
-    def add(self, amount: float) -> float:
-        self._value += amount
-        return self._value
-
-
-class HighWaterMark:
-    """Tracks the maximum a quantity ever reached (peak live storage)."""
-
-    __slots__ = ("name", "_peak")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._peak = 0.0
-
-    @property
-    def peak(self) -> float:
-        return self._peak
-
-    def observe(self, value: float) -> float:
-        if value > self._peak:
-            self._peak = float(value)
-        return self._peak
-
-
-Instrument = Union[Counter, Gauge, HighWaterMark]
-
-
 class MetricsRegistry:
-    """Named instruments, created on first use.
-
-    A name is bound to exactly one instrument type for the registry's
-    lifetime; asking for the same name as a different type raises.
-    """
+    """Named counters, created on first use."""
 
     def __init__(self) -> None:
-        self._instruments: Dict[str, Instrument] = {}
-
-    def _get_or_create(self, name: str, factory: Callable[[str], Instrument]) -> Instrument:
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            instrument = self._instruments[name] = factory(name)
-        elif not isinstance(instrument, factory):  # type: ignore[arg-type]
-            raise TelemetryError(
-                f"instrument {name!r} is a {type(instrument).__name__}, "
-                f"not a {factory.__name__}"
-            )
-        return instrument
+        self._counters: Dict[str, Counter] = {}
 
     def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter)  # type: ignore[return-value]
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge)  # type: ignore[return-value]
-
-    def highwater(self, name: str) -> HighWaterMark:
-        return self._get_or_create(name, HighWaterMark)  # type: ignore[return-value]
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     def value(self, name: str, default: float = 0.0) -> float:
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            return default
-        if isinstance(instrument, HighWaterMark):
-            return instrument.peak
-        return instrument.value
-
-    def names(self) -> List[str]:
-        return sorted(self._instruments)
+        counter = self._counters.get(name)
+        return default if counter is None else counter.value
 
     def as_dict(self) -> Dict[str, float]:
-        return {name: self.value(name) for name in self.names()}
-
-    def rows(self, prefix: str = "") -> List[Dict[str, object]]:
-        """Benchmark-table rows (``metric``/``value``) for instruments whose
-        name starts with ``prefix`` — the bridge from live counters to the
-        ``report_rows`` tables the benchmark suite emits."""
-        return [
-            {"metric": name, "value": self.value(name)}
-            for name in self.names()
-            if name.startswith(prefix)
-        ]
+        return {name: self._counters[name].value for name in sorted(self._counters)}
 
 
 # -- the bus -------------------------------------------------------------
@@ -768,33 +691,24 @@ def total_cpu_from_log(events: Iterable[TelemetryEvent]) -> Duration:
     )
 
 
-def availability_from_log(events: Iterable[TelemetryEvent]) -> Dict[str, object]:
+def availability_from_log(events: Iterable[TelemetryEvent]) -> AvailabilitySummary:
     """Flow availability accounting regenerated from a persisted log.
 
-    Counts stage completions, retry attempts and their simulated wait,
+    Counts finished stages, retry attempts and their simulated wait,
     injected faults, graceful degradations, and dead letters — the
     columns the resilience experiment (C17) reports.  Works on pre-fault
     logs too: absent attributes read as a clean single attempt.
     """
-    summary: Dict[str, object] = {
-        "stages": 0,
-        "completed": 0,
-        "degraded": 0,
-        "dead_letters": 0,
-        "attempts": 0,
-        "faults_injected": 0,
-        "retry_wait_s": 0.0,
-    }
+    summary = AvailabilitySummary()
     for event in events:
         if event.kind == "stage.finish":
-            summary["stages"] += 1  # type: ignore[operator]
-            summary["completed"] += 1  # type: ignore[operator]
-            summary["attempts"] += int(event.attr("attempts", 1))  # type: ignore[arg-type, operator]
-            summary["retry_wait_s"] += float(event.attr("retry_wait_s", 0.0))  # type: ignore[arg-type, operator]
+            summary.stages += 1
+            summary.attempts += int(event.attr("attempts", 1))  # type: ignore[arg-type]
+            summary.retry_wait_s += float(event.attr("retry_wait_s", 0.0))  # type: ignore[arg-type]
             if event.attr("degraded", False):
-                summary["degraded"] += 1  # type: ignore[operator]
+                summary.degraded += 1
         elif event.kind == "fault.injected":
-            summary["faults_injected"] += 1  # type: ignore[operator]
+            summary.faults_injected += 1
         elif event.kind == "stage.dead_letter":
-            summary["dead_letters"] += 1  # type: ignore[operator]
+            summary.dead_letters += 1
     return summary

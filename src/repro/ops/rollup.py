@@ -40,7 +40,7 @@ import hashlib
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.cachestore import DiskCacheStore
 from repro.core.errors import OpsError, TelemetryError
@@ -426,7 +426,6 @@ def build_rollup(
     path: Union[str, Path],
     window_s: float = DEFAULT_WINDOW_S,
     store: Optional[DiskCacheStore] = None,
-    counters: Optional[Mapping[str, float]] = None,
     telemetry: Optional[Telemetry] = None,
 ) -> RollupProjection:
     """The serving path: a projection over ``path``, via the store.
@@ -445,10 +444,9 @@ def build_rollup(
     The result is written back under its content digest and the head
     pointer is advanced, both via the store's atomic writes, so
     concurrent readers of a growing log each serve *some* complete
-    prefix and never a torn projection.  ``counters`` (a
-    ``MetricsRegistry.as_dict()`` snapshot) is merged into the returned
-    projection only — never into the stored entry, which stays a pure
-    function of the log bytes.
+    prefix and never a torn projection.  ``log.truncated_lines`` is set
+    in the returned projection's ``counters`` only — never in the stored
+    entry, which stays a pure function of the log bytes.
     """
     path = Path(path)
     with path.open("rb") as handle:
@@ -473,9 +471,6 @@ def build_rollup(
                     "consumed_digest": projection.consumed_digest,
                 },
             )
-    if counters:
-        for name in sorted(counters):
-            projection.counters[name] = float(counters[name])
     projection.counters["log.truncated_lines"] = float(projection.truncated_lines)
     if telemetry is not None:
         telemetry.emit(

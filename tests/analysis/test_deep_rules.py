@@ -410,6 +410,34 @@ class TestRPR104TransitiveDeterminism:
         assert codes(scan(tmp_path, tree, select=MODULE_RULES)) == []
         assert codes(scan(tmp_path, tree)) == ["RPR104"]
 
+    def test_trigger_rng_in_a_dataclass_post_init(self, tmp_path):
+        """Building a dataclass runs its ``__post_init__``: a draw there
+        reaches the cached transform that builds it."""
+        findings = scan(
+            tmp_path,
+            {"m.py": """
+            import random
+            from dataclasses import dataclass
+
+            @dataclass
+            class Sample:
+                value: float
+
+                def __post_init__(self):
+                    self.value += random.random()
+
+            def process(items, config):
+                return [Sample(i) for i in items]
+
+            def register(flow, config):
+                flow.stage("process", lambda items: process(items, config),
+                           cache_params={"seed": config.seed})
+            """},
+        )
+        hits = [f for f in findings if f.code == "RPR104"]
+        assert len(hits) == 1
+        assert "Sample.__post_init__" in hits[0].message
+
     def test_clean_seeded_rng(self, tmp_path):
         findings = scan(
             tmp_path,

@@ -565,12 +565,10 @@ def test_no_function_keeps_process_state_outside_the_inventory(analysis, tmp_pat
     }
 
 
-#: The scopes in ``src/`` that build a ``MetricsRegistry``: the bus's own
-#: (the pins fold it, perfbench reads it) and the stage cache's fallback.
-#: A component keeps its books in the stats dataclass it declares.
-REGISTRY_BUILDERS = {
-    "core.telemetry.Telemetry.__init__", "core.stagecache.StageCache.__init__",
-}
+#: The one scope in ``src/`` that builds a ``MetricsRegistry``: the bus's
+#: own, which the trace replayer's counts fill (the pins fold it, perfbench
+#: reads it).  A component keeps its books in the stats it declares.
+REGISTRY_BUILDERS = {"core.telemetry.Telemetry.__init__"}
 
 
 def _registry_builders(program, registry="repro.core.telemetry.MetricsRegistry"):

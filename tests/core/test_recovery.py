@@ -99,7 +99,7 @@ class TestEngineRetry:
         assert row.attempts == 3
         # Backoff after attempts 1 and 2: 10 + 20 simulated seconds.
         assert row.retry_wait.seconds == 30.0
-        assert report.availability()["retry_wait_s"] == 30.0
+        assert report.availability().retry_wait_s == 30.0
         kinds = [event.kind for event in report.events]
         assert "stage.retry" in kinds
 
@@ -169,8 +169,8 @@ class TestEngineRetry:
         assert "stage.degraded" in kinds
         assert "stage.dead_letter" in kinds
         availability = report.availability()
-        assert availability["degraded"] == 1
-        assert availability["dead_letters"] == 1
+        assert availability.degraded == 1
+        assert availability.dead_letters == 1
 
     def test_a_degraded_letter_survives_a_later_abort(self):
         """The degraded stage completed before the run aborted, so its

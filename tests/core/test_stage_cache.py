@@ -18,7 +18,6 @@ from repro.core.errors import CacheError, ExecutionError
 from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.recovery import RetryPolicy
 from repro.core.stagecache import CachedStage, StageCache, stage_key
-from repro.core.telemetry import MetricsRegistry
 from repro.core.units import DataSize, Duration
 from tests.conftest import fingerprint
 
@@ -97,15 +96,17 @@ class TestStageCacheUnit:
             StageCache().store("k", "not a CachedStage")
 
     def test_registry_backed_counters(self):
-        registry = MetricsRegistry()
-        cache = StageCache(registry=registry)
+        """The cache's counters are its own ints, and shard traffic is
+        booked apart from stage traffic."""
+        cache = StageCache()
         cache.lookup("nope")
-        cache.store("k", self.entry())
-        cache.lookup("k")
-        rows = {row["metric"]: row["value"] for row in registry.rows("stage_cache.")}
-        assert rows["stage_cache.hits"] == 1
-        assert rows["stage_cache.misses"] == 1
-        assert rows["stage_cache.entries"] == 1
+        cache.lookup_shard("nope")
+        cache.store_shard("s", 1)
+        cache.lookup_shard("s")
+        cache.lookup_shard("s")
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert (cache.shard_hits, cache.shard_misses) == (2, 1)
+        assert cache.disk_stats()["disk_hits"] == 0
 
 
 def counting_flow(calls, cache_params=None):

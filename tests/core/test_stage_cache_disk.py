@@ -342,9 +342,7 @@ class TestUnverifiableInputRegression:
         # Uncacheable, not a false hit: the stage ran, nothing was stored.
         assert cache.hits == 0
         assert cache.stats()["entries"] == 1
-        assert (
-            cache.registry.value("stage_cache.unverified_inputs") == 1
-        )
+        assert cache.unverified_inputs == 1
 
     def test_unstamped_seed_still_caches(self):
         """The legitimate no-provenance case keeps its old behaviour."""
@@ -355,4 +353,4 @@ class TestUnverifiableInputRegression:
                 inputs={"consume": Dataset("ext", DataSize(10.0))},
             )
         assert cache.hits == 1
-        assert cache.registry.value("stage_cache.unverified_inputs") == 0
+        assert cache.unverified_inputs == 0

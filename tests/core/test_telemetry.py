@@ -436,35 +436,17 @@ class TestInstruments:
         counter.inc(5)
         assert counter.value == 5
 
-    def test_gauge_moves_both_ways(self):
-        gauge = MetricsRegistry().gauge("busy")
-        gauge.set(10.0)
-        gauge.add(-4.0)
-        assert gauge.value == 6.0
-
-    def test_highwater_keeps_the_peak(self):
-        mark = MetricsRegistry().highwater("live_bytes")
-        mark.observe(5.0)
-        mark.observe(3.0)
-        assert mark.peak == 5.0
-
     def test_registry_get_or_create_is_stable(self):
         registry = MetricsRegistry()
         assert registry.counter("n") is registry.counter("n")
 
-    def test_registry_rejects_type_conflicts(self):
-        registry = MetricsRegistry()
-        registry.counter("n")
-        with pytest.raises(TelemetryError, match="Counter"):
-            registry.gauge("n")
-
     def test_value_and_as_dict(self):
         registry = MetricsRegistry()
+        registry.counter("b").inc(9)
         registry.counter("a").inc(2)
-        registry.highwater("b").observe(9)
         assert registry.value("a") == 2
         assert registry.value("missing", default=-1.0) == -1.0
-        assert registry.as_dict() == {"a": 2.0, "b": 9.0}
+        assert list(registry.as_dict().items()) == [("a", 2.0), ("b", 9.0)]
 
 
 class TestSpans:
@@ -835,10 +817,9 @@ class TestLogViews:
         with pytest.raises(TelemetryError):
             peak_storage_from_log(bus.events())
 
-    def test_engine_registry_reflects_the_run(self):
+    def test_engine_run_leaves_the_registry_empty(self):
+        """The log is the run's one book: the engine counts nothing on
+        the side that its events do not already say."""
         report = self.run_flow()
-        metrics = report.telemetry.registry
-        assert metrics.value("engine.stages") == 2
-        assert metrics.value("engine.peak_live_bytes") == (
-            report.peak_live_storage.bytes
-        )
+        assert len(report.events) > 0
+        assert report.telemetry.registry.as_dict() == {}

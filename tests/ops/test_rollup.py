@@ -17,6 +17,7 @@ from repro.core.telemetry import Telemetry, write_event_log
 from repro.ops.rollup import (
     QualityCounts,
     UNATTRIBUTED,
+    _entry_key,
     build_rollup,
     flow_of,
     merge_projections,
@@ -179,11 +180,14 @@ def test_corrupt_interior_line_raises(tmp_path):
 def test_counters_merge_into_projection_not_store(pipeline_log, tmp_path):
     path, _ = pipeline_log
     store = DiskCacheStore(tmp_path / "cache")
-    first = build_rollup(path, store=store, counters={"engine.stages": 4.0})
-    assert first.counters["engine.stages"] == 4.0
+    first = build_rollup(path, store=store)
+    assert first.counters == {"log.truncated_lines": 0.0}
+    stored = store.read(_entry_key(first.window_s, first.content_digest))
+    assert stored.content_digest == first.content_digest
+    assert stored.counters == {}
     second = build_rollup(path, store=store)
     assert second.source == "cache"
-    assert "engine.stages" not in second.counters
+    assert second.counters == first.counters
 
 
 def test_build_emits_ops_rollup_telemetry(pipeline_log):

@@ -2,7 +2,7 @@
 
 The examples double as executable documentation; each must exit cleanly
 under ``PYTHONPATH=src`` from a scratch working directory (several write
-output trees relative to the CWD).
+output trees relative to the CWD) and print its report.
 """
 
 import os
@@ -37,3 +37,5 @@ def test_example_runs_clean(script, tmp_path):
         f"--- stdout ---\n{completed.stdout[-2000:]}\n"
         f"--- stderr ---\n{completed.stderr[-2000:]}"
     )
+    # Each example reports what it ran, not just that it ran.
+    assert len(completed.stdout) > 200

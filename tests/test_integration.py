@@ -5,9 +5,6 @@ benchmarks do, and checks the joints: engine + provenance store, storage +
 transport + integrity.
 """
 
-import runpy
-from pathlib import Path
-
 import pytest
 
 from repro.core.dataflow import DataFlow
@@ -19,8 +16,6 @@ from repro.storage.hsm import HierarchicalStore
 from repro.storage.media import LTO3_TAPE, LTO5_TAPE
 from repro.storage.tape import RoboticTapeLibrary
 from repro.transport.sneakernet import ARECIBO_TO_CTC
-
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestEngineProvenanceIntegration:
@@ -83,14 +78,3 @@ class TestStorageTransportIntegration:
         assert report.files_moved == 10
         assert archive.media_count < 20  # denser media need fewer cartridges
         assert archive.ledger.total("personnel") > 0
-
-
-@pytest.mark.parametrize(
-    "script",
-    ["quickstart.py", "transport_planning.py"],
-)
-def test_fast_examples_run(script, capsys):
-    """The lightweight example scripts execute end to end."""
-    runpy.run_path(str(EXAMPLES_DIR / script), run_name="__main__")
-    output = capsys.readouterr().out
-    assert len(output) > 200
